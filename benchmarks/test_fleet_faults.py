@@ -43,7 +43,7 @@ def violation_minutes(study) -> float:
         study.violation_fraction
         * study.n_steps
         * study.n_lanes
-        * study.step_seconds
+        * study.config.step_seconds
         / 60.0
     )
 

@@ -51,7 +51,7 @@ def test_fleet_hetero_throughput(benchmark):
     print_figure(
         "Heterogeneous fleet: mixed schemas + shared hosts vs homogeneous",
         [
-            f"homogeneous ({homogeneous.mix}): "
+            f"homogeneous ({homogeneous.config.mix}): "
             f"{homogeneous_rate:,.0f} lane-steps/s, "
             f"{homogeneous.learning_runs} learning phase(s)",
             f"mixed on {mixed.n_hosts} hosts: {mixed_rate:,.0f} lane-steps/s, "

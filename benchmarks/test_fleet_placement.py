@@ -91,7 +91,7 @@ def test_fleet_placement_vectorized_step_200(benchmark):
     benchmark.extra_info["mean_host_theft"] = hosted.mean_host_theft
 
     assert hosted.n_hosts == FLEET_HOSTS
-    assert hosted.placement == "first_fit_decreasing"
+    assert hosted.config.placement == "first_fit_decreasing"
     # The coupling must actually run (not a degenerate empty host map).
     assert hosted.host_overload_fraction > 0.0
     assert hosted.peak_host_theft > 0.0

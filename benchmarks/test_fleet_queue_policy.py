@@ -38,7 +38,7 @@ def violation_minutes(study) -> float:
         study.violation_fraction
         * study.n_steps
         * study.n_lanes
-        * study.step_seconds
+        * study.config.step_seconds
         / 60.0
     )
 
@@ -57,7 +57,7 @@ def test_priority_admission_cuts_violation_minutes(benchmark):
 
     print_figure(
         f"Admission market: {fifo.n_lanes} lanes, 1 slot, "
-        f"{fifo.step_seconds:.0f} s steps",
+        f"{fifo.config.step_seconds:.0f} s steps",
         [
             f"fifo: {fifo_minutes:.0f} violation-minutes "
             f"({fifo.violation_fraction:.2%} of lane-steps), "

@@ -75,7 +75,7 @@ def test_fleet_scale_200_services(benchmark):
     # simulation at least 3x faster at this scale (bit-level equality
     # is pinned by tests/test_fleet_equivalence.py; the macro numbers
     # must agree here too).
-    assert study.batched and not scalar.batched
+    assert study.config.batched and not scalar.config.batched
     assert speedup >= 3.0
     assert study.hit_rate == scalar.hit_rate
     assert study.violation_fraction == scalar.violation_fraction
@@ -84,7 +84,7 @@ def test_fleet_scale_200_services(benchmark):
     # A 200-lane fleet must run end-to-end in one process, pay exactly
     # one learning phase, and keep reusing the shared repository.
     assert study.n_lanes == FLEET_LANES
-    assert study.n_steps == int(FLEET_HOURS * 3600 / study.step_seconds)
+    assert study.n_steps == int(FLEET_HOURS * 3600 / study.config.step_seconds)
     assert study.learning_runs == 1
     assert study.hit_rate > 0.9
     # With one profiling slot and 200 services adapting each hour, the

@@ -42,10 +42,10 @@ contiguous lane-range shards run by worker processes and merged exactly
 (``repro.sim.shard``); with ``--hosts`` the shards stay host-coupled
 through the cross-shard demand exchange (``repro.sim.exchange``,
 ``--exchange-every`` paces the barrier) and ``--wave-workers`` overlaps
-independent control-plane waves inside each engine.
-``--rng-mode`` picks counter-mode telemetry
-streams (default; signature collection vectorizes across lanes) or the
-legacy sequential generators.  ``--placement-demand forecast`` packs
+independent control-plane waves inside each engine.  The flags build
+one ``FleetConfig`` (``repro.experiments.multiplexing_study``), which
+owns every default and cross-field rule; a rule it rejects exits 2
+naming the flags involved.  ``--placement-demand forecast`` packs
 lanes by their seasonal predicted peak (``repro.sim.forecast``)
 instead of the learning-day observed peak, and ``--consolidate`` runs
 the migration planner in consolidation mode (drain the coldest
@@ -64,6 +64,7 @@ scenario x policy on stdout; ``list`` shows the library.
 from __future__ import annotations
 
 import argparse
+import re
 from typing import Callable
 
 
@@ -212,59 +213,69 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[int], list[str]]]] = {
 }
 
 
-def _fleet_rows(args) -> list[str]:
-    from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
+def _subparser(parser: argparse.ArgumentParser, name: str):
+    """The parser of one subcommand."""
+    (subparsers,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices[name]
+
+
+def _named_flags(parser: argparse.ArgumentParser, message: str) -> str:
+    """The flags whose ``dest`` a config error message names."""
+    return ", ".join(
+        "/".join(action.option_strings)
+        for action in parser._actions
+        if action.option_strings
+        and re.search(rf"\b{action.dest}\b", message)
+    )
+
+
+def _fleet_config(args, schedule):
+    from repro.experiments.multiplexing_study import FleetConfig
     from repro.sim.placement import MigrationPolicy
 
-    study = run_fleet_multiplexing_study(
-        n_lanes=args.lanes,
-        hours=args.hours,
-        step_seconds=args.step,
-        profiling_slots=args.slots,
-        queue_policy=args.queue_policy,
-        queue_high_watermark=args.high_watermark,
-        queue_low_watermark=args.low_watermark,
-        resignature_every_seconds=args.resignature_every,
-        seed=args.seed,
-        mix=args.mix,
-        n_hosts=args.hosts if args.hosts > 0 else None,
-        host_capacity_units=args.host_capacity,
-        placement=args.placement or "round_robin",
-        placement_demand=args.placement_demand or "learning-peak",
-        migration=(
-            MigrationPolicy(
-                rebalance_every=args.rebalance_every,
-                mode="consolidate" if args.consolidate else "pressure",
-            )
-            if args.migration or args.consolidate
-            else None
-        ),
-        batched=args.batch,
-        rng_mode=args.rng_mode,
-        shards=args.shards,
-        workers=args.workers,
-        shard_dir=args.shard_dir,
-        exchange_every=args.exchange_every,
-        wave_workers=args.wave_workers,
-        faults=getattr(args, "fault_schedule", None),
+    fields = {
+        name: value
+        for name, value in vars(args).items()
+        if name in FleetConfig.__dataclass_fields__
+    }
+    fields["n_hosts"] = args.n_hosts or None
+    fields["faults"] = schedule
+    fields["migration"] = (
+        MigrationPolicy(
+            rebalance_every=args.rebalance_every,
+            mode="consolidate" if args.consolidate else "pressure",
+        )
+        if args.migration or args.consolidate
+        else None
     )
-    path = "batched" if study.batched else "scalar"
+    return FleetConfig(**fields)
+
+
+def _fleet_rows(config, power_cost: float | None) -> list[str]:
+    from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
+
+    study = run_fleet_multiplexing_study(config)
+    path = "batched" if config.batched else "scalar"
     engine_label = (
         "in the engine"
         if study.shards == 1
         else f"wall, {study.shards} shards x {study.workers} worker(s)"
     )
     rows = [
-        f"{study.n_lanes} services ({study.mix}) x {study.n_steps} steps "
-        f"({study.step_seconds:.0f} s each) on one shared clock",
-        f"{path} control plane, {study.rng_mode} telemetry streams: "
+        f"{study.n_lanes} services ({config.mix}) x {study.n_steps} steps "
+        f"({config.step_seconds:.0f} s each) on one shared clock",
+        f"{path} control plane: "
         f"{study.lane_steps_per_second:,.0f} "
         f"lane-steps/s ({study.engine_seconds:.2f} s {engine_label})",
         f"learning phases paid: {study.learning_runs} "
         f"({study.tuning_invocations} tuner runs, amortized fleet-wide)",
         f"shared-repository hit rate: {study.hit_rate:.1%}",
-        f"profiling queue ({args.slots} slot(s), {study.queue_policy} "
-        f"admission): mean wait "
+        f"profiling queue ({config.profiling_slots} slot(s), "
+        f"{config.queue_policy} admission): mean wait "
         f"{study.mean_queue_wait_seconds:.0f} s, max wait "
         f"{study.max_queue_wait_seconds:.0f} s, peak depth "
         f"{study.max_queue_depth}, utilization "
@@ -286,20 +297,20 @@ def _fleet_rows(args) -> list[str]:
     if study.n_hosts:
         rows.append(
             f"shared hosts ({study.n_hosts} x "
-            f"{args.host_capacity:.0f} units, {study.placement} placement, "
-            f"{study.host_demand} footprints): overloaded "
+            f"{config.host_capacity_units:.0f} units, {config.placement} "
+            f"placement): overloaded "
             f"{study.host_overload_fraction:.1%} of host-steps, mean theft "
             f"{study.mean_host_theft:.1%} (peak {study.peak_host_theft:.1%}), "
             f"{study.interference_escalations} interference-band "
             f"escalation(s)"
         )
         energy = (
-            f"energy ({study.placement_demand} packing estimates): "
+            f"energy ({config.placement_demand} packing estimates): "
             f"{study.host_hours_on:.1f} host-hours on "
             f"({study.mean_hosts_on:.2f} hosts on average)"
         )
-        if args.power_cost is not None:
-            energy += f", ${study.host_hours_on * args.power_cost:,.2f} power"
+        if power_cost is not None:
+            energy += f", ${study.host_hours_on * power_cost:,.2f} power"
         rows.append(energy)
     if study.host_failures or study.revoked_profiles:
         rows.append(
@@ -332,7 +343,6 @@ def _placement_rows(args) -> list[str]:
         placement_demand=args.placement_demand,
         rebalance_every=args.rebalance_every,
         seed=args.seed,
-        workers=0,
     )
     return frontier_rows(study)
 
@@ -365,10 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="fleet-scale multiplexing study (shared repository + profiler)",
     )
-    fleet.add_argument("--lanes", type=int, default=8)
+    fleet.add_argument("--lanes", dest="n_lanes", type=int, default=8)
     fleet.add_argument("--hours", type=float, default=24.0)
-    fleet.add_argument("--step", type=float, default=300.0)
-    fleet.add_argument("--slots", type=int, default=1)
+    fleet.add_argument(
+        "--step", dest="step_seconds", type=float, default=300.0
+    )
+    fleet.add_argument("--slots", dest="profiling_slots", type=int, default=1)
     fleet.add_argument(
         "--queue-policy",
         choices=["fifo", "priority"],
@@ -380,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--high-watermark",
+        dest="queue_high_watermark",
         type=_nonnegative_int,
         default=None,
         help="pending depth at which the priority queue starts shedding "
@@ -388,12 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--low-watermark",
+        dest="queue_low_watermark",
         type=_nonnegative_int,
         default=None,
         help="pending depth at which watermark shedding stops again",
     )
     fleet.add_argument(
         "--resignature-every",
+        dest="resignature_every_seconds",
         type=_positive_float,
         default=None,
         help="give every lane a routine re-signature stream with this "
@@ -410,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--hosts",
+        dest="n_hosts",
         type=_nonnegative_int,
         default=0,
         help="place lanes round-robin onto this many shared hosts "
@@ -417,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--host-capacity",
+        dest="host_capacity_units",
         type=_positive_float,
         default=12.0,
         help="capacity units of each shared host",
@@ -468,19 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--batch",
+        dest="batched",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="run the batched fleet control plane (--no-batch keeps the "
         "scalar per-lane step path reachable for A/B runs)",
-    )
-    fleet.add_argument(
-        "--rng-mode",
-        choices=["counter", "legacy"],
-        default="counter",
-        help="telemetry stream discipline: counter-mode streams (one "
-        "per-fleet key; signature collection vectorizes across lanes "
-        "and is shard-invariant) or the legacy sequential per-sampler "
-        "generators",
     )
     fleet.add_argument(
         "--shards",
@@ -517,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="threads overlapping independent control-plane waves "
         "inside each engine (0 = serial reference path, bit-identical "
-        "either way)",
+        "either way; requires --batch)",
     )
     fleet.add_argument(
         "--faults",
@@ -692,28 +701,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "scenario":
         return _scenario_rows(args)
     if args.command == "fleet":
-        if args.hosts == 0 and args.placement is not None:
-            parser.error(
-                f"--placement {args.placement} has no effect without "
-                "shared hosts; pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.migration:
-            parser.error(
-                "--migration has no effect without shared hosts; "
-                "pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.consolidate:
-            parser.error(
-                "--consolidate drains shared hosts; "
-                "pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.placement_demand is not None:
-            parser.error(
-                f"--placement-demand {args.placement_demand} picks the "
-                "estimate lanes are packed onto shared hosts with; "
-                "pass --hosts N (>= 1)"
-            )
-        if args.hosts == 0 and args.power_cost is not None:
+        if args.n_hosts == 0 and args.power_cost is not None:
             parser.error(
                 "--power-cost prices host-hours-on; "
                 "pass --hosts N (>= 1)"
@@ -728,13 +716,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"--shard-dir {args.shard_dir} has no effect without "
                 "sharding; pass --shards N (>= 2)"
             )
-        if args.exchange_every != 1 and (args.shards == 1 or args.hosts == 0):
-            parser.error(
-                f"--exchange-every {args.exchange_every} paces the "
-                "cross-shard demand exchange; pass --shards N (>= 2) "
-                "and --hosts M (>= 1)"
-            )
-        args.fault_schedule = None
+        schedule = None
         knobs = [
             name
             for name, given in (
@@ -771,13 +753,13 @@ def main(argv: list[str] | None = None) -> int:
                     schedule = _replace(schedule, **overrides)
             except ValueError as exc:
                 parser.error(f"invalid --faults schedule: {exc}")
-            if schedule.any_host_faults and args.hosts == 0:
-                parser.error(
-                    "--faults kills shared hosts; pass --hosts N (>= 1)"
-                )
-            args.fault_schedule = schedule
-        print(f"== fleet: {args.lanes}-service multiplexing study")
-        for row in _fleet_rows(args):
+        try:
+            config = _fleet_config(args, schedule)
+        except ValueError as exc:
+            fleet = _subparser(parser, "fleet")
+            fleet.error(f"{exc} (flags: {_named_flags(fleet, str(exc))})")
+        print(f"== fleet: {config.n_lanes}-service multiplexing study")
+        for row in _fleet_rows(config, args.power_cost):
             print(f"   {row}")
         return 0
     if args.command == "placement":

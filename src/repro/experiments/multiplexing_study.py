@@ -28,9 +28,8 @@ scale) instead of only from scripted per-lane injection.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,18 +52,14 @@ from repro.sim.placement import (
 from repro.telemetry.counters import HARDWARE_REGISTERS, HPCSampler
 from repro.telemetry.events import TABLE1_EVENTS
 from repro.telemetry.streams import TelemetryStreams
-from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
+from repro.workloads.request_mix import (
+    CASSANDRA_UPDATE_HEAVY,
+    SPECWEB_SUPPORT,
+    Workload,
+)
 
 #: Lane compositions the fleet study understands.
 FLEET_MIXES = ("scaleout", "scaleup", "mixed")
-
-#: Telemetry stream disciplines the fleet study understands.
-FLEET_RNG_MODES = ("counter", "legacy")
-
-#: Host-footprint models the fleet study understands: ``allocation``
-#: tracks what DejaVu actually deployed (the default), ``offered`` keeps
-#: the static PR 2 offered-demand footprint (regression pinning).
-FLEET_HOST_DEMANDS = ("allocation", "offered")
 
 
 @dataclass(frozen=True)
@@ -132,19 +127,298 @@ def run_multiplexing_study(
 
 
 @dataclass(frozen=True)
+class FleetConfig:
+    """Everything that configures one fleet study, with every rule
+    relating its fields.
+
+    The study, its shard workers, the scenario schema and ``repro.cli
+    fleet`` all read this one object.  Construction validates it: a bad
+    value or an inconsistent combination raises :class:`ValueError`
+    whose message names the fields involved.  ``__post_init__`` also
+    normalizes ``demand_factors`` to a tuple, resolves an unset
+    ``placement``/``placement_demand`` to ``round_robin``/
+    ``learning-peak`` when hosts exist, and expands ``faults`` into a
+    concrete :class:`~repro.sim.faults.FaultSchedule`, so every shard
+    worker replays one identical fault timeline.
+
+    **Exactness.**  One configuration run with the scalar loop
+    (``batched=False``), the batched control plane, overlapped waves
+    (``wave_workers``) or cut into shards produces bit-identical
+    results when the profiling queue is *uncontended* — no request
+    waits for a slot.  Under a contended queue the paths may order
+    grants differently (the scalar loop charges the queue lane by lane,
+    the batched wave in lane order after gating the whole wave, and
+    each shard owns its own queue), which gives different, equally
+    valid schedules; this happens with and without interference
+    escalation probes in the wave.
+    """
+
+    n_lanes: int = 4
+    """Co-hosted services (lanes) sharing one DejaVu."""
+
+    hours: float = 48.0
+    """Simulated duration."""
+
+    step_seconds: float = 300.0
+    """Engine step.  The default 5-minute step keeps adaptation hourly
+    (the managers' check interval) while sampling performance between
+    adaptations, so the VM warm-up transient after a reallocation is
+    weighted as in the paper's 60-second-step case studies rather than
+    dominating every sample."""
+
+    profiling_slots: int = 1
+    """Clone VMs of the shared profiling environment (one environment
+    per shard); every online signature collection contends for them."""
+
+    max_pending: int | None = None
+    """Bound on queued profiling requests (``None`` = unbounded);
+    rejected requests defer their lane's adaptation."""
+
+    queue_policy: str = "fifo"
+    """Admission discipline of the profiling queue: ``fifo`` (the
+    original bounded queue) or ``priority`` — the admission market
+    where escalation probes and violation-triggered adaptations outbid
+    routine re-signatures and relearn sweeps, and queued low-value work
+    is evictable by a higher bidder."""
+
+    queue_high_watermark: int | None = None
+    """Pending depth at which the priority queue starts shedding
+    low-priority work before the ``max_pending`` cliff (set together
+    with ``queue_low_watermark``)."""
+
+    queue_low_watermark: int | None = None
+    """Pending depth at which watermark shedding stops."""
+
+    resignature_every_seconds: float | None = None
+    """Period of a routine re-signature stream on every lane (lowest
+    priority: background traffic for the market to outbid); ``None``
+    keeps the original request pattern."""
+
+    lane_seed_stride: int = 1
+    """Workload diversity: 0 gives every lane the identical trace and
+    telemetry (useful for determinism properties), 1 gives each lane
+    its own phase wander and jitter."""
+
+    trace_name: str = "messenger"
+    """Load trace every lane replays (``messenger`` or ``hotmail``)."""
+
+    seed: int = 0
+    """Seeds the traces and the fleet's counter-mode telemetry streams
+    (:mod:`repro.telemetry.streams`).  Streams are keyed per lane by
+    ``lane * lane_seed_stride``, so a lane's telemetry does not depend
+    on which batch or process samples it."""
+
+    mix: str = "scaleout"
+    """Lane composition: ``scaleout`` (Cassandra-style), ``scaleup``
+    (SPECweb-style) or ``mixed`` (alternating, with per-lane
+    observation schemas).  The first lane of each family pays the
+    family's learning day; the others adopt its trained model and
+    share its repository."""
+
+    n_hosts: int | None = None
+    """Shared simulated hosts the lanes are placed on.  Co-located
+    lanes steal capacity from each other at demand peaks — each presses
+    ``min(offered demand, deployed capacity)`` onto its host — and
+    managers that catch a neighbour red-handed escalate to a higher
+    interference band (Sec. 3.6).  ``None`` keeps every lane on
+    dedicated hardware."""
+
+    host_capacity_units: float = 12.0
+    """Capacity of each shared host."""
+
+    placement: "str | PlacementPolicy | None" = None
+    """Policy packing lanes onto the hosts: a name from
+    :data:`repro.sim.placement.PLACEMENT_POLICIES` or a
+    :class:`~repro.sim.placement.PlacementPolicy`.  Unset resolves to
+    ``round_robin`` when hosts exist; setting it needs ``n_hosts``."""
+
+    migration: MigrationPolicy | None = None
+    """Online re-packing: every ``rebalance_every`` steps the
+    worst-pressure host evicts a tenant, and the migrated lane pays a
+    blackout window (the Sec. 3 VM-cloning cost).  In
+    ``mode="consolidate"`` the policy also drains the coldest host when
+    nothing is under pressure.  Needs ``n_hosts``."""
+
+    placement_demand: str | None = None
+    """Demand estimate the placement packs: ``learning-peak`` (each
+    lane's realized day-0 peak; what unset resolves to when hosts
+    exist) or ``forecast`` (the predicted-peak window of
+    :mod:`repro.sim.forecast`).  Both are pure functions of the lane's
+    trace.  Setting it needs ``n_hosts``."""
+
+    demand_factors: tuple[float, ...] = ()
+    """Per-lane peak-demand multipliers: lane ``i``'s trace peak is
+    scaled by ``demand_factors[i % len(demand_factors)]`` and families
+    split by (kind, factor), so each size pays its own learning day.
+    Empty means uniform lanes."""
+
+    batched: bool = True
+    """Run the batched control plane: each adaptation wave classifies
+    all same-family lanes as one signature matrix and observation uses
+    the dict-free fast path.  ``False`` runs the scalar per-lane loop,
+    the reference path."""
+
+    shards: int = 1
+    """Contiguous global lane ranges the fleet is cut into
+    (:mod:`repro.sim.shard`), each with its own profiling environment.
+    With hosts, the shards stay coupled through a per-step cross-shard
+    demand exchange (:mod:`repro.sim.exchange`)."""
+
+    workers: int | None = None
+    """Worker processes executing the shards: ``None`` picks
+    :func:`repro.sim.shard.default_workers`, 0 runs the shards in this
+    process (as threads when host-coupled).  Unused with one shard."""
+
+    shard_dir: str | None = None
+    """Directory keeping each shard's ``.npz`` result (default: a
+    temporary directory).  Unused with one shard."""
+
+    exchange_every: int = 1
+    """Steps between cross-shard demand exchanges: 1 is exact; larger
+    periods let workers run ahead on cached remote demand (an
+    approximation), with migrations committing only at exchange steps.
+    Other values need ``shards > 1`` and ``n_hosts``."""
+
+    wave_workers: int = 0
+    """Threads overlapping independent batched-control-plane waves
+    (per-family signature collection, per-group classification,
+    per-observer recording) inside each engine; 0 is the serial path.
+    Needs ``batched``."""
+
+    faults: "FaultSchedule | None" = None
+    """Deterministic fault timeline (:mod:`repro.sim.faults`): a
+    :class:`~repro.sim.faults.FaultSchedule`, a DSL string
+    (``"host:1@40+30,profiler@30+18,retries=2"``) or a list of tokens.
+    Host deaths trigger an evacuation onto survivors (each evacuee pays
+    the blackout window), profiler outages revoke in-flight grants, and
+    managers recover by bounded retry-with-backoff and a last-known-good
+    fallback (``recovery=off`` keeps the faults, drops the responses).
+    Host faults need ``n_hosts``."""
+
+    def __post_init__(self) -> None:
+        hosted = self.n_hosts is not None
+        factors = tuple(float(f) for f in self.demand_factors or ())
+        object.__setattr__(self, "demand_factors", factors)
+        if self.n_lanes < 1:
+            raise ValueError(f"need at least one lane: n_lanes={self.n_lanes}")
+        if self.hours <= 0:
+            raise ValueError(f"need a positive duration: hours={self.hours}")
+        if self.step_seconds <= 0:
+            raise ValueError(
+                f"need a positive step: step_seconds={self.step_seconds}"
+            )
+        if hosted and self.n_hosts < 1:
+            raise ValueError(f"need at least one host: n_hosts={self.n_hosts}")
+        if self.mix not in FLEET_MIXES:
+            raise ValueError(
+                f"unknown mix {self.mix!r}; use one of {FLEET_MIXES}"
+            )
+        if self.placement is not None:
+            make_policy(self.placement)  # unknown names fail loudly
+        if (
+            self.placement_demand is not None
+            and self.placement_demand not in PLACEMENT_DEMANDS
+        ):
+            raise ValueError(
+                f"unknown placement_demand {self.placement_demand!r}; "
+                f"use one of {PLACEMENT_DEMANDS}"
+            )
+        if (
+            self.resignature_every_seconds is not None
+            and self.resignature_every_seconds <= 0
+        ):
+            raise ValueError(
+                "need a positive re-signature period: "
+                f"resignature_every_seconds={self.resignature_every_seconds}"
+            )
+        # The queue's own validation: a bad policy name or watermark
+        # combination fails here, not inside a shard worker.
+        try:
+            ProfilingQueue(
+                slots=self.profiling_slots,
+                service_seconds=1.0,
+                max_pending=self.max_pending,
+                queue_policy=self.queue_policy,
+                high_watermark=self.queue_high_watermark,
+                low_watermark=self.queue_low_watermark,
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc} (profiling_slots, max_pending, queue_policy, "
+                "queue_high_watermark, queue_low_watermark)"
+            ) from None
+        if any(f <= 0 for f in factors):
+            raise ValueError(
+                f"demand factors must be positive: demand_factors={factors}"
+            )
+        if not hosted:
+            if self.placement is not None:
+                raise ValueError(
+                    "placement policies place lanes onto shared hosts; "
+                    "pass n_hosts"
+                )
+            if self.migration is not None:
+                raise ValueError(
+                    "migration re-packs shared hosts; pass n_hosts"
+                )
+            if self.placement_demand is not None:
+                raise ValueError(
+                    "placement_demand picks the estimate lanes are packed "
+                    "onto shared hosts with; pass n_hosts"
+                )
+        if self.shards < 1:
+            raise ValueError(f"need at least one shard: shards={self.shards}")
+        if self.shards > self.n_lanes:
+            raise ValueError(
+                f"cannot cut n_lanes={self.n_lanes} into "
+                f"shards={self.shards}"
+            )
+        if self.wave_workers < 0:
+            raise ValueError(f"wave_workers must be >= 0: {self.wave_workers}")
+        if self.wave_workers and not self.batched:
+            raise ValueError(
+                "wave_workers overlaps the batched control plane's waves; "
+                "it needs batched=True"
+            )
+        if self.exchange_every < 1:
+            raise ValueError(
+                f"exchange period must be >= 1 step: "
+                f"exchange_every={self.exchange_every}"
+            )
+        if self.exchange_every != 1 and (self.shards == 1 or not hosted):
+            raise ValueError(
+                "exchange_every paces the cross-shard demand exchange; it "
+                "needs shards > 1 and n_hosts"
+            )
+        faults = parse_faults(self.faults)
+        if faults is not None:
+            if faults.any_host_faults and not hosted:
+                raise ValueError(
+                    "host faults kill shared hosts; pass n_hosts"
+                )
+            faults = faults.resolve(self.n_steps, self.n_hosts or 0)
+        object.__setattr__(self, "faults", faults)
+        if hosted:
+            if self.placement is None:
+                object.__setattr__(self, "placement", "round_robin")
+            if self.placement_demand is None:
+                object.__setattr__(self, "placement_demand", "learning-peak")
+
+    @property
+    def n_steps(self) -> int:
+        """Engine steps the run takes."""
+        return int(round(self.hours * HOUR / self.step_seconds))
+
+
+@dataclass(frozen=True)
 class FleetMultiplexingStudy:
     """One profiling environment and repository shared by ``n_lanes`` services."""
 
+    config: FleetConfig
+    """The configuration that ran."""
+
     n_lanes: int
     n_steps: int
-    step_seconds: float
-    mix: str
-    """Lane composition: ``scaleout``, ``scaleup`` or ``mixed``."""
-
-    batched: bool
-    """Whether the engine ran the batched control plane (the default)
-    or the scalar per-lane step path (the A/B baseline)."""
-
     engine_seconds: float
     """Wall-clock seconds spent inside ``FleetEngine.run`` — the
     denominator of the ``lane_steps_per_second`` headline, excluding
@@ -202,12 +476,6 @@ class FleetMultiplexingStudy:
 
     result: FleetResult
 
-    rng_mode: str = "counter"
-    """Telemetry stream discipline: ``counter`` (per-fleet counter-mode
-    streams, the default — collection is batch- and shard-invariant) or
-    ``legacy`` (sequential per-sampler generators, the pre-sharding
-    behavior)."""
-
     shards: int = 1
     """How many lane-range shards the sweep was partitioned into."""
 
@@ -220,27 +488,9 @@ class FleetMultiplexingStudy:
     allocation_count, instance_type)`` records per lane in global lane
     order — comparable across single-process and sharded runs."""
 
-    placement: str = "round_robin"
-    """Placement policy that assigned lanes to shared hosts
-    (:mod:`repro.sim.placement`); meaningful only when ``n_hosts > 0``."""
-
-    host_demand: str = "allocation"
-    """Host-footprint model: ``allocation`` (footprints track deployed
-    capacity) or ``offered`` (the static PR 2 offered-demand model)."""
-
     migrations: int = 0
     """Lane migrations the host map's :class:`~repro.sim.placement.MigrationPolicy`
     performed (each charged a blackout window to the migrated lane)."""
-
-    demand_factors: tuple[float, ...] = ()
-    """Per-lane peak-demand multipliers (cycled over the fleet) that
-    made the lanes heterogeneous in size; empty = uniform demand."""
-
-    queue_policy: str = "fifo"
-    """Admission policy of the shared profiling queue: ``fifo`` (the
-    original bounded queue) or ``priority`` (the admission market —
-    escalations outbid routine traffic, watermarks shed, queued work is
-    evictable)."""
 
     accepted_profiles: int = 0
     """Profiling requests the shared queue accepted (the denominator
@@ -253,14 +503,6 @@ class FleetMultiplexingStudy:
     shed_profiles: int = 0
     """Low-priority requests shed at the high watermark before the hard
     ``max_pending`` cliff (priority policy only)."""
-
-    exchange_every: int = 1
-    """Steps between cross-shard demand exchanges on a host-coupled
-    sharded sweep (1 = every step, the bit-identical default)."""
-
-    wave_workers: int = 0
-    """Threads overlapping independent control-plane waves inside each
-    engine (0 = the serial reference path)."""
 
     host_failures: int = 0
     """Host-death fault events the run committed (``faults=``)."""
@@ -290,11 +532,6 @@ class FleetMultiplexingStudy:
     degraded_adaptations: int = 0
     """Adaptations that exhausted retries and fell back to deploying
     the last-known-good repository allocation (degraded mode)."""
-
-    placement_demand: str = "learning-peak"
-    """Placement-time demand estimator: ``learning-peak`` (realized
-    day-0 maximum) or ``forecast`` (the predicted-peak window from
-    :mod:`repro.sim.forecast`)."""
 
     host_hours_on: float = 0.0
     """Host-hours any shared host spent powered on (>= 1 tenant and not
@@ -366,15 +603,24 @@ def lane_families(
     )
 
 
-def _placement_estimates(
-    n_lanes: int,
-    mix: str,
-    factors: tuple[float, ...] | None,
-    trace_name: str,
-    seed: int,
-    lane_seed_stride: int,
-    placement_demand: str = "learning-peak",
-) -> list[float]:
+def _lane_peak_demand(kind: str, factor: float, trace_name: str) -> float:
+    """One lane's trace peak demand: its service kind's default peak
+    scaled by the lane's demand factor (a factor of 1.0 reproduces the
+    builders' defaults bit for bit)."""
+    from repro.experiments.setup import (
+        DEFAULT_PEAK_DEMAND,
+        SCALE_UP_PEAK_DEMAND,
+    )
+
+    if kind == "scaleout":
+        return DEFAULT_PEAK_DEMAND * factor
+    base = SCALE_UP_PEAK_DEMAND.get(trace_name)
+    if base is None:
+        raise ValueError(f"no default scale-up demand for {trace_name!r}")
+    return base * factor
+
+
+def _placement_estimates(config: FleetConfig) -> list[float]:
     """Every lane's placement-time demand estimate, traces only.
 
     Reproduces exactly the estimate :func:`_run_fleet_slice` computes
@@ -385,82 +631,22 @@ def _placement_estimates(
     learning), so the parent of a sharded sweep can resolve the global
     placement in milliseconds before dispatching workers.
     """
-    from repro.experiments.setup import (
-        DEFAULT_PEAK_DEMAND,
-        SCALE_UP_PEAK_DEMAND,
-        make_trace,
-    )
-    from repro.workloads.request_mix import SPECWEB_SUPPORT
+    from repro.experiments.setup import make_trace
 
     estimates = []
-    for lane, kind in enumerate(lane_kinds(n_lanes, mix)):
-        factor = lane_demand_factor(lane, factors)
-        if kind == "scaleout":
-            peak = DEFAULT_PEAK_DEMAND * factor
-            request_mix = CASSANDRA_UPDATE_HEAVY
-        else:
-            base = SCALE_UP_PEAK_DEMAND.get(trace_name)
-            if base is None:
-                raise ValueError(
-                    f"no default scale-up demand for {trace_name!r}"
-                )
-            peak = base * factor
-            request_mix = SPECWEB_SUPPORT
+    for lane, kind in enumerate(lane_kinds(config.n_lanes, config.mix)):
         trace = make_trace(
-            trace_name,
-            request_mix,
-            peak,
-            seed=seed + lane * lane_seed_stride,
+            config.trace_name,
+            CASSANDRA_UPDATE_HEAVY if kind == "scaleout" else SPECWEB_SUPPORT,
+            _lane_peak_demand(
+                kind,
+                lane_demand_factor(lane, config.demand_factors),
+                config.trace_name,
+            ),
+            seed=config.seed + lane * config.lane_seed_stride,
         )
-        estimates.append(placement_estimate(trace, placement_demand))
+        estimates.append(placement_estimate(trace, config.placement_demand))
     return estimates
-
-
-@dataclass(frozen=True)
-class FleetStudySpec:
-    """Everything a worker process needs to rebuild its fleet shard.
-
-    A shard worker receives this spec plus a global lane range and
-    reconstructs *exactly* the lanes the single-process study would
-    have built at those global indices: per-lane trace seeds, sampler
-    seeds/stream keys, and family leadership are all keyed by global
-    lane index, so a lane's simulation does not depend on which process
-    runs it.  Host coupling crosses shard boundaries, so for sharded
-    hosts the parent resolves the *global* lane→host assignment once
-    (``host_placement``) and every worker rebuilds the identical global
-    :class:`~repro.sim.hosts.HostMap`, synchronizing per-step demands
-    through the cross-shard exchange (:mod:`repro.sim.exchange`).
-    """
-
-    n_lanes: int
-    hours: float
-    step_seconds: float
-    profiling_slots: int
-    max_pending: int | None
-    lane_seed_stride: int
-    trace_name: str
-    seed: int
-    mix: str
-    batched: bool
-    rng_mode: str
-    n_hosts: int | None = None
-    host_capacity_units: float = 12.0
-    placement: "str | PlacementPolicy" = "round_robin"
-    host_demand: str = "allocation"
-    migration: MigrationPolicy | None = None
-    demand_factors: tuple[float, ...] | None = None
-    queue_policy: str = "fifo"
-    queue_high_watermark: int | None = None
-    queue_low_watermark: int | None = None
-    resignature_every_seconds: float | None = None
-    exchange_every: int = 1
-    wave_workers: int = 0
-    host_placement: "tuple[int | None, ...] | None" = None
-    placement_demand: str = "learning-peak"
-    faults: "FaultSchedule | None" = None
-    """A *resolved* fault schedule (generators already expanded by the
-    parent), so every shard worker replays the identical fault
-    timeline."""
 
 
 def _event_log(manager) -> tuple:
@@ -480,27 +666,31 @@ def _event_log(manager) -> tuple:
 
 
 def _run_fleet_slice(
-    spec: FleetStudySpec,
+    config: FleetConfig,
     lane_lo: int,
     lane_hi: int,
     exchange: DemandExchange | None = None,
+    host_placement: "tuple[int | None, ...] | None" = None,
 ) -> tuple[FleetResult, dict]:
     """Build and run global lanes ``[lane_lo, lane_hi)`` of the fleet.
 
     The single-process study is the full slice ``[0, n_lanes)``; shard
-    workers run proper sub-slices.  Families whose global leader lane
-    falls outside the slice re-derive the leader's trained model from a
-    *phantom* setup (identical seeds, deterministic learning) so
-    adoptees share bit-identical state with the leader's own shard.
+    workers run proper sub-slices.  Every lane is rebuilt from its
+    *global* index — trace seed, telemetry stream key and family
+    leadership — so a lane's simulation does not depend on which
+    process runs it.  Families whose global leader lane falls outside
+    the slice re-derive the leader's trained model from a *phantom*
+    setup (identical seeds, deterministic learning) so adoptees share
+    bit-identical state with the leader's own shard.
 
-    When the spec carries hosts, a full-fleet slice builds the
+    When the config carries hosts, a full-fleet slice builds the
     :class:`~repro.sim.hosts.HostMap` itself: the placement policy
-    packs each lane's *peak learning-day demand* onto the hosts, and
-    the lanes' production environments are wired to the map's
+    packs each lane's placement-time demand estimate onto the hosts,
+    and the lanes' production environments are wired to the map's
     interference feeds.  A proper sub-slice instead receives a
-    :class:`~repro.sim.exchange.DemandExchange` handle, rebuilds the
-    identical *global* map from the spec's pre-resolved
-    ``host_placement``, and couples to the other shards through a
+    :class:`~repro.sim.exchange.DemandExchange` handle plus the
+    parent's resolved global ``host_placement``, rebuilds the identical
+    *global* map, and couples to the other shards through a
     :class:`~repro.sim.exchange.ShardHostView`.
 
     Returns the slice's :class:`FleetResult` plus a payload dict of raw
@@ -513,8 +703,6 @@ def _run_fleet_slice(
     # register-multiplexing study alone.
     from repro.core.manager import DejaVuConfig
     from repro.experiments.setup import (
-        DEFAULT_PEAK_DEMAND,
-        SCALE_UP_PEAK_DEMAND,
         build_scaleout_setup,
         build_scaleup_setup,
         counter_monitor,
@@ -524,68 +712,48 @@ def _run_fleet_slice(
         observe_scaleup,
     )
 
-    kinds_all = lane_kinds(spec.n_lanes, spec.mix)
-    families_all = lane_families(spec.n_lanes, spec.mix, spec.demand_factors)
-    streams = (
-        TelemetryStreams(spec.seed) if spec.rng_mode == "counter" else None
+    kinds_all = lane_kinds(config.n_lanes, config.mix)
+    families_all = lane_families(
+        config.n_lanes, config.mix, config.demand_factors
     )
+    streams = TelemetryStreams(config.seed)
     repositories: dict[str, AllocationRepository] = {}
+    config_kwargs = {}
+    if config.resignature_every_seconds is not None:
+        config_kwargs["resignature_every_seconds"] = (
+            config.resignature_every_seconds
+        )
+    faults = config.faults
+    if faults is not None:
+        config_kwargs["profiling_retry_limit"] = faults.manager_retry_limit
+        config_kwargs["profiling_retry_backoff_seconds"] = (
+            faults.retry_backoff_seconds
+        )
+        config_kwargs["degraded_fallback"] = faults.manager_degraded_fallback
 
     def build_setup(lane: int, kind: str):
         """One lane's setup, derived from its *global* index."""
         repository = repositories.setdefault(
             families_all[lane], AllocationRepository()
         )
-        lane_key = lane * spec.lane_seed_stride
+        lane_key = lane * config.lane_seed_stride
         common = dict(
-            trace_name=spec.trace_name,
+            trace_name=config.trace_name,
             repository=repository,
-            trace_seed=spec.seed + lane_key,
-            # Legacy monitors derive two sampler seeds from this (seed
-            # and seed + 1), so lanes stride by 2 to keep every lane's
-            # telemetry noise stream independent of its neighbours'.
+            trace_seed=config.seed + lane_key,
             # Counter monitors key their streams by (fleet seed,
-            # lane_key) instead — batch- and shard-invariant.
-            seed=spec.seed + 2 * lane_key,
-            monitor=(
-                counter_monitor(streams, lane_key)
-                if streams is not None
-                else None
+            # lane_key): batch- and shard-invariant.
+            monitor=counter_monitor(streams, lane_key),
+            peak_demand=_lane_peak_demand(
+                kind,
+                lane_demand_factor(lane, config.demand_factors),
+                config.trace_name,
             ),
         )
-        config_kwargs = {}
-        if spec.resignature_every_seconds is not None:
-            config_kwargs["resignature_every_seconds"] = (
-                spec.resignature_every_seconds
-            )
-        if spec.faults is not None:
-            config_kwargs["profiling_retry_limit"] = (
-                spec.faults.manager_retry_limit
-            )
-            config_kwargs["profiling_retry_backoff_seconds"] = (
-                spec.faults.retry_backoff_seconds
-            )
-            config_kwargs["degraded_fallback"] = (
-                spec.faults.manager_degraded_fallback
-            )
         if config_kwargs:
             # Only override the manager config when a knob is set so
             # default fleets keep the builders' config=None path.
             common["config"] = DejaVuConfig(**config_kwargs)
-        if spec.demand_factors:
-            # Heterogeneously sized lanes: scale each lane's trace peak
-            # by its cycled factor (1.0 factors reproduce the defaults
-            # bit for bit, so uniform fleets are unchanged).
-            factor = lane_demand_factor(lane, spec.demand_factors)
-            if kind == "scaleout":
-                common["peak_demand"] = DEFAULT_PEAK_DEMAND * factor
-            else:
-                base = SCALE_UP_PEAK_DEMAND.get(spec.trace_name)
-                if base is None:
-                    raise ValueError(
-                        f"no default scale-up demand for {spec.trace_name!r}"
-                    )
-                common["peak_demand"] = base * factor
         if kind == "scaleout":
             return build_scaleout_setup(**common)
         return build_scaleup_setup(**common)
@@ -605,7 +773,7 @@ def _run_fleet_slice(
 
     # Shared hosts: pack placement-time demand estimates (each lane's
     # realized learning-day peak, or its forecast predicted-peak window
-    # under ``placement_demand="forecast"``) under the spec's policy,
+    # under ``placement_demand="forecast"``) under the config's policy,
     # then wire every lane's production environment to its interference
     # feed.  A full-fleet slice builds and packs the map itself; a
     # shard slice rebuilds the *global* map from the parent's resolved
@@ -615,40 +783,37 @@ def _run_fleet_slice(
     # vectorized observers are built — the observers snapshot each
     # production's injector at construction.
     host_map = None
-    if spec.n_hosts is not None:
-        demand_fn = (
-            allocation_demand if spec.host_demand == "allocation" else None
-        )
+    if config.n_hosts is not None:
         if exchange is not None:
-            if spec.host_placement is None:
+            if host_placement is None:
                 raise ValueError(
                     "a sharded host-coupled slice needs the parent's "
-                    "resolved host_placement in the spec"
+                    "resolved host_placement"
                 )
             full_map = HostMap(
-                make_hosts(spec.n_hosts, spec.host_capacity_units),
-                list(spec.host_placement),
-                demand_fn=demand_fn,
-                migration=spec.migration,
+                make_hosts(config.n_hosts, config.host_capacity_units),
+                list(host_placement),
+                demand_fn=allocation_demand,
+                migration=config.migration,
             )
-            if spec.faults is not None and spec.faults.any_host_faults:
-                full_map.attach_faults(spec.faults)
+            if faults is not None and faults.any_host_faults:
+                full_map.attach_faults(faults)
             host_map = ShardHostView(full_map, lane_lo, lane_hi, exchange)
         else:
             estimates = [
-                placement_estimate(setup.trace, spec.placement_demand)
+                placement_estimate(setup.trace, config.placement_demand)
                 for setup in setups
             ]
             host_map = build_host_map(
-                spec.placement,
+                config.placement,
                 estimates,
-                n_hosts=spec.n_hosts,
-                capacity_units=spec.host_capacity_units,
-                demand_fn=demand_fn,
-                migration=spec.migration,
+                n_hosts=config.n_hosts,
+                capacity_units=config.host_capacity_units,
+                demand_fn=allocation_demand,
+                migration=config.migration,
             )
-            if spec.faults is not None and spec.faults.any_host_faults:
-                host_map.attach_faults(spec.faults)
+            if faults is not None and faults.any_host_faults:
+                host_map.attach_faults(faults)
         for offset, setup in enumerate(setups):
             setup.production.injector = host_map.feed(offset)
 
@@ -710,15 +875,15 @@ def _run_fleet_slice(
     }
 
     queue = ProfilingQueue(
-        slots=spec.profiling_slots,
+        slots=config.profiling_slots,
         service_seconds=setups[0].profiler.signature_seconds,
-        max_pending=spec.max_pending,
-        queue_policy=spec.queue_policy,
-        high_watermark=spec.queue_high_watermark,
-        low_watermark=spec.queue_low_watermark,
+        max_pending=config.max_pending,
+        queue_policy=config.queue_policy,
+        high_watermark=config.queue_high_watermark,
+        low_watermark=config.queue_low_watermark,
     )
-    if spec.faults is not None:
-        fault_windows = spec.faults.profiler_windows(spec.step_seconds)
+    if faults is not None:
+        fault_windows = faults.profiler_windows(config.step_seconds)
         if fault_windows:
             queue.attach_faults(fault_windows)
     lanes = [
@@ -733,14 +898,14 @@ def _run_fleet_slice(
     ]
     engine = FleetEngine(
         lanes,
-        step_seconds=spec.step_seconds,
-        label=f"fleet-{spec.n_lanes}",
+        step_seconds=config.step_seconds,
+        label=f"fleet-{config.n_lanes}",
         profiling_queue=queue,
         host_map=host_map,
-        batched=spec.batched,
-        wave_workers=spec.wave_workers,
+        batched=config.batched,
+        wave_workers=config.wave_workers,
     )
-    duration = spec.hours * HOUR
+    duration = config.hours * HOUR
     engine_start = time.perf_counter()
     result = engine.run(duration)
     engine_seconds = time.perf_counter() - engine_start
@@ -864,16 +1029,21 @@ def _run_fleet_slice(
 
 
 def _shard_worker(
-    spec: FleetStudySpec,
+    spec: "tuple[FleetConfig, tuple[int | None, ...] | None]",
     lane_lo: int,
     lane_hi: int,
     result_path: str,
     exchange: DemandExchange | None = None,
 ) -> dict:
-    """One worker process's job: run a slice, persist it, return stats."""
+    """One worker process's job: run a slice, persist it, return stats.
+
+    ``spec`` is the study's config plus the global lane→host placement
+    the parent resolved (``None`` without hosts).
+    """
+    config, host_placement = spec
     try:
         result, payload = _run_fleet_slice(
-            spec, lane_lo, lane_hi, exchange=exchange
+            config, lane_lo, lane_hi, exchange, host_placement
         )
         result.to_npz(result_path)
         return payload
@@ -883,11 +1053,10 @@ def _shard_worker(
 
 
 def _merged_study(
-    spec: FleetStudySpec,
+    config: FleetConfig,
     result: FleetResult,
     payloads: list[dict],
     engine_seconds: float,
-    shards: int,
     workers: int,
 ) -> FleetMultiplexingStudy:
     """Assemble the study dataclass from slice payloads + merged result."""
@@ -914,7 +1083,9 @@ def _merged_study(
     violations = sum(p["violations"] for p in payloads)
     fleet_hourly_cost = result.total("hourly_cost").mean()
     profiling_hourly_cost = (
-        spec.profiling_slots * shards * payloads[0]["clone_hourly_cost"]
+        config.profiling_slots
+        * config.shards
+        * payloads[0]["clone_hourly_cost"]
     )
     lane_events = tuple(
         tuple(log) for payload in payloads for log in payload["lane_events"]
@@ -931,17 +1102,10 @@ def _merged_study(
         tuple(key) for payload in payloads for key in payload["escalated"]
     }
     escalations = len(escalated) + sum(p["escalations"] for p in payloads)
-    placement = (
-        spec.placement
-        if isinstance(spec.placement, str)
-        else spec.placement.name
-    )
     return FleetMultiplexingStudy(
-        n_lanes=spec.n_lanes,
+        config=config,
+        n_lanes=config.n_lanes,
         n_steps=result.n_steps,
-        step_seconds=spec.step_seconds,
-        mix=spec.mix,
-        batched=spec.batched,
         engine_seconds=engine_seconds,
         learning_runs=len(families) + sum(p["relearns"] for p in payloads),
         tuning_invocations=tuning,
@@ -955,7 +1119,7 @@ def _merged_study(
         ),
         fleet_hourly_cost=fleet_hourly_cost,
         amortized_profiling_fraction=profiling_hourly_cost / fleet_hourly_cost,
-        violation_fraction=violations / (result.n_steps * spec.n_lanes),
+        violation_fraction=violations / (result.n_steps * config.n_lanes),
         n_hosts=host["n_hosts"] if host else 0,
         host_overload_fraction=host["overload_fraction"] if host else 0.0,
         mean_host_theft=host["mean_theft"] if host else 0.0,
@@ -963,20 +1127,13 @@ def _merged_study(
         interference_escalations=escalations,
         deferred_adaptations=sum(p["deferred"] for p in payloads),
         result=result,
-        rng_mode=spec.rng_mode,
-        shards=shards,
+        shards=config.shards,
         workers=workers,
         lane_events=lane_events,
-        placement=placement,
-        host_demand=spec.host_demand,
         migrations=host["migrations"] if host else 0,
-        demand_factors=spec.demand_factors or (),
-        queue_policy=spec.queue_policy,
         accepted_profiles=accepted,
         evicted_profiles=sum(p["queue_evicted"] for p in payloads),
         shed_profiles=sum(p["queue_shed"] for p in payloads),
-        exchange_every=spec.exchange_every,
-        wave_workers=spec.wave_workers,
         host_failures=host["host_failures"] if host else 0,
         host_recoveries=host["host_recoveries"] if host else 0,
         evacuations=host["evacuations"] if host else 0,
@@ -985,9 +1142,10 @@ def _merged_study(
         profiling_retries=sum(p["retries"] for p in payloads),
         revoked_adaptations=sum(p["revoked_adaptations"] for p in payloads),
         degraded_adaptations=sum(p["degraded_adaptations"] for p in payloads),
-        placement_demand=spec.placement_demand,
         host_hours_on=(
-            host["host_on_steps"] * spec.step_seconds / 3600.0 if host else 0.0
+            host["host_on_steps"] * config.step_seconds / 3600.0
+            if host
+            else 0.0
         ),
         mean_hosts_on=(
             host["host_on_steps"] / result.n_steps
@@ -998,354 +1156,74 @@ def _merged_study(
 
 
 def run_fleet_multiplexing_study(
-    n_lanes: int = 4,
-    hours: float = 48.0,
-    step_seconds: float = 300.0,
-    profiling_slots: int = 1,
-    max_pending: int | None = None,
-    queue_policy: str = "fifo",
-    queue_high_watermark: int | None = None,
-    queue_low_watermark: int | None = None,
-    resignature_every_seconds: float | None = None,
-    lane_seed_stride: int = 1,
-    trace_name: str = "messenger",
-    seed: int = 0,
-    mix: str = "scaleout",
-    n_hosts: int | None = None,
-    host_capacity_units: float = 12.0,
-    placement: "str | PlacementPolicy" = "round_robin",
-    host_demand: str = "allocation",
-    migration: MigrationPolicy | None = None,
-    placement_demand: str = "learning-peak",
-    demand_factors=None,
-    batched: bool = True,
-    rng_mode: str = "counter",
-    shards: int = 1,
-    workers: int | None = None,
-    shard_dir: str | None = None,
-    exchange_every: int = 1,
-    wave_workers: int = 0,
-    faults=None,
+    config: FleetConfig | None = None, /, **fields
 ) -> FleetMultiplexingStudy:
     """Run ``n_lanes`` co-hosted services against one shared DejaVu.
 
-    The first lane of each service family pays that family's learning
-    day; every other lane of the family adopts the trained model and
-    the family's shared repository, so the fleet pays one learning
-    phase per family regardless of size.  All lanes — across families —
-    ride one :class:`ProfilingQueue` with ``profiling_slots`` clone
-    VMs, so each online signature collection contends for the shared
-    profiler.  ``queue_policy`` selects its admission discipline:
-    ``"fifo"`` (default, bit-identical to the original bounded queue)
-    or ``"priority"`` — the admission market where escalation probes
-    and violation-triggered adaptations outbid routine re-signatures
-    and relearn sweeps, ``queue_high_watermark``/``queue_low_watermark``
-    shed low-priority work before the ``max_pending`` rejection cliff,
-    and queued low-value work is evictable by a higher bidder.
-    ``resignature_every_seconds`` gives every lane a routine
-    re-signature stream (lowest priority) so the market has background
-    traffic to outbid; ``None`` (default) keeps the original request
-    pattern bit for bit.  ``lane_seed_stride`` controls workload
-    diversity:
-    stride 0 gives every lane the identical trace (useful for
-    determinism properties), stride 1 gives each lane its own phase
-    wander and jitter.
+    Builds a :class:`FleetConfig` from ``fields`` (or applies them to
+    ``config``); every setting, its default and its rules are documented
+    there.  The first lane of each service family pays that family's
+    learning day; every other lane of the family adopts the trained
+    model and the family's shared repository, so the fleet pays one
+    learning phase per family regardless of size.  All lanes — across
+    families — ride one :class:`ProfilingQueue`, so each online
+    signature collection contends for the shared profiler.
 
-    ``mix`` picks the composition (``scaleout``, ``scaleup`` or
-    ``mixed`` — alternating Cassandra-style and SPECweb-style lanes
-    with different observation schemas).  ``n_hosts`` places the lanes
-    onto that many shared :class:`~repro.sim.hosts.SimHost` machines of
-    ``host_capacity_units`` each under ``placement`` — a policy name
-    from :data:`repro.sim.placement.PLACEMENT_POLICIES`
-    (``round_robin`` default, ``block``, ``first_fit_decreasing``,
-    ``best_fit``) or a :class:`~repro.sim.placement.PlacementPolicy`
-    object, packing each lane's peak learning-day demand.  Co-located
-    lanes then steal capacity from each other at demand peaks, and
-    managers that catch a neighbour red-handed escalate to a higher
-    interference band (Sec. 3.6).  ``None`` keeps every lane on
-    dedicated hardware.
-
-    ``host_demand`` selects the footprint a lane presses onto its host:
-    ``"allocation"`` (default) tracks what DejaVu actually deployed —
-    ``min(offered demand, deployed capacity)``, so scale-ups press
-    harder after escalation and scale-downs free host headroom — while
-    ``"offered"`` keeps the static PR 2 offered-demand footprint.
-    ``migration`` attaches a :class:`~repro.sim.placement.MigrationPolicy`:
-    every ``rebalance_every`` steps the worst-pressure host evicts a
-    tenant, and the migrated lane pays a blackout window of degraded
-    capacity (the Sec. 3 VM-cloning cost) in its SLO accounting.  In
-    ``mode="consolidate"`` the policy additionally drains the coldest
-    host when nothing is under pressure — bin-packing for fewest hosts
-    powered on; the study reports the resulting ``host_hours_on``
-    energy axis either way.
-
-    ``placement_demand`` selects the placement-time estimate the
-    policy packs: ``"learning-peak"`` (default) is each lane's realized
-    peak offered demand over its learning day; ``"forecast"`` fits the
-    cheap seasonal forecast of :mod:`repro.sim.forecast` to the
-    learning day and packs the *predicted-peak window* instead, which
-    covers the day-to-day plateau jitter the realized peak misses.
-    Both are pure functions of the lane's trace, so the resulting
-    placement is bit-identical across scalar, batched and sharded
-    paths.  Requires ``n_hosts``.
-
-    ``demand_factors`` makes the fleet heterogeneous in *size*: lane
-    ``i``'s trace peak is scaled by ``factors[i % len(factors)]``, and
-    model-sharing families split by (kind, factor) so each size pays
-    its own learning day.  This is what gives bin-packing placements
-    something to pack.
-
-    ``batched`` selects the engine's batched control plane (default):
-    each adaptation wave classifies all same-family lanes as one
-    signature matrix against the shared trained model, and observation
-    uses the dict-free fast path.  ``batched=False`` keeps the scalar
-    per-lane step loop reachable for A/B runs; both paths produce
-    bit-identical :class:`~repro.sim.fleet.FleetResult`\\ s (pinned in
-    ``tests/test_fleet_equivalence.py``).
-
-    ``rng_mode`` picks the telemetry stream discipline.  The default
-    ``"counter"`` derives every sampler's noise from one per-fleet key
-    via counter-mode streams (:mod:`repro.telemetry.streams`): the
-    engine's prepare phase then collects all due lanes' signatures as
-    one vectorized matrix pass, and a lane's telemetry is independent
-    of which batch or worker process samples it (scalar == batched ==
-    sharded, bit for bit).  ``"legacy"`` keeps the sequential
-    per-sampler generators of the pre-sharding engine, bit-identical to
-    the old per-lane prepare loop.
-
-    ``shards``/``workers`` partition the fleet into contiguous global
-    lane ranges executed by worker processes (``spawn``), each
-    persisting its :class:`FleetResult` via ``to_npz`` before the
-    parent merges them (:mod:`repro.sim.shard`).  ``workers=None``
-    picks ``min(shards, cpu_count)``; ``workers=0`` runs the shards
-    inline (deterministic single-process debugging of the exact shard
-    path).  Sharding models one profiling environment (with
-    ``profiling_slots`` clone VMs) *per shard*: with an uncontended
-    queue the merged result is bit-identical to the single-process run,
-    while under contention per-shard queues legitimately wait less than
-    one fleet-wide queue would.
-
-    Host coupling *crosses* shard boundaries, so sharded sweeps with
-    ``n_hosts`` run a cross-shard demand exchange
-    (:mod:`repro.sim.exchange`): the parent resolves the global
-    placement once, every worker rebuilds the identical global
-    :class:`~repro.sim.hosts.HostMap`, and each step the workers
-    synchronize their lanes' demand contributions through a
-    shared-memory block and step barrier before computing the global
-    theft pass locally — the merged result stays bit-identical to the
-    single-process host-coupled run (pinned in
-    ``tests/test_fleet_shard.py``).  Because every shard must reach
-    the barrier each step, ``workers=None`` defaults to ``shards``
-    (undersized pools are rejected) and ``workers=0`` runs the shards
-    as threads.  ``exchange_every`` paces the barrier: 1 (default)
-    exchanges every step and preserves bit-identicality; larger
-    periods let workers run ahead on cached remote demands between
-    barriers — an approximation — with migrations committing only at
-    exchange steps so workers' plans cannot diverge.
-
-    ``wave_workers`` overlaps independent batched-control-plane waves
-    (per-family signature collection, per-group classification,
-    per-observer recording) on a thread pool inside each engine; 0
-    (default) keeps the serial reference path, and both produce
-    bit-identical results (pinned in
-    ``tests/test_fleet_equivalence.py``).
-
-    ``faults`` injects a deterministic fault timeline
-    (:mod:`repro.sim.faults`): a :class:`~repro.sim.faults.FaultSchedule`,
-    a DSL string (``"host:1@40+30,profiler@30+18,retries=2"``), or a
-    list of such tokens.  Host deaths zero a host's capacity and
-    trigger an emergency evacuation onto survivors (each evacuee pays
-    the migration blackout window; unplaceable lanes run degraded at
-    the schedule's residual rate), profiler outages revoke in-flight
-    grants and take queue slots offline for the window, and the
-    managers recover via bounded retry-with-backoff plus the
-    last-known-good degraded fallback (``recovery=off`` disables the
-    responses but not the faults — the baseline arm).  Fault events
-    are a pure function of the schedule and commit at the same points
-    migrations do, so scalar == batched == sharded stays bit-identical
-    (in sharded runs they commit at exchange barriers).  Host faults
-    require ``n_hosts``.
-
-    The default 5-minute step keeps adaptation hourly (the managers'
-    check interval) while sampling performance between adaptations, so
-    the VM warm-up transient right after a reallocation is weighted as
-    in the paper's 60-second-step case studies rather than dominating
-    every sample.
+    With ``shards > 1`` the fleet's contiguous global lane ranges run in
+    worker processes (``spawn``), each persisting its
+    :class:`FleetResult` via ``to_npz`` before this process merges them
+    (:mod:`repro.sim.shard`).  Host coupling crosses shard boundaries:
+    the parent resolves the global placement once, every worker
+    rebuilds the identical global :class:`~repro.sim.hosts.HostMap`,
+    and each step the workers synchronize their lanes' demand through
+    a shared-memory block and a step barrier (:mod:`repro.sim.exchange`)
+    before computing the global theft pass locally.
     """
-    if n_lanes < 1:
-        raise ValueError(f"need at least one lane: {n_lanes}")
-    if hours <= 0:
-        raise ValueError(f"need a positive duration: {hours}")
-    if n_hosts is not None and n_hosts < 1:
-        raise ValueError(f"need at least one host: {n_hosts}")
-    if mix not in FLEET_MIXES:
-        raise ValueError(f"unknown mix {mix!r}; use one of {FLEET_MIXES}")
-    if rng_mode not in FLEET_RNG_MODES:
-        raise ValueError(
-            f"unknown rng_mode {rng_mode!r}; use one of {FLEET_RNG_MODES}"
-        )
-    if host_demand not in FLEET_HOST_DEMANDS:
-        raise ValueError(
-            f"unknown host_demand {host_demand!r}; "
-            f"use one of {FLEET_HOST_DEMANDS}"
-        )
-    make_policy(placement)  # unknown policy names fail loudly, up front
-    if placement_demand not in PLACEMENT_DEMANDS:
-        raise ValueError(
-            f"unknown placement_demand {placement_demand!r}; "
-            f"use one of {PLACEMENT_DEMANDS}"
-        )
-    if resignature_every_seconds is not None and resignature_every_seconds <= 0:
-        raise ValueError(
-            f"need a positive re-signature period: {resignature_every_seconds}"
-        )
-    # Reuse the queue's own validation so a bad policy name or watermark
-    # combination fails here, not inside a shard worker.
-    ProfilingQueue(
-        slots=profiling_slots,
-        service_seconds=1.0,
-        max_pending=max_pending,
-        queue_policy=queue_policy,
-        high_watermark=queue_high_watermark,
-        low_watermark=queue_low_watermark,
+    config = (
+        FleetConfig(**fields) if config is None else replace(config, **fields)
     )
-    factors = tuple(float(f) for f in demand_factors) if demand_factors else None
-    if factors and any(f <= 0 for f in factors):
-        raise ValueError(f"demand factors must be positive: {factors}")
-    if n_hosts is None:
-        non_default_placement = (
-            placement != "round_robin"
-            if isinstance(placement, str)
-            else True
+    if config.shards == 1:
+        result, payload = _run_fleet_slice(config, 0, config.n_lanes)
+        return _merged_study(
+            config,
+            result,
+            [payload],
+            engine_seconds=payload["engine_seconds"],
+            workers=1,
         )
-        if non_default_placement:
-            raise ValueError(
-                "placement policies place lanes onto shared hosts; "
-                "pass n_hosts"
-            )
-        if migration is not None:
-            raise ValueError(
-                "migration re-packs shared hosts; pass n_hosts"
-            )
-        if placement_demand != "learning-peak":
-            raise ValueError(
-                "placement_demand picks the estimate lanes are packed "
-                "onto shared hosts with; pass n_hosts"
-            )
-    if shards < 1:
-        raise ValueError(f"need at least one shard: {shards}")
-    if shards > n_lanes:
-        raise ValueError(f"cannot cut {n_lanes} lanes into {shards} shards")
-    if wave_workers < 0:
-        raise ValueError(f"wave_workers must be >= 0: {wave_workers}")
-    if exchange_every < 1:
-        raise ValueError(
-            f"exchange period must be >= 1 step: {exchange_every}"
-        )
-    if exchange_every != 1 and (shards == 1 or n_hosts is None):
-        raise ValueError(
-            "exchange_every paces the cross-shard demand exchange; it "
-            "needs shards > 1 and n_hosts"
-        )
-    # Fault injection: parse/validate the schedule and expand any
-    # seeded generators *here*, so every shard worker replays one
-    # identical resolved timeline and a bad spec fails before any
-    # worker is dispatched.
-    fault_schedule = parse_faults(faults)
-    if fault_schedule is not None:
-        if fault_schedule.any_host_faults and n_hosts is None:
-            raise ValueError(
-                "host faults kill shared hosts; pass n_hosts"
-            )
-        fault_schedule = fault_schedule.resolve(
-            int(round(hours * HOUR / step_seconds)), n_hosts or 0
-        )
+
+    from repro.sim.shard import default_workers, run_sharded
+
     # Host coupling crosses shard boundaries: resolve the global
     # placement up front (policies see the whole fleet's demand
     # estimates, which no single shard holds) so every worker rebuilds
     # the identical global map.
     host_placement = None
-    if shards > 1 and n_hosts is not None:
+    exchange = None
+    if config.n_hosts is not None:
         host_placement = resolve_placement(
-            placement,
-            _placement_estimates(
-                n_lanes, mix, factors, trace_name, seed, lane_seed_stride,
-                placement_demand=placement_demand,
-            ),
-            n_hosts=n_hosts,
-            capacity_units=host_capacity_units,
+            config.placement,
+            _placement_estimates(config),
+            n_hosts=config.n_hosts,
+            capacity_units=config.host_capacity_units,
         )
-    spec = FleetStudySpec(
-        n_lanes=n_lanes,
-        hours=hours,
-        step_seconds=step_seconds,
-        profiling_slots=profiling_slots,
-        max_pending=max_pending,
-        lane_seed_stride=lane_seed_stride,
-        trace_name=trace_name,
-        seed=seed,
-        mix=mix,
-        batched=batched,
-        rng_mode=rng_mode,
-        n_hosts=n_hosts,
-        host_capacity_units=host_capacity_units,
-        placement=placement,
-        host_demand=host_demand,
-        migration=migration,
-        demand_factors=factors,
-        queue_policy=queue_policy,
-        queue_high_watermark=queue_high_watermark,
-        queue_low_watermark=queue_low_watermark,
-        resignature_every_seconds=resignature_every_seconds,
-        exchange_every=exchange_every,
-        wave_workers=wave_workers,
-        host_placement=host_placement,
-        placement_demand=placement_demand,
-        faults=fault_schedule,
-    )
-    if shards == 1:
-        result, payload = _run_fleet_slice(spec, 0, n_lanes)
-        return _merged_study(
-            spec,
-            result,
-            [payload],
-            engine_seconds=payload["engine_seconds"],
-            shards=1,
-            workers=1,
-        )
-
-    from repro.sim.shard import run_sharded
-
-    exchange = (
-        ExchangeSpec(exchange_every=exchange_every)
-        if n_hosts is not None
-        else None
-    )
+        exchange = ExchangeSpec(exchange_every=config.exchange_every)
     # The pool never exceeds the shard count; record the size that ran.
-    # A host-coupled sweep must run every shard concurrently (each step
-    # ends at a barrier), so its default is the full shard count and
-    # run_sharded rejects undersized pools.
-    if workers is None:
-        effective_workers = (
-            shards if exchange is not None else min(shards, os.cpu_count() or 1)
-        )
-    else:
-        effective_workers = min(workers, shards)
+    workers = (
+        default_workers(config.shards, coupled=exchange is not None)
+        if config.workers is None
+        else min(config.workers, config.shards)
+    )
     merged, payloads, wall_seconds = run_sharded(
         _shard_worker,
-        spec,
-        n_lanes=n_lanes,
-        shards=shards,
-        workers=effective_workers,
-        shard_dir=shard_dir,
-        label=f"fleet-{n_lanes}",
+        (config, host_placement),
+        n_lanes=config.n_lanes,
+        shards=config.shards,
+        workers=workers,
+        shard_dir=config.shard_dir,
+        label=f"fleet-{config.n_lanes}",
         exchange=exchange,
     )
     return _merged_study(
-        spec,
-        merged,
-        payloads,
-        engine_seconds=wall_seconds,
-        shards=shards,
-        workers=effective_workers,
+        config, merged, payloads, engine_seconds=wall_seconds, workers=workers
     )

@@ -35,10 +35,11 @@ live in ``benchmarks/test_fleet_placement.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.cost_aware_tuner import ExplorationRound, explore_then_exploit
 from repro.experiments.multiplexing_study import (
+    FleetConfig,
     FleetMultiplexingStudy,
     run_fleet_multiplexing_study,
 )
@@ -57,6 +58,19 @@ DEFAULT_PLACEMENT_POLICIES = (
 #: even host count means round-robin keeps co-locating equal-sized
 #: lanes — the adversarial regime bin-packing exists to fix.
 DEFAULT_DEMAND_FACTORS = (0.7, 0.85, 1.0, 1.1, 1.2)
+
+#: The fleet every policy of the study runs unless told otherwise:
+#: fifty heterogeneous lanes on ten shared hosts, so bin-packing has
+#: something to pack.
+DEFAULT_PLACEMENT_CONFIG = FleetConfig(
+    n_lanes=50,
+    hours=24.0,
+    profiling_slots=4,
+    mix="mixed",
+    n_hosts=10,
+    host_capacity_units=30.0,
+    demand_factors=DEFAULT_DEMAND_FACTORS,
+)
 
 #: Dollar-equivalent wall power of one powered-on host for one hour —
 #: the weight the tuner's objective puts on the energy axis.
@@ -146,56 +160,26 @@ def parse_policy_spec(
     return name, migration
 
 
-def run_placement_sensitivity_study(
-    n_lanes: int = 50,
-    hours: float = 24.0,
+def placement_configs(
     policies=DEFAULT_PLACEMENT_POLICIES,
-    n_hosts: int = 10,
-    host_capacity_units: float = 30.0,
-    mix: str = "mixed",
-    demand_factors=DEFAULT_DEMAND_FACTORS,
-    host_demand: str = "allocation",
-    placement_demand: str = "learning-peak",
     rebalance_every: int = 12,
     blackout_seconds: float = 600.0,
     blackout_theft: float = 0.5,
-    profiling_slots: int = 4,
-    step_seconds: float = 300.0,
-    lane_seed_stride: int = 1,
-    trace_name: str = "messenger",
-    seed: int = 0,
-    batched: bool = True,
-    rng_mode: str = "counter",
-    workers: int = 0,
-) -> PlacementSensitivityStudy:
-    """Run the same fleet under each placement policy.
+    **fields,
+) -> list[tuple[str, FleetConfig]]:
+    """Each policy spec with the fleet configuration it runs.
 
-    Every policy run rebuilds the identical fleet from scratch (same
-    seeds, traces, families, queue) so the only degree of freedom is
-    *where the VMs land*.  The default configuration is deliberately
-    adversarial to round-robin: ``demand_factors`` cycles five lane
-    sizes while round-robin strides the host count, so same-sized lanes
-    pile onto the same hosts; the bin-packing policies spread them by
-    measured demand instead.
-
-    ``policies`` entries accept a ``+migrate`` or ``+consolidate``
-    suffix to attach a :class:`~repro.sim.placement.MigrationPolicy`
-    (pressure-relief vs consolidation mode) with this study's
-    ``rebalance_every`` / ``blackout_seconds`` / ``blackout_theft``.
-    ``placement_demand`` switches the packed estimate between the
-    realized learning-day peak and the :mod:`repro.sim.forecast`
-    predicted-peak window for every policy at once.
-
-    ``workers`` is accepted for symmetry with the fleet study's driver
-    surface but host-coupled fleets always run in-process (``shards=1``
-    — placement crosses shard boundaries), so the smoke configurations
-    pass ``workers=0`` explicitly.
+    ``fields`` override :data:`DEFAULT_PLACEMENT_CONFIG`; each policy
+    then sets its placement and, with a ``+migrate`` or
+    ``+consolidate`` suffix, a
+    :class:`~repro.sim.placement.MigrationPolicy` built from this
+    study's ``rebalance_every`` / ``blackout_seconds`` /
+    ``blackout_theft``.
     """
     if not policies:
         raise ValueError("need at least one placement policy")
-    if n_hosts < 1:
-        raise ValueError(f"need at least one host: {n_hosts}")
-    points = []
+    base = replace(DEFAULT_PLACEMENT_CONFIG, **fields)
+    configs = []
     for policy_spec in policies:
         name, migration = parse_policy_spec(
             policy_spec,
@@ -203,28 +187,33 @@ def run_placement_sensitivity_study(
             blackout_seconds=blackout_seconds,
             blackout_theft=blackout_theft,
         )
-        study = run_fleet_multiplexing_study(
-            n_lanes=n_lanes,
-            hours=hours,
-            step_seconds=step_seconds,
-            profiling_slots=profiling_slots,
-            lane_seed_stride=lane_seed_stride,
-            trace_name=trace_name,
-            seed=seed,
-            mix=mix,
-            n_hosts=n_hosts,
-            host_capacity_units=host_capacity_units,
-            placement=name,
-            host_demand=host_demand,
-            placement_demand=placement_demand,
-            migration=migration,
-            demand_factors=demand_factors,
-            batched=batched,
-            rng_mode=rng_mode,
-        )
+        config = replace(base, placement=name, migration=migration)
+        configs.append((str(policy_spec), config))
+    return configs
+
+
+def run_placement_sensitivity_study(**kwargs) -> PlacementSensitivityStudy:
+    """Run the same fleet under each placement policy.
+
+    Takes the keywords of :func:`placement_configs`.  Every policy run
+    rebuilds the identical fleet from scratch (same seeds, traces,
+    families, queue) so the only degree of freedom is *where the VMs
+    land*.  The default configuration is deliberately adversarial to
+    round-robin: ``demand_factors`` cycles five lane sizes while
+    round-robin strides the host count, so same-sized lanes pile onto
+    the same hosts; the bin-packing policies spread them by measured
+    demand instead.  ``placement_demand`` switches the packed estimate
+    between the realized learning-day peak and the
+    :mod:`repro.sim.forecast` predicted-peak window for every policy at
+    once.
+    """
+    configs = placement_configs(**kwargs)
+    points = []
+    for policy, config in configs:
+        study = run_fleet_multiplexing_study(config)
         points.append(
             PlacementFrontierPoint(
-                policy=str(policy_spec),
+                policy=policy,
                 violation_fraction=study.violation_fraction,
                 fleet_hourly_cost=study.fleet_hourly_cost,
                 mean_host_theft=study.mean_host_theft,
@@ -240,13 +229,14 @@ def run_placement_sensitivity_study(
                 study=study,
             )
         )
+    config = configs[0][1]
     return PlacementSensitivityStudy(
-        n_lanes=n_lanes,
-        hours=hours,
-        n_hosts=n_hosts,
-        host_capacity_units=host_capacity_units,
-        mix=mix,
-        demand_factors=tuple(demand_factors) if demand_factors else (),
+        n_lanes=config.n_lanes,
+        hours=config.hours,
+        n_hosts=config.n_hosts,
+        host_capacity_units=config.host_capacity_units,
+        mix=config.mix,
+        demand_factors=config.demand_factors,
         points=tuple(points),
     )
 
@@ -384,6 +374,7 @@ def tune_migration_policy(
 __all__ = [
     "DEFAULT_DEMAND_FACTORS",
     "DEFAULT_MIGRATION_KNOB_GRID",
+    "DEFAULT_PLACEMENT_CONFIG",
     "DEFAULT_PLACEMENT_POLICIES",
     "DEFAULT_POWER_COST_PER_HOST_HOUR",
     "MigrationTuning",
@@ -392,6 +383,7 @@ __all__ = [
     "PlacementSensitivityStudy",
     "frontier_rows",
     "parse_policy_spec",
+    "placement_configs",
     "run_placement_sensitivity_study",
     "tune_migration_policy",
 ]

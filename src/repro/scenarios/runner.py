@@ -18,10 +18,10 @@ which is what makes gating them against a tracked baseline sound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Any, Iterable, Mapping
 
-from repro.scenarios.schema import Scenario
+from repro.scenarios.schema import Scenario, fleet_grid
 
 __all__ = [
     "ScenarioRecord",
@@ -111,66 +111,35 @@ def _run_fleet(
     from repro.experiments.multiplexing_study import (
         run_fleet_multiplexing_study,
     )
-    from repro.experiments.placement_study import parse_policy_spec
 
     records = []
-    sweep_points = (
-        [(None, None)]
-        if scenario.sweep is None
-        else [(scenario.sweep.field, value) for value in scenario.sweep.values]
-    )
-    for sweep_field, sweep_value in sweep_points:
+    for sweep, policy, config in fleet_grid(scenario):
         params = dict(scenario.params)
-        sweep = None
-        if sweep_field is not None:
-            params[sweep_field] = sweep_value
-            sweep = {"field": sweep_field, "value": sweep_value}
+        if sweep is not None:
+            params[sweep["field"]] = sweep["value"]
         if workers is not None:
             params["workers"] = workers
-        for spec in scenario.policies or (None,):
-            if spec is None:
-                policy = (
-                    "round_robin" if params.get("n_hosts") else "dedicated"
-                )
-                study = run_fleet_multiplexing_study(
-                    seed=scenario.seed, **params
-                )
-            else:
-                policy = spec
-                name, migration = parse_policy_spec(
-                    spec, **scenario.migration
-                )
-                study = run_fleet_multiplexing_study(
-                    seed=scenario.seed,
-                    placement=name,
-                    migration=migration,
-                    **params,
-                )
-            records.append(
-                ScenarioRecord(
-                    scenario=scenario.id,
-                    family=scenario.family,
-                    study=scenario.study,
-                    policy=policy,
-                    sweep=sweep,
-                    params=params,
-                    metrics=fleet_metrics(study),
-                )
+            config = replace(config, workers=workers)
+        records.append(
+            ScenarioRecord(
+                scenario=scenario.id,
+                family=scenario.family,
+                study=scenario.study,
+                policy=policy,
+                sweep=sweep,
+                params=params,
+                metrics=fleet_metrics(run_fleet_multiplexing_study(config)),
             )
+        )
     return records
 
 
-def _run_placement(
-    scenario: Scenario, workers: int | None
-) -> list[ScenarioRecord]:
+def _run_placement(scenario: Scenario) -> list[ScenarioRecord]:
     from repro.experiments.placement_study import (
         run_placement_sensitivity_study,
     )
 
-    params = dict(scenario.params)
-    if workers is not None:
-        params["workers"] = workers
-    kwargs = dict(params)
+    kwargs = dict(scenario.params)
     if scenario.policies:
         kwargs["policies"] = scenario.policies
     study = run_placement_sensitivity_study(seed=scenario.seed, **kwargs)
@@ -181,7 +150,7 @@ def _run_placement(
             study=scenario.study,
             policy=point.policy,
             sweep=None,
-            params=params,
+            params=dict(scenario.params),
             metrics=fleet_metrics(point.study),
         )
         for point in study.points
@@ -193,12 +162,13 @@ def run_scenario(
 ) -> list[ScenarioRecord]:
     """Execute one scenario's full run grid.
 
-    ``workers`` overrides the document's worker count (the CI smoke
-    passes ``0`` to force the inline, pool-free shard path).
+    ``workers`` overrides a fleet document's worker count (the CI smoke
+    passes ``0`` to force the inline, pool-free shard path); placement
+    documents run as written.
     """
     if scenario.study == "fleet":
         return _run_fleet(scenario, workers)
-    return _run_placement(scenario, workers)
+    return _run_placement(scenario)
 
 
 def record_to_dict(record: ScenarioRecord) -> dict[str, Any]:

@@ -14,14 +14,14 @@ of values.  The library under ``scenarios/`` keeps two families:
     hosts and migration — the regimes the paper's Sec. 5 economics
     argument actually lives in.
 
-The loader validates *against the code, not a copy of it*: parameter
-names are checked with :func:`inspect.signature` against the actual
-study entry points (:func:`~repro.experiments.multiplexing_study.
-run_fleet_multiplexing_study` and :func:`~repro.experiments.
-placement_study.run_placement_sensitivity_study`), and policy specs run
-through :func:`~repro.experiments.placement_study.parse_policy_spec`.
-A scenario that drifts from the study surface fails at load time with
-the offending field named — never silently at run time.
+The loader validates *against the code, not a copy of it*: a parameter
+is legal when it is a field of
+:class:`~repro.experiments.multiplexing_study.FleetConfig` (placement
+documents may also set that study's policy knobs), and the loader
+builds the configuration of every run in the grid, so the config's own
+rules reject a bad value or combination.  A scenario that drifts from
+the study surface fails at load time with the offending field named —
+never silently at run time.
 
 Document shape::
 
@@ -43,12 +43,12 @@ Document shape::
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "Scenario",
@@ -62,16 +62,23 @@ __all__ = [
 
 SCENARIO_ID = re.compile(r"^(SYN|RL)-[A-Za-z0-9][A-Za-z0-9_-]*$")
 
-#: Study name -> params-section name -> the callable whose signature
-#: defines the legal parameter set.
-STUDIES = ("fleet", "placement")
+#: Study name -> the entry point a document of that study runs.
+STUDIES = {
+    "fleet": "run_fleet_multiplexing_study",
+    "placement": "run_placement_sensitivity_study",
+}
+
+#: The placement study's own knobs, legal beside the config fields.
+PLACEMENT_KNOBS = frozenset(
+    {"rebalance_every", "blackout_seconds", "blackout_theft"}
+)
 
 #: Parameters owned by the document's own top-level keys; a params
 #: section naming one of these is rejected so a scenario cannot say two
 #: different things about the same knob.
 RESERVED_PARAMS = {
     "fleet": frozenset({"seed", "placement", "migration"}),
-    "placement": frozenset({"seed", "policies"}),
+    "placement": frozenset({"seed", "policies", "placement", "migration"}),
 }
 
 #: Keys the optional ``migration:`` section may set — the knobs
@@ -117,25 +124,48 @@ class Scenario:
         return self.id.partition("-")[0]
 
 
-def study_callable(study: str) -> Callable:
-    """The entry point a scenario's params are validated against."""
-    if study == "fleet":
-        from repro.experiments.multiplexing_study import (
-            run_fleet_multiplexing_study,
-        )
+def _legal_params(study: str) -> frozenset[str]:
+    from repro.experiments.multiplexing_study import FleetConfig
 
-        return run_fleet_multiplexing_study
-    if study == "placement":
-        from repro.experiments.placement_study import (
-            run_placement_sensitivity_study,
-        )
-
-        return run_placement_sensitivity_study
-    raise ScenarioError(f"unknown study {study!r}; expected one of {STUDIES}")
+    fields = frozenset(f.name for f in dataclasses.fields(FleetConfig))
+    return fields | PLACEMENT_KNOBS if study == "placement" else fields
 
 
-def _signature_params(study: str) -> frozenset[str]:
-    return frozenset(inspect.signature(study_callable(study)).parameters)
+def fleet_grid(scenario: "Scenario") -> list[tuple]:
+    """A fleet scenario's runs: ``(sweep, policy, config)`` per
+    (sweep value, policy spec), in run order.  ``sweep`` is the
+    ``{"field", "value"}`` coordinate or ``None``; ``policy`` labels a
+    run without policies ``round_robin`` on hosts, else ``dedicated``."""
+    from repro.experiments.multiplexing_study import FleetConfig
+    from repro.experiments.placement_study import parse_policy_spec
+
+    sweeps = (
+        [None]
+        if scenario.sweep is None
+        else [
+            {"field": scenario.sweep.field, "value": value}
+            for value in scenario.sweep.values
+        ]
+    )
+    grid = []
+    for sweep in sweeps:
+        params = dict(scenario.params, seed=scenario.seed)
+        if sweep is not None:
+            params[sweep["field"]] = sweep["value"]
+        for spec in scenario.policies or (None,):
+            if spec is None:
+                policy = (
+                    "round_robin" if params.get("n_hosts") else "dedicated"
+                )
+                config = FleetConfig(**params)
+            else:
+                policy = spec
+                name, migration = parse_policy_spec(spec, **scenario.migration)
+                config = FleetConfig(
+                    placement=name, migration=migration, **params
+                )
+            grid.append((sweep, policy, config))
+    return grid
 
 
 def _where(path: str | None) -> str:
@@ -176,7 +206,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
     study = doc.get("study")
     if study not in STUDIES:
         raise ScenarioError(
-            f"{where}study must be one of {STUDIES}, got {study!r}"
+            f"{where}study must be one of {tuple(STUDIES)}, got {study!r}"
         )
 
     allowed_keys = {
@@ -208,7 +238,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError(f"{where}seed must be an integer, got {seed!r}")
 
-    legal = _signature_params(study)
+    legal = _legal_params(study)
     reserved = RESERVED_PARAMS[study]
     params_doc = doc.get(study, {})
     if not isinstance(params_doc, dict):
@@ -226,8 +256,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
         if name not in legal:
             raise ScenarioError(
                 f"{where}unknown {study!r} parameter {name!r}; "
-                f"{study_callable(study).__name__} accepts "
-                f"{sorted(legal - reserved)}"
+                f"{STUDIES[study]} accepts {sorted(legal - reserved)}"
             )
         if not _is_param_value(value):
             raise ScenarioError(
@@ -300,26 +329,6 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
                 "dedicated hardware)"
             )
 
-    if study == "fleet" and "faults" in params:
-        from repro.sim.faults import parse_faults
-
-        try:
-            schedule = parse_faults(params["faults"])
-        except ValueError as exc:
-            raise ScenarioError(
-                f"{where}invalid faults spec {params['faults']!r}: {exc}"
-            ) from exc
-        if (
-            schedule is not None
-            and schedule.any_host_faults
-            and "n_hosts" not in params
-        ):
-            raise ScenarioError(
-                f"{where}host faults kill shared hosts; set 'n_hosts' in "
-                "the 'fleet' section (dedicated hardware has no hosts "
-                "to fail)"
-            )
-
     migration_doc = doc.get("migration", {})
     migration: dict[str, Any] = {}
     if migration_doc:
@@ -348,7 +357,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
             )
         migration = dict(migration_doc)
 
-    return Scenario(
+    scenario = Scenario(
         id=scenario_id,
         label=label,
         description=description,
@@ -360,6 +369,22 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
         migration=migration,
         path=path,
     )
+    # Build every run's configuration now, so the config's own rules
+    # reject a bad value or combination at load time.
+    try:
+        if study == "fleet":
+            fleet_grid(scenario)
+        else:
+            from repro.experiments.placement_study import placement_configs
+
+            placement_configs(
+                **params,
+                seed=seed,
+                **({"policies": policies} if policies else {}),
+            )
+    except ValueError as exc:
+        raise ScenarioError(f"{where}{exc}") from exc
+    return scenario
 
 
 def _parse_text(text: str, path: str | Path) -> Any:

@@ -219,6 +219,16 @@ def _drain_exchange_futures(futures: list, barrier) -> list[dict]:
     return [future.result() for future in futures]
 
 
+def default_workers(shards: int, coupled: bool) -> int:
+    """Pool size of a sweep that names none.
+
+    Shards coupled by a demand exchange must all run at once (each step
+    ends at a barrier), so they get one worker each; independent shards
+    get at most one worker per CPU.
+    """
+    return shards if coupled else min(shards, os.cpu_count() or 1)
+
+
 def run_sharded(
     worker: Callable[..., dict],
     spec: Any,
@@ -239,7 +249,7 @@ def run_sharded(
     ``to_npz``, and returns a small picklable stats payload.
 
     ``workers`` sizes the process pool (default
-    ``min(shards, cpu_count)``); ``workers=0`` runs every shard inline
+    :func:`default_workers`); ``workers=0`` runs every shard inline
     in this process — the exact shard code path, deterministic and
     debuggable, with no pool.  ``shard_dir`` keeps the per-shard
     ``.npz`` files (for archival or out-of-band merging); by default a
@@ -262,9 +272,7 @@ def run_sharded(
     """
     ranges = partition_lanes(n_lanes, shards)
     if workers is None:
-        workers = shards if exchange is not None else min(
-            shards, os.cpu_count() or 1
-        )
+        workers = default_workers(shards, coupled=exchange is not None)
     if workers < 0:
         raise ValueError(f"workers must be >= 0: {workers}")
     if exchange is not None and 0 < workers < shards:

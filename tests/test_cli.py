@@ -2,7 +2,19 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, _subparser, build_parser, main
+
+#: ``fleet`` flags that set no FleetConfig field by their own name.
+FLEET_CLI_ONLY = {
+    "power_cost",
+    "fault_blackout",
+    "fault_residual",
+    "fault_retries",
+    "no_fault_recovery",
+    "migration",
+    "consolidate",
+    "rebalance_every",
+}
 
 
 class TestParser:
@@ -29,27 +41,27 @@ class TestParser:
             ["fleet", "--lanes", "16", "--hours", "12", "--slots", "2"]
         )
         assert args.command == "fleet"
-        assert args.lanes == 16
+        assert args.n_lanes == 16
         assert args.hours == 12.0
-        assert args.slots == 2
+        assert args.profiling_slots == 2
         assert args.seed == 0
 
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
-        assert args.lanes == 8
+        assert args.n_lanes == 8
         assert args.hours == 24.0
-        assert args.step == 300.0
+        assert args.step_seconds == 300.0
         assert args.mix == "scaleout"
-        assert args.hosts == 0
-        assert args.host_capacity == 12.0
+        assert args.n_hosts == 0
+        assert args.host_capacity_units == 12.0
 
     def test_fleet_hetero_flags(self):
         args = build_parser().parse_args(
             ["fleet", "--mix", "mixed", "--hosts", "4", "--host-capacity", "9.5"]
         )
         assert args.mix == "mixed"
-        assert args.hosts == 4
-        assert args.host_capacity == 9.5
+        assert args.n_hosts == 4
+        assert args.host_capacity_units == 9.5
 
     def test_fleet_unknown_mix_rejected(self):
         with pytest.raises(SystemExit):
@@ -127,6 +139,22 @@ class TestParser:
         assert args.placement_demand is None
         assert args.consolidate is False
         assert args.power_cost is None
+
+    def test_fleet_dests_are_config_fields(self):
+        # A config error names its flags by looking up each field's
+        # dest, so every flag must set a FleetConfig field by name or
+        # be one of the few CLI-only knobs.
+        from dataclasses import fields
+
+        from repro.experiments.multiplexing_study import FleetConfig
+
+        names = {f.name for f in fields(FleetConfig)}
+        fleet = _subparser(build_parser(), "fleet")
+        dests = {a.dest for a in fleet._actions if a.option_strings} - {
+            "help"
+        }
+        assert dests - names <= FLEET_CLI_ONLY
+        assert "rng_mode" not in dests
 
 
 class TestRegistry:
@@ -329,6 +357,20 @@ class TestMain:
             main(["fleet", "--no-fault-recovery"])
         assert excinfo.value.code == 2
         assert "--faults" in capsys.readouterr().err
+
+    def test_fleet_wave_workers_without_batch_fails_loudly(self, capsys):
+        # The scalar loop has no waves to overlap; the config rejects
+        # the pair instead of ignoring --wave-workers.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--wave-workers", "2", "--no-batch"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--wave-workers" in err and "--no-batch" in err
+
+    def test_fleet_rng_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--rng-mode", "legacy"])
+        assert excinfo.value.code == 2
 
     def test_fleet_bad_fault_schedule_fails_loudly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -280,7 +280,7 @@ def test_batched_is_the_study_default():
     from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
 
     study = run_fleet_multiplexing_study(n_lanes=2, hours=2.0)
-    assert study.batched
+    assert study.config.batched
 
 
 def test_overlapped_waves_match_serial_stepping():
@@ -424,7 +424,8 @@ def test_flat_priority_study_matches_fifo_study(shards):
         for queue_policy in ("fifo", "priority")
     }
     fifo, prio = studies["fifo"], studies["priority"]
-    assert fifo.queue_policy == "fifo" and prio.queue_policy == "priority"
+    assert fifo.config.queue_policy == "fifo"
+    assert prio.config.queue_policy == "priority"
     # Honesty guards: contention is real, and nothing in a default
     # config bids outside the flat class (no escalations, no relearns,
     # so nothing to evict or shed).
@@ -485,8 +486,7 @@ def test_batched_matches_scalar_under_every_placement(placement):
         for batched in (True, False)
     }
     batched, scalar = results[True], results[False]
-    assert batched.placement == scalar.placement == placement
-    assert batched.host_demand == "allocation"
+    assert batched.config.placement == scalar.config.placement == placement
     # The coupling must actually fire, or this proves nothing.
     assert batched.peak_host_theft > 0.0
     assert batched.result.n_steps > 0
@@ -560,7 +560,11 @@ def test_batched_matches_scalar_under_forecast_placement():
         for batched in (True, False)
     }
     batched, scalar = results[True], results[False]
-    assert batched.placement_demand == scalar.placement_demand == "forecast"
+    assert (
+        batched.config.placement_demand
+        == scalar.config.placement_demand
+        == "forecast"
+    )
     assert batched.result.n_steps > 0
     assert batched.host_hours_on == scalar.host_hours_on > 0.0
     assert batched.mean_hosts_on == scalar.mean_hosts_on
@@ -611,46 +615,7 @@ def test_batched_matches_scalar_under_consolidation():
 
 
 class TestLegacyHostBehaviorPinned:
-    """PR 2's host coupling, re-expressed through the policy layer.
-
-    ``placement="round_robin"`` + ``host_demand="offered"`` must
-    reproduce the pre-placement study (static offered-demand footprints
-    on ``HostMap.spread``) exactly: the golden numbers below were
-    captured from the PR 4 code immediately before the refactor.
-    """
-
-    PINNED = dict(
-        n_lanes=4,
-        mix="mixed",
-        hours=12.0,
-        lane_seed_stride=0,
-        seed=0,
-        n_hosts=2,
-        host_capacity_units=5.0,
-    )
-
-    def run_offered(self, **overrides):
-        from repro.experiments.multiplexing_study import (
-            run_fleet_multiplexing_study,
-        )
-
-        kwargs = dict(self.PINNED, host_demand="offered", **overrides)
-        return run_fleet_multiplexing_study(**kwargs)
-
-    def test_round_robin_offered_reproduces_pr2_dynamics(self):
-        study = self.run_offered()
-        assert study.placement == "round_robin"
-        assert study.mean_host_theft == pytest.approx(
-            0.04398515493749479, rel=1e-9
-        )
-        assert study.peak_host_theft == pytest.approx(
-            0.18473429426475763, rel=1e-9
-        )
-        assert study.host_overload_fraction == pytest.approx(0.375, rel=1e-9)
-        assert study.violation_fraction == pytest.approx(
-            0.026041666666666668, rel=1e-9
-        )
-        assert study.interference_escalations == 1
+    """PR 2's host layouts, re-expressed through the policy layer."""
 
     def test_policy_placements_match_spread_and_pack(self):
         from repro.sim.hosts import HostMap

@@ -25,6 +25,11 @@ class TestValidation:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             run_fleet_multiplexing_study(n_lanes=1, hours=0.0)
+        # The step sizes the fault timeline, so it is checked up front.
+        with pytest.raises(ValueError, match="step_seconds"):
+            run_fleet_multiplexing_study(
+                n_lanes=1, step_seconds=0.0, faults="profiler@1+1"
+            )
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError, match="mix"):
@@ -59,9 +64,12 @@ class TestValidation:
                 n_lanes=2, migration=MigrationPolicy()
             )
 
-    def test_unknown_host_demand_rejected(self):
-        with pytest.raises(ValueError, match="host_demand"):
-            run_fleet_multiplexing_study(n_lanes=2, host_demand="psychic")
+    def test_wave_workers_need_the_batched_plane(self):
+        # The scalar loop has no waves to overlap: rejected, not ignored.
+        with pytest.raises(ValueError, match="wave_workers.*batched"):
+            run_fleet_multiplexing_study(
+                n_lanes=2, batched=False, wave_workers=2
+            )
 
     def test_nonpositive_demand_factor_rejected(self):
         with pytest.raises(ValueError, match="demand factors"):
@@ -238,7 +246,7 @@ class TestHeterogeneousFleet:
 
     def test_one_learning_phase_per_family(self):
         study = self.run_mixed(hours=2.0)
-        assert study.mix == "mixed"
+        assert study.config.mix == "mixed"
         assert study.learning_runs == 2
         homogeneous = run_small(4, hours=2.0)
         assert homogeneous.learning_runs == 1
@@ -264,7 +272,7 @@ class TestHeterogeneousDemand:
         study = run_small(
             4, hours=2.0, mix="scaleout", demand_factors=(0.5, 1.0)
         )
-        assert study.demand_factors == (0.5, 1.0)
+        assert study.config.demand_factors == (0.5, 1.0)
         assert study.learning_runs == 2  # scaleout@x0.5 and scaleout@x1
 
     def test_factor_one_reproduces_uniform_fleet(self):

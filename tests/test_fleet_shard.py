@@ -373,15 +373,6 @@ class TestShardedStudy:
         assert sharded.learning_runs == single.learning_runs == 2
         assert_same_fleet(single, sharded)
 
-    def test_legacy_streams_also_shard_invariant(self):
-        # Legacy per-sampler seeds are keyed by global lane index too.
-        kwargs = dict(
-            n_lanes=6, hours=4.0, profiling_slots=6, rng_mode="legacy"
-        )
-        single = run_fleet_multiplexing_study(**kwargs)
-        sharded = run_fleet_multiplexing_study(shards=2, workers=0, **kwargs)
-        assert_same_fleet(single, sharded)
-
     def test_shard_dir_keeps_npz_files(self, tmp_path):
         run_fleet_multiplexing_study(
             n_lanes=4,

@@ -137,6 +137,37 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="n_hosts"):
             parse_scenario(doc)
 
+    def test_removed_forks_are_unknown_parameters(self):
+        for gone in ("rng_mode", "host_demand"):
+            with pytest.raises(ScenarioError, match=gone):
+                parse_scenario(tiny(fleet={"n_lanes": 2, gone: "legacy"}))
+
+    def test_every_grid_point_is_a_valid_config(self):
+        # Two shards fit four lanes but not one: the sweep's second
+        # point breaks a FleetConfig rule, caught at load time.
+        doc = tiny(
+            fleet={"hours": 2.0, "shards": 2},
+            sweep={"field": "n_lanes", "values": [4, 1]},
+        )
+        with pytest.raises(ScenarioError, match="shards"):
+            parse_scenario(doc)
+
+    def test_host_faults_without_hosts_rejected(self):
+        doc = tiny(fleet={"n_lanes": 2, "faults": "host:0@5+2"})
+        with pytest.raises(ScenarioError, match="n_hosts"):
+            parse_scenario(doc)
+
+    def test_placement_knobs_are_placement_parameters(self):
+        doc = {
+            "id": "RL-tiny",
+            "study": "placement",
+            "placement": {"n_lanes": 2, "n_hosts": 1, "rebalance_every": 6},
+        }
+        assert parse_scenario(doc).params["rebalance_every"] == 6
+        doc["placement"] = {"n_lanes": 2, "placement": "best_fit"}
+        with pytest.raises(ScenarioError, match="reserved"):
+            parse_scenario(doc)
+
     def test_unknown_migration_key_rejected(self):
         doc = tiny(
             fleet={"n_lanes": 2, "n_hosts": 1},
@@ -235,6 +266,29 @@ class TestRunner:
         )
         records = run_scenario(scenario)
         assert [r.policy for r in records] == ["round_robin", "best_fit"]
+
+    def test_workers_override_applies_to_fleet_documents_only(
+        self, monkeypatch
+    ):
+        # A placement document runs as written: the CLI's --workers
+        # override must not reach its study as a stray keyword.
+        from repro.experiments import placement_study
+
+        class Reached(Exception):
+            pass
+
+        def stop(config):
+            raise Reached(config)
+
+        monkeypatch.setattr(
+            placement_study, "run_fleet_multiplexing_study", stop
+        )
+        scenario = load_scenario(REPO_ROOT / "scenarios/RL-host-pressure.yaml")
+        with pytest.raises(Reached) as excinfo:
+            run_scenario(scenario, workers=0)
+        config = excinfo.value.args[0]
+        assert (config.n_lanes, config.n_hosts) == (20, 5)
+        assert config.workers is None
 
     def test_jsonl_round_trip(self, records, tmp_path):
         path = tmp_path / "run.jsonl"
