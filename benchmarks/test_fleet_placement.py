@@ -115,19 +115,19 @@ def test_placement_frontier_50(benchmark):
         iterations=1,
     )
     print_figure(
-        f"Placement frontier: {study.n_lanes} heterogeneous lanes on "
-        f"{study.n_hosts} hosts",
+        f"Placement frontier: {study.config.n_lanes} heterogeneous lanes "
+        f"on {study.config.n_hosts} hosts",
         frontier_rows(study),
     )
-    round_robin = study.point("round_robin")
-    ffd = study.point("first_fit_decreasing")
+    round_robin = study.point("round_robin").study
+    ffd = study.point("first_fit_decreasing").study
     benchmark.extra_info["round_robin_mean_theft"] = (
         round_robin.mean_host_theft
     )
     benchmark.extra_info["ffd_mean_theft"] = ffd.mean_host_theft
     benchmark.extra_info["best_policy"] = study.best.policy
 
-    assert study.n_lanes == 50 and study.mix == "mixed"
+    assert study.config.n_lanes == 50 and study.config.mix == "mixed"
     # Same fleet, same spend envelope — only the packing differs.
     assert round_robin.fleet_hourly_cost == pytest.approx(
         ffd.fleet_hourly_cost, rel=0.05
@@ -162,9 +162,9 @@ def test_placement_smoke_20(benchmark):
         "Placement smoke: 20 lanes, round_robin vs FFD vs FFD+consolidate",
         frontier_rows(study),
     )
-    round_robin = study.point("round_robin")
-    ffd = study.point("first_fit_decreasing")
-    consolidate = study.point("first_fit_decreasing+consolidate")
+    round_robin = study.point("round_robin").study
+    ffd = study.point("first_fit_decreasing").study
+    consolidate = study.point("first_fit_decreasing+consolidate").study
     benchmark.extra_info["round_robin_mean_theft"] = (
         round_robin.mean_host_theft
     )
@@ -193,5 +193,5 @@ def test_placement_smoke_20(benchmark):
     assert consolidate.host_hours_on < ffd.host_hours_on
     assert consolidate.migrations > 0
     for point in study.points:
-        assert point.hit_rate > 0.8
-        assert 0.0 <= point.violation_fraction <= 1.0
+        assert point.study.hit_rate > 0.8
+        assert 0.0 <= point.study.violation_fraction <= 1.0

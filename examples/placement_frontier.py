@@ -36,6 +36,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
+from repro.experiments.multiplexing_study import FleetConfig
 from repro.experiments.placement_study import (
     frontier_rows,
     run_placement_sensitivity_study,
@@ -91,13 +92,15 @@ def main() -> None:
     rebalance_every, blackout_seconds = 12, 600.0
     if args.auto_tune:
         tuning = tune_migration_policy(
+            FleetConfig(
+                n_lanes=args.lanes,
+                n_hosts=args.hosts,
+                host_capacity_units=args.host_capacity,
+                demand_factors=tuple(args.demand_factors),
+                placement="first_fit_decreasing",
+                placement_demand=args.placement_demand,
+            ),
             explore_hours=min(6.0, args.hours),
-            n_lanes=args.lanes,
-            n_hosts=args.hosts,
-            host_capacity_units=args.host_capacity,
-            demand_factors=tuple(args.demand_factors),
-            placement="first_fit_decreasing",
-            placement_demand=args.placement_demand,
             power_cost_per_host_hour=args.power_cost,
         )
         rebalance_every = tuning.policy.rebalance_every
@@ -128,14 +131,14 @@ def main() -> None:
     for row in frontier_rows(study):
         print(row)
 
-    rr = study.point("round_robin")
+    rr = study.point("round_robin").study
     best = study.best
-    if best.mean_host_theft < rr.mean_host_theft:
+    if best.study.mean_host_theft < rr.mean_host_theft:
         print(
             f"\nplacement is a control knob: {best.policy} cuts mean "
             f"overcommit theft {rr.mean_host_theft:.3%} -> "
-            f"{best.mean_host_theft:.3%} vs round-robin on the identical "
-            f"fleet — interference DejaVu never has to adapt to"
+            f"{best.study.mean_host_theft:.3%} vs round-robin on the "
+            f"identical fleet — interference DejaVu never has to adapt to"
         )
 
     consolidated = [p for p in study.points if p.policy.endswith("+consolidate")]
@@ -146,15 +149,15 @@ def main() -> None:
     ]
     if consolidated and packed:
         cold, warm = consolidated[0], packed[0]
-        saved = warm.host_hours_on - cold.host_hours_on
+        saved = warm.study.host_hours_on - cold.study.host_hours_on
         print(
             f"consolidation is an energy knob: {cold.policy} powers "
-            f"{cold.host_hours_on:.1f} host-hours vs "
-            f"{warm.host_hours_on:.1f} for {warm.policy} "
+            f"{cold.study.host_hours_on:.1f} host-hours vs "
+            f"{warm.study.host_hours_on:.1f} for {warm.policy} "
             f"({saved:.1f} host-hours / "
             f"${saved * args.power_cost:,.2f} saved at "
             f"${args.power_cost:.2f}/host-hour), paying "
-            f"{cold.migrations} migration blackouts for it"
+            f"{cold.study.migrations} migration blackouts for it"
         )
 
 

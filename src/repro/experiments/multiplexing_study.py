@@ -29,7 +29,7 @@ scale) instead of only from scripted per-lane injection.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -410,74 +410,46 @@ class FleetConfig:
         return int(round(self.hours * HOUR / self.step_seconds))
 
 
+#: How a statistic combines across the slice payloads of a sharded
+#: sweep, by the name in its field's ``merge`` metadata.  ``host``
+#: statistics come from any one payload: every shard rebuilds the
+#: identical global host map and runs the identical theft pass.
+MERGE_RULES = {
+    "sum": sum,
+    "max": max,
+    "host": lambda values: values[0],
+}
+
+
+def _statistic(merge: str | None = None, default: float = 0):
+    """A :class:`FleetMultiplexingStudy` statistic field.
+
+    Each slice payload stores a ``merge`` statistic under the field's
+    own name and :func:`_merged_study` combines them by
+    :data:`MERGE_RULES`; ``None`` marks a statistic the merge derives
+    itself.  A statistic absent from the payloads keeps ``default``.
+    """
+    return field(default=default, metadata={"merge": merge})
+
+
 @dataclass(frozen=True)
 class FleetMultiplexingStudy:
-    """One profiling environment and repository shared by ``n_lanes`` services."""
+    """One profiling environment and repository shared by ``n_lanes`` services.
+
+    Every field made by ``_statistic`` is a statistic of the run:
+    :data:`STUDY_STATISTICS` lists them, scenario records export them
+    and the regression gate matches the integer-valued ones exactly.
+    """
 
     config: FleetConfig
     """The configuration that ran."""
 
-    n_lanes: int
-    n_steps: int
+    result: FleetResult
+
     engine_seconds: float
     """Wall-clock seconds spent inside ``FleetEngine.run`` — the
     denominator of the ``lane_steps_per_second`` headline, excluding
     one-off setup/learning cost that is identical under both paths."""
-
-    learning_runs: int
-    """Learning phases paid by the whole fleet (one per service family
-    when amortized)."""
-
-    tuning_invocations: int
-    """Tuner runs paid during learning — independent of fleet size."""
-
-    hit_rate: float
-    """Shared-repository hit rate across every lane's lookups (combined
-    over the per-family repositories in a mixed fleet)."""
-
-    mean_queue_wait_seconds: float
-    max_queue_wait_seconds: float
-    max_queue_depth: int
-    rejected_profiles: int
-    profiler_utilization: float
-    """Fraction of shared profiling slot-time spent collecting."""
-
-    fleet_hourly_cost: float
-    """Mean fleet-wide production spend per hour (all lanes summed)."""
-
-    amortized_profiling_fraction: float
-    """Profiling-environment cost as a fraction of fleet production
-    cost; the paper's multiplexing claim is that this shrinks as the
-    fleet grows."""
-
-    violation_fraction: float
-    """Fraction of (step, lane) samples violating the lane's own SLO
-    (latency bound for scale-out lanes, QoS floor for scale-up)."""
-
-    n_hosts: int
-    """Shared hosts the lanes were placed on (0 = dedicated hardware)."""
-
-    host_overload_fraction: float
-    """Fraction of (step, host) samples where co-located demand
-    exceeded host capacity."""
-
-    mean_host_theft: float
-    """Mean capacity fraction stolen from a placed lane per step."""
-
-    peak_host_theft: float
-    interference_escalations: int
-    """Band > 0 repository entries tuned online — each one is a lane
-    that blamed co-located tenants for an SLO gap and escalated."""
-
-    deferred_adaptations: int
-    """Adaptations pushed to a later step because the bounded profiling
-    queue rejected the signature collection (queue feedback, not just
-    accounting)."""
-
-    result: FleetResult
-
-    shards: int = 1
-    """How many lane-range shards the sweep was partitioned into."""
 
     workers: int = 1
     """Worker processes that executed the shards (1 = in-process)."""
@@ -488,60 +460,127 @@ class FleetMultiplexingStudy:
     allocation_count, instance_type)`` records per lane in global lane
     order — comparable across single-process and sharded runs."""
 
-    migrations: int = 0
-    """Lane migrations the host map's :class:`~repro.sim.placement.MigrationPolicy`
-    performed (each charged a blackout window to the migrated lane)."""
+    n_steps: int = _statistic()
 
-    accepted_profiles: int = 0
+    learning_runs: int = _statistic()
+    """Learning phases paid by the whole fleet (one per service family
+    when amortized)."""
+
+    tuning_invocations: int = _statistic()
+    """Tuner runs paid during learning — independent of fleet size."""
+
+    hit_rate: float = _statistic(default=0.0)
+    """Shared-repository hit rate across every lane's lookups (combined
+    over the per-family repositories in a mixed fleet)."""
+
+    mean_queue_wait_seconds: float = _statistic(default=0.0)
+    max_queue_wait_seconds: float = _statistic("max", 0.0)
+    max_queue_depth: int = _statistic("max")
+
+    accepted_profiles: int = _statistic("sum")
     """Profiling requests the shared queue accepted (the denominator
     behind ``mean_queue_wait_seconds``)."""
 
-    evicted_profiles: int = 0
+    rejected_profiles: int = _statistic("sum")
+
+    evicted_profiles: int = _statistic("sum")
     """Queued-but-unstarted requests bumped by a higher-priority bidder
     (priority policy only)."""
 
-    shed_profiles: int = 0
+    shed_profiles: int = _statistic("sum")
     """Low-priority requests shed at the high watermark before the hard
     ``max_pending`` cliff (priority policy only)."""
 
-    host_failures: int = 0
-    """Host-death fault events the run committed (``faults=``)."""
-
-    host_recoveries: int = 0
-    """Host-recovery fault events the run committed."""
-
-    evacuations: int = 0
-    """Tenants emergency-replaced off a dying host onto survivors (each
-    paid the migration blackout window — the Sec. 3 VM-cloning cost)."""
-
-    unplaced_evacuations: int = 0
-    """Tenants of a dead host no survivor could absorb; they ran
-    degraded at the schedule's residual rate until recovery."""
-
-    revoked_profiles: int = 0
+    revoked_profiles: int = _statistic("sum")
     """In-flight profiling grants destroyed by profiler outages."""
 
-    profiling_retries: int = 0
+    profiler_utilization: float = _statistic(default=0.0)
+    """Fraction of shared profiling slot-time spent collecting."""
+
+    fleet_hourly_cost: float = _statistic(default=0.0)
+    """Mean fleet-wide production spend per hour (all lanes summed)."""
+
+    amortized_profiling_fraction: float = _statistic(default=0.0)
+    """Profiling-environment cost as a fraction of fleet production
+    cost; the paper's multiplexing claim is that this shrinks as the
+    fleet grows."""
+
+    violation_fraction: float = _statistic(default=0.0)
+    """Fraction of (step, lane) samples violating the lane's own SLO
+    (latency bound for scale-out lanes, QoS floor for scale-up)."""
+
+    deferred_adaptations: int = _statistic("sum")
+    """Adaptations pushed to a later step because the bounded profiling
+    queue rejected the signature collection (queue feedback, not just
+    accounting)."""
+
+    profiling_retries: int = _statistic("sum")
     """Revocation retries the managers charged back to the queue
     (bounded retry-with-backoff)."""
 
-    revoked_adaptations: int = 0
+    revoked_adaptations: int = _statistic("sum")
     """Adaptations abandoned after a revoked signature exhausted its
     retries with ``recovery=off`` (the no-recovery baseline)."""
 
-    degraded_adaptations: int = 0
+    degraded_adaptations: int = _statistic("sum")
     """Adaptations that exhausted retries and fell back to deploying
     the last-known-good repository allocation (degraded mode)."""
 
-    host_hours_on: float = 0.0
+    interference_escalations: int = _statistic()
+    """Band > 0 repository entries tuned online — each one is a lane
+    that blamed co-located tenants for an SLO gap and escalated."""
+
+    host_overload_fraction: float = _statistic("host", 0.0)
+    """Fraction of (step, host) samples where co-located demand
+    exceeded host capacity."""
+
+    mean_host_theft: float = _statistic("host", 0.0)
+    """Mean capacity fraction stolen from a placed lane per step."""
+
+    peak_host_theft: float = _statistic("host", 0.0)
+
+    migrations: int = _statistic("host")
+    """Lane migrations the host map's :class:`~repro.sim.placement.MigrationPolicy`
+    performed (each charged a blackout window to the migrated lane)."""
+
+    host_failures: int = _statistic("host")
+    """Host-death fault events the run committed (``faults=``)."""
+
+    host_recoveries: int = _statistic("host")
+    """Host-recovery fault events the run committed."""
+
+    evacuations: int = _statistic("host")
+    """Tenants emergency-replaced off a dying host onto survivors (each
+    paid the migration blackout window — the Sec. 3 VM-cloning cost)."""
+
+    unplaced_evacuations: int = _statistic("host")
+    """Tenants of a dead host no survivor could absorb; they ran
+    degraded at the schedule's residual rate until recovery."""
+
+    host_hours_on: float = _statistic(default=0.0)
     """Host-hours any shared host spent powered on (>= 1 tenant and not
     felled by a fault) — the energy axis of the placement frontier.  A
     consolidation policy that drains cold hosts shrinks this without
     touching the fleet's dollar cost."""
 
-    mean_hosts_on: float = 0.0
+    mean_hosts_on: float = _statistic(default=0.0)
     """Mean powered-on host count per step (``host_hours_on`` divided
     by the run's wall duration in hours)."""
+
+    @property
+    def n_lanes(self) -> int:
+        """Services (lanes) the fleet ran."""
+        return self.config.n_lanes
+
+    @property
+    def n_hosts(self) -> int:
+        """Shared hosts the lanes were placed on (0 = dedicated hardware)."""
+        return self.config.n_hosts or 0
+
+    @property
+    def shards(self) -> int:
+        """How many lane-range shards the sweep was partitioned into."""
+        return self.config.shards
 
     @property
     def lane_steps_per_second(self) -> float:
@@ -554,6 +593,23 @@ class FleetMultiplexingStudy:
         if self.engine_seconds <= 0:
             return float("inf")
         return self.n_lanes * self.n_steps / self.engine_seconds
+
+    def statistics(self) -> dict[str, float]:
+        """Every statistic of the run by name, in field order."""
+        return {name: getattr(self, name) for name in STUDY_STATISTICS}
+
+
+#: The statistic fields of :class:`FleetMultiplexingStudy`, in order.
+STUDY_STATISTICS = tuple(
+    f.name for f in fields(FleetMultiplexingStudy) if "merge" in f.metadata
+)
+
+#: The integer-valued statistics: counts, which never drift by rounding.
+COUNT_STATISTICS = frozenset(
+    f.name
+    for f in fields(FleetMultiplexingStudy)
+    if f.name in STUDY_STATISTICS and f.type == "int"
+)
 
 
 def lane_kinds(n_lanes: int, mix: str) -> tuple[str, ...]:
@@ -693,10 +749,11 @@ def _run_fleet_slice(
     *global* map, and couples to the other shards through a
     :class:`~repro.sim.exchange.ShardHostView`.
 
-    Returns the slice's :class:`FleetResult` plus a payload dict of raw
-    aggregates (queue stats, hit/miss counts, violations, host/theft
-    stats, per-lane event logs) that
-    :func:`run_fleet_multiplexing_study` merges.
+    Returns the slice's :class:`FleetResult` plus a payload dict that
+    :func:`_merged_study` merges: every statistic with a ``merge`` rule
+    under its :class:`FleetMultiplexingStudy` field name, plus the raw
+    aggregates the derived statistics need (hit/miss counts,
+    violations, queue wait sum, per-lane event logs).
     """
     # Imported here: repro.experiments.setup imports the manager layer,
     # which this module must not pull in at import time for the
@@ -967,9 +1024,6 @@ def _run_fleet_slice(
 
     accepted = queue.accepted_grants
     payload = {
-        "lane_lo": lane_lo,
-        "lane_hi": lane_hi,
-        "n_steps": result.n_steps,
         "engine_seconds": engine_seconds,
         "families": list(leaders),
         "family_tuning": family_tuning,
@@ -987,44 +1041,43 @@ def _run_fleet_slice(
         "violations": violations,
         "escalations": escalations,
         "escalated": sorted(escalated),
-        "deferred": sum(s.manager.deferred_adaptations for s in setups),
-        "queue_accepted": len(accepted),
         "queue_wait_sum": float(
             sum(grant.wait_seconds for grant in accepted)
         ),
-        "queue_wait_max": queue.max_wait_seconds,
-        "queue_depth_max": queue.max_depth,
-        "queue_rejected": queue.rejected,
-        "queue_evicted": queue.evicted,
-        "queue_shed": queue.shed,
-        "queue_revoked": queue.revoked,
-        "retries": sum(s.manager.profiling_retries for s in setups),
+        "queue_utilization": queue.utilization(duration),
+        "clone_hourly_cost": setups[0].profiler.clone_allocation.hourly_cost,
+        "lane_events": [_event_log(s.manager) for s in setups],
+        # Statistics merged by their field's rule, under its name.
+        "accepted_profiles": len(accepted),
+        "rejected_profiles": queue.rejected,
+        "evicted_profiles": queue.evicted,
+        "shed_profiles": queue.shed,
+        "revoked_profiles": queue.revoked,
+        "max_queue_wait_seconds": queue.max_wait_seconds,
+        "max_queue_depth": queue.max_depth,
+        "deferred_adaptations": sum(
+            s.manager.deferred_adaptations for s in setups
+        ),
+        "profiling_retries": sum(s.manager.profiling_retries for s in setups),
         "revoked_adaptations": sum(
             s.manager.revoked_adaptations for s in setups
         ),
         "degraded_adaptations": sum(
             s.manager.degraded_adaptations for s in setups
         ),
-        "queue_utilization": queue.utilization(duration),
-        "clone_hourly_cost": setups[0].profiler.clone_allocation.hourly_cost,
-        "lane_events": [_event_log(s.manager) for s in setups],
-        "host": (
-            None
-            if host_map is None
-            else {
-                "n_hosts": host_map.n_hosts,
-                "overload_fraction": host_map.overload_fraction,
-                "mean_theft": host_map.mean_theft,
-                "peak_theft": host_map.peak_theft,
-                "migrations": host_map.migrations,
-                "host_failures": host_map.host_failures,
-                "host_recoveries": host_map.host_recoveries,
-                "evacuations": host_map.evacuations,
-                "unplaced_evacuations": host_map.unplaced_evacuations,
-                "host_on_steps": host_map.host_on_steps,
-            }
-        ),
     }
+    if host_map is not None:
+        payload.update(
+            host_overload_fraction=host_map.overload_fraction,
+            mean_host_theft=host_map.mean_theft,
+            peak_host_theft=host_map.peak_theft,
+            migrations=host_map.migrations,
+            host_failures=host_map.host_failures,
+            host_recoveries=host_map.host_recoveries,
+            evacuations=host_map.evacuations,
+            unplaced_evacuations=host_map.unplaced_evacuations,
+            host_on_steps=host_map.host_on_steps,
+        )
     return result, payload
 
 
@@ -1059,7 +1112,17 @@ def _merged_study(
     engine_seconds: float,
     workers: int,
 ) -> FleetMultiplexingStudy:
-    """Assemble the study dataclass from slice payloads + merged result."""
+    """Assemble the study dataclass from slice payloads + merged result.
+
+    Statistics with a ``merge`` rule combine by :data:`MERGE_RULES`
+    (host statistics exist only when the fleet has hosts); the rest
+    are derived here.
+    """
+    merged = {
+        f.name: MERGE_RULES[f.metadata["merge"]]([p[f.name] for p in payloads])
+        for f in fields(FleetMultiplexingStudy)
+        if f.metadata.get("merge") and f.name in payloads[0]
+    }
     families: list[str] = []
     tuning = 0
     for payload in payloads:
@@ -1078,7 +1141,7 @@ def _merged_study(
     }
     misses = len(missed_stored) + sum(p["misses_unstored"] for p in payloads)
     hits = lookups - misses
-    accepted = sum(p["queue_accepted"] for p in payloads)
+    accepted = merged["accepted_profiles"]
     wait_sum = sum(p["queue_wait_sum"] for p in payloads)
     violations = sum(p["violations"] for p in payloads)
     fleet_hourly_cost = result.total("hourly_cost").mean()
@@ -1090,11 +1153,6 @@ def _merged_study(
     lane_events = tuple(
         tuple(log) for payload in payloads for log in payload["lane_events"]
     )
-    # Host stats come from the first payload that carries them: the
-    # single full-fleet slice, or — under the cross-shard exchange —
-    # any shard, since every worker runs the identical global theft
-    # pass and accumulates identical map statistics.
-    host = payloads[0].get("host")
     # Family-shared escalations arrive as (family, class, band) keys —
     # shards spanning the same family each carry a copy of its
     # repository, so the union (not the sum) is the fleet-wide count.
@@ -1102,56 +1160,30 @@ def _merged_study(
         tuple(key) for payload in payloads for key in payload["escalated"]
     }
     escalations = len(escalated) + sum(p["escalations"] for p in payloads)
+    host_on_steps = payloads[0].get("host_on_steps", 0)
     return FleetMultiplexingStudy(
         config=config,
-        n_lanes=config.n_lanes,
-        n_steps=result.n_steps,
+        result=result,
         engine_seconds=engine_seconds,
+        workers=workers,
+        lane_events=lane_events,
+        n_steps=result.n_steps,
         learning_runs=len(families) + sum(p["relearns"] for p in payloads),
         tuning_invocations=tuning,
         hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         mean_queue_wait_seconds=wait_sum / accepted if accepted else 0.0,
-        max_queue_wait_seconds=max(p["queue_wait_max"] for p in payloads),
-        max_queue_depth=max(p["queue_depth_max"] for p in payloads),
-        rejected_profiles=sum(p["queue_rejected"] for p in payloads),
         profiler_utilization=(
             sum(p["queue_utilization"] for p in payloads) / len(payloads)
         ),
         fleet_hourly_cost=fleet_hourly_cost,
         amortized_profiling_fraction=profiling_hourly_cost / fleet_hourly_cost,
         violation_fraction=violations / (result.n_steps * config.n_lanes),
-        n_hosts=host["n_hosts"] if host else 0,
-        host_overload_fraction=host["overload_fraction"] if host else 0.0,
-        mean_host_theft=host["mean_theft"] if host else 0.0,
-        peak_host_theft=host["peak_theft"] if host else 0.0,
         interference_escalations=escalations,
-        deferred_adaptations=sum(p["deferred"] for p in payloads),
-        result=result,
-        shards=config.shards,
-        workers=workers,
-        lane_events=lane_events,
-        migrations=host["migrations"] if host else 0,
-        accepted_profiles=accepted,
-        evicted_profiles=sum(p["queue_evicted"] for p in payloads),
-        shed_profiles=sum(p["queue_shed"] for p in payloads),
-        host_failures=host["host_failures"] if host else 0,
-        host_recoveries=host["host_recoveries"] if host else 0,
-        evacuations=host["evacuations"] if host else 0,
-        unplaced_evacuations=host["unplaced_evacuations"] if host else 0,
-        revoked_profiles=sum(p["queue_revoked"] for p in payloads),
-        profiling_retries=sum(p["retries"] for p in payloads),
-        revoked_adaptations=sum(p["revoked_adaptations"] for p in payloads),
-        degraded_adaptations=sum(p["degraded_adaptations"] for p in payloads),
-        host_hours_on=(
-            host["host_on_steps"] * config.step_seconds / 3600.0
-            if host
-            else 0.0
-        ),
+        host_hours_on=host_on_steps * config.step_seconds / 3600.0,
         mean_hosts_on=(
-            host["host_on_steps"] / result.n_steps
-            if host and result.n_steps
-            else 0.0
+            host_on_steps / result.n_steps if result.n_steps else 0.0
         ),
+        **merged,
     )
 
 

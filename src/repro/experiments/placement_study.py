@@ -82,35 +82,19 @@ class PlacementFrontierPoint:
     """One policy's point on the SLO/cost/theft/energy frontier."""
 
     policy: str
-    violation_fraction: float
-    fleet_hourly_cost: float
-    mean_host_theft: float
-    peak_host_theft: float
-    host_overload_fraction: float
-    interference_escalations: int
-    migrations: int
-    deferred_adaptations: int
-    hit_rate: float
-    lane_steps_per_second: float
-    host_hours_on: float
-    """Host-hours any host spent powered on (>= 1 tenant, not dead) —
-    the energy axis a consolidation policy shrinks."""
-    mean_hosts_on: float
-    """Mean powered-on host count per step."""
     study: FleetMultiplexingStudy
-    """The policy's full fleet study (series, events, queue stats)."""
+    """The policy's full fleet study: its statistics are the point's
+    coordinates (violations, dollars, theft, host-hours on, ...)."""
 
 
 @dataclass(frozen=True)
 class PlacementSensitivityStudy:
     """The frontier: one :class:`PlacementFrontierPoint` per policy."""
 
-    n_lanes: int
-    hours: float
-    n_hosts: int
-    host_capacity_units: float
-    mix: str
-    demand_factors: tuple[float, ...]
+    config: FleetConfig
+    """The fleet every policy ran; each point's own ``placement`` and
+    ``migration`` are in ``point.study.config``."""
+
     points: tuple[PlacementFrontierPoint, ...]
 
     def point(self, policy: str) -> PlacementFrontierPoint:
@@ -126,7 +110,10 @@ class PlacementSensitivityStudy:
         """Fewest SLO violations, dollars as the tie-break."""
         return min(
             self.points,
-            key=lambda p: (p.violation_fraction, p.fleet_hourly_cost),
+            key=lambda p: (
+                p.study.violation_fraction,
+                p.study.fleet_hourly_cost,
+            ),
         )
 
 
@@ -160,85 +147,48 @@ def parse_policy_spec(
     return name, migration
 
 
-def placement_configs(
+def run_placement_sensitivity_study(
     policies=DEFAULT_PLACEMENT_POLICIES,
     rebalance_every: int = 12,
     blackout_seconds: float = 600.0,
     blackout_theft: float = 0.5,
     **fields,
-) -> list[tuple[str, FleetConfig]]:
-    """Each policy spec with the fleet configuration it runs.
+) -> PlacementSensitivityStudy:
+    """Run the same fleet under each placement policy.
 
     ``fields`` override :data:`DEFAULT_PLACEMENT_CONFIG`; each policy
     then sets its placement and, with a ``+migrate`` or
     ``+consolidate`` suffix, a
-    :class:`~repro.sim.placement.MigrationPolicy` built from this
-    study's ``rebalance_every`` / ``blackout_seconds`` /
-    ``blackout_theft``.
-    """
-    if not policies:
-        raise ValueError("need at least one placement policy")
-    base = replace(DEFAULT_PLACEMENT_CONFIG, **fields)
-    configs = []
-    for policy_spec in policies:
-        name, migration = parse_policy_spec(
-            policy_spec,
-            rebalance_every=rebalance_every,
-            blackout_seconds=blackout_seconds,
-            blackout_theft=blackout_theft,
-        )
-        config = replace(base, placement=name, migration=migration)
-        configs.append((str(policy_spec), config))
-    return configs
-
-
-def run_placement_sensitivity_study(**kwargs) -> PlacementSensitivityStudy:
-    """Run the same fleet under each placement policy.
-
-    Takes the keywords of :func:`placement_configs`.  Every policy run
-    rebuilds the identical fleet from scratch (same seeds, traces,
-    families, queue) so the only degree of freedom is *where the VMs
-    land*.  The default configuration is deliberately adversarial to
-    round-robin: ``demand_factors`` cycles five lane sizes while
-    round-robin strides the host count, so same-sized lanes pile onto
-    the same hosts; the bin-packing policies spread them by measured
-    demand instead.  ``placement_demand`` switches the packed estimate
-    between the realized learning-day peak and the
+    :class:`~repro.sim.placement.MigrationPolicy` built from
+    ``rebalance_every`` / ``blackout_seconds`` / ``blackout_theft``.
+    Every policy run rebuilds the identical fleet from scratch (same
+    seeds, traces, families, queue) so the only degree of freedom is
+    *where the VMs land*.  The default configuration is deliberately
+    adversarial to round-robin: ``demand_factors`` cycles five lane
+    sizes while round-robin strides the host count, so same-sized lanes
+    pile onto the same hosts; the bin-packing policies spread them by
+    measured demand instead.  ``placement_demand`` switches the packed
+    estimate between the realized learning-day peak and the
     :mod:`repro.sim.forecast` predicted-peak window for every policy at
     once.
     """
-    configs = placement_configs(**kwargs)
-    points = []
-    for policy, config in configs:
-        study = run_fleet_multiplexing_study(config)
-        points.append(
-            PlacementFrontierPoint(
-                policy=policy,
-                violation_fraction=study.violation_fraction,
-                fleet_hourly_cost=study.fleet_hourly_cost,
-                mean_host_theft=study.mean_host_theft,
-                peak_host_theft=study.peak_host_theft,
-                host_overload_fraction=study.host_overload_fraction,
-                interference_escalations=study.interference_escalations,
-                migrations=study.migrations,
-                deferred_adaptations=study.deferred_adaptations,
-                hit_rate=study.hit_rate,
-                lane_steps_per_second=study.lane_steps_per_second,
-                host_hours_on=study.host_hours_on,
-                mean_hosts_on=study.mean_hosts_on,
-                study=study,
-            )
+    if not policies:
+        raise ValueError("need at least one placement policy")
+    config = replace(DEFAULT_PLACEMENT_CONFIG, **fields)
+    # Every policy's configuration is built before any runs, so a bad
+    # spec or combination fails before the first study.
+    runs = []
+    for spec in policies:
+        name, migration = parse_policy_spec(
+            spec, rebalance_every, blackout_seconds, blackout_theft
         )
-    config = configs[0][1]
-    return PlacementSensitivityStudy(
-        n_lanes=config.n_lanes,
-        hours=config.hours,
-        n_hosts=config.n_hosts,
-        host_capacity_units=config.host_capacity_units,
-        mix=config.mix,
-        demand_factors=config.demand_factors,
-        points=tuple(points),
+        run = replace(config, placement=name, migration=migration)
+        runs.append((str(spec), run))
+    points = tuple(
+        PlacementFrontierPoint(policy, run_fleet_multiplexing_study(run))
+        for policy, run in runs
     )
+    return PlacementSensitivityStudy(config=config, points=points)
 
 
 def frontier_rows(study: PlacementSensitivityStudy) -> list[str]:
@@ -250,21 +200,23 @@ def frontier_rows(study: PlacementSensitivityStudy) -> list[str]:
     )
     rows = [header, "-" * len(header)]
     for point in study.points:
+        stats = point.study
         rows.append(
-            f"{point.policy:<28} {point.violation_fraction:>9.2%} "
-            f"{point.fleet_hourly_cost:>9.2f} "
-            f"{point.mean_host_theft:>10.3%} {point.peak_host_theft:>10.1%} "
-            f"{point.host_overload_fraction:>8.1%} "
-            f"{point.interference_escalations:>6} {point.migrations:>5} "
-            f"{point.host_hours_on:>9.1f}"
+            f"{point.policy:<28} {stats.violation_fraction:>9.2%} "
+            f"{stats.fleet_hourly_cost:>9.2f} "
+            f"{stats.mean_host_theft:>10.3%} {stats.peak_host_theft:>10.1%} "
+            f"{stats.host_overload_fraction:>8.1%} "
+            f"{stats.interference_escalations:>6} {stats.migrations:>5} "
+            f"{stats.host_hours_on:>9.1f}"
         )
     best = study.best
+    stats = best.study
     rows.append(
         f"best: {best.policy} "
-        f"({best.violation_fraction:.2%} violations at "
-        f"${best.fleet_hourly_cost:,.2f}/h, "
-        f"mean theft {best.mean_host_theft:.3%}, "
-        f"{best.host_hours_on:.1f} host-hours on)"
+        f"({stats.violation_fraction:.2%} violations at "
+        f"${stats.fleet_hourly_cost:,.2f}/h, "
+        f"mean theft {stats.mean_host_theft:.3%}, "
+        f"{stats.host_hours_on:.1f} host-hours on)"
     )
     return rows
 
@@ -300,44 +252,35 @@ class MigrationTuning:
 
 
 def tune_migration_policy(
+    config: FleetConfig,
     mode: str = "consolidate",
     knob_grid=DEFAULT_MIGRATION_KNOB_GRID,
     explore_hours: float = 6.0,
     blackout_theft: float = 0.5,
     violation_weight: float = 100.0,
     power_cost_per_host_hour: float = DEFAULT_POWER_COST_PER_HOST_HOUR,
-    **fleet_kwargs,
 ) -> MigrationTuning:
     """Auto-tune migration knobs per scenario by explore-then-exploit.
 
     For each ``(rebalance_every, blackout_seconds)`` candidate in
-    ``knob_grid`` the tuner runs a *short* fleet study
-    (``explore_hours``, a fraction of the real horizon) with a
-    :class:`~repro.sim.placement.MigrationPolicy` in ``mode``, then
-    exploits the candidate with the lowest dollar-equivalent hourly
-    cost::
+    ``knob_grid`` the tuner runs a *short* study of the fleet
+    ``config`` describes — ``explore_hours`` long, a fraction of the
+    real horizon, under a :class:`~repro.sim.placement.MigrationPolicy`
+    in ``mode`` (both replace the config's own ``hours`` and
+    ``migration``) — then exploits the candidate with the lowest
+    dollar-equivalent hourly cost::
 
         fleet $/h  +  violation_weight * violation_fraction
                    +  power_cost_per_host_hour * mean hosts on
 
-    ``fleet_kwargs`` configure the scenario being tuned for and pass
-    straight to
-    :func:`~repro.experiments.multiplexing_study.run_fleet_multiplexing_study`
-    (``n_lanes``, ``n_hosts``, ``host_capacity_units``, ``mix``,
-    ``demand_factors``, ``placement``, ``placement_demand``, ``seed``,
-    ...).  Everything is deterministic given the scenario and seed:
-    ties exploit the earliest candidate in grid order.
+    Each round records every statistic of its study.  Everything is
+    deterministic given the scenario and seed: ties exploit the
+    earliest candidate in grid order.
     """
     if explore_hours <= 0:
         raise ValueError(f"need a positive exploration run: {explore_hours}")
     if violation_weight < 0 or power_cost_per_host_hour < 0:
         raise ValueError("tuning cost weights cannot be negative")
-    for reserved in ("hours", "migration"):
-        if reserved in fleet_kwargs:
-            raise ValueError(
-                f"{reserved!r} is owned by the tuner; "
-                "use explore_hours / knob_grid"
-            )
     candidates = [
         MigrationPolicy(
             rebalance_every=int(rebalance_every),
@@ -349,16 +292,9 @@ def tune_migration_policy(
     ]
 
     def evaluate(policy: MigrationPolicy) -> dict[str, float]:
-        study = run_fleet_multiplexing_study(
-            hours=explore_hours, migration=policy, **fleet_kwargs
-        )
-        return {
-            "violation_fraction": study.violation_fraction,
-            "fleet_hourly_cost": study.fleet_hourly_cost,
-            "host_hours_on": study.host_hours_on,
-            "mean_hosts_on": study.mean_hosts_on,
-            "migrations": float(study.migrations),
-        }
+        return run_fleet_multiplexing_study(
+            config, hours=explore_hours, migration=policy
+        ).statistics()
 
     def objective(metrics) -> float:
         return (
@@ -383,7 +319,6 @@ __all__ = [
     "PlacementSensitivityStudy",
     "frontier_rows",
     "parse_policy_spec",
-    "placement_configs",
     "run_placement_sensitivity_study",
     "tune_migration_policy",
 ]

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.experiments.multiplexing_study import COUNT_STATISTICS
+
 __all__ = [
     "BASELINE_FORMAT",
     "DEFAULT_BASELINE",
@@ -67,30 +69,9 @@ TIMING_METRICS = frozenset(
     }
 )
 
-#: Integer counters: any drift at all is a behavior change.
-EXACT_METRICS = frozenset(
-    {
-        "n_steps",
-        "max_queue_depth",
-        "accepted_profiles",
-        "rejected_profiles",
-        "evicted_profiles",
-        "shed_profiles",
-        "deferred_adaptations",
-        "interference_escalations",
-        "learning_runs",
-        "tuning_invocations",
-        "migrations",
-        "host_failures",
-        "host_recoveries",
-        "evacuations",
-        "unplaced_evacuations",
-        "revoked_profiles",
-        "profiling_retries",
-        "revoked_adaptations",
-        "degraded_adaptations",
-    }
-)
+#: Integer counters — the study's integer-valued statistics: any drift
+#: at all is a behavior change.
+EXACT_METRICS = COUNT_STATISTICS
 
 #: Float metrics tolerate accumulated rounding noise, nothing more —
 #: the simulations are deterministic given the scenario document.

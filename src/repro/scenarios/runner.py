@@ -1,11 +1,12 @@
 """Scenario execution: one validated document -> structured records.
 
 A :class:`~repro.scenarios.schema.Scenario` expands into a grid of
-study runs — one per ``(sweep value, policy spec)`` combination for
-fleet scenarios, one per frontier point for placement scenarios — and
-each run becomes a :class:`ScenarioRecord`: the scenario/policy/sweep
-coordinates plus a flat ``metrics`` mapping of the study's headline
-numbers (SLO violations, dollars, theft, queue pressure, throughput).
+fleet study runs — one per ``(sweep value, policy spec)`` combination —
+and each run becomes a :class:`ScenarioRecord`: the scenario/policy/
+sweep coordinates plus a flat ``metrics`` mapping of every statistic
+of the study (:data:`~repro.experiments.multiplexing_study.
+STUDY_STATISTICS`: SLO violations, dollars, theft, queue pressure,
+energy) and its throughput.
 
 Records serialize to JSONL (one JSON object per line), the format
 ``repro.cli scenario run`` emits and the regression gate in
@@ -21,6 +22,10 @@ import json
 from dataclasses import dataclass, replace
 from typing import IO, Any, Iterable, Mapping
 
+from repro.experiments.multiplexing_study import (
+    STUDY_STATISTICS,
+    run_fleet_multiplexing_study,
+)
 from repro.scenarios.schema import Scenario, fleet_grid
 
 __all__ = [
@@ -32,41 +37,8 @@ __all__ = [
     "write_jsonl",
 ]
 
-#: FleetMultiplexingStudy fields exported into every record's metrics.
-STUDY_METRICS = (
-    "n_steps",
-    "violation_fraction",
-    "fleet_hourly_cost",
-    "hit_rate",
-    "mean_queue_wait_seconds",
-    "max_queue_wait_seconds",
-    "max_queue_depth",
-    "accepted_profiles",
-    "rejected_profiles",
-    "evicted_profiles",
-    "shed_profiles",
-    "profiler_utilization",
-    "amortized_profiling_fraction",
-    "deferred_adaptations",
-    "interference_escalations",
-    "learning_runs",
-    "tuning_invocations",
-    "mean_host_theft",
-    "peak_host_theft",
-    "host_overload_fraction",
-    "host_hours_on",
-    "mean_hosts_on",
-    "migrations",
-    "host_failures",
-    "host_recoveries",
-    "evacuations",
-    "unplaced_evacuations",
-    "revoked_profiles",
-    "profiling_retries",
-    "revoked_adaptations",
-    "degraded_adaptations",
-    "lane_steps_per_second",
-)
+#: Every record's metrics: the study's statistics plus its throughput.
+STUDY_METRICS = STUDY_STATISTICS + ("lane_steps_per_second",)
 
 
 @dataclass(frozen=True)
@@ -105,13 +77,14 @@ def fleet_metrics(study) -> dict[str, float]:
     return {name: getattr(study, name) for name in STUDY_METRICS}
 
 
-def _run_fleet(
-    scenario: Scenario, workers: int | None
+def run_scenario(
+    scenario: Scenario, workers: int | None = None
 ) -> list[ScenarioRecord]:
-    from repro.experiments.multiplexing_study import (
-        run_fleet_multiplexing_study,
-    )
+    """Execute one scenario's full run grid.
 
+    ``workers`` overrides the document's worker count (the CI smoke
+    passes ``0`` to force the inline, pool-free shard path).
+    """
     records = []
     for sweep, policy, config in fleet_grid(scenario):
         params = dict(scenario.params)
@@ -132,43 +105,6 @@ def _run_fleet(
             )
         )
     return records
-
-
-def _run_placement(scenario: Scenario) -> list[ScenarioRecord]:
-    from repro.experiments.placement_study import (
-        run_placement_sensitivity_study,
-    )
-
-    kwargs = dict(scenario.params)
-    if scenario.policies:
-        kwargs["policies"] = scenario.policies
-    study = run_placement_sensitivity_study(seed=scenario.seed, **kwargs)
-    return [
-        ScenarioRecord(
-            scenario=scenario.id,
-            family=scenario.family,
-            study=scenario.study,
-            policy=point.policy,
-            sweep=None,
-            params=dict(scenario.params),
-            metrics=fleet_metrics(point.study),
-        )
-        for point in study.points
-    ]
-
-
-def run_scenario(
-    scenario: Scenario, workers: int | None = None
-) -> list[ScenarioRecord]:
-    """Execute one scenario's full run grid.
-
-    ``workers`` overrides a fleet document's worker count (the CI smoke
-    passes ``0`` to force the inline, pool-free shard path); placement
-    documents run as written.
-    """
-    if scenario.study == "fleet":
-        return _run_fleet(scenario, workers)
-    return _run_placement(scenario)
 
 
 def record_to_dict(record: ScenarioRecord) -> dict[str, Any]:

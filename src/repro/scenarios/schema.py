@@ -16,19 +16,18 @@ of values.  The library under ``scenarios/`` keeps two families:
 
 The loader validates *against the code, not a copy of it*: a parameter
 is legal when it is a field of
-:class:`~repro.experiments.multiplexing_study.FleetConfig` (placement
-documents may also set that study's policy knobs), and the loader
-builds the configuration of every run in the grid, so the config's own
-rules reject a bad value or combination.  A scenario that drifts from
-the study surface fails at load time with the offending field named —
-never silently at run time.
+:class:`~repro.experiments.multiplexing_study.FleetConfig`, and the
+loader builds the configuration of every run in the grid, so the
+config's own rules reject a bad value or combination.  A scenario that
+drifts from the study surface fails at load time with the offending
+field named — never silently at run time.
 
 Document shape::
 
     id: SYN-lane-ramp            # ^(SYN|RL)-... ; prefix is the family
     label: Lane-count ramp       # optional, defaults to the id
     description: ...             # optional free text
-    study: fleet                 # fleet | placement
+    study: fleet                 # the only study
     seed: 0                      # optional, defaults to 0
     fleet:                       # params section, named after `study`
       hours: 6.0
@@ -36,8 +35,8 @@ Document shape::
     sweep:                       # optional: one field, many values
       field: n_lanes
       values: [2, 4, 8]
-    policies: [round_robin]      # optional; fleet needs n_hosts for it
-    migration:                   # optional (fleet only): knobs for
+    policies: [round_robin]      # optional; needs n_hosts
+    migration:                   # optional: knobs for
       rebalance_every: 6         #   '+migrate'/'+consolidate' policies
 """
 
@@ -49,6 +48,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.experiments.multiplexing_study import FleetConfig
+from repro.experiments.placement_study import parse_policy_spec
 
 __all__ = [
     "Scenario",
@@ -63,23 +65,12 @@ __all__ = [
 SCENARIO_ID = re.compile(r"^(SYN|RL)-[A-Za-z0-9][A-Za-z0-9_-]*$")
 
 #: Study name -> the entry point a document of that study runs.
-STUDIES = {
-    "fleet": "run_fleet_multiplexing_study",
-    "placement": "run_placement_sensitivity_study",
-}
-
-#: The placement study's own knobs, legal beside the config fields.
-PLACEMENT_KNOBS = frozenset(
-    {"rebalance_every", "blackout_seconds", "blackout_theft"}
-)
+STUDIES = {"fleet": "run_fleet_multiplexing_study"}
 
 #: Parameters owned by the document's own top-level keys; a params
 #: section naming one of these is rejected so a scenario cannot say two
 #: different things about the same knob.
-RESERVED_PARAMS = {
-    "fleet": frozenset({"seed", "placement", "migration"}),
-    "placement": frozenset({"seed", "policies", "placement", "migration"}),
-}
+RESERVED_PARAMS = frozenset({"seed", "placement", "migration"})
 
 #: Keys the optional ``migration:`` section may set — the knobs
 #: :func:`~repro.experiments.placement_study.parse_policy_spec` accepts
@@ -124,21 +115,11 @@ class Scenario:
         return self.id.partition("-")[0]
 
 
-def _legal_params(study: str) -> frozenset[str]:
-    from repro.experiments.multiplexing_study import FleetConfig
-
-    fields = frozenset(f.name for f in dataclasses.fields(FleetConfig))
-    return fields | PLACEMENT_KNOBS if study == "placement" else fields
-
-
 def fleet_grid(scenario: "Scenario") -> list[tuple]:
-    """A fleet scenario's runs: ``(sweep, policy, config)`` per
+    """A scenario's runs: ``(sweep, policy, config)`` per
     (sweep value, policy spec), in run order.  ``sweep`` is the
     ``{"field", "value"}`` coordinate or ``None``; ``policy`` labels a
     run without policies ``round_robin`` on hosts, else ``dedicated``."""
-    from repro.experiments.multiplexing_study import FleetConfig
-    from repro.experiments.placement_study import parse_policy_spec
-
     sweeps = (
         [None]
         if scenario.sweep is None
@@ -217,10 +198,9 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
         "seed",
         "policies",
         "sweep",
+        "migration",
         study,  # the params section is named after the study
     }
-    if study == "fleet":
-        allowed_keys.add("migration")
     unknown = sorted(set(doc) - allowed_keys)
     if unknown:
         raise ScenarioError(
@@ -238,8 +218,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError(f"{where}seed must be an integer, got {seed!r}")
 
-    legal = _legal_params(study)
-    reserved = RESERVED_PARAMS[study]
+    legal = frozenset(f.name for f in dataclasses.fields(FleetConfig))
     params_doc = doc.get(study, {})
     if not isinstance(params_doc, dict):
         raise ScenarioError(
@@ -247,7 +226,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
             f"parameters, got {type(params_doc).__name__}"
         )
     for name, value in params_doc.items():
-        if name in reserved:
+        if name in RESERVED_PARAMS:
             raise ScenarioError(
                 f"{where}parameter {name!r} is reserved (set it via the "
                 f"scenario's own top-level keys), not in the {study!r} "
@@ -256,7 +235,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
         if name not in legal:
             raise ScenarioError(
                 f"{where}unknown {study!r} parameter {name!r}; "
-                f"{STUDIES[study]} accepts {sorted(legal - reserved)}"
+                f"{STUDIES[study]} accepts {sorted(legal - RESERVED_PARAMS)}"
             )
         if not _is_param_value(value):
             raise ScenarioError(
@@ -277,11 +256,11 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
                 f"'field' and 'values', got {sweep_doc!r}"
             )
         sweep_field = sweep_doc["field"]
-        if sweep_field in reserved or sweep_field not in legal:
+        if sweep_field in RESERVED_PARAMS or sweep_field not in legal:
             raise ScenarioError(
                 f"{where}sweep field {sweep_field!r} is not a sweepable "
                 f"{study!r} parameter; choose from "
-                f"{sorted(legal - reserved)}"
+                f"{sorted(legal - RESERVED_PARAMS)}"
             )
         if sweep_field in params:
             raise ScenarioError(
@@ -313,8 +292,6 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
         )
     policies = tuple(policies_doc)
     if policies:
-        from repro.experiments.placement_study import parse_policy_spec
-
         for spec in policies:
             try:
                 parse_policy_spec(spec)
@@ -322,7 +299,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
                 raise ScenarioError(
                     f"{where}invalid policy spec {spec!r}: {exc}"
                 ) from exc
-        if study == "fleet" and "n_hosts" not in params:
+        if "n_hosts" not in params:
             raise ScenarioError(
                 f"{where}policies require shared hosts; set 'n_hosts' in "
                 "the 'fleet' section (placement is meaningless on "
@@ -372,16 +349,7 @@ def parse_scenario(doc: Any, path: str | None = None) -> Scenario:
     # Build every run's configuration now, so the config's own rules
     # reject a bad value or combination at load time.
     try:
-        if study == "fleet":
-            fleet_grid(scenario)
-        else:
-            from repro.experiments.placement_study import placement_configs
-
-            placement_configs(
-                **params,
-                seed=seed,
-                **({"policies": policies} if policies else {}),
-            )
+        fleet_grid(scenario)
     except ValueError as exc:
         raise ScenarioError(f"{where}{exc}") from exc
     return scenario

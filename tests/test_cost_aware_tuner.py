@@ -11,6 +11,7 @@ from repro.core.cost_aware_tuner import (
     explore_then_exploit,
 )
 from repro.core.tuner import LinearSearchTuner, scale_out_candidates
+from repro.experiments.multiplexing_study import FleetConfig
 from repro.services.cassandra import CassandraService
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
@@ -212,7 +213,7 @@ class TestExploreThenExploit:
 
 
 class TestTuneMigrationPolicy:
-    FLEET = dict(
+    FLEET = FleetConfig(
         n_lanes=4,
         mix="mixed",
         n_hosts=2,
@@ -225,7 +226,7 @@ class TestTuneMigrationPolicy:
 
         grid = ((4, 300.0), (12, 600.0))
         tuning = tune_migration_policy(
-            knob_grid=grid, explore_hours=2.0, **self.FLEET
+            self.FLEET, knob_grid=grid, explore_hours=2.0
         )
         assert (
             tuning.policy.rebalance_every,
@@ -235,18 +236,43 @@ class TestTuneMigrationPolicy:
         assert len(tuning.rounds) == len(grid)
         assert tuning.best_cost == min(r.cost for r in tuning.rounds)
 
-    def test_reserved_fleet_kwargs_rejected(self):
-        from repro.experiments.placement_study import tune_migration_policy
+    def test_exploration_replaces_config_hours_and_migration(
+        self, monkeypatch
+    ):
+        from dataclasses import replace
 
-        with pytest.raises(ValueError, match="hours"):
-            tune_migration_policy(hours=8.0, **self.FLEET)
-        with pytest.raises(ValueError, match="migration"):
-            tune_migration_policy(migration=None, **self.FLEET)
+        from repro.experiments import placement_study
+        from repro.sim.placement import MigrationPolicy
+
+        explored = []
+        real = placement_study.run_fleet_multiplexing_study
+
+        def spy(config, **fields):
+            study = real(config, **fields)
+            explored.append(study.config)
+            return study
+
+        monkeypatch.setattr(
+            placement_study, "run_fleet_multiplexing_study", spy
+        )
+        config = replace(
+            self.FLEET,
+            hours=24.0,
+            migration=MigrationPolicy(rebalance_every=99),
+        )
+        placement_study.tune_migration_policy(
+            config, knob_grid=((4, 300.0),), explore_hours=1.0
+        )
+        (ran,) = explored
+        assert ran.hours == 1.0
+        assert ran.migration.rebalance_every == 4
+        assert ran.migration.blackout_seconds == 300.0
+        assert replace(ran, hours=24.0, migration=config.migration) == config
 
     def test_bad_tuning_params_rejected(self):
         from repro.experiments.placement_study import tune_migration_policy
 
         with pytest.raises(ValueError, match="exploration"):
-            tune_migration_policy(explore_hours=0.0, **self.FLEET)
+            tune_migration_policy(self.FLEET, explore_hours=0.0)
         with pytest.raises(ValueError, match="negative"):
-            tune_migration_policy(violation_weight=-1.0, **self.FLEET)
+            tune_migration_policy(self.FLEET, violation_weight=-1.0)

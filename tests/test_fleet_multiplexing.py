@@ -311,8 +311,8 @@ class TestPlacementSensitivityStudy:
         study = run_placement_sensitivity_study(
             policies=("round_robin", "first_fit_decreasing"), **self.KWARGS
         )
-        round_robin = study.point("round_robin")
-        ffd = study.point("first_fit_decreasing")
+        round_robin = study.point("round_robin").study
+        ffd = study.point("first_fit_decreasing").study
         # The same fleet, the same traces, the same controllers — only
         # the packing differs, and it alone moves the theft frontier.
         assert round_robin.fleet_hourly_cost == pytest.approx(
@@ -333,8 +333,8 @@ class TestPlacementSensitivityStudy:
             rebalance_every=12,
             **self.KWARGS,
         )
-        static = study.point("round_robin")
-        migrating = study.point("round_robin+migrate")
+        static = study.point("round_robin").study
+        migrating = study.point("round_robin+migrate").study
         assert static.migrations == 0
         assert migrating.migrations >= 1
         assert migrating.mean_host_theft < static.mean_host_theft

@@ -65,6 +65,16 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="study must be one of"):
             parse_scenario(tiny(study="frontier"))
 
+    def test_placement_study_kind_rejected(self):
+        # Placement frontiers are fleet documents with policies now.
+        doc = {
+            "id": "RL-tiny",
+            "study": "placement",
+            "placement": {"n_lanes": 2, "n_hosts": 1},
+        }
+        with pytest.raises(ScenarioError, match="study must be one of"):
+            parse_scenario(doc)
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ScenarioError, match="arrival_process"):
             parse_scenario({**TINY, "arrival_process": "poisson"})
@@ -157,17 +167,6 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="n_hosts"):
             parse_scenario(doc)
 
-    def test_placement_knobs_are_placement_parameters(self):
-        doc = {
-            "id": "RL-tiny",
-            "study": "placement",
-            "placement": {"n_lanes": 2, "n_hosts": 1, "rebalance_every": 6},
-        }
-        assert parse_scenario(doc).params["rebalance_every"] == 6
-        doc["placement"] = {"n_lanes": 2, "placement": "best_fit"}
-        with pytest.raises(ScenarioError, match="reserved"):
-            parse_scenario(doc)
-
     def test_unknown_migration_key_rejected(self):
         doc = tiny(
             fleet={"n_lanes": 2, "n_hosts": 1},
@@ -210,7 +209,7 @@ class TestScenarioLibrary:
         assert len(set(ids)) == len(ids)
         families = {s.family for s in scenarios}
         assert families == {"SYN", "RL"}
-        assert {s.study for s in scenarios} == {"fleet", "placement"}
+        assert {s.study for s in scenarios} == {"fleet"}
         for scenario in scenarios:
             assert scenario.description
 
@@ -267,12 +266,12 @@ class TestRunner:
         records = run_scenario(scenario)
         assert [r.policy for r in records] == ["round_robin", "best_fit"]
 
-    def test_workers_override_applies_to_fleet_documents_only(
+    def test_workers_override_reaches_the_host_pressure_document(
         self, monkeypatch
     ):
-        # A placement document runs as written: the CLI's --workers
-        # override must not reach its study as a stray keyword.
-        from repro.experiments import placement_study
+        # Every document is a fleet document, so the CLI's --workers
+        # override reaches the placement frontier's study config too.
+        from repro.scenarios import runner
 
         class Reached(Exception):
             pass
@@ -280,15 +279,29 @@ class TestRunner:
         def stop(config):
             raise Reached(config)
 
-        monkeypatch.setattr(
-            placement_study, "run_fleet_multiplexing_study", stop
-        )
+        monkeypatch.setattr(runner, "run_fleet_multiplexing_study", stop)
         scenario = load_scenario(REPO_ROOT / "scenarios/RL-host-pressure.yaml")
         with pytest.raises(Reached) as excinfo:
             run_scenario(scenario, workers=0)
         config = excinfo.value.args[0]
         assert (config.n_lanes, config.n_hosts) == (20, 5)
-        assert config.workers is None
+        assert config.profiling_slots == 4
+        assert config.workers == 0
+
+    def test_integer_metrics_are_exactly_the_exact_ones(self):
+        # The gate matches a metric exactly when the study's field is
+        # integer-valued; the values a run emits must agree.
+        scenario = parse_scenario(
+            tiny(
+                fleet={"n_lanes": 2, "hours": 2.0, "n_hosts": 1},
+                policies=["round_robin+migrate"],
+                migration={"rebalance_every": 2},
+            )
+        )
+        (record,) = run_scenario(scenario)
+        for name, value in record.metrics.items():
+            assert isinstance(value, int) == (name in EXACT_METRICS), name
+        assert EXACT_METRICS < record.metrics.keys()
 
     def test_jsonl_round_trip(self, records, tmp_path):
         path = tmp_path / "run.jsonl"
