@@ -64,6 +64,7 @@ scenario x policy on stdout; ``list`` shows the library.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 from typing import Callable
 
@@ -356,8 +357,10 @@ def _nonnegative_int(value: str) -> int:
 
 def _positive_float(value: str) -> float:
     parsed = float(value)
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {parsed}")
+    if not (math.isfinite(parsed) and parsed > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {parsed}"
+        )
     return parsed
 
 

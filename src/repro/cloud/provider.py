@@ -189,7 +189,7 @@ class CloudProvider:
         allocation change (this notification) or a pending warm-up
         elapsing (time-based — poll ``capacity_settles_at``).  Consumers
         that poll capacity every step for every lane (the fleet
-        engine's allocation-aware host footprints) keep a dirty flag
+        engine's host footprints) keep a dirty flag
         per provider instead of re-reading each one each step.
         """
         self._capacity_listeners.append(listener)

@@ -28,6 +28,7 @@ scale) instead of only from scripted per-lane injection.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -35,12 +36,12 @@ import numpy as np
 
 from repro.core.repository import AllocationRepository
 from repro.services.slo import LatencySLO
-from repro.sim.clock import HOUR
+from repro.sim.clock import HOUR, step_count
 from repro.sim.faults import FaultSchedule, parse_faults
 from repro.sim.fleet import FleetEngine, FleetLane, FleetResult, ProfilingQueue
 from repro.sim.exchange import DemandExchange, ExchangeSpec, ShardHostView
 from repro.sim.forecast import PLACEMENT_DEMANDS, placement_estimate
-from repro.sim.hosts import HostMap, allocation_demand
+from repro.sim.hosts import HostMap
 from repro.sim.placement import (
     MigrationPolicy,
     PlacementPolicy,
@@ -301,11 +302,27 @@ class FleetConfig:
         object.__setattr__(self, "demand_factors", factors)
         if self.n_lanes < 1:
             raise ValueError(f"need at least one lane: n_lanes={self.n_lanes}")
-        if self.hours <= 0:
-            raise ValueError(f"need a positive duration: hours={self.hours}")
-        if self.step_seconds <= 0:
+        if not (math.isfinite(self.hours) and self.hours > 0):
             raise ValueError(
-                f"need a positive step: step_seconds={self.step_seconds}"
+                f"need a positive, finite duration: hours={self.hours}"
+            )
+        if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
+            raise ValueError(
+                "need a positive, finite step: "
+                f"step_seconds={self.step_seconds}"
+            )
+        if not (
+            math.isfinite(self.host_capacity_units)
+            and self.host_capacity_units > 0
+        ):
+            raise ValueError(
+                "need a positive, finite host capacity: "
+                f"host_capacity_units={self.host_capacity_units}"
+            )
+        if self.lane_seed_stride < 0:
+            raise ValueError(
+                "need a non-negative seed stride: "
+                f"lane_seed_stride={self.lane_seed_stride}"
             )
         if hosted and self.n_hosts < 1:
             raise ValueError(f"need at least one host: n_hosts={self.n_hosts}")
@@ -373,6 +390,8 @@ class FleetConfig:
                 f"cannot cut n_lanes={self.n_lanes} into "
                 f"shards={self.shards}"
             )
+        if self.workers is not None and self.workers < 0:
+            raise ValueError(f"workers must be >= 0: workers={self.workers}")
         if self.wave_workers < 0:
             raise ValueError(f"wave_workers must be >= 0: {self.wave_workers}")
         if self.wave_workers and not self.batched:
@@ -406,8 +425,8 @@ class FleetConfig:
 
     @property
     def n_steps(self) -> int:
-        """Engine steps the run takes."""
-        return int(round(self.hours * HOUR / self.step_seconds))
+        """Engine steps the run takes, a partial last step included."""
+        return step_count(self.hours * HOUR, self.step_seconds)
 
 
 #: How a statistic combines across the slice payloads of a sharded
@@ -850,7 +869,6 @@ def _run_fleet_slice(
             full_map = HostMap(
                 make_hosts(config.n_hosts, config.host_capacity_units),
                 list(host_placement),
-                demand_fn=allocation_demand,
                 migration=config.migration,
             )
             if faults is not None and faults.any_host_faults:
@@ -866,7 +884,6 @@ def _run_fleet_slice(
                 estimates,
                 n_hosts=config.n_hosts,
                 capacity_units=config.host_capacity_units,
-                demand_fn=allocation_demand,
                 migration=config.migration,
             )
             if faults is not None and faults.any_host_faults:

@@ -7,14 +7,12 @@ silently.  This module turns them into the repo's correctness
 contract: a **gate** that compares a candidate metric set against a
 tracked baseline with per-metric tolerances and fails on drift.
 
-Three on-disk formats are understood, auto-detected by shape:
+Two on-disk formats are understood, auto-detected by shape:
 
 * scenario JSONL — what ``repro.cli scenario run`` emits (one record
   per line, keyed ``id[field=value]:policy``);
 * the scenario baseline — ``BENCH_scenarios.json``, written by
-  ``scripts/check_bench.py --update``;
-* pytest-benchmark JSON — the tracked ``BENCH_fleet*.json`` files
-  (keyed by benchmark fullname, metrics from numeric ``extra_info``).
+  ``scripts/check_bench.py --update``.
 
 Wall-clock-derived metrics (:data:`TIMING_METRICS`) are machine- and
 load-dependent, so they are reported but never gated.  Everything else
@@ -177,18 +175,6 @@ def _records_from_jsonl(text: str, path: str) -> dict[str, dict[str, float]]:
     return records
 
 
-def _records_from_benchmark(doc: dict) -> dict[str, dict[str, float]]:
-    records = {}
-    for bench in doc["benchmarks"]:
-        metrics = {
-            name: value
-            for name, value in bench.get("extra_info", {}).items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
-        records[bench.get("fullname", bench["name"])] = metrics
-    return records
-
-
 def load_records(path: str | Path) -> dict[str, dict[str, float]]:
     """Load ``key -> metrics`` from any understood file format."""
     text = Path(path).read_text()
@@ -201,14 +187,12 @@ def load_records(path: str | Path) -> dict[str, dict[str, float]]:
         return {
             key: dict(metrics) for key, metrics in doc["records"].items()
         }
-    if isinstance(doc, dict) and "benchmarks" in doc:
-        return _records_from_benchmark(doc)
     if isinstance(doc, dict) and "metrics" in doc:
         # A single-record JSONL file parses as one JSON object.
         return _records_from_jsonl(text, str(path))
     raise ValueError(
-        f"{path}: unrecognized shape (expected scenario JSONL, a "
-        f"{BASELINE_FORMAT!r} baseline, or pytest-benchmark output)"
+        f"{path}: unrecognized shape (expected scenario JSONL or a "
+        f"{BASELINE_FORMAT!r} baseline)"
     )
 
 
@@ -290,8 +274,8 @@ def check_bench(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "candidates",
         nargs="*",
-        help="candidate files (scenario JSONL or pytest-benchmark JSON); "
-        "none = run the smoke scenarios fresh",
+        help="candidate scenario JSONL files; none = run the smoke "
+        "scenarios fresh",
     )
     parser.add_argument(
         "--baseline",

@@ -16,14 +16,8 @@ from repro.sim.fleet import (
     FleetResult,
     ProfilingGrant,
     ProfilingQueue,
-    QueuedController,
 )
-from repro.sim.hosts import (
-    HostInterferenceFeed,
-    HostMap,
-    SimHost,
-    allocation_demand,
-)
+from repro.sim.hosts import MAX_THEFT, HostInterferenceFeed, HostMap, SimHost
 from repro.sim.placement import (
     PLACEMENT_POLICIES,
     BestFitPlacement,
@@ -50,7 +44,7 @@ __all__ = [
     "HostInterferenceFeed",
     "HostMap",
     "SimHost",
-    "allocation_demand",
+    "MAX_THEFT",
     "PLACEMENT_POLICIES",
     "BestFitPlacement",
     "BlockPlacement",
@@ -62,7 +56,6 @@ __all__ = [
     "make_policy",
     "ProfilingGrant",
     "ProfilingQueue",
-    "QueuedController",
     "SimulationResult",
     "TimeSeries",
 ]

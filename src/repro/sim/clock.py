@@ -8,6 +8,8 @@ so the clock supports both coarse (hourly) and fine (second) stepping.
 
 from __future__ import annotations
 
+import math
+
 MINUTE = 60
 HOUR = 3600
 SECONDS_PER_DAY = 24 * HOUR
@@ -63,3 +65,25 @@ class SimClock:
 
     def __repr__(self) -> str:
         return f"SimClock(day={self.day}, hour_of_day={self.hour_of_day}, t={self._now:.0f}s)"
+
+
+def step_count(duration_seconds: float, step_seconds: float) -> int:
+    """Steps a run of ``duration_seconds`` takes at ``step_seconds``.
+
+    Replays the stepping loop of :meth:`repro.sim.fleet.FleetEngine.run`
+    — advance a clock from 0 while ``now < duration_seconds`` — with the
+    same float accumulation, so a partial last step counts and the
+    count always matches the steps the engine records.
+    """
+    if not (math.isfinite(duration_seconds) and duration_seconds > 0):
+        raise ValueError(
+            f"duration must be positive and finite: {duration_seconds}"
+        )
+    if not (math.isfinite(step_seconds) and step_seconds > 0):
+        raise ValueError(f"step must be positive and finite: {step_seconds}")
+    clock = SimClock()
+    steps = 0
+    while clock.now < duration_seconds:
+        clock.advance(step_seconds)
+        steps += 1
+    return steps

@@ -227,17 +227,13 @@ def make_exchange_handles(
 class ShardHostView:
     """One shard's host-coupled view of the global :class:`HostMap`.
 
-    Implements the fleet engine's host contract (``n_lanes``,
-    ``allocation_aware``, ``feed``, ``apply_step``) for the slice
+    Implements the fleet engine's host contract (``n_lanes``, ``feed``,
+    ``apply_step``) for the slice
     ``[lane_lo, lane_hi)`` of a *global* map every worker rebuilt
     identically.  ``apply_step`` computes the slice's demand
     contributions, synchronizes them through the exchange, and runs the
     global theft pass locally — so feeds, migration plans and host
     statistics come out exactly as the single-process map's would.
-
-    Only the built-in demand footprints (offered / allocation) are
-    supported: a custom ``demand_fn`` receives lane indices, which
-    under sharding would be local to the slice and silently wrong.
     """
 
     def __init__(
@@ -262,12 +258,6 @@ class ShardHostView:
                 f"{exchange.lane_hi}) of {exchange.n_lanes}; the view "
                 f"needs [{lane_lo}, {lane_hi}) of {host_map.n_lanes}"
             )
-        if host_map._demand_mode not in ("offered", "allocation"):
-            raise ValueError(
-                "sharded host coupling supports the built-in offered/"
-                "allocation footprints; a custom demand_fn would "
-                "receive shard-local lane indices"
-            )
         self.map = host_map
         self.lane_lo = lane_lo
         self.lane_hi = lane_hi
@@ -279,10 +269,6 @@ class ShardHostView:
     def n_lanes(self) -> int:
         """Lanes in this shard's slice (the engine's fleet size)."""
         return self.lane_hi - self.lane_lo
-
-    @property
-    def allocation_aware(self) -> bool:
-        return self.map.allocation_aware
 
     def feed(self, lane: int):
         """The *global* map's feed for a shard-local lane offset."""
@@ -308,11 +294,7 @@ class ShardHostView:
             raise ValueError(
                 f"expected {self.n_lanes} workloads, got {len(workloads)}"
             )
-        local = self.map._demands(
-            t, workloads, capacities, count=self.n_lanes
-        )
-        if local.size and float(local.min()) < 0.0:
-            raise ValueError("lane demand cannot be negative")
+        local = self.map._demands(workloads, capacities)
         step = self._steps_seen
         self._steps_seen += 1
         exchanged = step % self.exchange_handle.exchange_every == 0

@@ -677,47 +677,6 @@ class ProfilingQueue:
         return busy_within / (self.slots * duration_seconds)
 
 
-class QueuedController:
-    """Route a queue-unaware controller's profiling through the queue.
-
-    Controllers that understand the shared profiler directly
-    (``attach_profiling_queue``, i.e. :class:`~repro.core.manager.DejaVuManager`)
-    are *not* wrapped: the engine attaches the queue and the manager
-    charges every collection itself — per-adaptation signatures,
-    post-relearn re-classifications, auto-relearn sweeps and
-    interference-escalation probes — with real feedback (rejection
-    defers the adaptation; waiting delays the deployment).
-
-    This wrapper remains for third-party controllers following only the
-    bare ``on_step`` contract: after each step, any new entries on the
-    inner controller's ``adaptation_events`` are enqueued at the step
-    time (accounting-only, one request per adaptation).  Controllers
-    without ``adaptation_events`` (Autopilot, RightScale,
-    Overprovision) never profile online and pass through untouched.
-    """
-
-    def __init__(self, inner: Controller, queue: ProfilingQueue) -> None:
-        self.inner = inner
-        self.queue = queue
-        self.grants: list[ProfilingGrant] = []
-
-    def _profiling_runs(self) -> int:
-        events = getattr(self.inner, "adaptation_events", None)
-        return len(events) if events is not None else 0
-
-    def on_step(self, ctx: StepContext) -> None:
-        before = self._profiling_runs()
-        self.inner.on_step(ctx)
-        for _ in range(self._profiling_runs() - before):
-            # Accounting-only third-party traffic bids at the lowest
-            # class: a priority queue sheds or evicts it first.
-            self.grants.append(
-                self.queue.request(
-                    ctx.t, priority=PRIORITY_ROUTINE, kind="resignature"
-                )
-            )
-
-
 # ----------------------------------------------------------------------
 # Batched recording
 # ----------------------------------------------------------------------
@@ -957,18 +916,18 @@ class FleetEngine:
     step_seconds:
         Shared step width, as in the single-service engine.
     profiling_queue:
-        Optional shared profiling environment.  Queue-aware controllers
-        (``attach_profiling_queue``) charge their own profiling with
-        real feedback; anything else is wrapped in
-        :class:`QueuedController` for accounting.
+        Optional shared profiling environment, attached to every
+        controller through ``attach_profiling_queue`` so each charges
+        its own profiling with real feedback.  Every controller must
+        accept it: a controller without ``attach_profiling_queue``
+        raises :class:`ValueError` when a queue is given.
     host_map:
         Optional shared-host placement.  When given, the engine reports
-        every lane's offered demand to the map at the start of each
-        step — plus, for allocation-aware footprints
-        (:func:`repro.sim.hosts.allocation_demand`), each lane's
-        deployed capacity read off its provider's cached plan — so
-        co-located lanes on an overcommitted host experience capacity
-        theft through their
+        every lane's offered demand and deployed capacity (read off its
+        provider's cached plan; ``math.inf`` for a provider-less lane)
+        to the map at the start of each step, and the map charges each
+        lane ``min(offered, capacity)`` — so co-located lanes on an
+        overcommitted host experience capacity theft through their
         :class:`~repro.sim.hosts.HostInterferenceFeed`, which the
         experiment wires into each lane's production environment.  The
         map runs any attached
@@ -995,10 +954,9 @@ class FleetEngine:
         auto-relearn sweeps and post-relearn re-classifications
         (charged in the wave's finish phase), routine re-signature
         traffic on steps where only some candidates are due
-        (``resignature_every_seconds``), and profiling by
-        :class:`QueuedController`-wrapped third-party controllers.
-        With an uncontended queue (or none) all of these coincide and
-        the bit-identical guarantee holds unconditionally.
+        (``resignature_every_seconds``).  With an uncontended queue
+        (or none) all of these coincide and the bit-identical guarantee
+        holds unconditionally.
     wave_workers:
         Overlap independent batched-control-plane waves on a thread
         pool of this size (0, the default, keeps the serial reference
@@ -1043,20 +1001,20 @@ class FleetEngine:
         self.batched = bool(batched)
         self.wave_workers = int(wave_workers)
         self._wave_pool = None
-        # The caller's FleetLane objects are left untouched; queue
-        # wrappers live in the engine's own controller list.  Managers
-        # that understand the shared profiler are handed the queue
-        # directly so every profiling burst is charged with feedback.
-        self.controllers: list[Controller] = []
-        for lane in self._lanes:
-            controller = lane.controller
-            if profiling_queue is not None:
-                attach = getattr(controller, "attach_profiling_queue", None)
-                if attach is not None:
-                    attach(profiling_queue)
-                else:
-                    controller = QueuedController(controller, profiling_queue)
-            self.controllers.append(controller)
+        # Every controller is handed the shared profiler directly, so
+        # every profiling burst is charged with feedback.
+        self.controllers: list[Controller] = [
+            lane.controller for lane in self._lanes
+        ]
+        if profiling_queue is not None:
+            for lane in self._lanes:
+                if not hasattr(lane.controller, "attach_profiling_queue"):
+                    raise ValueError(
+                        f"lane {lane.label!r}: a profiling_queue needs a "
+                        "controller with attach_profiling_queue"
+                    )
+            for controller in self.controllers:
+                controller.attach_profiling_queue(profiling_queue)
         # Lanes whose controller implements the batched-adaptation
         # contract (structurally a DejaVuManager): every method the
         # wave calls must be present, or the lane stays on the scalar
@@ -1106,14 +1064,14 @@ class FleetEngine:
             for i, lane in enumerate(self._lanes)
             if not (self.batched and lane.observe_batch is not None)
         )
-        # Per-lane deployed-capacity readers for allocation-aware host
-        # footprints.  Providers notify a per-lane dirty flag on every
-        # allocation change (subscribe_capacity_changes), so the
-        # per-step refresh touches only lanes that changed allocation
-        # or are still inside a warm-up window — the steady state costs
-        # two vectorized mask operations, not a call per lane.  Lanes
+        # Per-lane deployed-capacity readers for the host footprints.
+        # Providers notify a per-lane dirty flag on every allocation
+        # change (subscribe_capacity_changes), so the per-step refresh
+        # touches only lanes that changed allocation or are still
+        # inside a warm-up window — the steady state costs two
+        # vectorized mask operations, not a call per lane.  Lanes
         # whose controller exposes no provider read as unbounded
-        # (their footprint degrades to the offered demand).
+        # (their footprint is the offered demand).
         self._capacity_providers: tuple = tuple(
             getattr(
                 getattr(lane.controller, "production", None),
@@ -1126,7 +1084,7 @@ class FleetEngine:
         self._capacity_values = np.full(n_lanes, math.inf)
         self._capacity_dirty = np.zeros(n_lanes, dtype=bool)
         self._capacity_settled = np.zeros(n_lanes, dtype=float)
-        if self.host_map is not None and self.host_map.allocation_aware:
+        if self.host_map is not None:
             for j, provider in enumerate(self._capacity_providers):
                 if provider is None:
                     continue
@@ -1564,16 +1522,13 @@ class FleetEngine:
             workloads = [lane.workload_fn(t) for lane in self._lanes]
             if self.host_map is not None:
                 # Host pressure is recomputed before controllers act, so
-                # adaptations this step already see the co-tenant theft.
-                # Allocation-aware footprints additionally refresh each
-                # lane's deployed capacity from its provider's cached
-                # plan (math.inf for provider-less lanes).
-                capacities = (
-                    self._lane_capacities(t)
-                    if self.host_map.allocation_aware
-                    else None
+                # adaptations this step already see the co-tenant theft;
+                # each lane's deployed capacity comes from its
+                # provider's cached plan (math.inf for provider-less
+                # lanes).
+                self.host_map.apply_step(
+                    t, workloads, capacities=self._lane_capacities(t)
                 )
-                self.host_map.apply_step(t, workloads, capacities=capacities)
             if self.profiling_queue is not None:
                 # Profiler-outage windows commit here — the same point
                 # of the scalar and batched paths, before any

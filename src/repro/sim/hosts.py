@@ -9,12 +9,12 @@ with no coupling between lanes.  This module closes the loop:
 
 * :class:`SimHost` — one shared machine with a fixed capacity.
 * :class:`HostMap` — the placement of fleet lanes onto hosts.  Each
-  step the engine reports every lane's offered demand (and, for
-  allocation-aware footprints, its deployed capacity); the map converts
-  per-host overcommitment into per-lane capacity-theft fractions in
-  **one vectorized matrix pass over all hosts** (``np.bincount`` over
-  the placement), so host coupling composes with the batched control
-  plane instead of costing a per-host Python loop.
+  step the engine reports every lane's offered demand and deployed
+  capacity; the map converts per-host overcommitment into per-lane
+  capacity-theft fractions in **one vectorized matrix pass over all
+  hosts** (``np.bincount`` over the placement), so host coupling
+  composes with the batched control plane instead of costing a
+  per-host Python loop.
 * :class:`HostInterferenceFeed` — one lane's view of that theft,
   implementing the injector contract
   (:meth:`~HostInterferenceFeed.interference_at`) so it plugs straight
@@ -30,21 +30,15 @@ this map enforces, and an optional
 worst-pressure host online, charging each migrated lane a blackout
 window of degraded capacity.
 
-Demand footprints
------------------
-``demand_fn`` selects what a lane presses onto its host each step:
-
-* ``None`` (default) — the static *offered* demand,
-  :attr:`~repro.workloads.request_mix.Workload.demand_units` (the PR 2
-  behavior);
-* :func:`allocation_demand` — the **allocation-aware** footprint
-  ``min(offered demand, deployed capacity)``: a lane's VMs cannot press
-  harder than what DejaVu actually allocated, so scale-ups (and
-  interference escalations) grow the footprint and scale-downs free
-  host headroom for the neighbours;
-* any custom callable — either the legacy ``f(workload)`` shape or the
-  full ``f(lane, deployed_capacity, workload, t)`` shape (detected by
-  signature).
+Demand footprint
+----------------
+A lane presses ``min(offered demand, deployed capacity)`` onto its
+host each step: its VMs cannot consume more than DejaVu allocated, so
+scale-ups (and interference escalations) grow the footprint and
+scale-downs free host headroom for the neighbours.  Without per-lane
+capacities (``capacities=None``, or ``math.inf`` for a lane without a
+provider) the footprint is the offered demand,
+:attr:`~repro.workloads.request_mix.Workload.demand_units`.
 
 Theft model
 -----------
@@ -64,10 +58,9 @@ gap, exactly as with injected interference.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,24 +81,16 @@ class SimHost:
     label: str = "host"
 
     def __post_init__(self) -> None:
-        if self.capacity_units <= 0:
+        capacity = self.capacity_units
+        if not (math.isfinite(capacity) and capacity > 0):
             raise ValueError(
-                f"host capacity must be positive: {self.capacity_units}"
+                f"host capacity must be positive and finite: {capacity}"
             )
 
 
-def allocation_demand(
-    lane: int, deployed_capacity: float, workload: Workload, t: float
-) -> float:
-    """Allocation-aware host footprint: what the lane's VMs can consume.
-
-    A service's VMs cannot press more load onto the host than the
-    capacity DejaVu deployed for them — so a freshly escalated lane
-    presses harder (its bigger allocation absorbs more of the offered
-    demand) and a scaled-down lane frees host headroom even when its
-    offered demand stays high.
-    """
-    return min(workload.demand_units, deployed_capacity)
+#: Upper clip on any lane's theft fraction; keeps the service models'
+#: effective capacity strictly positive.
+MAX_THEFT = 0.9
 
 
 class HostInterferenceFeed:
@@ -115,67 +100,33 @@ class HostInterferenceFeed:
     by :class:`~repro.core.profiler.ProductionEnvironment`, so a fleet
     lane's production environment can be constructed with a feed in
     place of a scripted :class:`~repro.interference.injector.InterferenceInjector`.
-    A map-owned feed reads straight out of the map's per-step theft
-    vector (one shared array, no per-lane push loop); a standalone feed
-    holds its own value via :meth:`_set`.
+    The feed reads straight out of slot ``index`` of its map's per-step
+    theft vector (one shared array, no per-lane push loop).
     """
 
-    __slots__ = ("_theft", "_values", "_index")
+    __slots__ = ("_values", "_index")
 
-    def __init__(self) -> None:
-        self._theft = 0.0
-        self._values: np.ndarray | None = None
-        self._index = 0
-
-    def _bind(self, values: np.ndarray, index: int) -> None:
-        """Attach this feed to one slot of the owner's theft vector."""
+    def __init__(self, values: np.ndarray, index: int) -> None:
         self._values = values
         self._index = index
 
     @property
-    def source(self) -> tuple[np.ndarray, int] | None:
-        """The ``(theft vector, slot)`` this feed reads, if map-owned.
+    def source(self) -> tuple[np.ndarray, int]:
+        """The ``(theft vector, slot)`` this feed reads.
 
         Vectorized consumers (the fleet family observers) gather many
-        bound feeds in one fancy-index read per step instead of one
+        feeds in one fancy-index read per step instead of one
         ``interference_at`` call per lane.
         """
-        if self._values is None:
-            return None
         return self._values, self._index
 
     @property
     def theft(self) -> float:
-        if self._values is not None:
-            return float(self._values[self._index])
-        return self._theft
+        return float(self._values[self._index])
 
     def interference_at(self, t: float) -> float:
         """Effective capacity fraction stolen by co-located tenants."""
         return self.theft
-
-    def _set(self, value: float) -> None:
-        if self._values is not None:
-            self._values[self._index] = float(value)
-        else:
-            self._theft = float(value)
-
-
-def _demand_mode(demand_fn) -> str:
-    """Classify a demand callable: offered / allocation / custom shapes."""
-    if demand_fn is None:
-        return "offered"
-    if demand_fn is allocation_demand:
-        return "allocation"
-    n_params = len(inspect.signature(demand_fn).parameters)
-    if n_params == 1:
-        return "custom_workload"
-    if n_params == 4:
-        return "custom_allocation"
-    raise ValueError(
-        "demand_fn must take (workload) or "
-        f"(lane, deployed_capacity, workload, t); got {n_params} parameters"
-    )
 
 
 class HostMap:
@@ -189,13 +140,6 @@ class HostMap:
         ``placement[lane]`` is the host index the lane's VMs run on, or
         ``None`` for a lane on dedicated hardware (never coupled).
         Policies in :mod:`repro.sim.placement` produce these.
-    demand_fn:
-        Selects the lane-footprint model; see the module docstring.
-        ``None`` keeps the static offered-demand footprint;
-        :func:`allocation_demand` tracks deployed capacity.
-    max_theft:
-        Upper clip on any lane's theft fraction; keeps the service
-        models' effective capacity strictly positive.
     migration:
         Optional :class:`~repro.sim.placement.MigrationPolicy` (duck
         typed: ``rebalance_every``, ``blackout_seconds``,
@@ -212,14 +156,10 @@ class HostMap:
         self,
         hosts: Sequence[SimHost],
         placement: Sequence[int | None],
-        demand_fn: Callable | None = None,
-        max_theft: float = 0.9,
         migration=None,
     ) -> None:
         if not hosts:
             raise ValueError("a host map needs at least one host")
-        if not 0.0 < max_theft < 1.0:
-            raise ValueError(f"max theft must be in (0, 1): {max_theft}")
         self.hosts = tuple(hosts)
         self._placement = list(placement)
         for lane, host in enumerate(self._placement):
@@ -228,20 +168,18 @@ class HostMap:
                     f"lane {lane} placed on unknown host {host} "
                     f"(have {len(self.hosts)})"
                 )
-        self._demand_fn = demand_fn
-        self._demand_mode = _demand_mode(demand_fn)
-        self.max_theft = float(max_theft)
         self.migration = migration
         n_lanes = len(self._placement)
         self._capacity_arr = np.array(
             [host.capacity_units for host in self.hosts], dtype=float
         )
-        # The live theft vector: map-owned feeds read from it directly,
+        # The live theft vector: the feeds read from it directly,
         # apply_step rewrites it in place each step.
         self.last_thefts = np.zeros(n_lanes, dtype=float)
-        self._feeds = tuple(HostInterferenceFeed() for _ in range(n_lanes))
-        for index, feed in enumerate(self._feeds):
-            feed._bind(self.last_thefts, index)
+        self._feeds = tuple(
+            HostInterferenceFeed(self.last_thefts, index)
+            for index in range(n_lanes)
+        )
         self._rebuild_placement_cache()
         self._blackout_until = np.zeros(n_lanes, dtype=float)
         # Per-lane blackout severity: migrations write the migration
@@ -354,11 +292,6 @@ class HostMap:
     @property
     def n_lanes(self) -> int:
         return len(self._placement)
-
-    @property
-    def allocation_aware(self) -> bool:
-        """Whether :meth:`apply_step` needs per-lane deployed capacities."""
-        return self._demand_mode in ("allocation", "custom_allocation")
 
     def host_of(self, lane: int) -> int | None:
         """The host index a lane is placed on (None = dedicated)."""
@@ -536,66 +469,32 @@ class HostMap:
 
     # -- the coupling --------------------------------------------------
 
+    @staticmethod
     def _demands(
-        self,
-        t: float,
-        workloads: Sequence[Workload],
-        capacities: Sequence[float] | None,
-        count: int | None = None,
+        workloads: Sequence[Workload], capacities: Sequence[float] | None
     ) -> np.ndarray:
-        """Per-lane demand vector for ``workloads``.
+        """Per-lane footprint ``min(offered demand, deployed capacity)``.
 
-        ``count`` overrides the expected lane count for shard-slice
-        callers (:class:`~repro.sim.exchange.ShardHostView`) computing
-        only their own lanes' contributions; the custom ``demand_fn``
-        footprints stay full-fleet because they key on lane index.
+        ``capacities=None`` leaves every lane unbounded: the footprint
+        is the offered demand.  Shard-slice callers
+        (:class:`~repro.sim.exchange.ShardHostView`) pass only their own
+        lanes.
         """
-        mode = self._demand_mode
-        n = self.n_lanes if count is None else count
-        if count is not None and mode not in ("offered", "allocation"):
-            raise ValueError(
-                "partial demand vectors support only the built-in "
-                "offered/allocation footprints"
-            )
-        if mode in ("allocation", "custom_allocation"):
-            if capacities is None:
-                raise ValueError(
-                    "allocation-aware demand needs per-lane deployed "
-                    "capacities; the fleet engine supplies them via "
-                    "apply_step(..., capacities=...)"
-                )
-            if len(capacities) != n:
-                raise ValueError(
-                    f"expected {n} capacities, got {len(capacities)}"
-                )
-        # The two built-in footprints are on the per-step hot path of
-        # 200-lane fleets: np.fromiter over the raw attributes skips
-        # one property call per lane-step versus Workload.demand_units.
-        if mode == "offered":
-            return np.fromiter(
-                (w.volume * w.mix.demand_per_client for w in workloads),
-                dtype=float,
-                count=n,
-            )
-        if mode == "allocation":
-            offered = np.fromiter(
-                (w.volume * w.mix.demand_per_client for w in workloads),
-                dtype=float,
-                count=n,
-            )
-            return np.minimum(offered, np.asarray(capacities, dtype=float))
-        if mode == "custom_workload":
-            return np.array(
-                [self._demand_fn(workload) for workload in workloads],
-                dtype=float,
-            )
-        return np.array(
-            [
-                self._demand_fn(lane, capacities[lane], workload, t)
-                for lane, workload in enumerate(workloads)
-            ],
+        # On the per-step hot path of 200-lane fleets: np.fromiter over
+        # the raw attributes skips one property call per lane-step
+        # versus Workload.demand_units.
+        offered = np.fromiter(
+            (w.volume * w.mix.demand_per_client for w in workloads),
             dtype=float,
+            count=len(workloads),
         )
+        if capacities is None:
+            return offered
+        if len(capacities) != len(workloads):
+            raise ValueError(
+                f"expected {len(workloads)} capacities, got {len(capacities)}"
+            )
+        return np.minimum(offered, np.asarray(capacities, dtype=float))
 
     def apply_step(
         self,
@@ -608,21 +507,17 @@ class HostMap:
         Called by the fleet engine once per step, *before* controllers
         act, so adaptations in the same step already see the pressure.
         ``capacities`` carries each lane's deployed capacity
-        (``math.inf`` for lanes without a provider) and is required
-        when the demand footprint is allocation-aware.  Returns the
-        per-lane theft fractions — one vectorized pass over all hosts
-        (``np.bincount`` totals, one overload division, one theft
-        product), written in place into the lanes' feeds and
-        accumulated into the map's statistics.
+        (``math.inf`` for lanes without a provider; ``None`` leaves
+        every lane unbounded).  Returns the per-lane theft fractions —
+        one vectorized pass over all hosts (``np.bincount`` totals, one
+        overload division, one theft product), written in place into
+        the lanes' feeds and accumulated into the map's statistics.
         """
         if len(workloads) != self.n_lanes:
             raise ValueError(
                 f"expected {self.n_lanes} workloads, got {len(workloads)}"
             )
-        demands = self._demands(t, workloads, capacities)
-        if demands.size and float(demands.min()) < 0.0:
-            raise ValueError("lane demand cannot be negative")
-        return self._apply_demands(t, demands)
+        return self._apply_demands(t, self._demands(workloads, capacities))
 
     def _apply_demands(
         self, t: float, demands: np.ndarray, rebalance: bool = True
@@ -672,7 +567,7 @@ class HostMap:
                     host_total = totals[hosts_of[hot]]
                     thefts[idx[hot]] = np.minimum(
                         factor[hot] * (host_total - placed[hot]) / host_total,
-                        self.max_theft,
+                        MAX_THEFT,
                     )
         if self.migration is not None or self.faults is not None:
             blacked = t < self._blackout_until
@@ -681,7 +576,7 @@ class HostMap:
                     thefts,
                     np.where(
                         blacked,
-                        np.minimum(self._blackout_theft, self.max_theft),
+                        np.minimum(self._blackout_theft, MAX_THEFT),
                         0.0,
                     ),
                     out=thefts,
@@ -691,7 +586,7 @@ class HostMap:
             # residual rate; the self-saturation exemption in the theft
             # formula (a lone tenant steals nothing from itself) must
             # not mask a host that is simply gone.
-            floor = min(1.0 - self.faults.residual_rate, self.max_theft)
+            floor = min(1.0 - self.faults.residual_rate, MAX_THEFT)
             np.maximum(
                 thefts,
                 np.where(self._degraded, floor, 0.0),
@@ -722,9 +617,3 @@ class HostMap:
     def mean_hosts_on(self) -> float:
         """Mean count of powered-on hosts per step (the energy axis)."""
         return self.host_on_steps / self.steps if self.steps else 0.0
-
-
-#: Capacity value fleet engines pass for lanes without a provider: an
-#: unbounded allocation, so the allocation-aware footprint degrades to
-#: the offered demand.
-UNBOUNDED_CAPACITY = math.inf

@@ -495,13 +495,10 @@ def build_host_map(
     demands: Sequence[float],
     n_hosts: int,
     capacity_units: float,
-    **kwargs,
+    migration: MigrationPolicy | None = None,
 ) -> HostMap:
-    """Place ``demands`` onto ``n_hosts`` equal hosts under a policy.
-
-    Extra keyword arguments (``demand_fn``, ``max_theft``,
-    ``migration``) pass through to :class:`~repro.sim.hosts.HostMap`.
-    """
+    """Place ``demands`` onto ``n_hosts`` equal hosts under a policy,
+    with an optional online ``migration`` policy."""
     hosts = make_hosts(n_hosts, capacity_units)
     placement = make_policy(policy).place(demands, hosts)
-    return HostMap(hosts, placement, **kwargs)
+    return HostMap(hosts, placement, migration=migration)

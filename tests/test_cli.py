@@ -234,6 +234,15 @@ class TestMain:
         assert excinfo.value.code == 2
         assert "--hosts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--host-capacity", "nan"), ("--hours", "inf")]
+    )
+    def test_fleet_non_finite_value_fails_loudly(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--hosts", "2", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_fleet_migration_without_hosts_fails_loudly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "--migration"])

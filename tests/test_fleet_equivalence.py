@@ -189,17 +189,25 @@ def build_mixed_fleet(profiling_slots: int | None, queue_policy: str = "fifo"):
             observe_batch=up_observer,
         )
 
+    def never_profiles(controller):
+        # The baselines never profile online: on a queued fleet they
+        # accept the shared queue and never charge it.
+        controller.attach_profiling_queue = lambda queue: None
+        return controller
+
     autopilot = Autopilot(out_setups[3].production, out_setups[3].tuner)
     autopilot.learn_schedule(out_setups[3].trace.hourly_workloads(day=0))
+    rightscale = RightScale(out_setups[4].production, seed=7)
+    overprovision = Overprovision(up_setups[2].production)
     lanes = [
         out_lane(0, out_setups[0].manager, "dejavu-out-leader"),
         up_lane(0, up_setups[0].manager, "dejavu-up-leader"),
         out_lane(1, out_setups[1].manager, "dejavu-out-a"),
         up_lane(1, up_setups[1].manager, "dejavu-up-a"),
         out_lane(2, out_setups[2].manager, "dejavu-out-b"),
-        out_lane(3, autopilot, "autopilot"),
-        out_lane(4, RightScale(out_setups[4].production, seed=7), "rightscale"),
-        up_lane(2, Overprovision(up_setups[2].production), "overprovision"),
+        out_lane(3, never_profiles(autopilot), "autopilot"),
+        out_lane(4, never_profiles(rightscale), "rightscale"),
+        up_lane(2, never_profiles(overprovision), "overprovision"),
     ]
     queue = (
         ProfilingQueue(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.multiplexing_study import (
+    FleetConfig,
     lane_kinds,
     run_fleet_multiplexing_study,
 )
@@ -30,6 +31,36 @@ class TestValidation:
             run_fleet_multiplexing_study(
                 n_lanes=1, step_seconds=0.0, faults="profiler@1+1"
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hours", float("inf")),
+            ("hours", float("nan")),
+            ("step_seconds", float("nan")),
+            ("host_capacity_units", float("nan")),
+            ("host_capacity_units", float("inf")),
+            ("host_capacity_units", 0.0),
+            ("workers", -1),
+            ("lane_seed_stride", -1),
+        ],
+    )
+    def test_bad_value_rejected_at_construction(self, field, value):
+        # Each used to pass construction and fail (or, for a NaN host
+        # capacity, silently run with zero theft) only at run time.
+        with pytest.raises(ValueError, match=rf"\b{field}="):
+            FleetConfig(n_lanes=2, **{field: value})
+
+    @pytest.mark.parametrize(
+        "hours, steps", [(1.01, 13), (1.6, 20), (0.001, 1)]
+    )
+    def test_n_steps_counts_the_partial_last_step(self, hours, steps):
+        # The engine steps while t < end, so a partial last step runs;
+        # the config's count (which sizes fault timelines) must agree.
+        study = run_fleet_multiplexing_study(
+            n_lanes=1, hours=hours, lane_seed_stride=0
+        )
+        assert study.n_steps == study.config.n_steps == steps
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError, match="mix"):

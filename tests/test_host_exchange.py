@@ -20,7 +20,7 @@ from repro.sim.exchange import (
     ShardHostView,
     make_thread_exchange,
 )
-from repro.sim.hosts import HostMap, SimHost, allocation_demand
+from repro.sim.hosts import HostMap, SimHost
 from repro.sim.shard import partition_lanes
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
@@ -54,15 +54,14 @@ def random_coupling(rng):
 
 
 def run_sharded_steps(
-    n_lanes, shards, hosts, placement, steps_workloads, demand_fn=None,
-    capacities=None,
+    n_lanes, shards, hosts, placement, steps_workloads, capacities=None,
 ):
     """Step every shard's view concurrently; thefts in shard order."""
     ranges = partition_lanes(n_lanes, shards)
     handles = make_thread_exchange(n_lanes, ranges, ExchangeSpec())
     views = [
         ShardHostView(
-            HostMap(hosts, placement, demand_fn=demand_fn),
+            HostMap(hosts, placement),
             lanes.start,
             lanes.stop,
             handle,
@@ -135,11 +134,7 @@ class TestExchangeMatchesSingleProcess:
         # the single-process demand vector (the block still holds the
         # final step's exchanged demands).
         block = views[0].exchange_handle.block
-        ref_demands = reference._demands(
-            STEP_SECONDS * (len(steps_workloads) - 1),
-            steps_workloads[-1],
-            None,
-        )
+        ref_demands = reference._demands(steps_workloads[-1], None)
         np.testing.assert_array_equal(block, ref_demands, strict=True)
         host_index = reference._host_index
         placed = host_index >= 0
@@ -164,7 +159,7 @@ class TestExchangeMatchesSingleProcess:
         steps_workloads = [make_workloads(rng, n_lanes) for _ in range(3)]
         capacities = [float(rng.uniform(0.5, 8.0)) for _ in range(n_lanes)]
 
-        reference = HostMap(hosts, placement, demand_fn=allocation_demand)
+        reference = HostMap(hosts, placement)
         expected = [
             reference.apply_step(
                 STEP_SECONDS * step, workloads, capacities
@@ -178,7 +173,6 @@ class TestExchangeMatchesSingleProcess:
             hosts,
             placement,
             steps_workloads,
-            demand_fn=allocation_demand,
             capacities=capacities,
         )
         for step in range(len(steps_workloads)):
@@ -231,18 +225,6 @@ class TestValidation:
         )
         with pytest.raises(TypeError, match="process boundary"):
             pickle.dumps(handles[0])
-
-    def test_view_rejects_custom_demand_fn(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
-        custom = HostMap(
-            [SimHost(4.0)],
-            [0, 0, 0, 0],
-            demand_fn=lambda workload: workload.demand_units,
-        )
-        with pytest.raises(ValueError, match="demand_fn"):
-            ShardHostView(custom, 0, 2, handles[0])
 
     def test_view_rejects_mismatched_exchange_geometry(self):
         handles = make_thread_exchange(

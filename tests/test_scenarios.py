@@ -408,11 +408,3 @@ class TestTrackedBaseline:
         assert not report.ok
         assert any(d.metric == "violation_fraction" for d in report.drifts)
 
-    def test_tracked_pytest_bench_files_load(self):
-        # The gate understands the tracked pytest-benchmark artifacts,
-        # so CI can diff fresh bench output against them directly.
-        for name in ("BENCH_fleet.json", "BENCH_fleet_placement.json"):
-            records = load_records(REPO_ROOT / name)
-            assert records
-            for metrics in records.values():
-                assert metrics

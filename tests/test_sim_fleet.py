@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import StepContext
-from repro.sim.fleet import (
-    FleetEngine,
-    FleetLane,
-    FleetResult,
-    ProfilingQueue,
-    QueuedController,
-)
+from repro.sim.fleet import FleetEngine, FleetLane, FleetResult, ProfilingQueue
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 
@@ -280,6 +274,23 @@ class TestHeterogeneousFleet:
         assert result.matrix("metric").shape == (2, 3)
         assert result.lanes_recording("metric") == (0, 1, 2)
 
+    def test_observation_key_order_does_not_matter(self):
+        forward = FleetLane(
+            workload_fn=constant_workload,
+            controller=RecordingController(),
+            observe_fn=lambda ctx: {"a": 1.0, "b": 2.0},
+            label="forward",
+        )
+        backward = FleetLane(
+            workload_fn=constant_workload,
+            controller=RecordingController(),
+            observe_fn=lambda ctx: {"b": 20.0, "a": 10.0},
+            label="backward",
+        )
+        result = FleetEngine([forward, backward], step_seconds=10.0).run(10.0)
+        assert result.matrix("a")[0].tolist() == [1.0, 10.0]
+        assert result.matrix("b")[0].tolist() == [2.0, 20.0]
+
 
 class TestProfilingQueue:
     def test_validation(self):
@@ -393,61 +404,45 @@ class TestProfilingQueue:
         assert queue.utilization(2000.0) == pytest.approx(0.9)
 
 
-class TestQueuedController:
-    def test_plain_controller_never_profiles(self):
-        queue = ProfilingQueue()
-        wrapped = QueuedController(RecordingController(), queue)
-        ctx = StepContext(
-            t=0.0, workload=constant_workload(0.0), hour=0, day=0
-        )
-        wrapped.on_step(ctx)
-        assert queue.total_requests == 0
-        assert wrapped.inner.contexts == [ctx]
+class QueueAware(RecordingController):
+    """A controller that charges the shared profiler itself."""
 
-    def test_profiling_controller_charged_per_adaptation(self):
-        class FakeDejaVu:
-            def __init__(self):
-                self.adaptation_events = []
+    queue = None
 
-            def on_step(self, ctx):
-                self.adaptation_events.append(ctx.t)
+    def attach_profiling_queue(self, queue):
+        self.queue = queue
 
-        queue = ProfilingQueue(slots=1, service_seconds=10.0)
-        wrapped = QueuedController(FakeDejaVu(), queue)
-        for t in (0.0, 60.0):
-            wrapped.on_step(
-                StepContext(
-                    t=t, workload=constant_workload(t), hour=0, day=0
-                )
+
+class TestEngineProfilingQueue:
+    def test_queue_with_queue_unaware_controller_raises(self):
+        # A controller that cannot charge the shared profiler itself
+        # has no place on a queued fleet: construction refuses it.
+        with pytest.raises(ValueError, match="attach_profiling_queue"):
+            FleetEngine(
+                [make_lane(1.0)],
+                step_seconds=10.0,
+                profiling_queue=ProfilingQueue(),
             )
-        assert queue.total_requests == 2
-        assert [g.requested_at for g in wrapped.grants] == [0.0, 60.0]
 
-    def test_fleet_engine_wraps_controllers_without_mutating_lanes(self):
+    def test_queue_attached_to_every_controller_without_wrapping(self):
         queue = ProfilingQueue()
-        lane = make_lane(1.0)
-        original = lane.controller
-        engine = FleetEngine([lane], step_seconds=10.0, profiling_queue=queue)
-        assert isinstance(engine.controllers[0], QueuedController)
-        assert engine.controllers[0].inner is original
-        assert lane.controller is original  # caller's lane untouched
+        lanes = [make_lane(1.0, "a"), make_lane(2.0, "b")]
+        for lane in lanes:
+            lane.controller = QueueAware()
+        engine = FleetEngine(lanes, step_seconds=10.0, profiling_queue=queue)
+        assert engine.controllers == [lane.controller for lane in lanes]
+        assert all(lane.controller.queue is queue for lane in lanes)
 
-    def test_observation_key_order_does_not_matter(self):
-        forward = FleetLane(
-            workload_fn=constant_workload,
-            controller=RecordingController(),
-            observe_fn=lambda ctx: {"a": 1.0, "b": 2.0},
-            label="forward",
-        )
-        backward = FleetLane(
-            workload_fn=constant_workload,
-            controller=RecordingController(),
-            observe_fn=lambda ctx: {"b": 20.0, "a": 10.0},
-            label="backward",
-        )
-        result = FleetEngine([forward, backward], step_seconds=10.0).run(10.0)
-        assert result.matrix("a")[0].tolist() == [1.0, 10.0]
-        assert result.matrix("b")[0].tolist() == [2.0, 20.0]
+    def test_queue_refused_before_any_controller_is_attached(self):
+        aware = make_lane(1.0, "aware")
+        aware.controller = QueueAware()
+        with pytest.raises(ValueError, match="'plain'"):
+            FleetEngine(
+                [aware, make_lane(2.0, "plain")],
+                step_seconds=10.0,
+                profiling_queue=ProfilingQueue(),
+            )
+        assert aware.controller.queue is None
 
 
 class TestBatchProtocolProbe:

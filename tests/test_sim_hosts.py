@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.hosts import HostInterferenceFeed, HostMap, SimHost
+from repro.sim.hosts import MAX_THEFT, HostInterferenceFeed, HostMap, SimHost
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 
@@ -14,9 +14,12 @@ def demand(units: float) -> Workload:
 
 
 class TestValidation:
-    def test_positive_capacity_required(self):
+    @pytest.mark.parametrize(
+        "capacity", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_positive_finite_capacity_required(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
-            SimHost(capacity_units=0.0)
+            SimHost(capacity_units=capacity)
 
     def test_at_least_one_host(self):
         with pytest.raises(ValueError, match="host"):
@@ -25,10 +28,6 @@ class TestValidation:
     def test_placement_bounds_checked(self):
         with pytest.raises(ValueError, match="unknown host"):
             HostMap([SimHost(10.0)], [0, 1])
-
-    def test_max_theft_range(self):
-        with pytest.raises(ValueError, match="max theft"):
-            HostMap([SimHost(10.0)], [0], max_theft=1.0)
 
     def test_workload_count_checked(self):
         host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
@@ -101,13 +100,21 @@ class TestCoupling:
         assert host_map.overload_fraction == 0.5
 
     def test_theft_clipped_at_max(self):
+        # Nine heavy co-tenants swamp a one-unit host: the small lane's
+        # unclipped theft, overload times its neighbours' share, is
+        # ~0.999 — past the clip that keeps effective capacity positive.
+        n_lanes = 10
         host_map = HostMap.spread(
-            n_lanes=2, n_hosts=1, capacity_units=1.0, max_theft=0.5
+            n_lanes=n_lanes, n_hosts=1, capacity_units=1.0
         )
-        # The small lane's neighbour dominates the host: unclipped theft
-        # would approach 1.0.
-        thefts = host_map.apply_step(0.0, [demand(1.0), demand(1000.0)])
-        assert thefts[0] == pytest.approx(0.5)
+        offered = [1.0] + [100.0] * (n_lanes - 1)
+        total = sum(offered)
+        unclipped = (total - 1.0) / total * (total - offered[0]) / total
+        assert unclipped > MAX_THEFT
+        thefts = host_map.apply_step(0.0, [demand(d) for d in offered])
+        assert thefts[0] == MAX_THEFT
+        assert host_map.peak_theft == MAX_THEFT
+        assert np.all(thefts <= MAX_THEFT)
 
     def test_theft_resets_when_pressure_passes(self):
         host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
@@ -124,23 +131,37 @@ class TestCoupling:
         per_step = (4.0 / 14.0) * (7.0 / 14.0)
         assert host_map.mean_theft == pytest.approx(per_step / 2.0)
 
-    def test_custom_demand_fn(self):
-        # Cap each lane's host footprint at 3 units regardless of offer.
-        host_map = HostMap.spread(
-            n_lanes=2,
-            n_hosts=1,
-            capacity_units=10.0,
-            demand_fn=lambda w: min(w.demand_units, 3.0),
-        )
-        thefts = host_map.apply_step(0.0, [demand(50.0), demand(50.0)])
-        assert thefts.tolist() == [0.0, 0.0]
 
-    def test_negative_demand_rejected(self):
-        host_map = HostMap.spread(
-            n_lanes=1, n_hosts=1, capacity_units=10.0, demand_fn=lambda w: -1.0
+
+class TestFootprint:
+    """A lane presses ``min(offered demand, deployed capacity)``."""
+
+    OFFERED = (7.3, 2.1, 9.9, 0.0)
+
+    @pytest.mark.parametrize(
+        "capacities", [None, [4.0, np.inf, 9.9, 3.0], [0.5, 1.0, 20.0, 0.0]]
+    )
+    def test_footprint_is_offered_demand_clipped_by_capacity(self, capacities):
+        workloads = [demand(d) for d in self.OFFERED]
+        offered = np.array([w.demand_units for w in workloads])
+        expected = (
+            offered if capacities is None else np.minimum(offered, capacities)
         )
-        with pytest.raises(ValueError, match="negative"):
-            host_map.apply_step(0.0, [demand(1.0)])
+        footprint = HostMap._demands(workloads, capacities)
+        np.testing.assert_array_equal(footprint, expected, strict=True)
+        # The theft pass sees exactly that footprint.
+        host_map = HostMap.spread(n_lanes=4, n_hosts=1, capacity_units=5.0)
+        reference = HostMap.spread(n_lanes=4, n_hosts=1, capacity_units=5.0)
+        np.testing.assert_array_equal(
+            host_map.apply_step(0.0, workloads, capacities=capacities),
+            reference._apply_demands(0.0, expected),
+            strict=True,
+        )
+
+    def test_capacity_count_checked(self):
+        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        with pytest.raises(ValueError, match="capacities"):
+            host_map.apply_step(0.0, [demand(1.0)] * 2, capacities=[1.0])
 
 
 class TestFeed:
@@ -149,13 +170,15 @@ class TestFeed:
         from repro.core.profiler import ProductionEnvironment
         from repro.services.cassandra import CassandraService
 
-        feed = HostInterferenceFeed()
+        thefts = np.zeros(3)
+        feed = HostInterferenceFeed(thefts, 1)
         production = ProductionEnvironment(
             CassandraService(), CloudProvider(max_instances=2), feed
         )
         assert production.interference_at(0.0) == 0.0
-        feed._set(0.2)
+        thefts[1] = 0.2
         assert production.interference_at(0.0) == 0.2
+        assert feed.source == (thefts, 1)
 
 
 class TestEngineIntegration:

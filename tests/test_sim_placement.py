@@ -11,7 +11,7 @@ never increasing total overcommit.
 import numpy as np
 import pytest
 
-from repro.sim.hosts import HostMap, SimHost, allocation_demand
+from repro.sim.hosts import HostMap, SimHost
 from repro.sim.placement import (
     PLACEMENT_POLICIES,
     BestFitPlacement,
@@ -460,9 +460,7 @@ class TestAllocationAwareDemand:
             [6.0, 6.0],
             n_hosts=1,
             capacity_units=10.0,
-            demand_fn=allocation_demand,
         )
-        assert host_map.allocation_aware
         # Offered 6+6 would overload the 10-unit host, but each lane
         # only has 3 units deployed: footprints are capped, no theft.
         thefts = host_map.apply_step(
@@ -475,41 +473,6 @@ class TestAllocationAwareDemand:
             60.0, [workload(6.0), workload(6.0)], capacities=[8.0, 8.0]
         )
         assert thefts[0] > 0.0 and thefts[1] > 0.0
-
-    def test_allocation_aware_requires_capacities(self):
-        host_map = build_host_map(
-            "round_robin",
-            [1.0],
-            n_hosts=1,
-            capacity_units=10.0,
-            demand_fn=allocation_demand,
-        )
-        with pytest.raises(ValueError, match="deployed"):
-            host_map.apply_step(0.0, [workload(1.0)])
-
-    def test_custom_four_arg_demand_fn(self):
-        calls = []
-
-        def tracer(lane, deployed_capacity, workload_, t):
-            calls.append((lane, deployed_capacity, t))
-            return 0.0
-
-        host_map = build_host_map(
-            "round_robin", [1.0, 1.0], n_hosts=1, capacity_units=10.0,
-            demand_fn=tracer,
-        )
-        host_map.apply_step(
-            5.0, [workload(1.0), workload(2.0)], capacities=[7.0, 8.0]
-        )
-        assert calls == [(0, 7.0, 5.0), (1, 8.0, 5.0)]
-
-    def test_bad_demand_fn_arity_rejected(self):
-        with pytest.raises(ValueError, match="demand_fn"):
-            HostMap(hosts_of([10.0]), [0], demand_fn=lambda a, b: 0.0)
-
-    def test_offered_default_is_not_allocation_aware(self):
-        host_map = HostMap.spread(2, 1, 10.0)
-        assert not host_map.allocation_aware
 
     def test_engine_capacity_cache_tracks_warmup_across_steps(self):
         # Regression: with a step interval shorter than the VM warm-up,
@@ -535,9 +498,7 @@ class TestAllocationAwareDemand:
             def on_step(self, ctx):
                 pass
 
-        host_map = HostMap(
-            hosts_of([10.0]), [0, 0], demand_fn=allocation_demand
-        )
+        host_map = HostMap(hosts_of([10.0]), [0, 0])
         observe = lambda ctx: {"x": 0.0}  # noqa: E731
         lanes = [
             FleetLane(lambda t: workload(6.0), ScaleUpOnce(), observe, "a"),
