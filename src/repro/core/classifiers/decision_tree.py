@@ -18,6 +18,7 @@ from repro.core.classifiers.base import (
     Prediction,
     validate_training_set,
 )
+from repro.core.grouping import group_sums
 
 
 def entropy(counts: np.ndarray) -> float:
@@ -27,6 +28,23 @@ def entropy(counts: np.ndarray) -> float:
         return 0.0
     probs = counts[counts > 0] / total
     return float(-np.sum(probs * np.log2(probs)))
+
+
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """:func:`entropy` of every row of a ``(..., n_classes)`` count
+    array at once, bit for bit (rows with at least one count).
+
+    Each row's terms are summed over its non-zero classes only, as a
+    contiguous run in class order — the sum :func:`entropy` takes.
+    """
+    flat = counts.reshape(-1, counts.shape[-1])
+    total = flat.sum(axis=1)
+    present = flat > 0
+    rows, _ = np.nonzero(present)
+    probs = flat[present] / total[rows]
+    terms = probs * np.log2(probs)
+    sums = group_sums(terms[None, :], rows, flat.shape[0])[0]
+    return -sums.reshape(counts.shape[:-1])
 
 
 @dataclass
@@ -101,42 +119,45 @@ class C45DecisionTree:
 
         C4.5 considers midpoints between consecutive distinct values of
         each numeric attribute and normalizes information gain by the
-        split's intrinsic information.
+        split's intrinsic information.  Every feature's every split is
+        scored at once from cumulative class counts over the sorted
+        feature; ties go to the first split in (feature, position)
+        order.
         """
-        parent_entropy = entropy(self._class_counts(y))
-        n = y.size
-        best: tuple[float, int, float] | None = None
-        for feature in range(X.shape[1]):
-            order = np.argsort(X[:, feature], kind="stable")
-            values = X[order, feature]
-            labels = y[order]
-            distinct = np.flatnonzero(np.diff(values) > 0)
-            for idx in distinct:
-                threshold = (values[idx] + values[idx + 1]) / 2.0
-                n_left = idx + 1
-                n_right = n - n_left
-                if n_left < self._min_leaf or n_right < self._min_leaf:
-                    continue
-                left_counts = self._class_counts(labels[:n_left])
-                right_counts = self._class_counts(labels[n_left:])
-                children_entropy = (
-                    n_left * entropy(left_counts)
-                    + n_right * entropy(right_counts)
-                ) / n
-                gain = parent_entropy - children_entropy
-                if gain <= 1e-12:
-                    continue
-                p_left = n_left / n
-                split_info = -(
-                    p_left * math.log2(p_left)
-                    + (1 - p_left) * math.log2(1 - p_left)
-                )
-                gain_ratio = gain / split_info
-                if best is None or gain_ratio > best[0]:
-                    best = (gain_ratio, feature, threshold)
-        if best is None:
+        n, n_features = X.shape
+        class_counts = self._class_counts(y)
+        parent_entropy = entropy(class_counts)
+        order = np.argsort(X, axis=0, kind="stable")
+        values = np.take_along_axis(X, order, axis=0)
+        # left[i, f]: class counts of the i + 1 smallest values of f.
+        onehot = y[order][:, :, None] == np.arange(self._n_classes)
+        left = np.cumsum(onehot, axis=0)[:-1].astype(float)
+        right = class_counts - left
+        n_left = np.arange(1, n)[:, None]
+        n_right = n - n_left
+        children_entropy = (
+            n_left * _entropies(left) + n_right * _entropies(right)
+        ) / n
+        gain = parent_entropy - children_entropy
+        # Intrinsic information of a split depends only on its size.
+        split_info = np.array(
+            [
+                -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+                for p in (i / n for i in range(1, n))
+            ]
+        )[:, None]
+        valid = (
+            (np.diff(values, axis=0) > 0)
+            & (n_left >= self._min_leaf)
+            & (n_right >= self._min_leaf)
+            & (gain > 1e-12)
+        )
+        if not valid.any():
             return None
-        return best[1], best[2]
+        gain_ratio = np.where(valid, gain / split_info, -np.inf)
+        feature, idx = divmod(int(np.argmax(gain_ratio.T)), n - 1)
+        threshold = (values[idx, feature] + values[idx + 1, feature]) / 2.0
+        return feature, float(threshold)
 
     def _leaf_for(self, x: np.ndarray) -> _Node:
         if self._root is None:

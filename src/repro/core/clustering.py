@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.grouping import group_means, group_sums
+
 
 def _kmeans_plus_plus_init(
     X: np.ndarray, k: int, rng: np.random.Generator
@@ -26,17 +28,18 @@ def _kmeans_plus_plus_init(
     """k-means++ seeding: spread initial centroids by D^2 sampling."""
     n = X.shape[0]
     centroids = [X[rng.integers(n)]]
+    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
     while len(centroids) < k:
-        d2 = np.min(
-            [np.sum((X - c) ** 2, axis=1) for c in centroids], axis=0
-        )
         total = d2.sum()
         if total == 0.0:
             # All remaining points coincide with a centroid; duplicate one.
-            centroids.append(X[rng.integers(n)])
-            continue
-        probs = d2 / total
-        centroids.append(X[rng.choice(n, p=probs)])
+            centroid = X[rng.integers(n)]
+        else:
+            centroid = X[rng.choice(n, p=d2 / total)]
+        centroids.append(centroid)
+        # Squared distance to the nearest centroid so far (a running
+        # minimum is exact: min does not round).
+        d2 = np.minimum(d2, np.sum((X - centroid) ** 2, axis=1))
     return np.array(centroids)
 
 
@@ -70,37 +73,68 @@ class KMeans:
         self.inertia: float = float("inf")
 
     def fit(self, X: np.ndarray) -> "KMeans":
+        """Fit from scratch; a refit forgets any earlier fit's centroids.
+
+        All restarts run together: each is seeded by k-means++ in
+        restart order (seeding reads only ``X`` and the generator, so
+        the draws are exactly those of seeding one restart at a time),
+        then Lloyd's iterations update every unconverged restart's
+        centroids in one batch.  The first restart with the lowest
+        inertia wins.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if X.shape[0] < self.k:
             raise ValueError(f"{X.shape[0]} samples cannot form {self.k} clusters")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("k-means needs finite data")
+        self.centroids = None
+        self.inertia = float("inf")
         rng = np.random.default_rng(self._seed)
-        for _ in range(self._n_restarts):
-            centroids = _kmeans_plus_plus_init(X, self.k, rng)
-            for _ in range(self._max_iter):
-                labels = self._assign(X, centroids)
-                new_centroids = centroids.copy()
-                for j in range(self.k):
-                    members = X[labels == j]
-                    if members.size:
-                        new_centroids[j] = members.mean(axis=0)
-                if np.allclose(new_centroids, centroids):
-                    break
-                centroids = new_centroids
-            labels = self._assign(X, centroids)
-            inertia = float(
-                np.sum((X - centroids[labels]) ** 2)
+        restarts = self._n_restarts
+        centroids = np.stack(
+            [_kmeans_plus_plus_init(X, self.k, rng) for _ in range(restarts)]
+        )
+        active = np.arange(restarts)
+        for _ in range(self._max_iter):
+            current = centroids[active]
+            labels = self._assign(X, current)
+            groups = (np.arange(active.size)[:, None] * self.k + labels).ravel()
+            means, counts = group_means(
+                np.tile(X, (active.size, 1)), groups, active.size * self.k
             )
+            # An empty cluster keeps its centroid.
+            updated = np.where(
+                counts[:, None] > 0, means, current.reshape(means.shape)
+            ).reshape(current.shape)
+            # np.allclose(updated, current) per restart, for finite data.
+            converged = np.all(
+                np.abs(updated - current) <= 1e-08 + 1e-05 * np.abs(current),
+                axis=(1, 2),
+            )
+            centroids[active[~converged]] = updated[~converged]
+            active = active[~converged]
+            if active.size == 0:
+                break
+        labels = self._assign(X, centroids)
+        residuals = X - np.take_along_axis(centroids, labels[:, :, None], axis=1)
+        inertias = (residuals**2).reshape(restarts, -1).sum(axis=1)
+        for restart, inertia in enumerate(inertias.tolist()):
             if inertia < self.inertia:
                 self.inertia = inertia
-                self.centroids = centroids
+                self.centroids = centroids[restart].copy()
         return self
 
     @staticmethod
     def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        distances = np.linalg.norm(X[:, None, :] - centroids[None, :, :], axis=2)
-        return np.argmin(distances, axis=1)
+        """Nearest-centroid labels of every row of ``X``: ``(n,)`` for
+        ``(k, d)`` centroids, ``(restarts, n)`` for a ``(restarts, k, d)``
+        stack."""
+        distances = np.linalg.norm(
+            X[:, None, :] - centroids[..., None, :, :], axis=-1
+        )
+        return np.argmin(distances, axis=-1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.centroids is None:
@@ -113,26 +147,26 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette coefficient; higher means better-separated clusters."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    unique = np.unique(labels)
+    unique, cluster = np.unique(labels, return_inverse=True)
     if unique.size < 2:
         raise ValueError("silhouette needs at least two clusters")
     n = X.shape[0]
     distances = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    # sums[i, c]: point i's summed distance to the members of cluster c.
+    sums = group_sums(distances, cluster, unique.size)
+    sizes = np.bincount(cluster)
+    points = np.arange(n)
+    own_size = sizes[cluster]
+    # Mean distance to the rest of the own cluster (the zero self
+    # distance is in the sum); singletons score 0 below.
+    a = sums[points, cluster] / np.maximum(own_size - 1, 1)
+    nearest = sums / sizes
+    nearest[points, cluster] = np.inf
+    b = nearest.min(axis=1)
+    denom = np.maximum(a, b)
     scores = np.zeros(n)
-    for i in range(n):
-        same = labels == labels[i]
-        n_same = same.sum()
-        if n_same <= 1:
-            scores[i] = 0.0
-            continue
-        a = distances[i, same].sum() / (n_same - 1)
-        b = min(
-            distances[i, labels == other].mean()
-            for other in unique
-            if other != labels[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    scored = (own_size > 1) & (denom != 0)
+    scores[scored] = (b[scored] - a[scored]) / denom[scored]
     return float(scores.mean())
 
 
@@ -189,8 +223,6 @@ def auto_cluster(
         k_max = k_min
     best: tuple[float, KMeans] | None = None
     for k in range(k_min, k_max + 1):
-        if k > X.shape[0]:
-            break
         model = KMeans(k=k, seed=seed).fit(X)
         labels = model.predict(X)
         if np.unique(labels).size < 2:

@@ -24,15 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.grouping import group_sums
 
-def correlation_ratio(
-    values: np.ndarray, labels: np.ndarray, adjusted: bool = True
-) -> float:
-    """Correlation ratio (eta) between a numeric feature and class labels.
+
+def correlation_ratios(
+    X: np.ndarray, labels: np.ndarray, adjusted: bool = True
+) -> np.ndarray:
+    """Correlation ratio (eta) between each column of ``X`` and the
+    class labels.
 
     ``eta^2`` is the fraction of the feature's variance explained by the
     class: between-class sum of squares over total sum of squares.
-    Returns 0 for a constant feature.
+    A constant feature scores 0.
 
     With ``adjusted=True`` (the default) the chance-level inflation of
     eta^2 is removed (the epsilon-squared correction,
@@ -43,37 +46,74 @@ def correlation_ratio(
     signatures out of uncorrelated noise counters.  WEKA's CfsSubsetEval
     avoids the same trap through MDL discretization, which refuses to
     split on noise; the adjustment is our numeric-feature equivalent.
+
+    Every column is scored at once, with each column's sums taken in
+    the order a one-column computation takes them (see
+    :mod:`repro.core.grouping`).
     """
-    values = np.asarray(values, dtype=float)
+    X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    if values.shape != labels.shape:
+    if X.ndim != 2 or labels.shape != X.shape[:1]:
         raise ValueError(
-            f"shape mismatch: {values.shape} values vs {labels.shape} labels"
+            f"shape mismatch: {X.shape} values vs {labels.shape} labels"
         )
-    total_ss = float(np.sum((values - values.mean()) ** 2))
-    if total_ss == 0.0:
-        return 0.0
-    unique = np.unique(labels)
-    between_ss = 0.0
-    for label in unique:
-        group = values[labels == label]
-        between_ss += group.size * (group.mean() - values.mean()) ** 2
-    eta_squared = between_ss / total_ss
-    if adjusted and values.size > unique.size:
-        chance = (unique.size - 1) / (values.size - 1)
+    n = X.shape[0]
+    classes, label_index = np.unique(labels, return_inverse=True)
+    # One contiguous row per feature: row reductions then sum each
+    # column as a standalone 1-D array would.
+    columns = np.ascontiguousarray(X.T)
+    means = columns.mean(axis=1)
+    total_ss = ((columns - means[:, None]) ** 2).sum(axis=1)
+    sizes = np.bincount(label_index)
+    deviation = group_sums(columns, label_index, classes.size) / sizes - means[:, None]
+    # Squared through Python floats: C's pow, which the per-class
+    # scalar arithmetic used, and numpy's array square (x * x) disagree
+    # in the last bit on about one value in a thousand.
+    squared = np.array([d**2 for d in deviation.ravel().tolist()]).reshape(
+        deviation.shape
+    )
+    between_ss = np.zeros(columns.shape[0])
+    for term in (sizes * squared).T:
+        # One class at a time, in class order: a sequential sum.
+        between_ss += term
+    constant = total_ss == 0.0
+    eta_squared = between_ss / np.where(constant, 1.0, total_ss)
+    if adjusted and n > classes.size:
+        chance = (classes.size - 1) / (n - 1)
         if chance < 1.0:
             eta_squared = (eta_squared - chance) / (1.0 - chance)
-    return float(math.sqrt(max(0.0, min(1.0, eta_squared))))
+    eta = np.sqrt(np.clip(eta_squared, 0.0, 1.0))
+    eta[constant] = 0.0
+    return eta
 
 
-def abs_pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """|Pearson correlation|, 0 when either vector is constant."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(abs(np.corrcoef(x, y)[0, 1]))
+def abs_correlations(X: np.ndarray) -> np.ndarray:
+    """|Pearson correlation| between every pair of columns of ``X``.
+
+    Entry ``(i, j)`` is 0 when either column is constant; otherwise it
+    is ``abs(np.corrcoef(X[:, i], X[:, j])[0, 1])`` bit for bit.  Each
+    pair's 2x2 covariance comes from a stacked ``matmul`` of the pair
+    with its own transpose — the same BLAS call ``np.corrcoef`` makes
+    for two vectors — because one ``K x K`` product rounds some entries
+    differently.  The diagonal is 1 (0 for a constant column).
+    """
+    X = np.asarray(X, dtype=float)
+    n, k = X.shape
+    columns = np.ascontiguousarray(X.T)
+    centered = columns - columns.mean(axis=1)[:, None]
+    first, second = np.triu_indices(k, 1)
+    pairs = np.stack([centered[first], centered[second]], axis=1)
+    cov = np.matmul(pairs, pairs.transpose(0, 2, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Constant columns divide by zero here; they are zeroed below.
+        cov *= np.true_divide(1, n - 1)
+        r = cov[:, 0, 1] / np.sqrt(cov[:, 0, 0]) / np.sqrt(cov[:, 1, 1])
+    r = np.abs(np.clip(r, -1, 1))
+    constant = columns.std(axis=1) == 0.0
+    r[constant[first] | constant[second]] = 0.0
+    out = np.diag(np.where(constant, 0.0, 1.0))
+    out[first, second] = out[second, first] = r
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,59 +188,62 @@ class CfsSubsetSelector:
         if np.unique(labels).size < 2:
             raise ValueError("CFS needs at least two classes")
 
-        r_cf = np.array(
-            [correlation_ratio(X[:, j], labels) for j in range(n_features)]
-        )
-        candidates = [j for j in range(n_features) if r_cf[j] >= self._min_rcf]
-        if not candidates:
+        finite = np.isfinite(X).all(axis=0)
+        if not finite.all():
+            bad = [feature_names[j] for j in np.flatnonzero(~finite)]
+            raise ValueError(f"non-finite values in metric(s): {', '.join(bad)}")
+
+        r_cf = correlation_ratios(X, labels)
+        candidates = np.flatnonzero(r_cf >= self._min_rcf)
+        if candidates.size == 0:
             raise ValueError(
                 "no feature clears the class-correlation pre-filter; "
                 "the dataset may be unlabeled noise"
             )
+        # From here on, features are indexed by candidate position.
+        r_cf = r_cf[candidates]
+        r_ff = abs_correlations(X[:, candidates])
 
-        # Feature-feature correlations, computed lazily and memoized.
-        r_ff_cache: dict[tuple[int, int], float] = {}
-
-        def r_ff(i: int, j: int) -> float:
-            key = (min(i, j), max(i, j))
-            if key not in r_ff_cache:
-                r_ff_cache[key] = abs_pearson(X[:, key[0]], X[:, key[1]])
-            return r_ff_cache[key]
-
-        def merit(subset: list[int]) -> float:
-            k = len(subset)
-            avg_rcf = float(np.mean(r_cf[subset]))
-            if k == 1:
-                return avg_rcf
-            pair_sum = sum(
-                r_ff(a, b)
-                for idx, a in enumerate(subset)
-                for b in subset[idx + 1 :]
-            )
-            avg_rff = 2.0 * pair_sum / (k * (k - 1))
-            return k * avg_rcf / math.sqrt(k + k * (k - 1) * avg_rff)
-
+        # Greedy forward search over candidate positions.  Each step
+        # scores every remaining candidate at once, with the arithmetic
+        # of scoring ``merit(selected + [j])`` one candidate at a time:
+        # the same mean over the subset's class correlations, and the
+        # inter-correlation sum accumulated pair by pair in the order
+        # (a, b) for a before b in the subset.
         selected: list[int] = []
         trace: list[tuple[str, float]] = []
         best_merit = -math.inf
-        while True:
-            if self._max_features is not None and len(selected) >= self._max_features:
+        while self._max_features is None or len(selected) < self._max_features:
+            remaining = np.setdiff1d(np.arange(candidates.size), selected)
+            if remaining.size == 0:
                 break
-            best_candidate, candidate_merit = None, best_merit
-            for j in candidates:
-                if j in selected:
-                    continue
-                m = merit(selected + [j])
-                if m > candidate_merit:
-                    best_candidate, candidate_merit = j, m
-            if best_candidate is None:
+            k = len(selected) + 1
+            # Row j: the class correlations of selected + [remaining[j]].
+            subset_rcf = np.empty((remaining.size, k))
+            subset_rcf[:, :-1] = r_cf[selected]
+            subset_rcf[:, -1] = r_cf[remaining]
+            avg_rcf = subset_rcf.mean(axis=1)
+            if k == 1:
+                merits = avg_rcf
+            else:
+                pair_sum = np.zeros(remaining.size)
+                for idx, a in enumerate(selected):
+                    for b in selected[idx + 1 :]:
+                        pair_sum += r_ff[a, b]
+                    pair_sum += r_ff[a, remaining]
+                avg_rff = 2.0 * pair_sum / (k * (k - 1))
+                merits = k * avg_rcf / np.sqrt(k + k * (k - 1) * avg_rff)
+            # The first candidate strictly above the best merit so far.
+            merits = np.where(np.isnan(merits), -np.inf, merits)
+            best = int(np.argmax(merits))
+            if not merits[best] > best_merit:
                 break
-            selected.append(best_candidate)
-            best_merit = candidate_merit
-            trace.append((feature_names[best_candidate], best_merit))
+            selected.append(int(remaining[best]))
+            best_merit = float(merits[best])
+            trace.append((feature_names[candidates[selected[-1]]], best_merit))
 
         return SelectionResult(
-            selected=tuple(feature_names[j] for j in selected),
+            selected=tuple(feature_names[j] for j in candidates[selected]),
             merit=best_merit,
             trace=tuple(trace),
         )

@@ -28,6 +28,7 @@ from repro.core.batch import BatchClassifier, novelty_threshold
 from repro.core.classifiers import C45DecisionTree, Classifier
 from repro.core.clustering import ClusteringModel, auto_cluster
 from repro.core.feature_selection import CfsSubsetSelector
+from repro.core.grouping import group_means
 from repro.core.interference import InterferenceEstimator
 from repro.core.profiler import ProductionEnvironment, ProfilingEnvironment
 from repro.core.repository import AllocationRepository
@@ -309,6 +310,12 @@ class DejaVuManager:
         an already-trained manager re-learns from scratch: the previous
         clustering's repository entries are invalidated (class numbers
         are not comparable across clusterings).
+
+        The profiling sweep consumes exactly ``len(workloads) *
+        trials_per_workload`` passes of each profiler noise stream, the
+        same as collecting every trial one at a time, so the manager's
+        online signatures do not depend on how learning was computed.
+        Raises ``ValueError`` naming any metric with a non-finite value.
         """
         if len(workloads) < 2:
             raise ValueError("learning needs at least two workloads")
@@ -334,16 +341,14 @@ class DejaVuManager:
         # state built on the old clustering is invalid.
         self._batch_classifier = None
         self._schema_columns = None
-        rows, labels = [], []
-        for index, workload in enumerate(workloads):
-            for _ in range(self.config.trials_per_workload):
-                rows.append(self.profiler.collect_metrics(workload))
-                labels.append(index)
-        metric_names = self.profiler.monitor.metric_names()
-        X_all = np.array(
-            [[row[name] for name in metric_names] for row in rows]
-        )
-        y_workload = np.array(labels)
+        # The profiling sweep: trials_per_workload isolated passes of
+        # each workload, workload-major — one pass of each profiler
+        # stream per trial.
+        monitor = self.profiler.monitor
+        metric_names = monitor.metric_names()
+        trials = self.config.trials_per_workload
+        X_all = monitor.collect_block(workloads, trials)
+        y_workload = np.repeat(np.arange(len(workloads)), trials)
 
         selector = CfsSubsetSelector(max_features=self.config.max_signature_metrics)
         selection = selector.select(X_all, y_workload, metric_names)
@@ -355,9 +360,7 @@ class DejaVuManager:
 
         # Cluster per-workload mean signatures (one point per workload,
         # as in Fig. 5's 24 hourly points).
-        means = np.array(
-            [Xz[y_workload == index].mean(axis=0) for index in range(len(workloads))]
-        )
+        means, _ = group_means(Xz, y_workload, len(workloads))
         self.clustering = auto_cluster(
             means,
             k_min=self.config.k_min,
@@ -394,17 +397,11 @@ class DejaVuManager:
         # Novelty radii from the *individual* trials, not the per-workload
         # means: runtime signatures are single (noisy) collections, so the
         # in-class radius must reflect single-collection spread.
-        self._novelty_radii = np.array(
-            [
-                float(
-                    np.linalg.norm(
-                        Xz[cluster_labels == j] - self.clustering.centroids[j],
-                        axis=1,
-                    ).max()
-                )
-                for j in range(self.clustering.n_classes)
-            ]
+        distances = np.linalg.norm(
+            Xz - self.clustering.centroids[cluster_labels], axis=1
         )
+        self._novelty_radii = np.full(self.clustering.n_classes, -np.inf)
+        np.maximum.at(self._novelty_radii, cluster_labels, distances)
 
         report.tuning_invocations = tuning_invocations
         report.tuning_seconds_total = tuning_seconds

@@ -209,8 +209,44 @@ class HPCSampler:
             if sampler._stream is None:
                 raise ValueError("matrix sampling needs counter-mode samplers")
             streams.append(sampler._stream)
+        rates = lead._clean_rates(workloads, interferences)
+        noise = normals_block(streams, len(lead._events)) * lead._sds_total
+        counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
+        return counts / duration_seconds
+
+    def sample_rates_block(
+        self, workloads: list[Workload], passes: int, duration_seconds: float
+    ) -> np.ndarray:
+        """``passes`` isolated sampling windows of every workload.
+
+        Returns ``(len(workloads) * passes, n_events)`` rows, workload
+        -major: row ``i * passes + p`` is bit-identical to the
+        ``(i * passes + p)``-th of that many successive
+        :meth:`sample_rates` calls (``interference=0``), and the noise
+        stream ends where those calls would leave it — a legacy
+        generator's draws come out in the same order, and a counter
+        stream advances by one pass per row.
+        """
+        if duration_seconds <= 0:
+            raise ValueError(f"sampling window must be positive: {duration_seconds}")
+        rates = np.repeat(
+            self._clean_rates(workloads, np.zeros(len(workloads))), passes, axis=0
+        )
+        shape = rates.shape
+        if self._stream is None:
+            noise = self._rng.normal(0.0, self._sds_total, size=shape)
+        else:
+            noise = self._stream.normals_passes(*shape) * self._sds_total
+        counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
+        return counts / duration_seconds
+
+    def _clean_rates(
+        self, workloads: list[Workload], interferences: np.ndarray
+    ) -> np.ndarray:
+        """Noise-free event rates, one row per workload, with the
+        per-element arithmetic of :meth:`_sample_counts`."""
         n = len(workloads)
-        n_dims = lead._weights.shape[1]
+        n_dims = self._weights.shape[1]
         activity = np.empty((n, n_dims), dtype=float)
         intensity = np.empty(n, dtype=float)
         mix_cache: dict[int, tuple[float, ...]] = {}
@@ -222,15 +258,13 @@ class HPCSampler:
             activity[r] = vector
             intensity[r] = workload.demand_units
         rates = (
-            lead._baselines
-            + (lead._weights[None, :, :] * activity[:, None, :]).sum(axis=2)
+            self._baselines
+            + (self._weights[None, :, :] * activity[:, None, :]).sum(axis=2)
             * intensity[:, None]
         )
         hot = interferences > 0
         if np.any(hot):
             rates[hot] = rates[hot] * (
-                1.0 + interferences[hot, None] * (0.5 + lead._memory_coupling)
+                1.0 + interferences[hot, None] * (0.5 + self._memory_coupling)
             )
-        noise = normals_block(streams, len(lead._events)) * lead._sds_total
-        counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
-        return counts / duration_seconds
+        return rates

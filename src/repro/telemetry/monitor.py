@@ -201,3 +201,24 @@ class Monitor:
             interferences,
         )
         return np.concatenate([hpc_rates, xentop_values], axis=1)
+
+    def collect_block(self, workloads: list[Workload], passes: int) -> "np.ndarray":
+        """``passes`` isolated monitoring passes of every workload as one
+        ``(len(workloads) * passes, n_metrics)`` matrix.
+
+        Rows are workload-major and in :meth:`metric_names` order: row
+        ``i * passes + p`` is bit-identical to the matching one of that
+        many successive ``collect_vector(workloads[i])`` calls, and
+        each sampler's noise stream ends where those calls would leave
+        it (a counter stream advances by one pass per row).  This is
+        the learning day's profiling sweep in one pass.
+        """
+        if self.hpc.stream is not None and self.hpc.stream is self.xentop.stream:
+            # One shared stream interleaves the two samplers' passes,
+            # which a per-sampler block cannot reproduce.
+            raise ValueError("block collection needs separate HPC and xentop streams")
+        hpc_rates = self.hpc.sample_rates_block(
+            workloads, passes, self.window_seconds
+        )
+        xentop_values = self.xentop.sample_block(workloads, passes)
+        return np.concatenate([hpc_rates, xentop_values], axis=1)

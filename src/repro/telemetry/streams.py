@@ -107,6 +107,25 @@ class CounterStream:
         """The next pass's ``n`` standard normals (bumps the counter)."""
         return normals_block([self], n)[0]
 
+    def normals_passes(self, passes: int, n: int) -> np.ndarray:
+        """The next ``passes`` passes' normals as one ``(passes, n)``
+        block; the counter advances by ``passes``.
+
+        Row ``p`` is the ``p``-th of ``passes`` successive
+        :meth:`normals` calls: each pass keeps its own counter value
+        (``draws + p``), so the rows differ.
+        """
+        ones = np.ones(passes, dtype=np.uint64)
+        block = counter_normals(
+            ones * np.uint64(self.key),
+            ones * np.uint64(self.lane),
+            ones * np.uint64(self.salt),
+            np.uint64(self.draws) + np.arange(passes, dtype=np.uint64),
+            n,
+        )
+        self.draws += passes
+        return block
+
 
 def normals_block(streams: list[CounterStream], n: int) -> np.ndarray:
     """One ``(len(streams), n)`` block: every stream's next pass at once.

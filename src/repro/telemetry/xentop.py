@@ -119,6 +119,33 @@ class XentopSampler:
             if sampler._stream is None:
                 raise ValueError("matrix sampling needs counter-mode samplers")
             streams.append(sampler._stream)
+        clean = lead._clean_matrix(workloads, interferences)
+        noise = normals_block(streams, len(XENTOP_METRICS)) * lead._NOISE_SDS
+        return np.maximum(0.0, clean * (1.0 + noise))
+
+    def sample_block(self, workloads: list[Workload], passes: int) -> np.ndarray:
+        """``passes`` isolated snapshots of every workload.
+
+        Returns ``(len(workloads) * passes, 5)`` rows, workload-major,
+        each bit-identical to the matching one of that many successive
+        :meth:`sample_vector` calls (``interference=0``), with the same
+        noise-stream consumption (see
+        :meth:`~repro.telemetry.counters.HPCSampler.sample_rates_block`).
+        """
+        clean = np.repeat(
+            self._clean_matrix(workloads, np.zeros(len(workloads))), passes, axis=0
+        )
+        if self._stream is None:
+            noise = self._rng.normal(0.0, self._NOISE_SDS, size=clean.shape)
+        else:
+            noise = self._stream.normals_passes(*clean.shape) * self._NOISE_SDS
+        return np.maximum(0.0, clean * (1.0 + noise))
+
+    def _clean_matrix(
+        self, workloads: list[Workload], interferences: np.ndarray
+    ) -> np.ndarray:
+        """Noise-free snapshots, one row per workload, with the
+        per-element arithmetic of :meth:`sample_vector`."""
         n = len(workloads)
         demand = np.empty(n, dtype=float)
         cpu_i = np.empty(n, dtype=float)
@@ -132,12 +159,10 @@ class XentopSampler:
             mem_i[r] = mix.memory_intensity
             read_f[r] = mix.read_fraction
             io_i[r] = mix.io_intensity
-        rho = demand / (lead._capacity * (1.0 - interferences))
+        rho = demand / (self._capacity * (1.0 - interferences))
         cpu = np.minimum(100.0, 100.0 * rho * (0.6 + 0.4 * cpu_i))
         mem = np.minimum(100.0, 25.0 + 60.0 * rho * mem_i)
         rx = 80.0 * demand
         tx = rx * (6.0 + 6.0 * read_f)
         io_ops = 900.0 * demand * (0.3 + 0.7 * io_i)
-        clean = np.stack([cpu, mem, rx, tx, io_ops], axis=1)
-        noise = normals_block(streams, len(XENTOP_METRICS)) * lead._NOISE_SDS
-        return np.maximum(0.0, clean * (1.0 + noise))
+        return np.stack([cpu, mem, rx, tx, io_ops], axis=1)

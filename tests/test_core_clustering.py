@@ -48,6 +48,23 @@ class TestKMeans:
         b = KMeans(k=2, seed=3).fit(X)
         assert np.allclose(np.sort(a.centroids, axis=0), np.sort(b.centroids, axis=0))
 
+    def test_refit_forgets_the_previous_fit(self):
+        near = blobs([(0, 0), (3, 3)], 20, 0.3)
+        far = blobs([(1000, 1000), (1040, 1040)], 20, 3.0)
+        model = KMeans(k=2, seed=0).fit(near)
+        model.fit(far)
+        fresh = KMeans(k=2, seed=0).fit(far)
+        np.testing.assert_array_equal(model.centroids, fresh.centroids)
+        assert model.inertia == fresh.inertia
+        assert model.centroids.min() > 900
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        X = blobs([(0, 0), (5, 5)], 5, 0.3)
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KMeans(k=2).fit(X)
+
     def test_inertia_decreases_with_k(self):
         X = blobs([(0, 0), (5, 5), (10, 0)], 20, 0.5)
         inertia_2 = KMeans(k=2, seed=0).fit(X).inertia

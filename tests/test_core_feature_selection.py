@@ -5,9 +5,17 @@ import pytest
 
 from repro.core.feature_selection import (
     CfsSubsetSelector,
-    abs_pearson,
-    correlation_ratio,
+    abs_correlations,
+    correlation_ratios,
 )
+
+
+def correlation_ratio(values, labels, adjusted=True):
+    return correlation_ratios(np.asarray(values)[:, None], labels, adjusted)[0]
+
+
+def abs_pearson(x, y):
+    return abs_correlations(np.column_stack([x, y]))[0, 1]
 
 
 def labeled_dataset(seed: int = 0):
@@ -114,6 +122,23 @@ class TestCfsSubsetSelector:
             CfsSubsetSelector(min_class_correlation=0.5).select(
                 X, y, ["a", "b", "c"]
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_metric_rejected_by_name(self, bad):
+        # A NaN or inf column used to score a perfect class correlation
+        # (min(1.0, nan) is 1.0) and win the signature outright.
+        X, y, names = labeled_dataset()
+        X = np.column_stack([X, np.ones(len(y))])
+        X[5, -1] = bad
+        with pytest.raises(ValueError, match="badcol"):
+            CfsSubsetSelector().select(X, y, names + ["badcol"])
+
+    def test_every_non_finite_metric_named(self):
+        X, y, names = labeled_dataset()
+        X[0, 0] = np.nan
+        X[1, 3] = np.inf
+        with pytest.raises(ValueError, match="informative_a, noise"):
+            CfsSubsetSelector().select(X, y, names)
 
     def test_shape_validation(self):
         X, y, names = labeled_dataset()

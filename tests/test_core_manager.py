@@ -58,6 +58,21 @@ class TestLearning:
             setup.manager.learn(setup.trace.hourly_workloads(0)[:1])
 
 
+    def test_non_finite_metric_fails_learning(self, monkeypatch):
+        setup = build_scaleout_setup("messenger")
+        monitor = setup.manager.profiler.monitor
+        collect_block = monitor.collect_block
+
+        def with_nan_column(workloads, passes):
+            block = collect_block(workloads, passes)
+            block[2, 0] = np.nan
+            return block
+
+        monkeypatch.setattr(monitor, "collect_block", with_nan_column)
+        with pytest.raises(ValueError, match=monitor.metric_names()[0]):
+            setup.manager.learn(setup.trace.hourly_workloads(day=0))
+
+
 class TestClassification:
     def test_known_workload_classifies_with_high_certainty(self, trained_setup):
         manager = trained_setup.manager

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.cloud.instance_types import EXTRA_LARGE, LARGE
 from repro.cloud.provider import Allocation
 from repro.core.clustering import KMeans
-from repro.core.feature_selection import abs_pearson, correlation_ratio
+from repro.core.feature_selection import abs_correlations, correlation_ratios
 from repro.core.interference import quantize_index
 from repro.core.repository import AllocationRepository
 from repro.core.signature import Standardizer
@@ -157,7 +157,7 @@ class TestCorrelationProperties:
     )
     def test_correlation_ratio_in_unit_interval(self, values):
         labels = np.arange(len(values)) % 2
-        eta = correlation_ratio(np.asarray(values), labels)
+        eta = correlation_ratios(np.asarray(values)[:, None], labels)[0]
         assert 0.0 <= eta <= 1.0
 
     @given(
@@ -169,7 +169,7 @@ class TestCorrelationProperties:
     )
     def test_abs_pearson_in_unit_interval(self, x):
         y = np.arange(len(x), dtype=float)
-        r = abs_pearson(np.asarray(x), y)
+        r = abs_correlations(np.column_stack([x, y]))[0, 1]
         assert 0.0 <= r <= 1.0 + 1e-9
 
 

@@ -205,6 +205,65 @@ class TestCollectMatrix:
             monitor.collect_matrix(WORKLOADS[:2], [0.1])
 
 
+class TestCollectBlock:
+    """One learning day's profiling sweep as one block."""
+
+    @staticmethod
+    def successive(monitor, passes):
+        return np.stack(
+            [
+                monitor.collect_vector(workload)
+                for workload in WORKLOADS
+                for _ in range(passes)
+            ]
+        )
+
+    @pytest.mark.parametrize("mode", ["counter", "legacy"])
+    def test_block_matches_successive_passes(self, mode):
+        def build():
+            if mode == "counter":
+                return counter_monitor(TelemetryStreams(5), 2)
+            return Monitor(
+                hpc=HPCSampler(seed=3),
+                xentop=XentopSampler(capacity_units=10.0, seed=4),
+            )
+
+        scalar, block = build(), build()
+        for _round in range(2):  # streams end aligned, too
+            np.testing.assert_array_equal(
+                block.collect_block(WORKLOADS, 4),
+                self.successive(scalar, 4),
+                strict=True,
+            )
+
+    def test_counter_streams_advance_one_pass_per_row(self):
+        monitor = counter_monitor(TelemetryStreams(5), 2)
+        monitor.hpc.stream.draws = 7
+        block = monitor.collect_block(WORKLOADS, 5)
+        assert block.shape == (15, len(monitor.metric_names()))
+        assert monitor.hpc.stream.draws == 7 + 15
+        assert monitor.xentop.stream.draws == 15
+        # Every pass draws its own noise, so no two rows coincide.
+        assert np.unique(block, axis=0).shape[0] == 15
+
+    def test_normals_passes_match_successive_normals(self):
+        block_stream = CounterStream(key=9, lane=1, salt=1)
+        scalar_stream = CounterStream(key=9, lane=1, salt=1)
+        block = block_stream.normals_passes(6, 4)
+        scalar = np.stack([scalar_stream.normals(4) for _ in range(6)])
+        np.testing.assert_array_equal(block, scalar, strict=True)
+        assert block_stream.draws == scalar_stream.draws == 6
+
+    def test_shared_stream_rejected(self):
+        stream = CounterStream(key=1, lane=0)
+        monitor = Monitor(
+            hpc=HPCSampler(stream=stream),
+            xentop=XentopSampler(capacity_units=10.0, stream=stream),
+        )
+        with pytest.raises(ValueError, match="separate"):
+            monitor.collect_block(WORKLOADS, 2)
+
+
 class TestFleetRngEquivalence:
     """The tentpole pins: legacy batched == scalar stays bit-identical,
     and counter scalar == batched == sharded (test_fleet_shard.py pins
