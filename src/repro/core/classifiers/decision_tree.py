@@ -43,7 +43,7 @@ def _entropies(counts: np.ndarray) -> np.ndarray:
     rows, _ = np.nonzero(present)
     probs = flat[present] / total[rows]
     terms = probs * np.log2(probs)
-    sums = group_sums(terms[None, :], rows, flat.shape[0])[0]
+    sums, _ = group_sums(terms[None, :], rows, flat.shape[0])
     return -sums.reshape(counts.shape[:-1])
 
 

@@ -153,8 +153,7 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     n = X.shape[0]
     distances = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
     # sums[i, c]: point i's summed distance to the members of cluster c.
-    sums = group_sums(distances, cluster, unique.size)
-    sizes = np.bincount(cluster)
+    sums, sizes = group_sums(distances, cluster, unique.size)
     points = np.arange(n)
     own_size = sizes[cluster]
     # Mean distance to the rest of the own cluster (the zero self

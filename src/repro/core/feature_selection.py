@@ -64,8 +64,8 @@ def correlation_ratios(
     columns = np.ascontiguousarray(X.T)
     means = columns.mean(axis=1)
     total_ss = ((columns - means[:, None]) ** 2).sum(axis=1)
-    sizes = np.bincount(label_index)
-    deviation = group_sums(columns, label_index, classes.size) / sizes - means[:, None]
+    sums, sizes = group_sums(columns, label_index, classes.size)
+    deviation = sums / sizes - means[:, None]
     # Squared through Python floats: C's pow, which the per-class
     # scalar arithmetic used, and numpy's array square (x * x) disagree
     # in the last bit on about one value in a thousand.

@@ -34,17 +34,20 @@ def _size_blocks(groups: np.ndarray, counts: np.ndarray):
         yield ids, order[starts[ids, None] + np.arange(size)]
 
 
-def group_sums(A: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """``out[r, g] == A[r, groups == g].sum()`` bit for bit.
+def group_sums(
+    A: np.ndarray, groups: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sums, counts)`` with ``sums[r, g] == A[r, groups == g].sum()``
+    bit for bit.
 
     ``A`` is ``(rows, n)``; ``groups`` holds a group id in
     ``[0, n_groups)`` per column.  Empty groups sum to 0.
     """
-    out = np.zeros((A.shape[0], n_groups))
+    sums = np.zeros((A.shape[0], n_groups))
     counts = np.bincount(groups, minlength=n_groups)
     for ids, members in _size_blocks(groups, counts):
-        out[:, ids] = np.ascontiguousarray(A[:, members]).sum(axis=2)
-    return out
+        sums[:, ids] = np.ascontiguousarray(A[:, members]).sum(axis=2)
+    return sums, counts
 
 
 def group_means(

@@ -265,7 +265,9 @@ class TestGrouping:
         expected = np.array(
             [[row[labels == g].sum() for g in range(labels.max() + 1)] for row in A]
         )
-        assert_bits_equal(group_sums(A, labels, labels.max() + 1), expected)
+        sums, counts = group_sums(A, labels, labels.max() + 1)
+        assert_bits_equal(sums, expected)
+        np.testing.assert_array_equal(counts, np.bincount(labels))
 
     @EXAMPLES
     @given(labeled(max_classes=5, max_rows=60))
