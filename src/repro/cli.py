@@ -40,12 +40,12 @@ responses — the baseline arm).
 best_fit).  ``--shards``/``--workers`` partition the fleet into
 contiguous lane-range shards run by worker processes and merged exactly
 (``repro.sim.shard``); with ``--hosts`` the shards stay host-coupled
-through the cross-shard demand exchange (``repro.sim.exchange``,
-``--exchange-every`` paces the barrier) and ``--wave-workers`` overlaps
-independent control-plane waves inside each engine.  The flags build
-one ``FleetConfig`` (``repro.experiments.multiplexing_study``), which
-owns every default and cross-field rule; a rule it rejects exits 2
-naming the flags involved.  ``--placement-demand forecast`` packs
+through the cross-shard demand exchange (``repro.sim.exchange``, a
+barrier every step) and ``--wave-workers`` overlaps independent
+control-plane waves inside each engine.  The flags build one
+``FleetConfig`` (``repro.experiments.multiplexing_study``), which owns
+every default and cross-field rule; a rule it rejects exits 2 naming
+the flags involved.  ``--placement-demand forecast`` packs
 lanes by their seasonal predicted peak (``repro.sim.forecast``)
 instead of the learning-day observed peak, and ``--consolidate`` runs
 the migration planner in consolidation mode (drain the coldest
@@ -514,14 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="keep the per-shard .npz result files in this directory "
         "(default: a temporary directory, cleaned up)",
-    )
-    fleet.add_argument(
-        "--exchange-every",
-        type=int,
-        default=1,
-        help="steps between cross-shard demand exchanges on a "
-        "host-coupled sharded sweep (1 = every step, bit-identical to "
-        "single-process; larger periods approximate)",
     )
     fleet.add_argument(
         "--wave-workers",

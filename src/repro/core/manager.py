@@ -1107,19 +1107,6 @@ class DejaVuManager:
         """Slice a monitor's full metric vector down to the signature."""
         return vector[self._signature_columns()]
 
-    def prepare_batched_adapt(self, ctx: StepContext) -> np.ndarray | None:
-        """Phase 1 of a batched adaptation: gate and collect.
-
-        The one-lane composition of :meth:`begin_batched_adapt` and a
-        scalar collection; kept for callers outside the fleet engine's
-        wave (the engine itself batches phase 1b across lanes).
-        """
-        if not self.begin_batched_adapt(ctx):
-            return None
-        return self.signature_row(
-            self.profiler.monitor.collect_vector(ctx.workload)
-        )
-
     def complete_batched_adapt(
         self, ctx: StepContext, label: int, certainty: float, prefetched
     ) -> AdaptationEvent:

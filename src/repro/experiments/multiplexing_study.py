@@ -39,7 +39,7 @@ from repro.services.slo import LatencySLO
 from repro.sim.clock import HOUR, step_count
 from repro.sim.faults import FaultSchedule, parse_faults
 from repro.sim.fleet import FleetEngine, FleetLane, FleetResult, ProfilingQueue
-from repro.sim.exchange import DemandExchange, ExchangeSpec, ShardHostView
+from repro.sim.exchange import DemandExchange, ShardHostView
 from repro.sim.forecast import PLACEMENT_DEMANDS, placement_estimate
 from repro.sim.hosts import HostMap
 from repro.sim.placement import (
@@ -146,12 +146,14 @@ class FleetConfig:
     (``batched=False``), the batched control plane, overlapped waves
     (``wave_workers``) or cut into shards produces bit-identical
     results when the profiling queue is *uncontended* — no request
-    waits for a slot.  Under a contended queue the paths may order
-    grants differently (the scalar loop charges the queue lane by lane,
-    the batched wave in lane order after gating the whole wave, and
-    each shard owns its own queue), which gives different, equally
-    valid schedules; this happens with and without interference
-    escalation probes in the wave.
+    waits for a slot.  Shared hosts add no divergence: host-coupled
+    shards exchange their demands every step, so every worker runs the
+    single-process theft pass, migrations and fault events.  Under a
+    contended queue the paths may order grants differently (the scalar
+    loop charges the queue lane by lane, the batched wave in lane order
+    after gating the whole wave, and each shard owns its own queue),
+    which gives different, equally valid schedules; this happens with
+    and without interference escalation probes in the wave.
     """
 
     n_lanes: int = 4
@@ -268,17 +270,13 @@ class FleetConfig:
     workers: int | None = None
     """Worker processes executing the shards: ``None`` picks
     :func:`repro.sim.shard.default_workers`, 0 runs the shards in this
-    process (as threads when host-coupled).  Unused with one shard."""
+    process (as threads when host-coupled).  Host-coupled shards all
+    run at once, so with ``n_hosts`` a pool smaller than ``shards``
+    is rejected.  Unused with one shard."""
 
     shard_dir: str | None = None
     """Directory keeping each shard's ``.npz`` result (default: a
     temporary directory).  Unused with one shard."""
-
-    exchange_every: int = 1
-    """Steps between cross-shard demand exchanges: 1 is exact; larger
-    periods let workers run ahead on cached remote demand (an
-    approximation), with migrations committing only at exchange steps.
-    Other values need ``shards > 1`` and ``n_hosts``."""
 
     wave_workers: int = 0
     """Threads overlapping independent batched-control-plane waves
@@ -399,15 +397,17 @@ class FleetConfig:
                 "wave_workers overlaps the batched control plane's waves; "
                 "it needs batched=True"
             )
-        if self.exchange_every < 1:
+        if (
+            hosted
+            and self.workers is not None
+            and 0 < self.workers < self.shards
+        ):
             raise ValueError(
-                f"exchange period must be >= 1 step: "
-                f"exchange_every={self.exchange_every}"
-            )
-        if self.exchange_every != 1 and (self.shards == 1 or not hosted):
-            raise ValueError(
-                "exchange_every paces the cross-shard demand exchange; it "
-                "needs shards > 1 and n_hosts"
+                "host-coupled shards meet at a barrier every step, so "
+                f"all shards={self.shards} must run at once: "
+                f"workers={self.workers} would deadlock at the first "
+                f"wait (n_hosts={self.n_hosts}); pass workers >= shards, "
+                "or workers=0 to run them as threads"
             )
         faults = parse_faults(self.faults)
         if faults is not None:
@@ -857,8 +857,10 @@ def _run_fleet_slice(
     # bind to their global slots and per-step demands synchronize
     # through the cross-shard exchange.  Feeds attach *before* the
     # vectorized observers are built — the observers snapshot each
-    # production's injector at construction.
-    host_map = None
+    # production's injector at construction.  ``global_map`` is the
+    # map the payload's host statistics come from; ``host_map`` is what
+    # the engine steps (the view, on a shard slice).
+    global_map = host_map = None
     if config.n_hosts is not None:
         if exchange is not None:
             if host_placement is None:
@@ -866,28 +868,30 @@ def _run_fleet_slice(
                     "a sharded host-coupled slice needs the parent's "
                     "resolved host_placement"
                 )
-            full_map = HostMap(
+            global_map = HostMap(
                 make_hosts(config.n_hosts, config.host_capacity_units),
                 list(host_placement),
                 migration=config.migration,
             )
-            if faults is not None and faults.any_host_faults:
-                full_map.attach_faults(faults)
-            host_map = ShardHostView(full_map, lane_lo, lane_hi, exchange)
         else:
             estimates = [
                 placement_estimate(setup.trace, config.placement_demand)
                 for setup in setups
             ]
-            host_map = build_host_map(
+            global_map = build_host_map(
                 config.placement,
                 estimates,
                 n_hosts=config.n_hosts,
                 capacity_units=config.host_capacity_units,
                 migration=config.migration,
             )
-            if faults is not None and faults.any_host_faults:
-                host_map.attach_faults(faults)
+        if faults is not None and faults.any_host_faults:
+            global_map.attach_faults(faults)
+        host_map = (
+            global_map
+            if exchange is None
+            else ShardHostView(global_map, lane_lo, lane_hi, exchange)
+        )
         for offset, setup in enumerate(setups):
             setup.production.injector = host_map.feed(offset)
 
@@ -1083,17 +1087,17 @@ def _run_fleet_slice(
             s.manager.degraded_adaptations for s in setups
         ),
     }
-    if host_map is not None:
+    if global_map is not None:
         payload.update(
-            host_overload_fraction=host_map.overload_fraction,
-            mean_host_theft=host_map.mean_theft,
-            peak_host_theft=host_map.peak_theft,
-            migrations=host_map.migrations,
-            host_failures=host_map.host_failures,
-            host_recoveries=host_map.host_recoveries,
-            evacuations=host_map.evacuations,
-            unplaced_evacuations=host_map.unplaced_evacuations,
-            host_on_steps=host_map.host_on_steps,
+            host_overload_fraction=global_map.overload_fraction,
+            mean_host_theft=global_map.mean_theft,
+            peak_host_theft=global_map.peak_theft,
+            migrations=global_map.migrations,
+            host_failures=global_map.host_failures,
+            host_recoveries=global_map.host_recoveries,
+            evacuations=global_map.evacuations,
+            unplaced_evacuations=global_map.unplaced_evacuations,
+            host_on_steps=global_map.host_on_steps,
         )
     return result, payload
 
@@ -1247,19 +1251,18 @@ def run_fleet_multiplexing_study(
     # placement up front (policies see the whole fleet's demand
     # estimates, which no single shard holds) so every worker rebuilds
     # the identical global map.
+    coupled = config.n_hosts is not None
     host_placement = None
-    exchange = None
-    if config.n_hosts is not None:
+    if coupled:
         host_placement = resolve_placement(
             config.placement,
             _placement_estimates(config),
             n_hosts=config.n_hosts,
             capacity_units=config.host_capacity_units,
         )
-        exchange = ExchangeSpec(exchange_every=config.exchange_every)
     # The pool never exceeds the shard count; record the size that ran.
     workers = (
-        default_workers(config.shards, coupled=exchange is not None)
+        default_workers(config.shards, coupled)
         if config.workers is None
         else min(config.workers, config.shards)
     )
@@ -1271,7 +1274,7 @@ def run_fleet_multiplexing_study(
         workers=workers,
         shard_dir=config.shard_dir,
         label=f"fleet-{config.n_lanes}",
-        exchange=exchange,
+        coupled=coupled,
     )
     return _merged_study(
         config, merged, payloads, engine_seconds=wall_seconds, workers=workers

@@ -29,22 +29,11 @@ carries the shared-memory block's name plus a
 (``workers=0``) it holds the block array and a ``threading.Barrier``
 directly.  :class:`ShardHostView` adapts the global map to the fleet
 engine's host contract for one lane slice.
-
-``exchange_every > 1`` trades fidelity for barrier traffic: between
-exchanges a worker folds only its *own* lanes' fresh demand into the
-cached global vector (remote lanes go stale), and migrations — and
-fault events (:mod:`repro.sim.faults`), which the map processes inside
-the same rebalance gate — commit only at exchange steps so every worker
-keeps planning from identical vectors.  Demand *values* between
-barriers are a documented approximation, but the commit points
-themselves are pinned: ``tests/test_fleet_shard.py`` asserts every
-migration and fault commit lands on an exchange step.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,31 +43,6 @@ from repro.sim.hosts import HostMap
 #: the barrier for everyone within this window instead of hanging the
 #: sweep forever.
 DEFAULT_BARRIER_TIMEOUT_SECONDS = 120.0
-
-
-@dataclass(frozen=True)
-class ExchangeSpec:
-    """Configuration of a sharded sweep's demand exchange.
-
-    ``exchange_every`` is the step period between barrier syncs (1 =
-    every step, the bit-identical default); ``barrier_timeout_seconds``
-    bounds each wait so a crashed worker fails the sweep instead of
-    deadlocking it.
-    """
-
-    exchange_every: int = 1
-    barrier_timeout_seconds: float = DEFAULT_BARRIER_TIMEOUT_SECONDS
-
-    def __post_init__(self) -> None:
-        if self.exchange_every < 1:
-            raise ValueError(
-                f"exchange period must be >= 1 step: {self.exchange_every}"
-            )
-        if self.barrier_timeout_seconds <= 0:
-            raise ValueError(
-                f"barrier timeout must be positive: "
-                f"{self.barrier_timeout_seconds}"
-            )
 
 
 def _attach_block(name: str, n_lanes: int):
@@ -109,7 +73,6 @@ class DemandExchange:
         lane_lo: int,
         lane_hi: int,
         barrier,
-        exchange_every: int = 1,
         timeout_seconds: float = DEFAULT_BARRIER_TIMEOUT_SECONDS,
         shm_name: str | None = None,
         block: np.ndarray | None = None,
@@ -118,9 +81,9 @@ class DemandExchange:
             raise ValueError(
                 f"lane slice [{lane_lo}, {lane_hi}) out of [0, {n_lanes})"
             )
-        if exchange_every < 1:
+        if timeout_seconds <= 0:
             raise ValueError(
-                f"exchange period must be >= 1 step: {exchange_every}"
+                f"barrier timeout must be positive: {timeout_seconds}"
             )
         if (shm_name is None) == (block is None):
             raise ValueError(
@@ -135,7 +98,6 @@ class DemandExchange:
         self.n_lanes = n_lanes
         self.lane_lo = lane_lo
         self.lane_hi = lane_hi
-        self.exchange_every = exchange_every
         self.timeout_seconds = float(timeout_seconds)
         self._barrier = barrier
         self._shm_name = shm_name
@@ -203,7 +165,6 @@ class DemandExchange:
 def make_exchange_handles(
     n_lanes: int,
     ranges: list[range],
-    spec: ExchangeSpec,
     barrier,
     shm_name: str | None = None,
     block: np.ndarray | None = None,
@@ -215,8 +176,6 @@ def make_exchange_handles(
             lane_lo=lanes.start,
             lane_hi=lanes.stop,
             barrier=barrier,
-            exchange_every=spec.exchange_every,
-            timeout_seconds=spec.barrier_timeout_seconds,
             shm_name=shm_name,
             block=block,
         )
@@ -262,8 +221,6 @@ class ShardHostView:
         self.lane_lo = lane_lo
         self.lane_hi = lane_hi
         self.exchange_handle = exchange
-        self._steps_seen = 0
-        self._cached = np.zeros(host_map.n_lanes, dtype=float)
 
     @property
     def n_lanes(self) -> int:
@@ -281,83 +238,28 @@ class ShardHostView:
     def apply_step(self, t, workloads, capacities=None) -> np.ndarray:
         """Global theft pass fed by this slice's demands + the exchange.
 
-        On exchange steps (every ``exchange_every``-th step, counted
-        from 0 so the first step always synchronizes) the global demand
-        vector comes fresh off the barrier and migrations and fault
-        events may commit;
-        in between, only the local slice is refreshed in the cached
-        vector (remote lanes stale) and rebalancing is suppressed so
-        workers' plans cannot diverge.  Returns the slice's theft
-        fractions.
+        Every step publishes the slice's demands, reads the complete
+        global vector off the barrier and runs the global theft pass
+        (migrations and fault events included) on it.  Returns the
+        slice's theft fractions.
         """
         if len(workloads) != self.n_lanes:
             raise ValueError(
                 f"expected {self.n_lanes} workloads, got {len(workloads)}"
             )
-        local = self.map._demands(workloads, capacities)
-        step = self._steps_seen
-        self._steps_seen += 1
-        exchanged = step % self.exchange_handle.exchange_every == 0
-        if exchanged:
-            self._cached = self.exchange_handle.exchange(local)
-        else:
-            self._cached[self.lane_lo : self.lane_hi] = local
-        thefts = self.map._apply_demands(
-            t, self._cached, rebalance=exchanged
+        demands = self.exchange_handle.exchange(
+            self.map._demands(workloads, capacities)
         )
+        thefts = self.map._apply_demands(t, demands)
         return thefts[self.lane_lo : self.lane_hi]
-
-    # -- statistics passthroughs (payload assembly) --------------------
-
-    @property
-    def n_hosts(self) -> int:
-        return self.map.n_hosts
-
-    @property
-    def overload_fraction(self) -> float:
-        return self.map.overload_fraction
-
-    @property
-    def mean_theft(self) -> float:
-        return self.map.mean_theft
-
-    @property
-    def peak_theft(self) -> float:
-        return self.map.peak_theft
-
-    @property
-    def migrations(self) -> int:
-        return self.map.migrations
-
-    @property
-    def host_failures(self) -> int:
-        return self.map.host_failures
-
-    @property
-    def host_recoveries(self) -> int:
-        return self.map.host_recoveries
-
-    @property
-    def evacuations(self) -> int:
-        return self.map.evacuations
-
-    @property
-    def unplaced_evacuations(self) -> int:
-        return self.map.unplaced_evacuations
-
-    @property
-    def host_on_steps(self) -> int:
-        return self.map.host_on_steps
 
 
 def make_thread_exchange(
-    n_lanes: int, ranges: list[range], spec: ExchangeSpec
+    n_lanes: int, ranges: list[range]
 ) -> list[DemandExchange]:
     """Thread-mode exchange: one in-process block + barrier, one handle
     per shard.  The ``workers=0`` path of :func:`repro.sim.shard.
     run_sharded` runs shards as threads against these handles."""
     barrier = threading.Barrier(len(ranges))
     block = np.zeros(n_lanes, dtype=np.float64)
-    return make_exchange_handles(
-        n_lanes, ranges, spec, barrier, block=block
-    )
+    return make_exchange_handles(n_lanes, ranges, barrier, block=block)

@@ -26,10 +26,10 @@ A :class:`FaultSchedule` bundles events plus the recovery knobs and is
 a frozen, picklable value: shard workers receive it through the study
 spec and every worker processes the identical global timeline.  Fault
 events are keyed by **step index**, not wall time, and commit inside
-the host map's rebalance point — in sharded runs that is the exchange
-barrier where migrations already commit, so scalar, batched and sharded
-paths apply each fault at the same step (bit-identical at
-``exchange_every=1``, barrier-quantized beyond).
+the host map's theft pass, just before migrations are planned.  Sharded
+workers run that pass on the exchanged global demand vector every step,
+so scalar, batched and sharded paths apply each fault at its scripted
+step, bit for bit.
 
 The spec-string DSL (CLI ``--faults``, scenario ``faults:`` lists)::
 

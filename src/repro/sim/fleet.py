@@ -888,9 +888,9 @@ class FleetResult:
 # ----------------------------------------------------------------------
 
 #: Everything the batched adaptation wave calls on a controller.  A
-#: controller offering only part of the surface (e.g. a PR 3-era
-#: ``prepare_batched_adapt`` implementor) is not a batch candidate and
-#: keeps the scalar ``on_step`` path instead of crashing mid-wave.
+#: controller offering only part of the surface is not a batch
+#: candidate and keeps the scalar ``on_step`` path instead of crashing
+#: mid-wave.
 _BATCH_ADAPT_PROTOCOL = (
     "supports_batched_adapt",
     "adaptation_due",

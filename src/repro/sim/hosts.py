@@ -207,10 +207,7 @@ class HostMap:
         self.host_recoveries = 0
         self.evacuations = 0
         self.unplaced_evacuations = 0
-        #: Step indices at which placement-changing commits landed
-        #: (migrations and fault events) — the property tests pin that
-        #: sharded runs only commit at exchange barriers.
-        self.migration_commit_steps: list[int] = []
+        #: Step indices at which host failures and recoveries committed.
         self.fault_commit_steps: list[int] = []
 
     def _rebuild_placement_cache(self) -> None:
@@ -338,7 +335,6 @@ class HostMap:
         self._placement[lane] = host
         self.migrations += 1
         self.lane_migrations[lane] += 1
-        self.migration_commit_steps.append(self.steps)
         if self.migration is not None:
             self._blackout_until[lane] = t + self.migration.blackout_seconds
             self._blackout_theft[lane] = self.migration.blackout_theft
@@ -368,15 +364,15 @@ class HostMap:
         """Arm a :class:`~repro.sim.faults.FaultSchedule`'s host events.
 
         Events are keyed by step index and processed inside
-        :meth:`_apply_demands` at rebalance points — every step for
-        single-process runs, exchange barriers for sharded ones — so
-        every worker of a sharded sweep commits the identical event at
-        the identical step.  A failed host's capacity drops to zero;
-        with ``schedule.recovery`` its tenants are evacuated best-fit
-        onto surviving hosts (each paying the schedule's blackout
-        window), and tenants that fit nowhere run *degraded* at
-        ``residual_rate`` of their capacity until the host returns.
-        With recovery off, every tenant rides the dead host degraded.
+        :meth:`_apply_demands`, which every worker of a sharded sweep
+        runs on the identical exchanged demand vector, so each worker
+        commits the identical event at the identical step.  A failed
+        host's capacity drops to zero; with ``schedule.recovery`` its
+        tenants are evacuated best-fit onto surviving hosts (each
+        paying the schedule's blackout window), and tenants that fit
+        nowhere run *degraded* at ``residual_rate`` of their capacity
+        until the host returns.  With recovery off, every tenant rides
+        the dead host degraded.
         """
         if self.faults is not None:
             raise ValueError("a fault schedule is already attached")
@@ -519,26 +515,20 @@ class HostMap:
             )
         return self._apply_demands(t, self._demands(workloads, capacities))
 
-    def _apply_demands(
-        self, t: float, demands: np.ndarray, rebalance: bool = True
-    ) -> np.ndarray:
+    def _apply_demands(self, t: float, demands: np.ndarray) -> np.ndarray:
         """The global theft pass over a full per-lane demand vector.
 
         Factored out of :meth:`apply_step` so a sharded worker's
         :class:`~repro.sim.exchange.ShardHostView` can run the exact
-        same arithmetic on the exchanged global vector.  ``rebalance``
-        gates migration planning: sharded workers suppress it between
-        exchange barriers, where their cached vectors carry stale
-        remote lanes and plans could diverge.
+        same arithmetic on the exchanged global vector.
         """
         if len(demands) != self.n_lanes:
             raise ValueError(
                 f"expected {self.n_lanes} demands, got {len(demands)}"
             )
-        if rebalance:
-            if self.faults is not None:
-                self._process_fault_events(t, demands)
-            self._maybe_rebalance(t, demands)
+        if self.faults is not None:
+            self._process_fault_events(t, demands)
+        self._maybe_rebalance(t, demands)
         thefts = self.last_thefts
         thefts[:] = 0.0
         idx = self._placed_idx

@@ -14,12 +14,11 @@ The merge is exact, not approximate: lane simulations in this codebase
 interact only through the profiling queue and shared hosts.  The
 profiling queue is scoped to the shard (one profiling environment per
 shard); shared hosts couple lanes *across* shards, so host-coupled
-sweeps pass an :class:`~repro.sim.exchange.ExchangeSpec` and every
-worker synchronizes its lanes' demand contributions through a
-shared-memory block and step barrier before computing the global theft
-pass locally.  Either way, with counter-mode telemetry streams the
-merged result is bit-identical to the single-process run (pinned in
-``tests/test_fleet_shard.py``).
+sweeps pass ``coupled=True`` and every worker synchronizes its lanes'
+demand contributions through a shared-memory block and a barrier every
+step before computing the global theft pass locally.  Either way, with
+counter-mode telemetry streams the merged result is bit-identical to
+the single-process run (pinned in ``tests/test_fleet_shard.py``).
 
 The module is deliberately generic: it knows how to partition, execute,
 persist and merge, while the *worker* callable (a module-level function
@@ -48,11 +47,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.sim.exchange import (
-    ExchangeSpec,
-    make_exchange_handles,
-    make_thread_exchange,
-)
+from repro.sim.exchange import make_exchange_handles, make_thread_exchange
 from repro.sim.fleet import FleetResult
 
 #: Prefix of the shared-memory segments backing demand exchanges; the
@@ -237,7 +232,7 @@ def run_sharded(
     workers: int | None = None,
     shard_dir: str | Path | None = None,
     label: str = "fleet",
-    exchange: ExchangeSpec | None = None,
+    coupled: bool = False,
 ) -> tuple[FleetResult, list[dict], float]:
     """Execute a sharded sweep and merge the persisted shard results.
 
@@ -255,7 +250,7 @@ def run_sharded(
     ``.npz`` files (for archival or out-of-band merging); by default a
     temporary directory is used and cleaned up.
 
-    ``exchange`` couples the shards through a cross-shard demand
+    ``coupled`` couples the shards through a cross-shard demand
     exchange (shared hosts): the worker gains a fifth positional
     argument, a :class:`~repro.sim.exchange.DemandExchange` handle on
     one shared-memory demand block, and every shard must run
@@ -272,10 +267,10 @@ def run_sharded(
     """
     ranges = partition_lanes(n_lanes, shards)
     if workers is None:
-        workers = default_workers(shards, coupled=exchange is not None)
+        workers = default_workers(shards, coupled)
     if workers < 0:
         raise ValueError(f"workers must be >= 0: {workers}")
-    if exchange is not None and 0 < workers < shards:
+    if coupled and 0 < workers < shards:
         raise ValueError(
             f"a demand exchange synchronizes all {shards} shard(s) at a "
             f"step barrier; a pool of {workers} worker(s) would deadlock "
@@ -296,14 +291,14 @@ def run_sharded(
         ]
         start = time.perf_counter()
         if workers == 0:
-            if exchange is None:
+            if not coupled:
                 payloads = [worker(*job) for job in jobs]
             else:
                 # Sequential execution would deadlock at the first
                 # barrier, so the inline path runs shards as threads:
                 # same process, same determinism guarantees (each
                 # shard's simulation state is thread-local).
-                handles = make_thread_exchange(n_lanes, ranges, exchange)
+                handles = make_thread_exchange(n_lanes, ranges)
                 with ThreadPoolExecutor(max_workers=shards) as pool:
                     futures = [
                         pool.submit(worker, *job, handle)
@@ -312,7 +307,7 @@ def run_sharded(
                     payloads = _drain_exchange_futures(
                         futures, handles[0]._barrier
                     )
-        elif exchange is None:
+        elif not coupled:
             with ProcessPoolExecutor(
                 max_workers=min(workers, shards),
                 mp_context=get_context("spawn"),
@@ -336,8 +331,7 @@ def run_sharded(
                 manager = ctx.Manager()
                 barrier = manager.Barrier(shards)
                 handles = make_exchange_handles(
-                    n_lanes, ranges, exchange, barrier,
-                    shm_name=segment.name,
+                    n_lanes, ranges, barrier, shm_name=segment.name
                 )
                 with ProcessPoolExecutor(
                     max_workers=shards, mp_context=ctx

@@ -338,16 +338,18 @@ class TestMain:
         assert excinfo.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
-    def test_fleet_exchange_every_needs_shards_and_hosts(self, capsys):
+    def test_fleet_undersized_pool_for_hosts_fails_loudly(self, capsys):
+        # Host-coupled shards meet at a barrier every step, so a pool
+        # smaller than the shard count cannot run them; it used to
+        # crash inside the sweep with a traceback instead.
         with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--exchange-every", "4"])
+            main([
+                "fleet", "--lanes", "4", "--hours", "1", "--shards", "2",
+                "--workers", "1", "--hosts", "2",
+            ])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--shards" in err and "--hosts" in err
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "--shards", "2", "--exchange-every", "4"])
-        assert excinfo.value.code == 2
-        assert "--hosts" in capsys.readouterr().err
+        assert "--workers" in err and "--shards" in err and "--hosts" in err
 
     def test_fleet_host_faults_without_hosts_fail_loudly(self, capsys):
         # A host-death schedule on dedicated hardware has nothing to

@@ -1,5 +1,7 @@
 """Properties of the fleet-scale multiplexing study (Sec. 5)."""
 
+import re
+
 import pytest
 
 from repro.experiments.multiplexing_study import (
@@ -61,6 +63,19 @@ class TestValidation:
             n_lanes=1, hours=hours, lane_seed_stride=0
         )
         assert study.n_steps == study.config.n_steps == steps
+
+    def test_undersized_pool_for_host_coupled_shards_rejected(self):
+        # Host-coupled shards meet at a barrier every step; a pool
+        # smaller than the shard count used to pass construction and
+        # crash inside the sweep.
+        with pytest.raises(ValueError) as excinfo:
+            FleetConfig(n_lanes=4, shards=2, workers=1, n_hosts=2)
+        for name in ("workers", "shards", "n_hosts"):
+            assert re.search(rf"\b{name}=", str(excinfo.value)), name
+        # Thread mode, a full pool and uncoupled shards stay valid.
+        FleetConfig(n_lanes=4, shards=2, workers=0, n_hosts=2)
+        FleetConfig(n_lanes=4, shards=2, workers=2, n_hosts=2)
+        FleetConfig(n_lanes=4, shards=2, workers=1)
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(ValueError, match="mix"):

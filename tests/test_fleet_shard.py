@@ -11,6 +11,7 @@ contributions through the cross-shard exchange before computing the
 global theft pass.
 """
 
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,6 @@ import pytest
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
 from repro.scenarios.gate import TIMING_METRICS
 from repro.scenarios.runner import fleet_metrics
-from repro.sim.exchange import ExchangeSpec
-from repro.sim.faults import FaultSchedule, HostFaultEvent
 from repro.sim.fleet import FleetResult
 from repro.sim.placement import MigrationPolicy
 from repro.sim.shard import (
@@ -41,6 +40,15 @@ class _StubWorkload:
     def __init__(self, volume: float) -> None:
         self.volume = volume
         self.mix = _StubMix()
+
+
+def _shm_segments() -> set[str]:
+    """Names of the demand-exchange segments currently in /dev/shm
+    (empty where the platform has no /dev/shm to inspect)."""
+    shm_dir = Path("/dev/shm")
+    if not shm_dir.is_dir():
+        return set()
+    return {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
 
 
 def _worker_failing_after_first(spec, lane_lo, lane_hi, result_path):
@@ -385,6 +393,16 @@ class TestShardedStudy:
         )
         assert_same_fleet(single, sharded)
 
+    def test_small_pool_serves_uncoupled_shards(self):
+        # Only host-coupled shards meet at a barrier; without hosts a
+        # pool smaller than the shard count runs the shards in turn.
+        kwargs = dict(n_lanes=4, hours=3.0, profiling_slots=4)
+        single = run_fleet_multiplexing_study(**kwargs)
+        sharded = run_fleet_multiplexing_study(shards=2, workers=1, **kwargs)
+        assert sharded.shards == 2 and sharded.workers == 1
+        assert multiprocessing.active_children() == []
+        assert_same_fleet(single, sharded)
+
     def test_mixed_fleet_shards_match_single_process(self):
         # Shard 1 of 3 holds lanes (2, 3) — neither family leader —
         # so phantom-leader re-derivation is exercised.
@@ -483,10 +501,15 @@ class TestHostCoupledShards:
     def test_worker_processes_match_single_process(self):
         # The real spawn path: each worker attaches the shared-memory
         # block by name and synchronizes on the manager barrier proxy.
+        # A finished sweep leaves no worker or manager process alive
+        # and no shared-memory segment behind.
         single = run_fleet_multiplexing_study(**self.KWARGS)
+        before = _shm_segments()
         sharded = run_fleet_multiplexing_study(
             shards=2, workers=2, **self.KWARGS
         )
+        assert multiprocessing.active_children() == []
+        assert _shm_segments() <= before
         assert_same_fleet(single, sharded)
 
     def test_migrations_commit_identically_across_shards(self):
@@ -509,26 +532,6 @@ class TestHostCoupledShards:
         sharded = run_fleet_multiplexing_study(shards=2, workers=0, **kwargs)
         assert_same_fleet(single, sharded)
 
-    def test_coarser_exchange_cadence_runs_and_merges(self):
-        # exchange_every > 1 trades fidelity for fewer barriers; the
-        # sweep must still merge cleanly and aggregate host stats.
-        sharded = run_fleet_multiplexing_study(
-            shards=2, workers=0, exchange_every=3, **self.KWARGS
-        )
-        assert sharded.result.n_steps > 0
-        assert sharded.mean_host_theft >= 0.0
-        assert sharded.host_overload_fraction >= 0.0
-
-    def test_exchange_every_requires_shards_and_hosts(self):
-        with pytest.raises(ValueError, match="exchange_every"):
-            run_fleet_multiplexing_study(
-                n_lanes=4, hours=1.0, exchange_every=2
-            )
-        with pytest.raises(ValueError, match="exchange_every"):
-            run_fleet_multiplexing_study(
-                n_lanes=4, hours=1.0, shards=2, exchange_every=2
-            )
-
     def test_undersized_pool_rejected(self):
         # 0 < workers < shards would deadlock at the first barrier wait.
         with pytest.raises(ValueError, match="deadlock"):
@@ -540,7 +543,7 @@ class TestHostCoupledShards:
                 n_lanes=4,
                 shards=2,
                 workers=1,
-                exchange=ExchangeSpec(),
+                coupled=True,
             )
 
     def test_crashed_thread_worker_aborts_barrier_and_cleans_up(
@@ -557,7 +560,7 @@ class TestHostCoupledShards:
                 shards=2,
                 workers=0,
                 shard_dir=str(tmp_path),
-                exchange=ExchangeSpec(),
+                coupled=True,
             )
         assert list(tmp_path.glob("*.npz")) == []
 
@@ -565,12 +568,7 @@ class TestHostCoupledShards:
         # Same crash through the spawn pool: the parent owns the
         # /dev/shm segment and must unlink it even though the sweep
         # died mid-exchange.
-        shm_dir = Path("/dev/shm")
-        before = (
-            {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            if shm_dir.is_dir()
-            else set()
-        )
+        before = _shm_segments()
         with pytest.raises(RuntimeError, match="before the barrier"):
             run_sharded(
                 _exchange_worker_crashing,
@@ -579,19 +577,16 @@ class TestHostCoupledShards:
                 shards=2,
                 workers=2,
                 shard_dir=str(tmp_path),
-                exchange=ExchangeSpec(barrier_timeout_seconds=60.0),
+                coupled=True,
             )
         assert list(tmp_path.glob("*.npz")) == []
-        if shm_dir.is_dir():
-            after = {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            assert after <= before
+        assert _shm_segments() <= before
 
 
 class TestFaultedShards(TestHostCoupledShards):
     """Fault injection across shard boundaries: the same schedule must
-    produce bit-identical runs sharded or not, commits must land only
-    at exchange barriers, and a worker crash inside a fault window must
-    not change the cleanup guarantees.
+    produce bit-identical runs sharded or not, and a worker crash
+    inside a fault window must not change the cleanup guarantees.
     """
 
     #: The host-coupled fleet with two scripted host deaths: host 0
@@ -643,50 +638,80 @@ class TestFaultedShards(TestHostCoupledShards):
         sharded = run_fleet_multiplexing_study(shards=2, workers=0, **kwargs)
         assert_same_fleet(single, sharded)
 
-    def test_commits_land_only_at_exchange_barriers(self):
-        # The property behind the coarser-cadence regime: with
-        # exchange_every=3 the global demand vector is only coherent at
-        # steps 0, 3, 6, ... — so fault events *and* migrations, both of
-        # which change placement, must defer to those barriers (pinned
-        # here on a directly driven single-shard view; the
+    def test_fault_events_commit_at_their_scripted_steps(self):
+        # Every step is an exchange barrier, so a host death or recovery
+        # commits on its scripted step in every shard's global map, and
+        # placement, migrations and thefts track a single map exactly
+        # (pinned on directly driven two-shard views; the
         # SYN-host-outage gate scenario exercises the full sweep).
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.sim.exchange import ShardHostView, make_thread_exchange
+        from repro.sim.faults import FaultSchedule, HostFaultEvent
         from repro.sim.hosts import HostMap
 
-        host_map = HostMap.spread(
-            4, 2, 3.0,
-            migration=MigrationPolicy(rebalance_every=5, max_moves=2),
-        )
-        host_map.attach_faults(
-            FaultSchedule(
-                host_faults=(
-                    HostFaultEvent(0, 25, 7),   # off the barrier grid
-                    HostFaultEvent(1, 50, 4),
+        def faulted_map():
+            host_map = HostMap.spread(
+                4, 2, 3.0,
+                migration=MigrationPolicy(rebalance_every=5, max_moves=2),
+            )
+            host_map.attach_faults(
+                FaultSchedule(
+                    host_faults=(
+                        HostFaultEvent(0, 25, 7),
+                        HostFaultEvent(1, 50, 4),
+                    )
                 )
             )
-        )
-        handle = make_thread_exchange(
-            4, [range(0, 4)], ExchangeSpec(exchange_every=3)
-        )[0]
-        view = ShardHostView(host_map, 0, 4, handle)
+            return host_map
+
         workloads = [_StubWorkload(v) for v in (2.0, 1.0, 2.0, 1.0)]
-        for step in range(90):
-            view.apply_step(step * 300.0, workloads)
-        # Every event committed, one barrier after its scripted step.
-        assert host_map.fault_commit_steps == [27, 33, 51, 54]
-        assert host_map.host_failures == 2
-        assert all(s % 3 == 0 for s in host_map.migration_commit_steps)
+        reference = faulted_map()
+        expected = [
+            reference.apply_step(step * 300.0, workloads).copy()
+            for step in range(90)
+        ]
+        assert reference.fault_commit_steps == [25, 32, 50, 54]
+        assert reference.host_failures == reference.host_recoveries == 2
+
+        ranges = partition_lanes(4, 2)
+        handles = make_thread_exchange(4, ranges)
+        views = [
+            ShardHostView(faulted_map(), lanes.start, lanes.stop, handle)
+            for lanes, handle in zip(ranges, handles)
+        ]
+
+        def drive(view, lanes):
+            return [
+                view.apply_step(
+                    step * 300.0, workloads[lanes.start : lanes.stop]
+                ).copy()
+                for step in range(90)
+            ]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(drive, view, lanes)
+                for view, lanes in zip(views, ranges)
+            ]
+            thefts = [future.result() for future in futures]
+        for step, row in enumerate(expected):
+            assert np.array_equal(
+                np.concatenate([shard[step] for shard in thefts]), row
+            ), step
+        for view in views:
+            assert view.map.fault_commit_steps == [25, 32, 50, 54]
+            assert view.map.placement == reference.placement
+            assert view.map.migrations == reference.migrations
+            assert np.array_equal(
+                view.map.lane_migrations, reference.lane_migrations
+            )
 
     def test_crash_inside_a_fault_window_still_cleans_up(self, tmp_path):
         # The overlap case: a worker process dies while a host is down.
         # The parent's abort-and-unlink path must be indifferent to the
         # fault state — no orphan npz, no leaked /dev/shm segment.
-        shm_dir = Path("/dev/shm")
-        before = (
-            {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            if shm_dir.is_dir()
-            else set()
-        )
+        before = _shm_segments()
         with pytest.raises(RuntimeError, match="inside the fault window"):
             run_sharded(
                 _fault_window_worker_crashing,
@@ -695,9 +720,7 @@ class TestFaultedShards(TestHostCoupledShards):
                 shards=2,
                 workers=2,
                 shard_dir=str(tmp_path),
-                exchange=ExchangeSpec(barrier_timeout_seconds=60.0),
+                coupled=True,
             )
         assert list(tmp_path.glob("*.npz")) == []
-        if shm_dir.is_dir():
-            after = {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
-            assert after <= before
+        assert _shm_segments() <= before

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.sim.exchange import (
+    DEFAULT_BARRIER_TIMEOUT_SECONDS,
     DemandExchange,
-    ExchangeSpec,
     ShardHostView,
     make_thread_exchange,
 )
@@ -58,7 +58,7 @@ def run_sharded_steps(
 ):
     """Step every shard's view concurrently; thefts in shard order."""
     ranges = partition_lanes(n_lanes, shards)
-    handles = make_thread_exchange(n_lanes, ranges, ExchangeSpec())
+    handles = make_thread_exchange(n_lanes, ranges)
     views = [
         ShardHostView(
             HostMap(hosts, placement),
@@ -126,9 +126,9 @@ class TestExchangeMatchesSingleProcess:
 
         # Every worker's global map accumulated the same statistics.
         for view in views:
-            assert view.mean_theft == reference.mean_theft
-            assert view.peak_theft == reference.peak_theft
-            assert view.overload_fraction == reference.overload_fraction
+            assert view.map.mean_theft == reference.mean_theft
+            assert view.map.peak_theft == reference.peak_theft
+            assert view.map.overload_fraction == reference.overload_fraction
 
         # Per-host totals from the shared block equal np.bincount over
         # the single-process demand vector (the block still holds the
@@ -184,12 +184,63 @@ class TestExchangeMatchesSingleProcess:
             )
 
 
+    def test_every_step_exchanges_that_steps_demands(self):
+        # Demand flips between idle and heavy on every step, so a
+        # global vector even one step old would get every theft wrong;
+        # the shards must still match the single map at each step.
+        n_lanes, shards = 6, 3
+        hosts = [SimHost(capacity_units=2.0), SimHost(capacity_units=3.0)]
+        placement = [0, 1, 0, 1, 0, 1]
+        idle = [
+            Workload(volume=0.0, mix=CASSANDRA_UPDATE_HEAVY)
+            for _ in range(n_lanes)
+        ]
+        heavy = [
+            Workload(volume=900.0, mix=CASSANDRA_UPDATE_HEAVY)
+            for _ in range(n_lanes)
+        ]
+        steps_workloads = [idle, heavy] * 3
+
+        reference = HostMap(hosts, placement)
+        expected = [
+            reference.apply_step(STEP_SECONDS * step, workloads).copy()
+            for step, workloads in enumerate(steps_workloads)
+        ]
+        # The honesty guard: idle steps steal nothing, heavy steps do.
+        assert all(float(row.max()) == 0.0 for row in expected[::2])
+        assert all(float(row.min()) > 0.0 for row in expected[1::2])
+
+        results, _views = run_sharded_steps(
+            n_lanes, shards, hosts, placement, steps_workloads
+        )
+        for step in range(len(steps_workloads)):
+            merged = np.concatenate(
+                [results[shard][step] for shard in range(shards)]
+            )
+            np.testing.assert_array_equal(
+                merged, expected[step], strict=True
+            )
+
+
 class TestValidation:
-    def test_spec_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="period"):
-            ExchangeSpec(exchange_every=0)
+    def test_handle_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError, match="timeout"):
-            ExchangeSpec(barrier_timeout_seconds=0.0)
+            DemandExchange(
+                4, 0, 2, barrier=None, timeout_seconds=0.0,
+                block=np.zeros(4),
+            )
+
+    def test_thread_handles_wait_the_default_timeout(self):
+        # The one barrier timeout every coupled sweep waits; a handle
+        # built directly keeps the timeout it is given.
+        handles = make_thread_exchange(4, partition_lanes(4, 2))
+        assert [h.timeout_seconds for h in handles] == [
+            DEFAULT_BARRIER_TIMEOUT_SECONDS
+        ] * 2
+        handle = DemandExchange(
+            4, 0, 2, barrier=None, timeout_seconds=5, block=np.zeros(4)
+        )
+        assert handle.timeout_seconds == 5.0
 
     def test_handle_rejects_bad_slice(self):
         block = np.zeros(4)
@@ -211,33 +262,25 @@ class TestValidation:
             DemandExchange(4, 0, 2, barrier=None, block=np.zeros(3))
 
     def test_exchange_rejects_wrong_slice_length(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
+        handles = make_thread_exchange(4, partition_lanes(4, 2))
         with pytest.raises(ValueError, match="local demands"):
             handles[0].exchange(np.zeros(3))
 
     def test_thread_handle_refuses_to_pickle(self):
         import pickle
 
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
+        handles = make_thread_exchange(4, partition_lanes(4, 2))
         with pytest.raises(TypeError, match="process boundary"):
             pickle.dumps(handles[0])
 
     def test_view_rejects_mismatched_exchange_geometry(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
+        handles = make_thread_exchange(4, partition_lanes(4, 2))
         host_map = HostMap([SimHost(4.0)], [0, 0, 0, 0])
         with pytest.raises(ValueError, match="exchange covers"):
             ShardHostView(host_map, 0, 3, handles[0])
 
     def test_view_feed_is_the_global_lanes_feed(self):
-        handles = make_thread_exchange(
-            4, partition_lanes(4, 2), ExchangeSpec()
-        )
+        handles = make_thread_exchange(4, partition_lanes(4, 2))
         host_map = HostMap([SimHost(4.0)], [0, 0, 0, 0])
         view = ShardHostView(host_map, 2, 4, handles[1])
         assert view.n_lanes == 2
