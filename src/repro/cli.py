@@ -224,14 +224,16 @@ def _subparser(parser: argparse.ArgumentParser, name: str):
     return subparsers.choices[name]
 
 
-def _named_flags(parser: argparse.ArgumentParser, message: str) -> str:
-    """The flags whose ``dest`` a config error message names."""
-    return ", ".join(
+def _config_error(parser: argparse.ArgumentParser, exc: ValueError):
+    """Exit 2 on a bad configuration, naming the flags whose ``dest``
+    the error message names."""
+    flags = ", ".join(
         "/".join(action.option_strings)
         for action in parser._actions
         if action.option_strings
-        and re.search(rf"\b{action.dest}\b", message)
+        and re.search(rf"\b{action.dest}\b", str(exc))
     )
+    parser.error(f"{exc} (flags: {flags})" if flags else str(exc))
 
 
 def _fleet_config(args, schedule):
@@ -325,27 +327,6 @@ def _fleet_rows(config, power_cost: float | None) -> list[str]:
             f"{study.revoked_adaptations} abandoned"
         )
     return rows
-
-
-def _placement_rows(args) -> list[str]:
-    from repro.experiments.placement_study import (
-        frontier_rows,
-        run_placement_sensitivity_study,
-    )
-
-    study = run_placement_sensitivity_study(
-        n_lanes=args.lanes,
-        hours=args.hours,
-        policies=tuple(args.policies),
-        n_hosts=args.hosts,
-        host_capacity_units=args.host_capacity,
-        mix=args.mix,
-        demand_factors=tuple(args.demand_factors),
-        placement_demand=args.placement_demand,
-        rebalance_every=args.rebalance_every,
-        seed=args.seed,
-    )
-    return frontier_rows(study)
 
 
 def _nonnegative_int(value: str) -> int:
@@ -751,19 +732,40 @@ def main(argv: list[str] | None = None) -> int:
         try:
             config = _fleet_config(args, schedule)
         except ValueError as exc:
-            fleet = _subparser(parser, "fleet")
-            fleet.error(f"{exc} (flags: {_named_flags(fleet, str(exc))})")
+            _config_error(_subparser(parser, "fleet"), exc)
         print(f"== fleet: {config.n_lanes}-service multiplexing study")
         for row in _fleet_rows(config, args.power_cost):
             print(f"   {row}")
         return 0
     if args.command == "placement":
+        from repro.experiments.placement_study import (
+            frontier_rows,
+            placement_runs,
+            run_placement_sensitivity_study,
+        )
+
+        kwargs = dict(
+            n_lanes=args.lanes,
+            hours=args.hours,
+            policies=tuple(args.policies),
+            n_hosts=args.hosts,
+            host_capacity_units=args.host_capacity,
+            mix=args.mix,
+            demand_factors=tuple(args.demand_factors),
+            placement_demand=args.placement_demand,
+            rebalance_every=args.rebalance_every,
+            seed=args.seed,
+        )
+        try:
+            placement_runs(**kwargs)
+        except ValueError as exc:
+            _config_error(_subparser(parser, "placement"), exc)
         print(
             f"== placement: {args.lanes} lanes on {args.hosts} shared "
             f"hosts, {len(args.policies)} polic"
             f"{'y' if len(args.policies) == 1 else 'ies'}"
         )
-        for row in _placement_rows(args):
+        for row in frontier_rows(run_placement_sensitivity_study(**kwargs)):
             print(f"   {row}")
         return 0
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]

@@ -119,7 +119,7 @@ class CloudProvider:
         if allocation == self._current:
             return
         for itype, pool in self._pools.items():
-            target = allocation.count if itype is allocation.itype else 0
+            target = allocation.count if itype == allocation.itype else 0
             running = [vm for vm in pool if vm.state is not VMState.STOPPED]
             if len(running) > target:
                 for vm in running[target:]:

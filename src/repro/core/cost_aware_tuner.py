@@ -107,7 +107,7 @@ class TransitionCost:
         """Dollar-equivalent cost of transitioning ``current → target``."""
         if current is None:
             return 0.0
-        if current.itype is target.itype:
+        if current.itype == target.itype:
             delta = target.count - current.count
             if delta >= 0:
                 return delta * self.per_started_vm_dollars

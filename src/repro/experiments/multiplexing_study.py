@@ -29,6 +29,7 @@ scale) instead of only from scripted per-lane injection.
 from __future__ import annotations
 
 import math
+import pickle
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -317,6 +318,8 @@ class FleetConfig:
                 "need a positive, finite host capacity: "
                 f"host_capacity_units={self.host_capacity_units}"
             )
+        if self.seed < 0:
+            raise ValueError(f"need a non-negative seed: seed={self.seed}")
         if self.lane_seed_stride < 0:
             raise ValueError(
                 "need a non-negative seed stride: "
@@ -641,12 +644,12 @@ def lane_kinds(n_lanes: int, mix: str) -> tuple[str, ...]:
     """
     if mix not in FLEET_MIXES:
         raise ValueError(f"unknown mix {mix!r}; use one of {FLEET_MIXES}")
-    if mix == "mixed":
-        return tuple(
-            "scaleout" if lane % 2 == 0 else "scaleup"
-            for lane in range(n_lanes)
-        )
-    return (mix,) * n_lanes
+    return tuple(_lane_kind(lane, mix) for lane in range(n_lanes))
+
+
+def _lane_kind(lane: int, mix: str) -> str:
+    """One lane's service family (see :func:`lane_kinds`)."""
+    return ("scaleout", "scaleup")[lane % 2] if mix == "mixed" else mix
 
 
 def lane_demand_factor(
@@ -740,23 +743,96 @@ def _event_log(manager) -> tuple:
     )
 
 
+def _build_lane(
+    config: FleetConfig,
+    streams: TelemetryStreams,
+    repository: AllocationRepository,
+    lane: int,
+):
+    """One lane's setup on its family ``repository``, derived from its
+    *global* index so that it builds identically in every process."""
+    # Imported here: repro.experiments.setup imports the manager layer,
+    # which this module must not pull in at import time for the
+    # register-multiplexing study alone.
+    from repro.core.manager import DejaVuConfig
+    from repro.experiments.setup import (
+        build_scaleout_setup,
+        build_scaleup_setup,
+        counter_monitor,
+    )
+
+    kind = _lane_kind(lane, config.mix)
+    lane_key = lane * config.lane_seed_stride
+    common = dict(
+        trace_name=config.trace_name,
+        repository=repository,
+        trace_seed=config.seed + lane_key,
+        # Counter monitors key their streams by (fleet seed, lane_key):
+        # batch- and shard-invariant.
+        monitor=counter_monitor(streams, lane_key),
+        peak_demand=_lane_peak_demand(
+            kind,
+            lane_demand_factor(lane, config.demand_factors),
+            config.trace_name,
+        ),
+    )
+    knobs = {}
+    if config.resignature_every_seconds is not None:
+        knobs["resignature_every_seconds"] = config.resignature_every_seconds
+    faults = config.faults
+    if faults is not None:
+        knobs.update(
+            profiling_retry_limit=faults.manager_retry_limit,
+            profiling_retry_backoff_seconds=faults.retry_backoff_seconds,
+            degraded_fallback=faults.manager_degraded_fallback,
+        )
+    if knobs:
+        # Only override the manager config when a knob is set so
+        # default fleets keep the builders' config=None path.
+        common["config"] = DejaVuConfig(**knobs)
+    if kind == "scaleout":
+        return build_scaleout_setup(**common)
+    return build_scaleup_setup(**common)
+
+
+def _train_leaders(config: FleetConfig) -> tuple[dict, int]:
+    """Learn each family's leader — its *global* first lane — once.
+
+    Returns ``{family: (lane, setup)}`` and the learning days' tuning
+    invocations.  Families split by kind and demand factor: differently
+    sized lanes cannot share one trained model.
+    """
+    streams = TelemetryStreams(config.seed)
+    families = lane_families(config.n_lanes, config.mix, config.demand_factors)
+    leaders: dict[str, tuple[int, object]] = {}
+    tuning_invocations = 0
+    for lane, family in enumerate(families):
+        if family not in leaders:
+            setup = _build_lane(config, streams, AllocationRepository(), lane)
+            report = setup.manager.learn(setup.trace.hourly_workloads(day=0))
+            tuning_invocations += report.tuning_invocations
+            leaders[family] = (lane, setup)
+    return leaders, tuning_invocations
+
+
 def _run_fleet_slice(
     config: FleetConfig,
     lane_lo: int,
     lane_hi: int,
+    leaders: dict[str, tuple[int, object]],
     exchange: DemandExchange | None = None,
     host_placement: "tuple[int | None, ...] | None" = None,
 ) -> tuple[FleetResult, dict]:
     """Build and run global lanes ``[lane_lo, lane_hi)`` of the fleet.
 
     The single-process study is the full slice ``[0, n_lanes)``; shard
-    workers run proper sub-slices.  Every lane is rebuilt from its
-    *global* index — trace seed, telemetry stream key and family
-    leadership — so a lane's simulation does not depend on which
-    process runs it.  Families whose global leader lane falls outside
-    the slice re-derive the leader's trained model from a *phantom*
-    setup (identical seeds, deterministic learning) so adoptees share
-    bit-identical state with the leader's own shard.
+    workers run proper sub-slices.  ``leaders`` are the trained family
+    leaders of :func:`_train_leaders`.  The slice never learns: a
+    family's leader lane *is* its trained setup, and every other lane
+    is rebuilt from its *global* index — trace seed, telemetry stream
+    key — on the family's repository and adopts the leader's trained
+    state, so a lane's simulation does not depend on which process
+    runs it.
 
     When the config carries hosts, a full-fleet slice builds the
     :class:`~repro.sim.hosts.HostMap` itself: the placement policy
@@ -774,14 +850,7 @@ def _run_fleet_slice(
     aggregates the derived statistics need (hit/miss counts,
     violations, queue wait sum, per-lane event logs).
     """
-    # Imported here: repro.experiments.setup imports the manager layer,
-    # which this module must not pull in at import time for the
-    # register-multiplexing study alone.
-    from repro.core.manager import DejaVuConfig
     from repro.experiments.setup import (
-        build_scaleout_setup,
-        build_scaleup_setup,
-        counter_monitor,
         fleet_observer_scaleout,
         fleet_observer_scaleup,
         observe_scaleout,
@@ -793,57 +862,27 @@ def _run_fleet_slice(
         config.n_lanes, config.mix, config.demand_factors
     )
     streams = TelemetryStreams(config.seed)
-    repositories: dict[str, AllocationRepository] = {}
-    config_kwargs = {}
-    if config.resignature_every_seconds is not None:
-        config_kwargs["resignature_every_seconds"] = (
-            config.resignature_every_seconds
-        )
-    faults = config.faults
-    if faults is not None:
-        config_kwargs["profiling_retry_limit"] = faults.manager_retry_limit
-        config_kwargs["profiling_retry_backoff_seconds"] = (
-            faults.retry_backoff_seconds
-        )
-        config_kwargs["degraded_fallback"] = faults.manager_degraded_fallback
-
-    def build_setup(lane: int, kind: str):
-        """One lane's setup, derived from its *global* index."""
-        repository = repositories.setdefault(
-            families_all[lane], AllocationRepository()
-        )
-        lane_key = lane * config.lane_seed_stride
-        common = dict(
-            trace_name=config.trace_name,
-            repository=repository,
-            trace_seed=config.seed + lane_key,
-            # Counter monitors key their streams by (fleet seed,
-            # lane_key): batch- and shard-invariant.
-            monitor=counter_monitor(streams, lane_key),
-            peak_demand=_lane_peak_demand(
-                kind,
-                lane_demand_factor(lane, config.demand_factors),
-                config.trace_name,
-            ),
-        )
-        if config_kwargs:
-            # Only override the manager config when a knob is set so
-            # default fleets keep the builders' config=None path.
-            common["config"] = DejaVuConfig(**config_kwargs)
-        if kind == "scaleout":
-            return build_scaleout_setup(**common)
-        return build_scaleup_setup(**common)
-
+    # Each family's shared repository, taken before the run: a leader
+    # that later re-learns detaches onto a private fork, but the
+    # accounting below must still recognise the shared object the
+    # followers keep using.
+    repositories = {
+        family: setup.manager.repository
+        for family, (_, setup) in leaders.items()
+    }
     setups = []
     observers = []
     kind_setups: dict[str, list] = {}
     for lane in range(lane_lo, lane_hi):
         kind = kinds_all[lane]
-        setup = build_setup(lane, kind)
-        if kind == "scaleout":
-            observers.append(observe_scaleout(setup))
-        else:
-            observers.append(observe_scaleup(setup))
+        family = families_all[lane]
+        leader_lane, setup = leaders[family]
+        if lane != leader_lane:
+            leader = setup.manager
+            setup = _build_lane(config, streams, repositories[family], lane)
+            setup.manager.adopt_trained_state(leader)
+        observe = observe_scaleout if kind == "scaleout" else observe_scaleup
+        observers.append(observe(setup))
         setups.append(setup)
         kind_setups.setdefault(kind, []).append(setup)
 
@@ -885,8 +924,8 @@ def _run_fleet_slice(
                 capacity_units=config.host_capacity_units,
                 migration=config.migration,
             )
-        if faults is not None and faults.any_host_faults:
-            global_map.attach_faults(faults)
+        if config.faults is not None and config.faults.any_host_faults:
+            global_map.attach_faults(config.faults)
         host_map = (
             global_map
             if exchange is None
@@ -908,50 +947,6 @@ def _run_fleet_slice(
         for kind, members in kind_setups.items()
     }
 
-    # Each family's leader is the *global* first lane of the family
-    # (kind + demand factor: differently sized lanes cannot share one
-    # trained model).  If it lives in this slice, that lane's own
-    # manager learns (and runs online here); otherwise a phantom setup
-    # with the leader's exact seeds re-derives the identical trained
-    # state for adoption.
-    leaders: dict[str, object] = {}
-    family_tuning: dict[str, int] = {}
-    for offset, setup in enumerate(setups):
-        family = families_all[lane_lo + offset]
-        leader = leaders.get(family)
-        if leader is None:
-            leader_lane = families_all.index(family)
-            leader_setup = (
-                setup
-                if leader_lane == lane_lo + offset
-                else build_setup(leader_lane, kinds_all[leader_lane])
-            )
-            leader = leader_setup.manager
-            leader.learn(leader_setup.trace.hourly_workloads(day=0))
-            leaders[family] = leader
-            family_tuning[family] = leader.learning_report.tuning_invocations
-        if setup.manager is not leader:
-            setup.manager.adopt_trained_state(leader)
-    # Strong references to each family's shared repository as adopted:
-    # a leader that later re-learns detaches onto a private fork, but
-    # escalations accounting must still recognise the original shared
-    # object followers keep using.
-    family_repos = {
-        family: leader.repository for family, leader in leaders.items()
-    }
-    # Online-phase hit/miss baseline: learning (and each shard's phantom
-    # -leader re-learning) performs repository lookups of its own, and a
-    # shard re-runs its families' learning even when the leader lane
-    # lives elsewhere.  Counting from here makes the merged numerator
-    # and denominator global online-phase counts, so sharded hit_rate
-    # equals the single-process run exactly.
-    base_hits = sum(repo.stats.hits for repo in repositories.values())
-    base_misses = sum(repo.stats.misses for repo in repositories.values())
-    base_missed_keys = {
-        family: dict(repo.stats.missed_keys)
-        for family, repo in repositories.items()
-    }
-
     queue = ProfilingQueue(
         slots=config.profiling_slots,
         service_seconds=setups[0].profiler.signature_seconds,
@@ -960,8 +955,8 @@ def _run_fleet_slice(
         high_watermark=config.queue_high_watermark,
         low_watermark=config.queue_low_watermark,
     )
-    if faults is not None:
-        fault_windows = faults.profiler_windows(config.step_seconds)
+    if config.faults is not None:
+        fault_windows = config.faults.profiler_windows(config.step_seconds)
         if fault_windows:
             queue.attach_faults(fault_windows)
     lanes = [
@@ -1001,14 +996,14 @@ def _run_fleet_slice(
             violations += int(np.sum(values < slo.floor_percent))
 
     # Escalation-tuned entries live at band > 0 (only band 0 is
-    # pretuned).  Family-shared repositories are rebuilt per slice
-    # (phantom leaders re-derive them), so the same escalated entry can
-    # appear in several shards' copies; report those as
+    # pretuned).  Every shard runs on its own copy of the family-shared
+    # repositories, so the same escalated entry can appear in several
+    # shards' copies; report those as
     # (family, class, band) keys and let the merge deduplicate, so
     # sharded counts match the single-process run exactly.  Private
     # forks created by a re-learning manager belong to one local lane
     # and count directly.
-    shared_ids = {id(repo): family for family, repo in family_repos.items()}
+    shared_ids = {id(repo): family for family, repo in repositories.items()}
     distinct = {id(s.manager.repository): s.manager.repository for s in setups}
     escalated: set[tuple[str, int, int]] = set()
     escalations = 0
@@ -1033,30 +1028,18 @@ def _run_fleet_slice(
     missed_stored: list[tuple[str, int, int]] = []
     misses_unstored = 0
     for family, repo in repositories.items():
-        base_keys = base_missed_keys.get(family, {})
         for key, count in repo.stats.missed_keys.items():
-            delta = count - base_keys.get(key, 0)
-            if delta <= 0:
-                continue
             if repo.contains(*key):
                 missed_stored.append((family, key[0], key[1]))
             else:
-                misses_unstored += delta
+                misses_unstored += count
 
     accepted = queue.accepted_grants
     payload = {
         "engine_seconds": engine_seconds,
-        "families": list(leaders),
-        "family_tuning": family_tuning,
         "relearns": sum(s.manager.relearn_count for s in setups),
-        "hits": (
-            sum(repo.stats.hits for repo in repositories.values())
-            - base_hits
-        ),
-        "misses": (
-            sum(repo.stats.misses for repo in repositories.values())
-            - base_misses
-        ),
+        "hits": sum(repo.stats.hits for repo in repositories.values()),
+        "misses": sum(repo.stats.misses for repo in repositories.values()),
         "missed_stored": sorted(missed_stored),
         "misses_unstored": misses_unstored,
         "violations": violations,
@@ -1103,21 +1086,27 @@ def _run_fleet_slice(
 
 
 def _shard_worker(
-    spec: "tuple[FleetConfig, tuple[int | None, ...] | None]",
+    spec: "tuple[FleetConfig, tuple[int | None, ...] | None, bytes]",
     lane_lo: int,
     lane_hi: int,
     result_path: str,
     exchange: DemandExchange | None = None,
 ) -> dict:
-    """One worker process's job: run a slice, persist it, return stats.
+    """One worker's job: run a slice, persist it, return stats.
 
-    ``spec`` is the study's config plus the global lane→host placement
-    the parent resolved (``None`` without hosts).
+    ``spec`` is the study's config, the global lane→host placement the
+    parent resolved (``None`` without hosts) and the parent's trained
+    family leaders, pickled: pickle carries every piece of state a
+    learning day leaves, counter-stream positions included.  Every
+    shard unpickles its own copy — its own managers and repository
+    replicas — even when the shards run as threads of one process, so
+    shards never share mutable state.
     """
-    config, host_placement = spec
+    config, host_placement, pickled_leaders = spec
     try:
+        leaders = pickle.loads(pickled_leaders)
         result, payload = _run_fleet_slice(
-            config, lane_lo, lane_hi, exchange, host_placement
+            config, lane_lo, lane_hi, leaders, exchange, host_placement
         )
         result.to_npz(result_path)
         return payload
@@ -1132,25 +1121,21 @@ def _merged_study(
     payloads: list[dict],
     engine_seconds: float,
     workers: int,
+    families: int,
+    tuning_invocations: int,
 ) -> FleetMultiplexingStudy:
     """Assemble the study dataclass from slice payloads + merged result.
 
     Statistics with a ``merge`` rule combine by :data:`MERGE_RULES`
     (host statistics exist only when the fleet has hosts); the rest
-    are derived here.
+    are derived here.  ``families`` and ``tuning_invocations`` count
+    the learning days the parent ran.
     """
     merged = {
         f.name: MERGE_RULES[f.metadata["merge"]]([p[f.name] for p in payloads])
         for f in fields(FleetMultiplexingStudy)
         if f.metadata.get("merge") and f.name in payloads[0]
     }
-    families: list[str] = []
-    tuning = 0
-    for payload in payloads:
-        for kind in payload["families"]:
-            if kind not in families:
-                families.append(kind)
-                tuning += payload["family_tuning"][kind]
     # Global online-phase hit rate.  Lookup *totals* are per-lane
     # deterministic and sum exactly; misses need the shard-replica
     # dedup — a back-filled (stored) miss is one fleet-wide event every
@@ -1189,8 +1174,8 @@ def _merged_study(
         workers=workers,
         lane_events=lane_events,
         n_steps=result.n_steps,
-        learning_runs=len(families) + sum(p["relearns"] for p in payloads),
-        tuning_invocations=tuning,
+        learning_runs=families + sum(p["relearns"] for p in payloads),
+        tuning_invocations=tuning_invocations,
         hit_rate=hits / (hits + misses) if hits + misses else 0.0,
         mean_queue_wait_seconds=wait_sum / accepted if accepted else 0.0,
         profiler_utilization=(
@@ -1216,33 +1201,39 @@ def run_fleet_multiplexing_study(
     Builds a :class:`FleetConfig` from ``fields`` (or applies them to
     ``config``); every setting, its default and its rules are documented
     there.  The first lane of each service family pays that family's
-    learning day; every other lane of the family adopts the trained
-    model and the family's shared repository, so the fleet pays one
-    learning phase per family regardless of size.  All lanes — across
+    learning day, once, here, before any lane runs; every other lane
+    of the family adopts the trained model and the family's shared
+    repository, so the fleet pays one learning phase per family
+    regardless of size or shard count.  All lanes — across
     families — ride one :class:`ProfilingQueue`, so each online
     signature collection contends for the shared profiler.
 
     With ``shards > 1`` the fleet's contiguous global lane ranges run in
     worker processes (``spawn``), each persisting its
     :class:`FleetResult` via ``to_npz`` before this process merges them
-    (:mod:`repro.sim.shard`).  Host coupling crosses shard boundaries:
-    the parent resolves the global placement once, every worker
-    rebuilds the identical global :class:`~repro.sim.hosts.HostMap`,
-    and each step the workers synchronize their lanes' demand through
-    a shared-memory block and a step barrier (:mod:`repro.sim.exchange`)
-    before computing the global theft pass locally.
+    (:mod:`repro.sim.shard`).  Every worker receives a copy of the
+    trained leaders and only builds, adopts and simulates.  Host
+    coupling crosses shard boundaries: the parent resolves the global
+    placement once, every worker rebuilds the identical global
+    :class:`~repro.sim.hosts.HostMap`, and each step the workers
+    synchronize their lanes' demand through a shared-memory block and
+    a step barrier (:mod:`repro.sim.exchange`) before computing the
+    global theft pass locally.
     """
     config = (
         FleetConfig(**fields) if config is None else replace(config, **fields)
     )
+    leaders, tuning_invocations = _train_leaders(config)
     if config.shards == 1:
-        result, payload = _run_fleet_slice(config, 0, config.n_lanes)
+        result, payload = _run_fleet_slice(config, 0, config.n_lanes, leaders)
         return _merged_study(
             config,
             result,
             [payload],
             engine_seconds=payload["engine_seconds"],
             workers=1,
+            families=len(leaders),
+            tuning_invocations=tuning_invocations,
         )
 
     from repro.sim.shard import default_workers, run_sharded
@@ -1268,7 +1259,7 @@ def run_fleet_multiplexing_study(
     )
     merged, payloads, wall_seconds = run_sharded(
         _shard_worker,
-        (config, host_placement),
+        (config, host_placement, pickle.dumps(leaders)),
         n_lanes=config.n_lanes,
         shards=config.shards,
         workers=workers,
@@ -1277,5 +1268,11 @@ def run_fleet_multiplexing_study(
         coupled=coupled,
     )
     return _merged_study(
-        config, merged, payloads, engine_seconds=wall_seconds, workers=workers
+        config,
+        merged,
+        payloads,
+        engine_seconds=wall_seconds,
+        workers=workers,
+        families=len(leaders),
+        tuning_invocations=tuning_invocations,
     )

@@ -147,6 +147,29 @@ def parse_policy_spec(
     return name, migration
 
 
+def placement_runs(
+    policies=DEFAULT_PLACEMENT_POLICIES,
+    rebalance_every: int = 12,
+    blackout_seconds: float = 600.0,
+    blackout_theft: float = 0.5,
+    **fields,
+) -> tuple[FleetConfig, list[tuple[str, FleetConfig]]]:
+    """Every config :func:`run_placement_sensitivity_study` runs, built
+    and validated but not run: the base config and ``(spec, config)``s."""
+    if not policies:
+        raise ValueError("need at least one placement policy")
+    config = replace(DEFAULT_PLACEMENT_CONFIG, **fields)
+    runs = []
+    for spec in policies:
+        name, migration = parse_policy_spec(
+            spec, rebalance_every, blackout_seconds, blackout_theft
+        )
+        runs.append(
+            (str(spec), replace(config, placement=name, migration=migration))
+        )
+    return config, runs
+
+
 def run_placement_sensitivity_study(
     policies=DEFAULT_PLACEMENT_POLICIES,
     rebalance_every: int = 12,
@@ -172,18 +195,9 @@ def run_placement_sensitivity_study(
     :mod:`repro.sim.forecast` predicted-peak window for every policy at
     once.
     """
-    if not policies:
-        raise ValueError("need at least one placement policy")
-    config = replace(DEFAULT_PLACEMENT_CONFIG, **fields)
-    # Every policy's configuration is built before any runs, so a bad
-    # spec or combination fails before the first study.
-    runs = []
-    for spec in policies:
-        name, migration = parse_policy_spec(
-            spec, rebalance_every, blackout_seconds, blackout_theft
-        )
-        run = replace(config, placement=name, migration=migration)
-        runs.append((str(spec), run))
+    config, runs = placement_runs(
+        policies, rebalance_every, blackout_seconds, blackout_theft, **fields
+    )
     points = tuple(
         PlacementFrontierPoint(policy, run_fleet_multiplexing_study(run))
         for policy, run in runs

@@ -84,27 +84,6 @@ class Service:
             utilization=rho,
         )
 
-    def performance_values(
-        self,
-        workload: Workload,
-        capacity_units: float,
-        *,
-        interference: float = 0.0,
-        now: float | None = None,
-    ) -> tuple[float, float]:
-        """``(latency_ms, qos_percent)`` without building a sample.
-
-        Bit-identical to the corresponding :meth:`performance` fields —
-        same hooks, same call order — minus the
-        :class:`PerformanceSample` allocation; the batched fleet
-        observation path calls this once per lane-step.
-        """
-        latency = self._latency_ms(workload, capacity_units, interference, now)
-        rho = self.model.utilization(
-            workload.demand_units, capacity_units, interference
-        )
-        return latency, self._qos_percent(rho)
-
     def slo_met(self, sample: PerformanceSample) -> bool:
         return self.slo.is_met(sample.slo_metric(self.slo))
 

@@ -291,26 +291,32 @@ class MigrationPolicy:
     def __post_init__(self) -> None:
         if self.rebalance_every < 1:
             raise ValueError(
-                f"rebalance interval must be >= 1 step: {self.rebalance_every}"
+                "rebalance interval must be >= 1 step: "
+                f"rebalance_every={self.rebalance_every}"
             )
         if self.blackout_seconds < 0:
             raise ValueError(
-                f"blackout cannot be negative: {self.blackout_seconds}"
+                "blackout cannot be negative: "
+                f"blackout_seconds={self.blackout_seconds}"
             )
         if not 0.0 <= self.blackout_theft <= 1.0:
             raise ValueError(
-                f"blackout theft must be in [0, 1]: {self.blackout_theft}"
+                "blackout theft must be in [0, 1]: "
+                f"blackout_theft={self.blackout_theft}"
             )
         if self.max_moves < 1:
-            raise ValueError(f"need at least one move: {self.max_moves}")
+            raise ValueError(
+                f"need at least one move: max_moves={self.max_moves}"
+            )
         if self.mode not in MIGRATION_MODES:
             raise ValueError(
-                f"unknown migration mode {self.mode!r}; "
+                f"unknown migration mode: mode={self.mode!r}; "
                 f"use one of {list(MIGRATION_MODES)}"
             )
         if not 0.0 < self.drain_headroom <= 1.0:
             raise ValueError(
-                f"drain headroom must be in (0, 1]: {self.drain_headroom}"
+                "drain headroom must be in (0, 1]: "
+                f"drain_headroom={self.drain_headroom}"
             )
 
     def plan(

@@ -378,6 +378,34 @@ class TestMain:
         err = capsys.readouterr().err
         assert "--wave-workers" in err and "--no-batch" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fleet", "--seed", "-1"], "--seed"),
+            (
+                ["fleet", "--hosts", "1", "--migration",
+                 "--rebalance-every", "0"],
+                "--rebalance-every",
+            ),
+            (["placement", "--seed", "-1"], "--seed"),
+            (
+                ["placement", "--policies", "round_robin+migrate",
+                 "--rebalance-every", "0"],
+                "--rebalance-every",
+            ),
+        ],
+    )
+    def test_bad_config_names_its_flag(self, capsys, argv, flag):
+        # A negative seed crashed inside numpy, and placement let every
+        # config error escape as a traceback (exit 1); the fleet
+        # migration error named no field, so it listed no flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--lanes", "2", "--hours", "1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"(flags: {flag})" in captured.err
+        assert captured.out == ""
+
     def test_fleet_rng_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "--rng-mode", "legacy"])

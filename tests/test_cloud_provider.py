@@ -1,5 +1,7 @@
 """Unit tests for the cloud provider."""
 
+import pickle
+
 import pytest
 
 from repro.cloud.instance_types import EXTRA_LARGE, LARGE
@@ -83,6 +85,14 @@ class TestApply:
         assert provider.last_change_at is None
         provider.apply(Allocation(count=1, itype=LARGE), now=42.0)
         assert provider.last_change_at == 42.0
+
+    def test_equal_instance_type_copy_deploys(self):
+        # An unpickled allocation carries an equal copy of the instance
+        # type, not the module constant; it must start the same VMs.
+        provider = CloudProvider(max_instances=4)
+        copy = pickle.loads(pickle.dumps(LARGE))
+        provider.apply(Allocation(count=2, itype=copy), now=0.0)
+        assert provider.serving_capacity(10_000.0) == pytest.approx(2.0)
 
     def test_noop_apply_does_not_update_change_time(self):
         provider = CloudProvider(max_instances=4)

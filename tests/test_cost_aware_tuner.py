@@ -1,5 +1,7 @@
 """Tests for the Kingfisher-style cost-aware tuner."""
 
+import pickle
+
 import pytest
 
 from repro.cloud.instance_types import EXTRA_LARGE, LARGE
@@ -41,6 +43,16 @@ class TestTransitionCost:
             Allocation(count=5, itype=LARGE), Allocation(count=3, itype=LARGE)
         )
         assert charged == pytest.approx(0.02)
+
+    def test_equal_instance_type_copy_is_no_switch(self):
+        # An unpickled allocation's instance type is an equal copy of
+        # the constant; resizing within it is not a type switch.
+        cost = TransitionCost(per_started_vm_dollars=0.02)
+        copy = pickle.loads(pickle.dumps(LARGE))
+        charged = cost.between(
+            Allocation(count=3, itype=copy), Allocation(count=5, itype=LARGE)
+        )
+        assert charged == pytest.approx(0.04)
 
     def test_type_switch_replaces_fleet(self):
         cost = TransitionCost(

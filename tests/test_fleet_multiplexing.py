@@ -45,6 +45,7 @@ class TestValidation:
             ("host_capacity_units", 0.0),
             ("workers", -1),
             ("lane_seed_stride", -1),
+            ("seed", -1),
         ],
     )
     def test_bad_value_rejected_at_construction(self, field, value):

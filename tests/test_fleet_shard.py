@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.manager import DejaVuManager
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
 from repro.scenarios.gate import TIMING_METRICS
 from repro.scenarios.runner import fleet_metrics
@@ -405,7 +406,7 @@ class TestShardedStudy:
 
     def test_mixed_fleet_shards_match_single_process(self):
         # Shard 1 of 3 holds lanes (2, 3) — neither family leader —
-        # so phantom-leader re-derivation is exercised.
+        # so its lanes all adopt leaders trained in the parent.
         kwargs = dict(n_lanes=6, hours=4.0, profiling_slots=6, mix="mixed")
         single = run_fleet_multiplexing_study(**kwargs)
         sharded = run_fleet_multiplexing_study(shards=3, workers=0, **kwargs)
@@ -455,6 +456,50 @@ class TestShardedStudy:
             run_fleet_multiplexing_study(n_lanes=4, shards=0)
         with pytest.raises(ValueError, match="cannot cut"):
             run_fleet_multiplexing_study(n_lanes=2, hours=1.0, shards=4)
+
+
+class TestLearnOncePerFamily:
+    """The parent learns each family's leader once, however the fleet
+    is cut; shard slices only build, adopt and simulate."""
+
+    KWARGS = dict(n_lanes=6, hours=3.0, profiling_slots=6)
+
+    @pytest.mark.parametrize(
+        "fields, families",
+        [
+            (dict(), 1),
+            (dict(shards=2, workers=0), 1),
+            (
+                dict(
+                    shards=3,
+                    workers=0,
+                    mix="mixed",
+                    # Two sizes of each kind: four families, and shard
+                    # 2 (lanes 4, 5) holds no leader.
+                    demand_factors=(1.0, 1.0, 0.8, 0.8),
+                ),
+                4,
+            ),
+        ],
+    )
+    def test_learn_runs_once_per_family(self, monkeypatch, fields, families):
+        single_fields = {
+            k: v for k, v in fields.items() if k not in ("shards", "workers")
+        }
+        single = run_fleet_multiplexing_study(**self.KWARGS, **single_fields)
+        calls = []
+        learn = DejaVuManager.learn
+
+        def counting(manager, *args, **kwargs):
+            calls.append(manager)
+            return learn(manager, *args, **kwargs)
+
+        monkeypatch.setattr(DejaVuManager, "learn", counting)
+        study = run_fleet_multiplexing_study(**self.KWARGS, **fields)
+        assert len(calls) == families
+        assert study.learning_runs == single.learning_runs == families
+        assert study.tuning_invocations == single.tuning_invocations
+
 
 class TestHostCoupledShards:
     """Shared hosts couple lanes *across* shards: every shard worker
