@@ -36,7 +36,7 @@ from repro.core.signature import SignatureSchema, Standardizer
 from repro.core.tuner import LinearSearchTuner
 from repro.sim.clock import HOUR
 from repro.sim.engine import StepContext
-from repro.sim.fleet import (
+from repro.sim.profiling_queue import (
     PRIORITY_ADAPTATION,
     PRIORITY_ESCALATION,
     PRIORITY_RELEARN,
@@ -704,8 +704,8 @@ class DejaVuManager:
 
         The sweep re-profiles every retained workload
         ``trials_per_workload`` times — a burst that previously bypassed
-        the :class:`~repro.sim.fleet.ProfilingQueue` entirely, making
-        reported contention a lower bound.  The burst is a scheduled
+        the :class:`~repro.sim.profiling_queue.ProfilingQueue` entirely,
+        making reported contention a lower bound.  The burst is a scheduled
         sweep, not an online arrival, so it stacks past any
         ``max_pending`` bound instead of being rejected; under a
         priority queue it bids at :data:`PRIORITY_RELEARN`, so later

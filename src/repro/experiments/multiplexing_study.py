@@ -39,7 +39,7 @@ from repro.core.repository import AllocationRepository
 from repro.services.slo import LatencySLO
 from repro.sim.clock import HOUR, step_count
 from repro.sim.faults import FaultSchedule, parse_faults
-from repro.sim.fleet import FleetEngine, FleetLane, FleetResult, ProfilingQueue
+from repro.sim.fleet import FleetEngine, FleetLane, FleetResult
 from repro.sim.exchange import DemandExchange, ShardHostView
 from repro.sim.forecast import PLACEMENT_DEMANDS, placement_estimate
 from repro.sim.hosts import HostMap
@@ -51,6 +51,7 @@ from repro.sim.placement import (
     make_policy,
     resolve_placement,
 )
+from repro.sim.profiling_queue import ProfilingQueue, QueueConfigError
 from repro.telemetry.counters import HARDWARE_REGISTERS, HPCSampler
 from repro.telemetry.events import TABLE1_EVENTS
 from repro.telemetry.streams import TelemetryStreams
@@ -126,6 +127,16 @@ def run_multiplexing_study(
 # ----------------------------------------------------------------------
 # Fleet-scale multiplexing (Sec. 5)
 # ----------------------------------------------------------------------
+
+#: The :class:`FleetConfig` field behind each :class:`ProfilingQueue`
+#: parameter it validates (``service_seconds`` is fixed there).
+_QUEUE_FIELDS = {
+    "slots": "profiling_slots",
+    "max_pending": "max_pending",
+    "queue_policy": "queue_policy",
+    "high_watermark": "queue_high_watermark",
+    "low_watermark": "queue_low_watermark",
+}
 
 
 @dataclass(frozen=True)
@@ -360,11 +371,9 @@ class FleetConfig:
                 high_watermark=self.queue_high_watermark,
                 low_watermark=self.queue_low_watermark,
             )
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc} (profiling_slots, max_pending, queue_policy, "
-                "queue_high_watermark, queue_low_watermark)"
-            ) from None
+        except QueueConfigError as exc:
+            fields_at_fault = ", ".join(_QUEUE_FIELDS[p] for p in exc.params)
+            raise ValueError(f"{exc} ({fields_at_fault})") from None
         if any(f <= 0 for f in factors):
             raise ValueError(
                 f"demand factors must be positive: demand_factors={factors}"

@@ -10,13 +10,7 @@ observe the service and adjust allocations, and a
 
 from repro.sim.clock import HOUR, MINUTE, SECONDS_PER_DAY, SimClock
 from repro.sim.engine import SimulationEngine, StepContext
-from repro.sim.fleet import (
-    FleetEngine,
-    FleetLane,
-    FleetResult,
-    ProfilingGrant,
-    ProfilingQueue,
-)
+from repro.sim.fleet import FleetEngine, FleetLane, FleetResult
 from repro.sim.hosts import MAX_THEFT, HostInterferenceFeed, HostMap, SimHost
 from repro.sim.placement import (
     PLACEMENT_POLICIES,
@@ -29,6 +23,7 @@ from repro.sim.placement import (
     build_host_map,
     make_policy,
 )
+from repro.sim.profiling_queue import ProfilingGrant, ProfilingQueue
 from repro.sim.result import SimulationResult, TimeSeries
 
 __all__ = [

@@ -13,8 +13,8 @@ actually fail.  This module provides the event vocabulary:
   or, with ``recovery=False``, leaves every tenant running **degraded**
   at ``residual_rate`` of its capacity until the host returns.
 * :class:`ProfilerFaultEvent` — the shared profiling environment
-  (:class:`~repro.sim.fleet.ProfilingQueue`) loses slots for a window;
-  a full outage revokes every in-flight grant, and
+  (:class:`~repro.sim.profiling_queue.ProfilingQueue`) loses slots for
+  a window; a full outage revokes every in-flight grant, and
   :class:`~repro.core.manager.DejaVuManager` recovers with bounded
   retry-with-backoff plus a degraded mode that serves the
   last-known-good repository allocation instead of stalling.
@@ -54,6 +54,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from repro.sim.profiling_queue import outage_order
 
 __all__ = [
     "FaultSchedule",
@@ -222,10 +224,12 @@ class FaultSchedule:
         return self.degraded_fallback and self.recovery
 
     def resolve(self, n_steps: int, n_hosts: int) -> "FaultSchedule":
-        """Expand generators and validate hosts against the run grid.
+        """Expand generators and validate events against the run grid.
 
         Returns a concrete schedule (no generators left) whose host
-        events all target hosts in ``[0, n_hosts)``.  Idempotent for
+        events all target hosts in ``[0, n_hosts)`` and whose events all
+        start within the run's ``n_steps`` steps — an event that cannot
+        fire is an error, not a silent no-fault run.  Idempotent for
         already-concrete schedules.
         """
         events = list(self.host_faults)
@@ -234,8 +238,14 @@ class FaultSchedule:
         for event in events:
             if event.host >= n_hosts:
                 raise ValueError(
-                    f"fault targets host {event.host} but the fleet has "
-                    f"{n_hosts} host(s)"
+                    f"faults: an event targets host {event.host} but the "
+                    f"fleet has {n_hosts} host(s)"
+                )
+        for event in (*events, *self.profiler_faults):
+            if event.start_step >= n_steps:
+                raise ValueError(
+                    f"faults: an event starting at step {event.start_step} "
+                    f"cannot fire in a {n_steps}-step run: {event}"
                 )
         return dataclasses.replace(
             self, host_faults=tuple(events), generators=()
@@ -280,16 +290,20 @@ class FaultSchedule:
     ) -> tuple[tuple[float, float, int | None], ...]:
         """Outage windows in simulation seconds: ``(start_t, end_t,
         slots)`` sorted by start, the shape
-        :meth:`~repro.sim.fleet.ProfilingQueue.attach_faults` consumes."""
+        :meth:`~repro.sim.profiling_queue.ProfilingQueue.attach_faults`
+        consumes."""
         if step_seconds <= 0:
             raise ValueError(f"step must be positive: {step_seconds}")
         windows = sorted(
             (
-                event.start_step * step_seconds,
-                (event.start_step + event.duration_steps) * step_seconds,
-                event.slots,
-            )
-            for event in self.profiler_faults
+                (
+                    event.start_step * step_seconds,
+                    (event.start_step + event.duration_steps) * step_seconds,
+                    event.slots,
+                )
+                for event in self.profiler_faults
+            ),
+            key=outage_order,
         )
         return tuple(windows)
 

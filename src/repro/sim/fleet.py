@@ -11,17 +11,10 @@ Four pieces:
 
 * :class:`FleetLane` — one (workload, controller, observation) triple,
   exactly the contract the single-service engine had.
-* :class:`ProfilingQueue` — the shared profiling environment modeled as
-  a bounded multi-slot queue.  Lanes that want to collect a signature
-  in the same step contend for slots; the queue reports per-request
-  waiting time, peak depth, and utilization — the price of
-  multiplexing one profiler across hundreds of services.  The default
-  ``queue_policy="fifo"`` serves in arrival order; ``"priority"`` turns
-  the queue into an admission market (mempool idiom): requests carry a
-  priority derived from expected SLO benefit, watermark admission
-  sheds low-value work before the hard ``max_pending`` cliff, and
-  queued-but-unstarted low bidders are evictable when a higher bidder
-  arrives.
+* a :class:`~repro.sim.profiling_queue.ProfilingQueue` — the shared
+  profiling environment (its own module).  Lanes that want to collect
+  a signature in the same step contend for its slots; the engine
+  applies its outage windows once per step.
 * :class:`FleetEngine` / :class:`FleetResult` — the stepped loop and its
   batched recording.  Fleets are **heterogeneous**: each lane's first
   observation fixes *that lane's* series schema, and lanes sharing a
@@ -57,6 +50,9 @@ import numpy as np
 from repro.sim.clock import SimClock
 from repro.sim.engine import Controller, StepContext
 from repro.sim.hosts import HostMap
+# A runtime import, not a TYPE_CHECKING one: perfbench's trace hooks
+# patch the queue's methods through ``repro.sim.fleet.ProfilingQueue``.
+from repro.sim.profiling_queue import ProfilingQueue
 from repro.sim.result import SimulationResult, TimeSeries
 from repro.workloads.request_mix import Workload
 
@@ -100,581 +96,6 @@ class BatchObserver(Protocol):
     ) -> None:
         """Write every covered lane's observation column into ``out``."""
         ...
-
-
-# ----------------------------------------------------------------------
-# Shared profiling environment as a bounded queue
-# ----------------------------------------------------------------------
-
-
-#: Priority classes for the shared profiling environment; higher wins.
-#: The ordering encodes expected SLO benefit (the clone VMs are scarce,
-#: Sec. 3.2.2): interference-escalation probes and violation-triggered
-#: adaptations outbid periodic adaptation signatures, which outbid
-#: re-learn sweeps, which outbid routine background re-signatures.
-PRIORITY_ROUTINE = 0
-PRIORITY_RELEARN = 1
-PRIORITY_ADAPTATION = 2
-PRIORITY_ESCALATION = 3
-
-#: Admission policies a :class:`ProfilingQueue` understands.
-QUEUE_POLICIES = ("fifo", "priority")
-
-#: Every way a request can leave the queue.
-GRANT_OUTCOMES = ("accepted", "rejected", "shed", "evicted", "revoked")
-
-
-@dataclass
-class ProfilingGrant:
-    """Outcome of one profiling request against the shared environment.
-
-    ``outcome`` distinguishes how the request left the queue:
-    ``"accepted"`` (scheduled, possibly after a wait), ``"rejected"``
-    (bounded queue full on arrival), ``"shed"`` (turned away by
-    watermark admission control while the backlog drains),
-    ``"evicted"`` (admitted, then displaced by a higher-priority
-    arrival before starting), and ``"revoked"`` (scheduled, then killed
-    by a profiler outage before finishing — see
-    :meth:`ProfilingQueue.attach_faults`).  Only accepted grants carry meaningful
-    ``start_at``/``finish_at`` times and enter the wait/utilization
-    aggregates; everything else pins ``start_at == requested_at`` so
-    ``wait_seconds`` reads 0 but is excluded from the statistics.
-
-    Under ``queue_policy="priority"`` an accepted-but-unstarted grant's
-    schedule is a *projection* that later, higher-priority arrivals may
-    push back; ``revised`` records that the schedule moved after issue,
-    so feedback consumers (queue-delayed deployments) re-read
-    ``start_at`` instead of trusting the wait quoted at request time.
-    """
-
-    requested_at: float
-    start_at: float
-    finish_at: float
-    outcome: str = "accepted"
-    priority: int = PRIORITY_ADAPTATION
-    kind: str = "adapt"
-    revised: bool = False
-
-    @property
-    def accepted(self) -> bool:
-        return self.outcome == "accepted"
-
-    @property
-    def wait_seconds(self) -> float:
-        """Time spent queued before a profiling slot opened."""
-        return self.start_at - self.requested_at
-
-
-class ProfilingQueue:
-    """A contended profiling environment: ``slots`` clone VMs.
-
-    Each profiling run (signature collection) occupies one slot for
-    ``service_seconds``.  Requests arriving while all slots are busy
-    wait for the earliest slot to free; once more than ``max_pending``
-    requests are queued (not yet started), further arrivals are rejected
-    — the bounded-queue back-pressure a real shared profiler would
-    apply.  Time never rewinds: requests must arrive in non-decreasing
-    time order, as the fleet engine guarantees.
-
-    ``queue_policy`` selects the admission discipline:
-
-    ``"fifo"`` (default)
-        Arrival order, priorities recorded but ignored — bit-identical
-        to the pre-market queue, which the scalar == batched == sharded
-        equivalence pins rely on.
-
-    ``"priority"``
-        An admission market on the mempool idiom.  Slots serve the
-        highest-priority queued request first (FIFO within a class).
-        When the backlog reaches ``high_watermark`` entries, arrivals
-        below ``shed_below`` priority are *shed* until it drains back
-        to ``low_watermark`` — load-shedding before the hard
-        ``max_pending`` rejection cliff.  At the cliff itself, a new
-        arrival may *evict* the lowest-priority queued (not yet
-        started) entry strictly below its own bid instead of being
-        rejected.  ``bounded=False`` bursts are never shed, rejected
-        or evicted, but their (low) priority still lets later high
-        bidders overtake their unstarted remainder.
-    """
-
-    def __init__(
-        self,
-        slots: int = 1,
-        service_seconds: float = 10.0,
-        max_pending: int | None = None,
-        queue_policy: str = "fifo",
-        high_watermark: int | None = None,
-        low_watermark: int | None = None,
-        shed_below: int = PRIORITY_ADAPTATION,
-    ) -> None:
-        if slots < 1:
-            raise ValueError(f"need at least one profiling slot: {slots}")
-        if service_seconds <= 0:
-            raise ValueError(f"service time must be positive: {service_seconds}")
-        if max_pending is not None and max_pending < 0:
-            raise ValueError(f"bad queue bound: {max_pending}")
-        if queue_policy not in QUEUE_POLICIES:
-            raise ValueError(
-                f"unknown queue policy {queue_policy!r}; have {QUEUE_POLICIES}"
-            )
-        if (high_watermark is None) != (low_watermark is None):
-            raise ValueError("high and low watermarks must be set together")
-        if high_watermark is not None:
-            if queue_policy != "priority":
-                raise ValueError(
-                    "watermark shedding needs queue_policy='priority'"
-                )
-            if low_watermark < 0 or high_watermark <= low_watermark:
-                raise ValueError(
-                    "need 0 <= low_watermark < high_watermark: "
-                    f"{low_watermark}, {high_watermark}"
-                )
-        self.slots = slots
-        self.service_seconds = float(service_seconds)
-        self.max_pending = max_pending
-        self.queue_policy = queue_policy
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.shed_below = shed_below
-        # Plain Python floats: a fleet-wide adaptation wave charges one
-        # request per lane, and at a few machine slots the list
-        # arithmetic is several times cheaper than numpy round-trips.
-        self._slot_free = [0.0] * slots
-        self._last_request_at = float("-inf")
-        self.grants: list[ProfilingGrant] = []
-        self.rejected = 0
-        self.evicted = 0
-        self.shed = 0
-        self.revoked = 0
-        # Profiler-outage windows (attach_faults), processed lazily by
-        # advance_to as the clock passes their start times.
-        self._fault_windows: tuple = ()
-        self._next_fault = 0
-        self.max_depth = 0
-        self.busy_seconds = 0.0
-        # Priority mode keeps the admitted-but-unstarted backlog
-        # explicit (arrival order); fifo folds it into _slot_free.
-        self._pending: list[ProfilingGrant] = []
-        self._shedding = False
-
-    def _outstanding_per_slot(self, t: float) -> list[int]:
-        """Unfinished requests stacked on each slot at time ``t``.
-
-        Accepted requests occupy a slot back-to-back for exactly
-        ``service_seconds`` each, so a slot freeing at ``F`` still owes
-        ``ceil((F - t) / service_seconds)`` runs.  The tolerance keeps
-        exact service-multiple boundaries from rounding up — and it must
-        scale with the *clock* magnitude, not be a fixed epsilon:
-        ``F - t`` carries the rounding error of subtracting two large
-        simulation times (a few ulp of ``t``), which at ``t ~ 1e9``
-        seconds dwarfs any absolute 1e-12 and would overcount
-        ``pending_at`` into spurious bounded-queue rejections.
-        """
-        service = self.service_seconds
-        eps = 2.220446049250313e-16  # float ulp at 1.0
-        out = []
-        for free in self._slot_free:
-            if free <= t:
-                out.append(0)
-                continue
-            tol = max(1e-12, 4.0 * eps * max(abs(t), abs(free)) / service)
-            out.append(max(1, math.ceil((free - t) / service - tol)))
-        return out
-
-    def pending_at(self, t: float) -> int:
-        """Requests granted but not yet *started* at time ``t``."""
-        if self.queue_policy == "priority":
-            return self._virtual_state(t)[1]
-        return sum(
-            outstanding - 1
-            for outstanding in self._outstanding_per_slot(t)
-            if outstanding > 1
-        )
-
-    def depth_at(self, t: float) -> int:
-        """Requests queued or in service at time ``t``."""
-        if self.queue_policy == "priority":
-            sim, queued = self._virtual_state(t)
-            return sum(1 for free in sim if free > t) + queued
-        return sum(self._outstanding_per_slot(t))
-
-    def request(
-        self,
-        t: float,
-        *,
-        bounded: bool = True,
-        priority: int = PRIORITY_ADAPTATION,
-        kind: str = "adapt",
-    ) -> ProfilingGrant:
-        """Ask for one profiling run starting no earlier than ``t``.
-
-        ``bounded=False`` bypasses the admission controls (``max_pending``
-        rejection, watermark shedding, eviction): scheduled bursts (an
-        auto-relearn's learning sweep) stack behind the backlog instead
-        of being turned away like online arrivals.  They still occupy
-        slots and count toward utilization.
-
-        ``priority`` and ``kind`` are recorded on the grant; under
-        ``queue_policy="fifo"`` they do not influence scheduling.
-        """
-        if t < self._last_request_at:
-            raise ValueError(
-                f"profiling requests must not rewind: t={t} < {self._last_request_at}"
-            )
-        self._last_request_at = t
-        if self.queue_policy == "priority":
-            return self._request_priority(t, bounded, priority, kind)
-        # FIFO: the pre-market queue, arithmetic untouched (the scalar
-        # == batched == sharded pins rely on bit-identical schedules).
-        slot_free = self._slot_free
-        slot = min(range(self.slots), key=slot_free.__getitem__)
-        free = slot_free[slot]
-        would_wait = free > t
-        if (
-            bounded
-            and self.max_pending is not None
-            and would_wait
-            and self.pending_at(t) >= self.max_pending
-        ):
-            self.rejected += 1
-            grant = ProfilingGrant(
-                requested_at=t,
-                start_at=t,
-                finish_at=t,
-                outcome="rejected",
-                priority=priority,
-                kind=kind,
-            )
-            self.grants.append(grant)
-            return grant
-        start = free if would_wait else t
-        finish = start + self.service_seconds
-        slot_free[slot] = finish
-        self.busy_seconds += self.service_seconds
-        depth = self.depth_at(t)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        grant = ProfilingGrant(
-            requested_at=t,
-            start_at=start,
-            finish_at=finish,
-            priority=priority,
-            kind=kind,
-        )
-        self.grants.append(grant)
-        return grant
-
-    # -- priority-mode scheduling (the admission market) ---------------
-
-    def _request_priority(
-        self, t: float, bounded: bool, priority: int, kind: str
-    ) -> ProfilingGrant:
-        self._drain(t)
-        slot_free = self._slot_free
-        slot = min(range(self.slots), key=slot_free.__getitem__)
-        free = slot_free[slot]
-        if free <= t:
-            # An idle slot: start immediately, no market involved.
-            finish = t + self.service_seconds
-            slot_free[slot] = finish
-            self.busy_seconds += self.service_seconds
-            grant = ProfilingGrant(
-                requested_at=t,
-                start_at=t,
-                finish_at=finish,
-                priority=priority,
-                kind=kind,
-            )
-            self.grants.append(grant)
-            self._note_depth(t)
-            return grant
-        if bounded:
-            if self._shedding and priority < self.shed_below:
-                self.shed += 1
-                grant = ProfilingGrant(
-                    requested_at=t,
-                    start_at=t,
-                    finish_at=t,
-                    outcome="shed",
-                    priority=priority,
-                    kind=kind,
-                )
-                self.grants.append(grant)
-                return grant
-            if (
-                self.max_pending is not None
-                and len(self._pending) >= self.max_pending
-            ):
-                victim = self._evictable(priority)
-                if victim is None:
-                    self.rejected += 1
-                    grant = ProfilingGrant(
-                        requested_at=t,
-                        start_at=t,
-                        finish_at=t,
-                        outcome="rejected",
-                        priority=priority,
-                        kind=kind,
-                    )
-                    self.grants.append(grant)
-                    return grant
-                self._evict(victim)
-        grant = ProfilingGrant(
-            requested_at=t,
-            start_at=t,
-            finish_at=t,
-            priority=priority,
-            kind=kind,
-        )
-        self._pending.append(grant)
-        self.busy_seconds += self.service_seconds
-        self._project()
-        self._update_shedding()
-        self.grants.append(grant)
-        self._note_depth(t)
-        return grant
-
-    def _service_order(self) -> list[ProfilingGrant]:
-        """Pending grants in the order slots will serve them: priority
-        descending, FIFO within a class (the sort is stable over the
-        arrival-ordered backlog)."""
-        return sorted(self._pending, key=lambda g: -g.priority)
-
-    def _drain(self, t: float) -> None:
-        """Commit queued grants whose slots free up by ``t``.
-
-        Priority mode schedules lazily: a queued grant's slot
-        assignment is final only once the clock passes its start — a
-        higher bidder arriving before then overtakes it.  Committed
-        starts are back-to-back on the earliest-free slot, matching the
-        fifo arithmetic exactly when all priorities are equal.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        slot_free = self._slot_free
-        while pending:
-            slot = min(range(self.slots), key=slot_free.__getitem__)
-            free = slot_free[slot]
-            if free > t:
-                break
-            best = 0
-            for i in range(1, len(pending)):
-                if pending[i].priority > pending[best].priority:
-                    best = i
-            grant = pending.pop(best)
-            grant.start_at = free
-            grant.finish_at = free + self.service_seconds
-            slot_free[slot] = grant.finish_at
-        self._update_shedding()
-
-    def _project(self) -> None:
-        """(Re)project start/finish times for every pending grant.
-
-        Runs after each queue mutation so ``wait_seconds`` is readable
-        the moment a grant is issued; a later mutation that moves an
-        already-issued grant's schedule marks it ``revised``.
-        """
-        if not self._pending:
-            return
-        sim = list(self._slot_free)
-        service = self.service_seconds
-        for grant in self._service_order():
-            slot = min(range(self.slots), key=sim.__getitem__)
-            start = sim[slot]
-            sim[slot] = start + service
-            # A freshly admitted grant still carries its placeholder
-            # (finish == requested): its first projection is the issued
-            # schedule, not a revision.
-            if (
-                grant.start_at != start
-                and grant.finish_at > grant.requested_at
-            ):
-                grant.revised = True
-            grant.start_at = start
-            grant.finish_at = start + service
-
-    def _virtual_state(self, t: float) -> tuple[list[float], int]:
-        """Slot-free times and un-started backlog at ``t``, without
-        mutating (the non-committing view behind ``pending_at``)."""
-        sim = list(self._slot_free)
-        waiting = self._service_order()
-        started = 0
-        for grant in waiting:
-            slot = min(range(self.slots), key=sim.__getitem__)
-            if sim[slot] > t:
-                break
-            sim[slot] += self.service_seconds
-            started += 1
-        return sim, len(waiting) - started
-
-    def _evictable(self, priority: int) -> int | None:
-        """Backlog index a ``priority`` arrival may displace: the
-        lowest-priority entry strictly below the bidder, the youngest
-        among equals (earlier work keeps its place)."""
-        pending = self._pending
-        best = None
-        for i, grant in enumerate(pending):
-            if grant.priority >= priority:
-                continue
-            if best is None or grant.priority <= pending[best].priority:
-                best = i
-        return best
-
-    def _evict(self, index: int) -> None:
-        grant = self._pending.pop(index)
-        grant.outcome = "evicted"
-        grant.start_at = grant.requested_at
-        grant.finish_at = grant.requested_at
-        grant.revised = True
-        self.evicted += 1
-        # The admission charge is refunded: the run never happens.
-        self.busy_seconds -= self.service_seconds
-        self._project()
-
-    def _update_shedding(self) -> None:
-        if self.high_watermark is None:
-            return
-        n = len(self._pending)
-        if self._shedding:
-            if n <= self.low_watermark:
-                self._shedding = False
-        elif n >= self.high_watermark:
-            self._shedding = True
-
-    def _note_depth(self, t: float) -> None:
-        depth = (
-            sum(1 for free in self._slot_free if free > t)
-            + len(self._pending)
-        )
-        if depth > self.max_depth:
-            self.max_depth = depth
-
-    # -- profiler outages (fault injection) -----------------------------
-
-    def attach_faults(
-        self, windows: "tuple[tuple[float, float, int | None], ...]"
-    ) -> None:
-        """Arm profiler-outage windows (``(start_t, end_t, slots)``).
-
-        The fleet engine calls :meth:`advance_to` once per step; a
-        window whose start time has arrived is applied then — at the
-        same point of every engine path, so scalar, batched and sharded
-        runs revoke the same grants.  ``slots=None`` takes the whole
-        environment offline: every accepted grant still unfinished at
-        the window start is **revoked** (outcome ``"revoked"``, charge
-        refunded — the run was killed mid-collection or never started)
-        and every slot stays dark until the window ends.  A partial
-        brownout (``slots=k``) pushes the ``k`` next-free slots to the
-        window end without killing in-flight runs — capacity shrinks,
-        schedules slip (priority-mode grants are re-projected and
-        marked ``revised``), but nothing already collecting dies.
-        """
-        for start, end, slots in windows:
-            if end <= start:
-                raise ValueError(
-                    f"outage window must have positive length: "
-                    f"({start}, {end})"
-                )
-            if slots is not None and slots < 1:
-                raise ValueError(
-                    f"outage must take at least one slot: {slots}"
-                )
-        self._fault_windows = tuple(sorted(windows))
-        self._next_fault = 0
-
-    def advance_to(self, t: float) -> None:
-        """Apply every outage window whose start time is <= ``t``."""
-        windows = self._fault_windows
-        while (
-            self._next_fault < len(windows)
-            and windows[self._next_fault][0] <= t
-        ):
-            self._apply_outage(*windows[self._next_fault])
-            self._next_fault += 1
-
-    def _apply_outage(
-        self, start_t: float, end_t: float, slots_down: int | None
-    ) -> None:
-        if self.queue_policy == "priority":
-            # Commit whatever the clock has already served; the
-            # un-started backlog survives the outage and re-projects
-            # behind the pushed slots.
-            self._drain(start_t)
-        affected = (
-            self.slots if slots_down is None else min(slots_down, self.slots)
-        )
-        if affected == self.slots:
-            pending_ids = {id(g) for g in self._pending}
-            for grant in self.grants:
-                if grant.outcome != "accepted" or id(grant) in pending_ids:
-                    continue
-                if grant.finish_at > start_t:
-                    grant.outcome = "revoked"
-                    grant.start_at = grant.requested_at
-                    grant.finish_at = grant.requested_at
-                    grant.revised = True
-                    self.revoked += 1
-                    # The run was killed: refund the charge, like an
-                    # eviction (partial progress is not billed).
-                    self.busy_seconds -= self.service_seconds
-            for slot in range(self.slots):
-                self._slot_free[slot] = end_t
-        else:
-            order = sorted(
-                range(self.slots), key=self._slot_free.__getitem__
-            )
-            for slot in order[:affected]:
-                self._slot_free[slot] = max(self._slot_free[slot], end_t)
-        if self.queue_policy == "priority":
-            self._project()
-
-    @property
-    def accepted_grants(self) -> list[ProfilingGrant]:
-        return [g for g in self.grants if g.accepted]
-
-    @property
-    def total_requests(self) -> int:
-        return len(self.grants)
-
-    def outcome_counts(self) -> dict[str, int]:
-        """Requests by outcome; the counts sum to
-        :attr:`total_requests` (the conservation invariant)."""
-        counts = dict.fromkeys(GRANT_OUTCOMES, 0)
-        for grant in self.grants:
-            counts[grant.outcome] += 1
-        return counts
-
-    @property
-    def mean_wait_seconds(self) -> float:
-        accepted = self.accepted_grants
-        if not accepted:
-            return 0.0
-        return float(np.mean([g.wait_seconds for g in accepted]))
-
-    @property
-    def max_wait_seconds(self) -> float:
-        accepted = self.accepted_grants
-        if not accepted:
-            return 0.0
-        return float(np.max([g.wait_seconds for g in accepted]))
-
-    def utilization(self, duration_seconds: float, start: float = 0.0) -> float:
-        """Fraction of slot-time in ``[start, start + duration)`` spent
-        profiling.
-
-        Service intervals are clipped to the window, so a backlog that
-        is scheduled past the end of the run does not inflate the
-        figure beyond 100%.
-        """
-        if duration_seconds <= 0:
-            raise ValueError(f"duration must be positive: {duration_seconds}")
-        end = start + duration_seconds
-        busy_within = sum(
-            max(0.0, min(g.finish_at, end) - max(g.start_at, start))
-            for g in self.accepted_grants
-        )
-        return busy_within / (self.slots * duration_seconds)
 
 
 # ----------------------------------------------------------------------

@@ -393,12 +393,24 @@ class TestMain:
                  "--rebalance-every", "0"],
                 "--rebalance-every",
             ),
+            (["fleet", "--slots", "0"], "--slots"),
+            (
+                ["fleet", "--queue-policy", "fifo", "--high-watermark", "4",
+                 "--low-watermark", "1"],
+                "--queue-policy, --high-watermark, --low-watermark",
+            ),
+            (
+                ["fleet", "--hosts", "2", "--faults", "host:0@100000+1"],
+                "--faults",
+            ),
         ],
     )
     def test_bad_config_names_its_flag(self, capsys, argv, flag):
         # A negative seed crashed inside numpy, and placement let every
         # config error escape as a traceback (exit 1); the fleet
-        # migration error named no field, so it listed no flag.
+        # migration error named no field, so it listed no flag.  Queue
+        # errors named every queue flag, and a fault scheduled after
+        # the run's last step passed silently (exit 0, no fault).
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--lanes", "2", "--hours", "1"])
         assert excinfo.value.code == 2

@@ -45,6 +45,13 @@ class TestParseFaults:
         )
         assert not schedule.any_host_faults
 
+    def test_tied_profiler_windows_put_the_whole_outage_last(self):
+        schedule = parse_faults("profiler@30+18,profiler:2@30+18")
+        assert schedule.profiler_windows(10.0) == (
+            (300.0, 480.0, 2),
+            (300.0, 480.0, None),
+        )
+
     def test_random_generator_token(self):
         schedule = parse_faults("random:3@7")
         assert schedule.generators == (RandomFaultSpec(count=3, seed=7),)

@@ -146,7 +146,7 @@ def build_mixed_fleet(profiling_slots: int | None, queue_policy: str = "fifo"):
         fleet_observer_scaleup,
         observe_scaleup,
     )
-    from repro.sim.fleet import ProfilingQueue
+    from repro.sim.profiling_queue import ProfilingQueue
 
     out_repo = AllocationRepository()
     up_repo = AllocationRepository()
@@ -363,7 +363,7 @@ def test_wave_workers_validated():
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
 def test_flat_priority_fleet_matches_fifo_fleet(batched):
     """Scalar/batched engine paths: fifo vs priority, grant-for-grant."""
-    from repro.sim.fleet import PRIORITY_ADAPTATION
+    from repro.sim.profiling_queue import PRIORITY_ADAPTATION
 
     results = {}
     events = {}

@@ -65,6 +65,53 @@ class TestValidation:
         )
         assert study.n_steps == study.config.n_steps == steps
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            (dict(profiling_slots=0), {"profiling_slots"}),
+            (dict(max_pending=-1), {"max_pending"}),
+            (dict(queue_policy="lifo"), {"queue_policy"}),
+            (
+                dict(queue_high_watermark=4, queue_low_watermark=1),
+                {
+                    "queue_policy",
+                    "queue_high_watermark",
+                    "queue_low_watermark",
+                },
+            ),
+            (
+                dict(queue_policy="priority", queue_high_watermark=4),
+                {"queue_high_watermark", "queue_low_watermark"},
+            ),
+        ],
+    )
+    def test_queue_error_names_only_its_fields(self, kwargs, named):
+        # Every queue error used to list all five queue fields.
+        queue_fields = (
+            "profiling_slots",
+            "max_pending",
+            "queue_policy",
+            "queue_high_watermark",
+            "queue_low_watermark",
+        )
+        with pytest.raises(ValueError) as excinfo:
+            FleetConfig(n_lanes=2, **kwargs)
+        message = str(excinfo.value)
+        assert {
+            name for name in queue_fields if re.search(rf"\b{name}\b", message)
+        } == named
+
+    @pytest.mark.parametrize(
+        "faults", ["host:0@12+1", "host:1@100000+1", "profiler:1@12+3"]
+    )
+    def test_fault_that_cannot_fire_rejected(self, faults):
+        # One hour at 300 s steps is steps 0-11.  An event starting
+        # later used to pass and inject nothing.
+        with pytest.raises(ValueError, match=r"\bfaults\b"):
+            FleetConfig(n_lanes=2, hours=1, n_hosts=2, faults=faults)
+        FleetConfig(n_lanes=2, hours=1, n_hosts=2, faults="host:0@11+1")
+        FleetConfig(n_lanes=2, hours=1, n_hosts=2, faults="profiler@11+5")
+
     def test_undersized_pool_for_host_coupled_shards_rejected(self):
         # Host-coupled shards meet at a barrier every step; a pool
         # smaller than the shard count used to pass construction and

@@ -28,7 +28,7 @@ import pytest
 
 from repro.experiments.setup import build_scaleout_setup
 from repro.sim.engine import StepContext
-from repro.sim.fleet import (
+from repro.sim.profiling_queue import (
     GRANT_OUTCOMES,
     PRIORITY_ADAPTATION,
     PRIORITY_ESCALATION,

@@ -20,7 +20,7 @@ from repro.experiments.setup import build_scaleout_setup
 from repro.interference.injector import InterferenceInjector, InterferenceSchedule
 from repro.interference.microbenchmark import Microbenchmark
 from repro.sim.engine import StepContext
-from repro.sim.fleet import ProfilingQueue
+from repro.sim.profiling_queue import ProfilingQueue
 
 SIGNATURE_SECONDS = 10.0
 

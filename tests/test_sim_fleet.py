@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import StepContext
-from repro.sim.fleet import FleetEngine, FleetLane, FleetResult, ProfilingQueue
+from repro.sim.fleet import FleetEngine, FleetLane, FleetResult
+from repro.sim.profiling_queue import ProfilingQueue
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 
