@@ -14,7 +14,10 @@ VM-second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.cloud.instance_types import EXTRA_LARGE, LARGE, InstanceType
 from repro.cloud.pricing import CostMeter
@@ -187,10 +190,10 @@ class CloudProvider:
 
         A cached :meth:`capacity_at` value can go stale two ways: an
         allocation change (this notification) or a pending warm-up
-        elapsing (time-based — poll ``capacity_settles_at``).  Consumers
-        that poll capacity every step for every lane (the fleet
-        engine's host footprints) keep a dirty flag
-        per provider instead of re-reading each one each step.
+        elapsing (time-based — poll ``capacity_settles_at``).
+        :class:`CapacityCache` combines the two into a per-provider
+        dirty flag for consumers that need every lane's capacity every
+        step.
         """
         self._capacity_listeners.append(listener)
 
@@ -207,8 +210,9 @@ class CloudProvider:
         RUNNING VMs plus pre-created VMs whose warm-up has elapsed —
         but neither settles billing nor mutates VM state, and runs in
         O(1) off the cached plan once every pending warm-up has elapsed.
-        The batched fleet observation path calls this once per
-        lane-step.
+        Per-step fleet consumers read it through a
+        :class:`CapacityCache`, which calls it only after an allocation
+        change or while a warm-up is still in progress.
         """
         base, pending, total_pending, last_ready = self._plan()
         if not pending or t >= last_ready:
@@ -241,3 +245,57 @@ class CloudProvider:
         if elapsed > 0 and self._current.count > 0:
             self.meter.charge(self._current, elapsed)
         self._last_billed_at = now
+
+
+class CapacityCache:
+    """Deployed capacity of many providers, re-read only when it moved.
+
+    A provider's :meth:`~CloudProvider.capacity_at` can change only
+    after an allocation change (``apply`` notifies subscribers) or
+    while a pending warm-up elapses (until ``capacity_settles_at``).
+    The cache subscribes a dirty flag per provider, so :meth:`refresh`
+    re-reads just the dirty or still-warming entries and the steady
+    state costs two vectorized mask operations instead of a call per
+    provider.  A ``None`` provider reads as unbounded (``math.inf``)
+    forever.
+    """
+
+    def __init__(self, providers) -> None:
+        self._providers = tuple(providers)
+        n = len(self._providers)
+        self.values = np.full(n, math.inf)
+        self._dirty = np.zeros(n, dtype=bool)
+        self._settled = np.zeros(n, dtype=float)
+        for j, provider in enumerate(self._providers):
+            if provider is not None:
+                self._dirty[j] = True
+                provider.subscribe_capacity_changes(self._invalidator(j))
+
+    def _invalidator(self, j: int):
+        dirty = self._dirty
+
+        def invalidate() -> None:
+            dirty[j] = True
+
+        return invalidate
+
+    def refresh(self, t: float) -> np.ndarray:
+        """Bring :attr:`values` up to ``t``; returns the re-read indices.
+
+        Each re-read entry's allocation may have changed since the last
+        refresh; every other entry is exactly as it was.
+        """
+        dirty = self._dirty
+        settled = self._settled
+        stale = np.flatnonzero(dirty | (t < settled))
+        values = self.values
+        providers = self._providers
+        for j in stale.tolist():
+            provider = providers[j]
+            values[j] = provider.capacity_at(t)
+            settled[j] = provider.capacity_settles_at
+            # An entry still inside a warm-up window stays dirty: its
+            # capacity keeps changing, and the *first* refresh at or
+            # past the settle time must re-read the fully warmed value.
+            dirty[j] = t < settled[j]
+        return stale

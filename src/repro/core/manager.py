@@ -1029,6 +1029,26 @@ class DejaVuManager:
         free so the fleet engine can plan a batched adaptation wave."""
         return t + 1e-9 >= self._next_check
 
+    def batched_wake_at(self) -> float:
+        """The earliest step time the batched wave must visit this lane.
+
+        Between visits nothing can change for a quiet lane: no periodic
+        check is due, no re-signature is owed, and there is no
+        queue-delayed deployment or staged model for the shared queue to
+        revise, evict or revoke behind its back.  While either of those
+        exists, or while the lane is not batchable (its ``on_step`` must
+        run), the answer is ``-inf``: visit every step.  The engine
+        compares with the same ``1e-9`` tolerance :meth:`adaptation_due`
+        and the re-signature schedule use.
+        """
+        if (
+            self.pending_deployment is not None
+            or self._staged_model is not None
+            or not self.supports_batched_adapt
+        ):
+            return -math.inf
+        return min(self._next_check, self._next_resignature)
+
     def batch_group_key(self) -> tuple | None:
         """Identity of the trained state this manager classifies with.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cloud.instance_types import EXTRA_LARGE, LARGE
-from repro.cloud.provider import CloudProvider
+from repro.cloud.provider import CapacityCache, CloudProvider
 from repro.core.interference import InterferenceEstimator
 from repro.core.manager import DejaVuConfig, DejaVuManager
 from repro.core.profiler import ProductionEnvironment, ProfilingEnvironment
@@ -328,7 +328,10 @@ class _FleetFamilyObserver:
     block (usually a zero-copy view of the schema group's recording
     row).  Capacity comes off each provider's cached plan
     (:meth:`~repro.cloud.provider.CloudProvider.capacity_at`) instead of
-    walking and billing every pooled VM, and the performance math runs
+    walking and billing every pooled VM, and only for lanes a
+    :class:`~repro.cloud.provider.CapacityCache` marks as changed (an
+    allocation change or a warm-up in progress) — the same lanes whose
+    allocation series and cost are re-read.  The performance math runs
     through the service layer's vectorized hooks
     (``utilization_rows`` / ``latency_rows`` / ``_qos_rows``), whose
     elements are bit-identical to the scalar ``observe_*`` closures.
@@ -385,10 +388,11 @@ class _FleetFamilyObserver:
                 [source[1] for source in sources], dtype=int
             )
         n = len(self._setups)
-        self._caps = np.empty(n)
-        self._demands = np.empty(n)
+        # Capacity, allocation series and cost change only on an
+        # allocation change or during a warm-up; the cache says which
+        # lanes to re-read each step.
+        self._capacities = CapacityCache(self._providers)
         self._interference = np.zeros(n)
-        self._alloc_cache: list = [None] * n
         self._alloc_series = np.zeros(n)
         self._alloc_cost = np.zeros(n)
 
@@ -429,14 +433,14 @@ class _FleetFamilyObserver:
         return self._model.latency_rows(rho)
 
     def fill_rows(self, t: float, workloads, out) -> None:
-        n = len(self._providers)
-        caps = self._caps
-        demands = self._demands
-        for j in range(n):
-            caps[j] = self._providers[j].capacity_at(t)
-            workload = workloads[j]
-            demands[j] = workload.demand_units
-            out[4, j] = workload.volume
+        providers = self._providers
+        for j in self._capacities.refresh(t).tolist():
+            allocation = providers[j].current_allocation
+            self._alloc_series[j] = self._series_value(allocation)
+            self._alloc_cost[j] = allocation.hourly_cost
+        caps = self._capacities.values
+        demands = np.array([workload.demand_units for workload in workloads])
+        out[4, :] = [workload.volume for workload in workloads]
         if self._any_injector:
             interference = self._interference
             if self._feed_values is not None:
@@ -447,12 +451,6 @@ class _FleetFamilyObserver:
                 for j, injector in enumerate(self._injectors):
                     if injector is not None:
                         interference[j] = injector.interference_at(t)
-        for j, provider in enumerate(self._providers):
-            allocation = provider.current_allocation
-            if allocation is not self._alloc_cache[j]:
-                self._alloc_cache[j] = allocation
-                self._alloc_series[j] = self._series_value(allocation)
-                self._alloc_cost[j] = allocation.hourly_cost
         out[2, :] = self._alloc_series
         out[3, :] = self._alloc_cost
         if caps.min() > 0.0:

@@ -47,6 +47,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from repro.cloud.provider import CapacityCache
 from repro.sim.clock import SimClock
 from repro.sim.engine import Controller, StepContext
 from repro.sim.hosts import HostMap
@@ -321,6 +322,7 @@ _BATCH_ADAPT_PROTOCOL = (
     "batch_classifier",
     "complete_batched_adapt",
     "poll_pending_deployment",
+    "batched_wake_at",
 )
 
 
@@ -363,8 +365,18 @@ class FleetEngine:
         ``standardize → classify → novelty`` pass plus one batched
         band-0 repository lookup — and lanes carrying an
         ``observe_batch`` fast path record without building dicts.
+        Per-step work scales with the lanes that have something to
+        do: the engine keeps one wake time per batch candidate
+        (``batched_wake_at``) and the wave visits only candidates whose
+        wake time has come; trace workloads are built once per hour
+        (:meth:`~repro.workloads.traces.LoadTrace.workload_at`); and
+        one dirty-flag :class:`~repro.cloud.provider.CapacityCache`
+        pattern serves both the host footprints and the family
+        observers, so capacity and allocation are re-read only for
+        lanes that changed allocation or are still warming up.
         Results are bit-identical to ``batched=False`` (pinned by
-        ``tests/test_fleet_equivalence.py``); only the loop structure
+        ``tests/test_fleet_equivalence.py`` and
+        ``tests/test_fleet_quiet_lanes.py``); only the loop structure
         changes: shared state is consulted once per batch instead of
         once per lane.  Documented boundaries where the paths produce
         different (equally valid) FIFO schedules on a *contended*
@@ -450,10 +462,19 @@ class FleetEngine:
                 hasattr(controller, name) for name in _BATCH_ADAPT_PROTOCOL
             )
         )
-        # (index, controller) pairs, pre-zipped: the wave's gating loop
-        # touches every candidate every step.
+        # (index, controller) pairs, pre-zipped, in lane order.
         self._batch_pairs: tuple = tuple(
             (i, self.controllers[i]) for i in self._batch_candidates
+        )
+        # One wake time per candidate (batched_wake_at): the wave visits
+        # only candidates whose wake time has come, so a quiet lane
+        # costs nothing between its periodic checks.  Reset to -inf
+        # (visit everyone) at the start of every run.
+        self._wake = np.full(len(self._batch_candidates), -math.inf)
+        # Lanes that never batch: their on_step runs every step.
+        candidates = set(self._batch_candidates)
+        self._scalar_lanes: tuple[int, ...] = tuple(
+            i for i in range(len(self._lanes)) if i not in candidates
         )
         # lane index -> the controller's profiling monitor (fixed at
         # construction, like the candidate set itself); None when a
@@ -485,63 +506,28 @@ class FleetEngine:
             for i, lane in enumerate(self._lanes)
             if not (self.batched and lane.observe_batch is not None)
         )
-        # Per-lane deployed-capacity readers for the host footprints.
-        # Providers notify a per-lane dirty flag on every allocation
-        # change (subscribe_capacity_changes), so the per-step refresh
-        # touches only lanes that changed allocation or are still
-        # inside a warm-up window — the steady state costs two
-        # vectorized mask operations, not a call per lane.  Lanes
-        # whose controller exposes no provider read as unbounded
-        # (their footprint is the offered demand).
-        self._capacity_providers: tuple = tuple(
-            getattr(
-                getattr(lane.controller, "production", None),
-                "provider",
-                None,
-            )
-            for lane in self._lanes
-        )
-        n_lanes = len(self._lanes)
-        self._capacity_values = np.full(n_lanes, math.inf)
-        self._capacity_dirty = np.zeros(n_lanes, dtype=bool)
-        self._capacity_settled = np.zeros(n_lanes, dtype=float)
-        if self.host_map is not None:
-            for j, provider in enumerate(self._capacity_providers):
-                if provider is None:
-                    continue
-                self._capacity_dirty[j] = True
-                provider.subscribe_capacity_changes(
-                    self._capacity_invalidator(j)
+        # Per-lane deployed capacity for the host footprints, behind a
+        # dirty-flag cache: the per-step refresh touches only lanes
+        # that changed allocation or are still inside a warm-up
+        # window.  Lanes whose controller exposes no provider read as
+        # unbounded (their footprint is the offered demand).
+        self._capacities = (
+            CapacityCache(
+                getattr(
+                    getattr(lane.controller, "production", None),
+                    "provider",
+                    None,
                 )
-
-    def _capacity_invalidator(self, lane: int):
-        dirty = self._capacity_dirty
-
-        def invalidate() -> None:
-            dirty[lane] = True
-
-        return invalidate
+                for lane in self._lanes
+            )
+            if self.host_map is not None
+            else None
+        )
 
     def _lane_capacities(self, t: float) -> np.ndarray:
-        """Every lane's deployed capacity at ``t``.
-
-        Refreshes only dirty (allocation changed) or warming (capacity
-        still time-dependent) lanes; everything else reuses the cached
-        value.
-        """
-        values = self._capacity_values
-        dirty = self._capacity_dirty
-        settled = self._capacity_settled
-        stale = np.flatnonzero(dirty | (t < settled))
-        for j in stale:
-            provider = self._capacity_providers[j]
-            values[j] = provider.capacity_at(t)
-            settled[j] = provider.capacity_settles_at
-            # A lane still inside a warm-up window stays dirty: its
-            # capacity keeps changing, and the *first* step at or past
-            # the settle time must re-read the fully warmed value.
-            dirty[j] = t < settled[j]
-        return values
+        """Every lane's deployed capacity at ``t`` (host-coupled fleets)."""
+        self._capacities.refresh(t)
+        return self._capacities.values
 
     @property
     def n_lanes(self) -> int:
@@ -666,21 +652,29 @@ class FleetEngine:
         except through the queue and the shared repository, both of
         which see the same per-lane sequence the scalar path produces.
 
-        Returns the lane indices the wave took responsibility for this
-        step — due lanes (adapted, or deferred by queue rejection and
-        retried next step, exactly like a scalar rejected adaptation)
-        plus idle batchable lanes, whose per-step duties (flushing a
-        queue-delayed deployment, swapping in a relearn-staged model,
-        routine re-signatures) are handled inline.  The engine skips
-        ``on_step`` for all of them.
+        Only candidates whose wake time (``batched_wake_at``) has come
+        are visited, in lane order; the rest have nothing to do this
+        step.  A visited batchable lane is either due (adapted, or
+        deferred by queue rejection and retried next step, exactly like
+        a scalar rejected adaptation) or idle, and an idle lane's
+        per-step duties (flushing a queue-delayed deployment, swapping
+        in a relearn-staged model, routine re-signatures) are handled
+        inline.  Every visited lane's wake time is then re-read.
+
+        Returns the lanes whose ``on_step`` the engine must still run
+        this step, in lane order: the lanes that never batch plus any
+        visited candidate that cannot batch right now.
         """
-        handled = set()
+        wake = self._wake
+        visit = np.flatnonzero(t + 1e-9 >= wake).tolist()
+        pairs = self._batch_pairs
+        unbatched: list[int] = []
         due: list[tuple[int, StepContext]] = []
-        for i, controller in self._batch_pairs:
+        for k in visit:
+            i, controller = pairs[k]
             if not controller.supports_batched_adapt:
-                continue
-            handled.add(i)
-            if controller.adaptation_due(t):
+                unbatched.append(i)
+            elif controller.adaptation_due(t):
                 due.append(
                     (
                         i,
@@ -695,8 +689,16 @@ class FleetEngine:
                 # model once its sweep drains, keep routine re-signature
                 # traffic flowing.
                 controller.poll_pending_deployment(t)
-        if not due:
-            return handled
+        if due:
+            self._adapt_due(due)
+        for k in visit:
+            wake[k] = pairs[k][1].batched_wake_at()
+        if unbatched:
+            return sorted(self._scalar_lanes + tuple(unbatched))
+        return self._scalar_lanes
+
+    def _adapt_due(self, due: list[tuple[int, StepContext]]) -> None:
+        """Gate, collect, classify and finish this step's due lanes."""
         # Phase 1a — gate every due lane in lane order: the queue sees
         # the same per-lane request sequence the scalar path produces.
         gated = [
@@ -732,7 +734,6 @@ class FleetEngine:
                 self.controllers[i].complete_batched_adapt(
                     ctx, label, certainty, entry
                 )
-        return handled
 
     def _collect_wave_signatures(
         self, gated: list[tuple[int, StepContext]]
@@ -916,7 +917,7 @@ class FleetEngine:
         slots: list[tuple[int, int]] = []
         observer_batches: list[tuple] = []
         times: list[float] = []
-        n_lanes = len(self._lanes)
+        self._wake.fill(-math.inf)
         pool = (
             ThreadPoolExecutor(
                 max_workers=self.wave_workers,
@@ -928,15 +929,27 @@ class FleetEngine:
         self._wave_pool = pool
         try:
             return self._run_loop(
-                clock, end, groups, slots, observer_batches, times, n_lanes
+                clock, end, groups, slots, observer_batches, times
             )
         finally:
             self._wave_pool = None
             if pool is not None:
                 pool.shutdown(wait=True)
 
+    def _step_controllers(
+        self, lanes, t: float, hour: int, day: int, workloads: list[Workload]
+    ) -> dict[int, StepContext]:
+        """Run ``on_step`` for ``lanes`` in order; returns their contexts."""
+        contexts: dict[int, StepContext] = {}
+        for i in lanes:
+            ctx = contexts[i] = StepContext(
+                t=t, workload=workloads[i], hour=hour, day=day
+            )
+            self.controllers[i].on_step(ctx)
+        return contexts
+
     def _run_loop(
-        self, clock, end, groups, slots, observer_batches, times, n_lanes
+        self, clock, end, groups, slots, observer_batches, times
     ) -> FleetResult:
         while clock.now < end:
             t, hour, day = clock.now, clock.hour, clock.day
@@ -955,10 +968,10 @@ class FleetEngine:
                 # of the scalar and batched paths, before any
                 # controller can observe or charge the queue this step.
                 self.profiling_queue.advance_to(t)
-            handled = (
+            to_step = (
                 self._batched_adapt_wave(t, hour, day, workloads)
                 if self._batch_candidates
-                else ()
+                else self._scalar_lanes
             )
             first_step = not times
             if first_step:
@@ -966,14 +979,9 @@ class FleetEngine:
                 # fixes its schema; batch-observed lanes synthesize the
                 # dict from their observer so both paths agree on the
                 # schema (and on the values).
-                step_contexts: dict[int, StepContext] = {}
-                for i in range(n_lanes):
-                    if i not in handled:
-                        ctx = StepContext(
-                            t=t, workload=workloads[i], hour=hour, day=day
-                        )
-                        step_contexts[i] = ctx
-                        self.controllers[i].on_step(ctx)
+                step_contexts = self._step_controllers(
+                    to_step, t, hour, day, workloads
+                )
                 observed = self._first_observations_for(t, workloads)
                 first_observations: list[dict[str, float]] = []
                 for i, lane in enumerate(self._lanes):
@@ -1013,14 +1021,9 @@ class FleetEngine:
                 # Phased stepping: all controllers, then all
                 # observations (lanes are independent within a step, so
                 # this equals the interleaved order lane by lane).
-                step_contexts = {}
-                for i in range(n_lanes):
-                    if i not in handled:
-                        ctx = StepContext(
-                            t=t, workload=workloads[i], hour=hour, day=day
-                        )
-                        step_contexts[i] = ctx
-                        self.controllers[i].on_step(ctx)
+                step_contexts = self._step_controllers(
+                    to_step, t, hour, day, workloads
+                )
                 # Observers are disjoint (distinct objects, distinct
                 # lane columns), so their fill_rows blocks may overlap
                 # under wave_workers.

@@ -30,6 +30,7 @@ The generators are deterministic given a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ class LoadTrace:
         if self.peak_clients <= 0:
             raise ValueError(f"peak_clients must be positive: {self.peak_clients}")
         object.__setattr__(self, "hourly_load", load)
+        # Per-hour Workload cache for workload_at; not a dataclass field,
+        # so it takes no part in equality, repr or replace().
+        object.__setattr__(self, "_workloads", [None] * load.size)
 
     @property
     def hours(self) -> int:
@@ -73,12 +77,10 @@ class LoadTrace:
     def duration_seconds(self) -> float:
         return self.hours * HOUR
 
-    def load_at(self, t_seconds: float) -> float:
-        """Normalized load during the hour containing ``t_seconds``.
-
-        The trace is piecewise constant per hour, matching the paper's
-        1-hour measurement increments.
-        """
+    def _hour_of(self, t_seconds: float) -> int:
+        """The trace hour containing ``t_seconds``, validated."""
+        if not math.isfinite(t_seconds):
+            raise ValueError(f"non-finite trace time: {t_seconds}")
         if t_seconds < 0:
             raise ValueError(f"negative trace time: {t_seconds}")
         hour = int(t_seconds // HOUR)
@@ -86,13 +88,31 @@ class LoadTrace:
             raise ValueError(
                 f"t={t_seconds:.0f}s is beyond the {self.hours}-hour trace"
             )
-        return float(self.hourly_load[hour])
+        return hour
+
+    def load_at(self, t_seconds: float) -> float:
+        """Normalized load during the hour containing ``t_seconds``.
+
+        The trace is piecewise constant per hour, matching the paper's
+        1-hour measurement increments.
+        """
+        return float(self.hourly_load[self._hour_of(t_seconds)])
 
     def workload_at(self, t_seconds: float) -> Workload:
-        """The offered :class:`Workload` at simulation time ``t_seconds``."""
-        return Workload(
-            volume=self.load_at(t_seconds) * self.peak_clients, mix=self.mix
-        )
+        """The offered :class:`Workload` at simulation time ``t_seconds``.
+
+        The trace is constant within an hour and both dataclasses are
+        frozen, so each hour's workload is built once, on first use, and
+        every step inside that hour shares the object.
+        """
+        hour = self._hour_of(t_seconds)
+        workload = self._workloads[hour]
+        if workload is None:
+            workload = self._workloads[hour] = Workload(
+                volume=float(self.hourly_load[hour]) * self.peak_clients,
+                mix=self.mix,
+            )
+        return workload
 
     def day_slice(self, day: int) -> np.ndarray:
         """Hourly loads of one trace day (used for learning-phase setup)."""

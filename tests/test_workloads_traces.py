@@ -1,5 +1,7 @@
 """Unit tests for the synthetic traces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,13 @@ class TestLoadTrace:
         trace = synthetic_messenger_trace(MIX, peak_clients=500.0)
         workload = trace.workload_at(0.0)
         assert workload.volume == pytest.approx(trace.load_at(0.0) * 500.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_by_name(self, t):
+        trace = synthetic_messenger_trace(MIX)
+        for read in (trace.load_at, trace.workload_at):
+            with pytest.raises(ValueError, match="non-finite trace time"):
+                read(t)
 
     def test_day_slice_shape(self):
         trace = synthetic_messenger_trace(MIX)
@@ -158,3 +167,31 @@ class TestHotmailTrace:
     def test_custom_anomaly_hours(self):
         trace = synthetic_hotmail_trace(MIX, anomaly_hours=(5,))
         assert np.sum(trace.day_slice(3) == HOTMAIL_SURGE_LOAD) == 1
+
+
+class TestWorkloadCache:
+    """``workload_at`` builds each hour's workload once and shares it."""
+
+    @pytest.mark.parametrize(
+        "make", [synthetic_messenger_trace, synthetic_hotmail_trace]
+    )
+    def test_every_hour_matches_the_formula_and_is_shared(self, make):
+        trace = make(MIX, peak_clients=731.0)
+        for hour in range(trace.hours):
+            start = hour * HOUR
+            first = trace.workload_at(start)
+            # The workload the uncached formula builds, bit for bit.
+            assert first.volume == (
+                float(trace.hourly_load[hour]) * trace.peak_clients
+            )
+            assert first.mix is trace.mix
+            for t in (start + 1.0, start + HOUR / 2, start + HOUR - 1e-6):
+                assert trace.workload_at(t) is first
+
+    def test_cache_keeps_the_range_checks(self):
+        trace = synthetic_hotmail_trace(MIX)
+        trace.workload_at(0.0)
+        with pytest.raises(ValueError, match="negative"):
+            trace.workload_at(-1.0)
+        with pytest.raises(ValueError, match="beyond"):
+            trace.workload_at(trace.hours * HOUR)
