@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--high-watermark",
         dest="queue_high_watermark",
-        type=_nonnegative_int,
+        type=int,
         default=None,
         help="pending depth at which the priority queue starts shedding "
         "low-priority requests (requires --queue-policy priority and "
@@ -386,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--low-watermark",
         dest="queue_low_watermark",
-        type=_nonnegative_int,
+        type=int,
         default=None,
         help="pending depth at which watermark shedding stops again",
     )
     fleet.add_argument(
         "--resignature-every",
         dest="resignature_every_seconds",
-        type=_positive_float,
+        type=float,
         default=None,
         help="give every lane a routine re-signature stream with this "
         "period in seconds (lowest priority: the background traffic "
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--hosts",
         dest="n_hosts",
-        type=_nonnegative_int,
+        type=int,
         default=0,
         help="place lanes round-robin onto this many shared hosts "
         "(0 = dedicated hardware, no cross-lane interference)",
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--host-capacity",
         dest="host_capacity_units",
-        type=_positive_float,
+        type=float,
         default=12.0,
         help="capacity units of each shared host",
     )
@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes executing the shards (default "
         "min(shards, cpus), or the shard count on host-coupled "
-        "sweeps; 0 runs shards inline in this process)",
+        "sweeps; 0 runs them on threads of this process)",
     )
     fleet.add_argument(
         "--shard-dir",
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--wave-workers",
-        type=_nonnegative_int,
+        type=int,
         default=0,
         help="threads overlapping independent control-plane waves "
         "inside each engine (0 = serial reference path, bit-identical "
@@ -618,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_nonnegative_int,
         default=None,
-        help="override the documents' worker counts (0 = inline)",
+        help="override the documents' worker counts "
+        "(0 = threads in this process)",
     )
     scenario_list = scenario_sub.add_parser(
         "list", help="list the scenario documents in a directory"

@@ -29,6 +29,7 @@ scale) instead of only from scripted per-lane injection.
 from __future__ import annotations
 
 import math
+import operator
 import pickle
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -128,6 +129,22 @@ def run_multiplexing_study(
 # Fleet-scale multiplexing (Sec. 5)
 # ----------------------------------------------------------------------
 
+#: The integer :class:`FleetConfig` fields (``None`` passes where the
+#: field allows it); each must be a true integer, not a float.
+_INTEGER_FIELDS = (
+    "n_lanes",
+    "profiling_slots",
+    "max_pending",
+    "queue_high_watermark",
+    "queue_low_watermark",
+    "lane_seed_stride",
+    "seed",
+    "n_hosts",
+    "shards",
+    "workers",
+    "wave_workers",
+)
+
 #: The :class:`FleetConfig` field behind each :class:`ProfilingQueue`
 #: parameter it validates (``service_seconds`` is fixed there).
 _QUEUE_FIELDS = {
@@ -147,22 +164,24 @@ class FleetConfig:
     The study, its shard workers, the scenario schema and ``repro.cli
     fleet`` all read this one object.  Construction validates it: a bad
     value or an inconsistent combination raises :class:`ValueError`
-    whose message names the fields involved.  ``__post_init__`` also
-    normalizes ``demand_factors`` to a tuple, resolves an unset
+    whose message names the fields involved: every integer field must
+    be a true integer (``operator.index``) and every float field
+    finite.  ``__post_init__`` also normalizes the integer fields to
+    ``int`` and ``demand_factors`` to a tuple, resolves an unset
     ``placement``/``placement_demand`` to ``round_robin``/
     ``learning-peak`` when hosts exist, and expands ``faults`` into a
     concrete :class:`~repro.sim.faults.FaultSchedule`, so every shard
     worker replays one identical fault timeline.
 
-    **Exactness.**  One configuration run with the scalar loop
+    **Exactness.**  One configuration run with the per-lane reference
     (``batched=False``), the batched control plane, overlapped waves
     (``wave_workers``) or cut into shards produces bit-identical
     results when the profiling queue is *uncontended* — no request
     waits for a slot.  Shared hosts add no divergence: host-coupled
     shards exchange their demands every step, so every worker runs the
     single-process theft pass, migrations and fault events.  Under a
-    contended queue the paths may order grants differently (the scalar
-    loop charges the queue lane by lane, the batched wave in lane order
+    contended queue the paths may order grants differently (the
+    per-lane reference charges the queue lane by lane, the batched wave in lane order
     after gating the whole wave, and each shard owns its own queue),
     which gives different, equally valid schedules; this happens with
     and without interference escalation probes in the wave.
@@ -270,8 +289,9 @@ class FleetConfig:
     batched: bool = True
     """Run the batched control plane: each adaptation wave classifies
     all same-family lanes as one signature matrix and observation uses
-    the dict-free fast path.  ``False`` runs the scalar per-lane loop,
-    the reference path."""
+    the dict-free fast path.  ``False`` runs the same step loop with no
+    batch candidates or observers: every lane steps its controller and
+    records its dict observation, the per-lane reference."""
 
     shards: int = 1
     """Contiguous global lane ranges the fleet is cut into
@@ -281,8 +301,8 @@ class FleetConfig:
 
     workers: int | None = None
     """Worker processes executing the shards: ``None`` picks
-    :func:`repro.sim.shard.default_workers`, 0 runs the shards in this
-    process (as threads when host-coupled).  Host-coupled shards all
+    :func:`repro.sim.shard.default_workers`, 0 runs the shards on
+    threads of this process.  Host-coupled shards all
     run at once, so with ``n_hosts`` a pool smaller than ``shards``
     is rejected.  Unused with one shard."""
 
@@ -307,6 +327,16 @@ class FleetConfig:
     Host faults need ``n_hosts``."""
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(
+                    f"need an integer: {name}={value!r}"
+                ) from None
         hosted = self.n_hosts is not None
         factors = tuple(float(f) for f in self.demand_factors or ())
         object.__setattr__(self, "demand_factors", factors)
@@ -352,12 +382,12 @@ class FleetConfig:
                 f"unknown placement_demand {self.placement_demand!r}; "
                 f"use one of {PLACEMENT_DEMANDS}"
             )
-        if (
-            self.resignature_every_seconds is not None
-            and self.resignature_every_seconds <= 0
+        if self.resignature_every_seconds is not None and not (
+            math.isfinite(self.resignature_every_seconds)
+            and self.resignature_every_seconds > 0
         ):
             raise ValueError(
-                "need a positive re-signature period: "
+                "need a positive, finite re-signature period: "
                 f"resignature_every_seconds={self.resignature_every_seconds}"
             )
         # The queue's own validation: a bad policy name or watermark
@@ -374,9 +404,10 @@ class FleetConfig:
         except QueueConfigError as exc:
             fields_at_fault = ", ".join(_QUEUE_FIELDS[p] for p in exc.params)
             raise ValueError(f"{exc} ({fields_at_fault})") from None
-        if any(f <= 0 for f in factors):
+        if not all(math.isfinite(f) and f > 0 for f in factors):
             raise ValueError(
-                f"demand factors must be positive: demand_factors={factors}"
+                "demand factors must be positive and finite: "
+                f"demand_factors={factors}"
             )
         if not hosted:
             if self.placement is not None:

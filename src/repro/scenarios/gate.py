@@ -298,7 +298,8 @@ def check_bench(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for fresh smoke runs (0 = inline)",
+        help="worker processes for fresh smoke runs "
+        "(0 = threads in this process)",
     )
     args = parser.parse_args(argv)
 

@@ -83,7 +83,7 @@ def run_scenario(
     """Execute one scenario's full run grid.
 
     ``workers`` overrides the document's worker count (the CI smoke
-    passes ``0`` to force the inline, pool-free shard path).
+    passes ``0`` to force the in-process, spawn-free shard path).
     """
     records = []
     for sweep, policy, config in fleet_grid(scenario):

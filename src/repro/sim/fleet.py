@@ -70,7 +70,7 @@ class FleetLane:
     :class:`BatchObserver` covering this lane (and usually its whole
     service family — lanes sharing one observer object are observed in
     a single vectorized call per step).  It must produce bit-identical
-    values to ``observe_fn``; the scalar engine mode never calls it.
+    values to ``observe_fn``; ``batched=False`` never calls it.
     """
 
     workload_fn: Callable[[float], Workload]
@@ -358,10 +358,14 @@ class FleetEngine:
         per-step call, so online re-packing (and its blackout cost)
         needs no extra engine hook.
     batched:
-        Run the batched control plane (the default).  Each step, lanes
-        whose (trained, queue-gated) DejaVu managers are due a periodic
-        adaptation are classified as one signature matrix per
-        shared-model group — one vectorized
+        Select the batched control plane (the default).  Both settings
+        run one step loop; ``False`` registers no batch candidates and
+        no batch observers, so every lane runs its controller's
+        ``on_step`` and records through ``observe_fn`` — the per-lane
+        reference.  When batched, each step, lanes whose (trained,
+        queue-gated) DejaVu managers are due a periodic adaptation are
+        classified as one signature matrix per shared-model group — one
+        vectorized
         ``standardize → classify → novelty`` pass plus one batched
         band-0 repository lookup — and lanes carrying an
         ``observe_batch`` fast path record without building dicts.
@@ -376,14 +380,14 @@ class FleetEngine:
         lanes that changed allocation or are still warming up.
         Results are bit-identical to ``batched=False`` (pinned by
         ``tests/test_fleet_equivalence.py`` and
-        ``tests/test_fleet_quiet_lanes.py``); only the loop structure
-        changes: shared state is consulted once per batch instead of
-        once per lane.  Documented boundaries where the paths produce
-        different (equally valid) FIFO schedules on a *contended*
-        queue — any profiling that scalar mode interleaves with other
-        lanes' signature requests but batched mode orders around the
-        wave: interference-escalation probes, ``adapt_on_violation``
-        DejaVu lanes (scalar fallback, stepped after the wave),
+        ``tests/test_fleet_quiet_lanes.py``): shared state is consulted
+        once per batch instead of once per lane.  Documented boundaries
+        where the two produce different (equally valid) FIFO schedules
+        on a *contended* queue — any profiling that the per-lane
+        ``on_step`` interleaves with other lanes' signature requests but
+        the wave orders around them: interference-escalation probes,
+        ``adapt_on_violation`` DejaVu lanes (per-lane fallback, stepped
+        after the wave),
         auto-relearn sweeps and post-relearn re-classifications
         (charged in the wave's finish phase), routine re-signature
         traffic on steps where only some candidates are due
@@ -822,21 +826,53 @@ class FleetEngine:
                 entry_for.get(j),
             )
 
-    def _first_observations_for(
-        self, t: float, workloads: list[Workload]
-    ) -> dict[int, dict[str, float]]:
-        """First-step observations of every batch-observed lane, as
-        dicts so they run through the ordinary schema-fixing path."""
-        observations: dict[int, dict[str, float]] = {}
+    def _fix_schemas(
+        self,
+        t: float,
+        hour: int,
+        day: int,
+        workloads: list[Workload],
+        contexts: dict[int, StepContext],
+    ) -> tuple[list[_SchemaGroup], list[tuple[int, int]], list[tuple]]:
+        """Fix every lane's schema from its first observation and record it.
+
+        Batch-observed lanes synthesize the dict from their observer and
+        are cross-checked once against their own ``observe_fn``: a
+        mispaired observer would otherwise silently record another
+        lane's series.  Returns the groups, the lanes' (group, column)
+        slots and the observer batches bound onto the groups' rows.
+        """
+        observed: dict[int, dict[str, float]] = {}
         for observer, lane_indices in self._observer_lanes:
             names = tuple(observer.names)
             block = np.empty((len(names), len(lane_indices)), dtype=float)
-            observer.fill_rows(
-                t, [workloads[i] for i in lane_indices], block
-            )
+            observer.fill_rows(t, [workloads[i] for i in lane_indices], block)
             for column, i in enumerate(lane_indices):
-                observations[i] = dict(zip(names, block[:, column].tolist()))
-        return observations
+                observed[i] = dict(zip(names, block[:, column].tolist()))
+        first_observations: list[dict[str, float]] = []
+        for i, lane in enumerate(self._lanes):
+            ctx = contexts.get(i) or StepContext(
+                t=t, workload=workloads[i], hour=hour, day=day
+            )
+            expected = lane.observe_fn(ctx)
+            observation = observed.get(i, expected)
+            if observation != expected:
+                diverging = sorted(
+                    name
+                    for name in expected
+                    if observation.get(name) != expected[name]
+                )
+                raise ValueError(
+                    f"lane {lane.label!r}: batch observer disagrees with "
+                    f"observe_fn on the first step (series {diverging}); "
+                    "check the lane order the observer was built with"
+                )
+            first_observations.append(observation)
+        groups, slots = self._build_groups(first_observations)
+        for i, observation in enumerate(first_observations):
+            index, column = slots[i]
+            self._fill_row(groups[index], column, self._lanes[i], observation)
+        return groups, slots, self._bind_observer_batches(groups, slots)
 
     def _bind_observer_batches(
         self, groups: list[_SchemaGroup], slots: list[tuple[int, int]]
@@ -911,12 +947,6 @@ class FleetEngine:
         """Run all lanes to ``start + duration_seconds`` and return the result."""
         if duration_seconds <= 0:
             raise ValueError(f"duration must be positive, got {duration_seconds}")
-        clock = SimClock(start)
-        end = start + duration_seconds
-        groups: list[_SchemaGroup] = []
-        slots: list[tuple[int, int]] = []
-        observer_batches: list[tuple] = []
-        times: list[float] = []
         self._wake.fill(-math.inf)
         pool = (
             ThreadPoolExecutor(
@@ -928,9 +958,7 @@ class FleetEngine:
         )
         self._wave_pool = pool
         try:
-            return self._run_loop(
-                clock, end, groups, slots, observer_batches, times
-            )
+            return self._run_loop(SimClock(start), start + duration_seconds)
         finally:
             self._wave_pool = None
             if pool is not None:
@@ -948,9 +976,24 @@ class FleetEngine:
             self.controllers[i].on_step(ctx)
         return contexts
 
-    def _run_loop(
-        self, clock, end, groups, slots, observer_batches, times
-    ) -> FleetResult:
+    def _observe_batch(
+        self, t: float, workloads: list[Workload], entry: tuple
+    ) -> None:
+        """One batch observer's ``fill_rows`` into its group's row."""
+        observer, lane_indices, target, scatter = entry
+        observer.fill_rows(t, [workloads[i] for i in lane_indices], target)
+        if scatter is not None:
+            row, columns, perm = scatter
+            row[:, columns] = target if perm is None else target[perm]
+
+    def _run_loop(self, clock: SimClock, end: float) -> FleetResult:
+        """Step every lane to ``end``, one sequence per step: host pass,
+        queue ``advance_to``, adapt wave, the remaining ``on_step``
+        calls, then observation (batch observers, then dict lanes)."""
+        groups: list[_SchemaGroup] = []
+        slots: list[tuple[int, int]] = []
+        observer_batches: list[tuple] = []
+        times: list[float] = []
         while clock.now < end:
             t, hour, day = clock.now, clock.hour, clock.day
             workloads = [lane.workload_fn(t) for lane in self._lanes]
@@ -964,8 +1007,7 @@ class FleetEngine:
                     t, workloads, capacities=self._lane_capacities(t)
                 )
             if self.profiling_queue is not None:
-                # Profiler-outage windows commit here — the same point
-                # of the scalar and batched paths, before any
+                # Profiler-outage windows commit here, before any
                 # controller can observe or charge the queue this step.
                 self.profiling_queue.advance_to(t)
             to_step = (
@@ -973,79 +1015,23 @@ class FleetEngine:
                 if self._batch_candidates
                 else self._scalar_lanes
             )
-            first_step = not times
-            if first_step:
-                # Controllers act, then every lane's first observation
-                # fixes its schema; batch-observed lanes synthesize the
-                # dict from their observer so both paths agree on the
-                # schema (and on the values).
-                step_contexts = self._step_controllers(
-                    to_step, t, hour, day, workloads
+            contexts = self._step_controllers(to_step, t, hour, day, workloads)
+            if not times:
+                groups, slots, observer_batches = self._fix_schemas(
+                    t, hour, day, workloads, contexts
                 )
-                observed = self._first_observations_for(t, workloads)
-                first_observations: list[dict[str, float]] = []
-                for i, lane in enumerate(self._lanes):
-                    observation = observed.get(i)
-                    ctx = step_contexts.get(i) or StepContext(
-                        t=t, workload=workloads[i], hour=hour, day=day
-                    )
-                    if observation is None:
-                        observation = lane.observe_fn(ctx)
-                    else:
-                        # Cross-check the batch observer against the
-                        # lane's own observe_fn once, at the first step:
-                        # a mispaired observer (lanes constructed in a
-                        # different order than the observer's) would
-                        # otherwise silently record another lane's
-                        # series.
-                        expected = lane.observe_fn(ctx)
-                        if observation != expected:
-                            diverging = sorted(
-                                name
-                                for name in expected
-                                if observation.get(name) != expected[name]
-                            )
-                            raise ValueError(
-                                f"lane {lane.label!r}: batch observer "
-                                f"disagrees with observe_fn on the first "
-                                f"step (series {diverging}); check the "
-                                f"lane order the observer was built with"
-                            )
-                    first_observations.append(observation)
-                groups, slots = self._build_groups(first_observations)
-                for i, observation in enumerate(first_observations):
-                    index, column = slots[i]
-                    self._fill_row(groups[index], column, self._lanes[i], observation)
-                observer_batches = self._bind_observer_batches(groups, slots)
-            elif self.batched:
-                # Phased stepping: all controllers, then all
-                # observations (lanes are independent within a step, so
-                # this equals the interleaved order lane by lane).
-                step_contexts = self._step_controllers(
-                    to_step, t, hour, day, workloads
-                )
+            else:
                 # Observers are disjoint (distinct objects, distinct
                 # lane columns), so their fill_rows blocks may overlap
                 # under wave_workers.
-                def observe_batch(entry: tuple) -> None:
-                    observer, lane_indices, target, scatter = entry
-                    observer.fill_rows(
-                        t, [workloads[i] for i in lane_indices], target
-                    )
-                    if scatter is not None:
-                        row, columns, perm = scatter
-                        row[:, columns] = (
-                            target if perm is None else target[perm]
-                        )
-
                 self._wave_map(
                     [
-                        functools.partial(observe_batch, entry)
+                        functools.partial(self._observe_batch, t, workloads, entry)
                         for entry in observer_batches
                     ]
                 )
                 for i in self._dict_lanes:
-                    ctx = step_contexts.get(i) or StepContext(
+                    ctx = contexts.get(i) or StepContext(
                         t=t, workload=workloads[i], hour=hour, day=day
                     )
                     index, column = slots[i]
@@ -1053,16 +1039,6 @@ class FleetEngine:
                         groups[index], column, self._lanes[i],
                         self._lanes[i].observe_fn(ctx),
                     )
-            else:
-                # Scalar mode: the seed engine's loop, verbatim —
-                # controller then observation, lane by lane.
-                for i, lane in enumerate(self._lanes):
-                    ctx = StepContext(
-                        t=t, workload=workloads[i], hour=hour, day=day
-                    )
-                    self.controllers[i].on_step(ctx)
-                    index, column = slots[i]
-                    self._fill_row(groups[index], column, lane, lane.observe_fn(ctx))
             for group in groups:
                 for j, name in enumerate(group.names):
                     group.buffers[name].append(group.row[j])
@@ -1070,7 +1046,7 @@ class FleetEngine:
             clock.advance(self._step)
         # Fast-path observers read capacity without settling billing;
         # give each one a final settlement at the last step time so
-        # cost meters match the scalar path's per-step settlement.
+        # cost meters match the dict path's per-step settlement.
         if times:
             for observer, _lanes in self._observer_lanes:
                 finalize = getattr(observer, "finalize", None)

@@ -232,49 +232,6 @@ class HostMap:
             self._host_index[self._placed_idx], minlength=len(self.hosts)
         )
 
-    # -- construction helpers ------------------------------------------
-
-    @classmethod
-    def spread(
-        cls,
-        n_lanes: int,
-        n_hosts: int,
-        capacity_units: float,
-        **kwargs,
-    ) -> "HostMap":
-        """Round-robin ``n_lanes`` over ``n_hosts`` equal hosts."""
-        if n_lanes < 1:
-            raise ValueError(f"need at least one lane: {n_lanes}")
-        if n_hosts < 1:
-            raise ValueError(f"need at least one host: {n_hosts}")
-        hosts = [
-            SimHost(capacity_units=capacity_units, label=f"host-{h}")
-            for h in range(n_hosts)
-        ]
-        placement = [lane % n_hosts for lane in range(n_lanes)]
-        return cls(hosts, placement, **kwargs)
-
-    @classmethod
-    def pack(
-        cls,
-        n_lanes: int,
-        lanes_per_host: int,
-        capacity_units: float,
-        **kwargs,
-    ) -> "HostMap":
-        """Fill hosts block-wise, ``lanes_per_host`` lanes at a time."""
-        if n_lanes < 1:
-            raise ValueError(f"need at least one lane: {n_lanes}")
-        if lanes_per_host < 1:
-            raise ValueError(f"need at least one lane per host: {lanes_per_host}")
-        n_hosts = -(-n_lanes // lanes_per_host)
-        hosts = [
-            SimHost(capacity_units=capacity_units, label=f"host-{h}")
-            for h in range(n_hosts)
-        ]
-        placement = [lane // lanes_per_host for lane in range(n_lanes)]
-        return cls(hosts, placement, **kwargs)
-
     # -- introspection -------------------------------------------------
 
     @property

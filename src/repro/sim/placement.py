@@ -1,8 +1,8 @@
 """Placement policies: which shared host each fleet lane's VMs run on.
 
-PR 2's :class:`~repro.sim.hosts.HostMap` hard-wired two placements
-(round-robin ``spread`` and block-wise ``pack``) and a static
-offered-demand footprint, which left the paper-shaped question — *how
+The first :class:`~repro.sim.hosts.HostMap` hard-wired two placements
+(round-robin and block-wise) and a static offered-demand footprint,
+which left the paper-shaped question — *how
 much does where you put the VMs change the SLO/cost frontier?* — out of
 reach.  This module factors placement out behind one small protocol so
 the same fleet can run under different packings:
@@ -12,9 +12,8 @@ the same fleet can run under different packings:
   host shapes; the :class:`~repro.sim.hosts.HostMap` they feed stays a
   vectorizable per-step matrix operation, so placement composes with
   the batched (PR 3) and sharded (PR 4) fleet paths.
-* :class:`RoundRobinPlacement` / :class:`BlockPlacement` — the PR 2
-  behaviors re-expressed (``HostMap.spread`` / ``HostMap.pack``),
-  regression-pinned in ``tests/test_fleet_equivalence.py``.
+* :class:`RoundRobinPlacement` / :class:`BlockPlacement` — those two
+  original placements, the only way to build them.
 * :class:`FirstFitDecreasingPlacement` / :class:`BestFitPlacement` —
   classic bin-packing over demand footprints.  When nothing fits, both
   degrade deterministically to the host with the most headroom, so a
@@ -72,7 +71,7 @@ def _check_inputs(demands: Sequence[float], hosts: Sequence[SimHost]) -> None:
 
 
 class RoundRobinPlacement:
-    """Lane ``i`` on host ``i % n_hosts`` — PR 2's ``HostMap.spread``."""
+    """Lane ``i`` on host ``i % n_hosts``."""
 
     name = "round_robin"
 
@@ -84,11 +83,10 @@ class RoundRobinPlacement:
 
 
 class BlockPlacement:
-    """Fill hosts block-wise — PR 2's ``HostMap.pack``.
+    """Fill hosts block-wise, ``lanes_per_host`` lanes at a time.
 
     ``lanes_per_host=None`` derives the block size from the host count
-    (``ceil(n_lanes / n_hosts)``), which reproduces ``pack`` exactly
-    whenever the host count is the one ``pack`` would have created.
+    (``ceil(n_lanes / n_hosts)``).
     """
 
     name = "block"

@@ -5,7 +5,8 @@ paper argues for (Sec. 5) are worth sweeping at scales and parameter
 grids that do not.  This module cuts a fleet into contiguous **shards**
 of global lane indices, runs each shard in a worker process
 (``ProcessPoolExecutor`` with the ``spawn`` start method, so workers
-re-import the package instead of inheriting simulator state), persists
+re-import the package instead of inheriting simulator state; or, with
+``workers=0``, on threads of the calling process), persists
 every shard's :class:`~repro.sim.fleet.FleetResult` numpy blocks to an
 ``.npz`` file (:meth:`FleetResult.to_npz`), and merges the shard files
 back into one fleet-wide result.
@@ -35,13 +36,14 @@ import threading
 import time
 import uuid
 from collections import Counter
+from contextlib import ExitStack
 from concurrent.futures import (
     FIRST_EXCEPTION,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from multiprocessing import get_context
+from multiprocessing import get_context, shared_memory
 from pathlib import Path
 from typing import Any, Callable
 
@@ -187,31 +189,49 @@ def merge_fleet_results(
     )
 
 
-def _drain_exchange_futures(futures: list, barrier) -> list[dict]:
-    """Collect exchange-coupled worker results, failing fast on crash.
+def _drain_exchange_futures(futures: list, barrier=None) -> list[dict]:
+    """Collect shard results in shard order, failing fast on a crash.
 
-    A worker that dies outside a barrier wait leaves its peers blocked
-    at the barrier until the wait times out; aborting the barrier as
-    soon as the first failure lands breaks every pending and future
-    wait immediately.  The first *root-cause* exception (anything that
-    is not the induced ``BrokenBarrierError``) is re-raised.
+    On the first failure, shards still queued are cancelled and, for
+    coupled shards, the exchange ``barrier`` is aborted: a worker that
+    dies outside a barrier wait would otherwise leave its peers blocked
+    at the barrier until the wait times out.  The first *root-cause*
+    exception (anything that is not the induced ``BrokenBarrierError``)
+    is re-raised.
     """
     done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
     if not_done and any(f.exception() is not None for f in done):
-        try:
-            barrier.abort()
-        except Exception:
-            # The barrier may be unreachable (manager already dead);
-            # the waits still unblock via their timeouts.
-            pass
+        for future in not_done:
+            future.cancel()
+        if barrier is not None:
+            try:
+                barrier.abort()
+            except Exception:
+                # The barrier may be unreachable (manager already
+                # dead); the waits still unblock via their timeouts.
+                pass
     wait(futures)
-    errors = [f.exception() for f in futures if f.exception() is not None]
+    errors = [
+        f.exception()
+        for f in futures
+        if not f.cancelled() and f.exception() is not None
+    ]
     for error in errors:
         if not isinstance(error, threading.BrokenBarrierError):
             raise error
     if errors:
         raise errors[0]
     return [future.result() for future in futures]
+
+
+def _release_segment(segment) -> None:
+    """Close and unlink a shared segment (a resource tracker may have
+    unlinked it first)."""
+    segment.close()
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        pass
 
 
 def default_workers(shards: int, coupled: bool) -> int:
@@ -243,11 +263,12 @@ def run_sharded(
     :class:`~repro.sim.fleet.FleetResult` to ``result_path`` via
     ``to_npz``, and returns a small picklable stats payload.
 
-    ``workers`` sizes the process pool (default
-    :func:`default_workers`); ``workers=0`` runs every shard inline
-    in this process — the exact shard code path, deterministic and
-    debuggable, with no pool.  ``shard_dir`` keeps the per-shard
-    ``.npz`` files (for archival or out-of-band merging); by default a
+    ``workers`` sizes the spawn process pool (default
+    :func:`default_workers`); ``workers=0`` runs the shards on threads
+    of this process instead — one thread in turn for independent
+    shards, one thread per shard when coupled — the exact shard code
+    path, deterministic and debuggable, with no spawn.  ``shard_dir``
+    keeps the per-shard ``.npz`` files (for archival or out-of-band merging); by default a
     temporary directory is used and cleaned up.
 
     ``coupled`` couples the shards through a cross-shard demand
@@ -257,10 +278,11 @@ def run_sharded(
     *concurrently* because each step ends at a barrier.  Consequently
     ``workers`` defaults to ``shards`` (not the CPU count — an
     undersized pool would deadlock at the first barrier, so ``0 <
-    workers < shards`` is rejected) and ``workers=0`` runs the shards
-    as threads instead of inline.  The block and barrier are
-    guaranteed released/unlinked on any exit, including worker crashes
-    and barrier timeouts.
+    workers < shards`` is rejected) and ``workers=0`` runs them as
+    concurrent threads sharing an in-process block.  A failed shard
+    aborts the barrier; on any exit, worker crashes and barrier
+    timeouts included, the pool joins, then the manager shuts down,
+    then the shared-memory block is unlinked.
 
     Returns ``(merged_result, payloads_in_shard_order, wall_seconds)``
     where ``wall_seconds`` covers dispatch through merge.
@@ -290,70 +312,46 @@ def run_sharded(
             for k, lanes in enumerate(ranges)
         ]
         start = time.perf_counter()
-        if workers == 0:
-            if not coupled:
-                payloads = [worker(*job) for job in jobs]
+        with ExitStack() as stack:
+            barrier = None
+            if workers == 0:
+                # Coupled shards meet at a barrier every step, so each
+                # gets a thread; independent shards run in turn.
+                if coupled:
+                    handles = make_thread_exchange(n_lanes, ranges)
+                    barrier = handles[0]._barrier
+                pool = ThreadPoolExecutor(max_workers=shards if coupled else 1)
             else:
-                # Sequential execution would deadlock at the first
-                # barrier, so the inline path runs shards as threads:
-                # same process, same determinism guarantees (each
-                # shard's simulation state is thread-local).
-                handles = make_thread_exchange(n_lanes, ranges)
-                with ThreadPoolExecutor(max_workers=shards) as pool:
-                    futures = [
-                        pool.submit(worker, *job, handle)
-                        for job, handle in zip(jobs, handles)
-                    ]
-                    payloads = _drain_exchange_futures(
-                        futures, handles[0]._barrier
+                ctx = get_context("spawn")
+                if coupled:
+                    # The parent owns the segment and releases it however
+                    # the sweep ends: no crash or timed-out barrier can
+                    # leak a /dev/shm block.
+                    segment = shared_memory.SharedMemory(
+                        create=True,
+                        size=n_lanes * np.dtype(np.float64).itemsize,
+                        name=f"{SHM_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:8]}",
                     )
-        elif not coupled:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, shards),
-                mp_context=get_context("spawn"),
-            ) as pool:
-                futures = [pool.submit(worker, *job) for job in jobs]
-                payloads = [future.result() for future in futures]
-        else:
-            from multiprocessing import shared_memory
-
-            ctx = get_context("spawn")
-            segment = shared_memory.SharedMemory(
-                create=True,
-                size=n_lanes * np.dtype(np.float64).itemsize,
-                name=f"{SHM_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:8]}",
-            )
-            manager = None
-            try:
-                np.ndarray(
-                    (n_lanes,), dtype=np.float64, buffer=segment.buf
-                )[:] = 0.0
-                manager = ctx.Manager()
-                barrier = manager.Barrier(shards)
-                handles = make_exchange_handles(
-                    n_lanes, ranges, barrier, shm_name=segment.name
+                    stack.callback(_release_segment, segment)
+                    np.ndarray(
+                        (n_lanes,), dtype=np.float64, buffer=segment.buf
+                    )[:] = 0.0
+                    manager = stack.enter_context(ctx.Manager())
+                    barrier = manager.Barrier(shards)
+                    handles = make_exchange_handles(
+                        n_lanes, ranges, barrier, shm_name=segment.name
+                    )
+                pool = ProcessPoolExecutor(
+                    max_workers=min(workers, shards), mp_context=ctx
                 )
-                with ProcessPoolExecutor(
-                    max_workers=shards, mp_context=ctx
-                ) as pool:
-                    futures = [
-                        pool.submit(worker, *job, handle)
-                        for job, handle in zip(jobs, handles)
-                    ]
-                    payloads = _drain_exchange_futures(futures, barrier)
-            finally:
-                # The parent owns the segment: close the mapping and
-                # unlink the name no matter how the sweep ended, so a
-                # crashed worker or timed-out barrier cannot leak
-                # /dev/shm blocks.  FileNotFoundError is tolerated in
-                # case a resource tracker got there first.
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
-                if manager is not None:
-                    manager.shutdown()
+            if coupled:
+                jobs = [job + (handle,) for job, handle in zip(jobs, handles)]
+            # Entered last, so it unwinds first: the pool joins before
+            # the manager shuts down and the segment is unlinked.
+            stack.enter_context(pool)
+            payloads = _drain_exchange_futures(
+                [pool.submit(worker, *job) for job in jobs], barrier
+            )
         parts = [FleetResult.from_npz(job[3]) for job in jobs]
         merged = merge_fleet_results(parts, label=label)
         wall_seconds = time.perf_counter() - start

@@ -67,13 +67,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--mix", "sideways"])
 
-    def test_fleet_negative_hosts_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--hosts", "-3"])
+    def test_fleet_negative_hosts_rejected(self, capsys):
+        # FleetConfig owns the check; the CLI names the flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--hosts", "-3"])
+        assert excinfo.value.code == 2
+        assert "--hosts" in capsys.readouterr().err
 
-    def test_fleet_nonpositive_host_capacity_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--host-capacity", "0"])
+    def test_fleet_nonpositive_host_capacity_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--hosts", "2", "--host-capacity", "0"])
+        assert excinfo.value.code == 2
+        assert "--host-capacity" in capsys.readouterr().err
 
     def test_fleet_placement_flag(self):
         args = build_parser().parse_args(
@@ -403,6 +408,13 @@ class TestMain:
                 ["fleet", "--hosts", "2", "--faults", "host:0@100000+1"],
                 "--faults",
             ),
+            (
+                ["fleet", "--queue-policy", "priority", "--high-watermark",
+                 "4", "--low-watermark", "-1"],
+                "--high-watermark, --low-watermark",
+            ),
+            (["fleet", "--resignature-every", "nan"], "--resignature-every"),
+            (["fleet", "--wave-workers", "-1"], "--wave-workers"),
         ],
     )
     def test_bad_config_names_its_flag(self, capsys, argv, flag):

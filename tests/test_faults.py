@@ -224,10 +224,10 @@ class TestHostMapFaults:
     """Failure/evacuation/recovery semantics on a hand-driven map."""
 
     def build_map(self, schedule, n_lanes=4, n_hosts=2, capacity=10.0):
-        from repro.sim.hosts import HostMap
+        from repro.sim.placement import build_host_map
 
-        host_map = HostMap.spread(
-            n_lanes, n_hosts, capacity
+        host_map = build_host_map(
+            "round_robin", [0.0] * n_lanes, n_hosts, capacity
         )
         host_map.attach_faults(schedule)
         return host_map
@@ -238,9 +238,9 @@ class TestHostMapFaults:
         return host_map._apply_demands(t, np.asarray(demands, dtype=float))
 
     def test_attach_validates(self):
-        from repro.sim.hosts import HostMap
+        from repro.sim.placement import build_host_map
 
-        host_map = HostMap.spread(2, 2, 10.0)
+        host_map = build_host_map("round_robin", [0.0] * 2, 2, 10.0)
         with pytest.raises(ValueError, match="resolve"):
             host_map.attach_faults(
                 FaultSchedule(generators=(RandomFaultSpec(1, seed=0),))

@@ -622,26 +622,6 @@ def test_batched_matches_scalar_under_consolidation():
     assert any(batched.lane_events)
 
 
-class TestLegacyHostBehaviorPinned:
-    """PR 2's host layouts, re-expressed through the policy layer."""
-
-    def test_policy_placements_match_spread_and_pack(self):
-        from repro.sim.hosts import HostMap
-        from repro.sim.placement import make_policy
-
-        demands = [3.0, 7.0, 2.0, 5.0, 4.0]  # ignored by both policies
-        hosts = HostMap.spread(5, 2, 10.0).hosts
-        assert (
-            tuple(make_policy("round_robin").place(demands, hosts))
-            == HostMap.spread(5, 2, 10.0).placement
-        )
-        packed = HostMap.pack(5, 2, 10.0)
-        assert (
-            tuple(make_policy("block").place(demands, packed.hosts))
-            == packed.placement
-        )
-
-
 def test_wrapper_still_validates_duration():
     workload_fn, controller, observe_fn = build_policy("overprovision")
     engine = SimulationEngine(workload_fn, controller, observe_fn)

@@ -55,6 +55,49 @@ class TestValidation:
             FleetConfig(n_lanes=2, **{field: value})
 
     @pytest.mark.parametrize(
+        "field",
+        [
+            "n_lanes",
+            "profiling_slots",
+            "max_pending",
+            "queue_high_watermark",
+            "queue_low_watermark",
+            "lane_seed_stride",
+            "seed",
+            "n_hosts",
+            "shards",
+            "workers",
+            "wave_workers",
+        ],
+    )
+    @pytest.mark.parametrize("value", [2.5, float("nan")])
+    def test_integer_field_rejects_non_integers(self, field, value):
+        # A float n_lanes passed construction and died in the run with
+        # a TypeError; a fractional or NaN slot count raised TypeError;
+        # NaN seeds, shard and worker counts were simply accepted.
+        kwargs = {"n_lanes": 2, "hours": 2.0, field: value}
+        with pytest.raises(ValueError, match=rf"\binteger: {field}="):
+            FleetConfig(**kwargs)
+
+    def test_integer_fields_are_normalized(self):
+        import numpy as np
+
+        config = FleetConfig(n_lanes=np.int64(3), seed=np.int32(4))
+        assert type(config.n_lanes) is int and config.n_lanes == 3
+        assert type(config.seed) is int and config.seed == 4
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_resignature_period_must_be_finite(self, value):
+        # NaN was accepted and silently changed the request pattern.
+        with pytest.raises(ValueError, match=r"\bresignature_every_seconds="):
+            FleetConfig(n_lanes=2, hours=2.0, resignature_every_seconds=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_demand_factors_must_be_finite(self, value):
+        with pytest.raises(ValueError, match=r"\bdemand_factors="):
+            FleetConfig(n_lanes=2, hours=2.0, demand_factors=(1.0, value))
+
+    @pytest.mark.parametrize(
         "hours, steps", [(1.01, 13), (1.6, 20), (0.001, 1)]
     )
     def test_n_steps_counts_the_partial_last_step(self, hours, steps):

@@ -22,7 +22,7 @@ from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
 from repro.scenarios.gate import TIMING_METRICS
 from repro.scenarios.runner import fleet_metrics
 from repro.sim.fleet import FleetResult
-from repro.sim.placement import MigrationPolicy
+from repro.sim.placement import MigrationPolicy, build_host_map
 from repro.sim.shard import (
     SHM_PREFIX,
     merge_fleet_results,
@@ -85,9 +85,8 @@ def _fault_window_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange)
     (fault state must not perturb the crash-cleanup path)."""
     from repro.sim.exchange import ShardHostView
     from repro.sim.faults import FaultSchedule, HostFaultEvent
-    from repro.sim.hosts import HostMap
 
-    host_map = HostMap.spread(4, 2, 10.0)
+    host_map = build_host_map("round_robin", [0.0] * 4, 2, 10.0)
     host_map.attach_faults(
         FaultSchedule(host_faults=(HostFaultEvent(0, 1, 50),))
     )
@@ -426,21 +425,6 @@ class TestShardedStudy:
         part = FleetResult.from_npz(tmp_path / "shard_000.npz")
         assert part.n_lanes == 2
 
-    def test_failing_worker_leaves_no_orphan_npz(self, tmp_path):
-        # A mid-sweep worker failure used to strand the completed
-        # shards' .npz files in a caller-provided shard_dir; the sweep
-        # must clean up everything it wrote before re-raising.
-        with pytest.raises(RuntimeError, match="crashed mid-sweep"):
-            run_sharded(
-                _worker_failing_after_first,
-                spec=None,
-                n_lanes=4,
-                shards=2,
-                workers=0,
-                shard_dir=str(tmp_path),
-            )
-        assert list(tmp_path.glob("*.npz")) == []
-
     def test_events_preserve_per_lane_ordering(self):
         sharded = run_fleet_multiplexing_study(
             shards=2, workers=0, **self.KWARGS
@@ -456,6 +440,37 @@ class TestShardedStudy:
             run_fleet_multiplexing_study(n_lanes=4, shards=0)
         with pytest.raises(ValueError, match="cannot cut"):
             run_fleet_multiplexing_study(n_lanes=2, hours=1.0, shards=4)
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["threads", "spawn"])
+@pytest.mark.parametrize(
+    "coupled, worker, message",
+    [
+        (False, _worker_failing_after_first, "crashed mid-sweep"),
+        (True, _exchange_worker_crashing, "before the barrier"),
+    ],
+    ids=["uncoupled", "coupled"],
+)
+def test_worker_crash_cleans_up(tmp_path, workers, coupled, worker, message):
+    """One shard dies while another has persisted its result or waits
+    at the exchange barrier.  In every executor mode the sweep must
+    re-raise the worker's own error (not the induced barrier break),
+    remove every shard file it wrote, unlink the shared demand segment
+    and leave no pool or manager process behind."""
+    before = _shm_segments()
+    with pytest.raises(RuntimeError, match=message):
+        run_sharded(
+            worker,
+            spec=None,
+            n_lanes=4,
+            shards=2,
+            workers=workers,
+            shard_dir=str(tmp_path),
+            coupled=coupled,
+        )
+    assert list(tmp_path.glob("*.npz")) == []
+    assert _shm_segments() <= before
+    assert multiprocessing.active_children() == []
 
 
 class TestLearnOncePerFamily:
@@ -591,42 +606,6 @@ class TestHostCoupledShards:
                 coupled=True,
             )
 
-    def test_crashed_thread_worker_aborts_barrier_and_cleans_up(
-        self, tmp_path
-    ):
-        # Shard 0 is blocked at the barrier when shard 1 dies; the
-        # parent must abort the barrier (fast failure, not a timeout)
-        # and remove every shard file.
-        with pytest.raises(RuntimeError, match="before the barrier"):
-            run_sharded(
-                _exchange_worker_crashing,
-                spec=None,
-                n_lanes=4,
-                shards=2,
-                workers=0,
-                shard_dir=str(tmp_path),
-                coupled=True,
-            )
-        assert list(tmp_path.glob("*.npz")) == []
-
-    def test_crashed_worker_process_unlinks_shared_memory(self, tmp_path):
-        # Same crash through the spawn pool: the parent owns the
-        # /dev/shm segment and must unlink it even though the sweep
-        # died mid-exchange.
-        before = _shm_segments()
-        with pytest.raises(RuntimeError, match="before the barrier"):
-            run_sharded(
-                _exchange_worker_crashing,
-                spec=None,
-                n_lanes=4,
-                shards=2,
-                workers=2,
-                shard_dir=str(tmp_path),
-                coupled=True,
-            )
-        assert list(tmp_path.glob("*.npz")) == []
-        assert _shm_segments() <= before
-
 
 class TestFaultedShards(TestHostCoupledShards):
     """Fault injection across shard boundaries: the same schedule must
@@ -693,11 +672,10 @@ class TestFaultedShards(TestHostCoupledShards):
 
         from repro.sim.exchange import ShardHostView, make_thread_exchange
         from repro.sim.faults import FaultSchedule, HostFaultEvent
-        from repro.sim.hosts import HostMap
 
         def faulted_map():
-            host_map = HostMap.spread(
-                4, 2, 3.0,
+            host_map = build_host_map(
+                "round_robin", [0.0] * 4, 2, 3.0,
                 migration=MigrationPolicy(rebalance_every=5, max_moves=2),
             )
             host_map.attach_faults(

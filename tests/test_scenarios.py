@@ -162,6 +162,22 @@ class TestSchemaValidation:
         with pytest.raises(ScenarioError, match="shards"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_lanes", 2.5),
+            ("profiling_slots", 1.5),
+            ("resignature_every_seconds", float("nan")),
+        ],
+    )
+    def test_non_integer_or_non_finite_field_rejected_at_load(
+        self, name, value
+    ):
+        # n_lanes=2.5 loaded fine and crashed the run with a TypeError.
+        doc = tiny(fleet={"n_lanes": 2, "hours": 2.0, name: value})
+        with pytest.raises(ScenarioError, match=rf"\b{name}="):
+            parse_scenario(doc)
+
     def test_host_faults_without_hosts_rejected(self):
         doc = tiny(fleet={"n_lanes": 2, "faults": "host:0@5+2"})
         with pytest.raises(ScenarioError, match="n_hosts"):

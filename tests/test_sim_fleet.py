@@ -85,9 +85,9 @@ class TestFleetEngineValidation:
             FleetEngine([odd], step_seconds=10.0).run(30.0)
 
     def test_host_map_lane_count_mismatch_rejected(self):
-        from repro.sim.hosts import HostMap
+        from repro.sim.placement import build_host_map
 
-        host_map = HostMap.spread(n_lanes=3, n_hosts=1, capacity_units=5.0)
+        host_map = build_host_map("round_robin", [0.0] * 3, 1, 5.0)
         with pytest.raises(ValueError, match="host map"):
             FleetEngine([make_lane(1.0)], host_map=host_map)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.hosts import MAX_THEFT, HostInterferenceFeed, HostMap, SimHost
+from repro.sim.placement import build_host_map
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 
@@ -11,6 +12,13 @@ def demand(units: float) -> Workload:
     """A workload offering exactly ``units`` capacity units of demand."""
     mix = CASSANDRA_UPDATE_HEAVY
     return Workload(volume=units / mix.demand_per_client, mix=mix)
+
+
+def round_robin(n_lanes: int, n_hosts: int, capacity_units: float) -> HostMap:
+    """``n_lanes`` lanes placed round-robin on ``n_hosts`` equal hosts."""
+    return build_host_map(
+        "round_robin", [0.0] * n_lanes, n_hosts, capacity_units
+    )
 
 
 class TestValidation:
@@ -30,21 +38,21 @@ class TestValidation:
             HostMap([SimHost(10.0)], [0, 1])
 
     def test_workload_count_checked(self):
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         with pytest.raises(ValueError, match="workloads"):
             host_map.apply_step(0.0, [demand(1.0)])
 
 
 class TestPlacements:
     def test_spread_round_robin(self):
-        host_map = HostMap.spread(n_lanes=5, n_hosts=2, capacity_units=10.0)
+        host_map = round_robin(5, 2, 10.0)
         assert host_map.n_hosts == 2
         assert host_map.placement == (0, 1, 0, 1, 0)
         assert host_map.lanes_on(0) == (0, 2, 4)
         assert host_map.neighbours_of(2) == (0, 4)
 
     def test_pack_block_wise(self):
-        host_map = HostMap.pack(n_lanes=5, lanes_per_host=2, capacity_units=10.0)
+        host_map = build_host_map("block", [0.0] * 5, 3, 10.0)
         assert host_map.n_hosts == 3
         assert host_map.placement == (0, 0, 1, 1, 2)
         assert host_map.lanes_on(2) == (4,)
@@ -57,7 +65,7 @@ class TestPlacements:
 
 class TestCoupling:
     def test_underloaded_host_steals_nothing(self):
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         thefts = host_map.apply_step(0.0, [demand(4.0), demand(5.0)])
         assert thefts.tolist() == [0.0, 0.0]
         assert host_map.overload_fraction == 0.0
@@ -66,7 +74,7 @@ class TestCoupling:
     def test_overloaded_host_squeezes_both_tenants(self):
         # Two equal lanes, total 14 on a 10-unit host: overload 2/7,
         # each lane's theft is overload times its neighbour's share.
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         thefts = host_map.apply_step(0.0, [demand(7.0), demand(7.0)])
         expected = (4.0 / 14.0) * (7.0 / 14.0)
         assert thefts[0] == pytest.approx(expected)
@@ -78,19 +86,19 @@ class TestCoupling:
     def test_lone_lane_overload_is_not_interference(self):
         # Self-saturation on a dedicated host must read as zero theft:
         # DejaVu's interference index blames co-located tenants only.
-        host_map = HostMap.spread(n_lanes=1, n_hosts=1, capacity_units=5.0)
+        host_map = round_robin(1, 1, 5.0)
         thefts = host_map.apply_step(0.0, [demand(50.0)])
         assert thefts.tolist() == [0.0]
         assert host_map.overload_fraction == 1.0  # overloaded, but alone
 
     def test_big_neighbour_steals_more_than_small_one(self):
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         thefts = host_map.apply_step(0.0, [demand(2.0), demand(12.0)])
         # The small lane suffers from the big neighbour, not vice versa.
         assert thefts[0] > thefts[1] > 0.0
 
     def test_hosts_are_independent(self):
-        host_map = HostMap.spread(n_lanes=4, n_hosts=2, capacity_units=10.0)
+        host_map = round_robin(4, 2, 10.0)
         # Host 0 holds lanes (0, 2) and is overloaded; host 1 (1, 3) idles.
         thefts = host_map.apply_step(
             0.0, [demand(8.0), demand(1.0), demand(8.0), demand(1.0)]
@@ -104,9 +112,7 @@ class TestCoupling:
         # unclipped theft, overload times its neighbours' share, is
         # ~0.999 — past the clip that keeps effective capacity positive.
         n_lanes = 10
-        host_map = HostMap.spread(
-            n_lanes=n_lanes, n_hosts=1, capacity_units=1.0
-        )
+        host_map = round_robin(n_lanes, 1, 1.0)
         offered = [1.0] + [100.0] * (n_lanes - 1)
         total = sum(offered)
         unclipped = (total - 1.0) / total * (total - offered[0]) / total
@@ -117,7 +123,7 @@ class TestCoupling:
         assert np.all(thefts <= MAX_THEFT)
 
     def test_theft_resets_when_pressure_passes(self):
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         host_map.apply_step(0.0, [demand(7.0), demand(7.0)])
         assert host_map.feed(0).theft > 0.0
         host_map.apply_step(60.0, [demand(1.0), demand(1.0)])
@@ -125,7 +131,7 @@ class TestCoupling:
         assert host_map.overload_fraction == pytest.approx(0.5)
 
     def test_mean_theft_accumulates_over_steps(self):
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         host_map.apply_step(0.0, [demand(7.0), demand(7.0)])
         host_map.apply_step(60.0, [demand(1.0), demand(1.0)])
         per_step = (4.0 / 14.0) * (7.0 / 14.0)
@@ -150,8 +156,8 @@ class TestFootprint:
         footprint = HostMap._demands(workloads, capacities)
         np.testing.assert_array_equal(footprint, expected, strict=True)
         # The theft pass sees exactly that footprint.
-        host_map = HostMap.spread(n_lanes=4, n_hosts=1, capacity_units=5.0)
-        reference = HostMap.spread(n_lanes=4, n_hosts=1, capacity_units=5.0)
+        host_map = round_robin(4, 1, 5.0)
+        reference = round_robin(4, 1, 5.0)
         np.testing.assert_array_equal(
             host_map.apply_step(0.0, workloads, capacities=capacities),
             reference._apply_demands(0.0, expected),
@@ -159,7 +165,7 @@ class TestFootprint:
         )
 
     def test_capacity_count_checked(self):
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         with pytest.raises(ValueError, match="capacities"):
             host_map.apply_step(0.0, [demand(1.0)] * 2, capacities=[1.0])
 
@@ -185,7 +191,7 @@ class TestEngineIntegration:
     def test_engine_updates_host_map_each_step(self):
         from repro.sim.fleet import FleetEngine, FleetLane
 
-        host_map = HostMap.spread(n_lanes=2, n_hosts=1, capacity_units=10.0)
+        host_map = round_robin(2, 1, 10.0)
         seen: list[float] = []
 
         def observe(ctx):
