@@ -1256,7 +1256,7 @@ def run_fleet_multiplexing_study(
     coupling crosses shard boundaries: the parent resolves the global
     placement once, every worker rebuilds the identical global
     :class:`~repro.sim.hosts.HostMap`, and each step the workers
-    synchronize their lanes' demand through a shared-memory block and
+    synchronize their lanes' demand through a shared block and
     a step barrier (:mod:`repro.sim.exchange`) before computing the
     global theft pass locally.
     """

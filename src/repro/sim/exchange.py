@@ -10,8 +10,8 @@ independent shards that synchronize only at exchange points:
   :class:`~repro.sim.hosts.HostMap` from the spec (placement is
   resolved once, up front, from deterministic demand estimates);
 * each step, every worker writes its lanes' demand contributions into
-  one shared-memory numpy block (``multiprocessing.shared_memory``,
-  spawn-safe) and waits on a step barrier;
+  one shared float64 block (a ``multiprocessing`` ``RawArray``) and
+  waits on a step barrier;
 * each worker then copies the now-complete global demand vector and
   runs the *global* theft pass locally — the exact
   ``HostMap.apply_step`` arithmetic over all lanes — reading back only
@@ -22,13 +22,14 @@ migration plans and host statistics are bit-identical across workers
 and identical to the single-process run (pinned in
 ``tests/test_fleet_shard.py`` and ``tests/test_host_exchange.py``).
 
-:class:`DemandExchange` is one shard's handle: in **process mode** it
-carries the shared-memory block's name plus a
-``multiprocessing.Manager`` barrier proxy (both picklable through the
-``spawn`` pool), attaching lazily on first use; in **thread mode**
-(``workers=0``) it holds the block array and a ``threading.Barrier``
-directly.  :class:`ShardHostView` adapts the global map to the fleet
-engine's host contract for one lane slice.
+:class:`DemandExchange` is one shard's handle.  In **process mode**
+the sweep creates the barrier and block from the ``spawn`` context and
+hands them to every pool worker at process start (the pool's
+``initializer``, :func:`install_exchange`); the handle itself pickles
+without either and picks up the worker's inherited pair on first use.
+In **thread mode** (``workers=0``) it holds the block array and a
+``threading.Barrier`` directly.  :class:`ShardHostView` adapts the
+global map to the fleet engine's host contract for one lane slice.
 """
 
 from __future__ import annotations
@@ -45,26 +46,29 @@ from repro.sim.hosts import HostMap
 DEFAULT_BARRIER_TIMEOUT_SECONDS = 120.0
 
 
-def _attach_block(name: str, n_lanes: int):
-    """Attach to the named shared-memory block as a float64 vector."""
-    from multiprocessing import shared_memory
+#: The ``(barrier, block)`` pair this worker process inherited from
+#: its pool's initializer; ``None`` outside a coupled spawn pool.
+_INHERITED: tuple | None = None
 
-    segment = shared_memory.SharedMemory(name=name)
-    block = np.ndarray((n_lanes,), dtype=np.float64, buffer=segment.buf)
-    return segment, block
+
+def install_exchange(barrier, shared) -> None:
+    """Pool initializer of a coupled spawn sweep: keep its step barrier
+    and demand block for every process-mode :class:`DemandExchange` of
+    this worker."""
+    global _INHERITED
+    _INHERITED = (barrier, shared)
 
 
 class DemandExchange:
     """One shard worker's handle on the shared per-lane demand block.
 
     The block is a float64 vector of length ``n_lanes`` (global);
-    this handle owns the ``[lane_lo, lane_hi)`` slice.  Exactly one of
-    ``shm_name`` (process mode — attach lazily, so the handle pickles
-    through the spawn pool) or ``block`` (thread mode — the array is
-    shared directly) must be given.  ``barrier`` is a
-    ``threading.Barrier``-shaped object whose party count is the shard
-    count; Manager barrier proxies satisfy the contract across
-    processes.
+    this handle owns the ``[lane_lo, lane_hi)`` slice.  Pass both
+    ``barrier`` and ``block`` (thread mode — shared directly) or
+    neither (process mode — the worker's pair from
+    :func:`install_exchange` is used, so the handle pickles through the
+    spawn pool).  ``barrier`` is a ``threading.Barrier``-shaped object
+    whose party count is the shard count.
     """
 
     def __init__(
@@ -72,9 +76,8 @@ class DemandExchange:
         n_lanes: int,
         lane_lo: int,
         lane_hi: int,
-        barrier,
+        barrier=None,
         timeout_seconds: float = DEFAULT_BARRIER_TIMEOUT_SECONDS,
-        shm_name: str | None = None,
         block: np.ndarray | None = None,
     ) -> None:
         if not 0 <= lane_lo < lane_hi <= n_lanes:
@@ -85,10 +88,10 @@ class DemandExchange:
             raise ValueError(
                 f"barrier timeout must be positive: {timeout_seconds}"
             )
-        if (shm_name is None) == (block is None):
+        if (barrier is None) != (block is None):
             raise ValueError(
-                "pass exactly one of shm_name (process mode) or "
-                "block (thread mode)"
+                "pass both barrier and block (thread mode) or neither "
+                "(process mode, inherited from the pool initializer)"
             )
         if block is not None and block.shape != (n_lanes,):
             raise ValueError(
@@ -99,30 +102,35 @@ class DemandExchange:
         self.lane_lo = lane_lo
         self.lane_hi = lane_hi
         self.timeout_seconds = float(timeout_seconds)
+        self.inherited = block is None
         self._barrier = barrier
-        self._shm_name = shm_name
-        self._segment = None
         self._block = block
 
     def __getstate__(self):
-        if self._shm_name is None:
+        if not self.inherited:
             raise TypeError(
                 "a thread-mode DemandExchange shares its block by "
                 "reference and cannot cross a process boundary"
             )
         state = self.__dict__.copy()
-        # The attachment is per-process; the worker re-attaches lazily.
-        state["_segment"] = None
+        # The barrier and block are per-process; the worker resolves
+        # its inherited pair lazily.
+        state["_barrier"] = None
         state["_block"] = None
         return state
 
     @property
     def block(self) -> np.ndarray:
-        """The full global demand vector (attaching on first use)."""
+        """The full global demand vector (resolving on first use)."""
         if self._block is None:
-            self._segment, self._block = _attach_block(
-                self._shm_name, self.n_lanes
-            )
+            if _INHERITED is None:
+                raise RuntimeError(
+                    "no demand exchange installed in this process: a "
+                    "process-mode handle runs in a pool whose "
+                    "initializer is install_exchange"
+                )
+            self._barrier, shared = _INHERITED
+            self._block = np.frombuffer(shared, dtype=np.float64)
         return self._block
 
     def _wait(self) -> None:
@@ -151,22 +159,15 @@ class DemandExchange:
         return full
 
     def close(self) -> None:
-        """Detach from the shared block (process mode; thread no-op).
-
-        The parent owns the segment's lifetime and unlinks it; workers
-        only drop their mapping.
-        """
-        self._block = None if self._shm_name is not None else self._block
-        if self._segment is not None:
-            self._segment.close()
-            self._segment = None
+        """Drop the inherited barrier and block (thread mode: no-op)."""
+        if self.inherited:
+            self._barrier = self._block = None
 
 
 def make_exchange_handles(
     n_lanes: int,
     ranges: list[range],
-    barrier,
-    shm_name: str | None = None,
+    barrier=None,
     block: np.ndarray | None = None,
 ) -> list[DemandExchange]:
     """One :class:`DemandExchange` handle per shard range, in order."""
@@ -176,7 +177,6 @@ def make_exchange_handles(
             lane_lo=lanes.start,
             lane_hi=lanes.stop,
             barrier=barrier,
-            shm_name=shm_name,
             block=block,
         )
         for lanes in ranges

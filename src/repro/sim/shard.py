@@ -16,8 +16,9 @@ interact only through the profiling queue and shared hosts.  The
 profiling queue is scoped to the shard (one profiling environment per
 shard); shared hosts couple lanes *across* shards, so host-coupled
 sweeps pass ``coupled=True`` and every worker synchronizes its lanes'
-demand contributions through a shared-memory block and a barrier every
-step before computing the global theft pass locally.  Either way, with
+demand contributions through a shared block and a barrier every step
+before computing the global theft pass locally (spawned workers
+inherit that pair through the pool's initializer).  Either way, with
 counter-mode telemetry streams the merged result is bit-identical to
 the single-process run (pinned in ``tests/test_fleet_shard.py``).
 
@@ -34,27 +35,26 @@ import os
 import tempfile
 import threading
 import time
-import uuid
 from collections import Counter
-from contextlib import ExitStack
 from concurrent.futures import (
     FIRST_EXCEPTION,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from multiprocessing import get_context, shared_memory
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.sim.exchange import make_exchange_handles, make_thread_exchange
+from repro.sim.exchange import (
+    install_exchange,
+    make_exchange_handles,
+    make_thread_exchange,
+)
 from repro.sim.fleet import FleetResult
-
-#: Prefix of the shared-memory segments backing demand exchanges; the
-#: cleanup regression test globs for it.
-SHM_PREFIX = "fleet-demand"
 
 
 def partition_lanes(n_lanes: int, shards: int) -> list[range]:
@@ -192,46 +192,42 @@ def merge_fleet_results(
 def _drain_exchange_futures(futures: list, barrier=None) -> list[dict]:
     """Collect shard results in shard order, failing fast on a crash.
 
-    On the first failure, shards still queued are cancelled and, for
-    coupled shards, the exchange ``barrier`` is aborted: a worker that
-    dies outside a barrier wait would otherwise leave its peers blocked
-    at the barrier until the wait times out.  The first *root-cause*
-    exception (anything that is not the induced ``BrokenBarrierError``)
-    is re-raised.
+    On the first failure, shards still queued are cancelled and, when
+    a coupled shard *raised*, the exchange ``barrier`` is aborted so
+    its peers fail fast instead of timing out.  A worker process that
+    died outright (``BrokenProcessPool``: the pool has terminated its
+    peers) may hold the barrier's lock, so the barrier is left alone.
+    The first *root-cause* exception (anything that is not the
+    induced ``BrokenBarrierError``) is re-raised.
     """
     done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-    if not_done and any(f.exception() is not None for f in done):
+    failures = [f.exception() for f in done if f.exception() is not None]
+    if not_done and failures:
         for future in not_done:
             future.cancel()
-        if barrier is not None:
-            try:
-                barrier.abort()
-            except Exception:
-                # The barrier may be unreachable (manager already
-                # dead); the waits still unblock via their timeouts.
-                pass
+        if barrier is not None and not any(
+            isinstance(error, BrokenProcessPool) for error in failures
+        ):
+            barrier.abort()
     wait(futures)
     errors = [
         f.exception()
         for f in futures
         if not f.cancelled() and f.exception() is not None
     ]
-    for error in errors:
-        if not isinstance(error, threading.BrokenBarrierError):
-            raise error
-    if errors:
-        raise errors[0]
-    return [future.result() for future in futures]
-
-
-def _release_segment(segment) -> None:
-    """Close and unlink a shared segment (a resource tracker may have
-    unlinked it first)."""
-    segment.close()
+    if not errors:
+        return [future.result() for future in futures]
+    root = next(
+        (e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
+        errors[0],
+    )
+    # No local may lead back to the raised error: without a cycle the
+    # barrier's named semaphores go as soon as the caller drops it.
+    del futures, done, not_done, failures, errors
     try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
+        raise root
+    finally:
+        del root
 
 
 def default_workers(shards: int, coupled: bool) -> int:
@@ -274,15 +270,17 @@ def run_sharded(
     ``coupled`` couples the shards through a cross-shard demand
     exchange (shared hosts): the worker gains a fifth positional
     argument, a :class:`~repro.sim.exchange.DemandExchange` handle on
-    one shared-memory demand block, and every shard must run
+    one shared demand block, and every shard must run
     *concurrently* because each step ends at a barrier.  Consequently
     ``workers`` defaults to ``shards`` (not the CPU count — an
     undersized pool would deadlock at the first barrier, so ``0 <
     workers < shards`` is rejected) and ``workers=0`` runs them as
     concurrent threads sharing an in-process block.  A failed shard
-    aborts the barrier; on any exit, worker crashes and barrier
-    timeouts included, the pool joins, then the manager shuts down,
-    then the shared-memory block is unlinked.
+    aborts the barrier.  Spawned workers inherit the barrier and the
+    block at process start, through the pool's ``initializer``; the
+    block is an anonymous mapping, so once the pool has joined — on any
+    exit, worker crashes and barrier timeouts included — nothing of
+    the exchange outlives the sweep.
 
     Returns ``(merged_result, payloads_in_shard_order, wall_seconds)``
     where ``wall_seconds`` covers dispatch through merge.
@@ -312,43 +310,32 @@ def run_sharded(
             for k, lanes in enumerate(ranges)
         ]
         start = time.perf_counter()
-        with ExitStack() as stack:
-            barrier = None
-            if workers == 0:
-                # Coupled shards meet at a barrier every step, so each
-                # gets a thread; independent shards run in turn.
-                if coupled:
-                    handles = make_thread_exchange(n_lanes, ranges)
-                    barrier = handles[0]._barrier
-                pool = ThreadPoolExecutor(max_workers=shards if coupled else 1)
-            else:
-                ctx = get_context("spawn")
-                if coupled:
-                    # The parent owns the segment and releases it however
-                    # the sweep ends: no crash or timed-out barrier can
-                    # leak a /dev/shm block.
-                    segment = shared_memory.SharedMemory(
-                        create=True,
-                        size=n_lanes * np.dtype(np.float64).itemsize,
-                        name=f"{SHM_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:8]}",
-                    )
-                    stack.callback(_release_segment, segment)
-                    np.ndarray(
-                        (n_lanes,), dtype=np.float64, buffer=segment.buf
-                    )[:] = 0.0
-                    manager = stack.enter_context(ctx.Manager())
-                    barrier = manager.Barrier(shards)
-                    handles = make_exchange_handles(
-                        n_lanes, ranges, barrier, shm_name=segment.name
-                    )
-                pool = ProcessPoolExecutor(
-                    max_workers=min(workers, shards), mp_context=ctx
-                )
+        barrier = None
+        if workers == 0:
+            # Coupled shards meet at a barrier every step, so each gets
+            # a thread; independent shards run in turn.
             if coupled:
-                jobs = [job + (handle,) for job, handle in zip(jobs, handles)]
-            # Entered last, so it unwinds first: the pool joins before
-            # the manager shuts down and the segment is unlinked.
-            stack.enter_context(pool)
+                handles = make_thread_exchange(n_lanes, ranges)
+                barrier = handles[0]._barrier
+            pool = ThreadPoolExecutor(max_workers=shards if coupled else 1)
+        else:
+            ctx = get_context("spawn")
+            inherit = {}
+            if coupled:
+                # Sync primitives and shared arrays reach a spawned
+                # worker only at its start: the pool initializer.
+                barrier = ctx.Barrier(shards)
+                handles = make_exchange_handles(n_lanes, ranges)
+                inherit = dict(
+                    initializer=install_exchange,
+                    initargs=(barrier, ctx.RawArray("d", n_lanes)),
+                )
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, shards), mp_context=ctx, **inherit
+            )
+        if coupled:
+            jobs = [job + (handle,) for job, handle in zip(jobs, handles)]
+        with pool:
             payloads = _drain_exchange_futures(
                 [pool.submit(worker, *job) for job in jobs], barrier
             )

@@ -12,6 +12,12 @@ global theft pass.
 """
 
 import multiprocessing
+import os
+import threading
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +27,11 @@ from repro.core.manager import DejaVuManager
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
 from repro.scenarios.gate import TIMING_METRICS
 from repro.scenarios.runner import fleet_metrics
+from repro.sim.exchange import DEFAULT_BARRIER_TIMEOUT_SECONDS
 from repro.sim.fleet import FleetResult
 from repro.sim.placement import MigrationPolicy, build_host_map
 from repro.sim.shard import (
-    SHM_PREFIX,
+    _drain_exchange_futures,
     merge_fleet_results,
     partition_lanes,
     run_sharded,
@@ -44,12 +51,13 @@ class _StubWorkload:
 
 
 def _shm_segments() -> set[str]:
-    """Names of the demand-exchange segments currently in /dev/shm
-    (empty where the platform has no /dev/shm to inspect)."""
+    """Every entry currently in /dev/shm (empty where the platform has
+    no /dev/shm to inspect): a sweep must leave no segment or named
+    semaphore of any name behind."""
     shm_dir = Path("/dev/shm")
     if not shm_dir.is_dir():
         return set()
-    return {p.name for p in shm_dir.glob(f"{SHM_PREFIX}-*")}
+    return {p.name for p in shm_dir.iterdir()}
 
 
 def _worker_failing_after_first(spec, lane_lo, lane_hi, result_path):
@@ -78,11 +86,54 @@ def _exchange_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange):
     return {}
 
 
+def _exchange_worker_dying(spec, lane_lo, lane_hi, result_path, exchange):
+    """Shard 0 persists its result and waits at the barrier; every
+    other shard dies outright *holding the barrier's lock* — no
+    exception, no cleanup, so the parent must neither abort the barrier
+    (it would block on that lock forever) nor wait out the timeout."""
+    if lane_lo > 0:
+        exchange.block  # resolve the inherited barrier
+        exchange._barrier._cond.acquire()
+        os._exit(1)
+    _worker_failing_after_first(spec, lane_lo, lane_hi, result_path)
+    exchange.exchange(np.zeros(lane_hi - lane_lo))
+    return {}
+
+
+def _exchange_worker_stepping(spec, lane_lo, lane_hi, result_path, exchange):
+    """Steps a contended global host map through the exchange for
+    ``spec`` steps and persists the slice's per-step thefts."""
+    from repro.sim.exchange import ShardHostView
+
+    host_map = build_host_map("round_robin", [0.0] * exchange.n_lanes, 2, 3.0)
+    view = ShardHostView(host_map, lane_lo, lane_hi, exchange)
+    try:
+        thefts = [
+            view.apply_step(
+                step * 300.0,
+                [
+                    _StubWorkload(1.0 + (lane * 7 + step) % 3)
+                    for lane in range(lane_lo, lane_hi)
+                ],
+            ).copy()
+            for step in range(spec)
+        ]
+    finally:
+        exchange.close()
+    FleetResult(
+        label="thefts",
+        lane_labels=tuple(f"lane-{i}" for i in range(lane_lo, lane_hi)),
+        times=np.arange(spec) * 300.0,
+        matrices={"theft": np.array(thefts)},
+    ).to_npz(result_path)
+    return {"pid": os.getpid()}
+
+
 def _fault_window_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange):
     """Every worker commits a host failure at the step-1 barrier, then
     shard 1 dies *inside the fault window* — the parent must still
-    abort the barrier, unlink the shm segment and remove shard files
-    (fault state must not perturb the crash-cleanup path)."""
+    abort the barrier and remove shard files (fault state must not
+    perturb the crash-cleanup path)."""
     from repro.sim.exchange import ShardHostView
     from repro.sim.faults import FaultSchedule, HostFaultEvent
 
@@ -455,8 +506,8 @@ def test_worker_crash_cleans_up(tmp_path, workers, coupled, worker, message):
     """One shard dies while another has persisted its result or waits
     at the exchange barrier.  In every executor mode the sweep must
     re-raise the worker's own error (not the induced barrier break),
-    remove every shard file it wrote, unlink the shared demand segment
-    and leave no pool or manager process behind."""
+    remove every shard file it wrote and leave no pool process or
+    /dev/shm entry behind."""
     before = _shm_segments()
     with pytest.raises(RuntimeError, match=message):
         run_sharded(
@@ -471,6 +522,90 @@ def test_worker_crash_cleans_up(tmp_path, workers, coupled, worker, message):
     assert list(tmp_path.glob("*.npz")) == []
     assert _shm_segments() <= before
     assert multiprocessing.active_children() == []
+
+
+def test_hard_worker_death_fails_fast(tmp_path):
+    """A shard process that dies outright while its peer waits at the
+    exchange barrier breaks the pool.  The sweep must raise that at
+    once — not after the barrier timeout, and not block aborting a
+    barrier whose lock the dead worker holds — and leave no shard
+    file, worker process or /dev/shm entry behind."""
+    before = _shm_segments()
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        run_sharded(
+            _exchange_worker_dying,
+            spec=None,
+            n_lanes=4,
+            shards=2,
+            workers=2,
+            shard_dir=str(tmp_path),
+            coupled=True,
+        )
+    assert time.perf_counter() - start < DEFAULT_BARRIER_TIMEOUT_SECONDS / 4
+    assert list(tmp_path.glob("*.npz")) == []
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+class _PeerBarrier:
+    """Stands for the exchange barrier a still-running peer waits at.
+
+    An abort releases the peer (its future fails with the induced
+    ``BrokenBarrierError``).  ``poisoned`` stands for a barrier whose
+    lock a dead worker holds: aborting it would block the parent."""
+
+    def __init__(self, peer: Future, poisoned: bool) -> None:
+        self.peer = peer
+        self.poisoned = poisoned
+        self.aborts = 0
+
+    def abort(self) -> None:
+        if self.poisoned:
+            raise AssertionError("aborted a barrier a dead worker may hold")
+        self.aborts += 1
+        self.peer.set_exception(threading.BrokenBarrierError())
+
+
+@pytest.mark.parametrize("broken_pool", [False, True], ids=["raised", "died"])
+def test_only_a_raised_worker_aborts_the_barrier(broken_pool):
+    # A deterministic pin of the drain's choice while a peer still
+    # waits: a shard that raised aborts the barrier and its own error
+    # is re-raised; a broken pool (a worker process died, perhaps
+    # holding the barrier's lock) never touches the barrier — the pool
+    # fails the peer itself.
+    failed, peer = Future(), Future()
+    peer.set_running_or_notify_cancel()
+    barrier = _PeerBarrier(peer, poisoned=broken_pool)
+    error = BrokenProcessPool() if broken_pool else RuntimeError("raised")
+    failed.set_exception(error)
+    if broken_pool:
+        threading.Timer(0.1, peer.set_exception, [BrokenProcessPool()]).start()
+    with pytest.raises(type(error)):
+        _drain_exchange_futures([failed, peer], barrier)
+    assert barrier.aborts == (0 if broken_pool else 1)
+
+
+def test_coupled_spawn_sweep_starts_no_server(monkeypatch):
+    """Spawned coupled shards inherit the barrier and the demand block
+    from the pool initializer: no ``Manager`` server process is started,
+    and the sweep still matches the thread-mode run exactly."""
+
+    def no_manager(*args, **kwargs):
+        raise AssertionError("a coupled sweep started a Manager server")
+
+    monkeypatch.setattr(get_context("spawn"), "Manager", no_manager)
+    kwargs = dict(spec=12, n_lanes=5, shards=2, coupled=True)
+    threads, _, _ = run_sharded(_exchange_worker_stepping, workers=0, **kwargs)
+    spawned, payloads, _ = run_sharded(
+        _exchange_worker_stepping, workers=2, **kwargs
+    )
+    assert multiprocessing.active_children() == []
+    assert os.getpid() not in {payload["pid"] for payload in payloads}
+    assert threads.matrix("theft").max() > 0.0  # the hosts are contended
+    np.testing.assert_array_equal(
+        spawned.matrix("theft"), threads.matrix("theft"), strict=True
+    )
 
 
 class TestLearnOncePerFamily:
@@ -559,10 +694,10 @@ class TestHostCoupledShards:
         assert_same_fleet(single, sharded)
 
     def test_worker_processes_match_single_process(self):
-        # The real spawn path: each worker attaches the shared-memory
-        # block by name and synchronizes on the manager barrier proxy.
-        # A finished sweep leaves no worker or manager process alive
-        # and no shared-memory segment behind.
+        # The real spawn path: each worker inherits the demand block
+        # and the step barrier from the pool initializer.  A finished
+        # sweep leaves no worker process alive and no /dev/shm entry
+        # behind.
         single = run_fleet_multiplexing_study(**self.KWARGS)
         before = _shm_segments()
         sharded = run_fleet_multiplexing_study(
@@ -732,8 +867,8 @@ class TestFaultedShards(TestHostCoupledShards):
 
     def test_crash_inside_a_fault_window_still_cleans_up(self, tmp_path):
         # The overlap case: a worker process dies while a host is down.
-        # The parent's abort-and-unlink path must be indifferent to the
-        # fault state — no orphan npz, no leaked /dev/shm segment.
+        # The parent's abort-and-cleanup path must be indifferent to the
+        # fault state — no orphan npz, no leaked /dev/shm entry.
         before = _shm_segments()
         with pytest.raises(RuntimeError, match="inside the fault window"):
             run_sharded(

@@ -9,6 +9,7 @@ the same workloads.  Exact equality, not allclose: every worker runs
 the identical vectorized arithmetic over the identical global vector.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -226,7 +227,7 @@ class TestValidation:
     def test_handle_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError, match="timeout"):
             DemandExchange(
-                4, 0, 2, barrier=None, timeout_seconds=0.0,
+                4, 0, 2, barrier=threading.Barrier(2), timeout_seconds=0.0,
                 block=np.zeros(4),
             )
 
@@ -238,28 +239,57 @@ class TestValidation:
             DEFAULT_BARRIER_TIMEOUT_SECONDS
         ] * 2
         handle = DemandExchange(
-            4, 0, 2, barrier=None, timeout_seconds=5, block=np.zeros(4)
+            4, 0, 2, barrier=threading.Barrier(2), timeout_seconds=5,
+            block=np.zeros(4),
         )
         assert handle.timeout_seconds == 5.0
 
     def test_handle_rejects_bad_slice(self):
-        block = np.zeros(4)
+        barrier, block = threading.Barrier(2), np.zeros(4)
         with pytest.raises(ValueError, match="slice"):
-            DemandExchange(4, 2, 2, barrier=None, block=block)
+            DemandExchange(4, 2, 2, barrier=barrier, block=block)
         with pytest.raises(ValueError, match="slice"):
-            DemandExchange(4, 0, 5, barrier=None, block=block)
+            DemandExchange(4, 0, 5, barrier=barrier, block=block)
 
     def test_handle_needs_exactly_one_backing(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            DemandExchange(4, 0, 2, barrier=None)
-        with pytest.raises(ValueError, match="exactly one"):
-            DemandExchange(
-                4, 0, 2, barrier=None, shm_name="x", block=np.zeros(4)
-            )
+        # A handle carries its own barrier *and* block (thread mode) or
+        # neither (process mode: the worker's inherited pair); a
+        # half-built handle is rejected.
+        barrier = threading.Barrier(2)
+        own = DemandExchange(4, 0, 2, barrier=barrier, block=np.zeros(4))
+        assert not own.inherited
+        assert DemandExchange(4, 0, 2).inherited
+        with pytest.raises(ValueError, match="both barrier and block"):
+            DemandExchange(4, 0, 2, barrier=barrier)
+        with pytest.raises(ValueError, match="both barrier and block"):
+            DemandExchange(4, 0, 2, block=np.zeros(4))
 
     def test_handle_rejects_mis_sized_block(self):
         with pytest.raises(ValueError, match="block"):
-            DemandExchange(4, 0, 2, barrier=None, block=np.zeros(3))
+            DemandExchange(
+                4, 0, 2, barrier=threading.Barrier(2), block=np.zeros(3)
+            )
+
+    def test_inherited_handle_resolves_the_installed_pair(self, monkeypatch):
+        # A process-mode handle crosses the pickle boundary bare and
+        # picks up what the pool initializer installed in its process.
+        import pickle
+        from multiprocessing import RawArray
+
+        from repro.sim import exchange as exchange_module
+
+        monkeypatch.setattr(exchange_module, "_INHERITED", None)
+        handle = pickle.loads(pickle.dumps(DemandExchange(3, 0, 3)))
+        with pytest.raises(RuntimeError, match="install_exchange"):
+            handle.block
+        exchange_module.install_exchange(
+            threading.Barrier(1), RawArray("d", 3)
+        )
+        np.testing.assert_array_equal(
+            handle.exchange(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0]
+        )
+        handle.close()
+        assert handle._block is None and handle._barrier is None
 
     def test_exchange_rejects_wrong_slice_length(self):
         handles = make_thread_exchange(4, partition_lanes(4, 2))
