@@ -412,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_hosts",
         type=int,
         default=0,
-        help="place lanes round-robin onto this many shared hosts "
-        "(0 = dedicated hardware, no cross-lane interference)",
+        help="place lanes onto this many shared hosts, packed by "
+        "--placement (0 = dedicated hardware, no cross-lane "
+        "interference)",
     )
     fleet.add_argument(
         "--host-capacity",

@@ -1032,22 +1032,33 @@ class DejaVuManager:
     def batched_wake_at(self) -> float:
         """The earliest step time the batched wave must visit this lane.
 
-        Between visits nothing can change for a quiet lane: no periodic
-        check is due, no re-signature is owed, and there is no
-        queue-delayed deployment or staged model for the shared queue to
-        revise, evict or revoke behind its back.  While either of those
-        exists, or while the lane is not batchable (its ``on_step`` must
-        run), the answer is ``-inf``: visit every step.  The engine
-        compares with the same ``1e-9`` tolerance :meth:`adaptation_due`
-        and the re-signature schedule use.
+        Between visits nothing can change for the lane: no periodic
+        check is due and no re-signature is owed.  A queue-delayed
+        deployment whose grant is accepted and unrevised lands at its
+        ``apply_at`` unless the queue changes the grant first, so the
+        lane also wakes at ``apply_at`` and at
+        :meth:`~repro.sim.profiling_queue.ProfilingQueue.grants_stable_until`
+        (the next profiler outage on a FIFO queue; ``-inf`` on the
+        priority market, whose projections move on any step).  While a
+        grant is revoked (a retry is in progress), evicted or revised,
+        while a re-learned model is staged, or while the lane is not
+        batchable (its ``on_step`` must run), the answer is ``-inf``:
+        visit every step.  The engine compares with the same ``1e-9``
+        tolerance :meth:`adaptation_due`, the re-signature schedule and
+        :meth:`_flush_pending_deployment` use.
         """
-        if (
-            self.pending_deployment is not None
-            or self._staged_model is not None
-            or not self.supports_batched_adapt
-        ):
+        if self._staged_model is not None or not self.supports_batched_adapt:
             return -math.inf
-        return min(self._next_check, self._next_resignature)
+        wake = min(self._next_check, self._next_resignature)
+        pending = self.pending_deployment
+        if pending is None:
+            return wake
+        grant = pending.grant
+        if grant is not None and (grant.outcome != "accepted" or grant.revised):
+            return -math.inf
+        queue = self.profiling_queue
+        stable = math.inf if queue is None else queue.grants_stable_until()
+        return min(wake, pending.apply_at, stable)
 
     def batch_group_key(self) -> tuple | None:
         """Identity of the trained state this manager classifies with.

@@ -61,6 +61,7 @@ from repro.workloads.request_mix import (
     SPECWEB_SUPPORT,
     Workload,
 )
+from repro.workloads.traces import TRACE_HOURS
 
 #: Lane compositions the fleet study understands.
 FLEET_MIXES = ("scaleout", "scaleup", "mixed")
@@ -191,7 +192,8 @@ class FleetConfig:
     """Co-hosted services (lanes) sharing one DejaVu."""
 
     hours: float = 48.0
-    """Simulated duration."""
+    """Simulated duration, at most the traces' length
+    (:data:`~repro.workloads.traces.TRACE_HOURS`, one week)."""
 
     step_seconds: float = 300.0
     """Engine step.  The default 5-minute step keeps adaptation hourly
@@ -345,6 +347,11 @@ class FleetConfig:
         if not (math.isfinite(self.hours) and self.hours > 0):
             raise ValueError(
                 f"need a positive, finite duration: hours={self.hours}"
+            )
+        if self.hours > TRACE_HOURS:
+            raise ValueError(
+                f"the load traces end after {TRACE_HOURS} hours: "
+                f"hours={self.hours}"
             )
         if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
             raise ValueError(
@@ -1001,7 +1008,7 @@ def _run_fleet_slice(
             queue.attach_faults(fault_windows)
     lanes = [
         FleetLane(
-            workload_fn=setup.trace.workload_at,
+            workload_fn=setup.trace,
             controller=setup.manager,
             observe_fn=observers[offset],
             label=f"svc-{lane_lo + offset}",

@@ -36,7 +36,7 @@ DEFAULT_STEP_SECONDS = 60.0
 
 def _run_policy(setup, controller, observe, label: str) -> SimulationResult:
     engine = SimulationEngine(
-        workload_fn=setup.trace.workload_at,
+        workload_fn=setup.trace,
         controller=controller,
         observe_fn=observe,
         step_seconds=DEFAULT_STEP_SECONDS,

@@ -323,10 +323,12 @@ def observe_scaleup(setup: ScaleUpSetup):
 class _FleetFamilyObserver:
     """Vectorized observation over a family of same-class lanes.
 
-    The batched fleet engine hands this observer all of its lanes'
-    workloads once per step and a writable ``(n_series, n_lanes)``
-    block (usually a zero-copy view of the schema group's recording
-    row).  Capacity comes off each provider's cached plan
+    The batched fleet engine hands this observer its lanes' offered
+    volumes and demand units once per step (read off the engine's
+    offered-demand vectors, which change only when a workload does) and
+    a writable ``(n_series, n_lanes)`` block (usually a zero-copy view
+    of the schema group's recording row).  Capacity comes off each
+    provider's cached plan
     (:meth:`~repro.cloud.provider.CloudProvider.capacity_at`) instead of
     walking and billing every pooled VM, and only for lanes a
     :class:`~repro.cloud.provider.CapacityCache` marks as changed (an
@@ -432,15 +434,14 @@ class _FleetFamilyObserver:
         lanes when some have nothing serving."""
         return self._model.latency_rows(rho)
 
-    def fill_rows(self, t: float, workloads, out) -> None:
+    def fill_rows(self, t: float, volumes, demands, out) -> None:
         providers = self._providers
         for j in self._capacities.refresh(t).tolist():
             allocation = providers[j].current_allocation
             self._alloc_series[j] = self._series_value(allocation)
             self._alloc_cost[j] = allocation.hourly_cost
         caps = self._capacities.values
-        demands = np.array([workload.demand_units for workload in workloads])
-        out[4, :] = [workload.volume for workload in workloads]
+        out[4, :] = volumes
         if self._any_injector:
             interference = self._interference
             if self._feed_values is not None:

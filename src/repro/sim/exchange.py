@@ -235,20 +235,21 @@ class ShardHostView:
             )
         return self.map.feed(self.lane_lo + lane)
 
-    def apply_step(self, t, workloads, capacities=None) -> np.ndarray:
+    def apply_step(self, t, offered, capacities=None) -> np.ndarray:
         """Global theft pass fed by this slice's demands + the exchange.
 
-        Every step publishes the slice's demands, reads the complete
-        global vector off the barrier and runs the global theft pass
-        (migrations and fault events included) on it.  Returns the
-        slice's theft fractions.
+        ``offered`` and ``capacities`` cover the slice's lanes, as in
+        :meth:`HostMap.apply_step`.  Every step publishes the slice's
+        demands, reads the complete global vector off the barrier and
+        runs the global theft pass (migrations and fault events
+        included) on it.  Returns the slice's theft fractions.
         """
-        if len(workloads) != self.n_lanes:
+        if len(offered) != self.n_lanes:
             raise ValueError(
-                f"expected {self.n_lanes} workloads, got {len(workloads)}"
+                f"expected {self.n_lanes} offered demands, got {len(offered)}"
             )
         demands = self.exchange_handle.exchange(
-            self.map._demands(workloads, capacities)
+            self.map._demands(offered, capacities)
         )
         thefts = self.map._apply_demands(t, demands)
         return thefts[self.lane_lo : self.lane_hi]

@@ -64,6 +64,9 @@ class FleetLane:
 
     The contract mirrors the single-service engine: a workload function,
     a controller, and an observation function recording named series.
+    A :class:`~repro.workloads.traces.LoadTrace` passed as
+    ``workload_fn`` is evaluated once per trace hour; any other callable
+    every step.
 
     ``observe_batch`` optionally provides the same observation as a
     dict-free fast path for the batched engine mode: a
@@ -85,7 +88,9 @@ class BatchObserver(Protocol):
 
     One observer instance covers an ordered set of lanes (the lanes
     constructed with it, in fleet lane order).  Each step the engine
-    calls :meth:`fill_rows` once with those lanes' workloads and a
+    calls :meth:`fill_rows` once with those lanes' offered volumes
+    (:attr:`~repro.workloads.request_mix.Workload.volume`) and demands
+    (:attr:`~repro.workloads.request_mix.Workload.demand_units`) and a
     writable ``(len(names), n_lanes)`` block — in the common case a
     zero-copy view of the schema group's recording row.
     """
@@ -93,7 +98,11 @@ class BatchObserver(Protocol):
     names: tuple[str, ...]
 
     def fill_rows(
-        self, t: float, workloads: list[Workload], out: np.ndarray
+        self,
+        t: float,
+        volumes: np.ndarray,
+        demands: np.ndarray,
+        out: np.ndarray,
     ) -> None:
         """Write every covered lane's observation column into ``out``."""
         ...
@@ -370,14 +379,21 @@ class FleetEngine:
         band-0 repository lookup — and lanes carrying an
         ``observe_batch`` fast path record without building dicts.
         Per-step work scales with the lanes that have something to
-        do: the engine keeps one wake time per batch candidate
+        do.  The engine keeps one wake time per batch candidate
         (``batched_wake_at``) and the wave visits only candidates whose
-        wake time has come; trace workloads are built once per hour
-        (:meth:`~repro.workloads.traces.LoadTrace.workload_at`); and
-        one dirty-flag :class:`~repro.cloud.provider.CapacityCache`
-        pattern serves both the host footprints and the family
-        observers, so capacity and allocation are re-read only for
-        lanes that changed allocation or are still warming up.
+        wake time has come: a lane sleeps between its periodic checks,
+        and a lane whose FIFO-queued deployment no outage can touch
+        sleeps until that deployment lands.  A lane replaying a
+        :class:`~repro.workloads.traces.LoadTrace` re-evaluates its
+        workload only when the clock enters a new trace hour (the
+        trace's own ``int(t // HOUR)``), and the engine's per-lane
+        offered-volume and offered-demand vectors, which the host map
+        and the batch observers read, change only for lanes whose
+        workload was re-evaluated.  One dirty-flag
+        :class:`~repro.cloud.provider.CapacityCache` pattern serves
+        both the host footprints and the family observers, so capacity
+        and allocation are re-read only for lanes that changed
+        allocation or are still warming up.
         Results are bit-identical to ``batched=False`` (pinned by
         ``tests/test_fleet_equivalence.py`` and
         ``tests/test_fleet_quiet_lanes.py``): shared state is consulted
@@ -490,6 +506,21 @@ class FleetEngine:
             )
             for i in self._batch_candidates
         }
+        # Lanes replaying a LoadTrace re-evaluate their workload only on
+        # the first step of each trace hour; every other workload
+        # source runs every step.  The offered volume and demand
+        # vectors follow the re-evaluated lanes.  (A local import:
+        # repro.workloads.traces imports the repro.sim package.)
+        from repro.workloads.traces import LoadTrace
+
+        self._all_lanes: tuple[int, ...] = tuple(range(len(self._lanes)))
+        self._per_step_lanes: tuple[int, ...] = tuple(
+            i
+            for i, lane in enumerate(self._lanes)
+            if not isinstance(lane.workload_fn, LoadTrace)
+        )
+        self._volumes = np.zeros(len(self._lanes))
+        self._offered = np.zeros(len(self._lanes))
         # Distinct batch observers in first-appearance order, each with
         # the lane indices it covers.
         self._observer_lanes: list[tuple[BatchObserver, list[int]]] = []
@@ -846,7 +877,12 @@ class FleetEngine:
         for observer, lane_indices in self._observer_lanes:
             names = tuple(observer.names)
             block = np.empty((len(names), len(lane_indices)), dtype=float)
-            observer.fill_rows(t, [workloads[i] for i in lane_indices], block)
+            observer.fill_rows(
+                t,
+                self._volumes[lane_indices],
+                self._offered[lane_indices],
+                block,
+            )
             for column, i in enumerate(lane_indices):
                 observed[i] = dict(zip(names, block[:, column].tolist()))
         first_observations: list[dict[str, float]] = []
@@ -935,12 +971,13 @@ class FleetEngine:
                 perm is None
                 and columns == list(range(len(group.lanes)))
             )
+            lanes = np.asarray(lane_indices, dtype=int)
             if whole_group:
-                batches.append((observer, lane_indices, group.row, None))
+                batches.append((observer, lanes, group.row, None))
             else:
                 scratch = np.empty((len(names), len(columns)), dtype=float)
                 scatter = (group.row, np.asarray(columns, dtype=int), perm)
-                batches.append((observer, lane_indices, scratch, scatter))
+                batches.append((observer, lanes, scratch, scatter))
         return batches
 
     def run(self, duration_seconds: float, start: float = 0.0) -> FleetResult:
@@ -976,27 +1013,48 @@ class FleetEngine:
             self.controllers[i].on_step(ctx)
         return contexts
 
-    def _observe_batch(
-        self, t: float, workloads: list[Workload], entry: tuple
+    def _refresh_workloads(
+        self, t: float, lanes: tuple[int, ...], workloads: list
     ) -> None:
+        """Re-evaluate ``lanes``' workloads at ``t``, and their entries
+        of the offered-volume and offered-demand vectors."""
+        volumes, offered = self._volumes, self._offered
+        for i in lanes:
+            workload = workloads[i] = self._lanes[i].workload_fn(t)
+            volumes[i] = workload.volume
+            offered[i] = workload.demand_units
+
+    def _observe_batch(self, t: float, entry: tuple) -> None:
         """One batch observer's ``fill_rows`` into its group's row."""
-        observer, lane_indices, target, scatter = entry
-        observer.fill_rows(t, [workloads[i] for i in lane_indices], target)
+        observer, lanes, target, scatter = entry
+        observer.fill_rows(
+            t, self._volumes[lanes], self._offered[lanes], target
+        )
         if scatter is not None:
             row, columns, perm = scatter
             row[:, columns] = target if perm is None else target[perm]
 
     def _run_loop(self, clock: SimClock, end: float) -> FleetResult:
-        """Step every lane to ``end``, one sequence per step: host pass,
-        queue ``advance_to``, adapt wave, the remaining ``on_step``
-        calls, then observation (batch observers, then dict lanes)."""
+        """Step every lane to ``end``, one sequence per step: workload
+        refresh, host pass, queue ``advance_to``, adapt wave, the
+        remaining ``on_step`` calls, then observation (batch observers,
+        then dict lanes)."""
         groups: list[_SchemaGroup] = []
         slots: list[tuple[int, int]] = []
         observer_batches: list[tuple] = []
         times: list[float] = []
+        workloads: list = [None] * len(self._lanes)
+        trace_hour = None
         while clock.now < end:
             t, hour, day = clock.now, clock.hour, clock.day
-            workloads = [lane.workload_fn(t) for lane in self._lanes]
+            # The clock's hour is the trace's own int(t // HOUR): trace
+            # lanes need a new workload exactly when it changes.
+            self._refresh_workloads(
+                t,
+                self._per_step_lanes if hour == trace_hour else self._all_lanes,
+                workloads,
+            )
+            trace_hour = hour
             if self.host_map is not None:
                 # Host pressure is recomputed before controllers act, so
                 # adaptations this step already see the co-tenant theft;
@@ -1004,7 +1062,7 @@ class FleetEngine:
                 # provider's cached plan (math.inf for provider-less
                 # lanes).
                 self.host_map.apply_step(
-                    t, workloads, capacities=self._lane_capacities(t)
+                    t, self._offered, capacities=self._lane_capacities(t)
                 )
             if self.profiling_queue is not None:
                 # Profiler-outage windows commit here, before any
@@ -1026,7 +1084,7 @@ class FleetEngine:
                 # under wave_workers.
                 self._wave_map(
                     [
-                        functools.partial(self._observe_batch, t, workloads, entry)
+                        functools.partial(self._observe_batch, t, entry)
                         for entry in observer_batches
                     ]
                 )

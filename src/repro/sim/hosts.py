@@ -10,11 +10,11 @@ with no coupling between lanes.  This module closes the loop:
 * :class:`SimHost` — one shared machine with a fixed capacity.
 * :class:`HostMap` — the placement of fleet lanes onto hosts.  Each
   step the engine reports every lane's offered demand and deployed
-  capacity; the map converts per-host overcommitment into per-lane
-  capacity-theft fractions in **one vectorized matrix pass over all
-  hosts** (``np.bincount`` over the placement), so host coupling
-  composes with the batched control plane instead of costing a
-  per-host Python loop.
+  capacity as two vectors; the map converts per-host overcommitment
+  into per-lane capacity-theft fractions in **one vectorized matrix
+  pass over all hosts** (``np.bincount`` over the placement), so host
+  coupling composes with the batched control plane instead of costing
+  a per-host Python loop.
 * :class:`HostInterferenceFeed` — one lane's view of that theft,
   implementing the injector contract
   (:meth:`~HostInterferenceFeed.interference_at`) so it plugs straight
@@ -63,8 +63,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from repro.workloads.request_mix import Workload
 
 
 @dataclass(frozen=True)
@@ -424,7 +422,7 @@ class HostMap:
 
     @staticmethod
     def _demands(
-        workloads: Sequence[Workload], capacities: Sequence[float] | None
+        offered: Sequence[float], capacities: Sequence[float] | None
     ) -> np.ndarray:
         """Per-lane footprint ``min(offered demand, deployed capacity)``.
 
@@ -433,44 +431,40 @@ class HostMap:
         (:class:`~repro.sim.exchange.ShardHostView`) pass only their own
         lanes.
         """
-        # On the per-step hot path of 200-lane fleets: np.fromiter over
-        # the raw attributes skips one property call per lane-step
-        # versus Workload.demand_units.
-        offered = np.fromiter(
-            (w.volume * w.mix.demand_per_client for w in workloads),
-            dtype=float,
-            count=len(workloads),
-        )
+        offered = np.asarray(offered, dtype=float)
         if capacities is None:
             return offered
-        if len(capacities) != len(workloads):
+        if len(capacities) != len(offered):
             raise ValueError(
-                f"expected {len(workloads)} capacities, got {len(capacities)}"
+                f"expected {len(offered)} capacities, got {len(capacities)}"
             )
         return np.minimum(offered, np.asarray(capacities, dtype=float))
 
     def apply_step(
         self,
         t: float,
-        workloads: Sequence[Workload],
+        offered: Sequence[float],
         capacities: Sequence[float] | None = None,
     ) -> np.ndarray:
         """Recompute every lane's theft from this step's demand.
 
         Called by the fleet engine once per step, *before* controllers
         act, so adaptations in the same step already see the pressure.
-        ``capacities`` carries each lane's deployed capacity
-        (``math.inf`` for lanes without a provider; ``None`` leaves
-        every lane unbounded).  Returns the per-lane theft fractions —
-        one vectorized pass over all hosts (``np.bincount`` totals, one
+        ``offered`` is each lane's offered demand
+        (:attr:`~repro.workloads.request_mix.Workload.demand_units`;
+        the engine passes the vector it keeps current as workloads
+        change) and ``capacities`` its deployed capacity (``math.inf``
+        for lanes without a provider; ``None`` leaves every lane
+        unbounded).  Returns the per-lane theft fractions — one
+        vectorized pass over all hosts (``np.bincount`` totals, one
         overload division, one theft product), written in place into
         the lanes' feeds and accumulated into the map's statistics.
         """
-        if len(workloads) != self.n_lanes:
+        if len(offered) != self.n_lanes:
             raise ValueError(
-                f"expected {self.n_lanes} workloads, got {len(workloads)}"
+                f"expected {self.n_lanes} offered demands, got {len(offered)}"
             )
-        return self._apply_demands(t, self._demands(workloads, capacities))
+        return self._apply_demands(t, self._demands(offered, capacities))
 
     def _apply_demands(self, t: float, demands: np.ndarray) -> np.ndarray:
         """The global theft pass over a full per-lane demand vector.

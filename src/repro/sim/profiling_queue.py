@@ -565,6 +565,22 @@ class ProfilingQueue:
         self._fault_windows = tuple(sorted(windows, key=outage_order))
         self._next_fault = 0
 
+    def grants_stable_until(self) -> float:
+        """The time before which no grant already issued can change.
+
+        A FIFO grant's schedule is final when issued; only a profiler
+        outage can still touch it (revoke it, or push the slots behind
+        it), so the answer is the start of the next window
+        :meth:`advance_to` has not applied yet, or ``inf`` when none
+        remains.  Under ``queue_policy="priority"`` any later arrival
+        may revise or evict an unstarted projection: ``-inf``.
+        """
+        if self.queue_policy == "priority":
+            return -math.inf
+        if self._next_fault < len(self._fault_windows):
+            return self._fault_windows[self._next_fault][0]
+        return math.inf
+
     def advance_to(self, t: float) -> None:
         """Apply every outage window whose start time is <= ``t``."""
         windows = self._fault_windows

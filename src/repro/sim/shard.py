@@ -189,6 +189,22 @@ def merge_fleet_results(
     )
 
 
+def _submit_shards(pool, worker, jobs: list, coupled_processes: bool) -> list:
+    """Submit every shard's job; returns the futures in shard order.
+
+    ``ProcessPoolExecutor.submit`` wakes the pool's manager thread
+    *before* it spawns the worker for that job, so the manager may wait
+    without the last worker's sentinel and never see that worker die
+    while its coupled peers block at the barrier for good.  One more
+    submit (a no-op queued behind the shards) wakes the manager once
+    every worker exists.
+    """
+    futures = [pool.submit(worker, *job) for job in jobs]
+    if coupled_processes:
+        pool.submit(int)
+    return futures
+
+
 def _drain_exchange_futures(futures: list, barrier=None) -> list[dict]:
     """Collect shard results in shard order, failing fast on a crash.
 
@@ -337,7 +353,8 @@ def run_sharded(
             jobs = [job + (handle,) for job, handle in zip(jobs, handles)]
         with pool:
             payloads = _drain_exchange_futures(
-                [pool.submit(worker, *job) for job in jobs], barrier
+                _submit_shards(pool, worker, jobs, bool(workers) and coupled),
+                barrier,
             )
         parts = [FleetResult.from_npz(job[3]) for job in jobs]
         merged = merge_fleet_results(parts, label=label)

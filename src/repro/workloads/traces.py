@@ -49,6 +49,13 @@ class LoadTrace:
 
     ``hourly_load[h]`` is the offered load during hour ``h`` as a
     fraction of the peak the service can sustain at full capacity.
+
+    A trace is a workload source: calling it is :meth:`workload_at`.
+    Its workload is constant within a trace hour ``int(t // HOUR)``,
+    the hour :class:`~repro.sim.clock.SimClock` reports, so a
+    :class:`~repro.sim.fleet.FleetEngine` lane whose ``workload_fn`` is
+    the trace itself is re-evaluated only on the first step of each
+    hour; any other callable is evaluated every step.
     """
 
     name: str
@@ -113,6 +120,10 @@ class LoadTrace:
                 mix=self.mix,
             )
         return workload
+
+    def __call__(self, t_seconds: float) -> Workload:
+        """The trace as a ``workload_fn``: :meth:`workload_at`."""
+        return self.workload_at(t_seconds)
 
     def day_slice(self, day: int) -> np.ndarray:
         """Hourly loads of one trace day (used for learning-phase setup)."""

@@ -248,6 +248,14 @@ class TestMain:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_fleet_run_beyond_the_trace_fails_loudly(self, capsys):
+        # Used to simulate all 168 trace hours, then exit 1 with a
+        # traceback from the first step past the trace.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--lanes", "2", "--hours", "169"])
+        assert excinfo.value.code == 2
+        assert "(flags: --hours)" in capsys.readouterr().err
+
     def test_fleet_migration_without_hosts_fails_loudly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "--migration"])

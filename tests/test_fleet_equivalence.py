@@ -173,7 +173,7 @@ def build_mixed_fleet(profiling_slots: int | None, queue_policy: str = "fifo"):
 
     def out_lane(i, controller, label):
         return FleetLane(
-            workload_fn=out_setups[i].trace.workload_at,
+            workload_fn=out_setups[i].trace,
             controller=controller,
             observe_fn=observe_scaleout(out_setups[i]),
             label=label,
@@ -182,7 +182,7 @@ def build_mixed_fleet(profiling_slots: int | None, queue_policy: str = "fifo"):
 
     def up_lane(i, controller, label):
         return FleetLane(
-            workload_fn=up_setups[i].trace.workload_at,
+            workload_fn=up_setups[i].trace,
             controller=controller,
             observe_fn=observe_scaleup(up_setups[i]),
             label=label,

@@ -34,6 +34,14 @@ class TestValidation:
                 n_lanes=1, step_seconds=0.0, faults="profiler@1+1"
             )
 
+    def test_run_beyond_the_trace_rejected_at_construction(self):
+        # A 169-hour run used to simulate the whole week, then die with
+        # a traceback on its first step past the trace's last hour.
+        FleetConfig(n_lanes=2, hours=168.0)
+        for hours in (168.01, 169.0):
+            with pytest.raises(ValueError, match=r"\bhours="):
+                FleetConfig(n_lanes=2, hours=hours)
+
     @pytest.mark.parametrize(
         "field, value",
         [

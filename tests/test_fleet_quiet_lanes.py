@@ -1,12 +1,15 @@
-"""Quiet lanes cost nothing, and skipping them changes nothing.
+"""Lanes cost work only when their state can change, and skipping
+them changes nothing.
 
 The batched fleet engine keeps one wake time per DejaVu lane
 (:meth:`~repro.core.manager.DejaVuManager.batched_wake_at`) and visits
-only the lanes whose wake time has come; the family observers re-read
-capacity and allocation only for lanes whose provider changed or is
-still warming up (:class:`~repro.cloud.provider.CapacityCache`).  These
-tests pin both shortcuts to the scalar reference bit for bit, and prove
-the wake-time skip is live.
+only the lanes whose wake time has come, a queue-delayed FIFO
+deployment included; trace lanes re-evaluate their workload once per
+trace hour; the family observers re-read capacity and allocation only
+for lanes whose provider changed or is still warming up
+(:class:`~repro.cloud.provider.CapacityCache`).  These tests pin the
+shortcuts to the scalar reference bit for bit, prove each one is live,
+and prove a lane the queue can still touch is not put to sleep.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ from repro.sim.clock import HOUR
 from repro.sim.engine import StepContext
 from repro.sim.fleet import FleetEngine, FleetLane
 from repro.sim.profiling_queue import ProfilingQueue
+from repro.workloads.traces import LoadTrace
 
 STEP = 600.0
 
@@ -86,7 +90,7 @@ def build_fleet(
     }
     lanes = [
         FleetLane(
-            workload_fn=setup.trace.workload_at,
+            workload_fn=setup.trace,
             controller=setup.manager,
             observe_fn=(observe_scaleout if kind == "out" else observe_scaleup)(
                 setup
@@ -264,8 +268,12 @@ def test_family_observers_match_scalar_observation_every_step():
                     setup.production.apply(allocation, t)
         for observer, setups, observe in families:
             block = np.empty((len(observer.names), len(setups)))
+            workloads = [s.trace.workload_at(t) for s in setups]
             observer.fill_rows(
-                t, [s.trace.workload_at(t) for s in setups], block
+                t,
+                np.array([w.volume for w in workloads]),
+                np.array([w.demand_units for w in workloads]),
+                block,
             )
             for j, setup in enumerate(setups):
                 workload = setup.trace.workload_at(t)
@@ -275,3 +283,167 @@ def test_family_observers_match_scalar_observation_every_step():
                 assert block[:, j].tolist() == [
                     expected[name] for name in observer.names
                 ], (t, j)
+
+
+#: A step shorter than a contended queue's backlog, so a queue-delayed
+#: deployment waits several steps before it lands.
+SHORT_STEP = 10.0
+
+
+def record_visits(monkeypatch):
+    """Per wave: ``(t, lanes holding a queue-delayed deployment as the
+    wave starts, lanes the wave visited)``, plus every poll's outcome
+    (``True`` when it landed the lane's deployment)."""
+    waves, polls = [], []
+    visited: set[int] = set()
+    wave = FleetEngine._batched_adapt_wave
+    poll = DejaVuManager.poll_pending_deployment
+    begin = DejaVuManager.begin_batched_adapt
+
+    def spy_wave(self, t, hour, day, workloads):
+        pending = {
+            id(c) for _i, c in self._batch_pairs if c.pending_deployment
+        }
+        visited.clear()
+        result = wave(self, t, hour, day, workloads)
+        waves.append((t, pending, set(visited)))
+        return result
+
+    def spy_poll(self, t):
+        visited.add(id(self))
+        had = self.pending_deployment is not None
+        poll(self, t)
+        polls.append(had and self.pending_deployment is None)
+
+    def spy_begin(self, ctx):
+        visited.add(id(self))
+        return begin(self, ctx)
+
+    monkeypatch.setattr(FleetEngine, "_batched_adapt_wave", spy_wave)
+    monkeypatch.setattr(DejaVuManager, "poll_pending_deployment", spy_poll)
+    monkeypatch.setattr(DejaVuManager, "begin_batched_adapt", spy_begin)
+    return waves, polls
+
+
+def run_contended(n_lanes, hours, **fleet):
+    lanes, queue, managers = build_fleet(
+        n_lanes, config=DejaVuConfig(), slots=1, **fleet
+    )
+    engine = FleetEngine(lanes, step_seconds=SHORT_STEP, profiling_queue=queue)
+    engine.run(hours * HOUR)
+    return queue
+
+
+def test_fifo_queue_delayed_lanes_sleep_until_their_deployment_lands(
+    monkeypatch,
+):
+    """One FIFO slot, eight lanes, a 10-second step: each hourly check
+    queues behind its peers for up to 70 s.  A FIFO grant never moves,
+    so a waiting lane is polled once, on the step its deployment
+    lands, not on every step in between."""
+    waves, polls = record_visits(monkeypatch)
+    run_contended(8, 2)
+    landed = sum(polls)
+    # Lanes wait several steps (the sleep has something to skip) ...
+    assert max(len(pending) for _t, pending, _v in waves) >= 4
+    assert landed >= 8
+    # ... and every poll lands a deployment.
+    assert len(polls) == landed
+
+
+def test_priority_market_visits_queue_delayed_lanes_every_step(monkeypatch):
+    """A priority projection can be revised or evicted by any later
+    bid, so a lane holding a queue-delayed deployment is visited on
+    every step until it lands."""
+    waves, _polls = record_visits(monkeypatch)
+    run_contended(8, 2, queue_policy="priority")
+    waiting = [(t, pending, seen) for t, pending, seen in waves if pending]
+    assert sum(len(pending) for _t, pending, _s in waiting) >= 16
+    for t, pending, seen in waiting:
+        assert pending <= seen, t
+
+
+#: One FIFO slot: the first outage holds the hour-1 checks' signatures
+#: until it ends, so they stack up to 70 s behind it; the second opens
+#: while the later ones are still waiting and revokes them.
+QUEUED_OUTAGES = (
+    (HOUR - 5.0, HOUR + 100.0, None),
+    (HOUR + 125.0, HOUR + 200.0, None),
+)
+
+
+def test_fifo_lanes_wake_when_an_outage_window_opens(monkeypatch):
+    """A FIFO lane sleeps towards its deployment only until the next
+    outage window: on the step that window opens, every lane still
+    waiting is visited (and finds its grant revoked)."""
+    waves, _polls = record_visits(monkeypatch)
+    queue = run_contended(8, 2, outages=QUEUED_OUTAGES)
+    opening = min(t for t, _p, _s in waves if t >= HOUR + 125.0)
+    ((pending, seen),) = [(p, s) for t, p, s in waves if t == opening]
+    assert len(pending) >= 4
+    assert pending <= seen
+    assert queue.revoked >= 4
+    # Before the window the waiting lanes slept.
+    before = [(p, s) for t, p, s in waves if HOUR + 100.0 < t < opening]
+    assert any(p - s for p, s in before)
+
+
+def count_trace_evaluations(monkeypatch):
+    calls = []
+    workload_at = LoadTrace.workload_at
+
+    def counting(self, t):
+        calls.append(t)
+        return workload_at(self, t)
+
+    monkeypatch.setattr(LoadTrace, "workload_at", counting)
+    return calls
+
+
+def test_trace_workloads_are_evaluated_once_per_trace_hour(monkeypatch):
+    """A lane whose ``workload_fn`` is its trace re-evaluates on the
+    first step of each hour; a plain callable (here the trace's bound
+    ``workload_at``) runs every step.  Both record the same series."""
+    calls = count_trace_evaluations(monkeypatch)
+    n_lanes, hours = 4, 3
+
+    def run(plain_callable):
+        lanes, queue, _managers = build_fleet(
+            n_lanes, config=DejaVuConfig(), slots=8 * n_lanes
+        )
+        if plain_callable:
+            for lane in lanes:
+                lane.workload_fn = lane.workload_fn.workload_at
+        engine = FleetEngine(lanes, step_seconds=STEP, profiling_queue=queue)
+        calls.clear()
+        result = engine.run(hours * HOUR)
+        return result, len(calls)
+
+    hourly, hourly_calls = run(False)
+    per_step, per_step_calls = run(True)
+    assert hourly_calls == n_lanes * hours
+    assert per_step_calls == n_lanes * hourly.n_steps
+    for name in hourly.series_names():
+        np.testing.assert_array_equal(
+            hourly.matrix(name), per_step.matrix(name), strict=True
+        )
+
+
+def test_trace_refresh_follows_the_hour_not_a_tolerance(monkeypatch):
+    """A run starting a hair before an hour boundary evaluates its
+    first step in hour 0 and its second in hour 1: the refresh follows
+    the trace's own ``int(t // HOUR)``, so no step reads a neighbouring
+    hour's workload."""
+    calls = count_trace_evaluations(monkeypatch)
+    lanes, queue, _managers = build_fleet(2, config=DejaVuConfig(), slots=16)
+    engine = FleetEngine(lanes, step_seconds=STEP, profiling_queue=queue)
+    start = HOUR - 1e-10
+    result = engine.run(3 * STEP, start=start)
+    assert [int(t // HOUR) for t in result.times] == [0, 1, 1]
+    assert sorted(calls) == [start, start, start + STEP, start + STEP]
+    loads = result.matrix("load")
+    for column, lane in enumerate(result.lanes_recording("load")):
+        trace = lanes[lane].workload_fn
+        assert loads[:, column].tolist() == [
+            trace.workload_at(t).volume for t in result.times
+        ]

@@ -38,18 +38,6 @@ from repro.sim.shard import (
 )
 
 
-class _StubMix:
-    demand_per_client = 1.0
-
-
-class _StubWorkload:
-    """The minimal shape the offered-demand footprint reads."""
-
-    def __init__(self, volume: float) -> None:
-        self.volume = volume
-        self.mix = _StubMix()
-
-
 def _shm_segments() -> set[str]:
     """Every entry currently in /dev/shm (empty where the platform has
     no /dev/shm to inspect): a sweep must leave no segment or named
@@ -112,7 +100,7 @@ def _exchange_worker_stepping(spec, lane_lo, lane_hi, result_path, exchange):
             view.apply_step(
                 step * 300.0,
                 [
-                    _StubWorkload(1.0 + (lane * 7 + step) % 3)
+                    1.0 + (lane * 7 + step) % 3
                     for lane in range(lane_lo, lane_hi)
                 ],
             ).copy()
@@ -142,14 +130,14 @@ def _fault_window_worker_crashing(spec, lane_lo, lane_hi, result_path, exchange)
         FaultSchedule(host_faults=(HostFaultEvent(0, 1, 50),))
     )
     view = ShardHostView(host_map, lane_lo, lane_hi, exchange)
-    workloads = [_StubWorkload(1.0)] * (lane_hi - lane_lo)
+    offered = [1.0] * (lane_hi - lane_lo)
     try:
-        view.apply_step(0.0, workloads)
-        view.apply_step(300.0, workloads)  # the host dies at this barrier
+        view.apply_step(0.0, offered)
+        view.apply_step(300.0, offered)  # the host dies at this barrier
         assert host_map.host_failures == 1
         if lane_lo > 0:
             raise RuntimeError("worker crashed inside the fault window")
-        view.apply_step(600.0, workloads)  # blocks until the abort
+        view.apply_step(600.0, offered)  # blocks until the abort
     finally:
         exchange.close()
     return {}
@@ -823,10 +811,10 @@ class TestFaultedShards(TestHostCoupledShards):
             )
             return host_map
 
-        workloads = [_StubWorkload(v) for v in (2.0, 1.0, 2.0, 1.0)]
+        offered = [2.0, 1.0, 2.0, 1.0]
         reference = faulted_map()
         expected = [
-            reference.apply_step(step * 300.0, workloads).copy()
+            reference.apply_step(step * 300.0, offered).copy()
             for step in range(90)
         ]
         assert reference.fault_commit_steps == [25, 32, 50, 54]
@@ -842,7 +830,7 @@ class TestFaultedShards(TestHostCoupledShards):
         def drive(view, lanes):
             return [
                 view.apply_step(
-                    step * 300.0, workloads[lanes.start : lanes.stop]
+                    step * 300.0, offered[lanes.start : lanes.stop]
                 ).copy()
                 for step in range(90)
             ]

@@ -5,7 +5,7 @@ count, stepping every shard's :class:`ShardHostView` concurrently
 (thread-mode exchange — the same ``DemandExchange.exchange`` code the
 spawn workers run) produces exactly the per-host demand totals, theft
 vectors and host statistics of a single-process :class:`HostMap` fed
-the same workloads.  Exact equality, not allclose: every worker runs
+the same offered demand.  Exact equality, not allclose: every worker runs
 the identical vectorized arithmetic over the identical global vector.
 """
 
@@ -23,17 +23,19 @@ from repro.sim.exchange import (
 )
 from repro.sim.hosts import HostMap, SimHost
 from repro.sim.shard import partition_lanes
-from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
+from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY
 
 STEP_SECONDS = 300.0
 
 
-def make_workloads(rng, n_lanes):
+def offered_demand(volume: float) -> float:
+    """The demand units ``volume`` clients of the Cassandra mix offer."""
+    return volume * CASSANDRA_UPDATE_HEAVY.demand_per_client
+
+
+def make_offered(rng, n_lanes):
     return [
-        Workload(
-            volume=float(rng.uniform(0.0, 900.0)),
-            mix=CASSANDRA_UPDATE_HEAVY,
-        )
+        offered_demand(float(rng.uniform(0.0, 900.0)))
         for _ in range(n_lanes)
     ]
 
@@ -55,7 +57,7 @@ def random_coupling(rng):
 
 
 def run_sharded_steps(
-    n_lanes, shards, hosts, placement, steps_workloads, capacities=None,
+    n_lanes, shards, hosts, placement, steps_offered, capacities=None,
 ):
     """Step every shard's view concurrently; thefts in shard order."""
     ranges = partition_lanes(n_lanes, shards)
@@ -72,7 +74,7 @@ def run_sharded_steps(
 
     def drive(view, lanes):
         thefts = []
-        for step, workloads in enumerate(steps_workloads):
+        for step, offered in enumerate(steps_offered):
             caps = (
                 None
                 if capacities is None
@@ -83,7 +85,7 @@ def run_sharded_steps(
             thefts.append(
                 view.apply_step(
                     STEP_SECONDS * step,
-                    workloads[lanes.start : lanes.stop],
+                    offered[lanes.start : lanes.stop],
                     caps,
                 ).copy()
             )
@@ -103,21 +105,21 @@ class TestExchangeMatchesSingleProcess:
     def test_thefts_totals_and_stats_match(self, seed):
         rng = np.random.default_rng(seed)
         n_lanes, shards, hosts, placement = random_coupling(rng)
-        steps_workloads = [make_workloads(rng, n_lanes) for _ in range(4)]
+        steps_offered = [make_offered(rng, n_lanes) for _ in range(4)]
 
         reference = HostMap(hosts, placement)
         expected = [
-            reference.apply_step(STEP_SECONDS * step, workloads).copy()
-            for step, workloads in enumerate(steps_workloads)
+            reference.apply_step(STEP_SECONDS * step, offered).copy()
+            for step, offered in enumerate(steps_offered)
         ]
 
         results, views = run_sharded_steps(
-            n_lanes, shards, hosts, placement, steps_workloads
+            n_lanes, shards, hosts, placement, steps_offered
         )
 
         # Theft vectors, re-assembled from the shard slices, are
         # bit-identical to the single-process pass at every step.
-        for step in range(len(steps_workloads)):
+        for step in range(len(steps_offered)):
             merged = np.concatenate(
                 [results[shard][step] for shard in range(shards)]
             )
@@ -135,7 +137,7 @@ class TestExchangeMatchesSingleProcess:
         # the single-process demand vector (the block still holds the
         # final step's exchanged demands).
         block = views[0].exchange_handle.block
-        ref_demands = reference._demands(steps_workloads[-1], None)
+        ref_demands = reference._demands(steps_offered[-1], None)
         np.testing.assert_array_equal(block, ref_demands, strict=True)
         host_index = reference._host_index
         placed = host_index >= 0
@@ -157,15 +159,15 @@ class TestExchangeMatchesSingleProcess:
     def test_allocation_footprint_also_matches(self, seed):
         rng = np.random.default_rng(seed)
         n_lanes, shards, hosts, placement = random_coupling(rng)
-        steps_workloads = [make_workloads(rng, n_lanes) for _ in range(3)]
+        steps_offered = [make_offered(rng, n_lanes) for _ in range(3)]
         capacities = [float(rng.uniform(0.5, 8.0)) for _ in range(n_lanes)]
 
         reference = HostMap(hosts, placement)
         expected = [
             reference.apply_step(
-                STEP_SECONDS * step, workloads, capacities
+                STEP_SECONDS * step, offered, capacities
             ).copy()
-            for step, workloads in enumerate(steps_workloads)
+            for step, offered in enumerate(steps_offered)
         ]
 
         results, _views = run_sharded_steps(
@@ -173,10 +175,10 @@ class TestExchangeMatchesSingleProcess:
             shards,
             hosts,
             placement,
-            steps_workloads,
+            steps_offered,
             capacities=capacities,
         )
-        for step in range(len(steps_workloads)):
+        for step in range(len(steps_offered)):
             merged = np.concatenate(
                 [results[shard][step] for shard in range(shards)]
             )
@@ -192,29 +194,23 @@ class TestExchangeMatchesSingleProcess:
         n_lanes, shards = 6, 3
         hosts = [SimHost(capacity_units=2.0), SimHost(capacity_units=3.0)]
         placement = [0, 1, 0, 1, 0, 1]
-        idle = [
-            Workload(volume=0.0, mix=CASSANDRA_UPDATE_HEAVY)
-            for _ in range(n_lanes)
-        ]
-        heavy = [
-            Workload(volume=900.0, mix=CASSANDRA_UPDATE_HEAVY)
-            for _ in range(n_lanes)
-        ]
-        steps_workloads = [idle, heavy] * 3
+        idle = [offered_demand(0.0)] * n_lanes
+        heavy = [offered_demand(900.0)] * n_lanes
+        steps_offered = [idle, heavy] * 3
 
         reference = HostMap(hosts, placement)
         expected = [
-            reference.apply_step(STEP_SECONDS * step, workloads).copy()
-            for step, workloads in enumerate(steps_workloads)
+            reference.apply_step(STEP_SECONDS * step, offered).copy()
+            for step, offered in enumerate(steps_offered)
         ]
         # The honesty guard: idle steps steal nothing, heavy steps do.
         assert all(float(row.max()) == 0.0 for row in expected[::2])
         assert all(float(row.min()) > 0.0 for row in expected[1::2])
 
         results, _views = run_sharded_steps(
-            n_lanes, shards, hosts, placement, steps_workloads
+            n_lanes, shards, hosts, placement, steps_offered
         )
-        for step in range(len(steps_workloads)):
+        for step in range(len(steps_offered)):
             merged = np.concatenate(
                 [results[shard][step] for shard in range(shards)]
             )

@@ -93,6 +93,11 @@ class TestSchemaValidation:
         assert "run_fleet_multiplexing_study" in message
         assert "n_lanes" in message  # suggests the legal set
 
+    def test_run_beyond_the_trace_rejected_at_load(self):
+        doc = tiny(fleet={"n_lanes": 2, "hours": 169.0})
+        with pytest.raises(ScenarioError, match=r"\bhours=169"):
+            parse_scenario(doc)
+
     def test_reserved_parameter_rejected(self):
         for reserved in ("seed", "placement", "migration"):
             doc = tiny(fleet={"n_lanes": 2, reserved: 1})

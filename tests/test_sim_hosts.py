@@ -9,7 +9,7 @@ from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 
 def demand(units: float) -> Workload:
-    """A workload offering exactly ``units`` capacity units of demand."""
+    """A workload offering ``units`` capacity units of demand."""
     mix = CASSANDRA_UPDATE_HEAVY
     return Workload(volume=units / mix.demand_per_client, mix=mix)
 
@@ -39,8 +39,8 @@ class TestValidation:
 
     def test_workload_count_checked(self):
         host_map = round_robin(2, 1, 10.0)
-        with pytest.raises(ValueError, match="workloads"):
-            host_map.apply_step(0.0, [demand(1.0)])
+        with pytest.raises(ValueError, match="offered demands"):
+            host_map.apply_step(0.0, [1.0])
 
 
 class TestPlacements:
@@ -66,7 +66,7 @@ class TestPlacements:
 class TestCoupling:
     def test_underloaded_host_steals_nothing(self):
         host_map = round_robin(2, 1, 10.0)
-        thefts = host_map.apply_step(0.0, [demand(4.0), demand(5.0)])
+        thefts = host_map.apply_step(0.0, [4.0, 5.0])
         assert thefts.tolist() == [0.0, 0.0]
         assert host_map.overload_fraction == 0.0
         assert host_map.feed(0).interference_at(0.0) == 0.0
@@ -75,7 +75,7 @@ class TestCoupling:
         # Two equal lanes, total 14 on a 10-unit host: overload 2/7,
         # each lane's theft is overload times its neighbour's share.
         host_map = round_robin(2, 1, 10.0)
-        thefts = host_map.apply_step(0.0, [demand(7.0), demand(7.0)])
+        thefts = host_map.apply_step(0.0, [7.0, 7.0])
         expected = (4.0 / 14.0) * (7.0 / 14.0)
         assert thefts[0] == pytest.approx(expected)
         assert thefts[1] == pytest.approx(expected)
@@ -87,13 +87,13 @@ class TestCoupling:
         # Self-saturation on a dedicated host must read as zero theft:
         # DejaVu's interference index blames co-located tenants only.
         host_map = round_robin(1, 1, 5.0)
-        thefts = host_map.apply_step(0.0, [demand(50.0)])
+        thefts = host_map.apply_step(0.0, [50.0])
         assert thefts.tolist() == [0.0]
         assert host_map.overload_fraction == 1.0  # overloaded, but alone
 
     def test_big_neighbour_steals_more_than_small_one(self):
         host_map = round_robin(2, 1, 10.0)
-        thefts = host_map.apply_step(0.0, [demand(2.0), demand(12.0)])
+        thefts = host_map.apply_step(0.0, [2.0, 12.0])
         # The small lane suffers from the big neighbour, not vice versa.
         assert thefts[0] > thefts[1] > 0.0
 
@@ -101,7 +101,7 @@ class TestCoupling:
         host_map = round_robin(4, 2, 10.0)
         # Host 0 holds lanes (0, 2) and is overloaded; host 1 (1, 3) idles.
         thefts = host_map.apply_step(
-            0.0, [demand(8.0), demand(1.0), demand(8.0), demand(1.0)]
+            0.0, [8.0, 1.0, 8.0, 1.0]
         )
         assert thefts[0] > 0.0 and thefts[2] > 0.0
         assert thefts[1] == 0.0 and thefts[3] == 0.0
@@ -117,23 +117,23 @@ class TestCoupling:
         total = sum(offered)
         unclipped = (total - 1.0) / total * (total - offered[0]) / total
         assert unclipped > MAX_THEFT
-        thefts = host_map.apply_step(0.0, [demand(d) for d in offered])
+        thefts = host_map.apply_step(0.0, offered)
         assert thefts[0] == MAX_THEFT
         assert host_map.peak_theft == MAX_THEFT
         assert np.all(thefts <= MAX_THEFT)
 
     def test_theft_resets_when_pressure_passes(self):
         host_map = round_robin(2, 1, 10.0)
-        host_map.apply_step(0.0, [demand(7.0), demand(7.0)])
+        host_map.apply_step(0.0, [7.0, 7.0])
         assert host_map.feed(0).theft > 0.0
-        host_map.apply_step(60.0, [demand(1.0), demand(1.0)])
+        host_map.apply_step(60.0, [1.0, 1.0])
         assert host_map.feed(0).theft == 0.0
         assert host_map.overload_fraction == pytest.approx(0.5)
 
     def test_mean_theft_accumulates_over_steps(self):
         host_map = round_robin(2, 1, 10.0)
-        host_map.apply_step(0.0, [demand(7.0), demand(7.0)])
-        host_map.apply_step(60.0, [demand(1.0), demand(1.0)])
+        host_map.apply_step(0.0, [7.0, 7.0])
+        host_map.apply_step(60.0, [1.0, 1.0])
         per_step = (4.0 / 14.0) * (7.0 / 14.0)
         assert host_map.mean_theft == pytest.approx(per_step / 2.0)
 
@@ -148,18 +148,17 @@ class TestFootprint:
         "capacities", [None, [4.0, np.inf, 9.9, 3.0], [0.5, 1.0, 20.0, 0.0]]
     )
     def test_footprint_is_offered_demand_clipped_by_capacity(self, capacities):
-        workloads = [demand(d) for d in self.OFFERED]
-        offered = np.array([w.demand_units for w in workloads])
+        offered = np.array(self.OFFERED)
         expected = (
             offered if capacities is None else np.minimum(offered, capacities)
         )
-        footprint = HostMap._demands(workloads, capacities)
+        footprint = HostMap._demands(offered, capacities)
         np.testing.assert_array_equal(footprint, expected, strict=True)
         # The theft pass sees exactly that footprint.
         host_map = round_robin(4, 1, 5.0)
         reference = round_robin(4, 1, 5.0)
         np.testing.assert_array_equal(
-            host_map.apply_step(0.0, workloads, capacities=capacities),
+            host_map.apply_step(0.0, offered, capacities=capacities),
             reference._apply_demands(0.0, expected),
             strict=True,
         )
@@ -167,7 +166,7 @@ class TestFootprint:
     def test_capacity_count_checked(self):
         host_map = round_robin(2, 1, 10.0)
         with pytest.raises(ValueError, match="capacities"):
-            host_map.apply_step(0.0, [demand(1.0)] * 2, capacities=[1.0])
+            host_map.apply_step(0.0, [1.0] * 2, capacities=[1.0])
 
 
 class TestFeed:

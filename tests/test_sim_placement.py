@@ -27,13 +27,13 @@ from repro.sim.placement import (
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 
-def hosts_of(capacities):
-    return [SimHost(capacity_units=c, label=f"h{i}") for i, c in enumerate(capacities)]
-
-
 def workload(units: float) -> Workload:
     mix = CASSANDRA_UPDATE_HEAVY
     return Workload(volume=units / mix.demand_per_client, mix=mix)
+
+
+def hosts_of(capacities):
+    return [SimHost(capacity_units=c, label=f"h{i}") for i, c in enumerate(capacities)]
 
 
 ALL_POLICIES = sorted(PLACEMENT_POLICIES)
@@ -205,13 +205,13 @@ class TestMigration:
             else MigrationPolicy(rebalance_every=2, blackout_seconds=100.0),
         )
 
-    def workloads(self):
-        return [workload(units) for units in self.DEMANDS]
+    def offered(self):
+        return list(self.DEMANDS)
 
     def test_migration_conserves_lane_count(self):
         host_map = self.make_map()
         for step in range(4):
-            host_map.apply_step(step * 60.0, self.workloads())
+            host_map.apply_step(step * 60.0, self.offered())
         assert host_map.migrations >= 1
         placement = host_map.placement
         assert len(placement) == 4
@@ -224,7 +224,7 @@ class TestMigration:
             host_map.placement, self.DEMANDS, host_map.hosts
         )
         for step in range(4):
-            host_map.apply_step(step * 60.0, self.workloads())
+            host_map.apply_step(step * 60.0, self.offered())
         after = total_overcommit(
             host_map.placement, self.DEMANDS, host_map.hosts
         )
@@ -237,15 +237,15 @@ class TestMigration:
                 rebalance_every=1, blackout_seconds=1000.0, blackout_theft=0.4
             )
         )
-        host_map.apply_step(0.0, self.workloads())
-        host_map.apply_step(60.0, self.workloads())  # rebalance fires here
+        host_map.apply_step(0.0, self.offered())
+        host_map.apply_step(60.0, self.offered())  # rebalance fires here
         assert host_map.migrations == 1
         moved = int(np.flatnonzero(host_map.lane_migrations)[0])
         # During the blackout the moved lane reads at least the
         # blackout theft through its ordinary interference feed.
         assert host_map.feed(moved).interference_at(60.0) >= 0.4
         # After the window closes the theft falls back to the packing's.
-        host_map.apply_step(2000.0, self.workloads())
+        host_map.apply_step(2000.0, self.offered())
         assert host_map.feed(moved).interference_at(2000.0) < 0.4
 
     def test_lone_tenant_overload_never_migrates(self):
@@ -258,7 +258,7 @@ class TestMigration:
         # self-saturation, so the planner must leave it alone.
         for step in range(3):
             host_map.apply_step(
-                step * 60.0, [workload(8.0), workload(1.0), workload(1.0)]
+                step * 60.0, [8.0, 1.0, 1.0]
             )
         assert host_map.migrations == 0
 
@@ -315,7 +315,7 @@ class TestLoneTenantSkip:
             [0, 1, 1],
             migration=MigrationPolicy(rebalance_every=1),
         )
-        loads = [workload(15.0), workload(8.0), workload(8.0)]
+        loads = [15.0, 8.0, 8.0]
         for step in range(3):
             host_map.apply_step(step * 60.0, loads)
         # The lone tenant never moves, but host 1 still got relief.
@@ -365,7 +365,7 @@ class TestFaultAwarePlanning:
             migration=MigrationPolicy(rebalance_every=3),
         )
         host_map.attach_faults(parse_faults("host:0@1+10"))
-        loads = [workload(2.0), workload(8.0), workload(8.0), workload(2.0)]
+        loads = [2.0, 8.0, 8.0, 2.0]
         for step in range(6):
             host_map.apply_step(step * 60.0, loads)
             if host_map._host_down[0]:
@@ -443,7 +443,7 @@ class TestConsolidation:
                 mode="consolidate", rebalance_every=1
             ),
         )
-        loads = [workload(2.0), workload(2.0)]
+        loads = [2.0, 2.0]
         for step in range(4):
             host_map.apply_step(step * 60.0, loads)
         assert host_map.migrations == 1
@@ -464,13 +464,13 @@ class TestAllocationAwareDemand:
         # Offered 6+6 would overload the 10-unit host, but each lane
         # only has 3 units deployed: footprints are capped, no theft.
         thefts = host_map.apply_step(
-            0.0, [workload(6.0), workload(6.0)], capacities=[3.0, 3.0]
+            0.0, [6.0, 6.0], capacities=[3.0, 3.0]
         )
         assert thefts.tolist() == [0.0, 0.0]
         # Scale-up: deployed capacity grows, the footprints press the
         # full offered demand and the host overcommits.
         thefts = host_map.apply_step(
-            60.0, [workload(6.0), workload(6.0)], capacities=[8.0, 8.0]
+            60.0, [6.0, 6.0], capacities=[8.0, 8.0]
         )
         assert thefts[0] > 0.0 and thefts[1] > 0.0
 
