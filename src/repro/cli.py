@@ -300,7 +300,7 @@ def _fleet_rows(config, power_cost: float | None) -> list[str]:
     if study.n_hosts:
         rows.append(
             f"shared hosts ({study.n_hosts} x "
-            f"{config.host_capacity_units:.0f} units, {config.placement} "
+            f"{config.host_capacity_units:g} units, {config.placement} "
             f"placement): overloaded "
             f"{study.host_overload_fraction:.1%} of host-steps, mean theft "
             f"{study.mean_host_theft:.1%} (peak {study.peak_host_theft:.1%}), "

@@ -80,6 +80,11 @@ class CloudProvider:
             itype: [VirtualMachine(itype=itype) for _ in range(max_instances)]
             for itype in instance_types
         }
+        # The VMs that are not stopped are always a prefix of their
+        # pool: apply stops the last ones and starts the first stopped
+        # ones, so each pool's prefix length is all it needs to find
+        # them.
+        self._live = dict.fromkeys(self._pools, 0)
         self._current = Allocation(count=0)
         self._last_billed_at = 0.0
         self._last_change_at: float | None = None
@@ -121,16 +126,17 @@ class CloudProvider:
         self._settle(now)
         if allocation == self._current:
             return
+        live = self._live
         for itype, pool in self._pools.items():
             target = allocation.count if itype == allocation.itype else 0
-            running = [vm for vm in pool if vm.state is not VMState.STOPPED]
-            if len(running) > target:
-                for vm in running[target:]:
+            running = live[itype]
+            if running > target:
+                for vm in pool[target:running]:
                     vm.stop()
-            elif len(running) < target:
-                stopped = [vm for vm in pool if vm.state is VMState.STOPPED]
-                for vm in stopped[: target - len(running)]:
+            elif running < target:
+                for vm in pool[running:target]:
                     vm.start(now, pre_created=True)
+            live[itype] = target
         self._current = allocation
         self._last_change_at = now
         self._capacity_plan = None
@@ -140,9 +146,13 @@ class CloudProvider:
     def tick(self, now: float) -> None:
         """Advance VM lifecycles and billing to time ``now``."""
         self._settle(now)
-        for pool in self._pools.values():
-            for vm in pool:
-                vm.tick(now)
+        for vm in self._live_vms():
+            vm.tick(now)
+
+    def _live_vms(self):
+        """Every VM that is not stopped, pool by pool in pool order."""
+        for itype, pool in self._pools.items():
+            yield from pool[: self._live[itype]]
 
     def serving_capacity(self, now: float) -> float:
         """Capacity units of VMs that are RUNNING at ``now``.
@@ -152,10 +162,7 @@ class CloudProvider:
         """
         self.tick(now)
         return sum(
-            vm.itype.capacity_units
-            for pool in self._pools.values()
-            for vm in pool
-            if vm.is_serving
+            vm.itype.capacity_units for vm in self._live_vms() if vm.is_serving
         )
 
     def _plan(self) -> tuple[float, tuple[tuple[float, float], ...], float, float]:
@@ -173,13 +180,12 @@ class CloudProvider:
             base = 0.0
             total_pending = 0.0
             pending: list[tuple[float, float]] = []
-            for pool in self._pools.values():
-                for vm in pool:
-                    if vm.state is VMState.RUNNING:
-                        base += vm.itype.capacity_units
-                    elif vm.state in (VMState.BOOTING, VMState.WARMING):
-                        pending.append((vm.ready_at, vm.itype.capacity_units))
-                        total_pending += vm.itype.capacity_units
+            for vm in self._live_vms():
+                if vm.state is VMState.RUNNING:
+                    base += vm.itype.capacity_units
+                elif vm.state in (VMState.BOOTING, VMState.WARMING):
+                    pending.append((vm.ready_at, vm.itype.capacity_units))
+                    total_pending += vm.itype.capacity_units
             last_ready = max((ready for ready, _u in pending), default=0.0)
             self._capacity_plan = (base, tuple(pending), total_pending, last_ready)
         return self._capacity_plan
@@ -231,9 +237,7 @@ class CloudProvider:
     def serving_count(self, now: float) -> int:
         """Number of VMs serving at ``now``."""
         self.tick(now)
-        return sum(
-            1 for pool in self._pools.values() for vm in pool if vm.is_serving
-        )
+        return sum(1 for vm in self._live_vms() if vm.is_serving)
 
     def _settle(self, now: float) -> None:
         """Charge the meter for the period since the last settlement."""

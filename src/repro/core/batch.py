@@ -21,10 +21,12 @@ that signature, because each stage reuses the scalar path's arithmetic:
   row-by-row :func:`repro.core.classifiers.predict_rows` fallback;
 * novelty *thresholds* depend only on the trained model, so they are
   precomputed per class with the scalar expressions; novelty
-  *distances* go through
+  *distances* are ``sqrt(d.dot(d))`` on each row ``d`` of
+  ``Xz - centroids[labels]`` — exactly what ``np.linalg.norm`` (which
   :meth:`~repro.core.clustering.ClusteringModel.distance_to_centroid`
-  row by row, because its 1-D BLAS norm is not bit-reproducible by a
-  broadcast ``axis=`` norm.
+  calls) computes for a 1-D float array, without its per-call
+  wrapper.  A broadcast ``axis=`` norm would not reproduce that BLAS
+  dot bit for bit.
 
 The batched repository side lives on
 :meth:`repro.core.repository.AllocationRepository.lookup_batch`, which
@@ -152,14 +154,10 @@ class BatchClassifier:
         Xz = self.standardizer.transform(X_raw)
         prediction = predict_matrix(self.classifier, Xz)
         labels = prediction.labels
-        # Row-wise distances: distance_to_centroid's 1-D norm is BLAS
-        # and not bit-reproducible via a broadcast axis= norm.
-        distances = np.array(
-            [
-                self.clustering.distance_to_centroid(Xz[i], int(labels[i]))
-                for i in range(labels.size)
-            ]
-        )
+        # Row-wise distances with np.linalg.norm's own 1-D arithmetic
+        # (a BLAS dot, then sqrt); an axis= norm is not bit-identical.
+        offsets = Xz - self.clustering.centroids[labels]
+        distances = np.sqrt([d.dot(d) for d in offsets])
         certainties = np.where(
             distances > self.novelty_thresholds[labels],
             np.minimum(prediction.confidences, self.novelty_certainty),

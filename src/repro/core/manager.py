@@ -34,6 +34,7 @@ from repro.core.profiler import ProductionEnvironment, ProfilingEnvironment
 from repro.core.repository import AllocationRepository
 from repro.core.signature import SignatureSchema, Standardizer
 from repro.core.tuner import LinearSearchTuner
+from repro.services.base import slo_met_rows
 from repro.sim.clock import HOUR
 from repro.sim.engine import StepContext
 from repro.sim.profiling_queue import (
@@ -193,6 +194,11 @@ class _PendingDeployment:
 
     retry_at: float | None = None
     """When the next revocation retry may be charged (backoff gate)."""
+
+    @property
+    def owes_check(self) -> bool:
+        """Landing this decision runs the post-deploy SLO check."""
+        return self.run_interference_check and self.workload_class is not None
 
 
 @dataclass
@@ -560,24 +566,135 @@ class DejaVuManager:
             apply_at = grant.start_at
         if t + 1e-9 < apply_at:
             return
+        self._deploy_pending(pending, apply_at)
+        if pending.owes_check:
+            self.post_deploy_check(t, pending)
+
+    def _deploy_pending(
+        self, pending: _PendingDeployment, apply_at: float
+    ) -> None:
+        """Deploy a queue-delayed decision at ``apply_at``: the one
+        deploy step of the scalar flush and the batched landing pass."""
         self.pending_deployment = None
         self.production.apply(pending.allocation, apply_at)
-        hit = pending.workload_class is not None
         self._deployed_class = pending.workload_class
-        self._deployed_band = 0 if hit else None
-        if pending.run_interference_check and hit:
-            # The post-deploy SLO check runs from the step that noticed
-            # the deployment; escalation probes are charged at this
-            # step's time (queue time is monotone).
-            check_ctx = StepContext(
-                t=t,
-                workload=pending.workload,
-                hour=int(t // 3600.0),
-                day=int(t // 86400.0),
+        self._deployed_band = (
+            0 if pending.workload_class is not None else None
+        )
+
+    def post_deploy_check(self, t: float, landed: _PendingDeployment) -> None:
+        """The scalar post-deploy SLO check of a landed decision.
+
+        It runs from the step that noticed the deployment; escalation
+        probes are charged at this step's time (queue time is
+        monotone).
+        """
+        check_ctx = StepContext(
+            t=t,
+            workload=landed.workload,
+            hour=int(t // 3600.0),
+            day=int(t // 86400.0),
+        )
+        self._interference_check(
+            check_ctx, landed.workload_class, landed.allocation
+        )
+
+    def land_pending_deployment(self, t: float) -> _PendingDeployment | None:
+        """Deploy this lane's queue-delayed decision if the batched
+        landing pass may land it at ``t``; returns the landed decision,
+        or None (nothing landed: the lane needs
+        :meth:`poll_pending_deployment` instead).
+
+        The pass lands a decision whose grant is accepted and unrevised
+        (or absent) once its ``apply_at`` has come, while no re-learned
+        model is staged: then :meth:`_flush_pending_deployment` would
+        deploy it at ``apply_at`` and do nothing else before the
+        post-deploy check.  A revoked, evicted or revised grant, a
+        staged model or a decision not yet due leave the lane to the
+        scalar poll, which owns the retry, eviction and revision rules.
+        The post-deploy check and the lane's re-signature traffic are
+        left to the caller (:meth:`post_deploy_slo_met`,
+        :meth:`finish_landing`).
+        """
+        pending = self.pending_deployment
+        if pending is None or self._staged_model is not None:
+            return None
+        grant = pending.grant
+        if grant is not None and (grant.outcome != "accepted" or grant.revised):
+            return None
+        if t + 1e-9 < pending.apply_at:
+            return None
+        self._deploy_pending(pending, pending.apply_at)
+        return pending
+
+    def finish_landing(
+        self, t: float, failed: _PendingDeployment | None
+    ) -> None:
+        """The rest of a landed lane's step, in lane order: the scalar
+        post-deploy check of a decision that ``failed`` the vectorized
+        pre-check (None when it passed or owes no check), then routine
+        re-signature traffic — the order :meth:`poll_pending_deployment`
+        charges the queue in."""
+        if failed is not None:
+            self.post_deploy_check(t, failed)
+        self._maybe_resignature(t)
+
+    @staticmethod
+    def post_deploy_slo_met(
+        t: float, landed: list[tuple["DejaVuManager", _PendingDeployment]]
+    ) -> list[bool]:
+        """The first attempt of :meth:`_interference_check` for many
+        landed decisions at once.
+
+        For each ``(manager, decision)`` pair, True when the scalar
+        check would stop at its first attempt having changed nothing:
+        no band to escalate to, nothing serving at the check time, or
+        the SLO met there.  The SLO test runs as one
+        :func:`~repro.services.base.slo_met_rows` vector per service
+        family (lanes sharing a
+        :meth:`~repro.services.base.Service.row_key` and a check time)
+        on each lane's check-time capacity and interference, so every
+        element equals
+        ``service.slo_met(service.performance(...))``.  Only a False
+        lane needs the scalar check (:meth:`post_deploy_check`), which
+        repeats that first attempt and goes on to probe and escalate.
+        """
+        met = [True] * len(landed)
+        families: dict[tuple, list[tuple]] = {}
+        for position, (manager, decision) in enumerate(landed):
+            if manager.estimator.n_bands < 2:
+                continue
+            check_t = t + manager.config.settle_delay_seconds
+            production = manager.production
+            capacity = production.provider.projected_capacity(check_t)
+            if capacity <= 0:
+                continue
+            service = production.service
+            key = (service.row_key(), check_t)
+            family = families.get(key)
+            if family is None:
+                family = families[key] = []
+            family.append(
+                (
+                    position,
+                    service,
+                    decision.workload.demand_units,
+                    capacity,
+                    production.interference_at(check_t),
+                )
             )
-            self._interference_check(
-                check_ctx, pending.workload_class, pending.allocation
+        for (_row_key, check_t), members in families.items():
+            positions, services, demands, capacities, thefts = zip(*members)
+            rows = slo_met_rows(
+                services,
+                np.array(demands),
+                np.array(capacities),
+                np.array(thefts),
+                check_t,
             )
+            for position, ok in zip(positions, rows.tolist()):
+                met[position] = ok
+        return met
 
     def poll_pending_deployment(self, t: float) -> None:
         """Per-step housekeeping for steps the engine handles itself.
@@ -951,7 +1068,11 @@ class DejaVuManager:
     ) -> Allocation:
         """Post-deploy SLO check and interference escalation (Sec. 3.6).
 
-        Returns the finally deployed allocation.
+        Returns the finally deployed allocation.  The batched landing
+        pass evaluates this check's first attempt for all of a step's
+        landed lanes as vectors (:meth:`post_deploy_slo_met`) and calls
+        it, through :meth:`post_deploy_check`, only for the lanes whose
+        SLO fails there; on the others it would stop at once.
         """
         service = self.production.service
         for _attempt in range(self.estimator.n_bands - 1):
@@ -1039,7 +1160,9 @@ class DejaVuManager:
         lane also wakes at ``apply_at`` and at
         :meth:`~repro.sim.profiling_queue.ProfilingQueue.grants_stable_until`
         (the next profiler outage on a FIFO queue; ``-inf`` on the
-        priority market, whose projections move on any step).  While a
+        priority market, whose projections move on any step).  On the
+        step it lands, the engine's landing pass deploys it
+        (:meth:`land_pending_deployment`) with no per-lane poll.  While a
         grant is revoked (a retry is in progress), evicted or revised,
         while a re-learned model is staged, or while the lane is not
         batchable (its ``on_step`` must run), the answer is ``-inf``:

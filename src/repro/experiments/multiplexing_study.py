@@ -61,7 +61,7 @@ from repro.workloads.request_mix import (
     SPECWEB_SUPPORT,
     Workload,
 )
-from repro.workloads.traces import TRACE_HOURS
+from repro.workloads.traces import HOURS_PER_DAY, TRACE_HOURS
 
 #: Lane compositions the fleet study understands.
 FLEET_MIXES = ("scaleout", "scaleup", "mixed")
@@ -745,6 +745,12 @@ def _lane_peak_demand(kind: str, factor: float, trace_name: str) -> float:
     return base * factor
 
 
+def _study_days(config: FleetConfig) -> int:
+    """Trace days a study reads: every step time is below
+    ``hours * HOUR``, so ``ceil(hours / 24)`` days hold every hour."""
+    return math.ceil(config.hours / HOURS_PER_DAY)
+
+
 def _placement_estimates(config: FleetConfig) -> list[float]:
     """Every lane's placement-time demand estimate, traces only.
 
@@ -754,7 +760,9 @@ def _placement_estimates(config: FleetConfig) -> list[float]:
     same ``placement_demand`` mode — but through
     :func:`~repro.experiments.setup.make_trace` alone (no managers, no
     learning), so the parent of a sharded sweep can resolve the global
-    placement in milliseconds before dispatching workers.
+    placement in milliseconds before dispatching workers.  Both
+    estimates read only the learning day, so each trace is built for
+    day 0 alone.
     """
     from repro.experiments.setup import make_trace
 
@@ -769,6 +777,7 @@ def _placement_estimates(config: FleetConfig) -> list[float]:
                 config.trace_name,
             ),
             seed=config.seed + lane * config.lane_seed_stride,
+            n_days=1,
         )
         estimates.append(placement_estimate(trace, config.placement_demand))
     return estimates
@@ -814,6 +823,7 @@ def _build_lane(
         trace_name=config.trace_name,
         repository=repository,
         trace_seed=config.seed + lane_key,
+        trace_days=_study_days(config),
         # Counter monitors key their streams by (fleet seed, lane_key):
         # batch- and shard-invariant.
         monitor=counter_monitor(streams, lane_key),

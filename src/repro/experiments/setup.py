@@ -30,7 +30,7 @@ from repro.core.tuner import (
     scale_up_candidates,
 )
 from repro.interference.injector import InterferenceInjector, InterferenceSchedule
-from repro.services.base import Service
+from repro.services.base import Service, performance_rows
 from repro.services.cassandra import CassandraService
 from repro.services.specweb import SpecWebService
 from repro.telemetry.counters import HPCSampler
@@ -42,6 +42,7 @@ from repro.workloads.request_mix import (
     RequestMix,
 )
 from repro.workloads.traces import (
+    DAYS_PER_WEEK,
     LoadTrace,
     synthetic_hotmail_trace,
     synthetic_messenger_trace,
@@ -78,16 +79,22 @@ def make_trace(
     mix: RequestMix,
     peak_demand: float,
     seed: int | None = None,
+    n_days: int = DAYS_PER_WEEK,
 ) -> LoadTrace:
-    """Build one of the two synthetic traces by name."""
+    """Build one of the two synthetic traces by name.
+
+    ``n_days`` builds only the trace's first days (the full week by
+    default); they equal the full week's on every hour they hold.
+    """
     peak_clients = peak_clients_for(mix, peak_demand)
+    seeded = {} if seed is None else {"seed": seed}
     if trace_name == "messenger":
         return synthetic_messenger_trace(
-            mix, peak_clients=peak_clients, **({} if seed is None else {"seed": seed})
+            mix, peak_clients=peak_clients, n_days=n_days, **seeded
         )
     if trace_name == "hotmail":
         return synthetic_hotmail_trace(
-            mix, peak_clients=peak_clients, **({} if seed is None else {"seed": seed})
+            mix, peak_clients=peak_clients, n_days=n_days, **seeded
         )
     raise ValueError(f"unknown trace {trace_name!r}; use 'messenger' or 'hotmail'")
 
@@ -153,6 +160,7 @@ def build_scaleout_setup(
     trace_seed: int | None = None,
     seed: int = 0,
     monitor: Monitor | None = None,
+    trace_days: int = DAYS_PER_WEEK,
 ) -> ScaleOutSetup:
     """Assemble the Cassandra scale-out case study (Sec. 4.1, Figs. 6-8, 11).
 
@@ -166,7 +174,10 @@ def build_scaleout_setup(
     environment; it is mutually exclusive with ``interference_schedule``
     (the scripted Fig. 11 regime).  ``monitor`` overrides the profiling
     monitor entirely (counter-mode fleet studies build theirs via
-    :func:`counter_monitor`); ``seed`` is then ignored.
+    :func:`counter_monitor`); ``seed`` is then ignored.  ``trace_days``
+    builds only the trace's first days (see :func:`make_trace`); fleet
+    studies pass the days they simulate, paper experiments keep the
+    full week.
     """
     if interference_schedule is not None and injector is not None:
         raise ValueError(
@@ -174,7 +185,13 @@ def build_scaleout_setup(
         )
     if service is None:
         service = CassandraService()
-    trace = make_trace(trace_name, CASSANDRA_UPDATE_HEAVY, peak_demand, seed=trace_seed)
+    trace = make_trace(
+        trace_name,
+        CASSANDRA_UPDATE_HEAVY,
+        peak_demand,
+        seed=trace_seed,
+        n_days=trace_days,
+    )
     provider = CloudProvider(max_instances=10)
     if injector is None and interference_schedule is not None:
         injector = InterferenceInjector(interference_schedule)
@@ -235,6 +252,7 @@ def build_scaleup_setup(
     trace_seed: int | None = None,
     seed: int = 0,
     monitor: Monitor | None = None,
+    trace_days: int = DAYS_PER_WEEK,
 ) -> ScaleUpSetup:
     """Assemble the SPECweb scale-up case study (Sec. 4.2, Figs. 9-10).
 
@@ -243,19 +261,26 @@ def build_scaleup_setup(
     provisioned tier (the one being switched between large and
     extra-large) with ``fixed_count`` instances.
 
-    ``repository``, ``trace_seed``, ``injector`` and ``monitor`` mirror
-    the scale-out builder: heterogeneous fleet studies share one
-    repository across the scale-up lanes, re-draw each lane's trace,
-    couple lanes through shared hosts via an injector-compatible
-    :class:`~repro.sim.hosts.HostInterferenceFeed`, and supply
-    counter-mode monitors for batch-/shard-invariant telemetry.
+    ``repository``, ``trace_seed``, ``injector``, ``monitor`` and
+    ``trace_days`` mirror the scale-out builder: heterogeneous fleet
+    studies share one repository across the scale-up lanes, re-draw
+    each lane's trace, couple lanes through shared hosts via an
+    injector-compatible :class:`~repro.sim.hosts.HostInterferenceFeed`,
+    supply counter-mode monitors for batch-/shard-invariant telemetry,
+    and build only the simulated days of the trace.
     """
     if peak_demand is None:
         if trace_name not in SCALE_UP_PEAK_DEMAND:
             raise ValueError(f"no default scale-up demand for {trace_name!r}")
         peak_demand = SCALE_UP_PEAK_DEMAND[trace_name]
     service = SpecWebService()
-    trace = make_trace(trace_name, SPECWEB_SUPPORT, peak_demand, seed=trace_seed)
+    trace = make_trace(
+        trace_name,
+        SPECWEB_SUPPORT,
+        peak_demand,
+        seed=trace_seed,
+        n_days=trace_days,
+    )
     provider = CloudProvider(max_instances=fixed_count)
     production = ProductionEnvironment(service, provider, injector)
     profiler = ProfilingEnvironment(
@@ -341,9 +366,10 @@ class _FleetFamilyObserver:
     the end of the run, which charges the same totals as the scalar
     path's per-step settlement: the cost meter is linear in time.
 
-    All lanes must share one performance-model configuration (they are
-    built by the same setup builder); the constructor enforces it
-    because the vector math is evaluated with the first lane's model.
+    All lanes must share one :meth:`~repro.services.base.Service.row_key`
+    (model, SLO and QoS curve; the same setup builder guarantees it);
+    the constructor enforces it because the vector math is evaluated
+    with the first lane's parameters.
     """
 
     def __init__(self, setups) -> None:
@@ -353,11 +379,12 @@ class _FleetFamilyObserver:
         self._providers = [s.provider for s in self._setups]
         self._services = [s.service for s in self._setups]
         self._model = self._services[0].model
+        reference = self._services[0].row_key()
         for service in self._services:
-            if service.model != self._model:
+            if service.row_key() != reference:
                 raise ValueError(
-                    "family lanes must share one performance model; got "
-                    f"{service.model} != {self._model}"
+                    "family lanes must share one performance model and "
+                    f"QoS curve; got {service.row_key()} != {reference}"
                 )
         self._injectors = [s.production.injector for s in self._setups]
         self._any_injector = any(inj is not None for inj in self._injectors)
@@ -429,11 +456,6 @@ class _FleetFamilyObserver:
     def _series_value(self, allocation) -> float:
         raise NotImplementedError
 
-    def _latency_rows(self, t: float, rho, indices) -> np.ndarray:
-        """Family latency from utilizations; ``indices`` restricts the
-        lanes when some have nothing serving."""
-        return self._model.latency_rows(rho)
-
     def fill_rows(self, t: float, volumes, demands, out) -> None:
         providers = self._providers
         for j in self._capacities.refresh(t).tolist():
@@ -455,11 +477,9 @@ class _FleetFamilyObserver:
         out[2, :] = self._alloc_series
         out[3, :] = self._alloc_cost
         if caps.min() > 0.0:
-            rho = self._model.utilization_rows(
-                demands, caps, self._interference
+            out[0, :], out[1, :] = performance_rows(
+                self._services, demands, caps, self._interference, t
             )
-            out[0, :] = self._latency_rows(t, rho, None)
-            out[1, :] = self._services[0]._qos_rows(rho)
             return
         # Some lanes have nothing serving (e.g. their first deployment
         # is still queue-delayed): those report the timeout-cap sample,
@@ -468,63 +488,32 @@ class _FleetFamilyObserver:
         out[0, :] = self._model.max_latency_ms
         out[1, :] = 50.0
         if served.size:
-            rho = self._model.utilization_rows(
-                demands[served], caps[served], self._interference[served]
+            out[0, served], out[1, served] = performance_rows(
+                [self._services[j] for j in served.tolist()],
+                demands[served],
+                caps[served],
+                self._interference[served],
+                t,
             )
-            out[0, served] = self._latency_rows(t, rho, served)
-            out[1, served] = self._services[0]._qos_rows(rho)
 
 
 class ScaleoutFleetObserver(_FleetFamilyObserver):
     """Vectorized counterpart of :func:`observe_scaleout` (Cassandra).
 
-    The per-lane re-partitioning transient stays scalar — each service
-    instance's ``repartition_penalty_ms`` uses ``math.exp``, which is
-    not bit-reproducible by ``np.exp`` — and is added to the vectorized
-    queueing latency exactly as
-    :meth:`~repro.services.cassandra.CassandraService._latency_ms` does.
+    Each lane's re-partitioning transient is added to the vectorized
+    queueing latency by :func:`~repro.services.base.performance_rows`.
     """
 
     names = ("latency_ms", "qos_percent", "instances", "hourly_cost", "load")
 
-    def __init__(self, setups) -> None:
-        super().__init__(setups)
-        self._penalties = np.zeros(len(self._services))
-
     def _series_value(self, allocation) -> float:
         return float(allocation.count)
-
-    def _latency_rows(self, t: float, rho, indices) -> np.ndarray:
-        base = self._model.latency_rows(rho)
-        services = self._services
-        if indices is None:
-            penalties = self._penalties
-            for j, service in enumerate(services):
-                penalties[j] = service.repartition_penalty_ms(t)
-        else:
-            penalties = np.array(
-                [services[j].repartition_penalty_ms(t) for j in indices]
-            )
-        return np.minimum(base + penalties, self._model.max_latency_ms)
 
 
 class ScaleupFleetObserver(_FleetFamilyObserver):
     """Vectorized counterpart of :func:`observe_scaleup` (SPECweb)."""
 
     names = ("latency_ms", "qos_percent", "instance_is_xl", "hourly_cost", "load")
-
-    def __init__(self, setups) -> None:
-        super().__init__(setups)
-        # The family QoS curve is graded once via the first service's
-        # vectorized hook, so every lane must share its parameters
-        # (guaranteed by build_scaleup_setup; checked because the knee
-        # and slope are per-instance state).
-        reference = (self._services[0]._knee, self._services[0]._slope)
-        for service in self._services:
-            if (service._knee, service._slope) != reference:
-                raise ValueError(
-                    "scale-up family lanes must share one QoS curve"
-                )
 
     def _series_value(self, allocation) -> float:
         return float(allocation.itype == EXTRA_LARGE)

@@ -87,6 +87,22 @@ class Service:
     def slo_met(self, sample: PerformanceSample) -> bool:
         return self.slo.is_met(sample.slo_metric(self.slo))
 
+    def row_key(self) -> tuple:
+        """Instances with equal keys share every parameter of the row
+        hooks (queueing model, SLO, QoS curve), so
+        :func:`performance_rows` may evaluate them as one vector.
+        Subclasses with a per-instance curve extend the key."""
+        return (type(self), self.model, self.slo)
+
+    #: Whether :meth:`latency_penalty_ms` can be non-zero; the row
+    #: hooks skip the per-instance penalty loop when it cannot.
+    has_latency_penalty = False
+
+    def latency_penalty_ms(self, now: float | None) -> float:
+        """Time-dependent latency added on top of the queueing model
+        (Cassandra's re-partitioning transient); none by default."""
+        return 0.0
+
     def notify_allocation_change(self, now: float) -> None:
         """Hook invoked when the deployed allocation changes.
 
@@ -130,3 +146,60 @@ class Service:
         """
         qos = 99.5 - np.maximum(0.0, rho - self._QOS_KNEE) * self._QOS_SLOPE
         return np.maximum(50.0, np.minimum(99.5, qos))
+
+
+def performance_rows(
+    services,
+    demands: np.ndarray,
+    capacities: np.ndarray,
+    interferences: np.ndarray,
+    now: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(latency_ms, qos_percent)`` of many service instances at once.
+
+    Element ``j`` is bit-identical to the latency and QoS of
+    ``services[j].performance(workload, capacities[j],
+    interference=interferences[j], now=now)`` for a workload offering
+    ``demands[j]``: the queueing math runs through the model's
+    ``utilization_rows`` / ``latency_rows`` and the service's
+    ``_qos_rows``, and each instance's :meth:`Service.latency_penalty_ms`
+    stays a scalar call (it uses ``math.exp``, which ``np.exp`` does
+    not reproduce bit for bit).  Every service must share the first
+    one's :meth:`Service.row_key`, and every capacity must be positive
+    (the scalar path raises on zero; callers mask such instances).
+    """
+    lead = services[0]
+    rho = lead.model.utilization_rows(demands, capacities, interferences)
+    return _latency_rows(services, rho, now), lead._qos_rows(rho)
+
+
+def _latency_rows(services, rho: np.ndarray, now: float) -> np.ndarray:
+    """The latency half of :func:`performance_rows`."""
+    lead = services[0]
+    model = lead.model
+    latency = model.latency_rows(rho)
+    if not lead.has_latency_penalty:
+        return latency
+    penalties = np.array(
+        [service.latency_penalty_ms(now) for service in services]
+    )
+    return np.minimum(latency + penalties, model.max_latency_ms)
+
+
+def slo_met_rows(
+    services,
+    demands: np.ndarray,
+    capacities: np.ndarray,
+    interferences: np.ndarray,
+    now: float,
+) -> np.ndarray:
+    """Elementwise ``service.slo_met(service.performance(...))`` over
+    the instances of :func:`performance_rows` (same arguments and
+    preconditions), as one boolean vector.  Only the metric the SLO is
+    written against is computed."""
+    lead = services[0]
+    rho = lead.model.utilization_rows(demands, capacities, interferences)
+    slo = lead.slo
+    if isinstance(slo, LatencySLO):
+        return slo.is_met(_latency_rows(services, rho, now))
+    return slo.is_met(lead._qos_rows(rho))

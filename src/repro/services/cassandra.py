@@ -54,6 +54,8 @@ class CassandraService(Service):
         self._tau = repartition_tau_seconds
         self._last_resize_at: float | None = None
 
+    has_latency_penalty = True
+
     def notify_allocation_change(self, now: float) -> None:
         """Record the resize; ranges start re-balancing now."""
         self._last_resize_at = now
@@ -66,6 +68,10 @@ class CassandraService(Service):
         if elapsed < 0:
             return 0.0
         return self._peak_ms * math.exp(-elapsed / self._tau)
+
+    #: The latency penalty of the row hooks is the re-partitioning
+    #: transient (an alias, so the per-lane call adds no frame).
+    latency_penalty_ms = repartition_penalty_ms
 
     def _latency_ms(
         self,

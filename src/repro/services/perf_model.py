@@ -136,11 +136,13 @@ class QueueingModel:
         """Vectorized :meth:`latency_ms` from precomputed utilizations.
 
         Evaluates both branches elementwise and selects, which yields
-        the exact floats of the scalar branch logic (the dead branch's
-        divide-by-zero at ``rho == 1`` is discarded by the select).
+        the exact floats of the scalar branch logic.  The smooth branch
+        divides by ``1 - min(rho, smoothing_rho)``: the same divisor on
+        every element it is selected for, and never zero on the others.
         """
-        with np.errstate(divide="ignore"):
-            smooth = self.base_latency_ms / (1.0 - rho)
+        smooth = self.base_latency_ms / (
+            1.0 - np.minimum(rho, self.smoothing_rho)
+        )
         knee_latency = self.base_latency_ms / (1.0 - self.smoothing_rho)
         knee_slope = self.base_latency_ms / (1.0 - self.smoothing_rho) ** 2
         linear = knee_latency + knee_slope * (rho - self.smoothing_rho)

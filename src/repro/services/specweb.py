@@ -47,6 +47,9 @@ class SpecWebService(Service):
         self._knee = qos_knee
         self._slope = qos_slope
 
+    def row_key(self) -> tuple:
+        return (type(self), self.model, self.slo, self._knee, self._slope)
+
     def _qos_percent(self, rho: float) -> float:
         qos = 99.5 - max(0.0, rho - self._knee) * self._slope
         return float(max(50.0, min(99.5, qos)))

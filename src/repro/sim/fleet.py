@@ -331,6 +331,9 @@ _BATCH_ADAPT_PROTOCOL = (
     "batch_classifier",
     "complete_batched_adapt",
     "poll_pending_deployment",
+    "land_pending_deployment",
+    "post_deploy_slo_met",
+    "finish_landing",
     "batched_wake_at",
 )
 
@@ -383,7 +386,14 @@ class FleetEngine:
         (``batched_wake_at``) and the wave visits only candidates whose
         wake time has come: a lane sleeps between its periodic checks,
         and a lane whose FIFO-queued deployment no outage can touch
-        sleeps until that deployment lands.  A lane replaying a
+        sleeps until that deployment lands.  Visited lanes that are not
+        due an adaptation go through one landing pass per step
+        (``_land_deployments``): every due deployment on an accepted,
+        unrevised grant is deployed in lane order, their post-deploy
+        SLO checks run as one vectorized pre-check per service family,
+        and only lanes failing it run the scalar check; every other
+        idle lane is polled (``poll_pending_deployment``).  A lane
+        replaying a
         :class:`~repro.workloads.traces.LoadTrace` re-evaluates its
         workload only when the clock enters a new trace hour (the
         trace's own ``int(t // HOUR)``), and the engine's per-lane
@@ -691,10 +701,11 @@ class FleetEngine:
         are visited, in lane order; the rest have nothing to do this
         step.  A visited batchable lane is either due (adapted, or
         deferred by queue rejection and retried next step, exactly like
-        a scalar rejected adaptation) or idle, and an idle lane's
-        per-step duties (flushing a queue-delayed deployment, swapping
-        in a relearn-staged model, routine re-signatures) are handled
-        inline.  Every visited lane's wake time is then re-read.
+        a scalar rejected adaptation) or idle, and the idle lanes'
+        per-step duties (landing a queue-delayed deployment, swapping
+        in a relearn-staged model, routine re-signatures) run in the
+        landing pass (:meth:`_land_deployments`) before the due lanes
+        gate.  Every visited lane's wake time is then re-read.
 
         Returns the lanes whose ``on_step`` the engine must still run
         this step, in lane order: the lanes that never batch plus any
@@ -705,6 +716,7 @@ class FleetEngine:
         pairs = self._batch_pairs
         unbatched: list[int] = []
         due: list[tuple[int, StepContext]] = []
+        idle = []
         for k in visit:
             i, controller = pairs[k]
             if not controller.supports_batched_adapt:
@@ -719,11 +731,9 @@ class FleetEngine:
                     )
                 )
             else:
-                # Not due this step: per-step housekeeping only — land a
-                # queue-delayed deployment, swap in a relearn-staged
-                # model once its sweep drains, keep routine re-signature
-                # traffic flowing.
-                controller.poll_pending_deployment(t)
+                idle.append(controller)
+        if idle:
+            self._land_deployments(t, idle)
         if due:
             self._adapt_due(due)
         for k in visit:
@@ -731,6 +741,43 @@ class FleetEngine:
         if unbatched:
             return sorted(self._scalar_lanes + tuple(unbatched))
         return self._scalar_lanes
+
+    def _land_deployments(self, t: float, idle: list) -> None:
+        """The landing pass: the per-step duties of the visited lanes
+        that are not due an adaptation, in lane order.
+
+        Every lane whose queue-delayed deployment is due and whose
+        grant is accepted and unrevised is deployed first
+        (``land_pending_deployment``; no queue traffic).  The landed
+        decisions' post-deploy SLO checks then run as one vectorized
+        pre-check (``post_deploy_slo_met``, one vector per service
+        family).  Last, lane by lane: a landed lane that failed the
+        pre-check runs the scalar check (probes, escalation) and every
+        landed lane its re-signature (``finish_landing``), while any
+        other idle lane — a revoked, evicted or revised grant, a
+        staged model, a decision not yet due, a re-signature owed —
+        runs ``poll_pending_deployment``.  So the queue sees the same
+        request sequence as one poll per idle lane: deploying and
+        pre-checking charge nothing and touch only their own lane.
+        """
+        landed = [controller.land_pending_deployment(t) for controller in idle]
+        checks = [
+            k
+            for k, decision in enumerate(landed)
+            if decision is not None and decision.owes_check
+        ]
+        failed = [False] * len(idle)
+        if checks:
+            met = idle[checks[0]].post_deploy_slo_met(
+                t, [(idle[k], landed[k]) for k in checks]
+            )
+            for k, ok in zip(checks, met):
+                failed[k] = not ok
+        for controller, decision, fail in zip(idle, landed, failed):
+            if decision is None:
+                controller.poll_pending_deployment(t)
+            else:
+                controller.finish_landing(t, decision if fail else None)
 
     def _adapt_due(self, due: list[tuple[int, StepContext]]) -> None:
         """Gate, collect, classify and finish this step's due lanes."""

@@ -244,24 +244,27 @@ class HPCSampler:
         self, workloads: list[Workload], interferences: np.ndarray
     ) -> np.ndarray:
         """Noise-free event rates, one row per workload, with the
-        per-element arithmetic of :meth:`_sample_counts`."""
+        per-element arithmetic of :meth:`_sample_counts`.
+
+        The ``weights · activity`` sum depends only on the request mix,
+        so it is computed once per distinct mix (with the scalar path's
+        own expression) and gathered per row.
+        """
         n = len(workloads)
-        n_dims = self._weights.shape[1]
-        activity = np.empty((n, n_dims), dtype=float)
+        mix_rows: dict[int, int] = {}
+        sums: list[np.ndarray] = []
+        rows = np.empty(n, dtype=int)
         intensity = np.empty(n, dtype=float)
-        mix_cache: dict[int, tuple[float, ...]] = {}
         for r, workload in enumerate(workloads):
             mix = workload.mix
-            vector = mix_cache.get(id(mix))
-            if vector is None:
-                vector = mix_cache[id(mix)] = mix.activity_vector()
-            activity[r] = vector
+            row = mix_rows.get(id(mix))
+            if row is None:
+                row = mix_rows[id(mix)] = len(sums)
+                activity = np.asarray(mix.activity_vector())
+                sums.append((self._weights * activity).sum(axis=1))
+            rows[r] = row
             intensity[r] = workload.demand_units
-        rates = (
-            self._baselines
-            + (self._weights[None, :, :] * activity[:, None, :]).sum(axis=2)
-            * intensity[:, None]
-        )
+        rates = self._baselines + np.array(sums)[rows] * intensity[:, None]
         hot = interferences > 0
         if np.any(hot):
             rates[hot] = rates[hot] * (

@@ -25,7 +25,10 @@ every property the evaluation actually depends on:
 * a day-4 HotMail surge to a level absent from day 1, so DejaVu's
   confidence-based fallback to full capacity triggers (Sec. 4.1).
 
-The generators are deterministic given a seed.
+The generators are deterministic given a seed.  They draw day by day
+from one generator, so a trace built for its first ``n_days`` days
+holds exactly the first ``24 * n_days`` hours of the full week: a
+study that reads only those hours need not synthesize the rest.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ class LoadTrace:
     :class:`~repro.sim.fleet.FleetEngine` lane whose ``workload_fn`` is
     the trace itself is re-evaluated only on the first step of each
     hour; any other callable is evaluated every step.
+
+    The synthetic generators build a full week by default; fleet
+    studies build only the days they simulate (``n_days``), which hold
+    the same loads as the week's first days, and a time past the last
+    held hour raises ``ValueError``.
     """
 
     name: str
@@ -241,6 +249,13 @@ _HOTMAIL_WEEKEND = DaySchedule(
 HOTMAIL_SURGE_LOAD = 1.05
 
 
+def _check_days(n_days: int) -> None:
+    if not 1 <= n_days <= DAYS_PER_WEEK:
+        raise ValueError(
+            f"a trace holds 1 to {DAYS_PER_WEEK} days: n_days={n_days}"
+        )
+
+
 def _weekly_loads(
     levels: np.ndarray,
     weekday: DaySchedule,
@@ -248,10 +263,13 @@ def _weekly_loads(
     rng: np.random.Generator,
     jitter_sd: float,
     max_shift: int,
+    n_days: int = DAYS_PER_WEEK,
 ) -> np.ndarray:
-    """Assemble a 7-day trace.  Day 0 (the learning day) is canonical."""
+    """Assemble the first ``n_days`` days of a week.  Day 0 (the
+    learning day) is canonical.  Each day draws from ``rng`` after the
+    days before it, so fewer days are a prefix of the full week."""
     days = []
-    for day in range(DAYS_PER_WEEK):
+    for day in range(n_days):
         template = weekend if day in (5, 6) else weekday
         if day == 0:
             schedule = template
@@ -270,8 +288,11 @@ def synthetic_messenger_trace(
     peak_clients: float = 1000.0,
     jitter_sd: float = 0.03,
     max_shift: int = 3,
+    n_days: int = DAYS_PER_WEEK,
 ) -> LoadTrace:
-    """A Windows-Live-Messenger-like week (Fig. 6(a) substitute)."""
+    """A Windows-Live-Messenger-like week (Fig. 6(a) substitute), or
+    its first ``n_days`` days."""
+    _check_days(n_days)
     rng = np.random.default_rng(seed)
     load = _weekly_loads(
         MESSENGER_LEVELS,
@@ -280,6 +301,7 @@ def synthetic_messenger_trace(
         rng,
         jitter_sd=jitter_sd,
         max_shift=max_shift,
+        n_days=n_days,
     )
     return LoadTrace(
         name="messenger-synthetic",
@@ -297,14 +319,18 @@ def synthetic_hotmail_trace(
     max_shift: int = 3,
     anomaly_day: int = 3,
     anomaly_hours: tuple[int, ...] = (11, 12, 13),
+    n_days: int = DAYS_PER_WEEK,
 ) -> LoadTrace:
     """A HotMail-like week with a day-4 surge (Fig. 7(a) substitute).
 
     ``anomaly_day`` is zero-based; the default 3 is the trace's fourth
     day, where the paper reports a workload "that differs significantly
     from the previously defined workload classes" and forces DejaVu to
-    fall back to full capacity.
+    fall back to full capacity.  With ``n_days`` below the full week
+    only the first days are built, and the surge is written only if its
+    day is among them.
     """
+    _check_days(n_days)
     rng = np.random.default_rng(seed)
     load = _weekly_loads(
         HOTMAIL_LEVELS,
@@ -313,6 +339,7 @@ def synthetic_hotmail_trace(
         rng,
         jitter_sd=jitter_sd,
         max_shift=max_shift,
+        n_days=n_days,
     )
     if not 0 <= anomaly_day < DAYS_PER_WEEK:
         raise ValueError(f"anomaly day out of range: {anomaly_day}")
@@ -321,7 +348,8 @@ def synthetic_hotmail_trace(
     for hour in anomaly_hours:
         if not 0 <= hour < HOURS_PER_DAY:
             raise ValueError(f"anomaly hour out of range: {hour}")
-        load[anomaly_day * HOURS_PER_DAY + hour] = HOTMAIL_SURGE_LOAD
+        if anomaly_day < n_days:
+            load[anomaly_day * HOURS_PER_DAY + hour] = HOTMAIL_SURGE_LOAD
     return LoadTrace(
         name="hotmail-synthetic",
         hourly_load=load,

@@ -10,7 +10,11 @@ one lands:
 * one unbounded slot with whole-profiler outages that revoke queued
   grants, so the managers retry with backoff;
 * the priority market with watermark shedding and a routine
-  re-signature stream.
+  re-signature stream;
+* host-coupled fleets on one slot, FIFO and priority, where landed
+  deployments fail the post-deploy SLO check and escalate to an
+  interference band (the scalar fallback after the landing pass's
+  vectorized pre-check).
 
 The digest is :func:`tests.test_scalar_golden.study_digest`: series
 matrices, step times, schemas, per-lane adaptation events and every
@@ -31,6 +35,16 @@ CONTENDED = dict(
     profiling_slots=1,
     max_pending=2,
     seed=0,
+)
+
+HOSTED = dict(
+    n_lanes=16,
+    hours=12.0,
+    mix="mixed",
+    seed=3,
+    n_hosts=4,
+    host_capacity_units=8.0,
+    profiling_slots=1,
 )
 
 CASES = {
@@ -55,6 +69,8 @@ CASES = {
         queue_low_watermark=1,
         resignature_every_seconds=1800.0,
     ),
+    "hosts-escalation-fifo": HOSTED,
+    "hosts-escalation-priority": dict(HOSTED, queue_policy="priority"),
 }
 
 #: Recorded before the batched wave let queue-delayed lanes sleep
@@ -63,6 +79,9 @@ GOLDEN = {
     "fifo-contended": "647645eb9717656e",
     "fifo-outage": "debd1f1f4b040317",
     "priority-market": "001863e6eabb3c7c",
+    # Recorded before deployments landed in one pass per step.
+    "hosts-escalation-fifo": "6504603f20460491",
+    "hosts-escalation-priority": "6504603f20460491",
 }
 
 
@@ -85,6 +104,10 @@ def test_cases_exercise_what_they_pin():
     assert outage.profiling_retries > 0
     market = run_fleet_multiplexing_study(**CASES["priority-market"])
     assert market.shed_profiles + market.evicted_profiles > 0
+    for case in ("hosts-escalation-fifo", "hosts-escalation-priority"):
+        hosted = run_fleet_multiplexing_study(**CASES[case])
+        assert hosted.interference_escalations == 2
+        assert hosted.max_queue_wait_seconds > 0.0
 
 
 if __name__ == "__main__":

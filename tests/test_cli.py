@@ -217,6 +217,26 @@ class TestMain:
         assert "shared hosts (1 x 12 units, round_robin placement" in out
         assert "escalation" in out
 
+    @pytest.mark.parametrize(
+        ("capacity", "shown"), [("12.5", "1 x 12.5 units"), ("0.5", "1 x 0.5 units")]
+    )
+    def test_fleet_report_keeps_fractional_host_capacity(
+        self, capsys, capacity, shown
+    ):
+        # A fractional capacity used to print rounded ("1 x 12 units",
+        # "1 x 0 units").
+        assert (
+            main(
+                [
+                    "fleet", "--lanes", "2", "--hours", "1",
+                    "--mix", "scaleup", "--hosts", "1",
+                    "--host-capacity", capacity,
+                ]
+            )
+            == 0
+        )
+        assert f"shared hosts ({shown}, " in capsys.readouterr().out
+
     def test_run_fleet_with_placement_policy(self, capsys):
         assert (
             main(

@@ -292,12 +292,13 @@ SHORT_STEP = 10.0
 
 def record_visits(monkeypatch):
     """Per wave: ``(t, lanes holding a queue-delayed deployment as the
-    wave starts, lanes the wave visited)``, plus every poll's outcome
-    (``True`` when it landed the lane's deployment)."""
-    waves, polls = [], []
+    wave starts, lanes the wave visited)``, plus the outcome of every
+    idle lane the landing pass handled (``True`` when the pass left it
+    with its deployment landed)."""
+    waves, landings = [], []
     visited: set[int] = set()
     wave = FleetEngine._batched_adapt_wave
-    poll = DejaVuManager.poll_pending_deployment
+    land = FleetEngine._land_deployments
     begin = DejaVuManager.begin_batched_adapt
 
     def spy_wave(self, t, hour, day, workloads):
@@ -309,20 +310,21 @@ def record_visits(monkeypatch):
         waves.append((t, pending, set(visited)))
         return result
 
-    def spy_poll(self, t):
-        visited.add(id(self))
-        had = self.pending_deployment is not None
-        poll(self, t)
-        polls.append(had and self.pending_deployment is None)
+    def spy_land(self, t, idle):
+        had = [controller.pending_deployment is not None for controller in idle]
+        land(self, t, idle)
+        for controller, pending in zip(idle, had):
+            visited.add(id(controller))
+            landings.append(pending and controller.pending_deployment is None)
 
     def spy_begin(self, ctx):
         visited.add(id(self))
         return begin(self, ctx)
 
     monkeypatch.setattr(FleetEngine, "_batched_adapt_wave", spy_wave)
-    monkeypatch.setattr(DejaVuManager, "poll_pending_deployment", spy_poll)
+    monkeypatch.setattr(FleetEngine, "_land_deployments", spy_land)
     monkeypatch.setattr(DejaVuManager, "begin_batched_adapt", spy_begin)
-    return waves, polls
+    return waves, landings
 
 
 def run_contended(n_lanes, hours, **fleet):
@@ -339,23 +341,23 @@ def test_fifo_queue_delayed_lanes_sleep_until_their_deployment_lands(
 ):
     """One FIFO slot, eight lanes, a 10-second step: each hourly check
     queues behind its peers for up to 70 s.  A FIFO grant never moves,
-    so a waiting lane is polled once, on the step its deployment
-    lands, not on every step in between."""
-    waves, polls = record_visits(monkeypatch)
+    so the landing pass visits a waiting lane once, on the step its
+    deployment lands, not on every step in between."""
+    waves, landings = record_visits(monkeypatch)
     run_contended(8, 2)
-    landed = sum(polls)
+    landed = sum(landings)
     # Lanes wait several steps (the sleep has something to skip) ...
     assert max(len(pending) for _t, pending, _v in waves) >= 4
     assert landed >= 8
-    # ... and every poll lands a deployment.
-    assert len(polls) == landed
+    # ... and every idle visit lands a deployment.
+    assert len(landings) == landed
 
 
 def test_priority_market_visits_queue_delayed_lanes_every_step(monkeypatch):
     """A priority projection can be revised or evicted by any later
     bid, so a lane holding a queue-delayed deployment is visited on
     every step until it lands."""
-    waves, _polls = record_visits(monkeypatch)
+    waves, _landings = record_visits(monkeypatch)
     run_contended(8, 2, queue_policy="priority")
     waiting = [(t, pending, seen) for t, pending, seen in waves if pending]
     assert sum(len(pending) for _t, pending, _s in waiting) >= 16
@@ -376,7 +378,7 @@ def test_fifo_lanes_wake_when_an_outage_window_opens(monkeypatch):
     """A FIFO lane sleeps towards its deployment only until the next
     outage window: on the step that window opens, every lane still
     waiting is visited (and finds its grant revoked)."""
-    waves, _polls = record_visits(monkeypatch)
+    waves, _landings = record_visits(monkeypatch)
     queue = run_contended(8, 2, outages=QUEUED_OUTAGES)
     opening = min(t for t, _p, _s in waves if t >= HOUR + 125.0)
     ((pending, seen),) = [(p, s) for t, p, s in waves if t == opening]

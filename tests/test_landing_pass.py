@@ -1,0 +1,124 @@
+"""The batched landing pass lands exactly what the per-lane poll would.
+
+:meth:`~repro.sim.fleet.FleetEngine._land_deployments` deploys every
+idle lane whose queue-delayed decision is due on an accepted, unrevised
+grant, pre-checks the post-deploy SLO of all of them as vectors, and
+runs the scalar check only where the pre-check fails.  These tests pin
+the two rules that keep it equal to one ``poll_pending_deployment`` per
+lane: a revised grant is left to the poll (which deploys at the revised
+start, not the stale ``apply_at``), and the pre-check passes a lane
+exactly when the scalar check's first attempt would stop there.
+"""
+
+import pytest
+
+from repro.cloud.provider import Allocation
+from repro.core.manager import DejaVuManager, _PendingDeployment
+from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
+from repro.experiments.setup import build_scaleout_setup
+from repro.sim.profiling_queue import ProfilingGrant
+from tests.test_batched_golden import CASES
+
+
+def pending_setup(revised: bool):
+    """A trained lane serving 2 instances, with a queue-delayed decision
+    for 6 due at t=100 on a grant that starts at 100, or, revised by the
+    queue, at 200."""
+    setup = build_scaleout_setup(trace_seed=1)
+    manager = setup.manager
+    manager.learn(setup.trace.hourly_workloads(day=0))
+    setup.production.apply(Allocation(2), 0.0)
+    grant = ProfilingGrant(
+        requested_at=0.0,
+        start_at=200.0 if revised else 100.0,
+        finish_at=210.0 if revised else 110.0,
+        revised=revised,
+    )
+    manager.pending_deployment = _PendingDeployment(
+        apply_at=100.0,
+        allocation=Allocation(6),
+        workload=setup.trace.workload_at(0.0),
+        workload_class=0,
+        run_interference_check=False,
+        grant=grant,
+    )
+    return setup
+
+
+def test_an_unrevised_grant_lands_at_its_apply_time():
+    setup = pending_setup(revised=False)
+    assert setup.manager.land_pending_deployment(99.0) is None
+    landed = setup.manager.land_pending_deployment(120.0)
+    assert landed is not None and setup.manager.pending_deployment is None
+    assert setup.provider.current_allocation == Allocation(6)
+    assert setup.provider.last_change_at == 100.0
+
+
+def test_a_revised_grant_is_left_to_the_poll():
+    """The queue pushed the signature back to t=200: the landing pass
+    must not deploy at the stale apply_at, and the poll deploys at the
+    revised start."""
+    setup = pending_setup(revised=True)
+    manager = setup.manager
+    for t in (120.0, 200.0):
+        assert manager.land_pending_deployment(t) is None
+        assert manager.pending_deployment is not None
+    manager.poll_pending_deployment(150.0)
+    assert setup.provider.current_allocation == Allocation(2)
+    manager.poll_pending_deployment(200.0)
+    assert manager.pending_deployment is None
+    assert setup.provider.current_allocation == Allocation(6)
+    assert setup.provider.last_change_at == 200.0
+
+
+@pytest.mark.parametrize(
+    "case", ["hosts-escalation-fifo", "hosts-escalation-priority"]
+)
+def test_precheck_passes_exactly_the_lanes_the_scalar_check_stops_on(
+    monkeypatch, case
+):
+    """On host-coupled fleets, every pre-check verdict equals the
+    scalar check's first attempt, and each failing lane runs the scalar
+    check.  On the FIFO fleet some landed deployments do violate the
+    SLO (the priority fleet escalates outside the landing pass)."""
+    verdicts, scalar_checks = [], []
+    precheck = DejaVuManager.post_deploy_slo_met
+    post_deploy_check = DejaVuManager.post_deploy_check
+
+    def spy_precheck(t, landed):
+        met = precheck(t, landed)
+        for (manager, decision), ok in zip(landed, met):
+            check_t = t + manager.config.settle_delay_seconds
+            production = manager.production
+            capacity = production.provider.projected_capacity(check_t)
+            service = production.service
+            expected = capacity <= 0 or service.slo_met(
+                service.performance(
+                    decision.workload,
+                    capacity,
+                    interference=production.interference_at(check_t),
+                    now=check_t,
+                )
+            )
+            verdicts.append((ok, expected))
+            if not ok:
+                scalar_checks.append(("expected", id(decision)))
+        return met
+
+    def spy_check(self, t, landed):
+        scalar_checks.append(("ran", id(landed)))
+        return post_deploy_check(self, t, landed)
+
+    monkeypatch.setattr(
+        DejaVuManager, "post_deploy_slo_met", staticmethod(spy_precheck)
+    )
+    monkeypatch.setattr(DejaVuManager, "post_deploy_check", spy_check)
+    run_fleet_multiplexing_study(**CASES[case])
+    assert verdicts
+    assert all(ok == expected for ok, expected in verdicts)
+    failing = [k for kind, k in scalar_checks if kind == "expected"]
+    if case == "hosts-escalation-fifo":
+        assert failing, "no landed deployment failed the pre-check"
+    # Each failing lane runs the scalar check right after the pre-check.
+    ran = [k for kind, k in scalar_checks if kind == "ran"]
+    assert set(failing) <= set(ran)

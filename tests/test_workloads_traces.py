@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import HOUR
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY
@@ -13,6 +15,7 @@ from repro.workloads.traces import (
     HOTMAIL_SURGE_LOAD,
     HOURS_PER_DAY,
     MESSENGER_LEVELS,
+    TRACE_HOURS,
     DaySchedule,
     LoadTrace,
     synthetic_hotmail_trace,
@@ -195,3 +198,62 @@ class TestWorkloadCache:
             trace.workload_at(-1.0)
         with pytest.raises(ValueError, match="beyond"):
             trace.workload_at(trace.hours * HOUR)
+
+
+class TestStudyLengthTraces:
+    """A trace built for its first ``n_days`` days is the full week cut
+    short: fleet studies build only the days they simulate."""
+
+    @given(
+        hotmail=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_days=st.integers(min_value=1, max_value=DAYS_PER_WEEK),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_trace_is_a_prefix_of_the_week(self, hotmail, seed, n_days):
+        make = synthetic_hotmail_trace if hotmail else synthetic_messenger_trace
+        week = make(MIX, seed=seed)
+        days = make(MIX, seed=seed, n_days=n_days)
+        assert days.hours == HOURS_PER_DAY * n_days
+        np.testing.assert_array_equal(
+            days.hourly_load, week.hourly_load[: days.hours], strict=True
+        )
+        if hotmail:
+            # Jittered plateaus clip at 1.0, so only the surge reaches
+            # HOTMAIL_SURGE_LOAD; it is written only if day 3 is held.
+            assert (HOTMAIL_SURGE_LOAD in days.hourly_load) == (n_days > 3)
+
+    @pytest.mark.parametrize("n_days", [0, DAYS_PER_WEEK + 1])
+    @pytest.mark.parametrize(
+        "make", [synthetic_messenger_trace, synthetic_hotmail_trace]
+    )
+    def test_day_count_is_checked(self, make, n_days):
+        with pytest.raises(ValueError, match="n_days"):
+            make(MIX, n_days=n_days)
+
+    def test_paper_setups_keep_the_full_week(self):
+        from repro.experiments.setup import (
+            build_scaleout_setup,
+            build_scaleup_setup,
+        )
+
+        assert build_scaleout_setup().trace.hours == TRACE_HOURS
+        assert build_scaleup_setup().trace.hours == TRACE_HOURS
+
+    @pytest.mark.parametrize(
+        ("hours", "days"), [(0.5, 1), (24.0, 1), (24.5, 2), (168.0, 7)]
+    )
+    def test_fleet_lanes_build_the_simulated_days(self, hours, days):
+        from repro.core.repository import AllocationRepository
+        from repro.experiments.multiplexing_study import (
+            FleetConfig,
+            _build_lane,
+        )
+        from repro.telemetry.streams import TelemetryStreams
+
+        config = FleetConfig(n_lanes=2, hours=hours, mix="mixed", seed=4)
+        for lane in range(2):
+            setup = _build_lane(
+                config, TelemetryStreams(4), AllocationRepository(), lane
+            )
+            assert setup.trace.hours == HOURS_PER_DAY * days
