@@ -72,11 +72,11 @@ def test_fleet_scale_200_services(benchmark):
     )
 
     # The batched control plane is the default and runs the identical
-    # simulation at least 3x faster at this scale (bit-level equality
-    # is pinned by tests/test_fleet_equivalence.py; the macro numbers
-    # must agree here too).
+    # simulation at least 5x faster at this scale (measured about 10x;
+    # bit-level equality is pinned by tests/test_fleet_equivalence.py;
+    # the macro numbers must agree here too).
     assert study.config.batched and not scalar.config.batched
-    assert speedup >= 3.0
+    assert speedup >= 5.0
     assert study.hit_rate == scalar.hit_rate
     assert study.violation_fraction == scalar.violation_fraction
     assert study.max_queue_wait_seconds == scalar.max_queue_wait_seconds
@@ -104,7 +104,8 @@ def test_fleet_scale_200_services(benchmark):
 
 
 def test_fleet_batch_smoke_50(benchmark):
-    """CI smoke: the batched path must never lose to the scalar path."""
+    """CI smoke: the batched path runs at least 3x the scalar path
+    (measured about 7.5x)."""
     scalar = run_fleet_multiplexing_study(
         n_lanes=SMOKE_LANES, hours=SMOKE_HOURS, batched=False
     )
@@ -125,6 +126,6 @@ def test_fleet_batch_smoke_50(benchmark):
     )
     benchmark.extra_info["lane_steps_per_second"] = study.lane_steps_per_second
     benchmark.extra_info["batched_speedup"] = speedup
-    assert study.lane_steps_per_second >= scalar.lane_steps_per_second
+    assert speedup >= 3.0
     assert study.hit_rate == scalar.hit_rate
     assert study.violation_fraction == scalar.violation_fraction

@@ -633,11 +633,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_rows(args) -> int:
+def _scenario_rows(args, parser: argparse.ArgumentParser) -> int:
     import json
     import sys
 
     from repro.scenarios import (
+        ScenarioError,
         list_scenarios,
         load_scenario,
         record_to_dict,
@@ -654,9 +655,22 @@ def _scenario_rows(args) -> int:
                 f"{scenario.id:<24} {scenario.study:<10} {scenario.label}"
             )
         return 0
-    lines = []
+    # Validate every document before running any: a bad one is an
+    # exit-2 usage error naming its file (and field), with no records.
+    run_parser = _subparser(_subparser(parser, "scenario"), "run")
+    scenarios = []
     for file in args.files:
-        scenario = load_scenario(file)
+        try:
+            scenarios.append((file, load_scenario(file)))
+        except ScenarioError as exc:
+            run_parser.error(str(exc))
+        except OSError as exc:
+            run_parser.error(
+                f"{file}: cannot read the scenario document "
+                f"({exc.strerror or exc})"
+            )
+    lines = []
+    for file, scenario in scenarios:
         print(f"running {scenario.id} ({file})...", file=sys.stderr)
         for record in run_scenario(scenario, workers=args.workers):
             line = json.dumps(record_to_dict(record), sort_keys=True)
@@ -677,7 +691,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:<9} {description}")
         return 0
     if args.command == "scenario":
-        return _scenario_rows(args)
+        return _scenario_rows(args, parser)
     if args.command == "fleet":
         if args.n_hosts == 0 and args.power_cost is not None:
             parser.error(

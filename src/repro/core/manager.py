@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.core.profiler import ProductionEnvironment, ProfilingEnvironment
 from repro.core.repository import AllocationRepository
 from repro.core.signature import SignatureSchema, Standardizer
 from repro.core.tuner import LinearSearchTuner
-from repro.services.base import slo_met_rows
 from repro.sim.clock import HOUR
 from repro.sim.engine import StepContext
 from repro.sim.profiling_queue import (
@@ -167,7 +166,6 @@ class AdaptationEvent:
     allocation: Allocation
 
 
-@dataclass(frozen=True)
 class _PendingDeployment:
     """A decision made on a queue-delayed signature, not yet deployed.
 
@@ -176,29 +174,49 @@ class _PendingDeployment:
     check fired — so the resulting allocation deploys late by the
     queue's residency time, and the previous allocation keeps serving
     until then (ROADMAP: "stale signatures delay adaptation").
+
+    ``grant`` is the signature run the decision waits on.  A priority
+    queue can revise the grant's schedule after the decision (later
+    high bidders push it back) or evict it outright; the flush re-reads
+    the grant so deployment follows true queue residency.  ``retries``
+    counts the revocation retries already charged (profiler-outage
+    recovery), ``retry_at`` is when the next one may be charged
+    (backoff gate), and ``owes_check`` says whether landing the
+    decision runs the post-deploy SLO check.
     """
 
-    apply_at: float
-    allocation: Allocation
-    workload: Workload
-    workload_class: int | None
-    run_interference_check: bool
-    grant: ProfilingGrant | None = None
-    """The signature run this decision waits on.  A priority queue can
-    revise the grant's schedule after the decision (later high bidders
-    push it back) or evict it outright; the flush re-reads the grant so
-    deployment follows true queue residency."""
+    __slots__ = (
+        "apply_at",
+        "allocation",
+        "workload",
+        "workload_class",
+        "run_interference_check",
+        "grant",
+        "retries",
+        "retry_at",
+        "owes_check",
+    )
 
-    retries: int = 0
-    """Revocation retries already charged (profiler-outage recovery)."""
-
-    retry_at: float | None = None
-    """When the next revocation retry may be charged (backoff gate)."""
-
-    @property
-    def owes_check(self) -> bool:
-        """Landing this decision runs the post-deploy SLO check."""
-        return self.run_interference_check and self.workload_class is not None
+    def __init__(
+        self,
+        apply_at: float,
+        allocation: Allocation,
+        workload: Workload,
+        workload_class: int | None,
+        run_interference_check: bool,
+        grant: ProfilingGrant | None = None,
+        retries: int = 0,
+        retry_at: float | None = None,
+    ) -> None:
+        self.apply_at = apply_at
+        self.allocation = allocation
+        self.workload = workload
+        self.workload_class = workload_class
+        self.run_interference_check = run_interference_check
+        self.grant = grant
+        self.retries = retries
+        self.retry_at = retry_at
+        self.owes_check = run_interference_check and workload_class is not None
 
 
 @dataclass
@@ -515,10 +533,7 @@ class DejaVuManager:
             if pending.retries < self.config.profiling_retry_limit:
                 if pending.retry_at is None:
                     backoff = self.config.profiling_retry_backoff_seconds
-                    self.pending_deployment = replace(
-                        pending,
-                        retry_at=t + backoff * (2.0 ** pending.retries),
-                    )
+                    pending.retry_at = t + backoff * (2.0 ** pending.retries)
                     return
                 if t + 1e-9 < pending.retry_at:
                     return
@@ -526,20 +541,13 @@ class DejaVuManager:
                 retry = self._charge_profiling(
                     t, priority=PRIORITY_ADAPTATION, kind="retry"
                 )
-                if retry is None:
-                    # The queue turned the retry away (bounded reject /
-                    # shed): the attempt is burnt, back off again.
-                    self.pending_deployment = replace(
-                        pending, retries=pending.retries + 1, retry_at=None
-                    )
-                    return
-                self.pending_deployment = replace(
-                    pending,
-                    retries=pending.retries + 1,
-                    retry_at=None,
-                    grant=retry,
-                    apply_at=retry.start_at,
-                )
+                pending.retries += 1
+                pending.retry_at = None
+                if retry is not None:
+                    pending.grant = retry
+                    pending.apply_at = retry.start_at
+                # Otherwise the queue turned the retry away (bounded
+                # reject / shed): the attempt is burnt, back off again.
                 return
             self.pending_deployment = None
             if self.config.degraded_fallback and self.is_trained:
@@ -589,41 +597,25 @@ class DejaVuManager:
         probes are charged at this step's time (queue time is
         monotone).
         """
-        check_ctx = StepContext(
-            t=t,
-            workload=landed.workload,
-            hour=int(t // 3600.0),
-            day=int(t // 86400.0),
-        )
         self._interference_check(
-            check_ctx, landed.workload_class, landed.allocation
+            t, landed.workload, landed.workload_class, landed.allocation
         )
 
-    def land_pending_deployment(self, t: float) -> _PendingDeployment | None:
-        """Deploy this lane's queue-delayed decision if the batched
-        landing pass may land it at ``t``; returns the landed decision,
-        or None (nothing landed: the lane needs
-        :meth:`poll_pending_deployment` instead).
+    def land_pending_deployment(self) -> _PendingDeployment:
+        """Deploy this lane's queue-delayed decision at its ``apply_at``
+        and return it: the batched landing pass's deploy step.
 
-        The pass lands a decision whose grant is accepted and unrevised
-        (or absent) once its ``apply_at`` has come, while no re-learned
-        model is staged: then :meth:`_flush_pending_deployment` would
-        deploy it at ``apply_at`` and do nothing else before the
-        post-deploy check.  A revoked, evicted or revised grant, a
-        staged model or a decision not yet due leave the lane to the
-        scalar poll, which owns the retry, eviction and revision rules.
-        The post-deploy check and the lane's re-signature traffic are
-        left to the caller (:meth:`post_deploy_slo_met`,
-        :meth:`finish_landing`).
+        The fleet engine's lane table picks the lanes to land (a
+        decision due on an accepted, unrevised grant, or none, while no
+        re-learned model is staged): then
+        :meth:`_flush_pending_deployment` would deploy it at
+        ``apply_at`` and do nothing else before the post-deploy check.
+        Every other lane is left to :meth:`poll_pending_deployment`,
+        which owns the retry, eviction and revision rules.  The
+        post-deploy check and the lane's re-signature traffic are left
+        to the caller (:meth:`finish_landing`).
         """
         pending = self.pending_deployment
-        if pending is None or self._staged_model is not None:
-            return None
-        grant = pending.grant
-        if grant is not None and (grant.outcome != "accepted" or grant.revised):
-            return None
-        if t + 1e-9 < pending.apply_at:
-            return None
         self._deploy_pending(pending, pending.apply_at)
         return pending
 
@@ -638,63 +630,6 @@ class DejaVuManager:
         if failed is not None:
             self.post_deploy_check(t, failed)
         self._maybe_resignature(t)
-
-    @staticmethod
-    def post_deploy_slo_met(
-        t: float, landed: list[tuple["DejaVuManager", _PendingDeployment]]
-    ) -> list[bool]:
-        """The first attempt of :meth:`_interference_check` for many
-        landed decisions at once.
-
-        For each ``(manager, decision)`` pair, True when the scalar
-        check would stop at its first attempt having changed nothing:
-        no band to escalate to, nothing serving at the check time, or
-        the SLO met there.  The SLO test runs as one
-        :func:`~repro.services.base.slo_met_rows` vector per service
-        family (lanes sharing a
-        :meth:`~repro.services.base.Service.row_key` and a check time)
-        on each lane's check-time capacity and interference, so every
-        element equals
-        ``service.slo_met(service.performance(...))``.  Only a False
-        lane needs the scalar check (:meth:`post_deploy_check`), which
-        repeats that first attempt and goes on to probe and escalate.
-        """
-        met = [True] * len(landed)
-        families: dict[tuple, list[tuple]] = {}
-        for position, (manager, decision) in enumerate(landed):
-            if manager.estimator.n_bands < 2:
-                continue
-            check_t = t + manager.config.settle_delay_seconds
-            production = manager.production
-            capacity = production.provider.projected_capacity(check_t)
-            if capacity <= 0:
-                continue
-            service = production.service
-            key = (service.row_key(), check_t)
-            family = families.get(key)
-            if family is None:
-                family = families[key] = []
-            family.append(
-                (
-                    position,
-                    service,
-                    decision.workload.demand_units,
-                    capacity,
-                    production.interference_at(check_t),
-                )
-            )
-        for (_row_key, check_t), members in families.items():
-            positions, services, demands, capacities, thefts = zip(*members)
-            rows = slo_met_rows(
-                services,
-                np.array(demands),
-                np.array(capacities),
-                np.array(thefts),
-                check_t,
-            )
-            for position, ok in zip(positions, rows.tolist()):
-                met[position] = ok
-        return met
 
     def poll_pending_deployment(self, t: float) -> None:
         """Per-step housekeeping for steps the engine handles itself.
@@ -923,7 +858,7 @@ class DejaVuManager:
         self._staged_model = None
         self._staged_burst = ()
 
-    def _maybe_auto_relearn(self, ctx: StepContext) -> bool:
+    def _maybe_auto_relearn(self, t: float) -> bool:
         """Run an automatic re-learn when flagged and enough history."""
         if not (self.config.auto_relearn and self.relearn_requested):
             return False
@@ -933,7 +868,7 @@ class DejaVuManager:
             return False
         if len(self.workload_history) < self.config.min_relearn_history:
             return False
-        self.relearn(now=ctx.t)
+        self.relearn(now=t)
         return True
 
     def adapt(
@@ -959,12 +894,18 @@ class DejaVuManager:
             return None
         label, certainty, _xz = self.classify(ctx.workload)
         return self._finish_adapt(
-            ctx, label, certainty, wait=grant.wait_seconds, grant=grant
+            ctx.t,
+            ctx.workload,
+            label,
+            certainty,
+            wait=grant.wait_seconds,
+            grant=grant,
         )
 
     def _finish_adapt(
         self,
-        ctx: StepContext,
+        t: float,
+        workload: Workload,
         label: int,
         certainty: float,
         wait: float,
@@ -1000,7 +941,7 @@ class DejaVuManager:
             allocation = self._full_capacity()
             if self._consecutive_misses >= self.config.relearn_after_misses:
                 self.relearn_requested = True
-                if self._maybe_auto_relearn(ctx) and self._staged_model is None:
+                if self._maybe_auto_relearn(t) and self._staged_model is None:
                     # The relearn was immediate (no queue): classify
                     # this workload against the fresh model before
                     # deploying.  The extra collection is charged like
@@ -1010,11 +951,11 @@ class DejaVuManager:
                     # sweep instead, the old model keeps serving and
                     # this adaptation deploys the fallback as-is.
                     extra = self._charge_profiling(
-                        ctx.t, priority=PRIORITY_RELEARN, kind="reclassify"
+                        t, priority=PRIORITY_RELEARN, kind="reclassify"
                     )
                     if extra is not None:
                         wait += extra.wait_seconds
-                        label, certainty, _xz = self.classify(ctx.workload)
+                        label, certainty, _xz = self.classify(workload)
                         if certainty >= self.config.certainty_threshold:
                             entry = self.repository.lookup(label, 0)
                             if entry is not None:
@@ -1031,23 +972,23 @@ class DejaVuManager:
             if self.pending_deployment is not None:
                 self.superseded_deployments += 1
             self.pending_deployment = _PendingDeployment(
-                apply_at=ctx.t + wait,
-                allocation=allocation,
-                workload=ctx.workload,
-                workload_class=label if hit else None,
-                run_interference_check=(
-                    hit and self.config.enable_interference_detection
-                ),
-                grant=grant,
+                t + wait,
+                allocation,
+                workload,
+                label if hit else None,
+                hit and self.config.enable_interference_detection,
+                grant,
             )
         else:
-            self.production.apply(allocation, ctx.t)
+            self.production.apply(allocation, t)
             self._deployed_class = label if hit else None
             self._deployed_band = 0 if hit else None
             if hit and self.config.enable_interference_detection:
-                allocation = self._interference_check(ctx, label, allocation)
+                allocation = self._interference_check(
+                    t, workload, label, allocation
+                )
         event = AdaptationEvent(
-            t=ctx.t,
+            t=t,
             duration_seconds=self.profiler.signature_seconds + wait,
             cache_hit=hit,
             workload_class=label if hit else None,
@@ -1064,24 +1005,24 @@ class DejaVuManager:
         return self.production.provider.full_capacity(itype)
 
     def _interference_check(
-        self, ctx: StepContext, label: int, allocation: Allocation
+        self, t: float, workload: Workload, label: int, allocation: Allocation
     ) -> Allocation:
         """Post-deploy SLO check and interference escalation (Sec. 3.6).
 
         Returns the finally deployed allocation.  The batched landing
         pass evaluates this check's first attempt for all of a step's
-        landed lanes as vectors (:meth:`post_deploy_slo_met`) and calls
-        it, through :meth:`post_deploy_check`, only for the lanes whose
-        SLO fails there; on the others it would stop at once.
+        landed lanes as vectors (``FleetEngine._precheck_landed``) and
+        calls it, through :meth:`post_deploy_check`, only for the lanes
+        whose SLO fails there; on the others it would stop at once.
         """
         service = self.production.service
         for _attempt in range(self.estimator.n_bands - 1):
-            check_t = ctx.t + self.config.settle_delay_seconds
+            check_t = t + self.config.settle_delay_seconds
             capacity = self.production.provider.projected_capacity(check_t)
             if capacity <= 0:
                 break
             prod = service.performance(
-                ctx.workload,
+                workload,
                 capacity,
                 interference=self.production.interference_at(check_t),
                 now=check_t,
@@ -1097,11 +1038,11 @@ class DejaVuManager:
             # at the top class: an un-attributed interference band keeps
             # violating the SLO every step it goes undiagnosed.
             probe = self._charge_profiling(
-                ctx.t, priority=PRIORITY_ESCALATION, kind="probe"
+                t, priority=PRIORITY_ESCALATION, kind="probe"
             )
             if probe is None:
                 break
-            iso = self.profiler.isolated_performance(ctx.workload, allocation)
+            iso = self.profiler.isolated_performance(workload, allocation)
             estimate = self.estimator.estimate(
                 service.slo,
                 prod.slo_metric(service.slo),
@@ -1119,13 +1060,13 @@ class DejaVuManager:
             entry = self.repository.lookup(label, band)
             if entry is None:
                 outcome = self.tuner.tune(
-                    self._class_workloads.get(label, ctx.workload),
+                    self._class_workloads.get(label, workload),
                     assumed_interference=self.estimator.assumed_theft(band),
                 )
                 entry = self.repository.store(
-                    label, band, outcome.allocation, tuned_at=ctx.t
+                    label, band, outcome.allocation, tuned_at=t
                 )
-            self.production.apply(entry.allocation, ctx.t)
+            self.production.apply(entry.allocation, t)
             allocation = entry.allocation
             self._deployed_band = band
         return allocation
@@ -1133,55 +1074,6 @@ class DejaVuManager:
     # ------------------------------------------------------------------
     # Batched fleet control plane (repro.core.batch + FleetEngine)
     # ------------------------------------------------------------------
-
-    @property
-    def supports_batched_adapt(self) -> bool:
-        """Whether the fleet engine may drive this manager's periodic
-        adaptations through the batched classify path.
-
-        ``adapt_on_violation`` managers stay on the scalar path: their
-        mid-interval SLO trigger samples production performance every
-        step, which the batched wave does not replicate.
-        """
-        return self.is_trained and not self.config.adapt_on_violation
-
-    def adaptation_due(self, t: float) -> bool:
-        """The periodic-check predicate :meth:`on_step` uses, side-effect
-        free so the fleet engine can plan a batched adaptation wave."""
-        return t + 1e-9 >= self._next_check
-
-    def batched_wake_at(self) -> float:
-        """The earliest step time the batched wave must visit this lane.
-
-        Between visits nothing can change for the lane: no periodic
-        check is due and no re-signature is owed.  A queue-delayed
-        deployment whose grant is accepted and unrevised lands at its
-        ``apply_at`` unless the queue changes the grant first, so the
-        lane also wakes at ``apply_at`` and at
-        :meth:`~repro.sim.profiling_queue.ProfilingQueue.grants_stable_until`
-        (the next profiler outage on a FIFO queue; ``-inf`` on the
-        priority market, whose projections move on any step).  On the
-        step it lands, the engine's landing pass deploys it
-        (:meth:`land_pending_deployment`) with no per-lane poll.  While a
-        grant is revoked (a retry is in progress), evicted or revised,
-        while a re-learned model is staged, or while the lane is not
-        batchable (its ``on_step`` must run), the answer is ``-inf``:
-        visit every step.  The engine compares with the same ``1e-9``
-        tolerance :meth:`adaptation_due`, the re-signature schedule and
-        :meth:`_flush_pending_deployment` use.
-        """
-        if self._staged_model is not None or not self.supports_batched_adapt:
-            return -math.inf
-        wake = min(self._next_check, self._next_resignature)
-        pending = self.pending_deployment
-        if pending is None:
-            return wake
-        grant = pending.grant
-        if grant is not None and (grant.outcome != "accepted" or grant.revised):
-            return -math.inf
-        queue = self.profiling_queue
-        stable = math.inf if queue is None else queue.grants_stable_until()
-        return min(wake, pending.apply_at, stable)
 
     def batch_group_key(self) -> tuple | None:
         """Identity of the trained state this manager classifies with.
@@ -1219,8 +1111,10 @@ class DejaVuManager:
             )
         return self._batch_classifier
 
-    def _signature_columns(self) -> np.ndarray:
-        """Schema metric positions within the monitor's full vector."""
+    def signature_columns(self) -> np.ndarray:
+        """Schema metric positions within the monitor's full vector:
+        ``matrix[:, columns]`` slices collected metric rows down to
+        signatures."""
         if self._schema_columns is None:
             names = self.profiler.monitor.metric_names()
             self._schema_columns = np.array(
@@ -1229,25 +1123,29 @@ class DejaVuManager:
             )
         return self._schema_columns
 
-    def begin_batched_adapt(self, ctx: StepContext) -> bool:
+    def begin_batched_adapt(self, t: float, workload: Workload) -> bool:
         """Phase 1a of a batched adaptation: the gate, without collection.
 
-        Mirrors :meth:`adapt` up to (but excluding) the signature
-        collection: record the workload and charge the shared profiling
-        queue.  Returns False when a bounded queue rejected the request
-        (the adaptation is deferred; the engine retries next step).
-        The engine then collects all gated lanes' signatures in one
+        Mirrors :meth:`on_step` and :meth:`adapt` up to (but excluding)
+        the signature collection: the step's housekeeping, then record
+        the workload and charge the shared profiling queue.  Returns
+        False when a bounded queue rejected the request (the adaptation
+        is deferred; the engine retries next step).  The engine then
+        collects all gated lanes' signatures in one
         :meth:`~repro.telemetry.monitor.Monitor.collect_matrix` pass
         (phase 1b) — or per lane for legacy-stream monitors, consuming
         each monitor's RNG exactly as the scalar path would.
         """
         if self.schema is None or self.classifier is None or self.clustering is None:
             raise RuntimeError("DejaVu used online before learning")
-        self._poll_staged_model(ctx.t)
-        self._flush_pending_deployment(ctx.t)
-        self._maybe_resignature(ctx.t)
-        self.workload_history.append((ctx.t, ctx.workload))
-        grant = self._charge_profiling(ctx.t)
+        if self._staged_model is not None:
+            self._poll_staged_model(t)
+        if self.pending_deployment is not None:
+            self._flush_pending_deployment(t)
+        if t + 1e-9 >= self._next_resignature:
+            self._maybe_resignature(t)
+        self.workload_history.append((t, workload))
+        grant = self._charge_profiling(t)
         if grant is None:
             self.deferred_adaptations += 1
             self._pending_wait = 0.0
@@ -1257,12 +1155,13 @@ class DejaVuManager:
         self._pending_grant = grant
         return True
 
-    def signature_row(self, vector: np.ndarray) -> np.ndarray:
-        """Slice a monitor's full metric vector down to the signature."""
-        return vector[self._signature_columns()]
-
     def complete_batched_adapt(
-        self, ctx: StepContext, label: int, certainty: float, prefetched
+        self,
+        t: float,
+        workload: Workload,
+        label: int,
+        certainty: float,
+        prefetched,
     ) -> AdaptationEvent:
         """Phase 2: finish an adaptation whose classification (and
         band-0 lookup, for hits) the engine computed in one batch.
@@ -1271,15 +1170,16 @@ class DejaVuManager:
         after a scalar adaptation.
         """
         event = self._finish_adapt(
-            ctx,
+            t,
+            workload,
             int(label),
             float(certainty),
             wait=self._pending_wait,
             prefetched=prefetched,
             grant=self._pending_grant,
         )
-        self._next_check = ctx.t + self.config.check_interval_seconds
-        self._last_adapt = ctx.t
+        self._next_check = t + self.config.check_interval_seconds
+        self._last_adapt = t
         return event
 
     # ------------------------------------------------------------------

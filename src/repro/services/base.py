@@ -94,14 +94,13 @@ class Service:
         Subclasses with a per-instance curve extend the key."""
         return (type(self), self.model, self.slo)
 
-    #: Whether :meth:`latency_penalty_ms` can be non-zero; the row
-    #: hooks skip the per-instance penalty loop when it cannot.
-    has_latency_penalty = False
-
-    def latency_penalty_ms(self, now: float | None) -> float:
-        """Time-dependent latency added on top of the queueing model
-        (Cassandra's re-partitioning transient); none by default."""
-        return 0.0
+    @staticmethod
+    def latency_penalty_rows(services, now: float) -> "np.ndarray | None":
+        """Each instance's time-dependent latency added on top of the
+        queueing model at ``now`` (Cassandra's re-partitioning
+        transient), as one vector over a family sharing a
+        :meth:`row_key`; None when the class adds none."""
+        return None
 
     def notify_allocation_change(self, now: float) -> None:
         """Hook invoked when the deployed allocation changes.
@@ -162,9 +161,9 @@ def performance_rows(
     interference=interferences[j], now=now)`` for a workload offering
     ``demands[j]``: the queueing math runs through the model's
     ``utilization_rows`` / ``latency_rows`` and the service's
-    ``_qos_rows``, and each instance's :meth:`Service.latency_penalty_ms`
-    stays a scalar call (it uses ``math.exp``, which ``np.exp`` does
-    not reproduce bit for bit).  Every service must share the first
+    ``_qos_rows``, and the family's :meth:`Service.latency_penalty_rows`
+    (one comprehension with ``math.exp``, which ``np.exp`` does not
+    reproduce bit for bit).  Every service must share the first
     one's :meth:`Service.row_key`, and every capacity must be positive
     (the scalar path raises on zero; callers mask such instances).
     """
@@ -178,11 +177,9 @@ def _latency_rows(services, rho: np.ndarray, now: float) -> np.ndarray:
     lead = services[0]
     model = lead.model
     latency = model.latency_rows(rho)
-    if not lead.has_latency_penalty:
+    penalties = lead.latency_penalty_rows(services, now)
+    if penalties is None:
         return latency
-    penalties = np.array(
-        [service.latency_penalty_ms(now) for service in services]
-    )
     return np.minimum(latency + penalties, model.max_latency_ms)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.services.base import Service
 from repro.services.perf_model import QueueingModel
 from repro.services.slo import LatencySLO
@@ -54,8 +56,6 @@ class CassandraService(Service):
         self._tau = repartition_tau_seconds
         self._last_resize_at: float | None = None
 
-    has_latency_penalty = True
-
     def notify_allocation_change(self, now: float) -> None:
         """Record the resize; ranges start re-balancing now."""
         self._last_resize_at = now
@@ -69,9 +69,21 @@ class CassandraService(Service):
             return 0.0
         return self._peak_ms * math.exp(-elapsed / self._tau)
 
-    #: The latency penalty of the row hooks is the re-partitioning
-    #: transient (an alias, so the per-lane call adds no frame).
-    latency_penalty_ms = repartition_penalty_ms
+    @staticmethod
+    def latency_penalty_rows(services, now: float) -> np.ndarray:
+        """:meth:`repartition_penalty_ms` of every instance at ``now``,
+        in one comprehension with the same expressions (bit-identical
+        per element)."""
+        exp = math.exp
+        return np.array(
+            [
+                0.0
+                if (resized := service._last_resize_at) is None
+                or (elapsed := now - resized) < 0
+                else service._peak_ms * exp(-elapsed / service._tau)
+                for service in services
+            ]
+        )
 
     def _latency_ms(
         self,

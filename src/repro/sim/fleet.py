@@ -318,24 +318,263 @@ class FleetResult:
 # The engine
 # ----------------------------------------------------------------------
 
-#: Everything the batched adaptation wave calls on a controller.  A
-#: controller offering only part of the surface is not a batch
-#: candidate and keeps the scalar ``on_step`` path instead of crashing
-#: mid-wave.
+#: Everything the batched adaptation wave calls on a controller, and
+#: the state its lane table reads (structurally a
+#: :class:`~repro.core.manager.DejaVuManager`).  A controller offering
+#: only part of the surface is not a batch candidate and keeps the
+#: scalar ``on_step`` path instead of crashing mid-wave.
 _BATCH_ADAPT_PROTOCOL = (
-    "supports_batched_adapt",
-    "adaptation_due",
     "begin_batched_adapt",
-    "signature_row",
+    "signature_columns",
     "batch_group_key",
     "batch_classifier",
     "complete_batched_adapt",
     "poll_pending_deployment",
     "land_pending_deployment",
-    "post_deploy_slo_met",
     "finish_landing",
-    "batched_wake_at",
+    "_next_check",
+    "_next_resignature",
+    "pending_deployment",
+    "_staged_model",
+    "classifier",
+    "repository",
+    "schema",
+    "config",
+    "estimator",
+    "production",
 )
+
+
+class _LaneTable:
+    """The batched wave's per-lane state: one row per batch candidate,
+    in lane order, as a struct of arrays.
+
+    State columns mirror each lane's manager: ``next_check``
+    (``_next_check``), ``next_resignature`` (``_next_resignature``) and
+    ``apply_at`` (the pending deployment's; ``inf`` when none is
+    pending) are float64 arrays; ``pending_ok`` (no re-learned model is
+    staged, and the pending decision's grant, if any, is accepted and
+    unrevised) is a mask; ``grants`` holds each pending decision's
+    grant.
+
+    Per-row constants, read when a run starts (training and the
+    configuration change only between runs): the ``batchable`` mask
+    (trained and not ``adapt_on_violation``: the wave drives the lane,
+    not its ``on_step``), ``family`` (one id per service
+    :meth:`~repro.services.base.Service.row_key` and settle delay:
+    rows whose post-deploy checks grade as one vector),
+    ``settle`` (the settle delay), ``multi_band`` (``n_bands >= 2``: a
+    post-deploy check can escalate), ``threshold`` (the certainty
+    threshold) and ``monitor_group`` (one id per
+    :meth:`~repro.telemetry.monitor.Monitor.batch_key`; -1 without a
+    monitor).  ``model_group`` (one id per ``batch_group_key``) is
+    re-derived whenever a lane's classifier or repository object
+    changes: learning, adopting and swapping in a staged model replace
+    them.
+
+    Only a manager's own methods change the state a row mirrors, and
+    the engine calls them only on lanes it visits, so a row is re-read
+    (:meth:`reread`) after every visit that may have changed it; a
+    landing is written in place (:meth:`landed`).  A run starts by
+    re-reading every row (:meth:`reset`): callers may change any lane
+    between runs.  The queue alone changes a grant behind its lane's
+    back (a revision or eviction on the priority market, a revocation
+    when an outage opens); a lane whose grant it can still touch is
+    visited every step (``grants_stable_until``), and the landing pass
+    re-checks the grant of every lane it lands (:meth:`landable`).
+    """
+
+    __slots__ = (
+        "controllers",
+        "lanes",
+        "monitors",
+        "next_check",
+        "next_resignature",
+        "apply_at",
+        "batchable",
+        "pending_ok",
+        "grants",
+        "family",
+        "settle",
+        "multi_band",
+        "threshold",
+        "monitor_group",
+        "model_group",
+        "_models",
+        "_model_ids",
+    )
+
+    def __init__(self, controllers: list, lanes: list[int]) -> None:
+        n = len(controllers)
+        self.controllers = controllers
+        self.lanes = lanes
+        # The profiling monitor each lane collects signatures with
+        # (None when a protocol-compliant controller carries no
+        # profiler; the wave raises if such a lane ever gates).
+        self.monitors = [
+            getattr(getattr(c, "profiler", None), "monitor", None)
+            for c in controllers
+        ]
+        self.next_check = np.empty(n)
+        self.next_resignature = np.empty(n)
+        self.apply_at = np.empty(n)
+        self.batchable = np.zeros(n, dtype=bool)
+        self.pending_ok = np.zeros(n, dtype=bool)
+        self.grants: list = [None] * n
+        self.family: list[int] = [0] * n
+        self.settle: list[float] = [0.0] * n
+        self.multi_band: list[bool] = [False] * n
+        self.threshold = np.empty(n)
+        self.monitor_group: list[int] = [-1] * n
+        self.model_group: list[int] = [-1] * n
+        self._models: list = [None] * n
+        self._model_ids: dict = {}
+
+    def reset(self) -> None:
+        """Re-read every row: constants and state."""
+        controllers = self.controllers
+        families: dict = {}
+        monitor_ids: dict = {}
+        for k, controller in enumerate(controllers):
+            config = controller.config
+            self.settle[k] = config.settle_delay_seconds
+            self.family[k] = families.setdefault(
+                (controller.production.service.row_key(), self.settle[k]),
+                len(families),
+            )
+            self.multi_band[k] = controller.estimator.n_bands >= 2
+            self.threshold[k] = config.certainty_threshold
+            monitor = self.monitors[k]
+            self.monitor_group[k] = (
+                -1
+                if monitor is None
+                else monitor_ids.setdefault(monitor.batch_key(), len(monitor_ids))
+            )
+        self.batchable[:] = [
+            c.classifier is not None and not c.config.adapt_on_violation
+            for c in controllers
+        ]
+        self._models = [None] * len(controllers)
+        self._model_ids = {}
+        self.reread(list(range(len(controllers))))
+
+    def reread(self, rows: list[int]) -> None:
+        """Re-read ``rows``' state from their managers."""
+        if not rows:
+            return
+        index = np.array(rows)
+        controllers = [self.controllers[k] for k in rows]
+        self.next_check[index] = [c._next_check for c in controllers]
+        self.next_resignature[index] = [
+            c._next_resignature for c in controllers
+        ]
+        pendings = [c.pending_deployment for c in controllers]
+        self.apply_at[index] = [
+            math.inf if p is None else p.apply_at for p in pendings
+        ]
+        grants = [None if p is None else p.grant for p in pendings]
+        for k, grant in zip(rows, grants):
+            self.grants[k] = grant
+        self.pending_ok[index] = [
+            c._staged_model is None
+            and (g is None or (g.outcome == "accepted" and not g.revised))
+            for c, g in zip(controllers, grants)
+        ]
+
+    def landed(self, rows: list[int]) -> None:
+        """Record that ``rows`` deployed their pending decisions."""
+        if rows:
+            self.apply_at[rows] = math.inf
+            self.pending_ok[rows] = True
+            for k in rows:
+                self.grants[k] = None
+
+    def wake(self, stable: float) -> np.ndarray:
+        """Each row's wake time: the earliest step time the wave must
+        visit it.
+
+        Between visits nothing can change for a row: no periodic check
+        is due and no re-signature is owed.  A pending deployment on an
+        accepted, unrevised grant lands at its ``apply_at`` unless the
+        queue changes the grant first, so the row also wakes at
+        ``stable``, the queue's ``grants_stable_until`` (the next
+        profiler outage on a FIFO queue; ``-inf`` on the priority
+        market, whose projections move on any step).  A row that
+        cannot batch (its ``on_step`` must run), whose grant was
+        revoked (a retry is in progress), evicted or revised, or whose
+        re-learned model is staged wakes at ``-inf``: every step.
+        """
+        apply_at = self.apply_at
+        wake = np.minimum(
+            np.minimum(self.next_check, self.next_resignature), apply_at
+        )
+        if stable < math.inf:
+            wake = np.where(apply_at < math.inf, np.minimum(wake, stable), wake)
+        return np.where(self.batchable & self.pending_ok, wake, -math.inf)
+
+    def visit(
+        self, t: float, stable: float
+    ) -> tuple[list[int], list[int], list[int]]:
+        """The rows the wave visits at ``t`` (those whose :meth:`wake`
+        time has come): ``(due, idle, masked)``.
+
+        Visited batchable rows are *due* a periodic adaptation or
+        *idle*; *masked* rows (not batchable) run ``on_step``.  Times
+        compare with the ``1e-9`` tolerance of the managers' own
+        schedule.
+        """
+        now = t + 1e-9
+        rows = np.flatnonzero(now >= self.wake(stable))
+        if not rows.size:
+            return [], [], []
+        batch = self.batchable[rows]
+        due = batch & (now >= self.next_check[rows])
+        return (
+            rows[due].tolist(),
+            rows[batch ^ due].tolist(),
+            rows[~batch].tolist(),
+        )
+
+    def landable(self, t: float, rows: list[int]) -> list[int]:
+        """The ``rows`` whose pending decision lands at ``t``: due, no
+        re-learned model staged, and the grant (re-checked now: the
+        queue may have changed it since the row was read) absent or
+        accepted and unrevised."""
+        now = t + 1e-9
+        apply_at = self.apply_at[rows].tolist()
+        ok = self.pending_ok[rows].tolist()
+        grants = self.grants
+        return [
+            k
+            for k, at, fine in zip(rows, apply_at, ok)
+            if fine
+            and now >= at
+            and (
+                (grant := grants[k]) is None
+                or (grant.outcome == "accepted" and not grant.revised)
+            )
+        ]
+
+    def model_groups(self, rows: list[int]) -> list[int]:
+        """Each row's shared-model group id (equal ids: equal
+        ``batch_group_key``), re-derived where the lane's classifier or
+        repository object changed since it was last read."""
+        controllers = self.controllers
+        models = self._models
+        groups = self.model_group
+        for k in rows:
+            controller = controllers[k]
+            model = models[k]
+            if (
+                model is None
+                or controller.classifier is not model[0]
+                or controller.repository is not model[1]
+            ):
+                models[k] = (controller.classifier, controller.repository)
+                groups[k] = self._model_ids.setdefault(
+                    controller.batch_group_key(), len(self._model_ids)
+                )
+        return [groups[k] for k in rows]
 
 
 class FleetEngine:
@@ -382,18 +621,21 @@ class FleetEngine:
         band-0 repository lookup — and lanes carrying an
         ``observe_batch`` fast path record without building dicts.
         Per-step work scales with the lanes that have something to
-        do.  The engine keeps one wake time per batch candidate
-        (``batched_wake_at``) and the wave visits only candidates whose
-        wake time has come: a lane sleeps between its periodic checks,
-        and a lane whose FIFO-queued deployment no outage can touch
-        sleeps until that deployment lands.  Visited lanes that are not
-        due an adaptation go through one landing pass per step
-        (``_land_deployments``): every due deployment on an accepted,
-        unrevised grant is deployed in lane order, their post-deploy
-        SLO checks run as one vectorized pre-check per service family,
-        and only lanes failing it run the scalar check; every other
-        idle lane is polled (``poll_pending_deployment``).  A lane
-        replaying a
+        do.  The batch candidates' state lives in one struct-of-arrays
+        lane table (:class:`_LaneTable`: next check, next
+        re-signature, pending ``apply_at``, batchable and pending-grant
+        masks, per-row family and signature-group ids), and the wave
+        picks the lanes to visit, adapt, land and step through
+        ``on_step`` with mask operations over it: a lane sleeps
+        between its periodic checks, and a lane whose FIFO-queued
+        deployment no outage can touch sleeps until that deployment
+        lands.  Visited lanes that are not due an adaptation go
+        through one landing pass per step (``_land_deployments``):
+        every due deployment on an accepted, unrevised grant is
+        deployed in lane order, their post-deploy SLO checks run as
+        one vectorized pre-check per service family, and only lanes
+        failing it run the scalar check; every other idle lane is
+        polled (``poll_pending_deployment``).  A lane replaying a
         :class:`~repro.workloads.traces.LoadTrace` re-evaluates its
         workload only when the clock enters a new trace hour (the
         trace's own ``int(t // HOUR)``), and the engine's per-lane
@@ -481,41 +723,26 @@ class FleetEngine:
         # Lanes whose controller implements the batched-adaptation
         # contract (structurally a DejaVuManager): every method the
         # wave calls must be present, or the lane stays on the scalar
-        # on_step path.  Whether a candidate actually batches is
-        # re-checked each step (training status and adapt_on_violation
-        # can change).
-        self._batch_candidates: tuple[int, ...] = tuple(
+        # on_step path.  The candidates' state lives in one lane table,
+        # re-read at the start of every run; whether a candidate
+        # actually batches is one of its masks.
+        candidates = [
             i
             for i, controller in enumerate(self.controllers)
             if self.batched
             and all(
                 hasattr(controller, name) for name in _BATCH_ADAPT_PROTOCOL
             )
+        ]
+        self._table: _LaneTable | None = (
+            _LaneTable([self.controllers[i] for i in candidates], candidates)
+            if candidates
+            else None
         )
-        # (index, controller) pairs, pre-zipped, in lane order.
-        self._batch_pairs: tuple = tuple(
-            (i, self.controllers[i]) for i in self._batch_candidates
-        )
-        # One wake time per candidate (batched_wake_at): the wave visits
-        # only candidates whose wake time has come, so a quiet lane
-        # costs nothing between its periodic checks.  Reset to -inf
-        # (visit everyone) at the start of every run.
-        self._wake = np.full(len(self._batch_candidates), -math.inf)
         # Lanes that never batch: their on_step runs every step.
-        candidates = set(self._batch_candidates)
         self._scalar_lanes: tuple[int, ...] = tuple(
-            i for i in range(len(self._lanes)) if i not in candidates
+            sorted(set(range(len(self._lanes))) - set(candidates))
         )
-        # lane index -> the controller's profiling monitor (fixed at
-        # construction, like the candidate set itself); None when a
-        # protocol-compliant controller carries no profiler, in which
-        # case the wave raises a clear error if that lane ever gates.
-        self._batch_monitors: dict[int, object] = {
-            i: getattr(
-                getattr(self.controllers[i], "profiler", None), "monitor", None
-            )
-            for i in self._batch_candidates
-        }
         # Lanes replaying a LoadTrace re-evaluate their workload only on
         # the first step of each trace hour; every other workload
         # source runs every step.  The offered volume and demand
@@ -680,189 +907,275 @@ class FleetEngine:
         return [future.result() for future in futures]
 
     def _batched_adapt_wave(
-        self, t: float, hour: int, day: int, workloads: list[Workload]
-    ):
+        self, t: float, stable: float, workloads: list[Workload]
+    ) -> list[int]:
         """Run this step's due periodic adaptations as batched waves.
 
+        The lane table (:class:`_LaneTable`) picks the rows to visit
+        with mask operations: rows whose wake time (next check, next
+        re-signature, pending ``apply_at``, and ``stable``, the queue's
+        ``grants_stable_until`` read once per step before this step's
+        outages apply) has come, plus every row that cannot sleep.
+        Visited batchable rows are either due (adapted, or deferred by
+        queue rejection and retried next step, exactly like a scalar
+        rejected adaptation) or idle, and the idle rows' per-step
+        duties (landing a queue-delayed deployment, swapping in a
+        relearn-staged model, routine re-signatures) run in the landing
+        pass (:meth:`_land_deployments`) before the due rows gate.
+
         Phase order preserves per-lane scalar semantics exactly:
-        *prepare* gates lanes (queue charge) in global lane order and
-        then collects all gated signatures batched by monitor family —
-        one vectorized ``Monitor.collect_matrix`` pass per family under
-        counter-mode streams, a per-lane loop consuming each lane's own
-        generator under legacy streams — then each shared-model group
-        classifies its stacked signature matrix and resolves band-0
-        entries in one batched repository lookup, then *finish*
-        (deploy, escalate, record) walks lanes in global lane order
-        again.  Lanes are independent across those phases
-        except through the queue and the shared repository, both of
-        which see the same per-lane sequence the scalar path produces.
+        *prepare* gates due lanes (queue charge) in global lane order
+        and then collects all gated signatures batched by monitor
+        family — one vectorized ``Monitor.collect_matrix`` pass per
+        family under counter-mode streams, a per-lane loop consuming
+        each lane's own generator under legacy streams, sliced down to
+        signatures once per family — then each shared-model group
+        classifies its signature matrix and resolves band-0 entries in
+        one batched repository lookup, then *finish* (deploy, escalate,
+        record) walks lanes in global lane order again.  Lanes are
+        independent across those phases except through the queue and
+        the shared repository, both of which see the same per-lane
+        sequence the scalar path produces.  The rows the wave touched
+        are then re-read.
 
-        Only candidates whose wake time (``batched_wake_at``) has come
-        are visited, in lane order; the rest have nothing to do this
-        step.  A visited batchable lane is either due (adapted, or
-        deferred by queue rejection and retried next step, exactly like
-        a scalar rejected adaptation) or idle, and the idle lanes'
-        per-step duties (landing a queue-delayed deployment, swapping
-        in a relearn-staged model, routine re-signatures) run in the
-        landing pass (:meth:`_land_deployments`) before the due lanes
-        gate.  Every visited lane's wake time is then re-read.
-
-        Returns the lanes whose ``on_step`` the engine must still run
-        this step, in lane order: the lanes that never batch plus any
-        visited candidate that cannot batch right now.
+        Returns the visited rows that cannot batch (masked rows): the
+        engine runs their ``on_step`` this step.
         """
-        wake = self._wake
-        visit = np.flatnonzero(t + 1e-9 >= wake).tolist()
-        pairs = self._batch_pairs
-        unbatched: list[int] = []
-        due: list[tuple[int, StepContext]] = []
-        idle = []
-        for k in visit:
-            i, controller = pairs[k]
-            if not controller.supports_batched_adapt:
-                unbatched.append(i)
-            elif controller.adaptation_due(t):
-                due.append(
-                    (
-                        i,
-                        StepContext(
-                            t=t, workload=workloads[i], hour=hour, day=day
-                        ),
-                    )
-                )
-            else:
-                idle.append(controller)
+        table = self._table
+        due, idle, masked = table.visit(t, stable)
         if idle:
             self._land_deployments(t, idle)
         if due:
-            self._adapt_due(due)
-        for k in visit:
-            wake[k] = pairs[k][1].batched_wake_at()
-        if unbatched:
-            return sorted(self._scalar_lanes + tuple(unbatched))
-        return self._scalar_lanes
+            self._adapt_due(t, due, workloads)
+            table.reread(due)
+        return masked
 
-    def _land_deployments(self, t: float, idle: list) -> None:
-        """The landing pass: the per-step duties of the visited lanes
+    def _land_deployments(self, t: float, idle: list[int]) -> None:
+        """The landing pass: the per-step duties of the visited rows
         that are not due an adaptation, in lane order.
 
-        Every lane whose queue-delayed deployment is due and whose
-        grant is accepted and unrevised is deployed first
+        Every row whose queue-delayed deployment is due on an accepted,
+        unrevised grant (:meth:`_LaneTable.landable`) is deployed first
         (``land_pending_deployment``; no queue traffic).  The landed
         decisions' post-deploy SLO checks then run as one vectorized
-        pre-check (``post_deploy_slo_met``, one vector per service
-        family).  Last, lane by lane: a landed lane that failed the
-        pre-check runs the scalar check (probes, escalation) and every
-        landed lane its re-signature (``finish_landing``), while any
-        other idle lane — a revoked, evicted or revised grant, a
-        staged model, a decision not yet due, a re-signature owed —
-        runs ``poll_pending_deployment``.  So the queue sees the same
+        pre-check per service family (:meth:`_precheck_landed`).  Last,
+        lane by lane: a landed lane that failed the pre-check runs the
+        scalar check (probes, escalation) and a landed lane owing a
+        re-signature charges it (``finish_landing``), while any other
+        idle lane — a revoked, evicted or revised grant, a staged
+        model, a decision not yet due, a re-signature owed — runs
+        ``poll_pending_deployment``.  So the queue sees the same
         request sequence as one poll per idle lane: deploying and
         pre-checking charge nothing and touch only their own lane.
         """
-        landed = [controller.land_pending_deployment(t) for controller in idle]
-        checks = [
-            k
-            for k, decision in enumerate(landed)
-            if decision is not None and decision.owes_check
-        ]
-        failed = [False] * len(idle)
-        if checks:
-            met = idle[checks[0]].post_deploy_slo_met(
-                t, [(idle[k], landed[k]) for k in checks]
-            )
-            for k, ok in zip(checks, met):
-                failed[k] = not ok
-        for controller, decision, fail in zip(idle, landed, failed):
+        table = self._table
+        controllers = table.controllers
+        land = table.landable(t, idle)
+        decisions = [controllers[k].land_pending_deployment() for k in land]
+        failed = self._precheck_landed(t, land, decisions) if land else ()
+        table.landed(land)
+        landed = dict(zip(land, decisions))
+        owed = set(np.flatnonzero(t + 1e-9 >= table.next_resignature).tolist())
+        touched = []
+        for k in idle:
+            decision = landed.get(k)
             if decision is None:
-                controller.poll_pending_deployment(t)
+                controllers[k].poll_pending_deployment(t)
+            elif k in failed:
+                controllers[k].finish_landing(t, decision)
+            elif k in owed:
+                controllers[k].finish_landing(t, None)
             else:
-                controller.finish_landing(t, decision if fail else None)
+                continue
+            touched.append(k)
+        table.reread(touched)
 
-    def _adapt_due(self, due: list[tuple[int, StepContext]]) -> None:
-        """Gate, collect, classify and finish this step's due lanes."""
+    def _precheck_landed(
+        self, t: float, rows: list[int], decisions: list
+    ) -> set[int]:
+        """The first attempt of the landed decisions' post-deploy SLO
+        checks, at once; returns the rows failing it.
+
+        A row passes when the scalar check would stop at its first
+        attempt having changed nothing: the decision owes no check,
+        there is no band to escalate to, nothing serves at the check
+        time, or the SLO is met there.  The SLO test runs as one
+        :func:`~repro.services.base.slo_met_rows` vector per service
+        family (the table's ``family``: one ``row_key`` and one check
+        time) on each lane's check-time capacity and interference, so
+        every element equals ``service.slo_met(service.performance(...))``.
+        Only a failing row needs the scalar check (``post_deploy_check``),
+        which repeats that first attempt and goes on to probe and
+        escalate.
+        """
+        # A local import: repro.services imports the repro.sim package.
+        from repro.services.base import slo_met_rows
+
+        table = self._table
+        controllers = table.controllers
+        multi_band, settle, family = table.multi_band, table.settle, table.family
+        checked, demands = [], []
+        for k, decision in zip(rows, decisions):
+            if decision.owes_check and multi_band[k]:
+                checked.append(k)
+                demands.append(decision.workload.demand_units)
+        if not checked:
+            return set()
+        productions = [controllers[k].production for k in checked]
+        check_ts = [t + settle[k] for k in checked]
+        capacity = np.array(
+            [
+                production.provider.capacity_at(check_t)
+                for production, check_t in zip(productions, check_ts)
+            ]
+        )
+        theft = np.array(
+            [
+                production.interference_at(check_t)
+                for production, check_t in zip(productions, check_ts)
+            ]
+        )
+        demand = np.array(demands)
+        ids = np.array([family[k] for k in checked])
+        serving = capacity > 0
+        met = np.ones(len(checked), dtype=bool)
+        for group in dict.fromkeys(ids[serving].tolist()):
+            members = np.flatnonzero(serving & (ids == group))
+            met[members] = slo_met_rows(
+                [productions[j].service for j in members.tolist()],
+                demand[members],
+                capacity[members],
+                theft[members],
+                check_ts[members[0]],
+            )
+        return {checked[j] for j in np.flatnonzero(~met).tolist()}
+
+    def _adapt_due(
+        self, t: float, due: list[int], workloads: list[Workload]
+    ) -> None:
+        """Gate, collect, classify and finish this step's due rows."""
+        table = self._table
+        controllers, lanes = table.controllers, table.lanes
         # Phase 1a — gate every due lane in lane order: the queue sees
         # the same per-lane request sequence the scalar path produces.
         gated = [
-            (i, ctx)
-            for i, ctx in due
-            if self.controllers[i].begin_batched_adapt(ctx)
+            k
+            for k in due
+            if controllers[k].begin_batched_adapt(t, workloads[lanes[k]])
         ]
-        if gated:
-            # Phase 1b — collect all gated lanes' signatures, batched
-            # per compatible monitor family (one vectorized
-            # collect_matrix pass under counter-mode streams).
-            rows = self._collect_wave_signatures(gated)
-            by_key: dict = {}
-            for (i, _ctx), row in zip(gated, rows):
-                key = self.controllers[i].batch_group_key()
-                by_key.setdefault(key, []).append((i, row))
-            # Classification is a pure snapshot pass per shared-model
-            # group, so groups may overlap (wave_workers); repository
-            # lookups mutate shared stats and stay serial, resolved in
-            # group insertion order either way.
-            group_list = list(by_key.values())
-            results = self._wave_map(
-                [
-                    functools.partial(self._classify_matrix, members)
-                    for members in group_list
-                ]
+        if not gated:
+            return
+        # Phase 1b — collect all gated lanes' signatures, batched per
+        # compatible monitor family (one vectorized collect_matrix
+        # pass under counter-mode streams), as one signature matrix
+        # per shared-model group.
+        groups = self._collect_wave_signatures(gated, workloads)
+        # Classification is a pure snapshot pass per shared-model
+        # group, so groups may overlap (wave_workers); repository
+        # lookups mutate shared stats and stay serial, resolved in
+        # group order either way.
+        results = self._wave_map(
+            [
+                functools.partial(self._classify_matrix, rows, X)
+                for rows, X in groups
+            ]
+        )
+        finish: dict[int, tuple] = {}
+        for (rows, _X), result in zip(groups, results):
+            self._resolve_group(rows, result, finish)
+        for k in gated:
+            label, certainty, entry = finish[k]
+            controllers[k].complete_batched_adapt(
+                t, workloads[lanes[k]], label, certainty, entry
             )
-            finish: dict[int, tuple] = {}
-            for members, result in zip(group_list, results):
-                self._resolve_group(members, result, finish)
-            for i, ctx in gated:
-                label, certainty, entry = finish[i]
-                self.controllers[i].complete_batched_adapt(
-                    ctx, label, certainty, entry
-                )
 
     def _collect_wave_signatures(
-        self, gated: list[tuple[int, StepContext]]
-    ) -> list[np.ndarray]:
-        """Signature rows for every gated lane, in ``gated`` order.
+        self, gated: list[int], workloads: list[Workload]
+    ) -> list[tuple[list[int], np.ndarray]]:
+        """Every gated row's signature, as ``(rows, X)`` per
+        shared-model group (first-appearance order; ``X`` row ``j`` is
+        ``rows[j]``'s signature).
 
-        Lanes whose monitors share a
+        Rows whose monitors share a
         :meth:`~repro.telemetry.monitor.Monitor.batch_key` are collected
         as one matrix; counter-mode groups draw all their noise in a
         single vectorized pass, while legacy groups loop per lane inside
         ``collect_matrix`` (each consuming its own sampler generator
-        exactly as the scalar path would).
+        exactly as the scalar path would).  A shared-model group whose
+        lanes share one monitor family and one schema object slices its
+        signatures out of the family's matrix at once (``matrix[:,
+        columns]`` when it is the whole family); a model spread over
+        several monitor families is sliced row by row.
         """
-        monitors = []
-        for i, _ctx in gated:
-            monitor = self._batch_monitors[i]
-            if monitor is None:
-                raise ValueError(
-                    f"lane {self._lanes[i].label!r} batch-adapts but its "
-                    "controller has no profiler.monitor to collect with"
-                )
-            monitors.append(monitor)
-        groups: dict[tuple, list[int]] = {}
-        for position, monitor in enumerate(monitors):
-            groups.setdefault(monitor.batch_key(), []).append(position)
-        rows: list[np.ndarray | None] = [None] * len(gated)
-
-        def collect_family(positions: list[int]) -> None:
-            # One monitor family: disjoint monitors, disjoint output
-            # slots — families may overlap under wave_workers.
-            group_monitors = [monitors[p] for p in positions]
-            matrix = group_monitors[0].collect_matrix(
-                [gated[p][1].workload for p in positions],
-                monitors=group_monitors,
-            )
-            for r, p in enumerate(positions):
-                rows[p] = self.controllers[gated[p][0]].signature_row(matrix[r])
-
-        self._wave_map(
-            [
-                functools.partial(collect_family, positions)
-                for positions in groups.values()
-            ]
+        table = self._table
+        controllers, lanes, monitors = (
+            table.controllers,
+            table.lanes,
+            table.monitors,
         )
-        return rows
+        monitor_group = table.monitor_group
+        families: dict[int, list[int]] = {}
+        for k in gated:
+            families.setdefault(monitor_group[k], []).append(k)
+        if -1 in families:
+            raise ValueError(
+                f"lane {self._lanes[lanes[families[-1][0]]].label!r} "
+                "batch-adapts but its controller has no profiler.monitor "
+                "to collect with"
+            )
 
-    def _classify_matrix(self, members: list[tuple[int, np.ndarray]]):
+        def collect_family(rows: list[int]) -> np.ndarray:
+            # One monitor family: disjoint monitors, disjoint outputs —
+            # families may overlap under wave_workers.
+            return monitors[rows[0]].collect_matrix(
+                [workloads[lanes[k]] for k in rows],
+                monitors=[monitors[k] for k in rows],
+            )
+
+        matrices = dict(
+            zip(
+                families,
+                self._wave_map(
+                    [
+                        functools.partial(collect_family, rows)
+                        for rows in families.values()
+                    ]
+                ),
+            )
+        )
+        models: dict[int, list[int]] = {}
+        for k, group in zip(gated, table.model_groups(gated)):
+            models.setdefault(group, []).append(k)
+        groups = []
+        for rows in models.values():
+            family = monitor_group[rows[0]]
+            members = families[family]
+            schema = controllers[rows[0]].schema
+            if all(
+                monitor_group[k] == family and controllers[k].schema is schema
+                for k in rows
+            ):
+                # Rows and members ascend, so equal lengths mean equal
+                # lists.
+                columns = controllers[rows[0]].signature_columns()
+                matrix = matrices[family]
+                if len(rows) == len(members):
+                    X = matrix[:, columns]
+                else:
+                    X = matrix[np.ix_(np.searchsorted(members, rows), columns)]
+            else:
+                X = np.vstack(
+                    [
+                        matrices[monitor_group[k]][
+                            families[monitor_group[k]].index(k)
+                        ][controllers[k].signature_columns()]
+                        for k in rows
+                    ]
+                )
+            groups.append((rows, X))
+        return groups
+
+    def _classify_matrix(self, rows: list[int], X: np.ndarray):
         """One shared-model group's stacked classification pass.
 
         Pure with respect to shared state (the classifier snapshots its
@@ -870,39 +1183,28 @@ class FleetEngine:
         leader controller belongs to exactly that group, keeping the
         lazily-built batch classifier single-threaded.
         """
-        leader = self.controllers[members[0][0]]
-        batch = leader.batch_classifier()
-        X = np.vstack([row for _i, row in members])
-        return batch.classify_matrix(X)
+        leader = self._table.controllers[rows[0]]
+        return leader.batch_classifier().classify_matrix(X)
 
     def _resolve_group(
-        self,
-        members: list[tuple[int, np.ndarray]],
-        result,
-        finish: dict[int, tuple],
+        self, rows: list[int], result, finish: dict[int, tuple]
     ) -> None:
-        """Prefetch band-0 entries for the group's certain lanes.
+        """Prefetch band-0 entries for the group's certain rows.
 
         Serial: ``lookup_batch`` accumulates repository statistics, and
         repositories may be shared across groups.
         """
-        leader = self.controllers[members[0][0]]
-        hits = [
-            j
-            for j, (i, _row) in enumerate(members)
-            if float(result.certainties[j])
-            >= self.controllers[i].config.certainty_threshold
-        ]
-        entries = leader.repository.lookup_batch(
-            [int(result.labels[j]) for j in hits], 0
-        )
+        table = self._table
+        leader = table.controllers[rows[0]]
+        labels = result.labels.tolist()
+        certainties = result.certainties.tolist()
+        hits = np.flatnonzero(
+            result.certainties >= table.threshold[rows]
+        ).tolist()
+        entries = leader.repository.lookup_batch([labels[j] for j in hits], 0)
         entry_for = dict(zip(hits, entries))
-        for j, (i, _row) in enumerate(members):
-            finish[i] = (
-                int(result.labels[j]),
-                float(result.certainties[j]),
-                entry_for.get(j),
-            )
+        for j, k in enumerate(rows):
+            finish[k] = (labels[j], certainties[j], entry_for.get(j))
 
     def _fix_schemas(
         self,
@@ -1031,7 +1333,8 @@ class FleetEngine:
         """Run all lanes to ``start + duration_seconds`` and return the result."""
         if duration_seconds <= 0:
             raise ValueError(f"duration must be positive, got {duration_seconds}")
-        self._wake.fill(-math.inf)
+        if self._table is not None:
+            self._table.reset()
         pool = (
             ThreadPoolExecutor(
                 max_workers=self.wave_workers,
@@ -1111,16 +1414,28 @@ class FleetEngine:
                 self.host_map.apply_step(
                     t, self._offered, capacities=self._lane_capacities(t)
                 )
+            stable = math.inf
             if self.profiling_queue is not None:
                 # Profiler-outage windows commit here, before any
-                # controller can observe or charge the queue this step.
+                # controller can observe or charge the queue this step;
+                # a lane waiting on a grant the window may touch wakes.
+                stable = self.profiling_queue.grants_stable_until()
                 self.profiling_queue.advance_to(t)
-            to_step = (
-                self._batched_adapt_wave(t, hour, day, workloads)
-                if self._batch_candidates
-                else self._scalar_lanes
+            masked = (
+                self._batched_adapt_wave(t, stable, workloads)
+                if self._table is not None
+                else None
             )
+            if masked:
+                lanes = self._table.lanes
+                to_step = sorted(
+                    self._scalar_lanes + tuple(lanes[k] for k in masked)
+                )
+            else:
+                to_step = self._scalar_lanes
             contexts = self._step_controllers(to_step, t, hour, day, workloads)
+            if masked:
+                self._table.reread(masked)
             if not times:
                 groups, slots, observer_batches = self._fix_schemas(
                     t, hour, day, workloads, contexts

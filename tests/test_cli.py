@@ -522,6 +522,64 @@ class TestMain:
         assert record["metrics"]["n_steps"] == 24
         assert out_path.read_text().strip() == stdout.strip()
 
+    TINY_SCENARIO = (
+        "id: SYN-tiny\n"
+        "study: fleet\n"
+        "fleet:\n"
+        "  n_lanes: 2\n"
+        "  hours: 2.0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "name, text, named",
+        [
+            # A document without an id names the field.
+            ("no-id.yaml", "study: fleet\n", "id must match"),
+            # The study config's own rule names the field.
+            (
+                "no-slots.yaml",
+                TINY_SCENARIO + "  profiling_slots: 0\n",
+                "profiling_slots",
+            ),
+            # A file that is not there.
+            ("missing.yaml", None, "cannot read the scenario document"),
+        ],
+        ids=["missing-id", "zero-slots", "missing-file"],
+    )
+    def test_scenario_run_reports_bad_input_as_usage_error(
+        self, capsys, tmp_path, name, text, named
+    ):
+        doc = tmp_path / name
+        if text is not None:
+            doc.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "run", str(doc)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "scenario run" in captured.err
+        assert str(doc) in captured.err
+        assert named in captured.err
+        assert captured.out == ""
+
+    def test_scenario_run_validates_every_document_first(
+        self, capsys, tmp_path
+    ):
+        """A valid document followed by an invalid one runs neither."""
+        good = tmp_path / "SYN-tiny.yaml"
+        good.write_text(self.TINY_SCENARIO)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(self.TINY_SCENARIO + "  profiling_slots: 0\n")
+        out_path = tmp_path / "run.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "run", str(good), str(bad), "--out", str(out_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "running" not in captured.err
+        assert str(bad) in captured.err
+        assert not out_path.exists()
+
     def test_scenario_list_prints_library(self, capsys):
         from pathlib import Path
 

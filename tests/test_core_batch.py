@@ -20,6 +20,7 @@ from repro.core.classifiers import (
 )
 from repro.core.repository import AllocationRepository
 from repro.experiments.setup import build_scaleout_setup
+from repro.sim.fleet import _LaneTable
 
 CLASSIFIERS = (C45DecisionTree, GaussianNaiveBayes, NearestCentroid)
 
@@ -160,7 +161,9 @@ class TestManagerBatchState:
     def test_untrained_manager_has_no_batch_state(self):
         setup = build_scaleout_setup(seed=0)
         assert setup.manager.batch_group_key() is None
-        assert not setup.manager.supports_batched_adapt
+        table = _LaneTable([setup.manager], [0])
+        table.reset()
+        assert not table.batchable[0]
         with pytest.raises(RuntimeError, match="before learning"):
             setup.manager.batch_classifier()
 

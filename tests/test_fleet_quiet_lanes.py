@@ -1,10 +1,10 @@
 """Lanes cost work only when their state can change, and skipping
 them changes nothing.
 
-The batched fleet engine keeps one wake time per DejaVu lane
-(:meth:`~repro.core.manager.DejaVuManager.batched_wake_at`) and visits
-only the lanes whose wake time has come, a queue-delayed FIFO
-deployment included; trace lanes re-evaluate their workload once per
+The batched fleet engine keeps each DejaVu lane's wake times in its
+lane table (:class:`~repro.sim.fleet._LaneTable`) and visits only the
+lanes whose wake time has come, a queue-delayed FIFO deployment
+included; trace lanes re-evaluate their workload once per
 trace hour; the family observers re-read capacity and allocation only
 for lanes whose provider changed or is still warming up
 (:class:`~repro.cloud.provider.CapacityCache`).  These tests pin the
@@ -52,14 +52,15 @@ UNCONTENDED_SLOTS_PER_LANE = 64
 
 def build_fleet(
     n_lanes: int,
-    config: DejaVuConfig,
+    config: "DejaVuConfig | list[DejaVuConfig]",
     slots: int | None,
     queue_policy: str = "fifo",
     outages: tuple = (),
 ):
     """Alternating scale-out / scale-up DejaVu lanes, two trained
     families (lane 0 and lane 1 learn, the rest adopt), one batch
-    observer per family; rebuilt from scratch per call."""
+    observer per family; rebuilt from scratch per call.  ``config`` is
+    every lane's, or a list holding one per lane."""
     repositories = {"out": AllocationRepository(), "up": AllocationRepository()}
     setups = []
     for i in range(n_lanes):
@@ -72,7 +73,7 @@ def build_fleet(
                     repository=repositories[kind],
                     trace_seed=i,
                     seed=3 * i,
-                    config=config,
+                    config=config[i] if isinstance(config, list) else config,
                 ),
             )
         )
@@ -110,12 +111,14 @@ def build_fleet(
     return lanes, queue, [setup.manager for _kind, setup in setups]
 
 
-def run_fingerprint(batched: bool, n_lanes: int, hours: float, **fleet) -> str:
+def run_fingerprint(
+    batched: bool, n_lanes: int, hours: float, step: float = STEP, **fleet
+) -> str:
     """Digest of everything a run decides: every recorded series, every
     adaptation event, the repository and queue accounting."""
     lanes, queue, managers = build_fleet(n_lanes, **fleet)
     engine = FleetEngine(
-        lanes, step_seconds=STEP, profiling_queue=queue, batched=batched
+        lanes, step_seconds=step, profiling_queue=queue, batched=batched
     )
     result = engine.run(hours * HOUR)
     digest = hashlib.sha256()
@@ -301,25 +304,26 @@ def record_visits(monkeypatch):
     land = FleetEngine._land_deployments
     begin = DejaVuManager.begin_batched_adapt
 
-    def spy_wave(self, t, hour, day, workloads):
+    def spy_wave(self, t, stable, workloads):
         pending = {
-            id(c) for _i, c in self._batch_pairs if c.pending_deployment
+            id(c) for c in self._table.controllers if c.pending_deployment
         }
         visited.clear()
-        result = wave(self, t, hour, day, workloads)
+        result = wave(self, t, stable, workloads)
         waves.append((t, pending, set(visited)))
         return result
 
     def spy_land(self, t, idle):
-        had = [controller.pending_deployment is not None for controller in idle]
+        controllers = [self._table.controllers[k] for k in idle]
+        had = [c.pending_deployment is not None for c in controllers]
         land(self, t, idle)
-        for controller, pending in zip(idle, had):
+        for controller, pending in zip(controllers, had):
             visited.add(id(controller))
             landings.append(pending and controller.pending_deployment is None)
 
-    def spy_begin(self, ctx):
+    def spy_begin(self, t, workload):
         visited.add(id(self))
-        return begin(self, ctx)
+        return begin(self, t, workload)
 
     monkeypatch.setattr(FleetEngine, "_batched_adapt_wave", spy_wave)
     monkeypatch.setattr(FleetEngine, "_land_deployments", spy_land)

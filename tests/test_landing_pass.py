@@ -2,12 +2,13 @@
 
 :meth:`~repro.sim.fleet.FleetEngine._land_deployments` deploys every
 idle lane whose queue-delayed decision is due on an accepted, unrevised
-grant, pre-checks the post-deploy SLO of all of them as vectors, and
-runs the scalar check only where the pre-check fails.  These tests pin
-the two rules that keep it equal to one ``poll_pending_deployment`` per
-lane: a revised grant is left to the poll (which deploys at the revised
-start, not the stale ``apply_at``), and the pre-check passes a lane
-exactly when the scalar check's first attempt would stop there.
+grant (the lane table's :meth:`~repro.sim.fleet._LaneTable.landable`),
+pre-checks the post-deploy SLO of all of them as vectors, and runs the
+scalar check only where the pre-check fails.  These tests pin the two
+rules that keep it equal to one ``poll_pending_deployment`` per lane: a
+revised grant is left to the poll (which deploys at the revised start,
+not the stale ``apply_at``), and the pre-check passes a lane exactly
+when the scalar check's first attempt would stop there.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.cloud.provider import Allocation
 from repro.core.manager import DejaVuManager, _PendingDeployment
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
 from repro.experiments.setup import build_scaleout_setup
+from repro.sim.fleet import FleetEngine, _LaneTable
 from repro.sim.profiling_queue import ProfilingGrant
 from tests.test_batched_golden import CASES
 
@@ -45,23 +47,36 @@ def pending_setup(revised: bool):
     return setup
 
 
+def lane_table(manager) -> _LaneTable:
+    """A one-row lane table over ``manager``, read as a run starts."""
+    table = _LaneTable([manager], [0])
+    table.reset()
+    return table
+
+
 def test_an_unrevised_grant_lands_at_its_apply_time():
     setup = pending_setup(revised=False)
-    assert setup.manager.land_pending_deployment(99.0) is None
-    landed = setup.manager.land_pending_deployment(120.0)
+    table = lane_table(setup.manager)
+    assert table.landable(99.0, [0]) == []
+    assert table.landable(120.0, [0]) == [0]
+    landed = setup.manager.land_pending_deployment()
     assert landed is not None and setup.manager.pending_deployment is None
     assert setup.provider.current_allocation == Allocation(6)
     assert setup.provider.last_change_at == 100.0
 
 
-def test_a_revised_grant_is_left_to_the_poll():
+def check_left_to_the_poll(revised_after_read: bool) -> None:
     """The queue pushed the signature back to t=200: the landing pass
     must not deploy at the stale apply_at, and the poll deploys at the
     revised start."""
-    setup = pending_setup(revised=True)
+    setup = pending_setup(revised=not revised_after_read)
     manager = setup.manager
+    table = lane_table(manager)
+    if revised_after_read:
+        grant = manager.pending_deployment.grant
+        grant.start_at, grant.finish_at, grant.revised = 200.0, 210.0, True
     for t in (120.0, 200.0):
-        assert manager.land_pending_deployment(t) is None
+        assert table.landable(t, [0]) == []
         assert manager.pending_deployment is not None
     manager.poll_pending_deployment(150.0)
     assert setup.provider.current_allocation == Allocation(2)
@@ -69,6 +84,16 @@ def test_a_revised_grant_is_left_to_the_poll():
     assert manager.pending_deployment is None
     assert setup.provider.current_allocation == Allocation(6)
     assert setup.provider.last_change_at == 200.0
+
+
+def test_a_revised_grant_is_left_to_the_poll():
+    check_left_to_the_poll(revised_after_read=False)
+
+
+def test_a_grant_revised_after_its_row_was_read_is_left_to_the_poll():
+    """The table re-checks the grant when it lands, so a revision
+    after the row was read is caught too."""
+    check_left_to_the_poll(revised_after_read=True)
 
 
 @pytest.mark.parametrize(
@@ -82,12 +107,16 @@ def test_precheck_passes_exactly_the_lanes_the_scalar_check_stops_on(
     check.  On the FIFO fleet some landed deployments do violate the
     SLO (the priority fleet escalates outside the landing pass)."""
     verdicts, scalar_checks = [], []
-    precheck = DejaVuManager.post_deploy_slo_met
+    precheck = FleetEngine._precheck_landed
     post_deploy_check = DejaVuManager.post_deploy_check
 
-    def spy_precheck(t, landed):
-        met = precheck(t, landed)
-        for (manager, decision), ok in zip(landed, met):
+    def spy_precheck(self, t, rows, decisions):
+        failed = precheck(self, t, rows, decisions)
+        for k, decision in zip(rows, decisions):
+            if not decision.owes_check:
+                continue
+            ok = k not in failed
+            manager = self._table.controllers[k]
             check_t = t + manager.config.settle_delay_seconds
             production = manager.production
             capacity = production.provider.projected_capacity(check_t)
@@ -103,15 +132,13 @@ def test_precheck_passes_exactly_the_lanes_the_scalar_check_stops_on(
             verdicts.append((ok, expected))
             if not ok:
                 scalar_checks.append(("expected", id(decision)))
-        return met
+        return failed
 
     def spy_check(self, t, landed):
         scalar_checks.append(("ran", id(landed)))
         return post_deploy_check(self, t, landed)
 
-    monkeypatch.setattr(
-        DejaVuManager, "post_deploy_slo_met", staticmethod(spy_precheck)
-    )
+    monkeypatch.setattr(FleetEngine, "_precheck_landed", spy_precheck)
     monkeypatch.setattr(DejaVuManager, "post_deploy_check", spy_check)
     run_fleet_multiplexing_study(**CASES[case])
     assert verdicts

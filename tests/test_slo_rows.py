@@ -53,6 +53,18 @@ AT_LATENCY_BOUND = [(1.0, 2.0, 0.0, 0.0, 20.0)]
 #: QoS exactly at the 95% floor: rho 0.775 on the SPECweb curve.
 AT_QOS_FLOOR = [(1.9375, 2.5, 0.0, None, 12.0)]
 
+#: One family holding each shape of the re-partitioning transient: a
+#: lane never resized, a lane resized after ``now`` (no penalty yet),
+#: a live transient 30 s old, one exactly at ``now`` and one decayed
+#: for an hour.
+TRANSIENT_SHAPES = [
+    (4.0, 8.0, 0.1, None, 12.0),
+    (4.0, 8.0, 0.1, -120.0, 12.0),
+    (4.0, 8.0, 0.1, 30.0, 20.0),
+    (4.0, 8.0, 0.1, 0.0, 12.0),
+    (4.0, 8.0, 0.1, 3600.0, 20.0),
+]
+
 
 def build(family: str, lanes):
     services, workloads = [], []
@@ -86,6 +98,14 @@ def check_family(family: str, lanes) -> None:
     demands = np.array([w.demand_units for w in workloads])
     samples = scalar_samples(services, workloads, capacities, thefts)
     latency, qos = performance_rows(services, demands, capacities, thefts, NOW)
+    penalties = services[0].latency_penalty_rows(services, NOW)
+    if family == "cassandra":
+        # The family's penalties are each instance's scalar transient.
+        assert penalties.tolist() == [
+            service.repartition_penalty_ms(NOW) for service in services
+        ]
+    else:
+        assert penalties is None
     assert latency.tolist() == [s.latency_ms for s in samples]
     assert qos.tolist() == [s.qos_percent for s in samples]
     met = slo_met_rows(services, demands, capacities, thefts, NOW)
@@ -96,6 +116,7 @@ def check_family(family: str, lanes) -> None:
 
 @given(lanes=lanes)
 @example(lanes=AT_LATENCY_BOUND)
+@example(lanes=TRANSIENT_SHAPES)
 @settings(max_examples=200, deadline=None)
 def test_cassandra_rows_equal_the_scalar_check(lanes):
     check_family("cassandra", lanes)
@@ -122,6 +143,19 @@ def test_the_examples_sit_exactly_on_the_bounds():
             assert sample.latency_ms == service.slo.bound_ms == 60.0
         else:
             assert sample.qos_percent == service.slo.floor_percent == 95.0
+
+
+def test_the_transient_example_holds_every_penalty_shape():
+    """Never resized and resized after ``now`` read 0; a live transient
+    reads between 0 and its peak; one resized at ``now`` reads its
+    peak."""
+    services, _w, _c, _t = build("cassandra", TRANSIENT_SHAPES)
+    never, later, live, now, decayed = (
+        service.repartition_penalty_ms(NOW) for service in services
+    )
+    assert never == later == 0.0
+    assert 0.0 < decayed < live < 20.0
+    assert now == 12.0
 
 
 def test_row_keys_separate_what_one_vector_cannot_share():
