@@ -148,6 +148,40 @@ class DejaVuConfig:
 
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Learning settings that would otherwise fail only after a
+        # profiling sweep, or silently never fire.
+        problems = []
+        if self.k_min < 2:
+            problems.append(f"k_min must be at least 2, got {self.k_min}")
+        if self.k_max < self.k_min:
+            problems.append(
+                f"k_max must be at least k_min ({self.k_min}), got {self.k_max}"
+            )
+        if self.trials_per_workload < 1:
+            problems.append(
+                "trials_per_workload must be at least 1, "
+                f"got {self.trials_per_workload}"
+            )
+        if self.max_signature_metrics is not None and self.max_signature_metrics < 1:
+            problems.append(
+                "max_signature_metrics must be None or at least 1, "
+                f"got {self.max_signature_metrics}"
+            )
+        if self.relearn_after_misses < 1:
+            problems.append(
+                "relearn_after_misses must be at least 1, "
+                f"got {self.relearn_after_misses}"
+            )
+        if self.min_relearn_history > self.history_size:
+            problems.append(
+                f"min_relearn_history ({self.min_relearn_history}) must not "
+                f"exceed history_size ({self.history_size}), or an automatic "
+                "re-learn can never fire"
+            )
+        if problems:
+            raise ValueError("invalid DejaVuConfig: " + "; ".join(problems))
+
 
 @dataclass(frozen=True)
 class AdaptationEvent:
@@ -290,6 +324,8 @@ class DejaVuManager:
             maxlen=self.config.history_size
         )
         self.relearn_count = 0
+        # Automatic re-learns abandoned because learning raised.
+        self.failed_relearns = 0
         self.relearn_requested = False
         self._consecutive_misses = 0
         self._next_check = 0.0
@@ -339,10 +375,66 @@ class DejaVuManager:
         trials_per_workload`` passes of each profiler noise stream, the
         same as collecting every trial one at a time, so the manager's
         online signatures do not depend on how learning was computed.
-        Raises ``ValueError`` naming any metric with a non-finite value.
+        Raises ``ValueError`` naming any metric with a non-finite value,
+        or when no feature separates the workloads or no clustering is
+        viable; a learn that raises leaves the serving model (and the
+        re-learn request) as it was, though the sweep's stream draws
+        stay consumed.
         """
         if len(workloads) < 2:
             raise ValueError("learning needs at least two workloads")
+        # The new model is built on the side: every step that can raise
+        # (a non-finite metric, no feature separating the workloads, no
+        # viable clustering) runs before the serving model changes.
+        # The profiling sweep: trials_per_workload isolated passes of
+        # each workload, workload-major — one pass of each profiler
+        # stream per trial.
+        monitor = self.profiler.monitor
+        metric_names = monitor.metric_names()
+        trials = self.config.trials_per_workload
+        X_all = monitor.collect_block(workloads, trials)
+        y_workload = np.repeat(np.arange(len(workloads)), trials)
+
+        selector = CfsSubsetSelector(max_features=self.config.max_signature_metrics)
+        selection = selector.select(X_all, y_workload, metric_names)
+        columns = [metric_names.index(name) for name in selection.selected]
+        standardizer = Standardizer()
+        Xz = standardizer.fit_transform(X_all[:, columns])
+
+        # Cluster per-workload mean signatures (one point per workload,
+        # as in Fig. 5's 24 hourly points).
+        means, _ = group_means(Xz, y_workload, len(workloads))
+        clustering = auto_cluster(
+            means,
+            k_min=self.config.k_min,
+            k_max=self.config.k_max,
+            seed=self.config.seed,
+        )
+
+        class_workloads = {}
+        tuned = []
+        tuning_seconds = 0.0
+        for cluster in range(clustering.n_classes):
+            representative = workloads[clustering.representatives[cluster]]
+            class_workloads[cluster] = representative
+            for band in self.config.pretune_bands:
+                theft = self.estimator.assumed_theft(band)
+                outcome = self.tuner.tune(representative, assumed_interference=theft)
+                tuning_seconds += outcome.tuning_seconds
+                tuned.append((cluster, band, outcome.allocation))
+
+        # Train the runtime classifier on all trials, labeled by cluster.
+        cluster_labels = clustering.labels[y_workload]
+        classifier = self._classifier_factory().fit(Xz, cluster_labels)
+
+        # Novelty radii from the *individual* trials, not the per-workload
+        # means: runtime signatures are single (noisy) collections, so the
+        # in-class radius must reflect single-collection spread.
+        distances = np.linalg.norm(Xz - clustering.centroids[cluster_labels], axis=1)
+        novelty_radii = np.full(clustering.n_classes, -np.inf)
+        np.maximum.at(novelty_radii, cluster_labels, distances)
+
+        # Install the new model.
         if self._repository_fleet_shared or (
             self._repository_external
             and len(self.repository) > 0
@@ -358,78 +450,29 @@ class DejaVuManager:
             self._repository_fleet_shared = False
             self._repository_external = False
         self.repository.clear()
-        self._class_workloads.clear()
+        report = LearningReport(
+            n_workloads=len(workloads),
+            n_classes=clustering.n_classes,
+            selected_metrics=selection.selected,
+            tuning_invocations=len(tuned),
+            tuning_seconds_total=tuning_seconds,
+        )
+        for cluster, band, allocation in tuned:
+            entry = self.repository.store(cluster, band, allocation, tuned_at=now)
+            report.class_allocations[(cluster, band)] = entry.allocation
+        self.schema = SignatureSchema(metric_names=selection.selected)
+        self.standardizer = standardizer
+        self.clustering = clustering
+        self.classifier = classifier
+        self._novelty_radii = novelty_radii
+        self._class_workloads = class_workloads
+        self.learning_report = report
         self.relearn_requested = False
         self._consecutive_misses = 0
         # Re-learning produces a new model: any cached batched-path
         # state built on the old clustering is invalid.
         self._batch_classifier = None
         self._schema_columns = None
-        # The profiling sweep: trials_per_workload isolated passes of
-        # each workload, workload-major — one pass of each profiler
-        # stream per trial.
-        monitor = self.profiler.monitor
-        metric_names = monitor.metric_names()
-        trials = self.config.trials_per_workload
-        X_all = monitor.collect_block(workloads, trials)
-        y_workload = np.repeat(np.arange(len(workloads)), trials)
-
-        selector = CfsSubsetSelector(max_features=self.config.max_signature_metrics)
-        selection = selector.select(X_all, y_workload, metric_names)
-        self.schema = SignatureSchema(metric_names=selection.selected)
-
-        columns = [metric_names.index(name) for name in selection.selected]
-        X_sig = X_all[:, columns]
-        Xz = self.standardizer.fit_transform(X_sig)
-
-        # Cluster per-workload mean signatures (one point per workload,
-        # as in Fig. 5's 24 hourly points).
-        means, _ = group_means(Xz, y_workload, len(workloads))
-        self.clustering = auto_cluster(
-            means,
-            k_min=self.config.k_min,
-            k_max=self.config.k_max,
-            seed=self.config.seed,
-        )
-
-        tuning_invocations = 0
-        tuning_seconds = 0.0
-        report = LearningReport(
-            n_workloads=len(workloads),
-            n_classes=self.clustering.n_classes,
-            selected_metrics=selection.selected,
-            tuning_invocations=0,
-            tuning_seconds_total=0.0,
-        )
-        for cluster in range(self.clustering.n_classes):
-            representative = workloads[self.clustering.representatives[cluster]]
-            self._class_workloads[cluster] = representative
-            for band in self.config.pretune_bands:
-                theft = self.estimator.assumed_theft(band)
-                outcome = self.tuner.tune(representative, assumed_interference=theft)
-                tuning_invocations += 1
-                tuning_seconds += outcome.tuning_seconds
-                entry = self.repository.store(
-                    cluster, band, outcome.allocation, tuned_at=now
-                )
-                report.class_allocations[(cluster, band)] = entry.allocation
-
-        # Train the runtime classifier on all trials, labeled by cluster.
-        cluster_labels = self.clustering.labels[y_workload]
-        self.classifier = self._classifier_factory().fit(Xz, cluster_labels)
-
-        # Novelty radii from the *individual* trials, not the per-workload
-        # means: runtime signatures are single (noisy) collections, so the
-        # in-class radius must reflect single-collection spread.
-        distances = np.linalg.norm(
-            Xz - self.clustering.centroids[cluster_labels], axis=1
-        )
-        self._novelty_radii = np.full(self.clustering.n_classes, -np.inf)
-        np.maximum.at(self._novelty_radii, cluster_labels, distances)
-
-        report.tuning_invocations = tuning_invocations
-        report.tuning_seconds_total = tuning_seconds
-        self.learning_report = report
         return report
 
     def adopt_trained_state(self, leader: "DejaVuManager") -> None:
@@ -825,20 +868,20 @@ class DejaVuManager:
         in.
         """
         serving = self._capture_model_state()
-        # learn() mutates the standardizer, repository and class map in
-        # place; hand it fresh objects so the serving model survives
-        # the restore below.  A fleet-shared repository detaches inside
-        # learn() itself and needs no fresh object here.
-        self.standardizer = Standardizer()
-        self._class_workloads = {}
+        # learn() fills the repository in place; hand it a fresh one so
+        # the serving model survives the restore below.  A fleet-shared
+        # repository detaches inside learn() itself and needs no fresh
+        # object here.
         if not self._repository_fleet_shared:
             self.repository = AllocationRepository()
             self._repository_external = False
-        report = self.learn(workloads, now=now)
-        self._staged_model = self._capture_model_state()
+        try:
+            report = self.learn(workloads, now=now)
+            self._staged_model = self._capture_model_state()
+        finally:
+            self._restore_model_state(serving)
         self._staged_burst = burst
         self.model_available_at = max(g.finish_at for g in burst)
-        self._restore_model_state(serving)
         return report
 
     def _poll_staged_model(self, t: float) -> None:
@@ -868,7 +911,18 @@ class DejaVuManager:
             return False
         if len(self.workload_history) < self.config.min_relearn_history:
             return False
-        self.relearn(now=t)
+        try:
+            self.relearn(now=t)
+        except ValueError:
+            # The history cannot be learned from (near-identical
+            # workloads leave no feature that separates them): keep
+            # serving the old model and ask again only after another
+            # relearn_after_misses misses.  A queued sweep stays charged:
+            # the profiler ran it before its data was found wanting.
+            self.relearn_requested = False
+            self._consecutive_misses = 0
+            self.failed_relearns += 1
+            return False
         return True
 
     def adapt(

@@ -170,3 +170,46 @@ class TestAdaptation:
         setup = build_scaleout_setup("messenger")
         with pytest.raises(ValueError):
             setup.manager.mean_adaptation_seconds()
+
+
+class TestConfigValidation:
+    """Learning settings that would fail only after a profiling sweep,
+    or never fire, are rejected when the config is built."""
+
+    def test_defaults_are_valid(self):
+        DejaVuConfig()
+
+    def test_k_max_below_k_min_rejected(self):
+        with pytest.raises(ValueError, match=r"k_max must be at least k_min \(5\)"):
+            DejaVuConfig(k_min=5, k_max=2)
+
+    def test_k_min_below_two_rejected(self):
+        with pytest.raises(ValueError, match="k_min must be at least 2, got 1"):
+            DejaVuConfig(k_min=1)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials_per_workload"):
+            DejaVuConfig(trials_per_workload=0)
+
+    def test_zero_signature_metrics_rejected(self):
+        with pytest.raises(ValueError, match="max_signature_metrics"):
+            DejaVuConfig(max_signature_metrics=0)
+        DejaVuConfig(max_signature_metrics=None)
+
+    def test_zero_relearn_misses_rejected(self):
+        with pytest.raises(ValueError, match="relearn_after_misses"):
+            DejaVuConfig(relearn_after_misses=0)
+
+    def test_relearn_history_beyond_retained_history_rejected(self):
+        with pytest.raises(ValueError, match=r"min_relearn_history \(49\)"):
+            DejaVuConfig(min_relearn_history=49)
+        with pytest.raises(ValueError, match=r"history_size \(10\)"):
+            DejaVuConfig(history_size=10)
+        DejaVuConfig(history_size=10, min_relearn_history=10)
+
+    def test_one_error_names_every_offending_field(self):
+        with pytest.raises(ValueError) as info:
+            DejaVuConfig(k_min=1, trials_per_workload=0, relearn_after_misses=0)
+        message = str(info.value)
+        for name in ("k_min", "trials_per_workload", "relearn_after_misses"):
+            assert name in message

@@ -9,24 +9,31 @@ clustering or a split.  The drawn datasets include the shapes where a
 grouped shortcut would round differently: one-dimensional data with
 clusters of eight or more members, constant columns, duplicate points,
 tied split thresholds and the learning day's 24-class x 5-trial panel.
+Automatic clustering, which fits every candidate k in one batch, must
+equal fitting one k at a time.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import clustering
 from repro.core.classifiers import C45DecisionTree
-from repro.core.clustering import KMeans, silhouette_score
+from repro.core.clustering import KMeans, auto_cluster, silhouette_score
 from repro.core.feature_selection import (
     CfsSubsetSelector,
     abs_correlations,
     correlation_ratios,
 )
 from repro.core.grouping import group_means, group_sums
+from repro.experiments.setup import build_scaleout_setup, build_scaleup_setup
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -153,6 +160,27 @@ def ref_silhouette(X, labels):
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(scores.mean())
+
+
+def ref_auto_cluster(X, k_min, k_max, seed):
+    """Automatic k one candidate at a time: ``(silhouette, centroids,
+    labels)`` of the first k, among those that leave no cluster empty,
+    with the strictly best silhouette."""
+    k_max = min(k_max, X.shape[0] - 1)
+    if k_max < k_min:
+        k_max = k_min
+    best = None
+    for k in range(k_min, k_max + 1):
+        model = KMeans(k=k, seed=seed).fit(X)
+        labels = model.predict(X)
+        if np.unique(labels).size < k:
+            continue
+        score = silhouette_score(X, labels)
+        if best is None or score > best[0]:
+            best = (score, model.centroids, labels)
+    if best is None:
+        raise ValueError("no viable clustering found")
+    return best
 
 
 def ref_entropy(counts):
@@ -389,6 +417,92 @@ class TestClusteringExactness:
         assert silhouette_score(X, labels) == ref_silhouette(X, labels)
 
 
+@st.composite
+def cluster_inputs(draw):
+    """``(X, k_min, k_max, seed)`` for automatic clustering: general
+    matrices (duplicate rows included), one-dimensional data with
+    clusters of eight or more, and fewer rows than ``k_max`` (the
+    range is clipped to ``n - 1``)."""
+    style = draw(st.sampled_from(["matrix", "one_dimensional", "few_rows"]))
+    if style == "matrix":
+        X = draw(matrices(min_rows=2, max_rows=30, max_cols=12))
+    elif style == "one_dimensional":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        sizes = draw(st.lists(st.integers(8, 14), min_size=2, max_size=3))
+        X = np.concatenate(
+            [rng.normal(40.0 * c, 1.0 + c, size) for c, size in enumerate(sizes)]
+        )[:, None]
+    else:
+        X = draw(matrices(min_rows=2, max_rows=8))
+    k_min = draw(st.integers(2, 4))
+    k_max = draw(st.one_of(st.just(k_min), st.integers(k_min, 8)))
+    return X, k_min, k_max, draw(st.integers(0, 50))
+
+
+#: Three distinct points, four copies each: every seeding of k >= 4
+#: runs out of distance mass after its third centroid.
+DUPLICATED = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]]), 4, axis=0)
+
+
+class TestAutoClusterExactness:
+    @EXAMPLES
+    @given(cluster_inputs())
+    @example((DUPLICATED, 2, 6, 3))
+    @example((np.arange(5.0)[:, None], 4, 4, 0))
+    def test_auto_cluster_equals_one_k_at_a_time(self, case):
+        X, k_min, k_max, seed = case
+        try:
+            score, centroids, labels = ref_auto_cluster(X, k_min, k_max, seed)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                auto_cluster(X, k_min=k_min, k_max=k_max, seed=seed)
+            return
+        model = auto_cluster(X, k_min=k_min, k_max=k_max, seed=seed)
+        assert model.silhouette == score
+        assert_bits_equal(model.centroids, centroids)
+        np.testing.assert_array_equal(model.labels, labels)
+        for j, representative in enumerate(model.representatives):
+            members = np.flatnonzero(labels == j)
+            distances = np.linalg.norm(X[members] - centroids[j], axis=1)
+            assert representative == members[np.argmin(distances)]
+            assert model.radii[j] == distances.max()
+
+    def test_zero_total_seeding_takes_the_per_restart_path(self, monkeypatch):
+        seeded = []
+        seed_one = clustering._kmeans_plus_plus_init
+
+        def spy(X, k, rng):
+            seeded.append(k)
+            return seed_one(X, k, rng)
+
+        monkeypatch.setattr(clustering, "_kmeans_plus_plus_init", spy)
+        model = auto_cluster(DUPLICATED, k_min=2, k_max=5, seed=3)
+        # Only the ks that reach a zero total, every restart of each.
+        assert seeded == [4] * 8 + [5] * 8
+        score, centroids, labels = ref_auto_cluster(DUPLICATED, 2, 5, 3)
+        assert model.silhouette == score
+        assert_bits_equal(model.centroids, centroids)
+        np.testing.assert_array_equal(model.labels, labels)
+
+    def test_a_k_that_leaves_a_cluster_empty_is_skipped(self):
+        # Two distinct points: every k >= 3 fit leaves a cluster empty,
+        # which has no member to represent it.
+        X = np.repeat(np.array([[0.9], [-1.0]]), [5, 3], axis=0)
+        assert auto_cluster(X, k_min=2, k_max=4).n_classes == 2
+        with pytest.raises(ValueError, match="^no viable clustering found$"):
+            auto_cluster(X, k_min=3, k_max=3)
+
+    def test_identical_points_have_no_viable_clustering(self):
+        with pytest.raises(ValueError, match="^no viable clustering found$"):
+            auto_cluster(np.full((10, 3), 2.5))
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError, match="^2 samples cannot form 3 clusters$"):
+            auto_cluster(np.array([[0.0], [1.0]]), k_min=3, k_max=5)
+        with pytest.raises(ValueError, match="need at least two samples"):
+            auto_cluster(np.array([[0.0, 1.0]]))
+
+
 # --- C4.5 split search --------------------------------------------------------
 
 
@@ -411,3 +525,19 @@ class TestSplitExactness:
         tree._n_classes = 2
         assert tree._best_split(X, y) == ref_best_split(X, y, 2, 1)
         assert tree._best_split(X, y)[0] == 0
+
+
+# --- a whole learning day ---------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [build_scaleout_setup, build_scaleup_setup])
+@pytest.mark.parametrize("seed", [0, 6, 11])
+def test_learning_day_raises_no_floating_point_condition(build, seed):
+    """No step of learning divides by zero, overflows, or makes a NaN
+    that a later step happens to mask."""
+    setup = build(trace_name="messenger", trace_seed=seed + 1, seed=seed)
+    workloads = setup.trace.hourly_workloads(day=0)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        setup.manager.learn(workloads)
+    assert setup.manager.is_trained

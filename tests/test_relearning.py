@@ -1,11 +1,24 @@
 """Tests for online re-learning (Sec. 3.5's re-clustering path)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.manager import DejaVuConfig
+from repro.core.persistence import manager_state_to_dict
 from repro.experiments.setup import build_scaleout_setup
+from repro.sim.clock import HOUR
 from repro.sim.engine import StepContext
+from repro.sim.fleet import FleetEngine
+from repro.sim.profiling_queue import ProfilingQueue
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
+from tests.test_fleet_quiet_lanes import build_fleet
+from tests.test_lane_table import (
+    PINNED_CONFIG,
+    PINNED_HOURS,
+    PINNED_LANES,
+    PINNED_STEP,
+)
 
 
 def ctx_at(t: float, workload: Workload) -> StepContext:
@@ -115,3 +128,68 @@ class TestAutoRelearn:
             manager.adapt(ctx_at((48 + i) * 3600.0, novel))
         assert manager.relearn_requested
         assert manager.relearn_count == 0
+
+
+class TestFailedRelearn:
+    """A history the pipeline cannot learn from — the same workload
+    over and over leaves no metric that separates its entries — must
+    not cost the manager its model."""
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["direct", "queued"])
+    def test_degenerate_relearn_raises_and_keeps_the_model(self, queued):
+        setup = build_scaleout_setup("messenger")
+        manager = setup.manager
+        manager.learn(setup.trace.hourly_workloads(day=0))
+        if queued:
+            manager.attach_profiling_queue(ProfilingQueue(slots=1))
+        before = manager_state_to_dict(manager)
+        report = manager.learning_report
+        same = setup.trace.workload_at(12 * HOUR)
+        with pytest.raises(ValueError, match="class-correlation"):
+            manager.relearn(now=86400.0, workloads=[same] * 24)
+        assert manager_state_to_dict(manager) == before
+        assert manager.learning_report is report
+        assert manager.relearn_count == 0
+        assert not manager.relearn_pending
+
+    def test_failed_auto_relearn_keeps_serving_and_asks_again_later(self):
+        config = DejaVuConfig(
+            auto_relearn=True, relearn_after_misses=2, min_relearn_history=12
+        )
+        setup = build_scaleout_setup("messenger", config=config)
+        manager = setup.manager
+        manager.learn(setup.trace.hourly_workloads(day=0))
+        before = manager_state_to_dict(manager)
+        novel = unseen_workload(setup)
+        failures = []
+        for i in range(14):
+            manager.adapt(ctx_at((24 + i) * HOUR, novel))
+            failures.append(manager.failed_relearns)
+        # The twelfth miss has the history to re-learn and fails; the
+        # request is cleared, so the next attempt waits for two more
+        # misses.
+        assert failures == [0] * 11 + [1, 1, 2]
+        assert not manager.relearn_requested
+        assert manager.relearn_count == 0
+        assert manager_state_to_dict(manager) == before
+
+    @pytest.mark.parametrize(
+        "history, queue_policy", [(4, "fifo"), (4, "priority"), (2, "fifo")]
+    )
+    def test_fleet_survives_a_degenerate_auto_relearn(self, history, queue_policy):
+        """These pinned fleets crashed in ``CfsSubsetSelector.select``
+        when an auto-relearn fired on repeated violation workloads."""
+        config = replace(PINNED_CONFIG, min_relearn_history=history)
+        lanes, queue, managers = build_fleet(
+            PINNED_LANES,
+            config=[
+                replace(config, adapt_on_violation=i % 3 == 2)
+                for i in range(PINNED_LANES)
+            ],
+            slots=1,
+            queue_policy=queue_policy,
+        )
+        FleetEngine(
+            lanes, step_seconds=PINNED_STEP, profiling_queue=queue
+        ).run(PINNED_HOURS * HOUR)
+        assert sum(manager.failed_relearns for manager in managers) > 0
