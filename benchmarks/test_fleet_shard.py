@@ -22,7 +22,7 @@ Perf claims riding this file:
 
 Wall-clock gates are best-of-two per configuration: single-run ratios
 on shared machines are too noisy to block on (same policy as the
-200-lane 3x gate in ``test_fleet_scale.py`` — a local/driver check,
+200-lane 5x gate in ``test_fleet_scale.py`` — a local/driver check,
 with only the smoke equality gating CI).
 """
 

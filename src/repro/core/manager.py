@@ -375,14 +375,17 @@ class DejaVuManager:
         trials_per_workload`` passes of each profiler noise stream, the
         same as collecting every trial one at a time, so the manager's
         online signatures do not depend on how learning was computed.
-        Raises ``ValueError`` naming any metric with a non-finite value,
-        or when no feature separates the workloads or no clustering is
-        viable; a learn that raises leaves the serving model (and the
-        re-learn request) as it was, though the sweep's stream draws
-        stay consumed.
+        Raises ``ValueError`` before the sweep when the workloads hold
+        fewer than ``config.k_min`` distinct ones (repeated copies of
+        one workload leave only profiler noise to cluster); after it,
+        naming any metric with a non-finite value, or when no feature
+        separates the workloads or no clustering is viable.  A learn
+        that raises leaves the serving model (and the re-learn request)
+        as it was, though a failed sweep's stream draws stay consumed.
         """
         if len(workloads) < 2:
             raise ValueError("learning needs at least two workloads")
+        self._check_distinct(workloads)
         # The new model is built on the side: every step that can raise
         # (a non-finite metric, no feature separating the workloads, no
         # viable clustering) runs before the serving model changes.
@@ -776,7 +779,9 @@ class DejaVuManager:
         ------
         ValueError
             If no (or too little) history is available and no workload
-            list was supplied.
+            list was supplied, or if the workloads hold fewer than
+            ``config.k_min`` distinct ones (checked before the sweep is
+            charged to the profiling queue); otherwise as :meth:`learn`.
         """
         if workloads is None:
             workloads = [w for _t, w in self.workload_history]
@@ -784,6 +789,7 @@ class DejaVuManager:
             raise ValueError(
                 "re-learning needs recent workloads; none were observed"
             )
+        self._check_distinct(workloads)
         burst = self._charge_relearn_sweep(now, len(workloads))
         if burst:
             report = self._stage_relearn(now, workloads, burst)
@@ -791,6 +797,14 @@ class DejaVuManager:
             report = self.learn(workloads, now=now)
         self.relearn_count += 1
         return report
+
+    def _check_distinct(self, workloads: list[Workload]) -> None:
+        distinct = len(set(workloads))
+        if distinct < self.config.k_min:
+            raise ValueError(
+                f"learning needs at least k_min = {self.config.k_min} "
+                f"distinct workloads; the history holds {distinct}"
+            )
 
     def _charge_relearn_sweep(
         self, now: float, n_workloads: int
@@ -1187,8 +1201,8 @@ class DejaVuManager:
         is deferred; the engine retries next step).  The engine then
         collects all gated lanes' signatures in one
         :meth:`~repro.telemetry.monitor.Monitor.collect_matrix` pass
-        (phase 1b) — or per lane for legacy-stream monitors, consuming
-        each monitor's RNG exactly as the scalar path would.
+        (phase 1b), consuming each monitor's noise streams exactly as
+        the scalar path would.
         """
         if self.schema is None or self.classifier is None or self.clustering is None:
             raise RuntimeError("DejaVu used online before learning")

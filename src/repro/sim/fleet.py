@@ -926,9 +926,8 @@ class FleetEngine:
         Phase order preserves per-lane scalar semantics exactly:
         *prepare* gates due lanes (queue charge) in global lane order
         and then collects all gated signatures batched by monitor
-        family — one vectorized ``Monitor.collect_matrix`` pass per
-        family under counter-mode streams, a per-lane loop consuming
-        each lane's own generator under legacy streams, sliced down to
+        family — one ``Monitor.collect_matrix`` pass per family (one
+        vectorized noise draw under counter streams), sliced down to
         signatures once per family — then each shared-model group
         classifies its signature matrix and resolves band-0 entries in
         one batched repository lookup, then *finish* (deploy, escalate,
@@ -1066,9 +1065,8 @@ class FleetEngine:
         if not gated:
             return
         # Phase 1b — collect all gated lanes' signatures, batched per
-        # compatible monitor family (one vectorized collect_matrix
-        # pass under counter-mode streams), as one signature matrix
-        # per shared-model group.
+        # compatible monitor family (one collect_matrix pass each),
+        # as one signature matrix per shared-model group.
         groups = self._collect_wave_signatures(gated, workloads)
         # Classification is a pure snapshot pass per shared-model
         # group, so groups may overlap (wave_workers); repository
@@ -1098,14 +1096,13 @@ class FleetEngine:
 
         Rows whose monitors share a
         :meth:`~repro.telemetry.monitor.Monitor.batch_key` are collected
-        as one matrix; counter-mode groups draw all their noise in a
-        single vectorized pass, while legacy groups loop per lane inside
-        ``collect_matrix`` (each consuming its own sampler generator
-        exactly as the scalar path would).  A shared-model group whose
-        lanes share one monitor family and one schema object slices its
-        signatures out of the family's matrix at once (``matrix[:,
-        columns]`` when it is the whole family); a model spread over
-        several monitor families is sliced row by row.
+        as one matrix, each row consuming its samplers' noise streams
+        exactly as the scalar path would (counter streams draw the
+        whole family's noise in one vectorized pass).  A shared-model
+        group whose lanes share one monitor family and one schema
+        object slices its signatures out of the family's matrix at once
+        (``matrix[:, columns]`` when it is the whole family); a model
+        spread over several monitor families is sliced row by row.
         """
         table = self._table
         controllers, lanes, monitors = (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.telemetry.events import EVENT_CATALOGUE, HPCEvent, event_by_name
-from repro.telemetry.streams import CounterStream, normals_block
+from repro.telemetry.streams import NoiseStream, SequentialStream, normals_block
 from repro.workloads.request_mix import Workload
 
 #: HPC registers available on the profiling server (Intel Xeon X5472).
@@ -58,14 +58,14 @@ class HPCSampler:
         Event mnemonics to monitor; defaults to the full catalogue
         (time-multiplexed).
     seed:
-        RNG seed; readings are reproducible given (seed, call order).
-        Ignored when ``stream`` is given.
+        Shorthand for ``stream=SequentialStream(seed)``: readings are
+        reproducible given (seed, call order).  Ignored when ``stream``
+        is given.
     stream:
-        Optional counter-mode stream
-        (:class:`~repro.telemetry.streams.CounterStream`).  With a
-        stream, reading noise is a pure function of the stream's
-        ``(key, lane, salt)`` identity and its pass counter instead of
-        a sequentially consumed generator, so many lanes' noise can be
+        The reading-noise stream (see :mod:`repro.telemetry.streams`).
+        A :class:`~repro.telemetry.streams.CounterStream` makes the
+        noise a pure function of the stream's ``(key, lane, salt)``
+        identity and its pass counter, so many lanes' noise can be
         drawn as one block — and a lane's readings do not depend on
         which process or batch samples it.
     """
@@ -74,7 +74,7 @@ class HPCSampler:
         self,
         events: list[str] | None = None,
         seed: int = 0,
-        stream: CounterStream | None = None,
+        stream: NoiseStream | None = None,
     ) -> None:
         if events is None:
             self._events: list[HPCEvent] = list(EVENT_CATALOGUE)
@@ -82,8 +82,7 @@ class HPCSampler:
             if not events:
                 raise ValueError("must monitor at least one event")
             self._events = [event_by_name(name) for name in events]
-        self._stream = stream
-        self._rng = np.random.default_rng(seed) if stream is None else None
+        self._stream = SequentialStream(seed) if stream is None else stream
         # Hot-path constants: one (n_events, n_dims) weight matrix plus
         # baseline/noise vectors, so a sampling pass is a handful of
         # vectorized operations instead of a per-event Python loop.
@@ -99,13 +98,7 @@ class HPCSampler:
         return [e.name for e in self._events]
 
     @property
-    def rng_mode(self) -> str:
-        """``"legacy"`` (sequential per-sampler generator) or
-        ``"counter"`` (per-pass counter stream)."""
-        return "legacy" if self._stream is None else "counter"
-
-    @property
-    def stream(self) -> CounterStream | None:
+    def stream(self) -> NoiseStream:
         return self._stream
 
     @property
@@ -147,7 +140,7 @@ class HPCSampler:
     ) -> np.ndarray:
         """One sampling window as a time-normalized rate vector.
 
-        Identical to :meth:`sample` — same RNG consumption, same values
+        Identical to :meth:`sample` — same noise consumption, same values
         — but returned as one array in :attr:`monitored` order instead
         of per-event :class:`CounterReading` objects.  This is the
         batched control plane's signature-collection hot path.
@@ -158,27 +151,13 @@ class HPCSampler:
     def _sample_counts(
         self, workload: Workload, duration_seconds: float, interference: float
     ) -> np.ndarray:
-        """Vectorized counts for one window (one RNG draw per pass)."""
-        if duration_seconds <= 0:
-            raise ValueError(f"sampling window must be positive: {duration_seconds}")
+        """Counts for one window: the one-row case of
+        :meth:`sample_rates_matrix` (one noise pass)."""
+        _check_window(duration_seconds)
         if not 0.0 <= interference < 1.0:
             raise ValueError(f"interference out of [0,1): {interference}")
-        activity = np.asarray(workload.mix.activity_vector())
-        intensity = workload.demand_units
-        rates = (
-            self._baselines
-            + (self._weights * activity).sum(axis=1) * intensity
-        )
-        if interference > 0:
-            # Shared-cache/bus pollution: memory-coupled events read
-            # high under interference.
-            rates = rates * (
-                1.0 + interference * (0.5 + self._memory_coupling)
-            )
-        if self._stream is None:
-            noise = self._rng.normal(0.0, self._sds_total)
-        else:
-            noise = self._stream.normals(len(self._events)) * self._sds_total
+        rates = self._clean_rates([workload], np.array([interference]))[0]
+        noise = self._stream.normals(len(self._events)) * self._sds_total
         return np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
 
     @staticmethod
@@ -192,24 +171,18 @@ class HPCSampler:
 
         Row ``r`` is bit-identical to
         ``samplers[r].sample_rates(workloads[r], duration_seconds,
-        interference=interferences[r])``: the rate/noise arithmetic is
-        evaluated with the same per-element operation sequence as the
-        scalar path, and counter-mode streams make the noise a pure
-        function of each sampler's ``(lane, pass)`` key.  Requires all
-        samplers in counter mode with identical event constants (the
-        caller groups by :meth:`Monitor.batch_key`).
+        interference=interferences[r])``: the scalar path is this
+        arithmetic's one-row case, and each row draws its sampler's next
+        noise pass.  Requires samplers with one kind of stream and
+        identical event constants (the caller groups by
+        :meth:`Monitor.batch_key`).
         """
         lead = samplers[0]
-        if duration_seconds <= 0:
-            raise ValueError(f"sampling window must be positive: {duration_seconds}")
+        _check_window(duration_seconds)
         if np.any(interferences < 0.0) or np.any(interferences >= 1.0):
             raise ValueError("interference out of [0,1)")
-        streams = []
-        for sampler in samplers:
-            if sampler._stream is None:
-                raise ValueError("matrix sampling needs counter-mode samplers")
-            streams.append(sampler._stream)
         rates = lead._clean_rates(workloads, interferences)
+        streams = [sampler._stream for sampler in samplers]
         noise = normals_block(streams, len(lead._events)) * lead._sds_total
         counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
         return counts / duration_seconds
@@ -223,32 +196,24 @@ class HPCSampler:
         -major: row ``i * passes + p`` is bit-identical to the
         ``(i * passes + p)``-th of that many successive
         :meth:`sample_rates` calls (``interference=0``), and the noise
-        stream ends where those calls would leave it — a legacy
-        generator's draws come out in the same order, and a counter
-        stream advances by one pass per row.
+        stream ends where those calls would leave it (one pass per
+        row).
         """
-        if duration_seconds <= 0:
-            raise ValueError(f"sampling window must be positive: {duration_seconds}")
+        _check_window(duration_seconds)
         rates = np.repeat(
             self._clean_rates(workloads, np.zeros(len(workloads))), passes, axis=0
         )
-        shape = rates.shape
-        if self._stream is None:
-            noise = self._rng.normal(0.0, self._sds_total, size=shape)
-        else:
-            noise = self._stream.normals_passes(*shape) * self._sds_total
+        noise = self._stream.normals_passes(*rates.shape) * self._sds_total
         counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
         return counts / duration_seconds
 
     def _clean_rates(
         self, workloads: list[Workload], interferences: np.ndarray
     ) -> np.ndarray:
-        """Noise-free event rates, one row per workload, with the
-        per-element arithmetic of :meth:`_sample_counts`.
+        """Noise-free event rates, one row per workload.
 
         The ``weights · activity`` sum depends only on the request mix,
-        so it is computed once per distinct mix (with the scalar path's
-        own expression) and gathered per row.
+        so it is computed once per distinct mix and gathered per row.
         """
         n = len(workloads)
         mix_rows: dict[int, int] = {}
@@ -271,3 +236,8 @@ class HPCSampler:
                 1.0 + interferences[hot, None] * (0.5 + self._memory_coupling)
             )
         return rates
+
+
+def _check_window(duration_seconds: float) -> None:
+    if duration_seconds <= 0:
+        raise ValueError(f"sampling window must be positive: {duration_seconds}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.telemetry.counters import HPCSampler
-from repro.telemetry.xentop import XentopSampler
+from repro.telemetry.xentop import XENTOP_METRICS, XentopSampler
 from repro.workloads.request_mix import Workload
 
 #: Default sampling window; the paper's adaptation time is "about 10
@@ -49,29 +49,22 @@ class Monitor:
 
     def metric_names(self) -> list[str]:
         """All metric names a collection will contain, in stable order."""
-        from repro.telemetry.xentop import XENTOP_METRICS
-
         return list(self.hpc.monitored) + list(XENTOP_METRICS)
-
-    @property
-    def rng_mode(self) -> str:
-        """``"counter"`` when both samplers ride counter-mode streams."""
-        if self.hpc.rng_mode == "counter" and self.xentop.rng_mode == "counter":
-            return "counter"
-        return "legacy"
 
     def batch_key(self) -> tuple:
         """Compatibility key for fleet-wide matrix collection.
 
         Monitors with equal keys sample identical metric constants and
-        may be collected as rows of one :meth:`collect_matrix` block;
-        only their noise streams (lane keys or legacy generators)
-        differ.  The fleet engine groups due lanes by this key.
+        may be collected as rows of one :meth:`collect_matrix` block:
+        their samplers' noise streams are of the same kinds and differ
+        only in identity.  The fleet engine groups due lanes by this
+        key.
         """
         key = getattr(self, "_batch_key", None)
         if key is None:
             key = self._batch_key = (
-                self.rng_mode,
+                type(self.hpc.stream),
+                type(self.xentop.stream),
                 tuple(self.hpc.monitored),
                 self.hpc.multiplexed,
                 self.xentop.capacity_units,
@@ -108,7 +101,7 @@ class Monitor:
     ) -> "np.ndarray":
         """One monitoring pass as an array in :meth:`metric_names` order.
 
-        Consumes the samplers' RNG streams exactly as :meth:`collect`
+        Consumes the samplers' noise streams exactly as :meth:`collect`
         does and produces the same values, but skips the per-metric
         dictionary — the batched fleet control plane stacks these rows
         straight into an ``(n_lanes, n_metrics)`` signature matrix.
@@ -129,22 +122,23 @@ class Monitor:
         workloads: list[Workload],
         interferences: "np.ndarray | list[float] | None" = None,
         *,
-        monitors: "list[Monitor] | None" = None,
+        monitors: "list[Monitor]",
         window_seconds: float | None = None,
     ) -> "np.ndarray":
         """Many lanes' monitoring passes as one ``(n_lanes, n_metrics)``
         matrix.
 
         Row ``r`` is the collection of ``workloads[r]`` by
-        ``monitors[r]`` (default: this monitor for every row) and is
-        bit-identical to that monitor's :meth:`collect_vector` — same
-        values, same stream consumption.  Under counter-mode samplers
-        the whole block is produced in one vectorized pass (the fleet
-        engine's prepare phase); legacy monitors fall back to a
-        per-row loop so per-sampler generator order is preserved.
+        ``monitors[r]`` and is bit-identical to that monitor's
+        :meth:`collect_vector` — same values, same stream consumption.
+        Under counter streams the whole block is produced in one
+        vectorized pass (the fleet engine's prepare phase).
 
         All row monitors must share this monitor's :meth:`batch_key`
-        (identical metric constants; only noise streams differ).
+        (identical metric constants; only noise streams differ), and no
+        monitor may appear twice: one row's pass must see the stream
+        where the previous row's pass left it, which one block draw
+        cannot do.
         """
         window = self.window_seconds if window_seconds is None else window_seconds
         if window <= 0:
@@ -152,8 +146,6 @@ class Monitor:
         n = len(workloads)
         if n == 0:
             raise ValueError("need at least one workload")
-        if monitors is None:
-            monitors = [self] * n
         if len(monitors) != n:
             raise ValueError(
                 f"{len(monitors)} monitors for {n} workloads"
@@ -173,22 +165,8 @@ class Monitor:
                     "matrix collection needs compatible monitors; "
                     f"{monitor.batch_key()} != {key}"
                 )
-        if self.rng_mode == "legacy":
-            return np.stack(
-                [
-                    monitor.collect_vector(
-                        workload,
-                        interference=float(interference),
-                        window_seconds=window,
-                    )
-                    for monitor, workload, interference in zip(
-                        monitors, workloads, interferences
-                    )
-                ]
-            )
-        from repro.telemetry.counters import HPCSampler
-        from repro.telemetry.xentop import XentopSampler
-
+        if len(set(map(id, monitors))) != n:
+            raise ValueError("matrix collection needs distinct monitors per row")
         hpc_rates = HPCSampler.sample_rates_matrix(
             [monitor.hpc for monitor in monitors],
             workloads,
@@ -210,10 +188,10 @@ class Monitor:
         ``i * passes + p`` is bit-identical to the matching one of that
         many successive ``collect_vector(workloads[i])`` calls, and
         each sampler's noise stream ends where those calls would leave
-        it (a counter stream advances by one pass per row).  This is
-        the learning day's profiling sweep in one pass.
+        it (one pass per row).  This is the learning day's profiling
+        sweep in one pass.
         """
-        if self.hpc.stream is not None and self.hpc.stream is self.xentop.stream:
+        if self.hpc.stream is self.xentop.stream:
             # One shared stream interleaves the two samplers' passes,
             # which a per-sampler block cannot reproduce.
             raise ValueError("block collection needs separate HPC and xentop streams")

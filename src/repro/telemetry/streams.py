@@ -1,24 +1,26 @@
-"""Counter-mode telemetry RNG streams for fleet-scale collection.
+"""Telemetry noise streams: one interface, two kinds of randomness.
 
-The legacy samplers each own a sequential ``numpy.random.Generator``:
-reproducible, but only if every draw happens on that lane's own sampler
-in call order — which forces the fleet engine to collect signatures one
-lane at a time.  This module replaces the *stream* (not the noise
-model) with **counter-mode** randomness: one per-fleet 64-bit key is
-derived from a :class:`numpy.random.SeedSequence`, and the ``k``-th
-normal of the ``d``-th sampling pass of lane ``l`` is a pure function
-of ``(key, l, salt, d, k)``.  Because nothing is consumed from a shared
+A sampler draws its reading noise from a stream: ``normals(n)`` is one
+sampling pass, ``normals_passes(passes, n)`` that many passes as one
+block.  :class:`SequentialStream` (the single-service paper
+experiments) consumes one ``numpy.random.Generator`` in call order.
+:class:`CounterStream` (fleets) is **counter-mode** randomness: one
+per-fleet 64-bit key is derived from a
+:class:`numpy.random.SeedSequence`, and the ``k``-th normal of the
+``d``-th sampling pass of lane ``l`` is a pure function of
+``(key, l, salt, d, k)``.  Because nothing is consumed from a shared
 stream, the same numbers come out whether a lane is sampled alone, as
 one row of a fleet-wide matrix, or inside a different worker process —
 scalar == batched == sharded, bit for bit, by construction.
+:func:`normals_block` is the only code that tells the two kinds apart.
 
-The generator is a splitmix64-style counter hash (Philox's shape — a
-keyed block function over a counter — with a cheaper mixing function
-that numpy can evaluate for every ``(lane, element)`` pair of a block
-in one vectorized pass) followed by a Box–Muller transform.  Statistical
-quality is far beyond what the telemetry noise model needs, and the
-whole ``(n_lanes, n_metrics)`` noise block of an adaptation wave is
-produced by a handful of array operations.
+The counter generator is a splitmix64-style counter hash (Philox's
+shape — a keyed block function over a counter — with a cheaper mixing
+function that numpy can evaluate for every ``(lane, element)`` pair of
+a block in one vectorized pass) followed by a Box–Muller transform.
+Statistical quality is far beyond what the telemetry noise model needs,
+and the whole ``(n_lanes, n_metrics)`` noise block of an adaptation
+wave is produced by a handful of array operations.
 """
 
 from __future__ import annotations
@@ -87,8 +89,6 @@ class CounterStream:
 
     __slots__ = ("key", "lane", "salt", "draws")
 
-    rng_mode = "counter"
-
     def __init__(self, key: int, lane: int, salt: int = 0) -> None:
         if lane < 0:
             raise ValueError(f"lane key must be non-negative: {lane}")
@@ -127,15 +127,50 @@ class CounterStream:
         return block
 
 
-def normals_block(streams: list[CounterStream], n: int) -> np.ndarray:
+class SequentialStream:
+    """One sampler's sequential stream: ``default_rng(seed)``'s standard
+    normals, consumed in call order.
+
+    A pass of ``n`` normals times a vector of ``n`` deviations is
+    bit-identical to ``Generator.normal(0.0, sds)`` on the same
+    generator, so samplers built on this stream reproduce the readings
+    of the per-sampler generators the paper experiments were pinned on.
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, seed: int = 0) -> None:
+        self._rng = np.random.default_rng(seed)
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next pass's ``n`` standard normals."""
+        return self._rng.standard_normal(n)
+
+    def normals_passes(self, passes: int, n: int) -> np.ndarray:
+        """The next ``passes`` passes' normals as one ``(passes, n)``
+        block, drawn in the order successive :meth:`normals` calls
+        would draw them."""
+        return self._rng.standard_normal((passes, n))
+
+
+#: Either kind of noise stream.
+NoiseStream = CounterStream | SequentialStream
+
+
+def normals_block(streams: list[NoiseStream], n: int) -> np.ndarray:
     """One ``(len(streams), n)`` block: every stream's next pass at once.
 
-    Bit-identical to calling each stream's :meth:`CounterStream.normals`
-    separately — the whole point of counter mode — but the block is
-    produced by a single vectorized evaluation.
+    Row ``r`` is bit-identical to ``streams[r].normals(n)`` and every
+    stream advances by one pass.  The streams must be of one kind
+    (callers group them by class); the first stream's class decides.
+    Counter streams are evaluated in a single vectorized pass — the
+    whole point of counter mode — while sequential streams draw in row
+    order.
     """
     if not streams:
         raise ValueError("need at least one stream")
+    if type(streams[0]) is SequentialStream:
+        return np.stack([stream.normals(n) for stream in streams])
     keys = np.fromiter((s.key for s in streams), dtype=np.uint64, count=len(streams))
     lanes = np.fromiter((s.lane for s in streams), dtype=np.uint64, count=len(streams))
     salts = np.fromiter((s.salt for s in streams), dtype=np.uint64, count=len(streams))

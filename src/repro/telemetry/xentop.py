@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.telemetry.streams import CounterStream, normals_block
+from repro.telemetry.streams import NoiseStream, SequentialStream, normals_block
 from repro.workloads.request_mix import Workload
 
 XENTOP_METRICS: tuple[str, ...] = (
@@ -30,9 +30,10 @@ class XentopSampler:
         Capacity of the sampled VM; utilizations are expressed against
         it (a profiling clone is a single instance).
     seed:
-        RNG seed for reading noise.  Ignored when ``stream`` is given.
+        Shorthand for ``stream=SequentialStream(seed)``.  Ignored when
+        ``stream`` is given.
     stream:
-        Optional counter-mode stream (see
+        The reading-noise stream (see
         :class:`~repro.telemetry.counters.HPCSampler`).
     """
 
@@ -40,24 +41,19 @@ class XentopSampler:
         self,
         capacity_units: float = 1.0,
         seed: int = 0,
-        stream: CounterStream | None = None,
+        stream: NoiseStream | None = None,
     ) -> None:
         if capacity_units <= 0:
             raise ValueError(f"capacity must be positive: {capacity_units}")
         self._capacity = capacity_units
-        self._stream = stream
-        self._rng = np.random.default_rng(seed) if stream is None else None
+        self._stream = SequentialStream(seed) if stream is None else stream
 
     @property
     def capacity_units(self) -> float:
         return self._capacity
 
     @property
-    def rng_mode(self) -> str:
-        return "legacy" if self._stream is None else "counter"
-
-    @property
-    def stream(self) -> CounterStream | None:
+    def stream(self) -> NoiseStream:
         return self._stream
 
     #: Relative reading-noise levels, in :data:`XENTOP_METRICS` order.
@@ -73,27 +69,16 @@ class XentopSampler:
     def sample_vector(
         self, workload: Workload, *, interference: float = 0.0
     ) -> np.ndarray:
-        """One snapshot as an array in :data:`XENTOP_METRICS` order.
+        """One snapshot as an array in :data:`XENTOP_METRICS` order: the
+        one-row case of :meth:`sample_matrix` (one noise pass).
 
-        Same RNG consumption and values as :meth:`sample`; the batched
+        Same noise consumption and values as :meth:`sample`; the batched
         fleet path concatenates this straight into a signature vector.
         """
         if not 0.0 <= interference < 1.0:
             raise ValueError(f"interference out of [0,1): {interference}")
-        mix = workload.mix
-        demand = workload.demand_units
-        rho = demand / (self._capacity * (1.0 - interference))
-
-        cpu = min(100.0, 100.0 * rho * (0.6 + 0.4 * mix.cpu_intensity))
-        mem = min(100.0, 25.0 + 60.0 * rho * mix.memory_intensity)
-        rx = 80.0 * demand
-        tx = rx * (6.0 + 6.0 * mix.read_fraction)
-        io_ops = 900.0 * demand * (0.3 + 0.7 * mix.io_intensity)
-        clean = np.array([cpu, mem, rx, tx, io_ops])
-        if self._stream is None:
-            noise = self._rng.normal(0.0, self._NOISE_SDS)
-        else:
-            noise = self._stream.normals(len(XENTOP_METRICS)) * self._NOISE_SDS
+        clean = self._clean_matrix([workload], np.array([interference]))[0]
+        noise = self._stream.normals(len(XENTOP_METRICS)) * self._NOISE_SDS
         return np.maximum(0.0, clean * (1.0 + noise))
 
     @staticmethod
@@ -106,20 +91,16 @@ class XentopSampler:
 
         Row ``r`` is bit-identical to
         ``samplers[r].sample_vector(workloads[r],
-        interference=interferences[r])``: the utilization formulas are
-        evaluated with the same per-element operation order, and the
-        counter streams reproduce each sampler's scalar noise exactly.
-        Requires counter-mode samplers with one shared capacity.
+        interference=interferences[r])``: the scalar path is this
+        arithmetic's one-row case, and each row draws its sampler's next
+        noise pass.  Requires samplers with one kind of stream and one
+        shared capacity.
         """
         lead = samplers[0]
         if np.any(interferences < 0.0) or np.any(interferences >= 1.0):
             raise ValueError("interference out of [0,1)")
-        streams = []
-        for sampler in samplers:
-            if sampler._stream is None:
-                raise ValueError("matrix sampling needs counter-mode samplers")
-            streams.append(sampler._stream)
         clean = lead._clean_matrix(workloads, interferences)
+        streams = [sampler._stream for sampler in samplers]
         noise = normals_block(streams, len(XENTOP_METRICS)) * lead._NOISE_SDS
         return np.maximum(0.0, clean * (1.0 + noise))
 
@@ -135,30 +116,26 @@ class XentopSampler:
         clean = np.repeat(
             self._clean_matrix(workloads, np.zeros(len(workloads))), passes, axis=0
         )
-        if self._stream is None:
-            noise = self._rng.normal(0.0, self._NOISE_SDS, size=clean.shape)
-        else:
-            noise = self._stream.normals_passes(*clean.shape) * self._NOISE_SDS
+        noise = self._stream.normals_passes(*clean.shape) * self._NOISE_SDS
         return np.maximum(0.0, clean * (1.0 + noise))
 
     def _clean_matrix(
         self, workloads: list[Workload], interferences: np.ndarray
     ) -> np.ndarray:
-        """Noise-free snapshots, one row per workload, with the
-        per-element arithmetic of :meth:`sample_vector`."""
-        n = len(workloads)
-        demand = np.empty(n, dtype=float)
-        cpu_i = np.empty(n, dtype=float)
-        mem_i = np.empty(n, dtype=float)
-        read_f = np.empty(n, dtype=float)
-        io_i = np.empty(n, dtype=float)
-        for r, workload in enumerate(workloads):
-            mix = workload.mix
-            demand[r] = workload.demand_units
-            cpu_i[r] = mix.cpu_intensity
-            mem_i[r] = mix.memory_intensity
-            read_f[r] = mix.read_fraction
-            io_i[r] = mix.io_intensity
+        """Noise-free snapshots, one row per workload."""
+        demand, cpu_i, mem_i, read_f, io_i = np.array(
+            [
+                (
+                    workload.demand_units,
+                    workload.mix.cpu_intensity,
+                    workload.mix.memory_intensity,
+                    workload.mix.read_fraction,
+                    workload.mix.io_intensity,
+                )
+                for workload in workloads
+            ],
+            dtype=float,
+        ).T
         rho = demand / (self._capacity * (1.0 - interferences))
         cpu = np.minimum(100.0, 100.0 * rho * (0.6 + 0.4 * cpu_i))
         mem = np.minimum(100.0, 25.0 + 60.0 * rho * mem_i)

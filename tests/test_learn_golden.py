@@ -9,8 +9,9 @@ demand factor, on counter-mode or legacy telemetry) and hashes:
 * the persisted learned state (``manager_state_to_dict``),
 * the :class:`~repro.core.manager.LearningReport`,
 * the class representatives (clustering indices and workloads),
-* each profiler stream's position after learning (its counter in
-  counter mode; the next collection it would produce, in both modes).
+* each profiler stream's position after learning (a counter stream's
+  pass counter, ``None`` for a sequential stream; the next collection
+  it would produce, for both kinds).
 
 Floats enter the digest through ``repr``/``json``, which round-trip
 exactly, so any change in the last bit of any learned number changes
@@ -32,7 +33,7 @@ from repro.experiments.setup import (
     build_scaleup_setup,
     counter_monitor,
 )
-from repro.telemetry.streams import TelemetryStreams
+from repro.telemetry.streams import CounterStream, TelemetryStreams
 
 KINDS = ("scaleout", "scaleup")
 SEEDS = (0, 6, 11)
@@ -114,7 +115,9 @@ def trained_state_digest(setup) -> str:
             for cluster, workload in manager._class_workloads.items()
         ),
         "draws": [
-            None if sampler.stream is None else sampler.stream.draws
+            sampler.stream.draws
+            if isinstance(sampler.stream, CounterStream)
+            else None
             for sampler in (monitor.hpc, monitor.xentop)
         ],
         "next_collection": monitor.collect_vector(

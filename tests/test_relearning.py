@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.manager import DejaVuConfig
@@ -145,12 +146,37 @@ class TestFailedRelearn:
         before = manager_state_to_dict(manager)
         report = manager.learning_report
         same = setup.trace.workload_at(12 * HOUR)
-        with pytest.raises(ValueError, match="class-correlation"):
+        with pytest.raises(ValueError, match="distinct workloads; the history holds 1"):
             manager.relearn(now=86400.0, workloads=[same] * 24)
         assert manager_state_to_dict(manager) == before
         assert manager.learning_report is report
         assert manager.relearn_count == 0
         assert not manager.relearn_pending
+
+    @pytest.mark.parametrize("copies", [12, 16])
+    def test_repeated_workload_history_is_refused(self, copies):
+        """Copies of one workload differ only by profiler noise; short
+        runs of them used to pass the CFS pre-filter and install noise
+        classes (4 classes from 12 copies, 5 from 16)."""
+        setup = build_scaleout_setup("messenger")
+        twin = build_scaleout_setup("messenger")
+        for built in (setup, twin):
+            built.manager.learn(built.trace.hourly_workloads(day=0))
+        manager = setup.manager
+        before = manager_state_to_dict(manager)
+        same = setup.trace.workload_at(12 * HOUR)
+        with pytest.raises(ValueError, match="the history holds 1"):
+            manager.relearn(now=86400.0, workloads=[same] * copies)
+        with pytest.raises(ValueError, match="k_min = 2"):
+            manager.learn([same] * copies)
+        assert manager_state_to_dict(manager) == before
+        assert manager.relearn_count == 0
+        # Refused before the profiling sweep: no noise was drawn.
+        np.testing.assert_array_equal(
+            manager.profiler.monitor.collect_vector(same),
+            twin.manager.profiler.monitor.collect_vector(same),
+            strict=True,
+        )
 
     def test_failed_auto_relearn_keeps_serving_and_asks_again_later(self):
         config = DejaVuConfig(

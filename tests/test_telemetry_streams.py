@@ -1,25 +1,35 @@
-"""Counter-mode telemetry streams: determinism, vectorization, modes.
+"""Telemetry noise streams: determinism, vectorization, both kinds.
 
 The load-bearing property is *collection invariance*: a lane's
-telemetry noise in counter mode is a pure function of (fleet key, lane
-key, salt, pass counter), so the same numbers come out scalar, batched
-as a matrix row, or inside another process.  Legacy mode must stay
-bit-identical to the pre-stream samplers.
+telemetry noise on a counter stream is a pure function of (fleet key,
+lane key, salt, pass counter), so the same numbers come out scalar,
+batched as a matrix row, or inside another process.  A sequential
+stream must stay bit-identical to the per-sampler
+``numpy.random.Generator.normal`` draws the paper experiments were
+pinned on.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
-from repro.telemetry.counters import HPCSampler
+from repro.telemetry.counters import (
+    HARDWARE_REGISTERS,
+    MULTIPLEX_NOISE_SD,
+    HPCSampler,
+)
+from repro.telemetry.events import TABLE1_EVENTS, event_by_name
 from repro.telemetry.monitor import Monitor
 from repro.telemetry.streams import (
     CounterStream,
+    SequentialStream,
     TelemetryStreams,
     counter_normals,
     normals_block,
 )
-from repro.telemetry.xentop import XentopSampler
+from repro.telemetry.xentop import XENTOP_METRICS, XentopSampler
 from repro.workloads.request_mix import (
     CASSANDRA_UPDATE_HEAVY,
     SPECWEB_SUPPORT,
@@ -96,19 +106,55 @@ class TestCounterStream:
             )
 
 
-class TestSamplerModes:
-    def test_legacy_default_unchanged(self):
-        # No stream given: the sampler behaves exactly as before.
+class TestSamplerStreams:
+    def test_seed_is_shorthand_for_a_sequential_stream(self):
+        # No stream given: the sampler draws from SequentialStream(seed).
+        assert isinstance(HPCSampler(seed=9).stream, SequentialStream)
+        assert isinstance(XentopSampler(seed=9).stream, SequentialStream)
         a = HPCSampler(seed=9).sample(WORKLOADS[0], 10.0)
-        b = HPCSampler(seed=9).sample(WORKLOADS[0], 10.0)
-        assert a["l2_st"].count == b["l2_st"].count
-        assert HPCSampler(seed=9).rng_mode == "legacy"
-        assert XentopSampler(seed=9).rng_mode == "legacy"
+        b = HPCSampler(stream=SequentialStream(9)).sample(WORKLOADS[0], 10.0)
+        assert a == b
+        x = XentopSampler(seed=9).sample(WORKLOADS[0])
+        y = XentopSampler(stream=SequentialStream(9)).sample(WORKLOADS[0])
+        assert x == y
+        assert a != HPCSampler(seed=10).sample(WORKLOADS[0], 10.0)
 
-    def test_counter_mode_flag(self):
+    def test_given_stream_is_kept_and_seed_ignored(self):
         streams = TelemetryStreams(0)
-        assert HPCSampler(stream=streams.stream(0)).rng_mode == "counter"
-        assert XentopSampler(stream=streams.stream(0)).rng_mode == "counter"
+        hpc_stream, xentop_stream = streams.stream(0), streams.stream(0, salt=1)
+        hpc = HPCSampler(seed=5, stream=hpc_stream)
+        xentop = XentopSampler(seed=5, stream=xentop_stream)
+        assert hpc.stream is hpc_stream and xentop.stream is xentop_stream
+        reference = CounterStream(streams.key, 0)
+        np.testing.assert_array_equal(
+            hpc.sample_rates(WORKLOADS[0], 10.0),
+            HPCSampler(stream=reference).sample_rates(WORKLOADS[0], 10.0),
+            strict=True,
+        )
+        assert hpc_stream.draws == reference.draws == 1
+
+    def test_sequential_passes_match_generator_normal(self):
+        # The identity the sequential stream rests on: one pass scaled
+        # by a deviation vector is Generator.normal(0.0, sds), bit for
+        # bit, per pass and per block.
+        sds = np.linspace(0.01, 0.3, 60)
+        for seed in range(20):
+            stream, rng = SequentialStream(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                1.0 + stream.normals(60) * sds,
+                1.0 + rng.normal(0.0, sds),
+                strict=True,
+            )
+            np.testing.assert_array_equal(
+                1.0 + stream.normals_passes(4, 60) * sds,
+                1.0 + rng.normal(0.0, sds, size=(4, 60)),
+                strict=True,
+            )
+
+    def test_normals_block_draws_sequential_streams_in_row_order(self):
+        block = normals_block([SequentialStream(1), SequentialStream(2)], 5)
+        expected = [np.random.default_rng(s).standard_normal(5) for s in (1, 2)]
+        np.testing.assert_array_equal(block, np.stack(expected), strict=True)
 
     def test_counter_dict_and_vector_paths_agree(self):
         streams = TelemetryStreams(3)
@@ -158,7 +204,7 @@ class TestCollectMatrix:
         )
         np.testing.assert_array_equal(matrix, scalar, strict=True)
 
-    def test_legacy_matrix_loops_per_sampler(self):
+    def test_sequential_matrix_matches_scalar_rows(self):
         scalar_monitors = [
             Monitor(
                 hpc=HPCSampler(seed=lane),
@@ -197,12 +243,24 @@ class TestCollectMatrix:
     def test_shape_validation(self):
         streams = TelemetryStreams(0)
         monitor = counter_monitor(streams, 0)
+        pair = [monitor, counter_monitor(streams, 1)]
         with pytest.raises(ValueError, match="workload"):
-            monitor.collect_matrix([])
+            monitor.collect_matrix([], monitors=[])
         with pytest.raises(ValueError, match="monitors"):
             monitor.collect_matrix(WORKLOADS, monitors=[monitor])
         with pytest.raises(ValueError, match="interference"):
-            monitor.collect_matrix(WORKLOADS[:2], [0.1])
+            monitor.collect_matrix(WORKLOADS[:2], [0.1], monitors=pair)
+
+    def test_repeated_monitor_rejected(self):
+        # One block draw reads every row's stream before advancing any,
+        # so a monitor listed twice would get the same noise on both
+        # rows instead of two successive passes.
+        monitor = counter_monitor(TelemetryStreams(1), 0)
+        with pytest.raises(TypeError, match="monitors"):
+            monitor.collect_matrix(WORKLOADS)
+        with pytest.raises(ValueError, match="distinct"):
+            monitor.collect_matrix(WORKLOADS, monitors=[monitor] * 3)
+        assert monitor.hpc.stream.draws == monitor.xentop.stream.draws == 0
 
 
 class TestCollectBlock:
@@ -218,10 +276,10 @@ class TestCollectBlock:
             ]
         )
 
-    @pytest.mark.parametrize("mode", ["counter", "legacy"])
-    def test_block_matches_successive_passes(self, mode):
+    @pytest.mark.parametrize("kind", ["counter", "sequential"])
+    def test_block_matches_successive_passes(self, kind):
         def build():
-            if mode == "counter":
+            if kind == "counter":
                 return counter_monitor(TelemetryStreams(5), 2)
             return Monitor(
                 hpc=HPCSampler(seed=3),
@@ -264,10 +322,190 @@ class TestCollectBlock:
             monitor.collect_block(WORKLOADS, 2)
 
 
+class SequentialReference:
+    """One monitor's readings restated inline: the noise-free formulas
+    plus ``numpy.random.default_rng(seed).normal(0.0, sds)`` per pass,
+    one generator per sampler — the samplers before they held streams.
+    """
+
+    XENTOP_SDS = np.array([0.02, 0.02, 0.03, 0.03, 0.03])
+
+    def __init__(self, events, hpc_seed, xentop_seed, capacity):
+        chosen = [event_by_name(name) for name in events]
+        self.weights = np.array([e.weights for e in chosen], dtype=float)
+        self.baselines = np.array([e.baseline for e in chosen])
+        extra = MULTIPLEX_NOISE_SD if len(chosen) > HARDWARE_REGISTERS else 0.0
+        self.hpc_sds = np.array([e.noise_sd for e in chosen]) + extra
+        self.hpc_rng = np.random.default_rng(hpc_seed)
+        self.xentop_rng = np.random.default_rng(xentop_seed)
+        self.capacity = capacity
+
+    def counts(self, workload, window, interference):
+        activity = np.asarray(workload.mix.activity_vector())
+        rates = (
+            self.baselines
+            + (self.weights * activity).sum(axis=1) * workload.demand_units
+        )
+        if interference > 0:
+            coupling = np.abs(self.weights[:, 1]) / 10.0
+            rates = rates * (1.0 + interference * (0.5 + coupling))
+        noise = self.hpc_rng.normal(0.0, self.hpc_sds)
+        return np.maximum(0.0, rates * (1.0 + noise)) * window
+
+    def xentop(self, workload, interference):
+        mix, demand = workload.mix, workload.demand_units
+        rho = demand / (self.capacity * (1.0 - interference))
+        rx = 80.0 * demand
+        clean = np.array(
+            [
+                min(100.0, 100.0 * rho * (0.6 + 0.4 * mix.cpu_intensity)),
+                min(100.0, 25.0 + 60.0 * rho * mix.memory_intensity),
+                rx,
+                rx * (6.0 + 6.0 * mix.read_fraction),
+                900.0 * demand * (0.3 + 0.7 * mix.io_intensity),
+            ]
+        )
+        noise = self.xentop_rng.normal(0.0, self.XENTOP_SDS)
+        return np.maximum(0.0, clean * (1.0 + noise))
+
+    def vector(self, workload, window, interference):
+        rates = self.counts(workload, window, interference) / window
+        return np.concatenate([rates, self.xentop(workload, interference)])
+
+
+ENTRY_POINTS = (
+    "sample",
+    "sample_rates",
+    "sample_vector",
+    "xentop_sample",
+    "sample_rates_block",
+    "sample_block",
+    "collect_block",
+    "collect_matrix",
+)
+
+_workload = st.builds(
+    Workload,
+    volume=st.floats(20.0, 600.0),
+    mix=st.sampled_from([CASSANDRA_UPDATE_HEAVY, SPECWEB_SUPPORT]),
+)
+_interference = st.sampled_from([0.0, 0.0, 0.15, 0.6])
+_call = st.tuples(
+    st.sampled_from(ENTRY_POINTS),
+    st.integers(0, 2),  # the monitor (collect_matrix: the first row's)
+    st.lists(st.tuples(_workload, _interference), min_size=1, max_size=3),
+    st.integers(1, 3),  # passes per workload (block entry points)
+)
+
+
+class TestSequentialStreamReference:
+    """Every entry point on sequential streams, in any call order, stays
+    bit-identical to the inline per-sampler generator reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        multiplexed=st.booleans(),
+        window=st.sampled_from([1.0, 10.0, 7.5]),
+        calls=st.lists(_call, min_size=1, max_size=6),
+    )
+    def test_matches_inline_generator_reference(
+        self, seed, multiplexed, window, calls
+    ):
+        events = None if multiplexed else list(TABLE1_EVENTS[:HARDWARE_REGISTERS])
+        monitors, refs = [], []
+        for m in range(3):
+            hpc_seed, xentop_seed = seed + 2 * m, seed + 2 * m + 1
+            monitors.append(
+                Monitor(
+                    hpc=HPCSampler(events=events, seed=hpc_seed),
+                    xentop=XentopSampler(capacity_units=10.0, seed=xentop_seed),
+                    window_seconds=window,
+                )
+            )
+            refs.append(
+                SequentialReference(
+                    monitors[m].hpc.monitored, hpc_seed, xentop_seed, 10.0
+                )
+            )
+
+        def same(got, expected):
+            np.testing.assert_array_equal(got, expected, strict=True)
+
+        for entry, m, rows, passes in calls:
+            monitor, ref = monitors[m], refs[m]
+            hpc, xentop = monitor.hpc, monitor.xentop
+            workload, interference = rows[0]
+            workloads = [w for w, _ in rows]
+            if entry == "sample":
+                got = hpc.sample(workload, window, interference=interference)
+                expected = ref.counts(workload, window, interference)
+                same(np.array([got[name].count for name in hpc.monitored]), expected)
+            elif entry == "sample_rates":
+                same(
+                    hpc.sample_rates(workload, window, interference=interference),
+                    ref.counts(workload, window, interference) / window,
+                )
+            elif entry == "sample_vector":
+                same(
+                    xentop.sample_vector(workload, interference=interference),
+                    ref.xentop(workload, interference),
+                )
+            elif entry == "xentop_sample":
+                got = xentop.sample(workload, interference=interference)
+                same(
+                    np.array([got[name] for name in XENTOP_METRICS]),
+                    ref.xentop(workload, interference),
+                )
+            elif entry == "sample_rates_block":
+                same(
+                    hpc.sample_rates_block(workloads, passes, window),
+                    np.stack(
+                        [
+                            ref.counts(w, window, 0.0) / window
+                            for w in workloads
+                            for _ in range(passes)
+                        ]
+                    ),
+                )
+            elif entry == "sample_block":
+                same(
+                    xentop.sample_block(workloads, passes),
+                    np.stack(
+                        [ref.xentop(w, 0.0) for w in workloads for _ in range(passes)]
+                    ),
+                )
+            elif entry == "collect_block":
+                same(
+                    monitor.collect_block(workloads, passes),
+                    np.stack(
+                        [
+                            ref.vector(w, window, 0.0)
+                            for w in workloads
+                            for _ in range(passes)
+                        ]
+                    ),
+                )
+            else:
+                order = [(m + r) % 3 for r in range(len(rows))]
+                same(
+                    monitor.collect_matrix(
+                        workloads,
+                        [i for _, i in rows],
+                        monitors=[monitors[k] for k in order],
+                    ),
+                    np.stack(
+                        [
+                            refs[k].vector(w, window, i)
+                            for k, (w, i) in zip(order, rows)
+                        ]
+                    ),
+                )
+
+
 class TestFleetRngEquivalence:
-    """The tentpole pins: legacy batched == scalar stays bit-identical,
-    and counter scalar == batched == sharded (test_fleet_shard.py pins
-    the sharded leg)."""
+    """Counter-stream fleets: scalar == batched == sharded, bit for bit
+    (test_fleet_shard.py pins the sharded leg)."""
 
     def assert_same_fleet(self, a, b):
         assert a.result.series_names() == b.result.series_names()
