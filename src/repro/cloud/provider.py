@@ -225,15 +225,6 @@ class CloudProvider:
             return base + total_pending
         return base + sum(units for ready_at, units in pending if t >= ready_at)
 
-    def projected_capacity(self, at_time: float) -> float:
-        """Capacity that will be serving at ``at_time``, without side effects.
-
-        Unlike :meth:`serving_capacity` this neither advances billing nor
-        mutates VM state — controllers use it to ask "once warm-up
-        finishes, what will production look like?" mid-step.
-        """
-        return self.capacity_at(at_time)
-
     def serving_count(self, now: float) -> int:
         """Number of VMs serving at ``now``."""
         self.tick(now)

@@ -9,30 +9,24 @@ the shared state is consulted once per batch: a
 standardizer, classifier, clustering, novelty geometry) and classifies
 an ``(n_lanes, n_features)`` signature matrix in one pass.
 
-Exactness contract
-------------------
-Every row of :meth:`BatchClassifier.classify_matrix` is **bit-identical**
-to what :meth:`repro.core.manager.DejaVuManager.classify` computes for
-that signature, because each stage reuses the scalar path's arithmetic:
+Row independence
+----------------
+Row ``i`` of :meth:`BatchClassifier.classify_matrix` depends on row
+``i`` of the input alone: it is bit-identical to classifying that row
+as a one-row matrix.  One lane's adaptation
+(:meth:`repro.core.manager.DejaVuManager.classify`) is exactly that
+one-row case, so a signature gets the same decision whether it is
+classified alone or inside a wave of any size:
 
-* standardization is the same elementwise ``(x - mean) / scale``;
-* classification goes through the classifier's ``predict_batch``
-  (each implementation documents its per-row bit-equivalence) or the
-  row-by-row :func:`repro.core.classifiers.predict_rows` fallback;
+* standardization is the elementwise ``(x - mean) / scale``;
+* each classifier's ``predict_batch`` computes every row's label and
+  confidence from that row only;
 * novelty *thresholds* depend only on the trained model, so they are
-  precomputed per class with the scalar expressions; novelty
-  *distances* are ``sqrt(d.dot(d))`` on each row ``d`` of
-  ``Xz - centroids[labels]`` — exactly what ``np.linalg.norm`` (which
-  :meth:`~repro.core.clustering.ClusteringModel.distance_to_centroid`
-  calls) computes for a 1-D float array, without its per-call
-  wrapper.  A broadcast ``axis=`` norm would not reproduce that BLAS
-  dot bit for bit.
-
-The batched repository side lives on
-:meth:`repro.core.repository.AllocationRepository.lookup_batch`, which
-resolves one adaptation wave's entries keyed by class label while
-charging hit/miss statistics exactly as the equivalent scalar lookups
-would.
+  precomputed per class; novelty *distances* are ``sqrt(d.dot(d))``
+  on each row ``d`` of ``Xz - centroids[labels]`` (what
+  ``np.linalg.norm`` computes for a 1-D float array).  A broadcast
+  ``axis=`` norm sums in another order and would move the last bit of
+  distances that the golden digests pin.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.classifiers import Classifier, predict_matrix
+from repro.core.classifiers import Classifier
 from repro.core.clustering import ClusteringModel
 from repro.core.signature import SignatureSchema, Standardizer
 
@@ -57,9 +51,6 @@ def novelty_threshold(
     The in-class radius scaled by the configured factor, floored at
     half the distance to the nearest other centroid so degenerate
     single-member clusters (radius 0) still accept their neighbourhood.
-    Shared by the scalar classify path
-    (:meth:`repro.core.manager.DejaVuManager.classify`) and the batched
-    one, so the two cannot drift apart.
     """
     radius = float(novelty_radii[label])
     centroid_dists = np.linalg.norm(
@@ -125,7 +116,7 @@ class BatchClassifier:
         self.clustering = clustering
         self.novelty_certainty = float(novelty_certainty)
         # Per-class novelty thresholds depend only on the trained model;
-        # precompute them once with the shared scalar expression.
+        # precompute them once.
         self.novelty_thresholds = np.array(
             [
                 novelty_threshold(
@@ -152,7 +143,7 @@ class BatchClassifier:
                 f"{self.schema.n_metrics}-metric schema"
             )
         Xz = self.standardizer.transform(X_raw)
-        prediction = predict_matrix(self.classifier, Xz)
+        prediction = self.classifier.predict_batch(Xz)
         labels = prediction.labels
         # Row-wise distances with np.linalg.norm's own 1-D arithmetic
         # (a BLAS dot, then sqrt); an axis= norm is not bit-identical.

@@ -8,13 +8,7 @@ implemented here from scratch, plus the nearest-centroid classifier used
 as an ablation baseline.
 """
 
-from repro.core.classifiers.base import (
-    BatchPrediction,
-    Classifier,
-    Prediction,
-    predict_matrix,
-    predict_rows,
-)
+from repro.core.classifiers.base import BatchPrediction, Classifier
 from repro.core.classifiers.decision_tree import C45DecisionTree
 from repro.core.classifiers.naive_bayes import GaussianNaiveBayes
 from repro.core.classifiers.nearest_centroid import NearestCentroid
@@ -22,9 +16,6 @@ from repro.core.classifiers.nearest_centroid import NearestCentroid
 __all__ = [
     "BatchPrediction",
     "Classifier",
-    "Prediction",
-    "predict_matrix",
-    "predict_rows",
     "C45DecisionTree",
     "GaussianNaiveBayes",
     "NearestCentroid",

@@ -16,25 +16,12 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """A classified workload."""
-
-    label: int
-    confidence: float
-    """Posterior probability of the predicted class, in [0, 1]."""
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
-
-
-@dataclass(frozen=True)
 class BatchPrediction:
     """Classifications of a whole signature matrix at once.
 
-    The batched fleet control plane classifies every lane of a group in
-    one call; ``labels[i]`` / ``confidences[i]`` must be bit-identical
-    to what :meth:`Classifier.predict` would return for row ``i``.
+    ``labels[i]`` / ``confidences[i]`` depend on row ``i`` alone: they
+    are bit-identical to classifying that row as a one-row matrix, so
+    one signature is classified as the one-row case of a batch.
     """
 
     labels: np.ndarray
@@ -55,11 +42,6 @@ class BatchPrediction:
     def n_samples(self) -> int:
         return int(self.labels.size)
 
-    def __getitem__(self, i: int) -> Prediction:
-        return Prediction(
-            label=int(self.labels[i]), confidence=float(self.confidences[i])
-        )
-
 
 @runtime_checkable
 class Classifier(Protocol):
@@ -69,33 +51,9 @@ class Classifier(Protocol):
         """Train on signatures ``X`` with cluster labels ``y``."""
         ...
 
-    def predict(self, x: np.ndarray) -> Prediction:
-        """Classify one signature vector."""
+    def predict_batch(self, X: np.ndarray) -> BatchPrediction:
+        """Classify every row of a signature matrix."""
         ...
-
-
-def predict_rows(classifier: Classifier, X: np.ndarray) -> BatchPrediction:
-    """Row-by-row fallback for classifiers without a ``predict_batch``.
-
-    Guarantees the batched path stays available (and exactly equivalent)
-    for any custom :class:`Classifier` implementation.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    predictions = [classifier.predict(x) for x in X]
-    return BatchPrediction(
-        labels=np.array([p.label for p in predictions], dtype=int),
-        confidences=np.array([p.confidence for p in predictions]),
-    )
-
-
-def predict_matrix(classifier: Classifier, X: np.ndarray) -> BatchPrediction:
-    """Classify a matrix with ``predict_batch`` when available."""
-    batch = getattr(classifier, "predict_batch", None)
-    if batch is not None:
-        return batch(X)
-    return predict_rows(classifier, X)
 
 
 def validate_training_set(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

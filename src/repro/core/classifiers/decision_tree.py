@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.classifiers.base import (
-    BatchPrediction,
-    Prediction,
-    validate_training_set,
-)
+from repro.core.classifiers.base import BatchPrediction, validate_training_set
 from repro.core.grouping import group_sums
 
 
@@ -159,31 +155,13 @@ class C45DecisionTree:
         threshold = (values[idx, feature] + values[idx + 1, feature]) / 2.0
         return feature, float(threshold)
 
-    def _leaf_for(self, x: np.ndarray) -> _Node:
-        if self._root is None:
-            raise RuntimeError("tree used before fit")
-        node = self._root
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
-    def predict(self, x: np.ndarray) -> Prediction:
-        x = np.asarray(x, dtype=float).ravel()
-        leaf = self._leaf_for(x)
-        # Laplace-smoothed leaf distribution (as in C4.5 release 8).
-        smoothed = leaf.class_counts + 1.0
-        probs = smoothed / smoothed.sum()
-        label = int(np.argmax(probs))
-        return Prediction(label=label, confidence=float(probs[label]))
-
     def predict_batch(self, X: np.ndarray) -> BatchPrediction:
         """Route a whole signature matrix through the tree at once.
 
-        Rows are partitioned level by level with boolean masks — the
-        same ``x[feature] <= threshold`` comparisons :meth:`predict`
-        makes, so each row's (label, confidence) is bit-identical to a
-        scalar call.
+        Rows are partitioned level by level with boolean masks on
+        ``x[feature] <= threshold``; each leaf's Laplace-smoothed class
+        distribution (as in C4.5 release 8) gives its rows' label and
+        confidence.
         """
         if self._root is None:
             raise RuntimeError("tree used before fit")

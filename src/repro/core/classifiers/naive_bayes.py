@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.classifiers.base import (
-    BatchPrediction,
-    Prediction,
-    validate_training_set,
-)
+from repro.core.classifiers.base import BatchPrediction, validate_training_set
 
 
 class GaussianNaiveBayes:
@@ -57,31 +53,12 @@ class GaussianNaiveBayes:
         self._log_priors = np.log(priors)
         return self
 
-    def predict(self, x: np.ndarray) -> Prediction:
-        if self._means is None:
-            raise RuntimeError("classifier used before fit")
-        x = np.asarray(x, dtype=float).ravel()
-        log_likelihood = -0.5 * np.sum(
-            np.log(2.0 * np.pi * self._vars)
-            + (x - self._means) ** 2 / self._vars,
-            axis=1,
-        )
-        log_posterior = log_likelihood + self._log_priors
-        # Normalize in log space for a proper posterior.
-        log_posterior -= log_posterior.max()
-        posterior = np.exp(log_posterior)
-        posterior /= posterior.sum()
-        best = int(np.argmax(posterior))
-        return Prediction(
-            label=int(self._classes[best]), confidence=float(posterior[best])
-        )
-
     def predict_batch(self, X: np.ndarray) -> BatchPrediction:
         """Classify a signature matrix in one broadcast pass.
 
-        The per-row log-likelihood sum reduces over the contiguous last
-        axis exactly as :meth:`predict`'s ``axis=1`` reduction does, so
-        every row's result is bit-identical to a scalar call.
+        The posterior is normalized in log space per row; each row's
+        log-likelihood sum reduces over the contiguous last axis, so a
+        row's result does not depend on the other rows.
         """
         if self._means is None:
             raise RuntimeError("classifier used before fit")

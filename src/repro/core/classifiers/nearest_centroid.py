@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.classifiers.base import (
-    BatchPrediction,
-    Prediction,
-    validate_training_set,
-)
+from repro.core.classifiers.base import BatchPrediction, validate_training_set
 
 
 class NearestCentroid:
@@ -42,26 +38,12 @@ class NearestCentroid:
         )
         return self
 
-    def predict(self, x: np.ndarray) -> Prediction:
-        if self._centroids is None:
-            raise RuntimeError("classifier used before fit")
-        x = np.asarray(x, dtype=float).ravel()
-        distances = np.linalg.norm(self._centroids - x, axis=1)
-        logits = -distances / self._temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        best = int(np.argmin(distances))
-        return Prediction(
-            label=int(self._classes[best]), confidence=float(probs[best])
-        )
-
     def predict_batch(self, X: np.ndarray) -> BatchPrediction:
         """Classify a signature matrix in one broadcast pass.
 
         The broadcast ``norm(..., axis=2)`` reduces each (row, centroid)
-        pair over the contiguous last axis exactly as :meth:`predict`'s
-        ``axis=1`` norm does, so results are bit-identical per row.
+        pair over the contiguous last axis, so a row's result does not
+        depend on the other rows.
         """
         if self._centroids is None:
             raise RuntimeError("classifier used before fit")

@@ -290,11 +290,6 @@ class ClusteringModel:
         x = np.asarray(x, dtype=float)
         return int(np.argmin(np.linalg.norm(self.centroids - x, axis=1)))
 
-    def distance_to_centroid(self, x: np.ndarray, cluster: int) -> float:
-        if not 0 <= cluster < self.n_classes:
-            raise ValueError(f"no cluster {cluster}")
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.centroids[cluster]))
-
 
 def auto_cluster(
     X: np.ndarray,

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.cloud.instance_types import InstanceType
 from repro.cloud.provider import Allocation
-from repro.core.batch import BatchClassifier, novelty_threshold
+from repro.core.batch import BatchClassifier
 from repro.core.classifiers import C45DecisionTree, Classifier
 from repro.core.clustering import ClusteringModel, auto_cluster
 from repro.core.feature_selection import CfsSubsetSelector
@@ -344,8 +344,9 @@ class DejaVuManager:
         self.pending_deployment: _PendingDeployment | None = None
         self._pending_wait = 0.0
         self._pending_grant: ProfilingGrant | None = None
-        self._batch_classifier: BatchClassifier | None = None
-        self._schema_columns: np.ndarray | None = None
+        # (model objects, novelty settings, BatchClassifier, signature
+        # columns): valid while the first two are unchanged.
+        self._batch_cache: tuple | None = None
         # Relearn gating: a re-learned model computed while its learning
         # sweep is still queued is *staged* — the old model keeps
         # serving until the burst's last grant finishes.
@@ -472,10 +473,6 @@ class DejaVuManager:
         self.learning_report = report
         self.relearn_requested = False
         self._consecutive_misses = 0
-        # Re-learning produces a new model: any cached batched-path
-        # state built on the old clustering is invalid.
-        self._batch_classifier = None
-        self._schema_columns = None
         return report
 
     def adopt_trained_state(self, leader: "DejaVuManager") -> None:
@@ -508,8 +505,6 @@ class DejaVuManager:
         self._novelty_radii = np.array(leader._novelty_radii, copy=True)
         self._class_workloads = dict(leader._class_workloads)
         self.learning_report = leader.learning_report
-        self._batch_classifier = None
-        self._schema_columns = None
         self._repository_fleet_shared = True
         leader._repository_fleet_shared = True
 
@@ -742,30 +737,26 @@ class DejaVuManager:
     def classify(self, workload: Workload) -> tuple[int, float, np.ndarray]:
         """Collect a signature and classify it.
 
+        One lane's adaptation is the one-row case of the batched wave:
+        a one-row :meth:`~repro.telemetry.monitor.Monitor.collect_matrix`
+        pass, sliced to the schema and classified by
+        :meth:`batch_classifier`.
+
         Returns
         -------
         (label, certainty, signature_z):
             Certainty combines the classifier's posterior confidence
             with a novelty check against the assigned cluster's radius.
         """
-        if self.schema is None or self.classifier is None or self.clustering is None:
-            raise RuntimeError("DejaVu used online before learning")
-        metrics = self.profiler.collect_metrics(workload)
-        x = self.schema.vector_from(metrics)
-        xz = self.standardizer.transform(x[None, :])[0]
-        prediction = self.classifier.predict(xz)
-        threshold = novelty_threshold(
-            self.clustering,
-            self._novelty_radii,
-            prediction.label,
-            self.config.novelty_radius_factor,
+        _model, _novelty, batch, columns = self._batch_state()
+        monitor = self.profiler.monitor
+        X = monitor.collect_matrix([workload], monitors=[monitor])
+        result = batch.classify_matrix(X[:, columns])
+        return (
+            int(result.labels[0]),
+            float(result.certainties[0]),
+            result.signatures_z[0],
         )
-        distance = self.clustering.distance_to_centroid(xz, prediction.label)
-        if distance > threshold:
-            certainty = min(prediction.confidence, self.config.novelty_certainty)
-        else:
-            certainty = prediction.confidence
-        return prediction.label, certainty, xz
 
     def relearn(self, now: float, workloads: list[Workload] | None = None) -> LearningReport:
         """Re-run clustering and tuning on recent workloads (Sec. 3.5).
@@ -845,8 +836,6 @@ class DejaVuManager:
         "_novelty_radii",
         "_class_workloads",
         "learning_report",
-        "_batch_classifier",
-        "_schema_columns",
     )
 
     def _capture_model_state(self) -> dict:
@@ -983,10 +972,9 @@ class DejaVuManager:
         """Everything after classification: lookup, deploy, escalate.
 
         Shared by the scalar path (:meth:`adapt`) and the batched fleet
-        path (:meth:`complete_batched_adapt`).  ``prefetched`` carries a
-        batched repository lookup's result for this lane — the batched
-        path has already charged the hit/miss statistics via
-        :meth:`~repro.core.repository.AllocationRepository.lookup_batch`.
+        path (:meth:`complete_batched_adapt`).  ``prefetched`` carries
+        the batched wave's repository lookup for this lane, whose
+        hit/miss statistics the wave has already charged.
         """
         hit = certainty >= self.config.certainty_threshold
         if hit:
@@ -1086,7 +1074,7 @@ class DejaVuManager:
         service = self.production.service
         for _attempt in range(self.estimator.n_bands - 1):
             check_t = t + self.config.settle_delay_seconds
-            capacity = self.production.provider.projected_capacity(check_t)
+            capacity = self.production.provider.capacity_at(check_t)
             if capacity <= 0:
                 break
             prod = service.performance(
@@ -1165,10 +1153,44 @@ class DejaVuManager:
 
     def batch_classifier(self) -> BatchClassifier:
         """The cached vectorized classify path over this trained model."""
+        return self._batch_state()[2]
+
+    def signature_columns(self) -> np.ndarray:
+        """Schema metric positions within the monitor's full vector:
+        ``matrix[:, columns]`` slices collected metric rows down to
+        signatures."""
+        return self._batch_state()[3]
+
+    def _batch_state(self) -> tuple:
+        """The batched-path cache, rebuilt on access when the model
+        objects (by identity) or the novelty settings (by equality) it
+        was built from have changed: a re-learn, an adopted, staged or
+        restored model, or a replaced ``config``."""
         if not self.is_trained:
             raise RuntimeError("DejaVu used online before learning")
-        if self._batch_classifier is None:
-            self._batch_classifier = BatchClassifier(
+        model = (
+            self.schema,
+            self.standardizer,
+            self.classifier,
+            self.clustering,
+            self._novelty_radii,
+        )
+        novelty = (
+            self.config.novelty_radius_factor,
+            self.config.novelty_certainty,
+        )
+        cache = self._batch_cache
+        if (
+            cache is None
+            or cache[1] != novelty
+            or any(new is not old for new, old in zip(model, cache[0]))
+        ):
+            names = self.profiler.monitor.metric_names()
+            columns = np.array(
+                [names.index(name) for name in self.schema.metric_names],
+                dtype=int,
+            )
+            batch = BatchClassifier(
                 schema=self.schema,
                 standardizer=self.standardizer,
                 classifier=self.classifier,
@@ -1177,19 +1199,8 @@ class DejaVuManager:
                 novelty_radius_factor=self.config.novelty_radius_factor,
                 novelty_certainty=self.config.novelty_certainty,
             )
-        return self._batch_classifier
-
-    def signature_columns(self) -> np.ndarray:
-        """Schema metric positions within the monitor's full vector:
-        ``matrix[:, columns]`` slices collected metric rows down to
-        signatures."""
-        if self._schema_columns is None:
-            names = self.profiler.monitor.metric_names()
-            self._schema_columns = np.array(
-                [names.index(name) for name in self.schema.metric_names],
-                dtype=int,
-            )
-        return self._schema_columns
+            cache = self._batch_cache = (model, novelty, batch, columns)
+        return cache
 
     def begin_batched_adapt(self, t: float, workload: Workload) -> bool:
         """Phase 1a of a batched adaptation: the gate, without collection.

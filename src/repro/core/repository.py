@@ -92,35 +92,6 @@ class AllocationRepository:
             self.stats.hits += 1
         return entry
 
-    def lookup_batch(
-        self, workload_classes, interference_band: int = 0
-    ) -> list[RepositoryEntry | None]:
-        """One cache lookup per requested class, charged in bulk.
-
-        The batched fleet control plane resolves a whole adaptation
-        wave's entries with one pass: the entry dictionary is consulted
-        once per *unique* class label, while hit/miss statistics are
-        charged once per *requested* label — exactly what the same
-        sequence of scalar :meth:`lookup` calls would record.
-        """
-        resolved: dict[int, RepositoryEntry | None] = {}
-        entries: list[RepositoryEntry | None] = []
-        for workload_class in workload_classes:
-            key = int(workload_class)
-            if key not in resolved:
-                resolved[key] = self._entries.get((key, interference_band))
-            entry = resolved[key]
-            if entry is None:
-                self.stats.misses += 1
-                missed = (key, interference_band)
-                self.stats.missed_keys[missed] = (
-                    self.stats.missed_keys.get(missed, 0) + 1
-                )
-            else:
-                self.stats.hits += 1
-            entries.append(entry)
-        return entries
-
     def contains(self, workload_class: int, interference_band: int = 0) -> bool:
         """Presence check without touching hit/miss statistics."""
         return (workload_class, interference_band) in self._entries

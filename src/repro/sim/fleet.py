@@ -1188,7 +1188,7 @@ class FleetEngine:
     ) -> None:
         """Prefetch band-0 entries for the group's certain rows.
 
-        Serial: ``lookup_batch`` accumulates repository statistics, and
+        Serial: each ``lookup`` charges repository statistics, and
         repositories may be shared across groups.
         """
         table = self._table
@@ -1198,8 +1198,8 @@ class FleetEngine:
         hits = np.flatnonzero(
             result.certainties >= table.threshold[rows]
         ).tolist()
-        entries = leader.repository.lookup_batch([labels[j] for j in hits], 0)
-        entry_for = dict(zip(hits, entries))
+        lookup = leader.repository.lookup
+        entry_for = {j: lookup(labels[j], 0) for j in hits}
         for j, k in enumerate(rows):
             finish[k] = (labels[j], certainties[j], entry_for.get(j))
 

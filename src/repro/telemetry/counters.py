@@ -121,7 +121,13 @@ class HPCSampler:
         inflates memory-system events and adds variance — the reason the
         paper profiles on a clone rather than in place (Sec. 3.2.2).
         """
-        counts = self._sample_counts(workload, duration_seconds, interference)
+        _check_window(duration_seconds)
+        if not 0.0 <= interference < 1.0:
+            raise ValueError(f"interference out of [0,1): {interference}")
+        # The one-row case of sample_rates_matrix (one noise pass).
+        rates = self._clean_rates([workload], np.array([interference]))[0]
+        noise = self._stream.normals(len(self._events)) * self._sds_total
+        counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
         return {
             event.name: CounterReading(
                 event=event.name,
@@ -130,35 +136,6 @@ class HPCSampler:
             )
             for event, count in zip(self._events, counts.tolist())
         }
-
-    def sample_rates(
-        self,
-        workload: Workload,
-        duration_seconds: float,
-        *,
-        interference: float = 0.0,
-    ) -> np.ndarray:
-        """One sampling window as a time-normalized rate vector.
-
-        Identical to :meth:`sample` — same noise consumption, same values
-        — but returned as one array in :attr:`monitored` order instead
-        of per-event :class:`CounterReading` objects.  This is the
-        batched control plane's signature-collection hot path.
-        """
-        counts = self._sample_counts(workload, duration_seconds, interference)
-        return counts / duration_seconds
-
-    def _sample_counts(
-        self, workload: Workload, duration_seconds: float, interference: float
-    ) -> np.ndarray:
-        """Counts for one window: the one-row case of
-        :meth:`sample_rates_matrix` (one noise pass)."""
-        _check_window(duration_seconds)
-        if not 0.0 <= interference < 1.0:
-            raise ValueError(f"interference out of [0,1): {interference}")
-        rates = self._clean_rates([workload], np.array([interference]))[0]
-        noise = self._stream.normals(len(self._events)) * self._sds_total
-        return np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
 
     @staticmethod
     def sample_rates_matrix(
@@ -169,12 +146,12 @@ class HPCSampler:
     ) -> np.ndarray:
         """All lanes' rate vectors in one vectorized pass.
 
-        Row ``r`` is bit-identical to
-        ``samplers[r].sample_rates(workloads[r], duration_seconds,
-        interference=interferences[r])``: the scalar path is this
-        arithmetic's one-row case, and each row draws its sampler's next
-        noise pass.  Requires samplers with one kind of stream and
-        identical event constants (the caller groups by
+        Row ``r`` holds the rates of
+        ``samplers[r].sample(workloads[r], duration_seconds,
+        interference=interferences[r])``, bit for bit: the scalar path
+        is this arithmetic's one-row case, and each row draws its
+        sampler's next noise pass.  Requires samplers with one kind of
+        stream and identical event constants (the caller groups by
         :meth:`Monitor.batch_key`).
         """
         lead = samplers[0]
@@ -195,7 +172,7 @@ class HPCSampler:
         Returns ``(len(workloads) * passes, n_events)`` rows, workload
         -major: row ``i * passes + p`` is bit-identical to the
         ``(i * passes + p)``-th of that many successive
-        :meth:`sample_rates` calls (``interference=0``), and the noise
+        :meth:`sample` calls' rates (``interference=0``), and the noise
         stream ends where those calls would leave it (one pass per
         row).
         """

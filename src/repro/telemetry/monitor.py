@@ -92,31 +92,6 @@ class Monitor:
         metrics.update(self.xentop.sample(workload, interference=interference))
         return metrics
 
-    def collect_vector(
-        self,
-        workload: Workload,
-        *,
-        interference: float = 0.0,
-        window_seconds: float | None = None,
-    ) -> "np.ndarray":
-        """One monitoring pass as an array in :meth:`metric_names` order.
-
-        Consumes the samplers' noise streams exactly as :meth:`collect`
-        does and produces the same values, but skips the per-metric
-        dictionary — the batched fleet control plane stacks these rows
-        straight into an ``(n_lanes, n_metrics)`` signature matrix.
-        """
-        window = self.window_seconds if window_seconds is None else window_seconds
-        if window <= 0:
-            raise ValueError(f"window must be positive: {window}")
-        hpc_rates = self.hpc.sample_rates(
-            workload, window, interference=interference
-        )
-        xentop_values = self.xentop.sample_vector(
-            workload, interference=interference
-        )
-        return np.concatenate([hpc_rates, xentop_values])
-
     def collect_matrix(
         self,
         workloads: list[Workload],
@@ -129,10 +104,11 @@ class Monitor:
         matrix.
 
         Row ``r`` is the collection of ``workloads[r]`` by
-        ``monitors[r]`` and is bit-identical to that monitor's
-        :meth:`collect_vector` — same values, same stream consumption.
-        Under counter streams the whole block is produced in one
-        vectorized pass (the fleet engine's prepare phase).
+        ``monitors[r]``: that monitor's :meth:`collect` in
+        :meth:`metric_names` order, bit for bit, with the same stream
+        consumption.  A one-row matrix is one lane's collection; under
+        counter streams the whole block is produced in one vectorized
+        pass (the fleet engine's prepare phase).
 
         All row monitors must share this monitor's :meth:`batch_key`
         (identical metric constants; only noise streams differ), and no
@@ -186,7 +162,7 @@ class Monitor:
 
         Rows are workload-major and in :meth:`metric_names` order: row
         ``i * passes + p`` is bit-identical to the matching one of that
-        many successive ``collect_vector(workloads[i])`` calls, and
+        many successive ``collect(workloads[i])`` calls, and
         each sampler's noise stream ends where those calls would leave
         it (one pass per row).  This is the learning day's profiling
         sweep in one pass.

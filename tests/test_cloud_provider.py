@@ -132,14 +132,14 @@ class TestProjectedCapacity:
     def test_projection_does_not_mutate(self):
         provider = CloudProvider(max_instances=10)
         provider.apply(Allocation(count=3, itype=LARGE), now=0.0)
-        assert provider.projected_capacity(at_time=100.0) == pytest.approx(3.0)
+        assert provider.capacity_at(100.0) == pytest.approx(3.0)
         # Billing was not advanced by the projection.
         assert provider.meter.total_dollars == 0.0
 
     def test_projection_respects_warmup(self):
         provider = CloudProvider(max_instances=10)
         provider.apply(Allocation(count=3, itype=LARGE), now=0.0)
-        assert provider.projected_capacity(at_time=0.0) == 0.0
+        assert provider.capacity_at(0.0) == 0.0
 
     def test_full_capacity_helper(self):
         provider = CloudProvider(max_instances=7)

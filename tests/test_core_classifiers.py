@@ -7,7 +7,6 @@ from repro.core.classifiers import (
     C45DecisionTree,
     GaussianNaiveBayes,
     NearestCentroid,
-    Prediction,
 )
 from repro.core.classifiers.decision_tree import entropy
 
@@ -23,10 +22,10 @@ def three_class_data(seed=0, n=30, spread=0.3):
 ALL_CLASSIFIERS = [C45DecisionTree, GaussianNaiveBayes, NearestCentroid]
 
 
-class TestPrediction:
-    def test_confidence_range_enforced(self):
-        with pytest.raises(ValueError):
-            Prediction(label=0, confidence=1.5)
+def predict_one(model, x):
+    """One signature's (label, confidence), classified as a one-row matrix."""
+    batch = model.predict_batch(np.asarray(x, dtype=float)[None, :])
+    return int(batch.labels[0]), float(batch.confidences[0])
 
 
 class TestEntropy:
@@ -45,28 +44,28 @@ class TestAllClassifiers:
     def test_classifies_training_points(self, classifier_cls):
         X, y = three_class_data()
         model = classifier_cls().fit(X, y)
-        correct = sum(model.predict(x).label == label for x, label in zip(X, y))
+        correct = np.count_nonzero(model.predict_batch(X).labels == y)
         assert correct / len(y) > 0.95
 
     def test_generalizes_to_nearby_points(self, classifier_cls):
         X, y = three_class_data()
         model = classifier_cls().fit(X, y)
-        assert model.predict(np.array([5.2, 0.1])).label == 1
+        assert predict_one(model, [5.2, 0.1])[0] == 1
 
     def test_confidence_in_unit_interval(self, classifier_cls):
         X, y = three_class_data()
         model = classifier_cls().fit(X, y)
-        prediction = model.predict(X[0])
-        assert 0.0 <= prediction.confidence <= 1.0
+        confidences = model.predict_batch(X).confidences
+        assert np.all((confidences >= 0.0) & (confidences <= 1.0))
 
     def test_confident_on_clean_data(self, classifier_cls):
         X, y = three_class_data(spread=0.1)
         model = classifier_cls().fit(X, y)
-        assert model.predict(X[0]).confidence > 0.6
+        assert predict_one(model, X[0])[1] > 0.6
 
     def test_predict_before_fit_rejected(self, classifier_cls):
         with pytest.raises(RuntimeError):
-            classifier_cls().predict(np.zeros(2))
+            classifier_cls().predict_batch(np.zeros((1, 2)))
 
     def test_empty_training_set_rejected(self, classifier_cls):
         with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ class TestC45Specifics:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 0, 1])
         tree = C45DecisionTree(max_depth=1, min_samples_leaf=1).fit(X, y)
-        assert tree.predict(np.array([0.5])).label in (0, 1)
+        assert predict_one(tree, [0.5])[0] in (0, 1)
 
     def test_lower_confidence_on_small_leaves(self):
         # Laplace smoothing: a 3-sample pure leaf (trials=3 per
@@ -103,7 +102,7 @@ class TestC45Specifics:
         X = np.repeat(np.arange(4.0)[:, None], 3, axis=0)
         y = np.repeat([0, 1, 2, 3], 3)
         tree = C45DecisionTree().fit(X, y)
-        assert tree.predict(np.array([0.0])).confidence == pytest.approx(4 / 7)
+        assert predict_one(tree, [0.0])[1] == pytest.approx(4 / 7)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +116,7 @@ class TestNaiveBayesSpecifics:
         X = np.array([[1.0, 2.0]] * 5 + [[3.0, 4.0]] * 5)
         y = np.repeat([0, 1], 5)
         model = GaussianNaiveBayes().fit(X, y)
-        assert model.predict(np.array([1.0, 2.0])).label == 0
+        assert predict_one(model, [1.0, 2.0])[0] == 0
 
     def test_bad_floor_rejected(self):
         with pytest.raises(ValueError):
@@ -128,8 +127,8 @@ class TestNearestCentroidSpecifics:
     def test_confidence_decays_with_distance(self):
         X, y = three_class_data(spread=0.1)
         model = NearestCentroid().fit(X, y)
-        near = model.predict(np.array([0.0, 0.0])).confidence
-        far = model.predict(np.array([2.4, 0.0])).confidence
+        near = predict_one(model, [0.0, 0.0])[1]
+        far = predict_one(model, [2.4, 0.0])[1]
         assert near > far
 
     def test_bad_temperature_rejected(self):

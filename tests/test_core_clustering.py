@@ -130,12 +130,6 @@ class TestAutoCluster:
         label_far = model.assign(np.array([9.5, 9.5]))
         assert label_origin != label_far
 
-    def test_distance_to_centroid_bad_cluster(self):
-        X = blobs([(0, 0), (10, 10)], 10, 0.3)
-        model = auto_cluster(X, k_min=2, k_max=3)
-        with pytest.raises(ValueError):
-            model.distance_to_centroid(np.zeros(2), 99)
-
     def test_fixed_k(self):
         X = blobs([(0, 0), (10, 0), (0, 10)], 8, 0.3)
         model = auto_cluster(X, k_min=2, k_max=2)

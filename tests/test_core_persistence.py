@@ -79,11 +79,10 @@ class TestClassifierRoundTrip:
         X, y = three_class_data()
         model = classifier_cls().fit(X, y)
         restored = classifier_from_dict(classifier_to_dict(model))
-        for x in X[::7]:
-            original = model.predict(x)
-            copy = restored.predict(x)
-            assert original.label == copy.label
-            assert original.confidence == pytest.approx(copy.confidence)
+        original = model.predict_batch(X[::7])
+        copy = restored.predict_batch(X[::7])
+        np.testing.assert_array_equal(original.labels, copy.labels)
+        np.testing.assert_allclose(original.confidences, copy.confidences)
 
     def test_unfit_rejected(self, classifier_cls):
         with pytest.raises(ValueError):

@@ -119,7 +119,7 @@ def test_precheck_passes_exactly_the_lanes_the_scalar_check_stops_on(
             manager = self._table.controllers[k]
             check_t = t + manager.config.settle_delay_seconds
             production = manager.production
-            capacity = production.provider.projected_capacity(check_t)
+            capacity = production.provider.capacity_at(check_t)
             service = production.service
             expected = capacity <= 0 or service.slo_met(
                 service.performance(

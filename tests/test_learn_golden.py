@@ -120,9 +120,9 @@ def trained_state_digest(setup) -> str:
             else None
             for sampler in (monitor.hpc, monitor.xentop)
         ],
-        "next_collection": monitor.collect_vector(
-            setup.trace.workload_at(0.0)
-        ).tolist(),
+        "next_collection": monitor.collect_matrix(
+            [setup.trace.workload_at(0.0)], monitors=[monitor]
+        )[0].tolist(),
     }
     text = json.dumps(document, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]

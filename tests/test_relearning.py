@@ -172,11 +172,11 @@ class TestFailedRelearn:
         assert manager_state_to_dict(manager) == before
         assert manager.relearn_count == 0
         # Refused before the profiling sweep: no noise was drawn.
-        np.testing.assert_array_equal(
-            manager.profiler.monitor.collect_vector(same),
-            twin.manager.profiler.monitor.collect_vector(same),
-            strict=True,
-        )
+        collections = [
+            monitor.collect_matrix([same], monitors=[monitor])
+            for monitor in (manager.profiler.monitor, twin.manager.profiler.monitor)
+        ]
+        np.testing.assert_array_equal(*collections, strict=True)
 
     def test_failed_auto_relearn_keeps_serving_and_asks_again_later(self):
         config = DejaVuConfig(

@@ -53,6 +53,12 @@ def counter_monitor(streams: TelemetryStreams, lane: int) -> Monitor:
     )
 
 
+def collected(monitor: Monitor, workload: Workload, interference: float = 0.0):
+    """One scalar monitoring pass (the dict path) in metric_names order."""
+    metrics = monitor.collect(workload, interference=interference)
+    return np.array([metrics[name] for name in monitor.metric_names()])
+
+
 class TestCounterStream:
     def test_same_identity_same_sequence(self):
         streams = TelemetryStreams(42)
@@ -126,11 +132,9 @@ class TestSamplerStreams:
         xentop = XentopSampler(seed=5, stream=xentop_stream)
         assert hpc.stream is hpc_stream and xentop.stream is xentop_stream
         reference = CounterStream(streams.key, 0)
-        np.testing.assert_array_equal(
-            hpc.sample_rates(WORKLOADS[0], 10.0),
-            HPCSampler(stream=reference).sample_rates(WORKLOADS[0], 10.0),
-            strict=True,
-        )
+        assert hpc.sample(WORKLOADS[0], 10.0) == HPCSampler(
+            stream=reference
+        ).sample(WORKLOADS[0], 10.0)
         assert hpc_stream.draws == reference.draws == 1
 
     def test_sequential_passes_match_generator_normal(self):
@@ -161,7 +165,7 @@ class TestSamplerStreams:
         m1 = counter_monitor(streams, 4)
         m2 = counter_monitor(streams, 4)
         metrics = m1.collect(WORKLOADS[0])
-        vector = m2.collect_vector(WORKLOADS[0])
+        vector = m2.collect_matrix([WORKLOADS[0]], monitors=[m2])[0]
         np.testing.assert_array_equal(
             np.array([metrics[name] for name in m1.metric_names()]),
             vector,
@@ -177,7 +181,7 @@ class TestCollectMatrix:
         for _pass in range(3):  # alignment survives repeated passes
             scalar = np.stack(
                 [
-                    monitor.collect_vector(workload)
+                    collected(monitor, workload)
                     for monitor, workload in zip(scalar_monitors, WORKLOADS)
                 ]
             )
@@ -193,7 +197,7 @@ class TestCollectMatrix:
         interferences = [0.0, 0.2, 0.4]
         scalar = np.stack(
             [
-                monitor.collect_vector(workload, interference=interference)
+                collected(monitor, workload, interference)
                 for monitor, workload, interference in zip(
                     scalar_monitors, WORKLOADS, interferences
                 )
@@ -221,7 +225,7 @@ class TestCollectMatrix:
         ]
         scalar = np.stack(
             [
-                monitor.collect_vector(workload)
+                collected(monitor, workload)
                 for monitor, workload in zip(scalar_monitors, WORKLOADS)
             ]
         )
@@ -270,7 +274,7 @@ class TestCollectBlock:
     def successive(monitor, passes):
         return np.stack(
             [
-                monitor.collect_vector(workload)
+                collected(monitor, workload)
                 for workload in WORKLOADS
                 for _ in range(passes)
             ]
@@ -375,7 +379,7 @@ class SequentialReference:
 
 ENTRY_POINTS = (
     "sample",
-    "sample_rates",
+    "sample_rates_matrix",
     "sample_vector",
     "xentop_sample",
     "sample_rates_block",
@@ -441,9 +445,11 @@ class TestSequentialStreamReference:
                 got = hpc.sample(workload, window, interference=interference)
                 expected = ref.counts(workload, window, interference)
                 same(np.array([got[name].count for name in hpc.monitored]), expected)
-            elif entry == "sample_rates":
+            elif entry == "sample_rates_matrix":
                 same(
-                    hpc.sample_rates(workload, window, interference=interference),
+                    HPCSampler.sample_rates_matrix(
+                        [hpc], [workload], window, np.array([interference])
+                    )[0],
                     ref.counts(workload, window, interference) / window,
                 )
             elif entry == "sample_vector":
