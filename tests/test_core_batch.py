@@ -107,6 +107,21 @@ class TestPredictBatch:
             assert label == int(batch.labels[i])
             assert confidence == float(batch.confidences[i])
 
+    @pytest.mark.parametrize("factory", CLASSIFIERS)
+    def test_one_row_matches_batch_row(self, factory):
+        # A single signature is a one-row matrix: predicting it alone
+        # gives exactly the row the whole batch gives.
+        X, y = training_set()
+        clf = factory().fit(X, y)
+        rng = np.random.default_rng(11)
+        Q = rng.normal(scale=5.0, size=(50, X.shape[1]))
+        batch = clf.predict_batch(Q)
+        for i in range(len(Q)):
+            one = clf.predict_batch(Q[i : i + 1])
+            assert one.labels.shape == (1,) and one.confidences.shape == (1,)
+            assert int(one.labels[0]) == int(batch.labels[i])
+            assert float(one.confidences[0]) == float(batch.confidences[i])
+
     def test_predict_batch_rejects_non_matrix(self):
         X, y = training_set()
         clf = C45DecisionTree().fit(X, y)
