@@ -10,8 +10,8 @@ Perf claims riding this file:
   shards are deterministic functions of their global lane ranges.
 
 * **Host coupling does not eat the sharding win.**  The cross-shard
-  demand exchange (one shared block write + two barrier waits per
-  step) keeps a 400-lane / 80-host sweep bit-identical to the
+  demand exchange (one write into a double-buffered shared block + one
+  barrier wait per step) keeps a 400-lane / 80-host sweep bit-identical to the
   single-process run at any worker count, and >= 2x faster at 4
   workers on >= 4 cores.
 

@@ -1,14 +1,1 @@
 """Analysis of simulation outputs: the numbers the paper's text quotes."""
-
-from repro.analysis.adaptation import adaptation_times, mean_adaptation_seconds
-from repro.analysis.costs import CostSummary, cost_summary
-from repro.analysis.slo_report import SLOReport, slo_report
-
-__all__ = [
-    "adaptation_times",
-    "mean_adaptation_seconds",
-    "CostSummary",
-    "cost_summary",
-    "SLOReport",
-    "slo_report",
-]

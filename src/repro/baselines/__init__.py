@@ -14,18 +14,3 @@
 * :mod:`repro.baselines.oracle` — clairvoyant minimum-cost allocation,
   a lower bound no online system can beat.
 """
-
-from repro.baselines.autopilot import Autopilot
-from repro.baselines.online_tuning import OnlineTuningController
-from repro.baselines.oracle import OracleController
-from repro.baselines.overprovision import Overprovision
-from repro.baselines.rightscale import RightScale, RightScaleConfig
-
-__all__ = [
-    "Autopilot",
-    "OnlineTuningController",
-    "OracleController",
-    "Overprovision",
-    "RightScale",
-    "RightScaleConfig",
-]

@@ -637,13 +637,8 @@ def _scenario_rows(args, parser: argparse.ArgumentParser) -> int:
     import json
     import sys
 
-    from repro.scenarios import (
-        ScenarioError,
-        list_scenarios,
-        load_scenario,
-        record_to_dict,
-        run_scenario,
-    )
+    from repro.scenarios.runner import record_to_dict, run_scenario
+    from repro.scenarios.schema import ScenarioError, list_scenarios, load_scenario
 
     if args.scenario_command == "list":
         scenarios = list_scenarios(args.dir)

@@ -8,19 +8,3 @@ warm-up delays, a provider that owns pre-created VM pools (the paper
 pre-creates and stops VMs so scaling is "ready for instant use, except
 for a short warm-up time"), and a cost meter.
 """
-
-from repro.cloud.instance_types import EXTRA_LARGE, LARGE, InstanceType
-from repro.cloud.pricing import CostMeter
-from repro.cloud.provider import Allocation, CloudProvider
-from repro.cloud.vm import VirtualMachine, VMState
-
-__all__ = [
-    "EXTRA_LARGE",
-    "LARGE",
-    "InstanceType",
-    "CostMeter",
-    "Allocation",
-    "CloudProvider",
-    "VirtualMachine",
-    "VMState",
-]

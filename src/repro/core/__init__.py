@@ -17,41 +17,3 @@ The pipeline (Sec. 3, Fig. 3):
 7. :mod:`repro.core.interference` — the interference index (Eq. 2).
 8. :mod:`repro.core.manager` — ties it all together as a controller.
 """
-
-from repro.core.batch import BatchClassification, BatchClassifier
-from repro.core.clustering import ClusteringModel, KMeans, auto_cluster
-from repro.core.cost_aware_tuner import KingfisherTuner, TransitionCost
-from repro.core.feature_selection import CfsSubsetSelector
-from repro.core.persistence import load_manager_state, save_manager_state
-from repro.core.interference import InterferenceEstimator, quantize_index
-from repro.core.manager import DejaVuConfig, DejaVuManager
-from repro.core.profiler import ProductionEnvironment, ProfilingEnvironment
-from repro.core.repository import AllocationRepository, RepositoryEntry
-from repro.core.signature import SignatureSchema, Standardizer, WorkloadSignature
-from repro.core.tuner import LinearSearchTuner, TuningOutcome
-
-__all__ = [
-    "BatchClassification",
-    "BatchClassifier",
-    "ClusteringModel",
-    "KMeans",
-    "auto_cluster",
-    "KingfisherTuner",
-    "TransitionCost",
-    "CfsSubsetSelector",
-    "load_manager_state",
-    "save_manager_state",
-    "InterferenceEstimator",
-    "quantize_index",
-    "DejaVuConfig",
-    "DejaVuManager",
-    "ProductionEnvironment",
-    "ProfilingEnvironment",
-    "AllocationRepository",
-    "RepositoryEntry",
-    "SignatureSchema",
-    "Standardizer",
-    "WorkloadSignature",
-    "LinearSearchTuner",
-    "TuningOutcome",
-]

@@ -234,7 +234,12 @@ def restore_manager_state(manager: DejaVuManager, data: dict[str, Any]) -> None:
     """Load a snapshot into a (typically fresh) manager.
 
     The manager's environments (profiler, production, tuner) stay as
-    constructed; only the learned state is replaced.
+    constructed; only the learned state is replaced.  What the snapshot
+    does not carry is cleared rather than kept from the old model: the
+    class representatives (an interference escalation then tunes the
+    observed workload) and the learning report.  The restored
+    repository is a fresh private object, so it is neither external nor
+    fleet-shared.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
@@ -247,6 +252,10 @@ def restore_manager_state(manager: DejaVuManager, data: dict[str, Any]) -> None:
     manager._novelty_radii = np.asarray(data["novelty_radii"], dtype=float)
     manager.classifier = classifier_from_dict(data["classifier"])
     manager.repository = repository_from_dict(data["repository"])
+    manager._repository_external = False
+    manager._repository_fleet_shared = False
+    manager._class_workloads = {}
+    manager.learning_report = None
 
 
 def save_manager_state(manager: DejaVuManager, path: str | Path) -> None:

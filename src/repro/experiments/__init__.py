@@ -6,56 +6,3 @@ aggregates (what the text quotes).  Benchmarks, examples, and the
 integration tests all call into this package so the reproduced numbers
 come from a single code path.
 """
-
-from repro.experiments.setup import (
-    DEFAULT_PEAK_DEMAND,
-    ScaleOutSetup,
-    ScaleUpSetup,
-    build_scaleout_setup,
-    build_scaleup_setup,
-    make_trace,
-    peak_clients_for,
-)
-from repro.experiments.flash_crowd import run_flash_crowd_study
-from repro.experiments.hit_rate import run_hit_rate_study
-from repro.experiments.multiplexing_study import (
-    run_fleet_multiplexing_study,
-    run_multiplexing_study,
-)
-from repro.experiments.placement_study import (
-    PlacementFrontierPoint,
-    PlacementSensitivityStudy,
-    run_placement_sensitivity_study,
-)
-from repro.experiments.probe_study import run_probe_study
-from repro.experiments.sensitivity import run_margin_sweep, run_trials_sweep
-from repro.experiments.scaling import (
-    ScaleOutComparison,
-    ScaleUpComparison,
-    run_scaleout_comparison,
-    run_scaleup_comparison,
-)
-
-__all__ = [
-    "DEFAULT_PEAK_DEMAND",
-    "ScaleOutSetup",
-    "ScaleUpSetup",
-    "build_scaleout_setup",
-    "build_scaleup_setup",
-    "make_trace",
-    "peak_clients_for",
-    "ScaleOutComparison",
-    "ScaleUpComparison",
-    "run_scaleout_comparison",
-    "run_scaleup_comparison",
-    "run_flash_crowd_study",
-    "run_hit_rate_study",
-    "run_fleet_multiplexing_study",
-    "run_multiplexing_study",
-    "PlacementFrontierPoint",
-    "PlacementSensitivityStudy",
-    "run_placement_sensitivity_study",
-    "run_probe_study",
-    "run_margin_sweep",
-    "run_trials_sweep",
-]

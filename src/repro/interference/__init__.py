@@ -6,8 +6,3 @@ the VM's CPU and memory over time".  This package provides the
 microbenchmark model and a per-time schedule injecting it into the
 production environment.
 """
-
-from repro.interference.injector import InterferenceInjector, InterferenceSchedule
-from repro.interference.microbenchmark import Microbenchmark
-
-__all__ = ["InterferenceInjector", "InterferenceSchedule", "Microbenchmark"]

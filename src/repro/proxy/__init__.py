@@ -13,9 +13,3 @@ evaluation and are modeled here:
 * the production-side latency overhead of duplication
   (:mod:`repro.proxy.overhead`) — measured at ≈3 ms in Sec. 4.4.
 """
-
-from repro.proxy.answer_cache import AnswerCache
-from repro.proxy.duplicator import DejaVuProxy, TrafficStats
-from repro.proxy.overhead import ProxyOverheadModel
-
-__all__ = ["AnswerCache", "DejaVuProxy", "TrafficStats", "ProxyOverheadModel"]

@@ -9,20 +9,3 @@ evaluation consumes: response latency, QoS (fraction of downloads meeting
 the SPECweb rate target), and post-reconfiguration stabilization
 transients (Cassandra re-partitioning).
 """
-
-from repro.services.base import Service
-from repro.services.cassandra import CassandraService
-from repro.services.perf_model import QueueingModel
-from repro.services.rubis import RubisService
-from repro.services.slo import LatencySLO, QoSSLO
-from repro.services.specweb import SpecWebService
-
-__all__ = [
-    "Service",
-    "CassandraService",
-    "QueueingModel",
-    "RubisService",
-    "LatencySLO",
-    "QoSSLO",
-    "SpecWebService",
-]

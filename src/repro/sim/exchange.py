@@ -10,12 +10,12 @@ independent shards that synchronize only at exchange points:
   :class:`~repro.sim.hosts.HostMap` from the spec (placement is
   resolved once, up front, from deterministic demand estimates);
 * each step, every worker writes its lanes' demand contributions into
-  one shared float64 block (a ``multiprocessing`` ``RawArray``) and
-  waits on a step barrier;
-* each worker then copies the now-complete global demand vector and
-  runs the *global* theft pass locally — the exact
-  ``HostMap.apply_step`` arithmetic over all lanes — reading back only
-  its own lanes' theft slots.
+  one half of a shared float64 block (a ``multiprocessing``
+  ``RawArray`` holding two global demand vectors, used by step parity)
+  and waits once on a step barrier;
+* each worker then copies that now-complete half and runs the *global*
+  theft pass locally — the exact ``HostMap.apply_step`` arithmetic
+  over all lanes — reading back only its own lanes' theft slots.
 
 Because every worker computes the same global vector, thefts,
 migration plans and host statistics are bit-identical across workers
@@ -62,8 +62,9 @@ def install_exchange(barrier, shared) -> None:
 class DemandExchange:
     """One shard worker's handle on the shared per-lane demand block.
 
-    The block is a float64 vector of length ``n_lanes`` (global);
-    this handle owns the ``[lane_lo, lane_hi)`` slice.  Pass both
+    The block is a float64 array of shape ``(2, n_lanes)``: two global
+    demand vectors, step ``s`` using row ``s % 2``; this handle owns
+    the ``[lane_lo, lane_hi)`` slice of each.  Pass both
     ``barrier`` and ``block`` (thread mode — shared directly) or
     neither (process mode — the worker's pair from
     :func:`install_exchange` is used, so the handle pickles through the
@@ -93,10 +94,10 @@ class DemandExchange:
                 "pass both barrier and block (thread mode) or neither "
                 "(process mode, inherited from the pool initializer)"
             )
-        if block is not None and block.shape != (n_lanes,):
+        if block is not None and block.shape != (2, n_lanes):
             raise ValueError(
-                f"demand block holds {block.shape} values for "
-                f"{n_lanes} lanes"
+                f"demand block has shape {block.shape}; {n_lanes} lanes "
+                f"need (2, {n_lanes})"
             )
         self.n_lanes = n_lanes
         self.lane_lo = lane_lo
@@ -105,6 +106,7 @@ class DemandExchange:
         self.inherited = block is None
         self._barrier = barrier
         self._block = block
+        self._step = 0
 
     def __getstate__(self):
         if not self.inherited:
@@ -121,7 +123,8 @@ class DemandExchange:
 
     @property
     def block(self) -> np.ndarray:
-        """The full global demand vector (resolving on first use)."""
+        """Both halves of the global demand block, shape
+        ``(2, n_lanes)`` (resolving on first use)."""
         if self._block is None:
             if _INHERITED is None:
                 raise RuntimeError(
@@ -130,7 +133,9 @@ class DemandExchange:
                     "initializer is install_exchange"
                 )
             self._barrier, shared = _INHERITED
-            self._block = np.frombuffer(shared, dtype=np.float64)
+            self._block = np.frombuffer(shared, dtype=np.float64).reshape(
+                2, self.n_lanes
+            )
         return self._block
 
     def _wait(self) -> None:
@@ -139,24 +144,26 @@ class DemandExchange:
     def exchange(self, local_demands: np.ndarray) -> np.ndarray:
         """Publish this shard's demands; return the global vector.
 
-        Two barrier phases bracket the copy: the first guarantees every
-        shard's slice is written before anyone reads, the second keeps
-        a fast shard's *next* write from racing a slow shard's read.
-        Raises ``threading.BrokenBarrierError`` when a peer died or a
-        wait timed out (the barrier breaks for every participant, so
-        the whole sweep fails fast).
+        Step ``s`` writes this shard's slice into half ``s % 2`` of the
+        block, waits once on the barrier (every shard's slice is then
+        written) and copies that half.  No second wait is needed: a
+        fast shard writes this half again only at step ``s + 2``, after
+        passing barrier ``s + 1``, which a slow shard reaches only
+        after its copy of step ``s``.  Raises
+        ``threading.BrokenBarrierError`` when a peer died or a wait
+        timed out (the barrier breaks for every participant, so the
+        whole sweep fails fast).
         """
         if len(local_demands) != self.lane_hi - self.lane_lo:
             raise ValueError(
                 f"expected {self.lane_hi - self.lane_lo} local demands, "
                 f"got {len(local_demands)}"
             )
-        block = self.block
-        block[self.lane_lo : self.lane_hi] = local_demands
+        half = self.block[self._step % 2]
+        self._step += 1
+        half[self.lane_lo : self.lane_hi] = local_demands
         self._wait()
-        full = block.copy()
-        self._wait()
-        return full
+        return half.copy()
 
     def close(self) -> None:
         """Drop the inherited barrier and block (thread mode: no-op)."""
@@ -262,5 +269,5 @@ def make_thread_exchange(
     per shard.  The ``workers=0`` path of :func:`repro.sim.shard.
     run_sharded` runs shards as threads against these handles."""
     barrier = threading.Barrier(len(ranges))
-    block = np.zeros(n_lanes, dtype=np.float64)
+    block = np.zeros((2, n_lanes), dtype=np.float64)
     return make_exchange_handles(n_lanes, ranges, barrier, block=block)

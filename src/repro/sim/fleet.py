@@ -48,6 +48,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.cloud.provider import CapacityCache
+from repro.services.base import slo_met_rows
 from repro.sim.clock import SimClock
 from repro.sim.engine import Controller, StepContext
 from repro.sim.hosts import HostMap
@@ -56,6 +57,7 @@ from repro.sim.hosts import HostMap
 from repro.sim.profiling_queue import ProfilingQueue
 from repro.sim.result import SimulationResult, TimeSeries
 from repro.workloads.request_mix import Workload
+from repro.workloads.traces import LoadTrace
 
 
 @dataclass
@@ -746,10 +748,7 @@ class FleetEngine:
         # Lanes replaying a LoadTrace re-evaluate their workload only on
         # the first step of each trace hour; every other workload
         # source runs every step.  The offered volume and demand
-        # vectors follow the re-evaluated lanes.  (A local import:
-        # repro.workloads.traces imports the repro.sim package.)
-        from repro.workloads.traces import LoadTrace
-
+        # vectors follow the re-evaluated lanes.
         self._all_lanes: tuple[int, ...] = tuple(range(len(self._lanes)))
         self._per_step_lanes: tuple[int, ...] = tuple(
             i
@@ -1007,9 +1006,6 @@ class FleetEngine:
         which repeats that first attempt and goes on to probe and
         escalate.
         """
-        # A local import: repro.services imports the repro.sim package.
-        from repro.services.base import slo_met_rows
-
         table = self._table
         controllers = table.controllers
         multi_band, settle, family = table.multi_band, table.settle, table.family

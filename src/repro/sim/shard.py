@@ -344,7 +344,7 @@ def run_sharded(
                 handles = make_exchange_handles(n_lanes, ranges)
                 inherit = dict(
                     initializer=install_exchange,
-                    initargs=(barrier, ctx.RawArray("d", n_lanes)),
+                    initargs=(barrier, ctx.RawArray("d", 2 * n_lanes)),
                 )
             pool = ProcessPoolExecutor(
                 max_workers=min(workers, shards), mp_context=ctx, **inherit

@@ -10,25 +10,3 @@ structure that makes a small subset of events a reliable signature
 (paper Fig. 4) while most of the 60 monitorable events carry little or
 redundant information (Sec. 3.3).
 """
-
-from repro.telemetry.counters import CounterReading, HPCSampler
-from repro.telemetry.events import (
-    EVENT_CATALOGUE,
-    TABLE1_EVENTS,
-    HPCEvent,
-    event_names,
-)
-from repro.telemetry.monitor import Monitor
-from repro.telemetry.xentop import XENTOP_METRICS, XentopSampler
-
-__all__ = [
-    "CounterReading",
-    "HPCSampler",
-    "EVENT_CATALOGUE",
-    "TABLE1_EVENTS",
-    "HPCEvent",
-    "event_names",
-    "Monitor",
-    "XENTOP_METRICS",
-    "XentopSampler",
-]

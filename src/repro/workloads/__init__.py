@@ -13,37 +13,3 @@ paper relies on: repeating daily patterns with a handful of load plateaus
 Autopilot's blind time-of-day replay misfires), and one day-4 HotMail
 anomaly (so DejaVu's low-confidence fallback triggers).  See DESIGN.md.
 """
-
-from repro.workloads.generators import sine_wave_load, spike_load, step_load
-from repro.workloads.request_mix import (
-    CASSANDRA_UPDATE_HEAVY,
-    RUBIS_BIDDING,
-    RUBIS_BROWSING,
-    SPECWEB_BANKING,
-    SPECWEB_ECOMMERCE,
-    SPECWEB_SUPPORT,
-    RequestMix,
-    Workload,
-)
-from repro.workloads.traces import (
-    LoadTrace,
-    synthetic_hotmail_trace,
-    synthetic_messenger_trace,
-)
-
-__all__ = [
-    "sine_wave_load",
-    "spike_load",
-    "step_load",
-    "RequestMix",
-    "Workload",
-    "CASSANDRA_UPDATE_HEAVY",
-    "RUBIS_BROWSING",
-    "RUBIS_BIDDING",
-    "SPECWEB_BANKING",
-    "SPECWEB_ECOMMERCE",
-    "SPECWEB_SUPPORT",
-    "LoadTrace",
-    "synthetic_hotmail_trace",
-    "synthetic_messenger_trace",
-]

@@ -142,6 +142,57 @@ class TestManagerState:
         with pytest.raises(ValueError):
             restore_manager_state(fresh.manager, state)
 
+    def test_restore_drops_what_the_snapshot_lacks(self, trained):
+        # Restoring another trained manager's snapshot keeps nothing of
+        # the replaced model: the snapshot carries no class
+        # representatives and no learning report, so both are cleared
+        # (an interference escalation then tunes the observed workload,
+        # not the old model's representative of a reused label).
+        setup = build_scaleout_setup("messenger", seed=1)
+        manager = setup.manager
+        manager.learn(setup.trace.hourly_workloads(day=1))
+        assert manager._class_workloads and manager.learning_report
+        restore_manager_state(manager, manager_state_to_dict(trained.manager))
+        assert manager._class_workloads == {}
+        assert manager.learning_report is None
+        assert manager.schema == trained.manager.schema
+        for hour in (2, 8, 12, 19):
+            workload = trained.trace.workload_at(hour * 3600.0)
+            assert (
+                manager.classify(workload)[0]
+                == trained.manager.classify(workload)[0]
+            )
+        # A later learn fills both again.
+        report = manager.learn(setup.trace.hourly_workloads(day=2))
+        assert manager.learning_report is report
+        assert set(manager._class_workloads) == set(
+            range(report.n_classes)
+        )
+
+    @pytest.mark.parametrize("sharing", ["adopted", "external"])
+    def test_restored_repository_is_private(self, trained, sharing):
+        # Before the restore the manager serves a repository other
+        # managers hold too; the restored one is its own, so a later
+        # learn clears it in place and leaves the shared one alone.
+        if sharing == "adopted":
+            setup = build_scaleout_setup("messenger")
+            setup.manager.adopt_trained_state(trained.manager)
+            shared = trained.manager.repository
+        else:
+            shared = AllocationRepository()
+            setup = build_scaleout_setup("messenger", repository=shared)
+            setup.manager.learn(setup.trace.hourly_workloads(day=0))
+        manager = setup.manager
+        entries = len(shared)
+        restore_manager_state(manager, manager_state_to_dict(trained.manager))
+        restored = manager.repository
+        assert restored is not shared
+        assert not manager._repository_external
+        assert not manager._repository_fleet_shared
+        manager.learn(setup.trace.hourly_workloads(day=1))
+        assert manager.repository is restored
+        assert len(shared) == entries
+
     def test_restored_manager_adapts(self, trained, tmp_path):
         from repro.sim.engine import StepContext
 

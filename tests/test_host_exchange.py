@@ -9,7 +9,9 @@ the same offered demand.  Exact equality, not allclose: every worker runs
 the identical vectorized arithmetic over the identical global vector.
 """
 
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -133,11 +135,20 @@ class TestExchangeMatchesSingleProcess:
             assert view.map.peak_theft == reference.peak_theft
             assert view.map.overload_fraction == reference.overload_fraction
 
-        # Per-host totals from the shared block equal np.bincount over
-        # the single-process demand vector (the block still holds the
-        # final step's exchanged demands).
-        block = views[0].exchange_handle.block
-        ref_demands = reference._demands(steps_offered[-1], None)
+        # The block's two halves still hold the last two steps'
+        # exchanged demands, by step parity; per-host totals from the
+        # final step's half equal np.bincount over the single-process
+        # demand vector.
+        halves = views[0].exchange_handle.block
+        assert halves.shape == (2, n_lanes)
+        last = len(steps_offered) - 1
+        np.testing.assert_array_equal(
+            halves[(last - 1) % 2],
+            reference._demands(steps_offered[last - 1], None),
+            strict=True,
+        )
+        block = halves[last % 2]
+        ref_demands = reference._demands(steps_offered[last], None)
         np.testing.assert_array_equal(block, ref_demands, strict=True)
         host_index = reference._host_index
         placed = host_index >= 0
@@ -219,12 +230,77 @@ class TestExchangeMatchesSingleProcess:
             )
 
 
+class SlowAfterWait:
+    """One barrier party that dawdles between its wait and its copy."""
+
+    def __init__(self, barrier, delay_seconds):
+        self._barrier = barrier
+        self._delay = delay_seconds
+        self.waits = 0
+
+    def wait(self, timeout=None):
+        index = self._barrier.wait(timeout)
+        self.waits += 1
+        time.sleep(self._delay)
+        return index
+
+
+class TestDoubleBuffer:
+    def test_slow_reader_copies_its_own_step(self):
+        # The last shard sleeps after every barrier, so the others have
+        # written the next step before it copies.  Every step's demands
+        # are distinct, so a vector mixing two steps is caught.
+        n_lanes, steps = 7, 60
+        ranges = partition_lanes(n_lanes, 3)
+        handles = make_thread_exchange(n_lanes, ranges)
+        slow = SlowAfterWait(handles[-1]._barrier, 0.002)
+        handles[-1]._barrier = slow
+        demands = np.arange(steps * n_lanes, dtype=np.float64).reshape(
+            steps, n_lanes
+        )
+
+        def drive(handle):
+            return [
+                handle.exchange(demands[step, handle.lane_lo : handle.lane_hi])
+                for step in range(steps)
+            ]
+
+        # Switch threads often so the shards interleave finely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(handles)) as pool:
+                results = list(pool.map(drive, handles, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for vectors in results:
+            assert len(vectors) == steps
+            for step, vector in enumerate(vectors):
+                np.testing.assert_array_equal(
+                    vector, demands[step], strict=True
+                )
+        # One barrier wait per exchanged step.
+        assert slow.waits == steps
+
+    def test_steps_alternate_halves(self):
+        handle = make_thread_exchange(3, partition_lanes(3, 1))[0]
+        for step, demands in enumerate(([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])):
+            np.testing.assert_array_equal(
+                handle.exchange(np.array(demands)), demands
+            )
+            np.testing.assert_array_equal(handle.block[step], demands)
+        handle.exchange(np.array([7.0, 8.0, 9.0]))
+        np.testing.assert_array_equal(
+            handle.block, [[7.0, 8.0, 9.0], [4.0, 5.0, 6.0]]
+        )
+
+
 class TestValidation:
     def test_handle_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError, match="timeout"):
             DemandExchange(
                 4, 0, 2, barrier=threading.Barrier(2), timeout_seconds=0.0,
-                block=np.zeros(4),
+                block=np.zeros((2, 4)),
             )
 
     def test_thread_handles_wait_the_default_timeout(self):
@@ -236,12 +312,12 @@ class TestValidation:
         ] * 2
         handle = DemandExchange(
             4, 0, 2, barrier=threading.Barrier(2), timeout_seconds=5,
-            block=np.zeros(4),
+            block=np.zeros((2, 4)),
         )
         assert handle.timeout_seconds == 5.0
 
     def test_handle_rejects_bad_slice(self):
-        barrier, block = threading.Barrier(2), np.zeros(4)
+        barrier, block = threading.Barrier(2), np.zeros((2, 4))
         with pytest.raises(ValueError, match="slice"):
             DemandExchange(4, 2, 2, barrier=barrier, block=block)
         with pytest.raises(ValueError, match="slice"):
@@ -252,18 +328,22 @@ class TestValidation:
         # neither (process mode: the worker's inherited pair); a
         # half-built handle is rejected.
         barrier = threading.Barrier(2)
-        own = DemandExchange(4, 0, 2, barrier=barrier, block=np.zeros(4))
+        own = DemandExchange(
+            4, 0, 2, barrier=barrier, block=np.zeros((2, 4))
+        )
         assert not own.inherited
         assert DemandExchange(4, 0, 2).inherited
         with pytest.raises(ValueError, match="both barrier and block"):
             DemandExchange(4, 0, 2, barrier=barrier)
         with pytest.raises(ValueError, match="both barrier and block"):
-            DemandExchange(4, 0, 2, block=np.zeros(4))
+            DemandExchange(4, 0, 2, block=np.zeros((2, 4)))
 
-    def test_handle_rejects_mis_sized_block(self):
+    @pytest.mark.parametrize("shape", [(3,), (4,), (2, 3), (8,), (4, 2)])
+    def test_handle_rejects_mis_sized_block(self, shape):
+        # Two halves of n_lanes values each; a one-half block is wrong.
         with pytest.raises(ValueError, match="block"):
             DemandExchange(
-                4, 0, 2, barrier=threading.Barrier(2), block=np.zeros(3)
+                4, 0, 2, barrier=threading.Barrier(2), block=np.zeros(shape)
             )
 
     def test_inherited_handle_resolves_the_installed_pair(self, monkeypatch):
@@ -278,11 +358,18 @@ class TestValidation:
         handle = pickle.loads(pickle.dumps(DemandExchange(3, 0, 3)))
         with pytest.raises(RuntimeError, match="install_exchange"):
             handle.block
-        exchange_module.install_exchange(
-            threading.Barrier(1), RawArray("d", 3)
-        )
+        shared = RawArray("d", 6)
+        exchange_module.install_exchange(threading.Barrier(1), shared)
         np.testing.assert_array_equal(
             handle.exchange(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0]
+        )
+        np.testing.assert_array_equal(
+            handle.exchange(np.array([4.0, 5.0, 6.0])), [4.0, 5.0, 6.0]
+        )
+        # The inherited buffer is the block: step parity picks the half.
+        assert handle.block.shape == (2, 3)
+        np.testing.assert_array_equal(
+            np.frombuffer(shared), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         )
         handle.close()
         assert handle._block is None and handle._barrier is None

@@ -13,20 +13,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import (
+from repro.scenarios.gate import (
     EXACT_METRICS,
     SMOKE_SCENARIOS,
     TIMING_METRICS,
-    ScenarioError,
     compare_records,
-    list_scenarios,
     load_records,
-    load_scenario,
-    parse_scenario,
+)
+from repro.scenarios.runner import (
     record_key,
     record_to_dict,
     run_scenario,
     write_jsonl,
+)
+from repro.scenarios.schema import (
+    ScenarioError,
+    list_scenarios,
+    load_scenario,
+    parse_scenario,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
