@@ -13,8 +13,10 @@ Two claims are on the hook:
   hosts-enabled fleet at >= 0.9x the dedicated-hardware (PR 4)
   ``lane_steps_per_second``.
 
-The 20-lane smoke (3 policies, in-process) is the CI gate and feeds
-``BENCH_fleet_placement.json``; it also pins the energy axis —
+The 20-lane smoke (3 policies, in-process) is the CI gate; CI writes
+its numbers to ``BENCH_fleet_placement.json`` and uploads that as a
+build artifact (the repository does not track it).  It also pins the
+energy axis —
 ``first_fit_decreasing+consolidate`` must spend strictly fewer
 host-hours-on than plain FFD on the identical fleet.  The wall-clock
 ratio stays a local/driver check like the other fleet throughput

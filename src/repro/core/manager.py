@@ -739,7 +739,7 @@ class DejaVuManager:
 
         One lane's adaptation is the one-row case of the batched wave:
         a one-row :meth:`~repro.telemetry.monitor.Monitor.collect_matrix`
-        pass, sliced to the schema and classified by
+        pass over the schema's :meth:`signature_columns`, classified by
         :meth:`batch_classifier`.
 
         Returns
@@ -750,8 +750,10 @@ class DejaVuManager:
         """
         _model, _novelty, batch, columns = self._batch_state()
         monitor = self.profiler.monitor
-        X = monitor.collect_matrix([workload], monitors=[monitor])
-        result = batch.classify_matrix(X[:, columns])
+        X = monitor.collect_matrix(
+            [workload], monitors=[monitor], columns=columns
+        )
+        result = batch.classify_matrix(X)
         return (
             int(result.labels[0]),
             float(result.certainties[0]),
@@ -1157,8 +1159,9 @@ class DejaVuManager:
 
     def signature_columns(self) -> np.ndarray:
         """Schema metric positions within the monitor's full vector:
-        ``matrix[:, columns]`` slices collected metric rows down to
-        signatures."""
+        ``collect_matrix(columns=...)`` collects signatures directly,
+        and ``matrix[:, columns]`` slices full metric rows down to
+        them."""
         return self._batch_state()[3]
 
     def _batch_state(self) -> tuple:
@@ -1210,10 +1213,11 @@ class DejaVuManager:
         the workload and charge the shared profiling queue.  Returns
         False when a bounded queue rejected the request (the adaptation
         is deferred; the engine retries next step).  The engine then
-        collects all gated lanes' signatures in one
+        collects the gated lanes' signatures in one
         :meth:`~repro.telemetry.monitor.Monitor.collect_matrix` pass
-        (phase 1b), consuming each monitor's noise streams exactly as
-        the scalar path would.
+        over the signature columns per shared-model group (phase 1b),
+        consuming each monitor's noise streams exactly as the scalar
+        path would.
         """
         if self.schema is None or self.classifier is None or self.clustering is None:
             raise RuntimeError("DejaVu used online before learning")

@@ -237,7 +237,10 @@ def restore_manager_state(manager: DejaVuManager, data: dict[str, Any]) -> None:
     constructed; only the learned state is replaced.  What the snapshot
     does not carry is cleared rather than kept from the old model: the
     class representatives (an interference escalation then tunes the
-    observed workload) and the learning report.  The restored
+    observed workload), the learning report, and a re-learned model
+    staged behind its queued sweep, which would otherwise replace the
+    restored one once the sweep drains (the sweep's grants stay
+    charged: the profiler runs them either way).  The restored
     repository is a fresh private object, so it is neither external nor
     fleet-shared.
     """
@@ -256,6 +259,9 @@ def restore_manager_state(manager: DejaVuManager, data: dict[str, Any]) -> None:
     manager._repository_fleet_shared = False
     manager._class_workloads = {}
     manager.learning_report = None
+    manager._staged_model = None
+    manager._staged_burst = ()
+    manager.model_available_at = 0.0
 
 
 def save_manager_state(manager: DejaVuManager, path: str | Path) -> None:

@@ -924,17 +924,17 @@ class FleetEngine:
 
         Phase order preserves per-lane scalar semantics exactly:
         *prepare* gates due lanes (queue charge) in global lane order
-        and then collects all gated signatures batched by monitor
-        family — one ``Monitor.collect_matrix`` pass per family (one
-        vectorized noise draw under counter streams), sliced down to
-        signatures once per family — then each shared-model group
-        classifies its signature matrix and resolves band-0 entries in
-        one batched repository lookup, then *finish* (deploy, escalate,
-        record) walks lanes in global lane order again.  Lanes are
-        independent across those phases except through the queue and
-        the shared repository, both of which see the same per-lane
-        sequence the scalar path produces.  The rows the wave touched
-        are then re-read.
+        and then collects the gated signatures — one
+        ``Monitor.collect_matrix`` pass per shared-model group that
+        samples only the group's signature columns (one vectorized
+        noise draw of that width under counter streams) — then each
+        shared-model group classifies its signature matrix and resolves
+        band-0 entries in one batched repository lookup, then *finish*
+        (deploy, escalate, record) walks lanes in global lane order
+        again.  Lanes are independent across those phases except
+        through the queue and the shared repository, both of which see
+        the same per-lane sequence the scalar path produces.  The rows
+        the wave touched are then re-read.
 
         Returns the visited rows that cannot batch (masked rows): the
         engine runs their ``on_step`` this step.
@@ -1060,9 +1060,9 @@ class FleetEngine:
         ]
         if not gated:
             return
-        # Phase 1b — collect all gated lanes' signatures, batched per
-        # compatible monitor family (one collect_matrix pass each),
-        # as one signature matrix per shared-model group.
+        # Phase 1b — collect all gated lanes' signatures: one
+        # collect_matrix pass over the signature columns per
+        # shared-model group.
         groups = self._collect_wave_signatures(gated, workloads)
         # Classification is a pure snapshot pass per shared-model
         # group, so groups may overlap (wave_workers); repository
@@ -1090,15 +1090,14 @@ class FleetEngine:
         shared-model group (first-appearance order; ``X`` row ``j`` is
         ``rows[j]``'s signature).
 
-        Rows whose monitors share a
-        :meth:`~repro.telemetry.monitor.Monitor.batch_key` are collected
-        as one matrix, each row consuming its samplers' noise streams
-        exactly as the scalar path would (counter streams draw the
-        whole family's noise in one vectorized pass).  A shared-model
-        group whose lanes share one monitor family and one schema
-        object slices its signatures out of the family's matrix at once
-        (``matrix[:, columns]`` when it is the whole family); a model
-        spread over several monitor families is sliced row by row.
+        Each group is collected with one
+        :meth:`~repro.telemetry.monitor.Monitor.collect_matrix` pass
+        over its signature columns — one per monitor family and schema
+        when a model spans several — so the wave samples only the
+        metrics a signature reads.  Each row consumes its samplers'
+        noise streams exactly as the scalar path would (one pass per
+        sampler), and groups touch disjoint monitors, so they may
+        overlap under ``wave_workers``.
         """
         table = self._table
         controllers, lanes, monitors = (
@@ -1107,66 +1106,49 @@ class FleetEngine:
             table.monitors,
         )
         monitor_group = table.monitor_group
-        families: dict[int, list[int]] = {}
         for k in gated:
-            families.setdefault(monitor_group[k], []).append(k)
-        if -1 in families:
-            raise ValueError(
-                f"lane {self._lanes[lanes[families[-1][0]]].label!r} "
-                "batch-adapts but its controller has no profiler.monitor "
-                "to collect with"
-            )
-
-        def collect_family(rows: list[int]) -> np.ndarray:
-            # One monitor family: disjoint monitors, disjoint outputs —
-            # families may overlap under wave_workers.
-            return monitors[rows[0]].collect_matrix(
-                [workloads[lanes[k]] for k in rows],
-                monitors=[monitors[k] for k in rows],
-            )
-
-        matrices = dict(
-            zip(
-                families,
-                self._wave_map(
-                    [
-                        functools.partial(collect_family, rows)
-                        for rows in families.values()
-                    ]
-                ),
-            )
-        )
+            if monitor_group[k] == -1:
+                raise ValueError(
+                    f"lane {self._lanes[lanes[k]].label!r} batch-adapts but "
+                    "its controller has no profiler.monitor to collect with"
+                )
         models: dict[int, list[int]] = {}
         for k, group in zip(gated, table.model_groups(gated)):
             models.setdefault(group, []).append(k)
-        groups = []
-        for rows in models.values():
-            family = monitor_group[rows[0]]
-            members = families[family]
-            schema = controllers[rows[0]].schema
-            if all(
-                monitor_group[k] == family and controllers[k].schema is schema
-                for k in rows
-            ):
-                # Rows and members ascend, so equal lengths mean equal
-                # lists.
-                columns = controllers[rows[0]].signature_columns()
-                matrix = matrices[family]
-                if len(rows) == len(members):
-                    X = matrix[:, columns]
-                else:
-                    X = matrix[np.ix_(np.searchsorted(members, rows), columns)]
-            else:
-                X = np.vstack(
-                    [
-                        matrices[monitor_group[k]][
-                            families[monitor_group[k]].index(k)
-                        ][controllers[k].signature_columns()]
-                        for k in rows
-                    ]
-                )
-            groups.append((rows, X))
-        return groups
+
+        def collect_part(picked: list[int]) -> np.ndarray:
+            return monitors[picked[0]].collect_matrix(
+                [workloads[lanes[k]] for k in picked],
+                monitors=[monitors[k] for k in picked],
+                columns=controllers[picked[0]].signature_columns(),
+            )
+
+        def collect(rows: list[int]) -> np.ndarray:
+            # Rows of one monitor family and one schema share a pass.
+            keys = [
+                (monitor_group[k], id(controllers[k].schema)) for k in rows
+            ]
+            if keys.count(keys[0]) == len(keys):
+                return collect_part(rows)
+            parts: dict[tuple, list[int]] = {}
+            for j, key in enumerate(keys):
+                parts.setdefault(key, []).append(j)
+            X = None
+            for members in parts.values():
+                part = collect_part([rows[j] for j in members])
+                if X is None:
+                    X = np.empty((len(rows), part.shape[1]))
+                X[members] = part
+            return X
+
+        return list(
+            zip(
+                models.values(),
+                self._wave_map(
+                    [functools.partial(collect, rows) for rows in models.values()]
+                ),
+            )
+        )
 
     def _classify_matrix(self, rows: list[int], X: np.ndarray):
         """One shared-model group's stacked classification pass.

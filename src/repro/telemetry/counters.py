@@ -125,7 +125,9 @@ class HPCSampler:
         if not 0.0 <= interference < 1.0:
             raise ValueError(f"interference out of [0,1): {interference}")
         # The one-row case of sample_rates_matrix (one noise pass).
-        rates = self._clean_rates([workload], np.array([interference]))[0]
+        rates = self._clean_rates(
+            [workload], np.array([interference]), slice(None)
+        )[0]
         noise = self._stream.normals(len(self._events)) * self._sds_total
         counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
         return {
@@ -143,6 +145,7 @@ class HPCSampler:
         workloads: list[Workload],
         duration_seconds: float,
         interferences: np.ndarray,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """All lanes' rate vectors in one vectorized pass.
 
@@ -150,17 +153,23 @@ class HPCSampler:
         ``samplers[r].sample(workloads[r], duration_seconds,
         interference=interferences[r])``, bit for bit: the scalar path
         is this arithmetic's one-row case, and each row draws its
-        sampler's next noise pass.  Requires samplers with one kind of
-        stream and identical event constants (the caller groups by
-        :meth:`Monitor.batch_key`).
+        sampler's next noise pass.  Given ``columns`` (event positions,
+        any order, possibly none), only those events' clean rates and
+        noise are evaluated and returned, in ``columns`` order; each
+        row's stream still advances one whole pass.  Requires samplers
+        with one kind of stream and identical event constants (the
+        caller groups by :meth:`Monitor.batch_key`).
         """
         lead = samplers[0]
         _check_window(duration_seconds)
-        if np.any(interferences < 0.0) or np.any(interferences >= 1.0):
-            raise ValueError("interference out of [0,1)")
-        rates = lead._clean_rates(workloads, interferences)
+        check_interferences(interferences)
         streams = [sampler._stream for sampler in samplers]
-        noise = normals_block(streams, len(lead._events)) * lead._sds_total
+        n_events = len(lead._events)
+        if columns is not None and not columns.size:
+            return normals_block(streams, n_events, columns)
+        pick = slice(None) if columns is None else columns
+        rates = lead._clean_rates(workloads, interferences, pick)
+        noise = normals_block(streams, n_events, columns) * lead._sds_total[pick]
         counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
         return counts / duration_seconds
 
@@ -178,41 +187,55 @@ class HPCSampler:
         """
         _check_window(duration_seconds)
         rates = np.repeat(
-            self._clean_rates(workloads, np.zeros(len(workloads))), passes, axis=0
+            self._clean_rates(workloads, np.zeros(len(workloads)), slice(None)),
+            passes,
+            axis=0,
         )
         noise = self._stream.normals_passes(*rates.shape) * self._sds_total
         counts = np.maximum(0.0, rates * (1.0 + noise)) * duration_seconds
         return counts / duration_seconds
 
     def _clean_rates(
-        self, workloads: list[Workload], interferences: np.ndarray
+        self,
+        workloads: list[Workload],
+        interferences: np.ndarray,
+        pick: "np.ndarray | slice",
     ) -> np.ndarray:
-        """Noise-free event rates, one row per workload.
+        """Noise-free rates of the ``pick``-ed events, one row per
+        workload.
 
         The ``weights · activity`` sum depends only on the request mix,
         so it is computed once per distinct mix and gathered per row.
         """
-        n = len(workloads)
+        weights = self._weights[pick]
         mix_rows: dict[int, int] = {}
         sums: list[np.ndarray] = []
-        rows = np.empty(n, dtype=int)
-        intensity = np.empty(n, dtype=float)
-        for r, workload in enumerate(workloads):
+        rows: list[int] = []
+        for workload in workloads:
             mix = workload.mix
             row = mix_rows.get(id(mix))
             if row is None:
                 row = mix_rows[id(mix)] = len(sums)
                 activity = np.asarray(mix.activity_vector())
-                sums.append((self._weights * activity).sum(axis=1))
-            rows[r] = row
-            intensity[r] = workload.demand_units
-        rates = self._baselines + np.array(sums)[rows] * intensity[:, None]
+                sums.append((weights * activity).sum(axis=1))
+            rows.append(row)
+        intensity = np.array([workload.demand_units for workload in workloads])
+        rates = self._baselines[pick] + np.array(sums)[rows] * intensity[:, None]
         hot = interferences > 0
         if np.any(hot):
             rates[hot] = rates[hot] * (
-                1.0 + interferences[hot, None] * (0.5 + self._memory_coupling)
+                1.0 + interferences[hot, None] * (0.5 + self._memory_coupling[pick])
             )
         return rates
+
+
+def check_interferences(interferences: np.ndarray) -> None:
+    """Reject any interference outside [0, 1), NaN included, with the
+    scalar samplers' message."""
+    inside = (interferences >= 0.0) & (interferences < 1.0)
+    if not inside.all():
+        bad = interferences[~inside][0]
+        raise ValueError(f"interference out of [0,1): {bad}")
 
 
 def _check_window(duration_seconds: float) -> None:

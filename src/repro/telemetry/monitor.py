@@ -20,6 +20,9 @@ from repro.workloads.request_mix import Workload
 #: seconds ... needed by the profiler to collect the workload signature".
 DEFAULT_WINDOW_SECONDS = 10.0
 
+#: Every distinct :meth:`Monitor.batch_key`, keyed by itself.
+_BATCH_KEYS: dict[tuple, tuple] = {}
+
 
 class Monitor:
     """Collects the full candidate metric vector for a workload.
@@ -62,7 +65,7 @@ class Monitor:
         """
         key = getattr(self, "_batch_key", None)
         if key is None:
-            key = self._batch_key = (
+            key = (
                 type(self.hpc.stream),
                 type(self.xentop.stream),
                 tuple(self.hpc.monitored),
@@ -70,6 +73,9 @@ class Monitor:
                 self.xentop.capacity_units,
                 self.window_seconds,
             )
+            # Equal keys are one object, so matrix collection checks
+            # a row's key by identity.
+            key = self._batch_key = _BATCH_KEYS.setdefault(key, key)
         return key
 
     def collect(
@@ -99,9 +105,10 @@ class Monitor:
         *,
         monitors: "list[Monitor]",
         window_seconds: float | None = None,
+        columns: "np.ndarray | list[int] | None" = None,
     ) -> "np.ndarray":
         """Many lanes' monitoring passes as one ``(n_lanes, n_metrics)``
-        matrix.
+        matrix, or only its ``columns``.
 
         Row ``r`` is the collection of ``workloads[r]`` by
         ``monitors[r]``: that monitor's :meth:`collect` in
@@ -109,6 +116,16 @@ class Monitor:
         consumption.  A one-row matrix is one lane's collection; under
         counter streams the whole block is produced in one vectorized
         pass (the fleet engine's prepare phase).
+
+        ``columns`` (positions in :meth:`metric_names`, any order, HPC
+        and xentop mixed) returns ``matrix[:, columns]`` of that full
+        matrix, bit for bit, and evaluates clean rates, noise
+        deviations and counter-mode normals for those metrics only —
+        a signature collection (``signature_columns()``) costs its
+        width, not the monitor's.  Every row's HPC and xentop streams
+        still advance exactly one pass each, also when none of that
+        sampler's metrics is asked for, so streams sit where a full
+        collection leaves them.
 
         All row monitors must share this monitor's :meth:`batch_key`
         (identical metric constants; only noise streams differ), and no
@@ -136,25 +153,35 @@ class Monitor:
                 )
         key = self.batch_key()
         for monitor in monitors:
-            if monitor.batch_key() != key:
+            if monitor.batch_key() is not key:
                 raise ValueError(
                     "matrix collection needs compatible monitors; "
                     f"{monitor.batch_key()} != {key}"
                 )
         if len(set(map(id, monitors))) != n:
             raise ValueError("matrix collection needs distinct monitors per row")
-        hpc_rates = HPCSampler.sample_rates_matrix(
+        n_hpc = len(self.hpc.monitored)
+        n_metrics = n_hpc + len(XENTOP_METRICS)
+        if columns is None:
+            columns = np.arange(n_metrics)
+        else:
+            columns = _checked_columns(columns, n_metrics)
+        from_hpc = columns < n_hpc
+        matrix = np.empty((n, columns.size))
+        matrix[:, from_hpc] = HPCSampler.sample_rates_matrix(
             [monitor.hpc for monitor in monitors],
             workloads,
             window,
             interferences,
+            columns[from_hpc],
         )
-        xentop_values = XentopSampler.sample_matrix(
+        matrix[:, ~from_hpc] = XentopSampler.sample_matrix(
             [monitor.xentop for monitor in monitors],
             workloads,
             interferences,
+            columns[~from_hpc] - n_hpc,
         )
-        return np.concatenate([hpc_rates, xentop_values], axis=1)
+        return matrix
 
     def collect_block(self, workloads: list[Workload], passes: int) -> "np.ndarray":
         """``passes`` isolated monitoring passes of every workload as one
@@ -176,3 +203,14 @@ class Monitor:
         )
         xentop_values = self.xentop.sample_block(workloads, passes)
         return np.concatenate([hpc_rates, xentop_values], axis=1)
+
+
+def _checked_columns(columns, n_metrics: int) -> np.ndarray:
+    """``columns`` as a non-empty integer vector of positions below
+    ``n_metrics``."""
+    array = np.asarray(columns)
+    if array.ndim != 1 or not array.size or array.dtype.kind not in "iu":
+        raise ValueError(f"columns must be a non-empty list of integers: {columns!r}")
+    if array.min() < 0 or array.max() >= n_metrics:
+        raise ValueError(f"columns out of range for {n_metrics} metrics: {columns!r}")
+    return array

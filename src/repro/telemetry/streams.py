@@ -2,7 +2,8 @@
 
 A sampler draws its reading noise from a stream: ``normals(n)`` is one
 sampling pass, ``normals_passes(passes, n)`` that many passes as one
-block.  :class:`SequentialStream` (the single-service paper
+block, and :func:`normals_block` one pass of many streams, or only some
+columns of it.  :class:`SequentialStream` (the single-service paper
 experiments) consumes one ``numpy.random.Generator`` in call order.
 :class:`CounterStream` (fleets) is **counter-mode** randomness: one
 per-fleet 64-bit key is derived from a
@@ -11,8 +12,11 @@ per-fleet 64-bit key is derived from a
 ``(key, l, salt, d, k)``.  Because nothing is consumed from a shared
 stream, the same numbers come out whether a lane is sampled alone, as
 one row of a fleet-wide matrix, or inside a different worker process —
-scalar == batched == sharded, bit for bit, by construction.
-:func:`normals_block` is the only code that tells the two kinds apart.
+scalar == batched == sharded, bit for bit, by construction.  It also
+makes any single normal of a pass computable on its own, so a caller
+that reads only a few columns of a pass (the fleet's signature
+collection) evaluates only those.  :func:`normals_block` is the only
+code that tells the two kinds apart.
 
 The counter generator is a splitmix64-style counter hash (Philox's
 shape — a keyed block function over a counter — with a cheaper mixing
@@ -29,7 +33,8 @@ import numpy as np
 
 #: splitmix64 constants (Steele, Lea & Flood; also Philox-style odd
 #: multipliers).  All arithmetic is uint64 and wraps mod 2**64.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
@@ -38,6 +43,9 @@ _U64_27 = np.uint64(27)
 _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _ONE = np.uint64(1)
+
+#: Python ints stand in for uint64 words below this mask.
+_MASK_64 = 0xFFFFFFFFFFFFFFFF
 
 #: 2**-53: maps the top 53 bits of a word onto [0, 1).
 _INV_2_53 = float(2.0**-53)
@@ -48,6 +56,41 @@ def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     x = (x ^ (x >> _U64_30)) * _MIX_1
     x = (x ^ (x >> _U64_27)) * _MIX_2
     return x ^ (x >> _U64_31)
+
+
+def _mix64_int(x: int) -> int:
+    """:func:`_mix64` of one word held as a Python int in [0, 2**64)."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK_64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK_64
+    return x ^ (x >> 31)
+
+
+def stream_mix(key: int, lane: int, salt: int) -> int:
+    """A stream's identity ``(key, lane, salt)`` mixed into one word,
+    the part of a pass's row key that no pass changes."""
+    mix = _mix64_int((key + _GOLDEN_INT * lane) & _MASK_64)
+    return _mix64_int((mix + _GOLDEN_INT * salt) & _MASK_64)
+
+
+def pass_normals(
+    mixes: np.ndarray, draws: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """The noise kernel: ``columns`` of many streams' passes.
+
+    Element ``[r, j]`` is normal ``columns[j]`` of the pass at counter
+    ``draws[r]`` of the stream whose :func:`stream_mix` is
+    ``mixes[r]``.  Each element is a pure function of those three
+    integers, so any subset of a pass's columns, in any order, comes
+    out exactly as it does within the whole pass.
+    """
+    row_key = _mix64(mixes + _GOLDEN * draws)
+    cols = _GOLDEN * columns.astype(np.uint64)
+    w1 = _mix64(row_key[:, None] + cols[None, :])
+    w2 = _mix64(w1 + _GOLDEN)
+    # Box-Muller: u1 in (0, 1] keeps the log finite, u2 in [0, 1).
+    u1 = ((w1 >> _U64_11) + _ONE).astype(np.float64) * _INV_2_53
+    u2 = (w2 >> _U64_11).astype(np.float64) * _INV_2_53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
 
 
 def counter_normals(
@@ -66,16 +109,8 @@ def counter_normals(
     """
     if n < 1:
         raise ValueError(f"need at least one normal per row: {n}")
-    row_key = _mix64(keys + _GOLDEN * lanes)
-    row_key = _mix64(row_key + _GOLDEN * salts)
-    row_key = _mix64(row_key + _GOLDEN * draws)
-    cols = _GOLDEN * np.arange(n, dtype=np.uint64)
-    w1 = _mix64(row_key[:, None] + cols[None, :])
-    w2 = _mix64(w1 + _GOLDEN)
-    # Box-Muller: u1 in (0, 1] keeps the log finite, u2 in [0, 1).
-    u1 = ((w1 >> _U64_11) + _ONE).astype(np.float64) * _INV_2_53
-    u2 = (w2 >> _U64_11).astype(np.float64) * _INV_2_53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+    mixes = _mix64(_mix64(keys + _GOLDEN * lanes) + _GOLDEN * salts)
+    return pass_normals(mixes, draws, np.arange(n))
 
 
 class CounterStream:
@@ -84,19 +119,22 @@ class CounterStream:
 
     Each sampling pass consumes exactly one counter tick regardless of
     how many normals it draws, so a lane's ``d``-th collection produces
-    the same noise no matter which process or batch performs it.
+    the same noise no matter which process or batch performs it.  The
+    identity is mixed once, at construction (``mix``), so a pass mixes
+    only its counter.
     """
 
-    __slots__ = ("key", "lane", "salt", "draws")
+    __slots__ = ("key", "lane", "salt", "mix", "draws")
 
     def __init__(self, key: int, lane: int, salt: int = 0) -> None:
         if lane < 0:
             raise ValueError(f"lane key must be non-negative: {lane}")
         if salt < 0:
             raise ValueError(f"salt must be non-negative: {salt}")
-        self.key = int(key) & 0xFFFFFFFFFFFFFFFF
+        self.key = int(key) & _MASK_64
         self.lane = int(lane)
         self.salt = int(salt)
+        self.mix = stream_mix(self.key, self.lane, self.salt)
         self.draws = 0
 
     def identity(self) -> tuple[int, int, int]:
@@ -115,13 +153,10 @@ class CounterStream:
         :meth:`normals` calls: each pass keeps its own counter value
         (``draws + p``), so the rows differ.
         """
-        ones = np.ones(passes, dtype=np.uint64)
-        block = counter_normals(
-            ones * np.uint64(self.key),
-            ones * np.uint64(self.lane),
-            ones * np.uint64(self.salt),
+        block = pass_normals(
+            np.full(passes, self.mix, dtype=np.uint64),
             np.uint64(self.draws) + np.arange(passes, dtype=np.uint64),
-            n,
+            np.arange(n),
         )
         self.draws += passes
         return block
@@ -157,25 +192,34 @@ class SequentialStream:
 NoiseStream = CounterStream | SequentialStream
 
 
-def normals_block(streams: list[NoiseStream], n: int) -> np.ndarray:
-    """One ``(len(streams), n)`` block: every stream's next pass at once.
+def normals_block(
+    streams: list[NoiseStream], n: int, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """Every stream's next pass of ``n`` normals at once, as one
+    ``(len(streams), n)`` block, or only its ``columns`` (pass
+    positions, any order) as a ``(len(streams), len(columns))`` block.
 
-    Row ``r`` is bit-identical to ``streams[r].normals(n)`` and every
-    stream advances by one pass.  The streams must be of one kind
-    (callers group them by class); the first stream's class decides.
-    Counter streams are evaluated in a single vectorized pass — the
-    whole point of counter mode — while sequential streams draw in row
-    order.
+    Row ``r`` is bit-identical to ``streams[r].normals(n)[columns]``
+    and every stream advances by exactly one pass, also when
+    ``columns`` is empty.  The streams must be of one kind (callers
+    group them by class); the first stream's class decides.  Counter
+    streams evaluate only the requested columns, in a single vectorized
+    pass — the whole point of counter mode — while sequential streams
+    draw their full passes in row order and slice them.
     """
     if not streams:
         raise ValueError("need at least one stream")
     if type(streams[0]) is SequentialStream:
-        return np.stack([stream.normals(n) for stream in streams])
-    keys = np.fromiter((s.key for s in streams), dtype=np.uint64, count=len(streams))
-    lanes = np.fromiter((s.lane for s in streams), dtype=np.uint64, count=len(streams))
-    salts = np.fromiter((s.salt for s in streams), dtype=np.uint64, count=len(streams))
-    draws = np.fromiter((s.draws for s in streams), dtype=np.uint64, count=len(streams))
-    block = counter_normals(keys, lanes, salts, draws, n)
+        block = np.stack([stream.normals(n) for stream in streams])
+        return block if columns is None else block[:, columns]
+    if columns is None:
+        columns = np.arange(n)
+    if columns.size:
+        mixes = np.array([s.mix for s in streams], dtype=np.uint64)
+        draws = np.array([s.draws for s in streams], dtype=np.uint64)
+        block = pass_normals(mixes, draws, columns)
+    else:
+        block = np.empty((len(streams), 0))
     for stream in streams:
         stream.draws += 1
     return block

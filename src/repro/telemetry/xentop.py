@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.telemetry.counters import check_interferences
 from repro.telemetry.streams import NoiseStream, SequentialStream, normals_block
 from repro.workloads.request_mix import Workload
 
@@ -19,6 +20,9 @@ XENTOP_METRICS: tuple[str, ...] = (
     "xentop_net_tx_kbps",
     "xentop_vbd_io_ops",
 )
+
+#: Every xentop metric's position, in order.
+_ALL = np.arange(len(XENTOP_METRICS))
 
 
 class XentopSampler:
@@ -77,7 +81,9 @@ class XentopSampler:
         """
         if not 0.0 <= interference < 1.0:
             raise ValueError(f"interference out of [0,1): {interference}")
-        clean = self._clean_matrix([workload], np.array([interference]))[0]
+        clean = self._clean_matrix(
+            [workload], np.array([interference]), _ALL
+        )[0]
         noise = self._stream.normals(len(XENTOP_METRICS)) * self._NOISE_SDS
         return np.maximum(0.0, clean * (1.0 + noise))
 
@@ -86,6 +92,7 @@ class XentopSampler:
         samplers: list["XentopSampler"],
         workloads: list[Workload],
         interferences: np.ndarray,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """All lanes' xentop snapshots in one vectorized pass.
 
@@ -93,15 +100,21 @@ class XentopSampler:
         ``samplers[r].sample_vector(workloads[r],
         interference=interferences[r])``: the scalar path is this
         arithmetic's one-row case, and each row draws its sampler's next
-        noise pass.  Requires samplers with one kind of stream and one
-        shared capacity.
+        noise pass.  Given ``columns`` (positions in
+        :data:`XENTOP_METRICS`, any order, possibly none), only those
+        metrics are evaluated and returned, in ``columns`` order; each
+        row's stream still advances one whole pass.  Requires samplers
+        with one kind of stream and one shared capacity.
         """
         lead = samplers[0]
-        if np.any(interferences < 0.0) or np.any(interferences >= 1.0):
-            raise ValueError("interference out of [0,1)")
-        clean = lead._clean_matrix(workloads, interferences)
+        check_interferences(interferences)
         streams = [sampler._stream for sampler in samplers]
-        noise = normals_block(streams, len(XENTOP_METRICS)) * lead._NOISE_SDS
+        n_metrics = len(XENTOP_METRICS)
+        if columns is not None and not columns.size:
+            return normals_block(streams, n_metrics, columns)
+        pick = _ALL if columns is None else columns
+        clean = lead._clean_matrix(workloads, interferences, pick)
+        noise = normals_block(streams, n_metrics, columns) * lead._NOISE_SDS[pick]
         return np.maximum(0.0, clean * (1.0 + noise))
 
     def sample_block(self, workloads: list[Workload], passes: int) -> np.ndarray:
@@ -114,15 +127,22 @@ class XentopSampler:
         :meth:`~repro.telemetry.counters.HPCSampler.sample_rates_block`).
         """
         clean = np.repeat(
-            self._clean_matrix(workloads, np.zeros(len(workloads))), passes, axis=0
+            self._clean_matrix(workloads, np.zeros(len(workloads)), _ALL),
+            passes,
+            axis=0,
         )
         noise = self._stream.normals_passes(*clean.shape) * self._NOISE_SDS
         return np.maximum(0.0, clean * (1.0 + noise))
 
     def _clean_matrix(
-        self, workloads: list[Workload], interferences: np.ndarray
+        self,
+        workloads: list[Workload],
+        interferences: np.ndarray,
+        columns: np.ndarray,
     ) -> np.ndarray:
-        """Noise-free snapshots, one row per workload."""
+        """Noise-free snapshots of the ``columns`` metrics (positions
+        in :data:`XENTOP_METRICS`), one row per workload; only those
+        metrics are computed."""
         demand, cpu_i, mem_i, read_f, io_i = np.array(
             [
                 (
@@ -136,10 +156,15 @@ class XentopSampler:
             ],
             dtype=float,
         ).T
-        rho = demand / (self._capacity * (1.0 - interferences))
-        cpu = np.minimum(100.0, 100.0 * rho * (0.6 + 0.4 * cpu_i))
-        mem = np.minimum(100.0, 25.0 + 60.0 * rho * mem_i)
-        rx = 80.0 * demand
-        tx = rx * (6.0 + 6.0 * read_f)
-        io_ops = 900.0 * demand * (0.3 + 0.7 * io_i)
-        return np.stack([cpu, mem, rx, tx, io_ops], axis=1)
+
+        def rho() -> np.ndarray:
+            return demand / (self._capacity * (1.0 - interferences))
+
+        metrics = (
+            lambda: np.minimum(100.0, 100.0 * rho() * (0.6 + 0.4 * cpu_i)),
+            lambda: np.minimum(100.0, 25.0 + 60.0 * rho() * mem_i),
+            lambda: 80.0 * demand,
+            lambda: 80.0 * demand * (6.0 + 6.0 * read_f),
+            lambda: 900.0 * demand * (0.3 + 0.7 * io_i),
+        )
+        return np.stack([metrics[c]() for c in columns], axis=1)

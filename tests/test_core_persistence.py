@@ -27,6 +27,7 @@ from repro.core.persistence import (
 from repro.core.repository import AllocationRepository
 from repro.core.signature import Standardizer
 from repro.experiments.setup import build_scaleout_setup
+from repro.sim.profiling_queue import ProfilingQueue
 
 
 def three_class_data(seed=0):
@@ -168,6 +169,34 @@ class TestManagerState:
         assert set(manager._class_workloads) == set(
             range(report.n_classes)
         )
+
+    def test_restore_drops_a_staged_relearn(self, trained):
+        # A relearn staged behind its queued sweep belongs to the model
+        # the restore replaces: once the sweep drains, the restored
+        # schema and classifier must still serve.  The sweep's grants
+        # stay charged.
+        queue = ProfilingQueue(slots=1, service_seconds=10.0)
+        setup = build_scaleout_setup("messenger", seed=1)
+        manager = setup.manager
+        manager.learn(setup.trace.hourly_workloads(day=0))
+        manager.attach_profiling_queue(queue)
+        queue.request(0.0)  # slot busy: the relearn sweep has to queue
+        manager.relearn(now=0.0, workloads=setup.trace.hourly_workloads(day=1))
+        assert manager.relearn_pending
+        available = manager.model_available_at
+        charged = len(queue.grants)
+        restore_manager_state(manager, manager_state_to_dict(trained.manager))
+        schema, classifier = manager.schema, manager.classifier
+        manager.poll_pending_deployment(available + 1.0)
+        assert manager.schema is schema
+        assert manager.classifier is classifier
+        assert manager.schema == trained.manager.schema
+        assert not manager.relearn_pending
+        assert manager.model_available_at == 0.0
+        assert len(queue.grants) == charged
+        workload = setup.trace.workload_at(8 * 3600.0)
+        label, _certainty, _z = manager.classify(workload)
+        assert 0 <= label < trained.manager.clustering.n_classes
 
     @pytest.mark.parametrize("sharing", ["adopted", "external"])
     def test_restored_repository_is_private(self, trained, sharing):

@@ -115,9 +115,9 @@ def test_pinned_runs_exercise_every_row_change(monkeypatch, queue_policy):
 
 def test_a_model_shared_across_monitor_families_classifies_as_one_group():
     """A lane adopting a model while its monitor collects in another
-    monitor family (here: a longer window) is sliced row by row and
-    still classifies with its model group, bit-identically to the
-    per-lane reference."""
+    monitor family (here: a longer window) is collected in a pass of
+    its own and still classifies with its model group, bit-identically
+    to the per-lane reference."""
 
     def run(batched: bool):
         lanes, queue, managers = build_fleet(

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
+from repro.sim.fleet import FleetEngine
+from repro.telemetry import streams as streams_module
 from repro.telemetry.counters import (
     HARDWARE_REGISTERS,
     MULTIPLEX_NOISE_SD,
@@ -42,6 +44,13 @@ WORKLOADS = [
         [CASSANDRA_UPDATE_HEAVY, SPECWEB_SUPPORT, CASSANDRA_UPDATE_HEAVY]
     )
 ]
+
+
+_workload = st.builds(
+    Workload,
+    volume=st.floats(20.0, 600.0),
+    mix=st.sampled_from([CASSANDRA_UPDATE_HEAVY, SPECWEB_SUPPORT]),
+)
 
 
 def counter_monitor(streams: TelemetryStreams, lane: int) -> Monitor:
@@ -255,6 +264,24 @@ class TestCollectMatrix:
         with pytest.raises(ValueError, match="interference"):
             monitor.collect_matrix(WORKLOADS[:2], [0.1], monitors=pair)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.0, float("inf")])
+    def test_interference_outside_unit_interval_rejected(self, bad):
+        # The matrix path rejects what the scalar path rejects, NaN
+        # included, with the same message and before any stream moves.
+        streams = TelemetryStreams(1)
+        pair = [counter_monitor(streams, 0), counter_monitor(streams, 1)]
+        with pytest.raises(ValueError) as scalar:
+            pair[0].collect(WORKLOADS[0], interference=bad)
+        assert str(scalar.value) == f"interference out of [0,1): {bad}"
+        for columns in (None, [0], [60]):
+            with pytest.raises(ValueError) as matrix:
+                pair[0].collect_matrix(
+                    WORKLOADS[:2], [0.1, bad], monitors=pair, columns=columns
+                )
+            assert str(matrix.value) == str(scalar.value)
+        for monitor in pair:
+            assert monitor.hpc.stream.draws == monitor.xentop.stream.draws == 0
+
     def test_repeated_monitor_rejected(self):
         # One block draw reads every row's stream before advancing any,
         # so a monitor listed twice would get the same noise on both
@@ -264,6 +291,105 @@ class TestCollectMatrix:
             monitor.collect_matrix(WORKLOADS)
         with pytest.raises(ValueError, match="distinct"):
             monitor.collect_matrix(WORKLOADS, monitors=[monitor] * 3)
+        assert monitor.hpc.stream.draws == monitor.xentop.stream.draws == 0
+
+
+def twin_monitors(kind: str, n: int, multiplexed: bool) -> list[Monitor]:
+    """``n`` distinct monitors; two calls build identical twins."""
+    events = None if multiplexed else list(TABLE1_EVENTS[:HARDWARE_REGISTERS])
+    if kind == "counter":
+        streams = TelemetryStreams(17)
+        return [
+            Monitor(
+                hpc=HPCSampler(
+                    events=events, stream=streams.stream(lane, salt=0)
+                ),
+                xentop=XentopSampler(
+                    capacity_units=10.0, stream=streams.stream(lane, salt=1)
+                ),
+            )
+            for lane in range(n)
+        ]
+    return [
+        Monitor(
+            hpc=HPCSampler(events=events, seed=lane),
+            xentop=XentopSampler(capacity_units=10.0, seed=1000 + lane),
+        )
+        for lane in range(n)
+    ]
+
+
+class TestCollectColumns:
+    """``collect_matrix(columns=c)`` is ``collect_matrix()[:, c]``, bit
+    for bit, evaluating only ``c``, and leaves every stream where the
+    full collection leaves it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["counter", "sequential"]),
+        multiplexed=st.booleans(),
+        rows=st.lists(
+            st.tuples(_workload, st.sampled_from([0.0, 0.15, 0.6])),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_columns_equal_full_collection_sliced(
+        self, kind, multiplexed, rows, data
+    ):
+        full_monitors = twin_monitors(kind, len(rows), multiplexed)
+        column_monitors = twin_monitors(kind, len(rows), multiplexed)
+        n_hpc = len(full_monitors[0].hpc.monitored)
+        n_metrics = n_hpc + len(XENTOP_METRICS)
+        columns = data.draw(
+            st.one_of(
+                st.lists(st.integers(0, n_metrics - 1), min_size=1, max_size=20),
+                st.lists(st.integers(0, n_hpc - 1), min_size=1, max_size=8),
+                st.lists(
+                    st.integers(n_hpc, n_metrics - 1), min_size=1, max_size=5
+                ),
+                st.integers(0, n_metrics - 1).map(lambda c: [c]),
+            ),
+            label="columns",
+        )
+        workloads = [w for w, _ in rows]
+        interferences = [i for _, i in rows]
+        for _pass in range(2):  # streams stay aligned pass after pass
+            full = full_monitors[0].collect_matrix(
+                workloads, interferences, monitors=full_monitors
+            )
+            picked = column_monitors[0].collect_matrix(
+                workloads,
+                interferences,
+                monitors=column_monitors,
+                columns=columns,
+            )
+            np.testing.assert_array_equal(picked, full[:, columns], strict=True)
+        # Every sampler's stream advanced one pass per collection, also
+        # a sampler none of whose metrics was asked for: the same
+        # counter, or the same next draw.
+        for a, b in zip(full_monitors, column_monitors):
+            for sampler in ("hpc", "xentop"):
+                sa = getattr(a, sampler).stream
+                sb = getattr(b, sampler).stream
+                if kind == "counter":
+                    assert sa.draws == sb.draws == 2
+                else:
+                    np.testing.assert_array_equal(
+                        sa.normals(3), sb.normals(3), strict=True
+                    )
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[65], [-1], [0, 70], [1.0], [0.5, 2], ["3"], [True], [], [[0, 1]]],
+    )
+    def test_bad_columns_rejected(self, columns):
+        monitor = counter_monitor(TelemetryStreams(2), 0)
+        with pytest.raises(ValueError, match="columns"):
+            monitor.collect_matrix(
+                WORKLOADS[:1], monitors=[monitor], columns=columns
+            )
         assert monitor.hpc.stream.draws == monitor.xentop.stream.draws == 0
 
 
@@ -388,11 +514,6 @@ ENTRY_POINTS = (
     "collect_matrix",
 )
 
-_workload = st.builds(
-    Workload,
-    volume=st.floats(20.0, 600.0),
-    mix=st.sampled_from([CASSANDRA_UPDATE_HEAVY, SPECWEB_SUPPORT]),
-)
 _interference = st.sampled_from([0.0, 0.0, 0.15, 0.6])
 _call = st.tuples(
     st.sampled_from(ENTRY_POINTS),
@@ -556,3 +677,47 @@ class TestFleetRngEquivalence:
         matrix = study.result.matrix("latency_ms")
         assert matrix[:, 0].tolist() == matrix[:, 1].tolist()
 
+
+
+class TestSignatureOnlyWave:
+    def test_wave_evaluates_each_groups_signature_width(self, monkeypatch):
+        # The noise kernel is the wave's per-element cost: each
+        # shared-model group's collection must evaluate exactly its
+        # rows times its signature width, never the monitor's 65.
+        kernel_calls: list[tuple[int, int]] = []
+        kernel = streams_module.pass_normals
+
+        def spy(mixes, draws, columns):
+            kernel_calls.append((mixes.size, columns.size))
+            return kernel(mixes, draws, columns)
+
+        monkeypatch.setattr(streams_module, "pass_normals", spy)
+        waves = []
+        collect = FleetEngine._collect_wave_signatures
+
+        def traced(self, gated, workloads):
+            kernel_calls.clear()
+            groups = collect(self, gated, workloads)
+            controllers = self._table.controllers
+            expected = [
+                (len(rows), controllers[rows[0]].signature_columns().size)
+                for rows, _X in groups
+            ]
+            assert [X.shape for _rows, X in groups] == expected
+            waves.append((list(kernel_calls), expected))
+            return groups
+
+        monkeypatch.setattr(FleetEngine, "_collect_wave_signatures", traced)
+        run_fleet_multiplexing_study(n_lanes=6, hours=6.0, mix="mixed")
+        assert waves
+        for calls, expected in waves:
+            remaining = iter(calls)
+            for rows, width in expected:
+                assert 0 < width < 65
+                evaluated = 0
+                while evaluated < width:
+                    kernel_rows, kernel_width = next(remaining)
+                    assert kernel_rows == rows
+                    evaluated += kernel_width
+                assert evaluated == width
+            assert next(remaining, None) is None
