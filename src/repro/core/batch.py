@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.classifiers import Classifier
 from repro.core.clustering import ClusteringModel
-from repro.core.signature import SignatureSchema, Standardizer
+from repro.core.model import TrainedModel
 
 
 def novelty_threshold(
@@ -83,36 +82,31 @@ class BatchClassification:
 class BatchClassifier:
     """Vectorized classify path over one trained DejaVu model.
 
-    Parameters mirror the trained state a
-    :class:`~repro.core.manager.DejaVuManager` holds after ``learn()``;
-    managers expose a cached instance via ``batch_classifier()``.  The
-    novelty parameters are part of the model snapshot: two managers may
-    share a ``BatchClassifier`` only if their classifier/clustering
-    objects *and* novelty configuration agree (the fleet engine's
-    grouping key enforces this).
+    Managers expose a cached instance via ``batch_classifier()``.  The
+    novelty parameters are part of the snapshot: two managers may share
+    a ``BatchClassifier`` only if they serve the same
+    :class:`~repro.core.model.TrainedModel` *and* agree on the novelty
+    configuration (the fleet engine's grouping key enforces this).
     """
 
     def __init__(
         self,
-        schema: SignatureSchema,
-        standardizer: Standardizer,
-        classifier: Classifier,
-        clustering: ClusteringModel,
-        novelty_radii: np.ndarray,
+        model: TrainedModel,
         novelty_radius_factor: float,
         novelty_certainty: float,
     ) -> None:
-        if not standardizer.is_fit:
+        if not model.standardizer.is_fit:
             raise ValueError("batch classifier needs a fitted standardizer")
-        novelty_radii = np.asarray(novelty_radii, dtype=float)
+        clustering = model.clustering
+        novelty_radii = np.asarray(model.novelty_radii, dtype=float)
         if novelty_radii.shape != (clustering.n_classes,):
             raise ValueError(
                 f"{novelty_radii.shape[0] if novelty_radii.ndim else 0} "
                 f"novelty radii for {clustering.n_classes} classes"
             )
-        self.schema = schema
-        self.standardizer = standardizer
-        self.classifier = classifier
+        self.schema = model.schema
+        self.standardizer = model.standardizer
+        self.classifier = model.classifier
         self.clustering = clustering
         self.novelty_certainty = float(novelty_certainty)
         # Per-class novelty thresholds depend only on the trained model;

@@ -15,21 +15,21 @@ This is the controller the paper's Figure 3 sketches:
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cloud.instance_types import InstanceType
 from repro.cloud.provider import Allocation
 from repro.core.batch import BatchClassifier
-from repro.core.classifiers import C45DecisionTree, Classifier
-from repro.core.clustering import ClusteringModel, auto_cluster
+from repro.core.classifiers import C45DecisionTree
+from repro.core.clustering import auto_cluster
 from repro.core.feature_selection import CfsSubsetSelector
 from repro.core.grouping import group_means
 from repro.core.interference import InterferenceEstimator
+from repro.core.model import LearningReport, TrainedModel
 from repro.core.profiler import ProductionEnvironment, ProfilingEnvironment
 from repro.core.repository import AllocationRepository
 from repro.core.signature import SignatureSchema, Standardizer
@@ -179,6 +179,31 @@ class DejaVuConfig:
                 f"exceed history_size ({self.history_size}), or an automatic "
                 "re-learn can never fire"
             )
+        # Timing settings, NaN included: a NaN check interval silently
+        # stops the periodic adaptations.
+        periods = [("check_interval_seconds", self.check_interval_seconds)]
+        if self.resignature_every_seconds is not None:
+            periods.append(
+                ("resignature_every_seconds", self.resignature_every_seconds)
+            )
+        for name, value in periods:
+            if not 0.0 < value < math.inf:
+                problems.append(f"{name} must be positive and finite, got {value}")
+        for name, value in (
+            ("settle_delay_seconds", self.settle_delay_seconds),
+            ("profiling_retry_backoff_seconds", self.profiling_retry_backoff_seconds),
+        ):
+            if not 0.0 <= value < math.inf:
+                problems.append(
+                    f"{name} must be non-negative and finite, got {value}"
+                )
+        if self.profiling_retry_limit < 0:
+            problems.append(
+                "profiling_retry_limit must be at least 0, "
+                f"got {self.profiling_retry_limit}"
+            )
+        if math.isnan(self.certainty_threshold):
+            problems.append("certainty_threshold must be a number, got nan")
         if problems:
             raise ValueError("invalid DejaVuConfig: " + "; ".join(problems))
 
@@ -253,18 +278,6 @@ class _PendingDeployment:
         self.owes_check = run_interference_check and workload_class is not None
 
 
-@dataclass
-class LearningReport:
-    """What the learning phase produced (Sec. 3.4)."""
-
-    n_workloads: int
-    n_classes: int
-    selected_metrics: tuple[str, ...]
-    tuning_invocations: int
-    tuning_seconds_total: float
-    class_allocations: dict[tuple[int, int], Allocation] = field(default_factory=dict)
-
-
 class DejaVuManager:
     """DejaVu as an engine-drivable controller.
 
@@ -311,15 +324,9 @@ class DejaVuManager:
         self.repository = repository if repository is not None else AllocationRepository()
         self._repository_external = repository is not None
         self._repository_fleet_shared = False
-        self.schema: SignatureSchema | None = None
-        self.standardizer = Standardizer()
-        self.clustering: ClusteringModel | None = None
-        self.classifier: Classifier | None = None
-        self._novelty_radii: np.ndarray | None = None
-        self._class_workloads: dict[int, Workload] = {}
+        self.model: TrainedModel | None = None
 
         self.adaptation_events: list[AdaptationEvent] = []
-        self.learning_report: LearningReport | None = None
         self.workload_history: deque[tuple[float, Workload]] = deque(
             maxlen=self.config.history_size
         )
@@ -342,17 +349,14 @@ class DejaVuManager:
         self.revoked_adaptations = 0
         self.degraded_adaptations = 0
         self.pending_deployment: _PendingDeployment | None = None
-        self._pending_wait = 0.0
-        self._pending_grant: ProfilingGrant | None = None
-        # (model objects, novelty settings, BatchClassifier, signature
-        # columns): valid while the first two are unchanged.
+        # (model, novelty settings, BatchClassifier, signature columns):
+        # valid while the first two are unchanged.
         self._batch_cache: tuple | None = None
-        # Relearn gating: a re-learned model computed while its learning
-        # sweep is still queued is *staged* — the old model keeps
-        # serving until the burst's last grant finishes.
-        self._staged_model: dict | None = None
+        # Relearn gating: a re-learned (model, repository) computed
+        # while its learning sweep is still queued is *staged* — the
+        # old model keeps serving until the burst's last grant finishes.
+        self._staged_model: tuple[TrainedModel, AllocationRepository] | None = None
         self._staged_burst: tuple[ProfilingGrant, ...] = ()
-        self.model_available_at = 0.0
         self._next_resignature = (
             0.0
             if self.config.resignature_every_seconds is not None
@@ -384,12 +388,38 @@ class DejaVuManager:
         that raises leaves the serving model (and the re-learn request)
         as it was, though a failed sweep's stream draws stay consumed.
         """
+        if self._repository_fleet_shared or (
+            self._repository_external and len(self.repository) > 0
+        ):
+            # Other managers serve from this repository — adopted, or
+            # supplied at construction and already filled by another
+            # learner.  Clearing it (or storing entries keyed by a fresh
+            # clustering's class numbers) would corrupt the fleet:
+            # detach onto a private cache instead.  An external
+            # repository still empty is filled in place.
+            repository = AllocationRepository()
+        else:
+            repository = self.repository
+        self._install(self._train(workloads, now, repository), repository)
+        return self.model.learning_report
+
+    def _train(
+        self,
+        workloads: list[Workload],
+        now: float,
+        repository: AllocationRepository,
+    ) -> TrainedModel:
+        """Build a model from ``workloads`` on the side, filling
+        ``repository`` (cleared first) with its tuned allocations.
+
+        Every step that can raise (too few distinct workloads, a
+        non-finite metric, no feature separating the workloads, no
+        viable clustering) runs before ``repository`` is touched, and
+        nothing here changes the serving model.
+        """
         if len(workloads) < 2:
             raise ValueError("learning needs at least two workloads")
         self._check_distinct(workloads)
-        # The new model is built on the side: every step that can raise
-        # (a non-finite metric, no feature separating the workloads, no
-        # viable clustering) runs before the serving model changes.
         # The profiling sweep: trials_per_workload isolated passes of
         # each workload, workload-major — one pass of each profiler
         # stream per trial.
@@ -438,22 +468,7 @@ class DejaVuManager:
         novelty_radii = np.full(clustering.n_classes, -np.inf)
         np.maximum.at(novelty_radii, cluster_labels, distances)
 
-        # Install the new model.
-        if self._repository_fleet_shared or (
-            self._repository_external
-            and len(self.repository) > 0
-            and self.learning_report is None
-        ):
-            # This manager runs on a repository shared with other
-            # managers — via adopt_trained_state, or supplied at
-            # construction and already populated by another learner.
-            # Clearing it (or storing entries keyed by a fresh
-            # clustering's class numbers) would corrupt the fleet.
-            # Detach onto a private cache instead.
-            self.repository = AllocationRepository()
-            self._repository_fleet_shared = False
-            self._repository_external = False
-        self.repository.clear()
+        repository.clear()
         report = LearningReport(
             n_workloads=len(workloads),
             n_classes=clustering.n_classes,
@@ -462,18 +477,45 @@ class DejaVuManager:
             tuning_seconds_total=tuning_seconds,
         )
         for cluster, band, allocation in tuned:
-            entry = self.repository.store(cluster, band, allocation, tuned_at=now)
+            entry = repository.store(cluster, band, allocation, tuned_at=now)
             report.class_allocations[(cluster, band)] = entry.allocation
-        self.schema = SignatureSchema(metric_names=selection.selected)
-        self.standardizer = standardizer
-        self.clustering = clustering
-        self.classifier = classifier
-        self._novelty_radii = novelty_radii
-        self._class_workloads = class_workloads
-        self.learning_report = report
+        return TrainedModel(
+            schema=SignatureSchema(metric_names=selection.selected),
+            standardizer=standardizer,
+            clustering=clustering,
+            classifier=classifier,
+            novelty_radii=novelty_radii,
+            class_workloads=class_workloads,
+            learning_report=report,
+        )
+
+    def _install(
+        self,
+        model: TrainedModel,
+        repository: AllocationRepository,
+        *,
+        fleet_shared: bool = False,
+    ) -> None:
+        """Serve ``model`` from ``repository``: the one way a model
+        arrives (:meth:`learn`, a staged re-learn whose sweep drained,
+        :meth:`adopt_trained_state`, and
+        :func:`~repro.core.persistence.restore_manager_state`).
+
+        What belonged to the replaced model goes with it: its miss
+        streak, a raised re-learn request, and a re-learned model still
+        staged behind its sweep (whose grants stay charged: the profiler
+        runs them either way).  The repository is this manager's own to
+        clear on its next learn unless ``fleet_shared`` (adopted: other
+        managers serve from it too).
+        """
+        self.model = model
+        self.repository = repository
+        self._repository_external = False
+        self._repository_fleet_shared = fleet_shared
         self.relearn_requested = False
         self._consecutive_misses = 0
-        return report
+        self._staged_model = None
+        self._staged_burst = ()
 
     def adopt_trained_state(self, leader: "DejaVuManager") -> None:
         """Reuse another manager's learned model instead of re-learning.
@@ -481,13 +523,10 @@ class DejaVuManager:
         The paper amortizes one profiling environment and one signature
         repository across many co-hosted services (Sec. 5): replicas of
         the same service do not each pay the learning day.  Adopting
-        shares the leader's repository object (so tuned allocations and
-        hit/miss accounting are fleet-wide) and copies its trained
-        model: schema, standardizer, clustering, classifier, novelty
-        radii, and class representatives.  Mutable pieces (the
-        standardizer, novelty radii, class map) are copied, not
-        aliased, so a later re-learn on either side cannot corrupt the
-        other's model in place.  Once shared, the repository is marked
+        serves the leader's model object itself (nothing refits a
+        trained model, so sharing it is safe) from the leader's
+        repository object, so tuned allocations and hit/miss accounting
+        are fleet-wide.  Once shared, the repository is marked
         fleet-shared on *both* sides: re-clustering renumbers workload
         classes, so a manager that re-learns first detaches onto a
         private repository rather than clearing (or re-keying) the
@@ -497,15 +536,7 @@ class DejaVuManager:
             raise ValueError("cannot adopt state from an untrained manager")
         if leader is self:
             raise ValueError("a manager cannot adopt its own state")
-        self.repository = leader.repository
-        self.schema = leader.schema
-        self.standardizer = copy.deepcopy(leader.standardizer)
-        self.clustering = leader.clustering
-        self.classifier = leader.classifier
-        self._novelty_radii = np.array(leader._novelty_radii, copy=True)
-        self._class_workloads = dict(leader._class_workloads)
-        self.learning_report = leader.learning_report
-        self._repository_fleet_shared = True
+        self._install(leader.model, leader.repository, fleet_shared=True)
         leader._repository_fleet_shared = True
 
     # ------------------------------------------------------------------
@@ -514,7 +545,7 @@ class DejaVuManager:
 
     @property
     def is_trained(self) -> bool:
-        return self.classifier is not None
+        return self.model is not None
 
     def attach_profiling_queue(self, queue) -> None:
         """Route this manager's profiling through a shared queue.
@@ -825,34 +856,18 @@ class DejaVuManager:
             for _ in range(n_workloads * self.config.trials_per_workload)
         )
 
-    #: Everything that constitutes the serving model: swapping these
-    #: fields atomically is what "deploying a re-learned model" means.
-    _MODEL_STATE_FIELDS = (
-        "repository",
-        "_repository_external",
-        "_repository_fleet_shared",
-        "schema",
-        "standardizer",
-        "clustering",
-        "classifier",
-        "_novelty_radii",
-        "_class_workloads",
-        "learning_report",
-    )
-
-    def _capture_model_state(self) -> dict:
-        return {
-            name: getattr(self, name) for name in self._MODEL_STATE_FIELDS
-        }
-
-    def _restore_model_state(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-
     @property
     def relearn_pending(self) -> bool:
         """A re-learned model is staged behind its queued sweep."""
         return self._staged_model is not None
+
+    @property
+    def model_available_at(self) -> float:
+        """When the staged re-learned model's sweep drains (0.0 when
+        none is staged).  Re-read from the burst's grants: a priority
+        queue may push their projected finishes later as higher bidders
+        arrive."""
+        return max((g.finish_at for g in self._staged_burst), default=0.0)
 
     def _stage_relearn(
         self,
@@ -863,48 +878,28 @@ class DejaVuManager:
         """Compute the new model but withhold it until the sweep drains.
 
         The learning sweep occupies real queue residency; installing
-        the re-learned model the instant :meth:`learn` returns would
-        mean the profiler produced a model before running its trials.
-        The new model is computed eagerly (its clustering is
-        deterministic given the workloads) but *staged*: the old model
-        keeps serving — classifications, batch grouping, repository
-        lookups all against the pre-relearn state — until the burst's
-        last grant finishes, when :meth:`_poll_staged_model` swaps it
-        in.
+        the re-learned model the instant it is trained would mean the
+        profiler produced a model before running its trials.  The new
+        model and its private repository are computed eagerly (the
+        clustering is deterministic given the workloads) but *staged*:
+        the old model keeps serving — classifications, batch grouping,
+        repository lookups all against the pre-relearn state — until
+        the burst's last grant finishes, when :meth:`_poll_staged_model`
+        installs it.  The re-learn request is answered now, so the miss
+        streak that raised it starts over.
         """
-        serving = self._capture_model_state()
-        # learn() fills the repository in place; hand it a fresh one so
-        # the serving model survives the restore below.  A fleet-shared
-        # repository detaches inside learn() itself and needs no fresh
-        # object here.
-        if not self._repository_fleet_shared:
-            self.repository = AllocationRepository()
-            self._repository_external = False
-        try:
-            report = self.learn(workloads, now=now)
-            self._staged_model = self._capture_model_state()
-        finally:
-            self._restore_model_state(serving)
+        repository = AllocationRepository()
+        model = self._train(workloads, now, repository)
+        self._staged_model = (model, repository)
         self._staged_burst = burst
-        self.model_available_at = max(g.finish_at for g in burst)
-        return report
+        self.relearn_requested = False
+        self._consecutive_misses = 0
+        return model.learning_report
 
     def _poll_staged_model(self, t: float) -> None:
-        """Swap in a staged re-learned model once its sweep drains.
-
-        A priority queue may push the burst's projected finishes later
-        as higher bidders arrive, so availability is re-read from the
-        burst's grants rather than frozen at relearn time.
-        """
-        if self._staged_model is None:
-            return
-        available = max(g.finish_at for g in self._staged_burst)
-        self.model_available_at = available
-        if t + 1e-9 < available:
-            return
-        self._restore_model_state(self._staged_model)
-        self._staged_model = None
-        self._staged_burst = ()
+        """Install a staged re-learned model once its sweep drains."""
+        if self._staged_model is not None and t + 1e-9 >= self.model_available_at:
+            self._install(*self._staged_model)
 
     def _maybe_auto_relearn(self, t: float) -> bool:
         """Run an automatic re-learn when flagged and enough history."""
@@ -952,14 +947,7 @@ class DejaVuManager:
             self.deferred_adaptations += 1
             return None
         label, certainty, _xz = self.classify(ctx.workload)
-        return self._finish_adapt(
-            ctx.t,
-            ctx.workload,
-            label,
-            certainty,
-            wait=grant.wait_seconds,
-            grant=grant,
-        )
+        return self._finish_adapt(ctx.t, ctx.workload, label, certainty, grant)
 
     def _finish_adapt(
         self,
@@ -967,17 +955,21 @@ class DejaVuManager:
         workload: Workload,
         label: int,
         certainty: float,
-        wait: float,
+        grant: ProfilingGrant,
         prefetched=_UNRESOLVED,
-        grant: ProfilingGrant | None = None,
     ) -> AdaptationEvent:
         """Everything after classification: lookup, deploy, escalate.
 
         Shared by the scalar path (:meth:`adapt`) and the batched fleet
-        path (:meth:`complete_batched_adapt`).  ``prefetched`` carries
-        the batched wave's repository lookup for this lane, whose
-        hit/miss statistics the wave has already charged.
+        path (:meth:`complete_batched_adapt`).  ``grant`` is the
+        signature run the decision was made on; the wait it quoted when
+        issued delays the deployment (a batched wave finishes a lane
+        after later lanes charged the queue, which may have revised the
+        grant since).  ``prefetched`` carries the batched wave's
+        repository lookup for this lane, whose hit/miss statistics the
+        wave has already charged.
         """
+        wait = grant.quoted_wait
         hit = certainty >= self.config.certainty_threshold
         if hit:
             self._consecutive_misses = 0
@@ -1012,7 +1004,7 @@ class DejaVuManager:
                         t, priority=PRIORITY_RELEARN, kind="reclassify"
                     )
                     if extra is not None:
-                        wait += extra.wait_seconds
+                        wait += extra.quoted_wait
                         label, certainty, _xz = self.classify(workload)
                         if certainty >= self.config.certainty_threshold:
                             entry = self.repository.lookup(label, 0)
@@ -1118,7 +1110,7 @@ class DejaVuManager:
             entry = self.repository.lookup(label, band)
             if entry is None:
                 outcome = self.tuner.tune(
-                    self._class_workloads.get(label, workload),
+                    self.model.class_workloads.get(label, workload),
                     assumed_interference=self.estimator.assumed_theft(band),
                 )
                 entry = self.repository.store(
@@ -1139,15 +1131,14 @@ class DejaVuManager:
         Lanes whose managers return equal keys share one trained model
         (one ``adopt_trained_state`` family) *and* one repository, so
         the fleet engine may classify their signatures as one matrix
-        and resolve their lookups in one batch.  Re-learning replaces
-        the classifier/clustering objects, so a re-learned manager
+        and resolve their lookups in one batch.  Installing a model
+        replaces the model object, so a re-learned or restored manager
         falls out of its old group automatically.
         """
         if not self.is_trained:
             return None
         return (
-            id(self.classifier),
-            id(self.clustering),
+            id(self.model),
             id(self.repository),
             self.config.novelty_radius_factor,
             self.config.novelty_certainty,
@@ -1165,53 +1156,38 @@ class DejaVuManager:
         return self._batch_state()[3]
 
     def _batch_state(self) -> tuple:
-        """The batched-path cache, rebuilt on access when the model
-        objects (by identity) or the novelty settings (by equality) it
-        was built from have changed: a re-learn, an adopted, staged or
-        restored model, or a replaced ``config``."""
-        if not self.is_trained:
+        """The batched-path cache, rebuilt on access when the model (by
+        identity) or the novelty settings (by equality) it was built
+        from have changed: a newly installed model, or a replaced
+        ``config``."""
+        model = self.model
+        if model is None:
             raise RuntimeError("DejaVu used online before learning")
-        model = (
-            self.schema,
-            self.standardizer,
-            self.classifier,
-            self.clustering,
-            self._novelty_radii,
-        )
         novelty = (
             self.config.novelty_radius_factor,
             self.config.novelty_certainty,
         )
         cache = self._batch_cache
-        if (
-            cache is None
-            or cache[1] != novelty
-            or any(new is not old for new, old in zip(model, cache[0]))
-        ):
+        if cache is None or cache[0] is not model or cache[1] != novelty:
             names = self.profiler.monitor.metric_names()
             columns = np.array(
-                [names.index(name) for name in self.schema.metric_names],
+                [names.index(name) for name in model.schema.metric_names],
                 dtype=int,
             )
-            batch = BatchClassifier(
-                schema=self.schema,
-                standardizer=self.standardizer,
-                classifier=self.classifier,
-                clustering=self.clustering,
-                novelty_radii=self._novelty_radii,
-                novelty_radius_factor=self.config.novelty_radius_factor,
-                novelty_certainty=self.config.novelty_certainty,
-            )
+            batch = BatchClassifier(model, *novelty)
             cache = self._batch_cache = (model, novelty, batch, columns)
         return cache
 
-    def begin_batched_adapt(self, t: float, workload: Workload) -> bool:
+    def begin_batched_adapt(
+        self, t: float, workload: Workload
+    ) -> ProfilingGrant | None:
         """Phase 1a of a batched adaptation: the gate, without collection.
 
         Mirrors :meth:`on_step` and :meth:`adapt` up to (but excluding)
         the signature collection: the step's housekeeping, then record
-        the workload and charge the shared profiling queue.  Returns
-        False when a bounded queue rejected the request (the adaptation
+        the workload and charge the shared profiling queue.  Returns the
+        signature run's grant, for :meth:`complete_batched_adapt`, or
+        None when a bounded queue rejected the request (the adaptation
         is deferred; the engine retries next step).  The engine then
         collects the gated lanes' signatures in one
         :meth:`~repro.telemetry.monitor.Monitor.collect_matrix` pass
@@ -1219,7 +1195,7 @@ class DejaVuManager:
         consuming each monitor's noise streams exactly as the scalar
         path would.
         """
-        if self.schema is None or self.classifier is None or self.clustering is None:
+        if self.model is None:
             raise RuntimeError("DejaVu used online before learning")
         if self._staged_model is not None:
             self._poll_staged_model(t)
@@ -1231,12 +1207,7 @@ class DejaVuManager:
         grant = self._charge_profiling(t)
         if grant is None:
             self.deferred_adaptations += 1
-            self._pending_wait = 0.0
-            self._pending_grant = None
-            return False
-        self._pending_wait = grant.wait_seconds
-        self._pending_grant = grant
-        return True
+        return grant
 
     def complete_batched_adapt(
         self,
@@ -1245,21 +1216,17 @@ class DejaVuManager:
         label: int,
         certainty: float,
         prefetched,
+        grant: ProfilingGrant,
     ) -> AdaptationEvent:
         """Phase 2: finish an adaptation whose classification (and
-        band-0 lookup, for hits) the engine computed in one batch.
+        band-0 lookup, for hits) the engine computed in one batch, on
+        the ``grant`` :meth:`begin_batched_adapt` returned.
 
         Advances the periodic check exactly as :meth:`on_step` does
         after a scalar adaptation.
         """
         event = self._finish_adapt(
-            t,
-            workload,
-            int(label),
-            float(certainty),
-            wait=self._pending_wait,
-            prefetched=prefetched,
-            grant=self._pending_grant,
+            t, workload, int(label), float(certainty), grant, prefetched
         )
         self._next_check = t + self.config.check_interval_seconds
         self._last_adapt = t

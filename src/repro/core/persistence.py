@@ -1,21 +1,18 @@
-"""Persistence of DejaVu's learned state and of fleet results.
+"""Persistence of DejaVu's learned state.
 
 The whole point of DejaVu is that tuning knowledge is reusable; this
-module makes it reusable *across process lifetimes* by serializing
-everything the learning phase produced — signature schema, standardizer,
-clustering, novelty radii, classifier, and the allocation repository —
-to a JSON document.  A manager restored from the document classifies and
-looks up allocations identically to the one that learned.
+module makes it reusable *across process lifetimes* by serializing a
+manager's :class:`~repro.core.model.TrainedModel` — signature schema,
+standardizer, clustering, novelty radii, classifier — and its allocation
+repository to a JSON document.  Restoring builds a model from the
+document and installs it the way every model arrives, so the manager
+classifies and looks up allocations identically to the one that
+learned.
 
 Only the learned state is persisted; the environments (profiler,
 production, tuner) are reconstructed by the caller, since they describe
-the deployment rather than the knowledge.
-
-The second half persists :class:`~repro.sim.fleet.FleetResult` numpy
-blocks to ``.npz`` files (:func:`save_fleet_result` /
-:func:`load_fleet_result`): sharded sweep workers hand their results to
-the parent process this way, and fleet-scale sweeps too large for one
-process can archive per-shard blocks for later merging/analysis.
+the deployment rather than the knowledge.  Fleet results have their own
+``.npz`` format (:meth:`~repro.sim.fleet.FleetResult.to_npz`).
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from repro.core.classifiers import (
 from repro.core.classifiers.decision_tree import _Node
 from repro.core.clustering import ClusteringModel
 from repro.core.manager import DejaVuManager
+from repro.core.model import TrainedModel
 from repro.core.repository import AllocationRepository
 from repro.core.signature import SignatureSchema, Standardizer
 
@@ -216,16 +214,16 @@ def classifier_from_dict(data: dict[str, Any]) -> Any:
 
 def manager_state_to_dict(manager: DejaVuManager) -> dict[str, Any]:
     """Snapshot a trained manager's learned state."""
-    if not manager.is_trained:
+    model = manager.model
+    if model is None:
         raise ValueError("cannot persist an untrained manager")
-    assert manager.schema is not None and manager.clustering is not None
     return {
         "version": FORMAT_VERSION,
-        "schema": list(manager.schema.metric_names),
-        "standardizer": standardizer_to_dict(manager.standardizer),
-        "clustering": clustering_to_dict(manager.clustering),
-        "novelty_radii": manager._novelty_radii.tolist(),
-        "classifier": classifier_to_dict(manager.classifier),
+        "schema": list(model.schema.metric_names),
+        "standardizer": standardizer_to_dict(model.standardizer),
+        "clustering": clustering_to_dict(model.clustering),
+        "novelty_radii": model.novelty_radii.tolist(),
+        "classifier": classifier_to_dict(model.classifier),
         "repository": repository_to_dict(manager.repository),
     }
 
@@ -234,34 +232,29 @@ def restore_manager_state(manager: DejaVuManager, data: dict[str, Any]) -> None:
     """Load a snapshot into a (typically fresh) manager.
 
     The manager's environments (profiler, production, tuner) stay as
-    constructed; only the learned state is replaced.  What the snapshot
-    does not carry is cleared rather than kept from the old model: the
+    constructed; the snapshot's model and a private repository holding
+    its entries are installed like any other arriving model, so nothing
+    of the replaced model survives: not its miss streak, not a raised
+    re-learn request, not a re-learned model staged behind its queued
+    sweep (the sweep's grants stay charged).  The snapshot carries no
     class representatives (an interference escalation then tunes the
-    observed workload), the learning report, and a re-learned model
-    staged behind its queued sweep, which would otherwise replace the
-    restored one once the sweep drains (the sweep's grants stay
-    charged: the profiler runs them either way).  The restored
-    repository is a fresh private object, so it is neither external nor
-    fleet-shared.
+    observed workload) and no learning report.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported state version {version!r}; expected {FORMAT_VERSION}"
         )
-    manager.schema = SignatureSchema(metric_names=tuple(data["schema"]))
-    manager.standardizer = standardizer_from_dict(data["standardizer"])
-    manager.clustering = clustering_from_dict(data["clustering"])
-    manager._novelty_radii = np.asarray(data["novelty_radii"], dtype=float)
-    manager.classifier = classifier_from_dict(data["classifier"])
-    manager.repository = repository_from_dict(data["repository"])
-    manager._repository_external = False
-    manager._repository_fleet_shared = False
-    manager._class_workloads = {}
-    manager.learning_report = None
-    manager._staged_model = None
-    manager._staged_burst = ()
-    manager.model_available_at = 0.0
+    model = TrainedModel(
+        schema=SignatureSchema(metric_names=tuple(data["schema"])),
+        standardizer=standardizer_from_dict(data["standardizer"]),
+        clustering=clustering_from_dict(data["clustering"]),
+        classifier=classifier_from_dict(data["classifier"]),
+        novelty_radii=np.asarray(data["novelty_radii"], dtype=float),
+        class_workloads={},
+        learning_report=None,
+    )
+    manager._install(model, repository_from_dict(data["repository"]))
 
 
 def save_manager_state(manager: DejaVuManager, path: str | Path) -> None:
@@ -272,73 +265,3 @@ def save_manager_state(manager: DejaVuManager, path: str | Path) -> None:
 def load_manager_state(manager: DejaVuManager, path: str | Path) -> None:
     """Restore a manager's learned state from a JSON file."""
     restore_manager_state(manager, json.loads(Path(path).read_text()))
-
-
-# --- fleet results ----------------------------------------------------------
-
-FLEET_RESULT_FORMAT_VERSION = 1
-
-
-def save_fleet_result(result, path: str | Path) -> None:
-    """Persist a :class:`~repro.sim.fleet.FleetResult` to one ``.npz``.
-
-    The matrices are stored as raw numpy blocks (one array per series,
-    indexed to dodge series-name/file-key collisions); everything
-    non-numeric travels in a JSON header.  Empty (zero-step) and
-    single-step results round-trip exactly — the shard-merge edge cases.
-    """
-    series = list(result.matrices)
-    meta = {
-        "version": FLEET_RESULT_FORMAT_VERSION,
-        "label": result.label,
-        "lane_labels": list(result.lane_labels),
-        "schemas": [list(schema) for schema in result.schemas],
-        "lane_schemas": list(result.lane_schemas),
-        "series": series,
-        "series_lanes": {
-            name: list(result.series_lanes[name]) for name in series
-        },
-    }
-    arrays: dict[str, np.ndarray] = {
-        "meta_json": np.array(json.dumps(meta)),
-        "times": np.asarray(result.times, dtype=float),
-    }
-    for index, name in enumerate(series):
-        arrays[f"matrix_{index}"] = np.asarray(
-            result.matrices[name], dtype=float
-        )
-    # Through a file handle: np.savez given a *name* appends ".npz",
-    # which would break round-tripping suffix-less paths.
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
-
-
-def load_fleet_result(path: str | Path):
-    """Load a fleet result written by :func:`save_fleet_result`."""
-    from repro.sim.fleet import FleetResult
-
-    with np.load(str(path)) as data:
-        meta = json.loads(data["meta_json"].item())
-        version = meta.get("version")
-        if version != FLEET_RESULT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported fleet-result version {version!r}; "
-                f"expected {FLEET_RESULT_FORMAT_VERSION}"
-            )
-        times = np.asarray(data["times"], dtype=float)
-        matrices = {
-            name: np.asarray(data[f"matrix_{index}"], dtype=float)
-            for index, name in enumerate(meta["series"])
-        }
-    return FleetResult(
-        label=meta["label"],
-        lane_labels=tuple(meta["lane_labels"]),
-        times=times,
-        matrices=matrices,
-        schemas=tuple(tuple(schema) for schema in meta["schemas"]),
-        lane_schemas=tuple(int(i) for i in meta["lane_schemas"]),
-        series_lanes={
-            name: tuple(int(lane) for lane in lanes)
-            for name, lanes in meta["series_lanes"].items()
-        },
-    )

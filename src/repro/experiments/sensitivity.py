@@ -119,7 +119,7 @@ def run_trials_sweep(
                 misses=len(setup.manager.miss_events()),
                 saving_fraction=costs.saving_fraction,
                 violation_fraction=slo.violation_fraction,
-                n_classes=setup.manager.clustering.n_classes,
+                n_classes=setup.manager.model.clustering.n_classes,
             )
         )
     return points

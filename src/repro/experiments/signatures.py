@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.clustering import ClusteringModel, auto_cluster
 from repro.core.feature_selection import CfsSubsetSelector, SelectionResult
-from repro.core.signature import Standardizer
 from repro.telemetry.counters import HPCSampler
 from repro.telemetry.events import TABLE1_EVENTS
 from repro.telemetry.monitor import Monitor
@@ -242,21 +241,20 @@ def run_fig5_clustering(
     setup = build_scaleout_setup(trace_name, seed=seed)
     manager = setup.manager
     manager.learn(setup.trace.hourly_workloads(day=0))
-    assert manager.clustering is not None and manager.schema is not None
+    model = manager.model
     workloads = setup.trace.hourly_workloads(day=0)
-    standardizer: Standardizer = manager.standardizer
     points = []
     for workload in workloads:
         metrics = setup.profiler.collect_metrics(workload)
-        x = manager.schema.vector_from(metrics)
-        points.append(standardizer.transform(x[None, :])[0])
+        x = model.schema.vector_from(metrics)
+        points.append(model.standardizer.transform(x[None, :])[0])
     points = np.asarray(points)
     # Project to the first two signature metrics for the 2-D view the
     # figure shows ("each workload is projected onto the two-dimensional
     # space for clarity").
     points_2d = points[:, :2] if points.shape[1] >= 2 else points
     return ClusteringFigure(
-        model=manager.clustering,
+        model=model.clustering,
         points_2d=points_2d,
         n_workloads=len(workloads),
     )

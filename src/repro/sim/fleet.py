@@ -39,6 +39,7 @@ fleet, so every existing experiment exercises this code path.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -158,6 +159,10 @@ class _SchemaGroup:
         """Create the row and buffers once membership is final."""
         self.row = np.empty((len(self.names), len(self.lanes)), dtype=float)
         self.buffers = {name: _RowBuffer(len(self.lanes)) for name in self.names}
+
+
+#: Version of the ``.npz`` layout :meth:`FleetResult.to_npz` writes.
+NPZ_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -301,19 +306,67 @@ class FleetResult:
         """Persist the numpy blocks to one ``.npz`` file.
 
         The sharded sweep driver writes each worker's shard result this
-        way and merges the files in the parent process; see
-        :func:`repro.core.persistence.save_fleet_result`.
+        way and merges the files in the parent process; sweeps too large
+        for one process can archive per-shard blocks the same way.  The
+        matrices are stored as raw numpy blocks (one array per series,
+        indexed to dodge series-name/file-key collisions); everything
+        non-numeric travels in a JSON header.  Empty (zero-step) and
+        single-step results round-trip exactly — the shard-merge edge
+        cases.
         """
-        from repro.core.persistence import save_fleet_result
-
-        save_fleet_result(self, path)
+        series = list(self.matrices)
+        meta = {
+            "version": NPZ_FORMAT_VERSION,
+            "label": self.label,
+            "lane_labels": list(self.lane_labels),
+            "schemas": [list(schema) for schema in self.schemas],
+            "lane_schemas": list(self.lane_schemas),
+            "series": series,
+            "series_lanes": {
+                name: list(self.series_lanes[name]) for name in series
+            },
+        }
+        arrays: dict[str, np.ndarray] = {
+            "meta_json": np.array(json.dumps(meta)),
+            "times": np.asarray(self.times, dtype=float),
+        }
+        for index, name in enumerate(series):
+            arrays[f"matrix_{index}"] = np.asarray(
+                self.matrices[name], dtype=float
+            )
+        # Through a file handle: np.savez given a *name* appends ".npz",
+        # which would break round-tripping suffix-less paths.
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
 
     @staticmethod
     def from_npz(path: "str | Path") -> "FleetResult":
         """Load a result persisted by :meth:`to_npz`."""
-        from repro.core.persistence import load_fleet_result
-
-        return load_fleet_result(path)
+        with np.load(str(path)) as data:
+            meta = json.loads(data["meta_json"].item())
+            version = meta.get("version")
+            if version != NPZ_FORMAT_VERSION:
+                raise ValueError(
+                    f"unsupported fleet-result version {version!r}; "
+                    f"expected {NPZ_FORMAT_VERSION}"
+                )
+            times = np.asarray(data["times"], dtype=float)
+            matrices = {
+                name: np.asarray(data[f"matrix_{index}"], dtype=float)
+                for index, name in enumerate(meta["series"])
+            }
+        return FleetResult(
+            label=meta["label"],
+            lane_labels=tuple(meta["lane_labels"]),
+            times=times,
+            matrices=matrices,
+            schemas=tuple(tuple(schema) for schema in meta["schemas"]),
+            lane_schemas=tuple(int(i) for i in meta["lane_schemas"]),
+            series_lanes={
+                name: tuple(int(lane) for lane in lanes)
+                for name, lanes in meta["series_lanes"].items()
+            },
+        )
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +391,8 @@ _BATCH_ADAPT_PROTOCOL = (
     "_next_resignature",
     "pending_deployment",
     "_staged_model",
-    "classifier",
+    "model",
     "repository",
-    "schema",
     "config",
     "estimator",
     "production",
@@ -370,9 +422,9 @@ class _LaneTable:
     threshold) and ``monitor_group`` (one id per
     :meth:`~repro.telemetry.monitor.Monitor.batch_key`; -1 without a
     monitor).  ``model_group`` (one id per ``batch_group_key``) is
-    re-derived whenever a lane's classifier or repository object
-    changes: learning, adopting and swapping in a staged model replace
-    them.
+    re-derived whenever a lane's model or repository object changes:
+    a manager replaces the model object whenever it learns, adopts,
+    restores or swaps in a staged one.
 
     Only a manager's own methods change the state a row mirrors, and
     the engine calls them only on lanes it visits, so a row is re-read
@@ -453,7 +505,7 @@ class _LaneTable:
                 else monitor_ids.setdefault(monitor.batch_key(), len(monitor_ids))
             )
         self.batchable[:] = [
-            c.classifier is not None and not c.config.adapt_on_violation
+            c.model is not None and not c.config.adapt_on_violation
             for c in controllers
         ]
         self._models = [None] * len(controllers)
@@ -559,7 +611,7 @@ class _LaneTable:
 
     def model_groups(self, rows: list[int]) -> list[int]:
         """Each row's shared-model group id (equal ids: equal
-        ``batch_group_key``), re-derived where the lane's classifier or
+        ``batch_group_key``), re-derived where the lane's model or
         repository object changed since it was last read."""
         controllers = self.controllers
         models = self._models
@@ -569,10 +621,10 @@ class _LaneTable:
             model = models[k]
             if (
                 model is None
-                or controller.classifier is not model[0]
+                or controller.model is not model[0]
                 or controller.repository is not model[1]
             ):
-                models[k] = (controller.classifier, controller.repository)
+                models[k] = (controller.model, controller.repository)
                 groups[k] = self._model_ids.setdefault(
                     controller.batch_group_key(), len(self._model_ids)
                 )
@@ -1053,17 +1105,17 @@ class FleetEngine:
         controllers, lanes = table.controllers, table.lanes
         # Phase 1a — gate every due lane in lane order: the queue sees
         # the same per-lane request sequence the scalar path produces.
-        gated = [
-            k
-            for k in due
-            if controllers[k].begin_batched_adapt(t, workloads[lanes[k]])
-        ]
-        if not gated:
+        grants = {}
+        for k in due:
+            grant = controllers[k].begin_batched_adapt(t, workloads[lanes[k]])
+            if grant is not None:
+                grants[k] = grant
+        if not grants:
             return
         # Phase 1b — collect all gated lanes' signatures: one
         # collect_matrix pass over the signature columns per
         # shared-model group.
-        groups = self._collect_wave_signatures(gated, workloads)
+        groups = self._collect_wave_signatures(list(grants), workloads)
         # Classification is a pure snapshot pass per shared-model
         # group, so groups may overlap (wave_workers); repository
         # lookups mutate shared stats and stay serial, resolved in
@@ -1077,10 +1129,10 @@ class FleetEngine:
         finish: dict[int, tuple] = {}
         for (rows, _X), result in zip(groups, results):
             self._resolve_group(rows, result, finish)
-        for k in gated:
+        for k, grant in grants.items():
             label, certainty, entry = finish[k]
             controllers[k].complete_batched_adapt(
-                t, workloads[lanes[k]], label, certainty, entry
+                t, workloads[lanes[k]], label, certainty, entry, grant
             )
 
     def _collect_wave_signatures(
@@ -1092,8 +1144,8 @@ class FleetEngine:
 
         Each group is collected with one
         :meth:`~repro.telemetry.monitor.Monitor.collect_matrix` pass
-        over its signature columns — one per monitor family and schema
-        when a model spans several — so the wave samples only the
+        over its signature columns — one per monitor family when a
+        model spans several — so the wave samples only the
         metrics a signature reads.  Each row consumes its samplers'
         noise streams exactly as the scalar path would (one pass per
         sampler), and groups touch disjoint monitors, so they may
@@ -1124,10 +1176,8 @@ class FleetEngine:
             )
 
         def collect(rows: list[int]) -> np.ndarray:
-            # Rows of one monitor family and one schema share a pass.
-            keys = [
-                (monitor_group[k], id(controllers[k].schema)) for k in rows
-            ]
+            # Rows of one monitor family share a pass.
+            keys = [monitor_group[k] for k in rows]
             if keys.count(keys[0]) == len(keys):
                 return collect_part(rows)
             parts: dict[tuple, list[int]] = {}

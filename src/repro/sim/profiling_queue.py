@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,7 +108,8 @@ class ProfilingGrant:
     schedule is a *projection* that later, higher-priority arrivals may
     push back; ``revised`` records that the schedule moved after issue,
     so feedback consumers (queue-delayed deployments) re-read
-    ``start_at`` instead of trusting the wait quoted at request time.
+    ``start_at`` instead of trusting the wait quoted at request time,
+    which ``quoted_wait`` keeps.
     """
 
     requested_at: float
@@ -118,6 +119,10 @@ class ProfilingGrant:
     priority: int = PRIORITY_ADAPTATION
     kind: str = "adapt"
     revised: bool = False
+    quoted_wait: float = field(default=0.0, init=False)
+
+    def __post_init__(self) -> None:
+        self.quoted_wait = self.start_at - self.requested_at
 
     @property
     def accepted(self) -> bool:
@@ -467,11 +472,10 @@ class ProfilingQueue:
             sim[slot] = start + service
             # A freshly admitted grant still carries its placeholder
             # (finish == requested): its first projection is the issued
-            # schedule, not a revision.
-            if (
-                grant.start_at != start
-                and grant.finish_at > grant.requested_at
-            ):
+            # schedule, whose wait is the quote, not a revision.
+            if grant.finish_at <= grant.requested_at:
+                grant.quoted_wait = start - grant.requested_at
+            elif grant.start_at != start:
                 grant.revised = True
             grant.start_at = start
             grant.finish_at = start + service

@@ -13,6 +13,7 @@ time-division multiplexing when asked for more events than registers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,7 @@ class CounterReading:
         it allows us to generalize our signatures across workloads
         regardless of how long the sampling takes."
         """
-        if self.duration_seconds <= 0:
-            raise ValueError(f"bad sampling window: {self.duration_seconds}")
+        check_window(self.duration_seconds)
         return self.count / self.duration_seconds
 
 
@@ -121,7 +121,7 @@ class HPCSampler:
         inflates memory-system events and adds variance — the reason the
         paper profiles on a clone rather than in place (Sec. 3.2.2).
         """
-        _check_window(duration_seconds)
+        check_window(duration_seconds)
         if not 0.0 <= interference < 1.0:
             raise ValueError(f"interference out of [0,1): {interference}")
         # The one-row case of sample_rates_matrix (one noise pass).
@@ -161,7 +161,7 @@ class HPCSampler:
         caller groups by :meth:`Monitor.batch_key`).
         """
         lead = samplers[0]
-        _check_window(duration_seconds)
+        check_window(duration_seconds)
         check_interferences(interferences)
         streams = [sampler._stream for sampler in samplers]
         n_events = len(lead._events)
@@ -185,7 +185,7 @@ class HPCSampler:
         stream ends where those calls would leave it (one pass per
         row).
         """
-        _check_window(duration_seconds)
+        check_window(duration_seconds)
         rates = np.repeat(
             self._clean_rates(workloads, np.zeros(len(workloads)), slice(None)),
             passes,
@@ -238,6 +238,10 @@ def check_interferences(interferences: np.ndarray) -> None:
         raise ValueError(f"interference out of [0,1): {bad}")
 
 
-def _check_window(duration_seconds: float) -> None:
-    if duration_seconds <= 0:
-        raise ValueError(f"sampling window must be positive: {duration_seconds}")
+def check_window(duration_seconds: float) -> None:
+    """Reject a sampling window that is not positive and finite, NaN
+    included: rates divide counts by it."""
+    if not 0.0 < duration_seconds < math.inf:
+        raise ValueError(
+            f"sampling window must be positive and finite: {duration_seconds}"
+        )

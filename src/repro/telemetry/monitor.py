@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.telemetry.counters import HPCSampler
+from repro.telemetry.counters import HPCSampler, check_window
 from repro.telemetry.xentop import XENTOP_METRICS, XentopSampler
 from repro.workloads.request_mix import Workload
 
@@ -44,8 +44,7 @@ class Monitor:
         xentop: XentopSampler | None = None,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
     ) -> None:
-        if window_seconds <= 0:
-            raise ValueError(f"window must be positive: {window_seconds}")
+        check_window(window_seconds)
         self.hpc = hpc if hpc is not None else HPCSampler()
         self.xentop = xentop if xentop is not None else XentopSampler()
         self.window_seconds = window_seconds
@@ -91,8 +90,7 @@ class Monitor:
         normalization) so signatures are comparable across windows.
         """
         window = self.window_seconds if window_seconds is None else window_seconds
-        if window <= 0:
-            raise ValueError(f"window must be positive: {window}")
+        check_window(window)
         readings = self.hpc.sample(workload, window, interference=interference)
         metrics = {name: reading.rate for name, reading in readings.items()}
         metrics.update(self.xentop.sample(workload, interference=interference))
@@ -134,8 +132,7 @@ class Monitor:
         cannot do.
         """
         window = self.window_seconds if window_seconds is None else window_seconds
-        if window <= 0:
-            raise ValueError(f"window must be positive: {window}")
+        check_window(window)
         n = len(workloads)
         if n == 0:
             raise ValueError("need at least one workload")

@@ -8,6 +8,7 @@ matrix, and a manager's cached batch classifier always reflects the
 model it serves.
 """
 
+import copy
 import dataclasses
 import functools
 
@@ -27,6 +28,7 @@ from repro.core.persistence import manager_state_to_dict, restore_manager_state
 from repro.core.repository import AllocationRepository
 from repro.experiments.setup import build_scaleout_setup
 from repro.sim.fleet import _LaneTable
+from repro.sim.profiling_queue import ProfilingQueue
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 CLASSIFIERS = (C45DecisionTree, GaussianNaiveBayes, NearestCentroid)
@@ -69,14 +71,14 @@ def reference_classify(manager, workload: Workload):
     1-D ``norm`` novelty check.  Returns (label, certainty, xz, novel).
     """
     metrics = manager.profiler.collect_metrics(workload)
-    x = manager.schema.vector_from(metrics)
-    xz = manager.standardizer.transform(x[None, :])[0]
-    label, confidence = reference_predict(manager.classifier, xz)
-    centroids = manager.clustering.centroids
+    x = manager.model.schema.vector_from(metrics)
+    xz = manager.model.standardizer.transform(x[None, :])[0]
+    label, confidence = reference_predict(manager.model.classifier, xz)
+    centroids = manager.model.clustering.centroids
     centroid_dists = np.linalg.norm(centroids - centroids[label], axis=1)
     other = centroid_dists[centroid_dists > 0]
     floor = 0.5 * float(other.min()) if other.size else 1.0
-    radius = float(manager._novelty_radii[label])
+    radius = float(manager.model.novelty_radii[label])
     threshold = max(radius * manager.config.novelty_radius_factor, floor)
     novel = float(np.linalg.norm(xz - centroids[label])) > threshold
     if novel:
@@ -220,7 +222,7 @@ class TestBatchClassifier:
         batch = manager.batch_classifier()
         # A signature absurdly far from every centroid must be flagged
         # novel: certainty capped at the novelty level.
-        X = np.full((1, manager.schema.n_metrics), 1e9)
+        X = np.full((1, manager.model.schema.n_metrics), 1e9)
         result = batch.classify_matrix(X)
         assert float(result.certainties[0]) <= manager.config.novelty_certainty
 
@@ -234,7 +236,7 @@ class TestBatchClassifier:
         setup = trained_manager()
         manager = setup.manager
         batch = manager.batch_classifier()
-        n = manager.clustering.n_classes
+        n = manager.model.clustering.n_classes
         assert batch.novelty_thresholds.shape == (n,)
         assert (batch.novelty_thresholds > 0).all()
 
@@ -275,11 +277,11 @@ class TestManagerBatchState:
         restore_manager_state(manager, manager_state_to_dict(other.manager))
         batch = manager.batch_classifier()
         assert batch is not stale
-        assert batch.schema is manager.schema
-        assert batch.standardizer is manager.standardizer
-        assert batch.classifier is manager.classifier
-        assert batch.clustering is manager.clustering
-        assert manager.signature_columns().size == manager.schema.n_metrics
+        assert batch.schema is manager.model.schema
+        assert batch.standardizer is manager.model.standardizer
+        assert batch.classifier is manager.model.classifier
+        assert batch.clustering is manager.model.clustering
+        assert manager.signature_columns().size == manager.model.schema.n_metrics
 
     def test_batch_classifier_follows_config_swap(self):
         setup = trained_manager()
@@ -307,6 +309,89 @@ class TestManagerBatchState:
         assert not table.batchable[0]
         with pytest.raises(RuntimeError, match="before learning"):
             setup.manager.batch_classifier()
+
+
+def install(path: str, setup, donor) -> None:
+    """Give ``setup``'s trained manager a new model along ``path``: one
+    of the four ways a model arrives."""
+    manager = setup.manager
+    day1 = setup.trace.hourly_workloads(day=1)
+    if path == "learn":
+        manager.learn(day1)
+    elif path == "staged":
+        queue = ProfilingQueue(slots=1, service_seconds=10.0)
+        manager.attach_profiling_queue(queue)
+        queue.request(0.0)  # slot busy: the sweep has to queue
+        manager.relearn(now=0.0, workloads=day1)
+        assert manager.relearn_pending
+        manager.poll_pending_deployment(manager.model_available_at)
+        assert not manager.relearn_pending
+    elif path == "adopt":
+        manager.adopt_trained_state(donor.manager)
+        assert manager.model is donor.manager.model
+    else:
+        restore_manager_state(manager, manager_state_to_dict(donor.manager))
+
+
+class TestInstallPaths:
+    """However a model arrives, the batched path follows it, and one
+    lane's classification stays the one-row case of the batch."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        path=st.sampled_from(["learn", "staged", "adopt", "restore"]),
+        seed=st.integers(0, 3),
+        hours=st.lists(st.integers(0, 167), min_size=1, max_size=6),
+    )
+    def test_batch_state_follows_the_installed_model(self, path, seed, hours):
+        setup = trained_manager(seed=seed)
+        donor = trained_manager(seed=seed + 1)
+        manager = setup.manager
+        old_model, old_key = manager.model, manager.batch_group_key()
+        stale = manager.batch_classifier()
+        install(path, setup, donor)
+
+        model = manager.model
+        assert model is not old_model
+        batch = manager.batch_classifier()
+        assert batch is not stale
+        assert batch.schema is model.schema
+        assert batch.standardizer is model.standardizer
+        assert batch.classifier is model.classifier
+        assert batch.clustering is model.clustering
+        names = manager.profiler.monitor.metric_names()
+        np.testing.assert_array_equal(
+            manager.signature_columns(),
+            [names.index(name) for name in model.schema.metric_names],
+        )
+        key = manager.batch_group_key()
+        assert key != old_key
+        assert key == (
+            id(model),
+            id(manager.repository),
+            manager.config.novelty_radius_factor,
+            manager.config.novelty_certainty,
+        )
+        if path == "adopt":
+            assert key == donor.manager.batch_group_key()
+
+        # A twin of the monitor collects the signatures classify will.
+        twin = copy.deepcopy(manager.profiler.monitor)
+        workloads = [setup.trace.workload_at(hour * 3600.0) for hour in hours]
+        X = np.vstack(
+            [
+                twin.collect_matrix(
+                    [w], monitors=[twin], columns=manager.signature_columns()
+                )
+                for w in workloads
+            ]
+        )
+        result = batch.classify_matrix(X)
+        for j, workload in enumerate(workloads):
+            label, certainty, xz = manager.classify(workload)
+            assert label == result.labels[j]
+            assert certainty == result.certainties[j]
+            np.testing.assert_array_equal(xz, result.signatures_z[j])
 
 
 class TestLookupSequence:

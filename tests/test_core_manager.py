@@ -22,32 +22,30 @@ def ctx_at(t: float, workload: Workload) -> StepContext:
 
 class TestLearning:
     def test_learning_produces_classes(self, trained_setup):
-        report = trained_setup.manager.learning_report
+        report = trained_setup.manager.model.learning_report
         assert report.n_classes == 4
 
     def test_one_tuning_per_class_per_band(self, trained_setup):
-        report = trained_setup.manager.learning_report
+        report = trained_setup.manager.model.learning_report
         assert report.tuning_invocations == report.n_classes
 
     def test_tuning_is_far_cheaper_than_per_workload(self, trained_setup):
         # The clustering headline: 24 workloads -> 4 tuning runs.
-        report = trained_setup.manager.learning_report
+        report = trained_setup.manager.model.learning_report
         assert report.tuning_invocations <= report.n_workloads / 3
 
     def test_signature_metrics_selected(self, trained_setup):
-        report = trained_setup.manager.learning_report
+        report = trained_setup.manager.model.learning_report
         assert 1 <= len(report.selected_metrics) <= 12
 
     def test_repository_populated(self, trained_setup):
         manager = trained_setup.manager
-        for cluster in range(manager.clustering.n_classes):
+        for cluster in range(manager.model.clustering.n_classes):
             assert manager.repository.contains(cluster, 0)
 
     def test_class_allocations_span_range(self, trained_setup):
-        counts = sorted(
-            a.count
-            for a in trained_setup.manager.learning_report.class_allocations.values()
-        )
+        report = trained_setup.manager.model.learning_report
+        counts = sorted(a.count for a in report.class_allocations.values())
         # Night needs few instances, the peak needs the full pool.
         assert counts[0] <= 3
         assert counts[-1] == 10
@@ -79,7 +77,7 @@ class TestClassification:
         workload = trained_setup.trace.workload_at(10 * 3600.0)
         label, certainty, _xz = manager.classify(workload)
         assert certainty >= manager.config.certainty_threshold
-        assert 0 <= label < manager.clustering.n_classes
+        assert 0 <= label < manager.model.clustering.n_classes
 
     def test_unforeseen_volume_has_low_certainty(self, trained_setup):
         manager = trained_setup.manager
@@ -206,6 +204,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"history_size \(10\)"):
             DejaVuConfig(history_size=10)
         DejaVuConfig(history_size=10, min_relearn_history=10)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("check_interval_seconds", float("nan")),
+            ("check_interval_seconds", 0.0),
+            ("check_interval_seconds", -3600.0),
+            ("check_interval_seconds", float("inf")),
+            ("settle_delay_seconds", float("nan")),
+            ("settle_delay_seconds", -1.0),
+            ("profiling_retry_limit", -1),
+            ("profiling_retry_backoff_seconds", float("nan")),
+            ("profiling_retry_backoff_seconds", -600.0),
+            ("certainty_threshold", float("nan")),
+            ("resignature_every_seconds", 0.0),
+            ("resignature_every_seconds", float("nan")),
+            ("resignature_every_seconds", float("inf")),
+        ],
+    )
+    def test_bad_timing_rejected(self, field, value):
+        # A NaN check interval would stop the periodic adaptations
+        # after the first, without an error.
+        with pytest.raises(ValueError, match=rf"\b{field} must be"):
+            DejaVuConfig(**{field: value})
+
+    def test_timing_edges_accepted(self):
+        DejaVuConfig(
+            settle_delay_seconds=0.0,
+            profiling_retry_backoff_seconds=0.0,
+            certainty_threshold=0.0,
+            resignature_every_seconds=None,
+        )
 
     def test_one_error_names_every_offending_field(self):
         with pytest.raises(ValueError) as info:

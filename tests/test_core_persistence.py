@@ -24,10 +24,13 @@ from repro.core.persistence import (
     standardizer_from_dict,
     standardizer_to_dict,
 )
+from repro.core.manager import DejaVuConfig
 from repro.core.repository import AllocationRepository
 from repro.core.signature import Standardizer
 from repro.experiments.setup import build_scaleout_setup
+from repro.sim.engine import StepContext
 from repro.sim.profiling_queue import ProfilingQueue
+from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
 
 
 def three_class_data(seed=0):
@@ -134,7 +137,7 @@ class TestManagerState:
         fresh = build_scaleout_setup("messenger")
         load_manager_state(fresh.manager, path)
         assert fresh.manager.is_trained
-        assert fresh.manager.clustering.n_classes == 4
+        assert fresh.manager.model.clustering.n_classes == 4
 
     def test_version_checked(self, trained):
         state = manager_state_to_dict(trained.manager)
@@ -152,11 +155,11 @@ class TestManagerState:
         setup = build_scaleout_setup("messenger", seed=1)
         manager = setup.manager
         manager.learn(setup.trace.hourly_workloads(day=1))
-        assert manager._class_workloads and manager.learning_report
+        assert manager.model.class_workloads and manager.model.learning_report
         restore_manager_state(manager, manager_state_to_dict(trained.manager))
-        assert manager._class_workloads == {}
-        assert manager.learning_report is None
-        assert manager.schema == trained.manager.schema
+        assert manager.model.class_workloads == {}
+        assert manager.model.learning_report is None
+        assert manager.model.schema == trained.manager.model.schema
         for hour in (2, 8, 12, 19):
             workload = trained.trace.workload_at(hour * 3600.0)
             assert (
@@ -165,8 +168,8 @@ class TestManagerState:
             )
         # A later learn fills both again.
         report = manager.learn(setup.trace.hourly_workloads(day=2))
-        assert manager.learning_report is report
-        assert set(manager._class_workloads) == set(
+        assert manager.model.learning_report is report
+        assert set(manager.model.class_workloads) == set(
             range(report.n_classes)
         )
 
@@ -186,17 +189,45 @@ class TestManagerState:
         available = manager.model_available_at
         charged = len(queue.grants)
         restore_manager_state(manager, manager_state_to_dict(trained.manager))
-        schema, classifier = manager.schema, manager.classifier
+        schema, classifier = manager.model.schema, manager.model.classifier
         manager.poll_pending_deployment(available + 1.0)
-        assert manager.schema is schema
-        assert manager.classifier is classifier
-        assert manager.schema == trained.manager.schema
+        assert manager.model.schema is schema
+        assert manager.model.classifier is classifier
+        assert manager.model.schema == trained.manager.model.schema
         assert not manager.relearn_pending
         assert manager.model_available_at == 0.0
         assert len(queue.grants) == charged
         workload = setup.trace.workload_at(8 * 3600.0)
         label, _certainty, _z = manager.classify(workload)
-        assert 0 <= label < trained.manager.clustering.n_classes
+        assert 0 <= label < trained.manager.model.clustering.n_classes
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_restore_starts_a_fresh_miss_streak(self, trained, seed):
+        # Misses against the replaced model do not count against the
+        # restored one: after three misses and a restore, only a full
+        # streak of relearn_after_misses=4 raises a re-learn request.
+        config = DejaVuConfig(relearn_after_misses=4)
+        setup = build_scaleout_setup("messenger", config=config, seed=seed)
+        manager = setup.manager
+        manager.learn(setup.trace.hourly_workloads(day=0))
+        novel = Workload(
+            volume=1.35 * setup.trace.peak_clients, mix=CASSANDRA_UPDATE_HEAVY
+        )
+
+        def miss(hour: int) -> None:
+            t = hour * 3600.0
+            ctx = StepContext(t=t, workload=novel, hour=hour, day=hour // 24)
+            assert not manager.adapt(ctx).cache_hit
+
+        for hour in range(24, 27):
+            miss(hour)
+        assert not manager.relearn_requested
+        restore_manager_state(manager, manager_state_to_dict(trained.manager))
+        for hour in range(27, 30):
+            miss(hour)
+            assert not manager.relearn_requested
+        miss(30)
+        assert manager.relearn_requested
 
     @pytest.mark.parametrize("sharing", ["adopted", "external"])
     def test_restored_repository_is_private(self, trained, sharing):

@@ -87,7 +87,7 @@ class TestSetupBuilders:
             "messenger", classifier_factory=GaussianNaiveBayes
         )
         setup.manager.learn(setup.trace.hourly_workloads(day=0))
-        assert isinstance(setup.manager.classifier, GaussianNaiveBayes)
+        assert isinstance(setup.manager.model.classifier, GaussianNaiveBayes)
 
 
 class TestHitRateStudy:

@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.experiments.multiplexing_study import (
@@ -266,8 +267,13 @@ class TestSharedRepository:
         follower = build_scaleout_setup(repository=shared, seed=0)
         leader.manager.learn(leader.trace.hourly_workloads(day=0))
         follower.manager.adopt_trained_state(leader.manager)
-        # Mutable model state is copied, not aliased.
-        assert follower.manager.standardizer is not leader.manager.standardizer
+        # The trained model is shared, not copied: nothing refits it in
+        # place, so a re-learn on either side installs a new model and
+        # leaves the one the other side serves as it was.
+        model = leader.manager.model
+        assert follower.manager.model is model
+        ones = np.ones((1, model.schema.n_metrics))
+        standardized = model.standardizer.transform(ones)
         entries_before = len(shared)
         assert entries_before > 0
 
@@ -276,12 +282,18 @@ class TestSharedRepository:
         )
         assert follower.manager.repository is not shared
         assert len(shared) == entries_before
+        assert follower.manager.model is not model
+        assert leader.manager.model is model
 
         leader.manager.relearn(
             now=0.0, workloads=leader.trace.hourly_workloads(day=1)
         )
         assert leader.manager.repository is not shared
         assert len(shared) == entries_before
+        assert leader.manager.model is not model
+        np.testing.assert_array_equal(
+            model.standardizer.transform(ones), standardized
+        )
 
     def test_direct_learn_on_populated_shared_repository_detaches(self):
         # Passing one repository to several constructors is the other

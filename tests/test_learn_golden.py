@@ -94,7 +94,7 @@ def learned_leader(kind: str, seed: int, factor: float, mode: str):
 
 def trained_state_digest(setup) -> str:
     manager = setup.manager
-    report = manager.learning_report
+    report = manager.model.learning_report
     monitor = manager.profiler.monitor
     document = {
         "state": manager_state_to_dict(manager),
@@ -109,10 +109,10 @@ def trained_state_digest(setup) -> str:
                 for (cluster, band), allocation in report.class_allocations.items()
             ),
         },
-        "representatives": list(manager.clustering.representatives),
+        "representatives": list(manager.model.clustering.representatives),
         "class_workloads": sorted(
             [cluster, workload.volume, workload.mix.name]
-            for cluster, workload in manager._class_workloads.items()
+            for cluster, workload in manager.model.class_workloads.items()
         ),
         "draws": [
             sampler.stream.draws
@@ -147,7 +147,8 @@ def test_counter_streams_advance_one_pass_per_trial():
     passes of each profiler stream, and nothing more."""
     setup = learned_leader("scaleout", 6, 1.0, "counter")
     manager = setup.manager
-    passes = manager.learning_report.n_workloads * manager.config.trials_per_workload
+    report = manager.model.learning_report
+    passes = report.n_workloads * manager.config.trials_per_workload
     monitor = manager.profiler.monitor
     assert monitor.hpc.stream.draws == passes
     assert monitor.xentop.stream.draws == passes

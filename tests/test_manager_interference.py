@@ -43,14 +43,14 @@ class TestPretunedBands:
     def test_learning_populates_all_bands(self):
         setup = interference_setup(0.10)
         manager = setup.manager
-        for cluster in range(manager.clustering.n_classes):
+        for cluster in range(manager.model.clustering.n_classes):
             for band in (0, 1, 2):
                 assert manager.repository.contains(cluster, band)
 
     def test_band_allocations_monotone(self):
         setup = interference_setup(0.10)
         manager = setup.manager
-        for cluster in range(manager.clustering.n_classes):
+        for cluster in range(manager.model.clustering.n_classes):
             counts = [
                 manager.repository.lookup(cluster, band).allocation.count
                 for band in (0, 1, 2)

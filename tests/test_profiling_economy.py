@@ -565,7 +565,7 @@ class TestRelearnBlocking:
         # burst stacks behind 50 s of other lanes' work.
         for _ in range(5):
             queue.request(0.0)
-        old_classifier = setup.manager.classifier
+        old_classifier = setup.manager.model.classifier
         old_repository = setup.manager.repository
 
         day1 = setup.trace.hourly_workloads(day=1)
@@ -575,7 +575,7 @@ class TestRelearnBlocking:
         # The new model exists but is gated behind its queued sweep:
         # the old classifier and repository keep serving.
         assert setup.manager.relearn_pending
-        assert setup.manager.classifier is old_classifier
+        assert setup.manager.model.classifier is old_classifier
         assert setup.manager.repository is old_repository
         burst = [g for g in queue.grants if g.kind == "relearn"]
         assert len(burst) == len(day1) * setup.manager.config.trials_per_workload
@@ -586,12 +586,12 @@ class TestRelearnBlocking:
         # Polling before the burst drains must not deploy the model.
         setup.manager.poll_pending_deployment(available - 1.0)
         assert setup.manager.relearn_pending
-        assert setup.manager.classifier is old_classifier
+        assert setup.manager.model.classifier is old_classifier
 
         # Once the clock passes the burst's finish, the swap happens.
         setup.manager.poll_pending_deployment(available)
         assert not setup.manager.relearn_pending
-        assert setup.manager.classifier is not old_classifier
+        assert setup.manager.model.classifier is not old_classifier
         assert setup.manager.repository is not old_repository
 
     def test_bounded_false_sweep_stacks_past_the_cliff_and_still_gates(self):
@@ -615,16 +615,16 @@ class TestRelearnBlocking:
         setup = trained_setup()
         setup.manager.attach_profiling_queue(queue)
         queue.request(0.0)
-        old_classifier = setup.manager.classifier
+        old_classifier = setup.manager.model.classifier
         setup.manager.relearn(
             now=0.0, workloads=setup.trace.hourly_workloads(day=1)
         )
         available = setup.manager.model_available_at
         # A step before availability serves old; one after swaps in.
         setup.manager.on_step(ctx_at(setup, min(300.0, available - 1.0)))
-        assert setup.manager.classifier is old_classifier
+        assert setup.manager.model.classifier is old_classifier
         setup.manager.on_step(ctx_at(setup, available + 300.0))
-        assert setup.manager.classifier is not old_classifier
+        assert setup.manager.model.classifier is not old_classifier
         assert not setup.manager.relearn_pending
 
     def test_priority_revisions_push_availability_later(self):
@@ -648,9 +648,9 @@ class TestRelearnBlocking:
 
     def test_without_queue_the_relearn_installs_immediately(self):
         setup = trained_setup()
-        old_classifier = setup.manager.classifier
+        old_classifier = setup.manager.model.classifier
         setup.manager.relearn(
             now=0.0, workloads=setup.trace.hourly_workloads(day=1)
         )
         assert not setup.manager.relearn_pending
-        assert setup.manager.classifier is not old_classifier
+        assert setup.manager.model.classifier is not old_classifier

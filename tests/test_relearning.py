@@ -38,7 +38,7 @@ class TestManualRelearn:
         setup = build_scaleout_setup("messenger")
         manager = setup.manager
         manager.learn(setup.trace.hourly_workloads(day=0))
-        old_classes = manager.clustering.n_classes
+        old_classes = manager.model.clustering.n_classes
         # Re-learn from a day that also contains the unseen level.
         workloads = setup.trace.hourly_workloads(day=1) + [unseen_workload(setup)] * 3
         report = manager.relearn(now=2 * 86400.0, workloads=workloads)
@@ -144,12 +144,12 @@ class TestFailedRelearn:
         if queued:
             manager.attach_profiling_queue(ProfilingQueue(slots=1))
         before = manager_state_to_dict(manager)
-        report = manager.learning_report
+        report = manager.model.learning_report
         same = setup.trace.workload_at(12 * HOUR)
         with pytest.raises(ValueError, match="distinct workloads; the history holds 1"):
             manager.relearn(now=86400.0, workloads=[same] * 24)
         assert manager_state_to_dict(manager) == before
-        assert manager.learning_report is report
+        assert manager.model.learning_report is report
         assert manager.relearn_count == 0
         assert not manager.relearn_pending
 

@@ -170,3 +170,35 @@ class TestMonitor:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             Monitor(window_seconds=0.0)
+
+
+#: Windows beyond the zero and negative ones the samplers must refuse:
+#: a NaN window makes 60 of a collection's 65 readings NaN.
+BAD_WINDOWS = [float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("window", BAD_WINDOWS)
+class TestNonFiniteWindow:
+    def test_monitor_construction(self, window):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Monitor(window_seconds=window)
+
+    def test_collect(self, window):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Monitor().collect(WORKLOAD, window_seconds=window)
+
+    def test_collect_matrix(self, window):
+        monitor = Monitor()
+        with pytest.raises(ValueError, match="positive and finite"):
+            monitor.collect_matrix(
+                [WORKLOAD], monitors=[monitor], window_seconds=window
+            )
+
+    def test_sampler(self, window):
+        with pytest.raises(ValueError, match="positive and finite"):
+            HPCSampler().sample(WORKLOAD, window)
+
+    def test_reading_rate(self, window):
+        reading = CounterReading(event="x", count=1.0, duration_seconds=window)
+        with pytest.raises(ValueError, match="positive and finite"):
+            _ = reading.rate
