@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,13 +209,15 @@ class DejaVuConfig:
             raise ValueError("invalid DejaVuConfig: " + "; ".join(problems))
 
 
-@dataclass(frozen=True)
-class AdaptationEvent:
+class AdaptationEvent(NamedTuple):
     """One reaction to a (potential) workload change.
 
     ``duration_seconds`` is the decision latency: the signature
     collection itself plus any time the request spent queued on a
     contended shared profiler.
+
+    A named tuple: immutable, and cheap to build, which matters at one
+    event per adaptation.
     """
 
     t: float
@@ -625,10 +628,7 @@ class DejaVuManager:
             if self.config.degraded_fallback and self.is_trained:
                 self.degraded_adaptations += 1
                 self.production.apply(pending.allocation, t)
-                self._deployed_class = pending.workload_class
-                self._deployed_band = (
-                    0 if pending.workload_class is not None else None
-                )
+                self.mark_deployed(pending)
             else:
                 self.revoked_adaptations += 1
             return
@@ -646,50 +646,40 @@ class DejaVuManager:
             apply_at = grant.start_at
         if t + 1e-9 < apply_at:
             return
-        self._deploy_pending(pending, apply_at)
+        self.production.apply(pending.allocation, apply_at)
+        self.mark_deployed(pending)
         if pending.owes_check:
             self.post_deploy_check(t, pending)
 
-    def _deploy_pending(
-        self, pending: _PendingDeployment, apply_at: float
-    ) -> None:
-        """Deploy a queue-delayed decision at ``apply_at``: the one
-        deploy step of the scalar flush and the batched landing pass."""
-        self.pending_deployment = None
-        self.production.apply(pending.allocation, apply_at)
-        self._deployed_class = pending.workload_class
-        self._deployed_band = (
-            0 if pending.workload_class is not None else None
-        )
+    def mark_deployed(self, decision: _PendingDeployment) -> None:
+        """Record that ``decision``'s allocation is now in production:
+        it no longer waits (when it was the pending one), and its class
+        serves at interference band 0.
 
-    def post_deploy_check(self, t: float, landed: _PendingDeployment) -> None:
-        """The scalar post-deploy SLO check of a landed decision.
+        The scalar flush calls this after its own deploy; the batched
+        wave deploys in the engine's one deploy pass
+        (``FleetEngine._deploy``), which calls it for every row —
+        those whose allocation was already deployed included.
+        """
+        if decision is self.pending_deployment:
+            self.pending_deployment = None
+        workload_class = decision.workload_class
+        self._deployed_class = workload_class
+        self._deployed_band = None if workload_class is None else 0
+
+    def post_deploy_check(
+        self, t: float, landed: _PendingDeployment
+    ) -> Allocation:
+        """The scalar post-deploy SLO check of a deployed decision;
+        returns the allocation finally deployed.
 
         It runs from the step that noticed the deployment; escalation
         probes are charged at this step's time (queue time is
         monotone).
         """
-        self._interference_check(
+        return self._interference_check(
             t, landed.workload, landed.workload_class, landed.allocation
         )
-
-    def land_pending_deployment(self) -> _PendingDeployment:
-        """Deploy this lane's queue-delayed decision at its ``apply_at``
-        and return it: the batched landing pass's deploy step.
-
-        The fleet engine's lane table picks the lanes to land (a
-        decision due on an accepted, unrevised grant, or none, while no
-        re-learned model is staged): then
-        :meth:`_flush_pending_deployment` would deploy it at
-        ``apply_at`` and do nothing else before the post-deploy check.
-        Every other lane is left to :meth:`poll_pending_deployment`,
-        which owns the retry, eviction and revision rules.  The
-        post-deploy check and the lane's re-signature traffic are left
-        to the caller (:meth:`finish_landing`).
-        """
-        pending = self.pending_deployment
-        self._deploy_pending(pending, pending.apply_at)
-        return pending
 
     def finish_landing(
         self, t: float, failed: _PendingDeployment | None
@@ -957,6 +947,8 @@ class DejaVuManager:
         certainty: float,
         grant: ProfilingGrant,
         prefetched=_UNRESOLVED,
+        deployed: _PendingDeployment | None = None,
+        failed: bool = False,
     ) -> AdaptationEvent:
         """Everything after classification: lookup, deploy, escalate.
 
@@ -968,9 +960,17 @@ class DejaVuManager:
         grant since).  ``prefetched`` carries the batched wave's
         repository lookup for this lane, whose hit/miss statistics the
         wave has already charged.
+
+        A decision that deploys at once is deployed here and then
+        checked (:meth:`_interference_check`) — unless the batched
+        wave's deploy pass has already ``deployed`` it (its
+        :meth:`at_once_deployment`) and pre-checked it, so only a
+        decision that ``failed`` that pre-check runs the check
+        (:meth:`post_deploy_check`).
         """
+        config = self.config
         wait = grant.quoted_wait
-        hit = certainty >= self.config.certainty_threshold
+        hit = certainty >= config.certainty_threshold
         if hit:
             self._consecutive_misses = 0
             entry = (
@@ -989,7 +989,7 @@ class DejaVuManager:
             self._consecutive_misses += 1
             self.repository.stats.misses += 1
             allocation = self._full_capacity()
-            if self._consecutive_misses >= self.config.relearn_after_misses:
+            if self._consecutive_misses >= config.relearn_after_misses:
                 self.relearn_requested = True
                 if self._maybe_auto_relearn(t) and self._staged_model is None:
                     # The relearn was immediate (no queue): classify
@@ -1006,7 +1006,7 @@ class DejaVuManager:
                     if extra is not None:
                         wait += extra.quoted_wait
                         label, certainty, _xz = self.classify(workload)
-                        if certainty >= self.config.certainty_threshold:
+                        if certainty >= config.certainty_threshold:
                             entry = self.repository.lookup(label, 0)
                             if entry is not None:
                                 hit = True
@@ -1026,24 +1026,27 @@ class DejaVuManager:
                 allocation,
                 workload,
                 label if hit else None,
-                hit and self.config.enable_interference_detection,
+                hit and config.enable_interference_detection,
                 grant,
             )
-        else:
+        elif deployed is None:
             self.production.apply(allocation, t)
             self._deployed_class = label if hit else None
             self._deployed_band = 0 if hit else None
-            if hit and self.config.enable_interference_detection:
+            if hit and config.enable_interference_detection:
                 allocation = self._interference_check(
                     t, workload, label, allocation
                 )
+        elif failed:
+            allocation = self.post_deploy_check(t, deployed)
+        # Positional: one event per adaptation.
         event = AdaptationEvent(
-            t=t,
-            duration_seconds=self.profiler.signature_seconds + wait,
-            cache_hit=hit,
-            workload_class=label if hit else None,
-            certainty=certainty,
-            allocation=allocation,
+            t,
+            self.profiler.signature_seconds + wait,
+            hit,
+            label if hit else None,
+            certainty,
+            allocation,
         )
         self.adaptation_events.append(event)
         return event
@@ -1059,11 +1062,12 @@ class DejaVuManager:
     ) -> Allocation:
         """Post-deploy SLO check and interference escalation (Sec. 3.6).
 
-        Returns the finally deployed allocation.  The batched landing
-        pass evaluates this check's first attempt for all of a step's
-        landed lanes as vectors (``FleetEngine._precheck_landed``) and
-        calls it, through :meth:`post_deploy_check`, only for the lanes
-        whose SLO fails there; on the others it would stop at once.
+        Returns the finally deployed allocation.  The batched wave's
+        deploy pass evaluates this check's first attempt for all of a
+        step's deployments, landed and at-once, as vectors
+        (``FleetEngine._precheck_landed``) and calls it, through
+        :meth:`post_deploy_check`, only for the lanes whose SLO fails
+        there; on the others it would stop at once.
         """
         service = self.production.service
         for _attempt in range(self.estimator.n_bands - 1):
@@ -1204,10 +1208,58 @@ class DejaVuManager:
         if t + 1e-9 >= self._next_resignature:
             self._maybe_resignature(t)
         self.workload_history.append((t, workload))
-        grant = self._charge_profiling(t)
-        if grant is None:
+        queue = self.profiling_queue
+        # _charge_profiling(t), with the queue called directly: one
+        # gate per due lane per wave.
+        grant = self._charge_profiling(t) if queue is None else queue.request(t)
+        if grant.outcome != "accepted":
             self.deferred_adaptations += 1
+            return None
         return grant
+
+    def at_once_deployment(
+        self,
+        t: float,
+        workload: Workload,
+        label: int,
+        certainty: float,
+        prefetched,
+        grant: ProfilingGrant,
+    ) -> _PendingDeployment | None:
+        """The deployment :meth:`complete_batched_adapt` will make at
+        once for these arguments, without making it, so the engine's
+        deploy pass can make and pre-check it before the lane-order
+        finish (which is then told so).
+
+        None when the decision will not deploy at once — the grant
+        quoted a wait, so it is queue-delayed — or its allocation is
+        known only after the finish: a miss that can re-learn on the
+        spot and re-classify (an automatic re-learn with no queue
+        attached; with one, a re-learned model is staged behind its
+        sweep and the miss deploys the fallback).  Otherwise this is
+        :meth:`_finish_adapt`'s choice: the prefetched band-0 entry of
+        a certain classification, else the full-capacity fallback.
+        """
+        if grant.quoted_wait > 0.0:
+            return None
+        config = self.config
+        certain = certainty >= config.certainty_threshold
+        if certain and prefetched is not None:
+            return _PendingDeployment(
+                t,
+                prefetched.allocation,
+                workload,
+                label,
+                config.enable_interference_detection,
+            )
+        if (
+            not certain
+            and config.auto_relearn
+            and self.profiling_queue is None
+            and self._consecutive_misses + 1 >= config.relearn_after_misses
+        ):
+            return None
+        return _PendingDeployment(t, self._full_capacity(), workload, None, False)
 
     def complete_batched_adapt(
         self,
@@ -1217,16 +1269,29 @@ class DejaVuManager:
         certainty: float,
         prefetched,
         grant: ProfilingGrant,
+        deployed: _PendingDeployment | None = None,
+        failed: bool = False,
     ) -> AdaptationEvent:
         """Phase 2: finish an adaptation whose classification (and
         band-0 lookup, for hits) the engine computed in one batch, on
         the ``grant`` :meth:`begin_batched_adapt` returned.
 
-        Advances the periodic check exactly as :meth:`on_step` does
-        after a scalar adaptation.
+        ``deployed`` is this decision's :meth:`at_once_deployment` when
+        the engine's deploy pass has already made it, and ``failed``
+        says it failed the pass's post-deploy pre-check, so the scalar
+        check runs here, at the lane's place in lane order.  Advances
+        the periodic check exactly as :meth:`on_step` does after a
+        scalar adaptation.
         """
         event = self._finish_adapt(
-            t, workload, int(label), float(certainty), grant, prefetched
+            t,
+            workload,
+            int(label),
+            float(certainty),
+            grant,
+            prefetched,
+            deployed,
+            failed,
         )
         self._next_check = t + self.config.check_interval_seconds
         self._last_adapt = t

@@ -33,6 +33,7 @@ from repro.interference.injector import InterferenceInjector, InterferenceSchedu
 from repro.services.base import Service, performance_rows
 from repro.services.cassandra import CassandraService
 from repro.services.specweb import SpecWebService
+from repro.sim.hosts import feed_gather
 from repro.telemetry.counters import HPCSampler
 from repro.telemetry.monitor import Monitor
 from repro.telemetry.xentop import XentopSampler
@@ -393,29 +394,10 @@ class _FleetFamilyObserver:
         # host-coupled fleet case), interference is read as a single
         # fancy-index gather per step instead of one Python call per
         # lane.  Any other injector shape keeps the per-lane loop.
-        self._feed_values: np.ndarray | None = None
-        self._feed_columns: np.ndarray | None = None
-        self._feed_rows: np.ndarray | None = None
-        sources = [
-            getattr(inj, "source", None)
-            for inj in self._injectors
-            if inj is not None
-        ]
-        if (
-            self._any_injector
-            and all(source is not None for source in sources)
-            and len({id(source[0]) for source in sources}) == 1
-        ):
-            rows = [
-                j
-                for j, inj in enumerate(self._injectors)
-                if inj is not None
-            ]
-            self._feed_values = sources[0][0]
-            self._feed_rows = np.asarray(rows, dtype=int)
-            self._feed_columns = np.asarray(
-                [source[1] for source in sources], dtype=int
-            )
+        gather = feed_gather(self._injectors) if self._any_injector else None
+        self._feed_values, self._feed_rows, self._feed_columns = (
+            (None, None, None) if gather is None else gather
+        )
         n = len(self._setups)
         # Capacity, allocation series and cost change only on an
         # allocation change or during a warm-up; the cache says which

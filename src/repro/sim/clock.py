@@ -26,8 +26,12 @@ class SimClock:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"clock cannot start at negative time: {start}")
+        # Written so NaN fails too: every comparison with it is False.
+        if not 0.0 <= start < math.inf:
+            raise ValueError(
+                f"clock cannot start at negative or non-finite time: "
+                f"start={start}"
+            )
         self._now = float(start)
 
     @property
@@ -56,10 +60,11 @@ class SimClock:
         Raises
         ------
         ValueError
-            If ``seconds`` is negative; simulation time never rewinds.
+            If ``seconds`` is negative (simulation time never rewinds),
+            NaN or infinite.
         """
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by {seconds} s")
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(f"cannot advance clock by seconds={seconds}")
         self._now += seconds
         return self._now
 

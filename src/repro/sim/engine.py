@@ -14,6 +14,7 @@ experiment (paper Sec. 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -77,8 +78,10 @@ class SimulationEngine:
         step_seconds: float = 60.0,
         label: str = "run",
     ) -> None:
-        if step_seconds <= 0:
-            raise ValueError(f"step must be positive, got {step_seconds}")
+        if not 0.0 < step_seconds < math.inf:
+            raise ValueError(
+                f"step_seconds must be positive and finite, got {step_seconds}"
+            )
         self._workload_fn = workload_fn
         self._controller = controller
         self._observe_fn = observe_fn

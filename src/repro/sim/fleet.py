@@ -52,7 +52,7 @@ from repro.cloud.provider import CapacityCache
 from repro.services.base import slo_met_rows
 from repro.sim.clock import SimClock
 from repro.sim.engine import Controller, StepContext
-from repro.sim.hosts import HostMap
+from repro.sim.hosts import HostMap, feed_gather
 # A runtime import, not a TYPE_CHECKING one: perfbench's trace hooks
 # patch the queue's methods through ``repro.sim.fleet.ProfilingQueue``.
 from repro.sim.profiling_queue import ProfilingQueue
@@ -384,8 +384,9 @@ _BATCH_ADAPT_PROTOCOL = (
     "batch_group_key",
     "batch_classifier",
     "complete_batched_adapt",
+    "at_once_deployment",
+    "mark_deployed",
     "poll_pending_deployment",
-    "land_pending_deployment",
     "finish_landing",
     "_next_check",
     "_next_resignature",
@@ -414,14 +415,16 @@ class _LaneTable:
     Per-row constants, read when a run starts (training and the
     configuration change only between runs): the ``batchable`` mask
     (trained and not ``adapt_on_violation``: the wave drives the lane,
-    not its ``on_step``), ``family`` (one id per service
+    not its ``on_step``), ``productions`` (each lane's production
+    environment), ``family`` (one id per service
     :meth:`~repro.services.base.Service.row_key` and settle delay:
     rows whose post-deploy checks grade as one vector),
     ``settle`` (the settle delay), ``multi_band`` (``n_bands >= 2``: a
     post-deploy check can escalate), ``threshold`` (the certainty
-    threshold) and ``monitor_group`` (one id per
+    threshold), ``monitor_group`` (one id per
     :meth:`~repro.telemetry.monitor.Monitor.batch_key`; -1 without a
-    monitor).  ``model_group`` (one id per ``batch_group_key``) is
+    monitor) and ``feeds`` (:func:`~repro.sim.hosts.feed_gather` over
+    the rows' injectors: how :meth:`thefts` reads interference).  ``model_group`` (one id per ``batch_group_key``) is
     re-derived whenever a lane's model or repository object changes:
     a manager replaces the model object whenever it learns, adopts,
     restores or swaps in a staged one.
@@ -448,6 +451,8 @@ class _LaneTable:
         "batchable",
         "pending_ok",
         "grants",
+        "productions",
+        "feeds",
         "family",
         "settle",
         "multi_band",
@@ -475,6 +480,8 @@ class _LaneTable:
         self.batchable = np.zeros(n, dtype=bool)
         self.pending_ok = np.zeros(n, dtype=bool)
         self.grants: list = [None] * n
+        self.productions: list = [None] * n
+        self.feeds = None
         self.family: list[int] = [0] * n
         self.settle: list[float] = [0.0] * n
         self.multi_band: list[bool] = [False] * n
@@ -489,11 +496,13 @@ class _LaneTable:
         controllers = self.controllers
         families: dict = {}
         monitor_ids: dict = {}
+        productions = self.productions = [c.production for c in controllers]
+        self.feeds = feed_gather([p.injector for p in productions])
         for k, controller in enumerate(controllers):
             config = controller.config
             self.settle[k] = config.settle_delay_seconds
             self.family[k] = families.setdefault(
-                (controller.production.service.row_key(), self.settle[k]),
+                (productions[k].service.row_key(), self.settle[k]),
                 len(families),
             )
             self.multi_band[k] = controller.estimator.n_bands >= 2
@@ -609,6 +618,20 @@ class _LaneTable:
             )
         ]
 
+    def thefts(self, rows: list[int], t: float) -> np.ndarray:
+        """``rows``' interference (capacity theft) at ``t``:
+        ``production.interference_at``, read as one gather when every
+        injector is a host feed on one theft vector (a host-coupled
+        fleet, whose theft is fixed for the step) or there is none."""
+        feeds = self.feeds
+        if feeds is None:
+            productions = self.productions
+            return np.array([productions[k].interference_at(t) for k in rows])
+        values, lanes, slots = feeds
+        theft = np.zeros(len(self.productions))
+        theft[lanes] = values[slots]
+        return theft[rows]
+
     def model_groups(self, rows: list[int]) -> list[int]:
         """Each row's shared-model group id (equal ids: equal
         ``batch_group_key``), re-derived where the lane's model or
@@ -685,11 +708,14 @@ class FleetEngine:
         deployment no outage can touch sleeps until that deployment
         lands.  Visited lanes that are not due an adaptation go
         through one landing pass per step (``_land_deployments``):
-        every due deployment on an accepted, unrevised grant is
-        deployed in lane order, their post-deploy SLO checks run as
-        one vectorized pre-check per service family, and only lanes
-        failing it run the scalar check; every other idle lane is
-        polled (``poll_pending_deployment``).  A lane replaying a
+        every due deployment on an accepted, unrevised grant lands,
+        and every other idle lane is polled
+        (``poll_pending_deployment``).  Landed and at-once decisions
+        alike reach production through one deploy pass
+        (``_deploy``), which skips allocations already deployed and
+        runs their post-deploy SLO checks as one vectorized pre-check
+        per service family; only lanes failing it run the scalar
+        check.  A lane replaying a
         :class:`~repro.workloads.traces.LoadTrace` re-evaluates its
         workload only when the clock enters a new trace hour (the
         trace's own ``int(t // HOUR)``), and the engine's per-lane
@@ -743,8 +769,10 @@ class FleetEngine:
     ) -> None:
         if not lanes:
             raise ValueError("a fleet needs at least one lane")
-        if step_seconds <= 0:
-            raise ValueError(f"step must be positive, got {step_seconds}")
+        if not 0.0 < step_seconds < math.inf:
+            raise ValueError(
+                f"step_seconds must be positive and finite, got {step_seconds}"
+            )
         if wave_workers < 0:
             raise ValueError(f"wave_workers must be >= 0: {wave_workers}")
         if host_map is not None and host_map.n_lanes != len(lanes):
@@ -981,8 +1009,10 @@ class FleetEngine:
         samples only the group's signature columns (one vectorized
         noise draw of that width under counter streams) — then each
         shared-model group classifies its signature matrix and resolves
-        band-0 entries in one batched repository lookup, then *finish*
-        (deploy, escalate, record) walks lanes in global lane order
+        band-0 entries in one batched repository lookup, then the
+        decisions that deploy at once go through the deploy pass
+        (:meth:`_deploy`), and *finish* (decide, escalate where the
+        pre-check failed, record) walks lanes in global lane order
         again.  Lanes are independent across those phases except
         through the queue and the shared repository, both of which see
         the same per-lane sequence the scalar path produces.  The rows
@@ -1005,24 +1035,24 @@ class FleetEngine:
         that are not due an adaptation, in lane order.
 
         Every row whose queue-delayed deployment is due on an accepted,
-        unrevised grant (:meth:`_LaneTable.landable`) is deployed first
-        (``land_pending_deployment``; no queue traffic).  The landed
-        decisions' post-deploy SLO checks then run as one vectorized
-        pre-check per service family (:meth:`_precheck_landed`).  Last,
-        lane by lane: a landed lane that failed the pre-check runs the
-        scalar check (probes, escalation) and a landed lane owing a
-        re-signature charges it (``finish_landing``), while any other
-        idle lane — a revoked, evicted or revised grant, a staged
-        model, a decision not yet due, a re-signature owed — runs
-        ``poll_pending_deployment``.  So the queue sees the same
-        request sequence as one poll per idle lane: deploying and
-        pre-checking charge nothing and touch only their own lane.
+        unrevised grant (:meth:`_LaneTable.landable`) lands through the
+        deploy pass (:meth:`_deploy`), which deploys it at its
+        ``apply_at`` and pre-checks the post-deploy SLO of all of them
+        at once.  Then, lane by lane: a landed lane that failed the
+        pre-check runs the scalar check (probes, escalation) and a
+        landed lane owing a re-signature charges it
+        (``finish_landing``), while any other idle lane — a revoked,
+        evicted or revised grant, a staged model, a decision not yet
+        due, a re-signature owed — runs ``poll_pending_deployment``.
+        So the queue sees the same request sequence as one poll per
+        idle lane: deploying and pre-checking charge nothing and touch
+        only their own lane.
         """
         table = self._table
         controllers = table.controllers
         land = table.landable(t, idle)
-        decisions = [controllers[k].land_pending_deployment() for k in land]
-        failed = self._precheck_landed(t, land, decisions) if land else ()
+        decisions = [controllers[k].pending_deployment for k in land]
+        failed = self._deploy(t, land, decisions) if land else ()
         table.landed(land)
         landed = dict(zip(land, decisions))
         owed = set(np.flatnonzero(t + 1e-9 >= table.next_resignature).tolist())
@@ -1040,62 +1070,96 @@ class FleetEngine:
             touched.append(k)
         table.reread(touched)
 
+    def _deploy(self, t: float, rows: list[int], decisions: list) -> set[int]:
+        """The batched wave's one deploy pass: put each row's decision
+        in production at its ``apply_at``, then pre-check them
+        (:meth:`_precheck_landed`); returns the rows failing it.
+
+        Every deployment the wave makes comes through here, in one
+        column pass per step: the queue-delayed decisions the landing
+        pass lands, and the finish's at-once decisions
+        (``at_once_deployment``: their grant quoted no wait), deployed
+        before the lane-order finish walk.  A row whose allocation is
+        the one its provider already runs — most of them: a lane that
+        re-classifies into its class re-deploys its allocation —
+        skips ``ProductionEnvironment.apply`` (which would change
+        nothing) and does only the manager's bookkeeping
+        (``mark_deployed``).
+
+        Deploying early is exact for the reason the landing pass is:
+        a deployment charges no queue and touches only its own lane's
+        provider and service, and host theft is fixed when the step
+        starts, so no other lane's finish can see it, and the lane's
+        own finish never reads its provider before its check.
+        """
+        table = self._table
+        controllers, productions = table.controllers, table.productions
+        for k, decision in zip(rows, decisions):
+            production = productions[k]
+            allocation = decision.allocation
+            current = production.provider.current_allocation
+            if allocation is not current and allocation != current:
+                production.apply(allocation, decision.apply_at)
+            controllers[k].mark_deployed(decision)
+        return self._precheck_landed(t, rows, decisions)
+
     def _precheck_landed(
         self, t: float, rows: list[int], decisions: list
     ) -> set[int]:
-        """The first attempt of the landed decisions' post-deploy SLO
+        """The first attempt of the deployed decisions' post-deploy SLO
         checks, at once; returns the rows failing it.
 
-        A row passes when the scalar check would stop at its first
-        attempt having changed nothing: the decision owes no check,
-        there is no band to escalate to, nothing serves at the check
-        time, or the SLO is met there.  The SLO test runs as one
-        :func:`~repro.services.base.slo_met_rows` vector per service
-        family (the table's ``family``: one ``row_key`` and one check
-        time) on each lane's check-time capacity and interference, so
-        every element equals ``service.slo_met(service.performance(...))``.
-        Only a failing row needs the scalar check (``post_deploy_check``),
-        which repeats that first attempt and goes on to probe and
-        escalate.
+        A row passes when the scalar check (``_interference_check``)
+        would stop at its first attempt having changed nothing: the
+        decision owes no check, there is no band to escalate to,
+        nothing serves at the check time, or the SLO is met there.
+        Each row's demand, check-time capacity and interference are
+        gathered as vectors, and the SLO test runs as one
+        :func:`~repro.services.base.slo_met_rows` call per service
+        family (the table's ``family``: one ``row_key`` and one settle
+        delay, so one check time), so every element equals
+        ``service.slo_met(service.performance(...))``.  Only a failing
+        row needs the scalar check, which its lane runs at its place in
+        lane order: it repeats that first attempt and goes on to probe
+        and escalate.
         """
         table = self._table
-        controllers = table.controllers
-        multi_band, settle, family = table.multi_band, table.settle, table.family
-        checked, demands = [], []
+        multi_band, family = table.multi_band, table.family
+        # Per family: the rows owing a check, and their demands.
+        families: dict[int, tuple[list[int], list[float]]] = {}
         for k, decision in zip(rows, decisions):
             if decision.owes_check and multi_band[k]:
-                checked.append(k)
-                demands.append(decision.workload.demand_units)
-        if not checked:
-            return set()
-        productions = [controllers[k].production for k in checked]
-        check_ts = [t + settle[k] for k in checked]
-        capacity = np.array(
-            [
-                production.provider.capacity_at(check_t)
-                for production, check_t in zip(productions, check_ts)
+                members = families.get(family[k])
+                if members is None:
+                    members = families[family[k]] = ([], [])
+                members[0].append(k)
+                members[1].append(decision.workload.demand_units)
+        failed: set[int] = set()
+        productions, settle = table.productions, table.settle
+        for checked, demands in families.values():
+            check_t = t + settle[checked[0]]
+            capacity = [
+                productions[k].provider.capacity_at(check_t) for k in checked
             ]
-        )
-        theft = np.array(
-            [
-                production.interference_at(check_t)
-                for production, check_t in zip(productions, check_ts)
-            ]
-        )
-        demand = np.array(demands)
-        ids = np.array([family[k] for k in checked])
-        serving = capacity > 0
-        met = np.ones(len(checked), dtype=bool)
-        for group in dict.fromkeys(ids[serving].tolist()):
-            members = np.flatnonzero(serving & (ids == group))
-            met[members] = slo_met_rows(
-                [productions[j].service for j in members.tolist()],
-                demand[members],
-                capacity[members],
-                theft[members],
-                check_ts[members[0]],
+            if min(capacity) <= 0.0:
+                # Nothing serving at the check time: the check stops
+                # there; grade the rest.
+                serving = [j for j, units in enumerate(capacity) if units > 0.0]
+                if not serving:
+                    continue
+                checked = [checked[j] for j in serving]
+                demands = [demands[j] for j in serving]
+                capacity = [capacity[j] for j in serving]
+            met = slo_met_rows(
+                [productions[k].service for k in checked],
+                np.array(demands),
+                np.array(capacity),
+                table.thefts(checked, check_t),
+                check_t,
             )
-        return {checked[j] for j in np.flatnonzero(~met).tolist()}
+            if not met.all():
+                failed.update(checked[j] for j in np.flatnonzero(~met).tolist())
+        return failed
 
     def _adapt_due(
         self, t: float, due: list[int], workloads: list[Workload]
@@ -1129,10 +1193,33 @@ class FleetEngine:
         finish: dict[int, tuple] = {}
         for (rows, _X), result in zip(groups, results):
             self._resolve_group(rows, result, finish)
+        # Phase 2a — the deploy pass makes and pre-checks every
+        # decision that deploys at once (its grant quoted no wait).
+        at_once, decisions = [], []
+        for k, grant in grants.items():
+            if grant.quoted_wait > 0.0:
+                continue
+            decision = controllers[k].at_once_deployment(
+                t, workloads[lanes[k]], *finish[k], grant
+            )
+            if decision is not None:
+                at_once.append(k)
+                decisions.append(decision)
+        failed = self._deploy(t, at_once, decisions) if at_once else ()
+        deployed = dict(zip(at_once, decisions))
+        # Phase 2b — finish in lane order; a deployment that failed the
+        # pre-check runs its scalar check here.
         for k, grant in grants.items():
             label, certainty, entry = finish[k]
             controllers[k].complete_batched_adapt(
-                t, workloads[lanes[k]], label, certainty, entry, grant
+                t,
+                workloads[lanes[k]],
+                label,
+                certainty,
+                entry,
+                grant,
+                deployed.get(k),
+                k in failed,
             )
 
     def _collect_wave_signatures(
@@ -1356,8 +1443,14 @@ class FleetEngine:
 
     def run(self, duration_seconds: float, start: float = 0.0) -> FleetResult:
         """Run all lanes to ``start + duration_seconds`` and return the result."""
-        if duration_seconds <= 0:
-            raise ValueError(f"duration must be positive, got {duration_seconds}")
+        # Written so NaN fails too: every comparison with it is False.
+        if not 0.0 < duration_seconds < math.inf:
+            raise ValueError(
+                "duration_seconds must be positive and finite, "
+                f"got {duration_seconds}"
+            )
+        if not 0.0 <= start < math.inf:
+            raise ValueError(f"start must be non-negative and finite, got {start}")
         if self._table is not None:
             self._table.reset()
         pool = (

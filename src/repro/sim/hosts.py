@@ -127,6 +127,30 @@ class HostInterferenceFeed:
         return self.theft
 
 
+def feed_gather(
+    injectors: Sequence,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+    """Many lanes' interference as one gather.
+
+    Returns ``(theft vector, lanes, slots)`` when every injector in
+    ``injectors`` that is not None is a host feed (it exposes
+    :attr:`HostInterferenceFeed.source`) on one shared theft vector:
+    lane ``lanes[j]`` then steals ``vector[slots[j]]``, and a lane
+    without an injector steals nothing.  None when some injector is of
+    another kind or the feeds read different vectors: read those lane
+    by lane (``interference_at``).
+    """
+    lanes = [j for j, injector in enumerate(injectors) if injector is not None]
+    sources = [getattr(injectors[j], "source", None) for j in lanes]
+    if None in sources or len({id(values) for values, _slot in sources}) > 1:
+        return None
+    return (
+        sources[0][0] if sources else np.zeros(0),
+        np.array(lanes, dtype=int),
+        np.array([slot for _values, slot in sources], dtype=int),
+    )
+
+
 class HostMap:
     """Placement of fleet lanes onto shared hosts, plus the coupling.
 

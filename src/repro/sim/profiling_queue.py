@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,17 @@ class QueueConfigError(ValueError):
         self.params = params
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a :class:`QueueConfigError` naming
+    ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise QueueConfigError(
+            f"{name} must be an integer: {value!r}", name
+        ) from None
+
+
 def _outstanding(free: float, t: float, service: float) -> int:
     """Unfinished requests stacked at time ``t`` on a slot freeing at
     ``free``.
@@ -76,8 +88,14 @@ def _outstanding(free: float, t: float, service: float) -> int:
     """
     if free <= t:
         return 0
-    tol = max(1e-12, 4.0 * _EPS * max(abs(t), abs(free)) / service)
-    return max(1, math.ceil((free - t) / service - tol))
+    # max(abs(t), abs(free)) and the two clamps, without builtin
+    # calls: this runs twice per FIFO request.
+    scale = free if free >= -t else -t
+    tol = 4.0 * _EPS * scale / service
+    if tol < 1e-12:
+        tol = 1e-12
+    runs = math.ceil((free - t) / service - tol)
+    return runs if runs > 1 else 1
 
 
 def outage_order(window: "tuple[float, float, int | None]") -> tuple:
@@ -88,7 +106,7 @@ def outage_order(window: "tuple[float, float, int | None]") -> tuple:
     return start, end, math.inf if slots is None else slots
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class ProfilingGrant:
     """Outcome of one profiling request against the shared environment.
 
@@ -110,6 +128,11 @@ class ProfilingGrant:
     so feedback consumers (queue-delayed deployments) re-read
     ``start_at`` instead of trusting the wait quoted at request time,
     which ``quoted_wait`` keeps.
+
+    The dataclass supplies the fields, ``repr`` and equality; the
+    constructor is written out: a grant is built per profiling request,
+    and a generated ``__init__`` plus ``__post_init__`` costs several
+    times as much.
     """
 
     requested_at: float
@@ -121,8 +144,24 @@ class ProfilingGrant:
     revised: bool = False
     quoted_wait: float = field(default=0.0, init=False)
 
-    def __post_init__(self) -> None:
-        self.quoted_wait = self.start_at - self.requested_at
+    def __init__(
+        self,
+        requested_at: float,
+        start_at: float,
+        finish_at: float,
+        outcome: str = "accepted",
+        priority: int = PRIORITY_ADAPTATION,
+        kind: str = "adapt",
+        revised: bool = False,
+    ) -> None:
+        self.requested_at = requested_at
+        self.start_at = start_at
+        self.finish_at = finish_at
+        self.outcome = outcome
+        self.priority = priority
+        self.kind = kind
+        self.revised = revised
+        self.quoted_wait = start_at - requested_at
 
     @property
     def accepted(self) -> bool:
@@ -177,13 +216,22 @@ class ProfilingQueue:
         shed_below: int = PRIORITY_ADAPTATION,
     ) -> None:
         watermarks = ("high_watermark", "low_watermark")
+        # Counts must be integers: a NaN bound or watermark compares
+        # False with every depth, so it would silently never apply.
+        slots = _integer("slots", slots)
+        if max_pending is not None:
+            max_pending = _integer("max_pending", max_pending)
+        if high_watermark is not None:
+            high_watermark = _integer("high_watermark", high_watermark)
+        if low_watermark is not None:
+            low_watermark = _integer("low_watermark", low_watermark)
         if slots < 1:
             raise QueueConfigError(
                 f"need at least one profiling slot: {slots}", "slots"
             )
-        if service_seconds <= 0:
+        if not 0.0 < service_seconds < math.inf:
             raise QueueConfigError(
-                f"service time must be positive: {service_seconds}",
+                f"service_seconds must be positive and finite: {service_seconds}",
                 "service_seconds",
             )
         if max_pending is not None and max_pending < 0:
@@ -310,22 +358,18 @@ class ProfilingQueue:
         slot_free = self._slot_free
         free = slot_free[0]
         would_wait = free > t
-        depth, busy = self._fifo_counts(t)
+        if t == self._count_t:
+            depth, busy = self._count_depth, self._count_busy
+        else:
+            depth, busy = self._fifo_counts(t)
         if (
-            bounded
+            would_wait
+            and bounded
             and self.max_pending is not None
-            and would_wait
             and depth - busy >= self.max_pending
         ):
             self.rejected += 1
-            grant = ProfilingGrant(
-                requested_at=t,
-                start_at=t,
-                finish_at=t,
-                outcome="rejected",
-                priority=priority,
-                kind=kind,
-            )
+            grant = ProfilingGrant(t, t, t, "rejected", priority, kind)
             self.grants.append(grant)
             return grant
         service = self.service_seconds
@@ -333,21 +377,17 @@ class ProfilingQueue:
         finish = start + service
         heapq.heapreplace(slot_free, finish)
         self.busy_seconds += service
-        # Only the assigned slot changed: move both counts by its delta.
+        # Only the assigned slot changed: move both counts by its delta
+        # (a slot freeing by t owed nothing).
         depth += _outstanding(finish, t, service)
-        depth -= _outstanding(free, t, service)
+        if would_wait:
+            depth -= _outstanding(free, t, service)
         busy += (finish > t) - would_wait
         self._count_depth = depth
         self._count_busy = busy
         if depth > self.max_depth:
             self.max_depth = depth
-        grant = ProfilingGrant(
-            requested_at=t,
-            start_at=start,
-            finish_at=finish,
-            priority=priority,
-            kind=kind,
-        )
+        grant = ProfilingGrant(t, start, finish, "accepted", priority, kind)
         self.grants.append(grant)
         return grant
 

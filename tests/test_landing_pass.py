@@ -16,8 +16,8 @@ import pytest
 from repro.cloud.provider import Allocation
 from repro.core.manager import DejaVuManager, _PendingDeployment
 from repro.experiments.multiplexing_study import run_fleet_multiplexing_study
-from repro.experiments.setup import build_scaleout_setup
-from repro.sim.fleet import FleetEngine, _LaneTable
+from repro.experiments.setup import build_scaleout_setup, observe_scaleout
+from repro.sim.fleet import FleetEngine, FleetLane, _LaneTable
 from repro.sim.profiling_queue import ProfilingGrant
 from tests.test_batched_golden import CASES
 
@@ -54,12 +54,30 @@ def lane_table(manager) -> _LaneTable:
     return table
 
 
+def one_lane_engine(setup) -> FleetEngine:
+    """A batched one-lane engine over ``setup``, its lane table read as
+    a run starts."""
+    engine = FleetEngine(
+        [
+            FleetLane(
+                workload_fn=setup.trace,
+                controller=setup.manager,
+                observe_fn=observe_scaleout(setup),
+            )
+        ]
+    )
+    engine._table.reset()
+    return engine
+
+
 def test_an_unrevised_grant_lands_at_its_apply_time():
     setup = pending_setup(revised=False)
-    table = lane_table(setup.manager)
+    engine = one_lane_engine(setup)
+    table = engine._table
     assert table.landable(99.0, [0]) == []
     assert table.landable(120.0, [0]) == [0]
-    landed = setup.manager.land_pending_deployment()
+    landed = setup.manager.pending_deployment
+    engine._land_deployments(120.0, [0])
     assert landed is not None and setup.manager.pending_deployment is None
     assert setup.provider.current_allocation == Allocation(6)
     assert setup.provider.last_change_at == 100.0

@@ -11,10 +11,16 @@ decides service-multiple boundaries.
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.profiling_queue import ProfilingQueue, outage_order
+from repro.sim.profiling_queue import (
+    ProfilingQueue,
+    QueueConfigError,
+    outage_order,
+)
 
 
 class NaiveFifoQueue:
@@ -195,3 +201,50 @@ def test_tied_outage_windows_apply_the_brownout_first():
     queue.advance_to(0.0)
     assert sorted(queue._slot_free) == [5.0, 5.0]
     assert queue.request(0.0).start_at == 5.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, param",
+    [
+        (dict(service_seconds=float("nan")), "service_seconds"),
+        (dict(service_seconds=float("inf")), "service_seconds"),
+        (dict(max_pending=float("nan")), "max_pending"),
+        (dict(slots=2.5), "slots"),
+        (
+            dict(
+                queue_policy="priority",
+                high_watermark=float("nan"),
+                low_watermark=1,
+            ),
+            "high_watermark",
+        ),
+        (
+            dict(
+                queue_policy="priority",
+                high_watermark=3,
+                low_watermark=float("nan"),
+            ),
+            "low_watermark",
+        ),
+    ],
+)
+def test_bad_numbers_raise_a_config_error_naming_the_parameter(kwargs, param):
+    """A NaN service time would fail every request, a NaN bound or
+    watermark would never apply, and a fractional slot count failed
+    with a bare TypeError."""
+    with pytest.raises(QueueConfigError) as raised:
+        ProfilingQueue(**kwargs)
+    assert param in raised.value.params
+    assert param in str(raised.value)
+
+
+def test_integral_numbers_of_any_int_type_are_accepted():
+    queue = ProfilingQueue(
+        slots=np.int64(2),
+        max_pending=np.int64(3),
+        queue_policy="priority",
+        high_watermark=np.int64(2),
+        low_watermark=0,
+    )
+    assert (queue.slots, queue.max_pending, queue.high_watermark) == (2, 3, 2)
+    assert all(type(v) is int for v in (queue.slots, queue.max_pending))

@@ -66,3 +66,20 @@ class TestSimClock:
         text = repr(clock)
         assert "day=1" in text
         assert "hour_of_day=3" in text
+
+
+class TestNonFiniteTime:
+    """NaN compares False with everything, so ``start < 0`` and
+    ``seconds < 0`` let it through; infinity is no time either."""
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_non_finite_start_rejected(self, start):
+        with pytest.raises(ValueError, match="start"):
+            SimClock(start)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_advance_rejected(self, seconds):
+        clock = SimClock(5.0)
+        with pytest.raises(ValueError, match="seconds"):
+            clock.advance(seconds)
+        assert clock.now == 5.0

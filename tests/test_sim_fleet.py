@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.engine import StepContext
+from repro.sim.engine import SimulationEngine, StepContext
 from repro.sim.fleet import FleetEngine, FleetLane, FleetResult
 from repro.sim.profiling_queue import ProfilingQueue
 from repro.workloads.request_mix import CASSANDRA_UPDATE_HEAVY, Workload
@@ -48,6 +48,44 @@ class TestFleetEngineValidation:
         engine = FleetEngine([make_lane(1.0)])
         with pytest.raises(ValueError, match="duration"):
             engine.run(-10.0)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_non_finite_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step_seconds"):
+            FleetEngine([make_lane(1.0)], step_seconds=step)
+        with pytest.raises(ValueError, match="step_seconds"):
+            SimulationEngine(
+                constant_workload,
+                RecordingController(),
+                lambda ctx: {"metric": 1.0},
+                step_seconds=step,
+            )
+
+    def test_nan_duration_and_start_rejected(self):
+        engine = FleetEngine([make_lane(1.0)])
+        with pytest.raises(ValueError, match="duration_seconds"):
+            engine.run(float("nan"))
+        for start in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="start"):
+                engine.run(3600.0, start=start)
+
+    def test_infinite_duration_rejected_before_any_step(self):
+        """A workload source other than a trace never runs out, so an
+        infinite run would never end; this one raises after a few
+        steps instead of hanging."""
+        calls = []
+
+        def few_steps(t: float) -> Workload:
+            calls.append(t)
+            if len(calls) > 3:
+                raise RuntimeError("the run did not stop")
+            return constant_workload(t)
+
+        lane = make_lane(1.0)
+        lane.workload_fn = few_steps
+        with pytest.raises(ValueError, match="duration_seconds"):
+            FleetEngine([lane]).run(float("inf"))
+        assert calls == []
 
     def test_schema_drift_within_a_lane_rejected(self):
         # Differing schemas *between* lanes are legal (heterogeneous
