@@ -14,12 +14,15 @@ For every end-to-end metric ``BENCHMARK.json`` declares it prints each
 side's median and quartiles, how many pairs the change won (ties count
 for neither side) and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs and its median beats the parent's by
-more than the parent's interquartile range.  ``--record`` appends one
-line per workload to ``BENCH_perfbench.jsonl`` (commit, parent,
-workload, seed, pairs, both medians and the parent's IQR per metric,
-and the median yardstick of each side), the repository's performance
-trajectory.  The temporary copy is removed on exit, and every
-benchmark run is waited for, so nothing is left behind.
+more than the parent's interquartile range.  ``--record LABEL``
+appends one line per workload to ``BENCH_perfbench.jsonl`` (commit,
+parent, workload, seed, pairs, both medians and the parent's IQR per
+metric, and the median yardstick of each side), the repository's
+performance trajectory.  ``LABEL`` names the measured change: its
+commit hash, or, measured before it is committed, the parent's hash
+with a ``+name`` suffix, to be relabelled once the hash exists.  The
+temporary copy is removed on exit, and every benchmark run is waited
+for, so nothing is left behind.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ RECORD_FIELDS = (
     "source",
 )
 METRIC_FIELDS = ("parent_median", "change_median", "parent_iqr", "change_wins")
+#: A trajectory line's commit label: a commit hash, optionally with a
+#: ``+name`` suffix for a change not yet committed.
+COMMIT_LABEL = re.compile(r"[0-9a-f]{7,40}(\+[a-z0-9-]+)?")
 _YARDSTICK = re.compile(r"median yardstick ([0-9.]+) s")
 
 
@@ -102,16 +108,6 @@ def export_revision(revision: str, into: Path) -> None:
 def describe(revision: str) -> str:
     return subprocess.run(
         ["git", "describe", "--always", "--abbrev=7", revision],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-
-
-def working_tree_commit() -> str:
-    return subprocess.run(
-        ["git", "describe", "--always", "--abbrev=7", "--dirty"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -241,16 +237,23 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument(
-        "--record", action="store_true", help=f"append to {TRAJECTORY.name}"
+        "--record",
+        metavar="LABEL",
+        help=f"append to {TRAJECTORY.name} as commit LABEL",
     )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1: {args.pairs}")
+    if args.record is not None and not COMMIT_LABEL.fullmatch(args.record):
+        parser.error(
+            "--record needs a commit hash, optionally with a +name "
+            f"suffix: {args.record!r}"
+        )
     # A terminated run unwinds like an interrupted one: subprocess.run
     # kills its benchmark child and the temporary copy is removed.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    commit, parent = working_tree_commit(), describe(args.parent)
+    parent = describe(args.parent)
     lines = []
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
         parent_dir = Path(scratch)
@@ -261,9 +264,11 @@ def main(argv=None) -> int:
             )
             compared = report(workload, args.seed, runs, declared)
             lines.append(
-                record_line(commit, parent, workload, args.seed, compared, yards)
+                record_line(
+                    args.record, parent, workload, args.seed, compared, yards
+                )
             )
-    if args.record:
+    if args.record is not None:
         with TRAJECTORY.open("a") as out:
             for line in lines:
                 out.write(json.dumps(line) + "\n")

@@ -627,7 +627,7 @@ class DejaVuManager:
             self.pending_deployment = None
             if self.config.degraded_fallback and self.is_trained:
                 self.degraded_adaptations += 1
-                self.production.apply(pending.allocation, t)
+                self._deploy_allocation(pending.allocation, t)
                 self.mark_deployed(pending)
             else:
                 self.revoked_adaptations += 1
@@ -646,10 +646,17 @@ class DejaVuManager:
             apply_at = grant.start_at
         if t + 1e-9 < apply_at:
             return
-        self.production.apply(pending.allocation, apply_at)
+        self._deploy_allocation(pending.allocation, apply_at)
         self.mark_deployed(pending)
         if pending.owes_check:
             self.post_deploy_check(t, pending)
+
+    def _deploy_allocation(self, allocation: Allocation, t: float) -> None:
+        """Put ``allocation`` in production if it changes what serves,
+        by the rule the engine's deploy pass uses
+        (:meth:`~repro.core.profiler.ProductionEnvironment.changes`)."""
+        if self.production.changes(allocation):
+            self.production.apply(allocation, t)
 
     def mark_deployed(self, decision: _PendingDeployment) -> None:
         """Record that ``decision``'s allocation is now in production:

@@ -105,9 +105,20 @@ class ProductionEnvironment:
             return 0.0
         return self.injector.interference_at(t)
 
+    def changes(self, allocation: Allocation) -> bool:
+        """Whether deploying ``allocation`` changes what is deployed.
+
+        Identity first: a re-deployed decision usually carries the very
+        allocation object already serving, and that skips the equality
+        test.  Callers deploying many decisions test this before
+        :meth:`apply`, which deploys only on it too.
+        """
+        current = self.provider.current_allocation
+        return allocation is not current and allocation != current
+
     def apply(self, allocation: Allocation, t: float) -> None:
         """Deploy an allocation and notify the service (re-partitioning)."""
-        if allocation != self.provider.current_allocation:
+        if self.changes(allocation):
             self.provider.apply(allocation, t)
             self.service.notify_allocation_change(t)
 

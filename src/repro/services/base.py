@@ -90,15 +90,16 @@ class Service:
     def row_key(self) -> tuple:
         """Instances with equal keys share every parameter of the row
         hooks (queueing model, SLO, QoS curve), so
-        :func:`performance_rows` may evaluate them as one vector.
-        Subclasses with a per-instance curve extend the key."""
-        return (type(self), self.model, self.slo)
+        :func:`performance_rows` may evaluate them as one vector."""
+        return (
+            type(self), self.model, self.slo, self._qos_knee, self._qos_slope
+        )
 
     @staticmethod
     def latency_penalty_rows(services, now: float) -> "np.ndarray | None":
         """Each instance's time-dependent latency added on top of the
         queueing model at ``now`` (Cassandra's re-partitioning
-        transient), as one vector over a family sharing a
+        transient), as one vector over a family (a list) sharing a
         :meth:`row_key`; None when the class adds none."""
         return None
 
@@ -122,28 +123,30 @@ class Service:
             workload.demand_units, capacity_units, interference
         )
 
-    #: Default QoS curve parameters, shared by the scalar and
-    #: vectorized graders so the two cannot drift apart.
-    _QOS_KNEE = 0.72
-    _QOS_SLOPE = 55.0
+    #: QoS curve parameters, shared by the scalar and vectorized
+    #: graders so the two cannot drift apart; a service with its own
+    #: curve (SPECweb) sets them per instance.
+    _qos_knee = 0.72
+    _qos_slope = 55.0
 
     def _qos_percent(self, rho: float) -> float:
-        """Default QoS curve: degrade linearly past a utilization knee.
+        """QoS curve: degrade linearly past a utilization knee.
 
         Calibrated so a well-provisioned service sits near 99.5% and a
         saturated one falls into the low 80s (Figs. 9(b)/10(b) y-range).
         """
-        qos = 99.5 - max(0.0, rho - self._QOS_KNEE) * self._QOS_SLOPE
+        qos = 99.5 - max(0.0, rho - self._qos_knee) * self._qos_slope
         return float(max(50.0, min(99.5, qos)))
 
     def _qos_rows(self, rho: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`_qos_percent` (bit-identical per element).
 
-        Subclasses overriding the scalar curve must override this too;
-        the fleet observation path uses it to grade whole lane groups
-        at once.
+        With every element at or below the knee (a NaN is not) each one
+        is exactly 99.5, and the curve is not evaluated.
         """
-        qos = 99.5 - np.maximum(0.0, rho - self._QOS_KNEE) * self._QOS_SLOPE
+        if rho.size and rho.max() <= self._qos_knee:
+            return np.full(rho.shape, 99.5)
+        qos = 99.5 - np.maximum(0.0, rho - self._qos_knee) * self._qos_slope
         return np.maximum(50.0, np.minimum(99.5, qos))
 
 
@@ -161,11 +164,12 @@ def performance_rows(
     interference=interferences[j], now=now)`` for a workload offering
     ``demands[j]``: the queueing math runs through the model's
     ``utilization_rows`` / ``latency_rows`` and the service's
-    ``_qos_rows``, and the family's :meth:`Service.latency_penalty_rows`
-    (one comprehension with ``math.exp``, which ``np.exp`` does not
-    reproduce bit for bit).  Every service must share the first
-    one's :meth:`Service.row_key`, and every capacity must be positive
-    (the scalar path raises on zero; callers mask such instances).
+    ``_qos_rows`` (each one branch when every utilization is below its
+    knee), plus the family's :meth:`Service.latency_penalty_rows`
+    (Cassandra's transients, read off columns).  Every service must
+    share the first one's :meth:`Service.row_key`, and every capacity
+    must be positive (the scalar path raises on zero; callers mask such
+    instances).
     """
     lead = services[0]
     rho = lead.model.utilization_rows(demands, capacities, interferences)

@@ -27,6 +27,85 @@ from repro.workloads.request_mix import Workload
 DEFAULT_SLO = LatencySLO(bound_ms=60.0)
 
 
+class TransientColumns:
+    """Re-partitioning transients of Cassandra instances as columns.
+
+    Row ``j`` is ``members[j]``'s transient: its last resize time
+    (``resized_at``; ``inf`` before the first resize, so the elapsed
+    time is negative and the penalty 0), its peak (``peak_ms``) and its
+    decay constant, stored negated (``neg_tau``: ``elapsed / neg_tau``
+    is the scalar path's ``-elapsed / tau`` bit for bit).
+
+    An instance's transient lives in exactly one block, at the row its
+    ``_transient`` / ``_row`` name, and
+    :meth:`CassandraService.notify_allocation_change` writes it there.
+    An instance starts in a block of its own; evaluating a family whose
+    instances sit in several blocks moves them into one
+    (:meth:`holding`), so a fleet's family observer and its post-deploy
+    pre-check, which grades subsets of the observer's lanes, read the
+    same columns.  A block whose member moved out has ``members``
+    emptied; the rows it still holds stay valid.
+    """
+
+    __slots__ = ("members", "resized_at", "peak_ms", "neg_tau")
+
+    def __init__(self, members: list) -> None:
+        """A block of ``members``, none resized yet."""
+        self.members = members
+        self.resized_at = np.array([math.inf] * len(members))
+        self.peak_ms = np.array([m._peak_ms for m in members], dtype=float)
+        self.neg_tau = np.array([-m._tau for m in members], dtype=float)
+
+    @classmethod
+    def holding(
+        cls, services: list
+    ) -> tuple["TransientColumns", "np.ndarray | None"]:
+        """``(block, rows)``: the block holding every instance of
+        ``services`` and their rows in it (None when the block's
+        members are ``services``, in order)."""
+        block = services[0]._transient
+        if block.members == services:
+            return block, None
+        rows = [s._row for s in services if s._transient is block]
+        if len(rows) == len(services):
+            return block, np.array(rows)
+        # The instances sit in several blocks: move them into one.  A
+        # block that lost a member is never read whole again; the
+        # members it keeps are read by row.
+        merged = cls(list(dict.fromkeys(services)))
+        for row, service in enumerate(merged.members):
+            old, old_row = service._transient, service._row
+            merged.resized_at[row] = old.resized_at[old_row]
+            old.members = []
+            service._transient, service._row = merged, row
+        return cls.holding(services)
+
+    def penalties(self, now: float, rows: "np.ndarray | None") -> np.ndarray:
+        """:meth:`CassandraService.repartition_penalty_ms` of each row
+        (of ``rows``; every row when None) at ``now``, bit for bit: the
+        scalar expressions as column operations, except the exponential,
+        which stays ``math.exp`` per element (``np.exp`` is not
+        bit-identical to it)."""
+        resized, peak, neg_tau = self.resized_at, self.peak_ms, self.neg_tau
+        if rows is not None:
+            resized, peak, neg_tau = resized[rows], peak[rows], neg_tau[rows]
+        elapsed = now - resized
+        exponent = elapsed / neg_tau
+        if elapsed.min() >= 0.0:
+            return peak * _exp_rows(exponent)
+        # Rows resized after ``now`` (or never) add nothing; only the
+        # others are exponentiated (``math.exp`` overflows on the rest).
+        live = np.flatnonzero(~(elapsed < 0.0))
+        penalty = np.zeros(elapsed.size)
+        penalty[live] = peak[live] * _exp_rows(exponent[live])
+        return penalty
+
+
+def _exp_rows(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every element."""
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+
+
 class CassandraService(Service):
     """Cassandra with a post-resize re-partitioning transient.
 
@@ -54,17 +133,17 @@ class CassandraService(Service):
             raise ValueError(f"transient tau must be positive: {repartition_tau_seconds}")
         self._peak_ms = repartition_peak_ms
         self._tau = repartition_tau_seconds
-        self._last_resize_at: float | None = None
+        self._transient, self._row = TransientColumns([self]), 0
 
     def notify_allocation_change(self, now: float) -> None:
         """Record the resize; ranges start re-balancing now."""
-        self._last_resize_at = now
+        self._transient.resized_at[self._row] = now
 
     def repartition_penalty_ms(self, now: float | None) -> float:
         """Current re-partitioning latency penalty."""
-        if now is None or self._last_resize_at is None:
+        if now is None:
             return 0.0
-        elapsed = now - self._last_resize_at
+        elapsed = now - float(self._transient.resized_at[self._row])
         if elapsed < 0:
             return 0.0
         return self._peak_ms * math.exp(-elapsed / self._tau)
@@ -72,18 +151,9 @@ class CassandraService(Service):
     @staticmethod
     def latency_penalty_rows(services, now: float) -> np.ndarray:
         """:meth:`repartition_penalty_ms` of every instance at ``now``,
-        in one comprehension with the same expressions (bit-identical
-        per element)."""
-        exp = math.exp
-        return np.array(
-            [
-                0.0
-                if (resized := service._last_resize_at) is None
-                or (elapsed := now - resized) < 0
-                else service._peak_ms * exp(-elapsed / service._tau)
-                for service in services
-            ]
-        )
+        read off the transient columns (bit-identical per element)."""
+        block, rows = TransientColumns.holding(services)
+        return block.penalties(now, rows)
 
     def _latency_ms(
         self,

@@ -135,11 +135,18 @@ class QueueingModel:
     def latency_rows(self, rho: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`latency_ms` from precomputed utilizations.
 
-        Evaluates both branches elementwise and selects, which yields
-        the exact floats of the scalar branch logic.  The smooth branch
-        divides by ``1 - min(rho, smoothing_rho)``: the same divisor on
-        every element it is selected for, and never zero on the others.
+        When every element is below ``smoothing_rho`` (a NaN is not) the
+        scalar path takes the ``1/(1-rho)`` branch everywhere, and that
+        branch alone is evaluated.  Otherwise both branches are
+        evaluated elementwise and selected, which yields the exact
+        floats of the scalar branch logic.  The smooth branch divides
+        by ``1 - min(rho, smoothing_rho)``: the same divisor on every
+        element it is selected for, and never zero on the others.
         """
+        if rho.size and rho.max() < self.smoothing_rho:
+            return np.minimum(
+                self.base_latency_ms / (1.0 - rho), self.max_latency_ms
+            )
         smooth = self.base_latency_ms / (
             1.0 - np.minimum(rho, self.smoothing_rho)
         )

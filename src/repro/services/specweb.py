@@ -9,8 +9,6 @@ meet a minimum 0.99 Mbps rate", which we expose as a QoS percentage.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.services.base import Service
 from repro.services.perf_model import QueueingModel
 from repro.services.slo import QoSSLO
@@ -44,16 +42,5 @@ class SpecWebService(Service):
             raise ValueError(f"QoS knee must be in (0,1): {qos_knee}")
         if qos_slope <= 0:
             raise ValueError(f"QoS slope must be positive: {qos_slope}")
-        self._knee = qos_knee
-        self._slope = qos_slope
-
-    def row_key(self) -> tuple:
-        return (type(self), self.model, self.slo, self._knee, self._slope)
-
-    def _qos_percent(self, rho: float) -> float:
-        qos = 99.5 - max(0.0, rho - self._knee) * self._slope
-        return float(max(50.0, min(99.5, qos)))
-
-    def _qos_rows(self, rho: "np.ndarray") -> "np.ndarray":
-        qos = 99.5 - np.maximum(0.0, rho - self._knee) * self._slope
-        return np.maximum(50.0, np.minimum(99.5, qos))
+        self._qos_knee = qos_knee
+        self._qos_slope = qos_slope

@@ -1096,10 +1096,8 @@ class FleetEngine:
         controllers, productions = table.controllers, table.productions
         for k, decision in zip(rows, decisions):
             production = productions[k]
-            allocation = decision.allocation
-            current = production.provider.current_allocation
-            if allocation is not current and allocation != current:
-                production.apply(allocation, decision.apply_at)
+            if production.changes(decision.allocation):
+                production.apply(decision.allocation, decision.apply_at)
             controllers[k].mark_deployed(decision)
         return self._precheck_landed(t, rows, decisions)
 

@@ -14,7 +14,11 @@ one lands:
 * host-coupled fleets on one slot, FIFO and priority, where landed
   deployments fail the post-deploy SLO check and escalate to an
   interference band (the scalar fallback after the landing pass's
-  vectorized pre-check).
+  vectorized pre-check);
+* perfbench's ``batched`` fleet at seed 11 (200 mixed lanes, a day, one
+  slot), where thousands of observations and post-deploy checks carry
+  a live Cassandra re-partitioning transient: ``np.exp`` in place of
+  the scalar path's ``math.exp`` moves its digest.
 
 The digest is :func:`tests.test_scalar_golden.study_digest`: series
 matrices, step times, schemas, per-lane adaptation events and every
@@ -71,6 +75,7 @@ CASES = {
     ),
     "hosts-escalation-fifo": HOSTED,
     "hosts-escalation-priority": dict(HOSTED, queue_policy="priority"),
+    "perfbench-batched-11": dict(n_lanes=200, hours=24.0, mix="mixed", seed=11),
 }
 
 #: Recorded before the batched wave let queue-delayed lanes sleep
@@ -82,6 +87,8 @@ GOLDEN = {
     # Recorded before deployments landed in one pass per step.
     "hosts-escalation-fifo": "6504603f20460491",
     "hosts-escalation-priority": "6504603f20460491",
+    # Recorded before the service model's transients became columns.
+    "perfbench-batched-11": "27573f1de4ae9073",
 }
 
 

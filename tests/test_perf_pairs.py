@@ -95,6 +95,66 @@ def test_record_line_holds_every_field():
     assert line["yardstick"] == {"parent": 0.05, "change": 0.06}
 
 
+def fake_pairs(monkeypatch, tmp_path):
+    """Run ``main`` without git or perfbench: the parent is described
+    as ``f855e4e``, each side runs fixed numbers, and the trajectory is
+    a file under ``tmp_path``."""
+    trajectory = tmp_path / "trajectory.jsonl"
+
+    def measure(parent_dir, workload, seed, pairs, seconds):
+        runs = {
+            side: {
+                metric["name"]: [base + i for i in range(pairs)]
+                for metric in BENCHMARK["end_to_end"]
+            }
+            for side, base in (("parent", 1.0), ("change", 2.0))
+        }
+        return runs, {"parent": [0.05] * pairs, "change": [0.06] * pairs}
+
+    monkeypatch.setattr(perf_pairs, "TRAJECTORY", trajectory)
+    monkeypatch.setattr(perf_pairs, "describe", lambda revision: "f855e4e")
+    monkeypatch.setattr(
+        perf_pairs, "export_revision", lambda revision, into: None
+    )
+    monkeypatch.setattr(perf_pairs, "measure", measure)
+    # main() routes SIGTERM to an orderly exit; keep the test process's.
+    monkeypatch.setattr(perf_pairs.signal, "signal", lambda signum, handler: None)
+    return trajectory
+
+
+@pytest.mark.parametrize("label", ["c0f6706", "f855e4e+service-columns"])
+def test_record_writes_the_commit_label_it_is_given(
+    monkeypatch, tmp_path, label
+):
+    trajectory = fake_pairs(monkeypatch, tmp_path)
+    argv = ["--workload", "batched", "--workload", "hosts", "--pairs", "2"]
+    assert perf_pairs.main(argv + ["--record", label]) == 0
+    lines = [json.loads(text) for text in trajectory.read_text().splitlines()]
+    assert [line["workload"] for line in lines] == ["batched", "hosts"]
+    for line in lines:
+        check_line(line)
+        assert line["commit"] == label
+        assert line["parent"] == "f855e4e"
+
+
+def test_without_record_nothing_is_written(monkeypatch, tmp_path):
+    trajectory = fake_pairs(monkeypatch, tmp_path)
+    assert perf_pairs.main(["--workload", "batched", "--pairs", "2"]) == 0
+    assert not trajectory.exists()
+
+
+@pytest.mark.parametrize(
+    "label", [None, "", "HEAD", "f855e4e-dirty", "f855e4e+Two Words"]
+)
+def test_record_needs_a_commit_label(monkeypatch, tmp_path, label):
+    trajectory = fake_pairs(monkeypatch, tmp_path)
+    argv = ["--workload", "batched", "--pairs", "2", "--record"]
+    with pytest.raises(SystemExit) as exit_info:
+        perf_pairs.main(argv if label is None else argv + [label])
+    assert exit_info.value.code == 2
+    assert not trajectory.exists()
+
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {metric["name"] for metric in BENCHMARK["end_to_end"]}
 WORKLOADS = {workload["name"] for workload in BENCHMARK["workloads"]}
@@ -103,7 +163,7 @@ NUMBER = (int, float)
 
 def check_line(line: dict) -> None:
     assert set(line) == set(perf_pairs.RECORD_FIELDS)
-    assert re.fullmatch(r"[0-9a-f]{7,40}(-dirty)?", line["commit"])
+    assert perf_pairs.COMMIT_LABEL.fullmatch(line["commit"])
     assert re.fullmatch(r"[0-9a-f]{7,40}", line["parent"])
     assert line["workload"] in WORKLOADS
     assert line["seed"] is None or isinstance(line["seed"], int)
