@@ -35,7 +35,7 @@ from repro.core.profiler import ProductionEnvironment, ProfilingEnvironment
 from repro.core.repository import AllocationRepository
 from repro.core.signature import SignatureSchema, Standardizer
 from repro.core.tuner import LinearSearchTuner
-from repro.sim.clock import HOUR
+from repro.sim.clock import HOUR, reached
 from repro.sim.engine import StepContext
 from repro.sim.profiling_queue import (
     PRIORITY_ADAPTATION,
@@ -610,7 +610,7 @@ class DejaVuManager:
                     backoff = self.config.profiling_retry_backoff_seconds
                     pending.retry_at = t + backoff * (2.0 ** pending.retries)
                     return
-                if t + 1e-9 < pending.retry_at:
+                if not reached(t, pending.retry_at):
                     return
                 self.profiling_retries += 1
                 retry = self._charge_profiling(
@@ -644,9 +644,10 @@ class DejaVuManager:
             # Priority scheduling moved the signature after the
             # decision was made; deploy at the revised finish-of-wait.
             apply_at = grant.start_at
-        if t + 1e-9 < apply_at:
+        if not reached(t, apply_at):
             return
-        self._deploy_allocation(pending.allocation, apply_at)
+        # A step a hair short of apply_at deploys at its own time.
+        self._deploy_allocation(pending.allocation, min(apply_at, t))
         self.mark_deployed(pending)
         if pending.owes_check:
             self.post_deploy_check(t, pending)
@@ -722,7 +723,7 @@ class DejaVuManager:
         SLO-driven work has something to outbid.
         """
         every = self.config.resignature_every_seconds
-        if every is None or t + 1e-9 < self._next_resignature:
+        if every is None or not reached(t, self._next_resignature):
             return
         self._next_resignature = t + every
         if self.profiling_queue is None:
@@ -746,7 +747,7 @@ class DejaVuManager:
         self._poll_staged_model(ctx.t)
         self._flush_pending_deployment(ctx.t)
         self._maybe_resignature(ctx.t)
-        if ctx.t + 1e-9 >= self._next_check:
+        if reached(ctx.t, self._next_check):
             if self.adapt(ctx) is not None:
                 self._next_check = ctx.t + self.config.check_interval_seconds
                 self._last_adapt = ctx.t
@@ -895,7 +896,7 @@ class DejaVuManager:
 
     def _poll_staged_model(self, t: float) -> None:
         """Install a staged re-learned model once its sweep drains."""
-        if self._staged_model is not None and t + 1e-9 >= self.model_available_at:
+        if self._staged_model is not None and reached(t, self.model_available_at):
             self._install(*self._staged_model)
 
     def _maybe_auto_relearn(self, t: float) -> bool:
@@ -1212,7 +1213,7 @@ class DejaVuManager:
             self._poll_staged_model(t)
         if self.pending_deployment is not None:
             self._flush_pending_deployment(t)
-        if t + 1e-9 >= self._next_resignature:
+        if reached(t, self._next_resignature):
             self._maybe_resignature(t)
         self.workload_history.append((t, workload))
         queue = self.profiling_queue

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.repository import AllocationRepository
 from repro.services.slo import LatencySLO
-from repro.sim.clock import HOUR, step_count
+from repro.sim.clock import HOUR, SimClock
 from repro.sim.faults import FaultSchedule, parse_faults
 from repro.sim.fleet import FleetEngine, FleetLane, FleetResult
 from repro.sim.exchange import DemandExchange, ShardHostView
@@ -476,7 +476,7 @@ class FleetConfig:
     @property
     def n_steps(self) -> int:
         """Engine steps the run takes, a partial last step included."""
-        return step_count(self.hours * HOUR, self.step_seconds)
+        return SimClock(self.hours * HOUR, self.step_seconds).n
 
 
 #: How a statistic combines across the slice payloads of a sharded

@@ -1,14 +1,22 @@
-"""Simulation clock.
+"""Simulation time: one step grid per run.
 
 All simulation time is expressed in seconds since the start of the run.
 The trace-driven experiments in the paper span one week at one-hour load
 granularity, while DejaVu's adaptation happens on the order of seconds,
-so the clock supports both coarse (hourly) and fine (second) stepping.
+so a run may step coarsely (hourly) or finely (seconds).  Either way its
+steps sit on one grid: step ``i`` is at ``start + i * step``, computed
+from the index rather than summed, so no step drifts off the grid.
+
+This module is the only code that maps steps to times
+(:func:`step_time`, :class:`SimClock`), and :func:`reached` is the one
+rule deciding when a scheduled wake time has come.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 MINUTE = 60
 HOUR = 3600
@@ -16,79 +24,83 @@ SECONDS_PER_DAY = 24 * HOUR
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 
 
-class SimClock:
-    """A monotonically advancing simulation clock.
+def check_step(step_seconds: float) -> float:
+    """``step_seconds`` as a float; ValueError unless it is a step width."""
+    # Written so NaN fails too: every comparison with it is False.
+    if not 0.0 < step_seconds < math.inf:
+        raise ValueError(
+            f"step_seconds must be positive and finite, got {step_seconds}"
+        )
+    return float(step_seconds)
 
-    Parameters
-    ----------
-    start:
-        Initial time in seconds.  Defaults to 0 (start of the trace).
+
+def step_time(i, step_seconds: float, start: float = 0.0):
+    """Time of step ``i`` (an int or an integer array) on the grid
+    ``start + i * step_seconds``."""
+    return start + i * step_seconds
+
+
+def reached(t, at):
+    """Whether time ``t`` has reached the wake time ``at``, elementwise
+    on numpy arrays too.
+
+    A step up to 1e-9 s short of ``at`` counts: wake times are sums of
+    other times (``t + interval``) and may round just above the step
+    meant to meet them.
+    """
+    return t + 1e-9 >= at
+
+
+class SimClock:
+    """The step grid of one run, its arguments validated once.
+
+    Step ``i`` is at :meth:`time` ``(i)``; the run takes the ``n`` grid
+    times strictly before ``start + duration_seconds``, so a partial
+    last step counts.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
+    def __init__(
+        self, duration_seconds: float, step_seconds: float, start: float = 0.0
+    ) -> None:
         # Written so NaN fails too: every comparison with it is False.
+        if not 0.0 < duration_seconds < math.inf:
+            raise ValueError(
+                "duration_seconds must be positive and finite, "
+                f"got {duration_seconds}"
+            )
         if not 0.0 <= start < math.inf:
             raise ValueError(
-                f"clock cannot start at negative or non-finite time: "
-                f"start={start}"
+                f"start must be non-negative and finite, got {start}"
             )
-        self._now = float(start)
+        self.step_seconds = check_step(step_seconds)
+        self.start = float(start)
+        # Grid times do not decrease with the index, so the count is the
+        # first index at or past the end; the quotient is within a step
+        # or two of it.
+        end = self.start + duration_seconds
+        n = math.ceil(duration_seconds / self.step_seconds)
+        while n and self.time(n - 1) >= end:
+            n -= 1
+        while self.time(n) < end:
+            n += 1
+        self.n = n
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
+    def time(self, i: int) -> float:
+        """Simulation time of step ``i``."""
+        return step_time(i, self.step_seconds, self.start)
 
-    @property
-    def hour(self) -> int:
-        """Whole hours elapsed since the start of the trace."""
-        return int(self._now // HOUR)
+    def times(self) -> np.ndarray:
+        """Every step's time, in step order."""
+        return step_time(np.arange(self.n), self.step_seconds, self.start)
 
-    @property
-    def hour_of_day(self) -> int:
-        """Hour within the current day, in ``[0, 24)``."""
-        return self.hour % 24
+    def hour(self, i: int) -> int:
+        """Whole hours from the start of the trace to step ``i``."""
+        return int(self.time(i) // HOUR)
 
-    @property
-    def day(self) -> int:
-        """Whole days elapsed since the start of the trace."""
-        return int(self._now // SECONDS_PER_DAY)
-
-    def advance(self, seconds: float) -> float:
-        """Move the clock forward and return the new time.
-
-        Raises
-        ------
-        ValueError
-            If ``seconds`` is negative (simulation time never rewinds),
-            NaN or infinite.
-        """
-        if not 0.0 <= seconds < math.inf:
-            raise ValueError(f"cannot advance clock by seconds={seconds}")
-        self._now += seconds
-        return self._now
+    def day(self, i: int) -> int:
+        """Whole days from the start of the trace to step ``i``."""
+        return int(self.time(i) // SECONDS_PER_DAY)
 
     def __repr__(self) -> str:
-        return f"SimClock(day={self.day}, hour_of_day={self.hour_of_day}, t={self._now:.0f}s)"
-
-
-def step_count(duration_seconds: float, step_seconds: float) -> int:
-    """Steps a run of ``duration_seconds`` takes at ``step_seconds``.
-
-    Replays the stepping loop of :meth:`repro.sim.fleet.FleetEngine.run`
-    — advance a clock from 0 while ``now < duration_seconds`` — with the
-    same float accumulation, so a partial last step counts and the
-    count always matches the steps the engine records.
-    """
-    if not (math.isfinite(duration_seconds) and duration_seconds > 0):
-        raise ValueError(
-            f"duration must be positive and finite: {duration_seconds}"
-        )
-    if not (math.isfinite(step_seconds) and step_seconds > 0):
-        raise ValueError(f"step must be positive and finite: {step_seconds}")
-    clock = SimClock()
-    steps = 0
-    while clock.now < duration_seconds:
-        clock.advance(step_seconds)
-        steps += 1
-    return steps
+        hour = self.hour(0)
+        return f"SimClock(day={self.day(0)}, hour_of_day={hour % 24}, n={self.n})"

@@ -1,7 +1,8 @@
 """Stepped simulation engine.
 
-The engine advances a :class:`~repro.sim.clock.SimClock` in fixed steps.
-At every step it builds a :class:`StepContext` (current time and offered
+The engine steps through the fixed-step grid of a
+:class:`~repro.sim.clock.SimClock`, computing each step's time from its
+index.  At every step it builds a :class:`StepContext` (current time and offered
 workload) and hands it to a *controller* — DejaVu itself or one of the
 baselines — which may react by changing the service's resource
 allocation.  The engine then asks the service substrate for the resulting
@@ -14,10 +15,10 @@ experiment (paper Sec. 4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
+from repro.sim.clock import check_step
 from repro.sim.result import SimulationResult
 from repro.workloads.request_mix import Workload
 
@@ -78,14 +79,10 @@ class SimulationEngine:
         step_seconds: float = 60.0,
         label: str = "run",
     ) -> None:
-        if not 0.0 < step_seconds < math.inf:
-            raise ValueError(
-                f"step_seconds must be positive and finite, got {step_seconds}"
-            )
+        self._step = check_step(step_seconds)
         self._workload_fn = workload_fn
         self._controller = controller
         self._observe_fn = observe_fn
-        self._step = float(step_seconds)
         self._label = label
 
     def run(self, duration_seconds: float, start: float = 0.0) -> SimulationResult:

@@ -55,6 +55,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.sim.clock import check_step, step_time
 from repro.sim.profiling_queue import outage_order
 
 __all__ = [
@@ -292,13 +293,12 @@ class FaultSchedule:
         slots)`` sorted by start, the shape
         :meth:`~repro.sim.profiling_queue.ProfilingQueue.attach_faults`
         consumes."""
-        if step_seconds <= 0:
-            raise ValueError(f"step must be positive: {step_seconds}")
+        step_seconds = check_step(step_seconds)
         windows = sorted(
             (
                 (
-                    event.start_step * step_seconds,
-                    (event.start_step + event.duration_steps) * step_seconds,
+                    step_time(event.start_step, step_seconds),
+                    step_time(event.start_step + event.duration_steps, step_seconds),
                     event.slots,
                 )
                 for event in self.profiler_faults

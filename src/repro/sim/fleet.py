@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.cloud.provider import CapacityCache
 from repro.services.base import slo_met_rows
-from repro.sim.clock import SimClock
+from repro.sim.clock import SimClock, check_step, reached
 from repro.sim.engine import Controller, StepContext
 from repro.sim.hosts import HostMap, feed_gather
 # A runtime import, not a TYPE_CHECKING one: perfbench's trace hooks
@@ -117,19 +117,13 @@ class BatchObserver(Protocol):
 
 
 class _RowBuffer:
-    """A growable ``(n_steps, n_lanes)`` float buffer (doubling growth)."""
+    """An ``(n_steps, n_lanes)`` float buffer filled one step at a time."""
 
-    def __init__(self, n_lanes: int, capacity: int = 256) -> None:
-        self._data = np.empty((capacity, n_lanes), dtype=float)
+    def __init__(self, n_steps: int, n_lanes: int) -> None:
+        self._data = np.empty((n_steps, n_lanes), dtype=float)
         self._len = 0
 
     def append(self, row: np.ndarray) -> None:
-        if self._len == self._data.shape[0]:
-            grown = np.empty(
-                (2 * self._data.shape[0], self._data.shape[1]), dtype=float
-            )
-            grown[: self._len] = self._data[: self._len]
-            self._data = grown
         self._data[self._len] = row
         self._len += 1
 
@@ -155,10 +149,11 @@ class _SchemaGroup:
         self.row: np.ndarray | None = None
         self.buffers: dict[str, _RowBuffer] = {}
 
-    def allocate(self) -> None:
-        """Create the row and buffers once membership is final."""
-        self.row = np.empty((len(self.names), len(self.lanes)), dtype=float)
-        self.buffers = {name: _RowBuffer(len(self.lanes)) for name in self.names}
+    def allocate(self, n_steps: int) -> None:
+        """Create the row and ``n_steps``-row buffers once membership is final."""
+        n_lanes = len(self.lanes)
+        self.row = np.empty((len(self.names), n_lanes), dtype=float)
+        self.buffers = {name: _RowBuffer(n_steps, n_lanes) for name in self.names}
 
 
 #: Version of the ``.npz`` layout :meth:`FleetResult.to_npz` writes.
@@ -583,15 +578,14 @@ class _LaneTable:
 
         Visited batchable rows are *due* a periodic adaptation or
         *idle*; *masked* rows (not batchable) run ``on_step``.  Times
-        compare with the ``1e-9`` tolerance of the managers' own
-        schedule.
+        compare through :func:`~repro.sim.clock.reached`, the managers'
+        own rule.
         """
-        now = t + 1e-9
-        rows = np.flatnonzero(now >= self.wake(stable))
+        rows = np.flatnonzero(reached(t, self.wake(stable)))
         if not rows.size:
             return [], [], []
         batch = self.batchable[rows]
-        due = batch & (now >= self.next_check[rows])
+        due = batch & reached(t, self.next_check[rows])
         return (
             rows[due].tolist(),
             rows[batch ^ due].tolist(),
@@ -603,15 +597,14 @@ class _LaneTable:
         re-learned model staged, and the grant (re-checked now: the
         queue may have changed it since the row was read) absent or
         accepted and unrevised."""
-        now = t + 1e-9
-        apply_at = self.apply_at[rows].tolist()
+        due = reached(t, self.apply_at[rows]).tolist()
         ok = self.pending_ok[rows].tolist()
         grants = self.grants
         return [
             k
-            for k, at, fine in zip(rows, apply_at, ok)
+            for k, on_time, fine in zip(rows, due, ok)
             if fine
-            and now >= at
+            and on_time
             and (
                 (grant := grants[k]) is None
                 or (grant.outcome == "accepted" and not grant.revised)
@@ -769,10 +762,7 @@ class FleetEngine:
     ) -> None:
         if not lanes:
             raise ValueError("a fleet needs at least one lane")
-        if not 0.0 < step_seconds < math.inf:
-            raise ValueError(
-                f"step_seconds must be positive and finite, got {step_seconds}"
-            )
+        self._step = check_step(step_seconds)
         if wave_workers < 0:
             raise ValueError(f"wave_workers must be >= 0: {wave_workers}")
         if host_map is not None and host_map.n_lanes != len(lanes):
@@ -781,7 +771,6 @@ class FleetEngine:
                 f"has {len(lanes)}"
             )
         self._lanes = list(lanes)
-        self._step = float(step_seconds)
         self._label = label
         self.profiling_queue = profiling_queue
         self.host_map = host_map
@@ -896,7 +885,7 @@ class FleetEngine:
         )
 
     def _build_groups(
-        self, first_observations: list[dict[str, float]]
+        self, first_observations: list[dict[str, float]], n_steps: int
     ) -> tuple[list[_SchemaGroup], list[tuple[int, int]]]:
         """Fix every lane's schema from its first observation.
 
@@ -918,7 +907,7 @@ class FleetEngine:
             slots.append((index, len(group.lanes)))
             group.lanes.append(i)
         for group in groups:
-            group.allocate()
+            group.allocate(n_steps)
         return groups, slots
 
     def _fill_row(
@@ -1055,7 +1044,7 @@ class FleetEngine:
         failed = self._deploy(t, land, decisions) if land else ()
         table.landed(land)
         landed = dict(zip(land, decisions))
-        owed = set(np.flatnonzero(t + 1e-9 >= table.next_resignature).tolist())
+        owed = set(np.flatnonzero(reached(t, table.next_resignature)).tolist())
         touched = []
         for k in idle:
             decision = landed.get(k)
@@ -1072,7 +1061,8 @@ class FleetEngine:
 
     def _deploy(self, t: float, rows: list[int], decisions: list) -> set[int]:
         """The batched wave's one deploy pass: put each row's decision
-        in production at its ``apply_at``, then pre-check them
+        in production at its ``apply_at`` (at ``t`` if :func:`reached`
+        let it land a hair early), then pre-check them
         (:meth:`_precheck_landed`); returns the rows failing it.
 
         Every deployment the wave makes comes through here, in one
@@ -1097,7 +1087,7 @@ class FleetEngine:
         for k, decision in zip(rows, decisions):
             production = productions[k]
             if production.changes(decision.allocation):
-                production.apply(decision.allocation, decision.apply_at)
+                production.apply(decision.allocation, min(decision.apply_at, t))
             controllers[k].mark_deployed(decision)
         return self._precheck_landed(t, rows, decisions)
 
@@ -1318,13 +1308,12 @@ class FleetEngine:
 
     def _fix_schemas(
         self,
-        t: float,
-        hour: int,
-        day: int,
+        clock: SimClock,
         workloads: list[Workload],
         contexts: dict[int, StepContext],
     ) -> tuple[list[_SchemaGroup], list[tuple[int, int]], list[tuple]]:
-        """Fix every lane's schema from its first observation and record it.
+        """Fix every lane's schema from its first observation, at step 0
+        of ``clock``, and record it.
 
         Batch-observed lanes synthesize the dict from their observer and
         are cross-checked once against their own ``observe_fn``: a
@@ -1332,6 +1321,7 @@ class FleetEngine:
         lane's series.  Returns the groups, the lanes' (group, column)
         slots and the observer batches bound onto the groups' rows.
         """
+        t, hour, day = clock.time(0), clock.hour(0), clock.day(0)
         observed: dict[int, dict[str, float]] = {}
         for observer, lane_indices in self._observer_lanes:
             names = tuple(observer.names)
@@ -1363,7 +1353,7 @@ class FleetEngine:
                     "check the lane order the observer was built with"
                 )
             first_observations.append(observation)
-        groups, slots = self._build_groups(first_observations)
+        groups, slots = self._build_groups(first_observations, clock.n)
         for i, observation in enumerate(first_observations):
             index, column = slots[i]
             self._fill_row(groups[index], column, self._lanes[i], observation)
@@ -1441,14 +1431,7 @@ class FleetEngine:
 
     def run(self, duration_seconds: float, start: float = 0.0) -> FleetResult:
         """Run all lanes to ``start + duration_seconds`` and return the result."""
-        # Written so NaN fails too: every comparison with it is False.
-        if not 0.0 < duration_seconds < math.inf:
-            raise ValueError(
-                "duration_seconds must be positive and finite, "
-                f"got {duration_seconds}"
-            )
-        if not 0.0 <= start < math.inf:
-            raise ValueError(f"start must be non-negative and finite, got {start}")
+        clock = SimClock(duration_seconds, self._step, start)
         if self._table is not None:
             self._table.reset()
         pool = (
@@ -1461,7 +1444,7 @@ class FleetEngine:
         )
         self._wave_pool = pool
         try:
-            return self._run_loop(SimClock(start), start + duration_seconds)
+            return self._run_loop(clock)
         finally:
             self._wave_pool = None
             if pool is not None:
@@ -1500,19 +1483,18 @@ class FleetEngine:
             row, columns, perm = scatter
             row[:, columns] = target if perm is None else target[perm]
 
-    def _run_loop(self, clock: SimClock, end: float) -> FleetResult:
-        """Step every lane to ``end``, one sequence per step: workload
-        refresh, host pass, queue ``advance_to``, adapt wave, the
-        remaining ``on_step`` calls, then observation (batch observers,
-        then dict lanes)."""
+    def _run_loop(self, clock: SimClock) -> FleetResult:
+        """Step every lane through ``clock``'s steps, one sequence per
+        step: workload refresh, host pass, queue ``advance_to``, adapt
+        wave, the remaining ``on_step`` calls, then observation (batch
+        observers, then dict lanes)."""
         groups: list[_SchemaGroup] = []
         slots: list[tuple[int, int]] = []
         observer_batches: list[tuple] = []
-        times: list[float] = []
         workloads: list = [None] * len(self._lanes)
         trace_hour = None
-        while clock.now < end:
-            t, hour, day = clock.now, clock.hour, clock.day
+        for i in range(clock.n):
+            t, hour, day = clock.time(i), clock.hour(i), clock.day(i)
             # The clock's hour is the trace's own int(t // HOUR): trace
             # lanes need a new workload exactly when it changes.
             self._refresh_workloads(
@@ -1552,9 +1534,9 @@ class FleetEngine:
             contexts = self._step_controllers(to_step, t, hour, day, workloads)
             if masked:
                 self._table.reread(masked)
-            if not times:
+            if not i:
                 groups, slots, observer_batches = self._fix_schemas(
-                    t, hour, day, workloads, contexts
+                    clock, workloads, contexts
                 )
             else:
                 # Observers are disjoint (distinct objects, distinct
@@ -1566,33 +1548,31 @@ class FleetEngine:
                         for entry in observer_batches
                     ]
                 )
-                for i in self._dict_lanes:
-                    ctx = contexts.get(i) or StepContext(
-                        t=t, workload=workloads[i], hour=hour, day=day
+                for k in self._dict_lanes:
+                    ctx = contexts.get(k) or StepContext(
+                        t=t, workload=workloads[k], hour=hour, day=day
                     )
-                    index, column = slots[i]
+                    index, column = slots[k]
                     self._fill_row(
-                        groups[index], column, self._lanes[i],
-                        self._lanes[i].observe_fn(ctx),
+                        groups[index], column, self._lanes[k],
+                        self._lanes[k].observe_fn(ctx),
                     )
             for group in groups:
                 for j, name in enumerate(group.names):
                     group.buffers[name].append(group.row[j])
-            times.append(t)
-            clock.advance(self._step)
         # Fast-path observers read capacity without settling billing;
         # give each one a final settlement at the last step time so
         # cost meters match the dict path's per-step settlement.
-        if times:
+        if clock.n:
             for observer, _lanes in self._observer_lanes:
                 finalize = getattr(observer, "finalize", None)
                 if finalize is not None:
-                    finalize(times[-1])
+                    finalize(clock.time(clock.n - 1))
         matrices, series_lanes = self._assemble_matrices(groups)
         return FleetResult(
             label=self._label,
             lane_labels=tuple(lane.label for lane in self._lanes),
-            times=np.asarray(times, dtype=float),
+            times=clock.times(),
             matrices=matrices,
             schemas=tuple(group.names for group in groups),
             lane_schemas=tuple(index for index, _column in slots),

@@ -55,7 +55,7 @@ class LoadTrace:
 
     A trace is a workload source: calling it is :meth:`workload_at`.
     Its workload is constant within a trace hour ``int(t // HOUR)``,
-    the hour :class:`~repro.sim.clock.SimClock` reports, so a
+    the hour :meth:`~repro.sim.clock.SimClock.hour` gives a step, so a
     :class:`~repro.sim.fleet.FleetEngine` lane whose ``workload_fn`` is
     the trace itself is re-evaluated only on the first step of each
     hour; any other callable is evaluated every step.

@@ -206,8 +206,9 @@ class TestFaultSchedule:
             (600.0, 780.0, None),
             (2400.0, 2700.0, 2),
         )
-        with pytest.raises(ValueError, match="step"):
-            schedule.profiler_windows(0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step"):
+                schedule.profiler_windows(bad)
 
     def test_schedule_is_picklable(self):
         # Shard workers receive the schedule through the study spec.

@@ -30,7 +30,7 @@ from repro.baselines.autopilot import Autopilot
 from repro.baselines.overprovision import Overprovision
 from repro.baselines.rightscale import RightScale
 from repro.experiments.setup import build_scaleout_setup, observe_scaleout
-from repro.sim.clock import HOUR, SimClock
+from repro.sim.clock import HOUR, SECONDS_PER_DAY
 from repro.sim.engine import SimulationEngine, StepContext
 from repro.sim.fleet import FleetEngine, FleetLane
 from repro.sim.result import SimulationResult
@@ -42,19 +42,24 @@ STEP = 600.0
 def reference_run(
     workload_fn, controller, observe_fn, step_seconds, label, duration
 ) -> SimulationResult:
-    """The seed repo's SimulationEngine.run loop, verbatim semantics."""
-    clock = SimClock(0.0)
+    """The seed repo's SimulationEngine.run loop, verbatim semantics:
+    a running sum of steps (exact here, where every step is a whole
+    number of seconds)."""
+    now = 0.0
     result = SimulationResult(label=label)
     end = 0.0 + duration
-    while clock.now < end:
-        workload = workload_fn(clock.now)
+    while now < end:
+        workload = workload_fn(now)
         ctx = StepContext(
-            t=clock.now, workload=workload, hour=clock.hour, day=clock.day
+            t=now,
+            workload=workload,
+            hour=int(now // HOUR),
+            day=int(now // SECONDS_PER_DAY),
         )
         controller.on_step(ctx)
         for name, value in observe_fn(ctx).items():
-            result.record(name, clock.now, value)
-        clock.advance(step_seconds)
+            result.record(name, now, value)
+        now += step_seconds
     return result
 
 

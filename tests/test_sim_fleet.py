@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim.clock import SimClock
 from repro.sim.engine import SimulationEngine, StepContext
 from repro.sim.fleet import FleetEngine, FleetLane, FleetResult
 from repro.sim.profiling_queue import ProfilingQueue
@@ -165,10 +166,32 @@ class TestFleetEngineStepping:
             assert [c.day for c in lane.controller.contexts] == [1, 1, 1]
 
     def test_buffer_growth_beyond_initial_capacity(self):
-        # _RowBuffer starts at 256 rows; 300 steps forces a regrowth.
+        # A run longer than 256 steps records every step.
         result = FleetEngine([make_lane(3.0)], step_seconds=1.0).run(300.0)
         assert result.n_steps == 300
         assert float(result.matrix("metric").sum()) == 900.0
+
+    def test_off_grid_step_records_the_grid(self):
+        # Summing 0.1 s steps reaches 0.9999999999999999 after ten of
+        # them, short of the end: a running-sum clock took an 11th step.
+        lane = make_lane(1.0)
+        result = FleetEngine([lane], step_seconds=0.1).run(1.0)
+        assert result.n_steps == 10
+        np.testing.assert_array_equal(result.times, 0.1 * np.arange(10))
+        assert [c.t for c in lane.controller.contexts] == result.times.tolist()
+
+    def test_off_grid_start_records_the_step_count(self):
+        # 0.2 + 7 * 0.3 is the end itself; a running sum fell short of
+        # it and took an 8th step the step count never reported.
+        lane = make_lane(1.0)
+        result = FleetEngine([lane], step_seconds=0.3).run(2.1, start=0.2)
+        assert result.n_steps == 7
+        clock = SimClock(2.1, 0.3, start=0.2)
+        assert result.n_steps == clock.n
+        np.testing.assert_array_equal(
+            result.times, 0.2 + 0.3 * np.arange(clock.n)
+        )
+        assert len(lane.controller.contexts) == clock.n
 
 
 class TestFleetResult:
