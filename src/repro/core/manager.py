@@ -252,7 +252,6 @@ class _PendingDeployment:
         "allocation",
         "workload",
         "workload_class",
-        "run_interference_check",
         "grant",
         "retries",
         "retry_at",
@@ -274,7 +273,6 @@ class _PendingDeployment:
         self.allocation = allocation
         self.workload = workload
         self.workload_class = workload_class
-        self.run_interference_check = run_interference_check
         self.grant = grant
         self.retries = retries
         self.retry_at = retry_at

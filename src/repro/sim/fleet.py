@@ -19,10 +19,10 @@ Four pieces:
   batched recording.  Fleets are **heterogeneous**: each lane's first
   observation fixes *that lane's* series schema, and lanes sharing a
   schema (for example all the Cassandra-style scale-out lanes, or all
-  the SPECweb-style scale-up lanes) batch into one growable
+  the SPECweb-style scale-up lanes) batch into one
   ``(n_steps, n_lanes_in_group)`` numpy block per series.  Per-lane
-  series materialize lazily (and, for homogeneous fleets,
-  bit-identically to the legacy engine) from buffer columns;
+  series are read-only :class:`~repro.sim.result.TimeSeries` copies
+  of block columns, made on demand;
   :meth:`FleetResult.lane_block` is the unified
   ``lane index → (schema, rows)`` accessor.
 * an optional :class:`~repro.sim.hosts.HostMap` — shared simulated
@@ -32,8 +32,9 @@ Four pieces:
   interference substrate, so interference-band escalation fires across
   services instead of only from scripted per-lane injection.
 
-The legacy :meth:`SimulationEngine.run` is a thin wrapper over a 1-lane
-fleet, so every existing experiment exercises this code path.
+The single-service experiments run through
+:meth:`~repro.sim.engine.SimulationEngine.run`, a thin wrapper over a
+1-lane fleet, so every experiment exercises this code path.
 """
 
 from __future__ import annotations
@@ -256,9 +257,7 @@ class FleetResult:
         """One lane's column of one series, as a :class:`TimeSeries`."""
         self._check_lane(lane)
         column = self._column_of(name, lane)
-        return TimeSeries.from_arrays(
-            name, self.times, self.matrix(name)[:, column]
-        )
+        return TimeSeries(name, self.times, self.matrix(name)[:, column])
 
     def lane_block(self, lane: int) -> tuple[tuple[str, ...], np.ndarray]:
         """The unified ``lane index → (schema, rows)`` accessor.
@@ -277,7 +276,8 @@ class FleetResult:
         return schema, np.column_stack(columns)
 
     def lane_result(self, lane: int) -> SimulationResult:
-        """Materialize one lane as a legacy :class:`SimulationResult`."""
+        """One lane's series, as the :class:`SimulationResult` that
+        :meth:`SimulationEngine.run` and the analysis layer use."""
         self._check_lane(lane)
         result = SimulationResult(label=self.lane_labels[lane])
         for name in self.schema_of(lane):
@@ -287,13 +287,13 @@ class FleetResult:
     def total(self, name: str) -> TimeSeries:
         """Per-step sum of one series over the lanes recording it
         (e.g. total hourly cost)."""
-        return TimeSeries.from_arrays(
+        return TimeSeries(
             f"{name}.total", self.times, self.matrix(name).sum(axis=1)
         )
 
     def mean(self, name: str) -> TimeSeries:
         """Per-step mean of one series over the lanes recording it."""
-        return TimeSeries.from_arrays(
+        return TimeSeries(
             f"{name}.mean", self.times, self.matrix(name).mean(axis=1)
         )
 

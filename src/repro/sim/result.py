@@ -1,121 +1,84 @@
-"""Time-series recording for simulation runs.
+"""Recorded series of simulation runs.
 
 Every experiment in the paper is reported as one or more time series over
 the trace week (latency, QoS, instance count, instance type) plus scalar
 aggregates (cost savings, SLO-violation fraction, adaptation time).  A
-:class:`TimeSeries` collects ``(t, value)`` samples; a
-:class:`SimulationResult` groups the named series of one run and computes
-the aggregates the paper's tables quote.
+:class:`TimeSeries` is one recorded series: a read-only pair of
+``(times, values)`` arrays, usually one column of a fleet result's
+matrix, with the aggregates the paper's tables quote.  A
+:class:`SimulationResult` groups the named series of one run.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
 class TimeSeries:
-    """An append-only series of ``(time_seconds, value)`` samples."""
+    """An immutable series of ``(time_seconds, value)`` samples.
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
+    ``times`` and ``values`` are contiguous float64 copies of the arrays
+    given, marked read-only: a series never writes through into the
+    matrix it was sliced from.
+    """
 
-    def record(self, t: float, value: float) -> None:
-        """Append a sample; samples must arrive in non-decreasing time order."""
-        if self._times and t < self._times[-1]:
-            raise ValueError(
-                f"out-of-order sample for {self.name!r}: t={t} < {self._times[-1]}"
-            )
-        self._times.append(float(t))
-        self._values.append(float(value))
-
-    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Append a whole batch of samples at once.
-
-        The batched counterpart of :meth:`record` used by the fleet
-        engine, which buffers one value per (step, lane) in numpy arrays
-        and materializes per-lane series in a single call instead of one
-        ``record`` round-trip per sample.
-        """
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+    def __init__(self, name: str, times: np.ndarray, values: np.ndarray) -> None:
+        times = np.array(times, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
         if times.ndim != 1 or values.ndim != 1:
             # A (n, 1) column sliced off a matrix is the classic slip;
             # diagnose it as dimensionality, not as a length mismatch.
             raise ValueError(
-                f"batch for {self.name!r} must be 1-D arrays; got shapes "
+                f"series {name!r} needs 1-D arrays; got shapes "
                 f"{times.shape} and {values.shape}"
             )
         if times.shape != values.shape:
             raise ValueError(
-                f"batch shapes differ for {self.name!r}: "
-                f"{times.shape} vs {values.shape}"
+                f"series {name!r}: shapes differ: {times.shape} vs {values.shape}"
             )
-        if times.size == 0:
-            return
-        if np.any(np.diff(times) < 0) or (
-            self._times and times[0] < self._times[-1]
-        ):
-            raise ValueError(f"out-of-order batch for {self.name!r}")
-        self._times.extend(times.tolist())
-        self._values.extend(values.tolist())
-
-    @classmethod
-    def from_arrays(
-        cls, name: str, times: np.ndarray, values: np.ndarray
-    ) -> "TimeSeries":
-        """Build a series from parallel time/value arrays in one shot."""
-        series = cls(name)
-        series.extend(times, values)
-        return series
+        if np.any(np.diff(times) < 0):
+            raise ValueError(f"out-of-order samples for {name!r}")
+        times.flags.writeable = False
+        values.flags.writeable = False
+        self.name = name
+        self.times = times
+        self.values = values
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self.times.size
 
     def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(zip(self._times, self._values))
+        return iter(zip(self.times.tolist(), self.values.tolist()))
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
+    def _check_nonempty(self) -> None:
+        if not self.times.size:
+            raise ValueError(f"series {self.name!r} is empty")
 
     def value_at(self, t: float) -> float:
         """Value of the most recent sample at or before ``t`` (step-hold)."""
-        if not self._times:
-            raise ValueError(f"series {self.name!r} is empty")
-        idx = bisect_right(self._times, t) - 1
+        self._check_nonempty()
+        idx = int(np.searchsorted(self.times, t, side="right")) - 1
         if idx < 0:
             raise ValueError(f"no sample at or before t={t} in {self.name!r}")
-        return self._values[idx]
+        return float(self.values[idx])
 
     def window(self, t_start: float, t_end: float) -> "TimeSeries":
         """Samples with ``t_start <= t < t_end``, as a new series."""
         if t_end < t_start:
             raise ValueError(f"bad window [{t_start}, {t_end})")
-        out = TimeSeries(self.name)
-        for t, v in self:
-            if t_start <= t < t_end:
-                out.record(t, v)
-        return out
+        lo, hi = np.searchsorted(self.times, (t_start, t_end))
+        return TimeSeries(self.name, self.times[lo:hi], self.values[lo:hi])
 
     def mean(self) -> float:
-        if not self._values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return float(np.mean(self._values))
+        self._check_nonempty()
+        return float(np.mean(self.values))
 
     def max(self) -> float:
-        if not self._values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return float(np.max(self._values))
+        self._check_nonempty()
+        return float(np.max(self.values))
 
     def fraction_above(self, threshold: float) -> float:
         """Fraction of samples strictly above ``threshold``.
@@ -123,53 +86,31 @@ class TimeSeries:
         Used for SLO-violation accounting (e.g. the paper's "Autopilot
         violates the SLO at least 28% of the time").
         """
-        if not self._values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return float(np.mean(np.asarray(self._values) > threshold))
+        self._check_nonempty()
+        return float(np.mean(self.values > threshold))
 
     def fraction_below(self, threshold: float) -> float:
         """Fraction of samples strictly below ``threshold`` (QoS-style SLOs)."""
-        if not self._values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return float(np.mean(np.asarray(self._values) < threshold))
+        self._check_nonempty()
+        return float(np.mean(self.values < threshold))
 
     def integrate(self) -> float:
         """Left-Riemann integral of the step function defined by the samples.
 
         The last sample is held until the final sample time, so a series
         with a single sample integrates to zero.  Used for instance-hour
-        cost accounting.
+        cost accounting.  The sum runs left to right from 0.0 (not
+        numpy's pairwise sum), so cost figures keep their exact floats.
         """
         total = 0.0
-        for (t0, v0), (t1, _v1) in zip(self, list(self)[1:]):
-            total += v0 * (t1 - t0)
+        for area in (self.values[:-1] * np.diff(self.times)).tolist():
+            total += area
         return total
 
 
 @dataclass
 class SimulationResult:
-    """All recorded outputs of one simulation run."""
+    """The named series of one simulation run."""
 
     label: str
     series: dict[str, TimeSeries] = field(default_factory=dict)
-    scalars: dict[str, float] = field(default_factory=dict)
-    events: list[tuple[float, str]] = field(default_factory=list)
-
-    def series_named(self, name: str) -> TimeSeries:
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
-
-    def record(self, name: str, t: float, value: float) -> None:
-        self.series_named(name).record(t, value)
-
-    def log_event(self, t: float, description: str) -> None:
-        self.events.append((t, description))
-
-    def events_matching(self, substring: str) -> list[tuple[float, str]]:
-        return [(t, e) for t, e in self.events if substring in e]
-
-    def merged_scalars(self, extra: Iterable[tuple[str, float]]) -> dict[str, float]:
-        merged = dict(self.scalars)
-        merged.update(extra)
-        return merged

@@ -6,13 +6,14 @@ from repro.analysis.adaptation import adaptation_times, mean_adaptation_seconds
 from repro.analysis.costs import cost_summary, dollars_from_series
 from repro.analysis.slo_report import slo_report
 from repro.services.slo import LatencySLO, QoSSLO
-from repro.sim.result import SimulationResult
+from repro.sim.result import SimulationResult, TimeSeries
 
 
 def result_with(name, samples, label="run"):
     result = SimulationResult(label=label)
-    for t, value in samples:
-        result.record(name, t, value)
+    times = [t for t, _ in samples]
+    values = [value for _, value in samples]
+    result.series[name] = TimeSeries(name, times, values)
     return result
 
 

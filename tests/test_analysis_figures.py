@@ -9,13 +9,14 @@ from repro.analysis.figures import (
     render_comparison,
     sparkline,
 )
-from repro.sim.result import SimulationResult
+from repro.sim.result import SimulationResult, TimeSeries
 
 
 def result_with_series(name: str, samples, label="run") -> SimulationResult:
     result = SimulationResult(label=label)
-    for t, value in samples:
-        result.record(name, t, value)
+    times = [t for t, _ in samples]
+    values = [value for _, value in samples]
+    result.series[name] = TimeSeries(name, times, values)
     return result
 
 

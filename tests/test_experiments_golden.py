@@ -25,7 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.sim.result import TimeSeries
+from repro.sim.result import SimulationResult, TimeSeries
 
 SEED = 0
 
@@ -49,13 +49,19 @@ def canonical(value):
             "values": canonical(value.values.tolist()),
         }
     if dataclasses.is_dataclass(value):
-        return {
+        rendered = {
             "type": type(value).__name__,
             **{
                 field.name: canonical(getattr(value, field.name))
                 for field in dataclasses.fields(value)
             },
         }
+        if isinstance(value, SimulationResult):
+            # The digests were pinned when a result also had ``scalars``
+            # and ``events`` fields, empty in every experiment.  They
+            # still render, empty, so the pinned digests keep applying.
+            rendered.update(scalars=[], events=[])
+        return rendered
     if isinstance(value, dict):
         return [[canonical(k), canonical(v)] for k, v in sorted(value.items())]
     if isinstance(value, (list, tuple)):

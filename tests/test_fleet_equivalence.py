@@ -33,7 +33,7 @@ from repro.experiments.setup import build_scaleout_setup, observe_scaleout
 from repro.sim.clock import HOUR, SECONDS_PER_DAY
 from repro.sim.engine import SimulationEngine, StepContext
 from repro.sim.fleet import FleetEngine, FleetLane
-from repro.sim.result import SimulationResult
+from repro.sim.result import SimulationResult, TimeSeries
 
 DURATION = 3 * HOUR
 STEP = 600.0
@@ -44,9 +44,10 @@ def reference_run(
 ) -> SimulationResult:
     """The seed repo's SimulationEngine.run loop, verbatim semantics:
     a running sum of steps (exact here, where every step is a whole
-    number of seconds)."""
+    number of seconds), with each step's samples appended to per-series
+    lists and the result built once at the end."""
     now = 0.0
-    result = SimulationResult(label=label)
+    samples: dict[str, tuple[list[float], list[float]]] = {}
     end = 0.0 + duration
     while now < end:
         workload = workload_fn(now)
@@ -58,9 +59,17 @@ def reference_run(
         )
         controller.on_step(ctx)
         for name, value in observe_fn(ctx).items():
-            result.record(name, now, value)
+            times, values = samples.setdefault(name, ([], []))
+            times.append(float(now))
+            values.append(float(value))
         now += step_seconds
-    return result
+    return SimulationResult(
+        label=label,
+        series={
+            name: TimeSeries(name, times, values)
+            for name, (times, values) in samples.items()
+        },
+    )
 
 
 def build_policy(policy: str):

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,9 +125,7 @@ class TestTimeSeriesProperties:
         )
     )
     def test_integral_matches_manual_sum(self, values):
-        series = TimeSeries("x")
-        for i, value in enumerate(values):
-            series.record(float(i), value)
+        series = TimeSeries("x", np.arange(len(values), dtype=float), values)
         manual = sum(values[:-1])
         assert series.integrate() == pytest.approx(manual, rel=1e-9, abs=1e-9)
 
@@ -138,13 +138,106 @@ class TestTimeSeriesProperties:
         threshold=st.floats(min_value=0.0, max_value=100.0),
     )
     def test_fractions_complementary(self, values, threshold):
-        series = TimeSeries("x")
-        for i, value in enumerate(values):
-            series.record(float(i), value)
+        series = TimeSeries("x", np.arange(len(values), dtype=float), values)
         above = series.fraction_above(threshold)
         below = series.fraction_below(threshold)
         at = np.mean(np.asarray(values) == threshold)
         assert above + below + at == pytest.approx(1.0)
+
+
+def _list_reference(times, values):
+    """The seed recorder's list semantics, restated: the series was two
+    Python lists appended one sample at a time, read by bisect, by a
+    sample-by-sample window filter and by a left-to-right sum."""
+    times = [float(t) for t in times]
+    values = [float(v) for v in values]
+
+    def value_at(t):
+        if not times:
+            raise ValueError("empty")
+        idx = bisect_right(times, t) - 1
+        if idx < 0:
+            raise ValueError("before the first sample")
+        return values[idx]
+
+    def window(t_start, t_end):
+        return [(t, v) for t, v in zip(times, values) if t_start <= t < t_end]
+
+    def integrate():
+        pairs = list(zip(times, values))
+        total = 0.0
+        for (t0, v0), (t1, _v1) in zip(pairs, pairs[1:]):
+            total += v0 * (t1 - t0)
+        return total
+
+    return value_at, window, integrate
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def series_and_probes(draw):
+    """Sorted sample times with duplicates, and probe times on samples,
+    between them and outside the series."""
+    ticks = sorted(draw(st.lists(st.integers(0, 30), max_size=40)))
+    step = draw(st.floats(min_value=0.1, max_value=1e4))
+    times = [tick * step for tick in ticks]
+    values = draw(
+        st.lists(finite_floats, min_size=len(times), max_size=len(times))
+    )
+    probe = st.one_of(
+        st.integers(-2, 33).map(lambda tick: tick * step),  # on the grid
+        st.integers(-2, 33).map(lambda tick: (tick + 0.5) * step),  # between
+        st.floats(min_value=-1e6, max_value=1e6),
+    )
+    if times:
+        probe = st.one_of(probe, st.sampled_from(times))
+    probes = draw(st.lists(probe, min_size=1, max_size=6))
+    lo, hi = sorted(draw(st.tuples(probe, probe)))
+    empty_at = draw(probe)
+    return times, values, probes, (lo, hi), empty_at
+
+
+class TestTimeSeriesMatchesListSemantics:
+    """The array series gives bit for bit what the seed engine's
+    append-only list recorder gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=series_and_probes(), threshold=finite_floats)
+    def test_array_series_equals_list_recorder(self, case, threshold):
+        times, values, probes, (lo, hi), empty_at = case
+        series = TimeSeries("x", times, values)
+        value_at, window, integrate = _list_reference(times, values)
+
+        assert list(series) == list(zip(times, values))
+        assert _bits(series.integrate()) == _bits(integrate())
+        for t in probes:
+            try:
+                expected = value_at(t)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    series.value_at(t)
+            else:
+                assert _bits(series.value_at(t)) == _bits(expected)
+
+        assert list(series.window(lo, hi)) == window(lo, hi)
+        assert list(series.window(empty_at, empty_at)) == []
+
+        if values:
+            assert _bits(series.mean()) == _bits(float(np.mean(values)))
+            assert _bits(series.max()) == _bits(float(np.max(values)))
+            assert _bits(series.fraction_above(threshold)) == _bits(
+                float(np.mean(np.asarray(values) > threshold))
+            )
+            assert _bits(series.fraction_below(threshold)) == _bits(
+                float(np.mean(np.asarray(values) < threshold))
+            )
+        else:
+            for aggregate in (series.mean, series.max):
+                with pytest.raises(ValueError):
+                    aggregate()
 
 
 class TestCorrelationProperties:
